@@ -55,10 +55,8 @@ def test_flowcache_locality():
             shards=SHARDS,
             cache_size=CACHE_SIZE,
             classifier=CLASSIFIER,
-            executor="thread",
             cost_model=cost_model,
             seed=41,
-            columnar=True,
         )
         uncached = run_scenario(
             rules,
@@ -68,10 +66,8 @@ def test_flowcache_locality():
             shards=SHARDS,
             cache_size=0,
             classifier=CLASSIFIER,
-            executor="thread",
             cost_model=cost_model,
             seed=41,
-            columnar=True,
         )
         if kind == "zipf":
             hit_rates.append(cached.hit_rate)
@@ -111,7 +107,6 @@ def test_flowcache_locality():
             "cache_size": CACHE_SIZE,
             "trace_packets": num_packets,
             "batch_size": 128,
-            "columnar": True,
         },
         measured={"series": series},
         summary={

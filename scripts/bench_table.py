@@ -65,11 +65,14 @@ def _rows_sharded_scaling(data: dict) -> list[tuple[str, str, str]]:
          f"({_fmt(best['throughput_pps'] / 1e6)} Mpps)"),
     ]
     if "workers_scaling" in summary:
+        scaling = summary["workers_scaling"]
         rows.append(
             (name,
              f"workers executor, measured, 8 vs 1 shards "
              f"({config.get('cores', '?')} cores)",
-             f"{_fmt(summary['workers_scaling'])}x "
+             # One core cannot show scale-out: the bench reports a string.
+             scaling if isinstance(scaling, str) else
+             f"{_fmt(scaling)}x "
              f"({_fmt(summary['workers_top_pps'] / 1e3, 1)} kpps)"),
         )
     if "cached_columnar_pps" in summary:

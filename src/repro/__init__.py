@@ -23,11 +23,13 @@ and build them with :func:`build_classifier` and list them with
 Subsystems:
 
 * :mod:`repro.engine` — the :class:`ClassificationEngine` serving facade:
-  build → serve → update → persist.
+  build → serve → update → persist, and the ``EngineStack`` mixin that
+  derives every stack's object results from its one ``classify_block``.
 * :mod:`repro.serving` — multi-core sharded serving: :class:`ShardedEngine`
-  partitions the rules across per-shard engines (iSet-aware), fans batches
-  out over a worker pool, and absorbs online updates with background
-  retraining, the way the paper's evaluation scales across cores.
+  partitions the rules across per-shard engines (iSet-aware), fans blocks
+  out in-process or over shared-memory shard workers, and absorbs online
+  updates with background retraining, the way the paper's evaluation scales
+  across cores.
 * :mod:`repro.core` — the RQ-RMI learned range index, iSet partitioning and
   the end-to-end NuevoMatch classifier (the paper's contribution), plus the
   parallel warm-start training pipeline (:mod:`repro.core.pipeline`):

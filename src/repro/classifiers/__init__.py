@@ -14,15 +14,13 @@ candidates for indexing its *remainder set*:
   search-optimised tree (``nc``).
 
 All classifiers implement the :class:`~repro.classifiers.base.Classifier`
-interface: per-packet and batched traced lookups, the ``classify_with_floor``
-early-termination hook, and the versioned ``to_state``/``from_state``
+interface: the scalar traced lookup, the columnar ``classify_block``, the
+``classify_with_floor`` early-termination hook, and the versioned ``to_state``/``from_state``
 persistence protocol.  Each class registers itself with the decorator-based
 registry (:mod:`repro.classifiers.registry`); resolve names with
 :func:`build_classifier` / :func:`resolve_classifier` and enumerate them with
 :func:`available_classifiers`.
 """
-
-import warnings
 
 from repro.classifiers.base import (
     STATE_FORMAT_VERSION,
@@ -48,33 +46,6 @@ from repro.classifiers.hicuts import HiCutsClassifier
 from repro.classifiers.cutsplit import CutSplitClassifier
 from repro.classifiers.neurocuts import NeuroCutsClassifier
 
-
-class _DeprecatedRegistry(dict):
-    """Read-only shim for the removed static ``CLASSIFIER_REGISTRY`` dict."""
-
-    def __getitem__(self, key):
-        warnings.warn(
-            "CLASSIFIER_REGISTRY is deprecated; use "
-            "repro.classifiers.build_classifier / resolve_classifier instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return super().__getitem__(key)
-
-
-#: Deprecated: mapping of the baseline classifiers' short names to classes.
-#: Use :func:`resolve_classifier` / :func:`available_classifiers` instead.
-CLASSIFIER_REGISTRY: dict[str, type[Classifier]] = _DeprecatedRegistry(
-    {
-        "linear": LinearSearchClassifier,
-        "tss": TupleSpaceSearchClassifier,
-        "tm": TupleMergeClassifier,
-        "hicuts": HiCutsClassifier,
-        "cs": CutSplitClassifier,
-        "nc": NeuroCutsClassifier,
-    }
-)
-
 __all__ = [
     "Classifier",
     "UpdatableClassifier",
@@ -95,5 +66,4 @@ __all__ = [
     "classifier_aliases",
     "format_available",
     "UnknownClassifierError",
-    "CLASSIFIER_REGISTRY",
 ]

@@ -29,8 +29,9 @@ __all__ = [
     "UpdatableClassifier",
     "STATE_FORMAT_VERSION",
     "TRACE_FIELDS",
+    "NO_FLOOR",
     "check_state_header",
-    "results_to_arrays",
+    "trace_from_row",
 ]
 
 #: Column order of the ``(n, 5)`` int64 trace blocks used by the columnar
@@ -43,6 +44,11 @@ TRACE_FIELDS = (
     "compute_ops",
     "hash_ops",
 )
+
+#: "No floor" sentinel for the per-row floors of
+#: :meth:`Classifier.classify_block_with_floors`.  Numerically above every real
+#: rule priority, so ``priority < NO_FLOOR`` always holds.
+NO_FLOOR = int(np.iinfo(np.int64).max)
 
 #: Version of the serializable classifier state produced by ``to_state`` and
 #: consumed by ``from_state``.  Bump when the layout changes incompatibly.
@@ -167,28 +173,10 @@ class ClassificationResult:
         return self.rule.action if self.rule else None
 
 
-def results_to_arrays(
-    results: Sequence[ClassificationResult],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse classification results to ``(rule_ids, priorities)`` arrays.
-
-    The columnar serving contract (``classify_block``, wire protocol v2):
-    ``rule_id == -1`` and ``priority == 0`` mark a miss.  Shared by every
-    engine stack's generic ``classify_block`` fallback so the columnar and
-    object paths cannot disagree on the encoding.
-    """
-    n = len(results)
-    rule_ids = np.empty(n, dtype=np.int64)
-    priorities = np.empty(n, dtype=np.int64)
-    for row, result in enumerate(results):
-        rule = result.rule
-        if rule is None:
-            rule_ids[row] = -1
-            priorities[row] = 0
-        else:
-            rule_ids[row] = rule.rule_id
-            priorities[row] = rule.priority
-    return rule_ids, priorities
+def trace_from_row(row: Sequence[int]) -> LookupTrace:
+    """A :class:`LookupTrace` from one :data:`TRACE_FIELDS`-ordered counter row
+    (a ``classify_block`` trace row, or a column-wise sum of many)."""
+    return LookupTrace(*(int(value) for value in row))
 
 
 class Classifier(ABC):
@@ -202,11 +190,6 @@ class Classifier(ABC):
 
     #: Short name used in reports (e.g. ``"cs"`` for CutSplit).
     name: str = "classifier"
-
-    #: True when :meth:`classify_block` is genuinely columnar — no per-packet
-    #: :class:`ClassificationResult`/:class:`LookupTrace` objects anywhere on
-    #: the path.  The engine wrappers key object materialization off it.
-    supports_block: bool = False
 
     def __init__(self, ruleset: RuleSet):
         self.ruleset = ruleset
@@ -257,14 +240,11 @@ class Classifier(ABC):
     def classify_batch(
         self, packets: Sequence[Packet | Sequence[int]]
     ) -> list[ClassificationResult]:
-        """Classify a batch of packets, one traced result per packet.
+        """One traced result per packet: a loop over :meth:`classify_traced`.
 
-        The base implementation loops over :meth:`classify_traced`; classifiers
-        with vectorizable lookups (NuevoMatch's RQ-RMI inference, linear
-        search) override it with genuinely batched numpy paths.  Every override
-        must return exactly the matches the per-packet interface returns.
-        Aggregate the per-packet traces with :meth:`LookupTrace.aggregate` to
-        cost the whole batch.
+        The scalar path is the paper-faithful reference the columnar
+        :meth:`classify_block` implementations are tested against; no
+        classifier overrides this.
         """
         return [self.classify_traced(packet) for packet in packets]
 
@@ -276,26 +256,51 @@ class Classifier(ABC):
         """Columnar lookup: ``(n, fields)`` block → ``(rule_ids, priorities)``.
 
         The serving data plane's native shape (shared-memory worker rings,
-        wire protocol v2).  Misses encode as ``rule_id == -1`` with
-        ``priority == 0``.  ``traces``, when given, is an ``(n,
-        len(TRACE_FIELDS))`` int64 out-array whose rows are *overwritten* with
-        the per-packet lookup counters in :data:`TRACE_FIELDS` order.
+        wire protocol v2) and the one lookup every engine stack implements.
+        Misses encode as ``rule_id == -1`` with ``priority == 0``.  ``traces``,
+        when given, is an ``(n, len(TRACE_FIELDS))`` int64 out-array whose
+        rows are *overwritten* with the per-packet lookup counters in
+        :data:`TRACE_FIELDS` order.
 
-        Classifiers with vectorizable lookups override this with an
-        allocation-free path and set :attr:`supports_block`; the generic
-        implementation routes through :meth:`classify_batch` (block rows act
-        as packet value sequences) and collapses the per-packet results.
+        Classifiers with vectorizable lookups (linear, TupleMerge, NuevoMatch)
+        override this with an allocation-free path; the generic implementation
+        is the unfloored :meth:`classify_block_with_floors` loop.
         """
-        results = self.classify_batch(block)
         if traces is not None:
-            for row, result in enumerate(results):
-                trace = result.trace
-                traces[row, 0] = trace.index_accesses
-                traces[row, 1] = trace.rule_accesses
-                traces[row, 2] = trace.model_accesses
-                traces[row, 3] = trace.compute_ops
-                traces[row, 4] = trace.hash_ops
-        return results_to_arrays(results)
+            traces[: len(block)] = 0
+        return self.classify_block_with_floors(block, None, traces=traces)
+
+    def classify_block_with_floors(
+        self,
+        block: np.ndarray,
+        floors: Optional[np.ndarray],
+        traces: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Floored columnar lookup — the remainder half of NuevoMatch's
+        early-termination contract (§4), one floor per row.
+
+        ``floors`` is an int64 array of per-row priority floors
+        (:data:`NO_FLOOR` disables the floor for a row; ``None`` disables it
+        everywhere).  ``traces`` rows are *accumulated into*, not overwritten:
+        NuevoMatch adds the remainder's counters on top of the iSet ones.  The
+        generic implementation loops :meth:`classify_with_floor`, so any
+        classifier can index a NuevoMatch remainder that serves blocks.
+        """
+        n = len(block)
+        rule_ids = np.full(n, -1, dtype=np.int64)
+        priorities = np.zeros(n, dtype=np.int64)
+        for row in range(n):
+            floor = None if floors is None or floors[row] == NO_FLOOR else int(floors[row])
+            result = self.classify_with_floor(
+                tuple(int(value) for value in block[row]), floor
+            )
+            if result.rule is not None:
+                rule_ids[row] = result.rule.rule_id
+                priorities[row] = result.rule.priority
+            if traces is not None:
+                for column, name in enumerate(TRACE_FIELDS):
+                    traces[row, column] += getattr(result.trace, name)
+        return rule_ids, priorities
 
     def classify_with_floor(
         self, packet: Packet | Sequence[int], priority_floor: Optional[int]

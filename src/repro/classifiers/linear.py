@@ -20,11 +20,11 @@ from repro.classifiers.base import (
     RULE_ENTRY_BYTES,
 )
 from repro.classifiers.registry import register
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import Packet, RuleSet
 
 __all__ = ["LinearSearchClassifier"]
 
-#: Packets per chunk in the vectorized batch path; bounds the (chunk × rules ×
+#: Packets per chunk in the columnar block path; bounds the (chunk × rules ×
 #: fields) boolean intermediate to a few MB.
 _BATCH_CHUNK = 512
 
@@ -39,7 +39,6 @@ class LinearSearchClassifier(Classifier):
     """Priority-ordered linear scan over the rule array."""
 
     name = "linear"
-    supports_block = True
 
     def __init__(self, ruleset: RuleSet):
         super().__init__(ruleset)
@@ -73,52 +72,12 @@ class LinearSearchClassifier(Classifier):
                 return ClassificationResult(rule, trace)
         return ClassificationResult(None, trace)
 
-    def classify_batch(
-        self, packets: Sequence[Packet | Sequence[int]]
-    ) -> list[ClassificationResult]:
-        """Vectorized scan: one broadcasted range test per packet chunk.
-
-        Returns exactly what the sequential path returns, traces included: the
-        scan conceptually stops at the first (best-priority) matching rule, so
-        ``rule_accesses`` is the 1-based position of that rule (or the full
-        rule count on a miss).
-        """
-        packet_list = list(packets)
-        num_rules = len(self._ordered)
-        num_fields = self._lo.shape[1]
-        results: list[ClassificationResult] = []
-        for start in range(0, len(packet_list), _BATCH_CHUNK):
-            chunk = packet_list[start : start + _BATCH_CHUNK]
-            values = np.array([tuple(p) for p in chunk], dtype=np.int64)
-            if num_rules == 0:
-                results.extend(ClassificationResult(None, LookupTrace()) for _ in chunk)
-                continue
-            matched = np.all(
-                (values[:, None, :] >= self._lo[None, :, :])
-                & (values[:, None, :] <= self._hi[None, :, :]),
-                axis=2,
-            )
-            any_match = matched.any(axis=1)
-            first = np.argmax(matched, axis=1)
-            for row in range(len(chunk)):
-                if any_match[row]:
-                    scanned = int(first[row]) + 1
-                    rule: Optional[Rule] = self._ordered[int(first[row])]
-                else:
-                    scanned = num_rules
-                    rule = None
-                trace = LookupTrace(
-                    rule_accesses=scanned, compute_ops=scanned * num_fields
-                )
-                results.append(ClassificationResult(rule, trace))
-        return results
-
     def classify_block(
         self,
         block: np.ndarray,
         traces: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar scan: allocation-free, bit-identical to :meth:`classify_batch`.
+        """Columnar scan: allocation-free, bit-identical to :meth:`classify_traced`.
 
         Rules are scanned in :data:`_RULE_CHUNK` slices; packets resolved by an
         early chunk drop out of later ones, so trace semantics stay those of

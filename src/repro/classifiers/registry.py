@@ -9,9 +9,7 @@ paper's figures use, e.g. ``"tm"``) plus optional long-form aliases::
 
 Consumers resolve names — canonical or alias — through :func:`resolve_classifier`
 and build instances with :func:`build_classifier`; :func:`available_classifiers`
-enumerates the canonical names for CLI choice lists and error messages.  The
-registry replaces the old static ``CLASSIFIER_REGISTRY`` dict (kept as a
-deprecated shim in :mod:`repro.classifiers`).
+enumerates the canonical names for CLI choice lists and error messages.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from repro.classifiers.base import (
     HASH_TABLE_OVERHEAD,
     LookupTrace,
     MemoryFootprint,
+    NO_FLOOR,
     RULE_ENTRY_BYTES,
     UpdatableClassifier,
 )
@@ -32,15 +33,10 @@ from repro.classifiers.registry import register
 from repro.classifiers.tuplespace import mask_value, rule_tuple
 from repro.rules.rule import Packet, Rule, RuleSet
 
-__all__ = ["TupleMergeClassifier", "NO_FLOOR"]
+__all__ = ["TupleMergeClassifier"]
 
 #: Default per-bucket collision limit, as recommended by the TupleMerge paper.
 DEFAULT_COLLISION_LIMIT = 40
-
-#: Per-row "no floor" sentinel for :meth:`TupleMergeClassifier.
-#: classify_block_with_floors`.  Numerically above every real rule priority,
-#: so the floor comparisons degenerate to the unfloored lookup.
-NO_FLOOR = int(np.iinfo(np.int64).max)
 
 #: Coarse IP prefix-length grids used when seeding new tables.  The first
 #: (coarser) grid is tried first so that many tuples merge into few tables;
@@ -140,7 +136,6 @@ class TupleMergeClassifier(UpdatableClassifier):
     """TupleMerge: merged tuple-space hash tables with a collision limit."""
 
     name = "tm"
-    supports_block = True
 
     def __init__(self, ruleset: RuleSet, collision_limit: int = DEFAULT_COLLISION_LIMIT):
         super().__init__(ruleset)
@@ -269,15 +264,10 @@ class TupleMergeClassifier(UpdatableClassifier):
         floors: Optional[np.ndarray],
         traces: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Floored columnar lookup — the remainder half of NuevoMatch's
-        early-termination contract (§4), one floor per row.
-
-        ``floors`` is an int64 array of per-row priority floors
-        (:data:`NO_FLOOR` disables the floor for a row; ``None`` disables it
-        everywhere); a row only reports a match strictly better (numerically
-        lower) than its floor.  ``traces`` rows are *accumulated into*, not
-        overwritten — callers owning the whole lookup zero them first, while
-        NuevoMatch adds the remainder's counters on top of the iSet ones.
+        """Floored columnar lookup without per-row result objects (contract:
+        :meth:`Classifier.classify_block_with_floors
+        <repro.classifiers.base.Classifier.classify_block_with_floors>`); a
+        row only reports a match strictly better than its floor.
         """
         n = len(block)
         rule_ids = np.full(n, -1, dtype=np.int64)

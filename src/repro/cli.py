@@ -19,8 +19,9 @@ Commands:
   inspects a saved engine, ``engine serve`` runs batched classification over
   a generated trace.
 * ``serve``    — multi-core sharded serving: build a
-  :class:`~repro.serving.ShardedEngine` over a rule-set (``--shards N``), run
-  a generated trace through the worker pool, and report measured plus
+  :class:`~repro.serving.ShardedEngine` over a rule-set (``--shards N``,
+  ``--executor serial|workers``), run a generated trace through it, and
+  report measured plus
   modelled throughput; ``--save`` persists all shards to one snapshot.  With
   ``--listen HOST:PORT`` the engine is served over asyncio TCP instead
   (length-prefixed JSON; classify/insert/remove/stats), with concurrent
@@ -184,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument("--executor", default=None, choices=list(EXECUTORS),
                          help="fan-out strategy; default: 'workers' (the "
                               "persistent shared-memory shard-worker runtime) "
-                              "when shards > 1, else 'thread'")
+                              "when building with --shards > 1, else 'serial' "
+                              "(in-process; also the default for snapshots)")
     sharded.add_argument("--retrain-threshold", type=float,
                          default=DEFAULT_RETRAIN_THRESHOLD)
     sharded.add_argument("--error-threshold", type=int, default=64)
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "measures serving, not RQ-RMI training)")
     replay.add_argument("--remainder", default="tm", choices=_baseline_choices())
     replay.add_argument("--error-threshold", type=int, default=64)
-    replay.add_argument("--executor", default="thread", choices=list(EXECUTORS))
+    replay.add_argument("--executor", default="serial", choices=list(EXECUTORS))
     replay.add_argument("--batch-size", type=int, default=128)
     replay.add_argument("--seed", type=int, default=1)
     replay.add_argument("--json", action="store_true",
@@ -574,17 +576,17 @@ def _cmd_serve_listen(args: argparse.Namespace, engine) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    # Multi-shard serving defaults to the shared-memory worker runtime — the
-    # executor whose *measured* throughput actually scales with shards; a
-    # single shard has nothing to fan out and keeps threads.  A snapshot
-    # restore without --executor keeps the snapshot's persisted choice.
-    auto_executor = "workers" if args.shards > 1 else "thread"
+    # Multi-shard builds default to the shared-memory worker runtime — the
+    # one executor that uses more than one core; a single shard has nothing
+    # to fan out and stays in-process.  The executor is not snapshot state: a
+    # restore without --executor serves in-process.
+    auto_executor = "workers" if args.shards > 1 else "serial"
     path = str(args.ruleset)
     if path.endswith((".json", ".json.gz")):
         import json
 
         try:
-            sharded = ShardedEngine.load(path, executor=args.executor)
+            sharded = ShardedEngine.load(path, executor=args.executor or "serial")
         except json.JSONDecodeError:
             print(
                 f"error: {path} is not a sharded-engine snapshot (rule-set "

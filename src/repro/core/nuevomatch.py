@@ -32,6 +32,7 @@ from repro.classifiers.base import (
     Classifier,
     LookupTrace,
     MemoryFootprint,
+    NO_FLOOR,
     RULE_ENTRY_BYTES,
     check_state_header,
 )
@@ -121,44 +122,6 @@ class ISetIndex:
             return candidate
         return None
 
-    def lookup_batch(
-        self,
-        values: np.ndarray,
-        traces: list[LookupTrace],
-        breakdowns: list[LookupBreakdown],
-    ) -> list[Optional[Rule]]:
-        """Batched iSet lookup over a ``(packets, fields)`` value matrix.
-
-        The RQ-RMI inference runs vectorized across all packets (the paper's
-        Table-1 vectorization); candidate validation and trace accounting stay
-        per packet and mirror :meth:`lookup` exactly.
-        """
-        keys = values[:, self.dim]
-        indices, _predicted, bounds = self.model.query_batch_detailed(keys)
-        model_accesses = len(self.model.stages)
-        inference_ops = model_accesses * self.model.stages[0][0].hidden_units
-        num_fields = values.shape[1]
-        candidates: list[Optional[Rule]] = []
-        for row in range(values.shape[0]):
-            trace = traces[row]
-            breakdown = breakdowns[row]
-            trace.model_accesses += model_accesses
-            trace.compute_ops += inference_ops
-            breakdown.inference_ops += inference_ops
-            window = 2 * int(bounds[row]) + 1
-            search_lines = max(1, math.ceil(math.log2(window / 16 + 1)))
-            trace.index_accesses += search_lines
-            breakdown.search_accesses += search_lines
-            if indices[row] < 0:
-                candidates.append(None)
-                continue
-            candidate = self.rules[int(indices[row])]
-            trace.rule_accesses += 1
-            trace.compute_ops += num_fields
-            breakdown.validation_accesses += 1
-            candidates.append(candidate if candidate.matches(values[row]) else None)
-        return candidates
-
     def _rule_arrays(self) -> tuple[np.ndarray, ...]:
         if self._packed_rules is None:
             ranges = np.array([rule.ranges for rule in self.rules], dtype=np.int64)
@@ -179,12 +142,12 @@ class ISetIndex:
     ) -> None:
         """Columnar iSet lookup: update per-row winners in place.
 
-        The allocation-free counterpart of :meth:`lookup_batch`: inference and
-        candidate validation run vectorized, winners (strictly better
-        priority) are written into ``rule_ids``/``best_priorities``, and
-        ``traces`` rows — ``(n, 5)`` int64, :data:`~repro.classifiers.base.
-        TRACE_FIELDS` order — accumulate exactly the counters the per-packet
-        path records.
+        The allocation-free counterpart of :meth:`lookup`: inference (the
+        paper's Table-1 vectorization) and candidate validation run across all
+        rows at once, winners (strictly better priority) are written into
+        ``rule_ids``/``best_priorities``, and ``traces`` rows — ``(n, 5)``
+        int64, :data:`~repro.classifiers.base.TRACE_FIELDS` order — accumulate
+        exactly the counters the per-packet path records.
         """
         keys = values[:, self.dim]
         indices, _predicted, bounds = self.model.query_batch_detailed(keys)
@@ -427,55 +390,6 @@ class NuevoMatch(Classifier):
             best = remainder_result.rule
         return ClassificationResult(best, trace), breakdown
 
-    def classify_batch(
-        self, packets: Sequence[Packet | Sequence[int]]
-    ) -> list[ClassificationResult]:
-        """Batched lookup: vectorized RQ-RMI inference across all packets.
-
-        The per-iSet neural inference — the dominant per-packet cost the paper
-        vectorizes in Table 1 — runs as one numpy batch per iSet; candidate
-        validation and the remainder query (with the same early-termination
-        floor as the sequential path) remain per packet, so the returned
-        matches are identical to per-packet :meth:`classify`.
-        """
-        packet_list = list(packets)
-        if not packet_list:
-            return []
-        values = np.array([tuple(packet) for packet in packet_list], dtype=np.int64)
-        traces = [LookupTrace() for _ in packet_list]
-        breakdowns = [LookupBreakdown() for _ in packet_list]
-        best: list[Rule | None] = [None] * len(packet_list)
-        for iset in self.isets:
-            candidates = iset.lookup_batch(values, traces, breakdowns)
-            for row, candidate in enumerate(candidates):
-                if candidate is not None and (
-                    best[row] is None or candidate.priority < best[row].priority
-                ):
-                    best[row] = candidate
-
-        results: list[ClassificationResult] = []
-        for row in range(len(packet_list)):
-            winner = best[row]
-            floor = (
-                winner.priority
-                if (winner is not None and self.config.early_termination)
-                else None
-            )
-            packet_values = tuple(int(v) for v in values[row])
-            remainder_result = self.remainder.classify_with_floor(packet_values, floor)
-            trace = traces[row].merge(remainder_result.trace)
-            if remainder_result.rule is not None and (
-                winner is None or remainder_result.rule.priority < winner.priority
-            ):
-                winner = remainder_result.rule
-            results.append(ClassificationResult(winner, trace))
-        return results
-
-    @property
-    def supports_block(self) -> bool:  # type: ignore[override]
-        """Columnar lookups need a remainder with a floored block path."""
-        return hasattr(self.remainder, "classify_block_with_floors")
-
     def classify_block(
         self,
         block: np.ndarray,
@@ -483,17 +397,12 @@ class NuevoMatch(Classifier):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Columnar lookup: vectorized iSet queries, floored remainder scan.
 
-        Bit-identical to :meth:`classify_batch` (matches and traces) but
-        allocation-free: iSet inference, candidate validation and winner
-        selection run as array operations, and the remainder is queried
+        Bit-identical to the scalar :meth:`classify_traced` (matches and
+        traces) but allocation-free: iSet inference, candidate validation and
+        winner selection run as array operations, and the remainder is queried
         through its ``classify_block_with_floors`` hook with the iSet winners
-        as per-row early-termination floors (§4).  Falls back to the generic
-        object-path wrapper when the remainder classifier lacks the hook.
+        as per-row early-termination floors (§4).
         """
-        if not self.supports_block:
-            return super().classify_block(block, traces=traces)
-        from repro.classifiers.tuplemerge import NO_FLOOR
-
         block = np.asarray(block)
         n = block.shape[0]
         values = block.astype(np.int64, copy=False)
@@ -507,7 +416,7 @@ class NuevoMatch(Classifier):
         remainder_ids, remainder_priorities = (
             self.remainder.classify_block_with_floors(values, floors, traces=traces)
         )
-        # Strictly-better merge, mirroring the object path's `<` comparison
+        # Strictly-better merge, mirroring the scalar path's `<` comparison
         # (with floors the remainder already guarantees it; without, not).
         wins = (remainder_ids >= 0) & (remainder_priorities < best_priorities)
         rule_ids[wins] = remainder_ids[wins]

@@ -6,21 +6,18 @@ classification *service* rather than a bag of algorithms::
     from repro.engine import ClassificationEngine
 
     engine = ClassificationEngine.build(ruleset, classifier="nm")
-    results = engine.classify_batch(packets)       # batch-first serving
+    rule_ids, priorities = engine.classify_block(block)   # the lookup
+    results = engine.classify_batch(packets)       # Rule objects + traces
     engine.save("acl1.engine.json.gz")             # training paid once
     restored = ClassificationEngine.load("acl1.engine.json.gz")
 
-See :mod:`repro.engine.engine` for the facade and
-:mod:`repro.engine.serialization` for the on-disk format.
+See :mod:`repro.engine.engine` for the facade, :mod:`repro.engine.stack` for
+the :class:`EngineStack` mixin every stack derives its object results from,
+and :mod:`repro.engine.serialization` for the on-disk format.
 """
 
-from repro.engine.engine import (
-    BatchReport,
-    ClassificationEngine,
-    results_to_arrays,
-    serve_in_batches,
-    validate_block,
-)
+from repro.engine.engine import ClassificationEngine
+from repro.engine.stack import BatchReport, EngineStack, validate_block
 from repro.engine.serialization import (
     ENGINE_FILE_VERSION,
     SHARDED_FILE_VERSION,
@@ -35,9 +32,8 @@ from repro.engine.serialization import (
 
 __all__ = [
     "ClassificationEngine",
+    "EngineStack",
     "BatchReport",
-    "serve_in_batches",
-    "results_to_arrays",
     "validate_block",
     "ENGINE_FILE_VERSION",
     "SHARDED_FILE_VERSION",

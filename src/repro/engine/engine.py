@@ -5,10 +5,11 @@ registered classifier:
 
 * **build** — ``ClassificationEngine.build(ruleset, classifier="nm", ...)``
   resolves the classifier through the registry and constructs it.
-* **serve** — batch-first lookups: :meth:`classify_batch` is the primary
-  interface (the paper's throughput comes from batched, vectorized RQ-RMI
-  inference); :meth:`classify` / :meth:`classify_traced` remain for
-  single-packet use.
+* **serve** — :meth:`ClassificationEngine.classify_block` is the lookup (the
+  paper's throughput comes from batched, vectorized RQ-RMI inference); the
+  object results (``classify_batch``, ``classify_traced``, ``classify``,
+  ``serve``, ``verify``) are the :class:`~repro.engine.stack.EngineStack`
+  mixin's views over it, shared with the sharded and cached stacks.
 * **update** — :meth:`insert` / :meth:`remove` delegate to classifiers that
   implement :class:`~repro.classifiers.base.UpdatableClassifier`.
 * **persist** — :meth:`save` / :meth:`load` round-trip the trained structures
@@ -20,19 +21,11 @@ registered classifier:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.classifiers.base import (
-    TRACE_FIELDS,
-    ClassificationResult,
-    Classifier,
-    LookupTrace,
-    MemoryFootprint,
-    UpdatableClassifier,
-    results_to_arrays,
-)
+from repro.classifiers.base import Classifier, MemoryFootprint, UpdatableClassifier
 from repro.classifiers.registry import resolve_classifier
 from repro.engine.serialization import (
     ENGINE_FILE_VERSION,
@@ -41,92 +34,14 @@ from repro.engine.serialization import (
     ruleset_to_state,
     write_engine_file,
 )
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.engine.stack import EngineStack, validate_block
+from repro.rules.fields import FieldSchema
+from repro.rules.rule import Rule, RuleSet
 
-__all__ = [
-    "ClassificationEngine",
-    "BatchReport",
-    "serve_in_batches",
-    "results_to_arrays",
-    "validate_block",
-]
+__all__ = ["ClassificationEngine"]
 
 
-def validate_block(block) -> np.ndarray:
-    """Validate a packet block and return it as contiguous ``(n, fields)`` uint64.
-
-    The one shared entry gate for every engine stack's ``classify_block``
-    (plain, sharded, cached), so validation — and its error messages — cannot
-    diverge between them:
-
-    * the block must be a numeric *integer* array (object/ragged and float
-      inputs are rejected, never probed),
-    * it must be 2-dimensional,
-    * field values must be non-negative (signed inputs are checked, not
-      silently wrapped into huge uint64 values).
-
-    Already-conforming uint64 arrays pass through zero-copy.
-    """
-    array = np.asarray(block)
-    if not np.issubdtype(array.dtype, np.integer):
-        raise ValueError("packet block must be an integer array")
-    if array.ndim != 2:
-        raise ValueError("packet block must be 2-dimensional")
-    if np.issubdtype(array.dtype, np.signedinteger) and array.size:
-        if int(array.min()) < 0:
-            raise ValueError("packet field values must be non-negative")
-    return np.ascontiguousarray(array, dtype=np.uint64)
-
-
-class BatchReport:
-    """Outcome of one served batch: per-packet results + aggregate trace."""
-
-    def __init__(self, results: list[ClassificationResult]):
-        self.results = results
-        self.trace = LookupTrace.aggregate(result.trace for result in results)
-        # Counted once here rather than re-scanning the results on every
-        # property access — serve loops read `matched` per batch.
-        self._matched = sum(1 for result in results if result.matched)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    @property
-    def matched(self) -> int:
-        """Number of packets that matched some rule."""
-        return self._matched
-
-
-def serve_in_batches(
-    classify_batch, packets: Iterable, batch_size: int = 128
-) -> Iterable[BatchReport]:
-    """Serve a packet stream in fixed-size batches through ``classify_batch``.
-
-    Shared by every serving front-end (:meth:`ClassificationEngine.serve`,
-    :meth:`repro.serving.ShardedEngine.serve`) so batching semantics cannot
-    drift between them.  The ``batch_size`` validation fires at the call
-    site, not on first iteration.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-
-    def _batches() -> Iterable[BatchReport]:
-        batch: list = []
-        for packet in packets:
-            batch.append(packet)
-            if len(batch) >= batch_size:
-                yield BatchReport(classify_batch(batch))
-                batch = []
-        if batch:
-            yield BatchReport(classify_batch(batch))
-
-    return _batches()
-
-
-class ClassificationEngine:
+class ClassificationEngine(EngineStack):
     """Facade over a built classifier: batch serving, updates, persistence."""
 
     def __init__(
@@ -204,73 +119,12 @@ class ClassificationEngine:
         return self.classifier.ruleset
 
     @property
+    def schema(self) -> FieldSchema:
+        return self.classifier.ruleset.schema
+
+    @property
     def classifier_name(self) -> str:
         return self.classifier.name
-
-    def classify(self, packet: Packet | Sequence[int]) -> Optional[Rule]:
-        """Single-packet lookup (thin wrapper; prefer :meth:`classify_batch`)."""
-        return self.classifier.classify(packet)
-
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self.classifier.classify_traced(packet)
-
-    def classify_batch(
-        self, packets: Sequence[Packet | Sequence[int]]
-    ) -> list[ClassificationResult]:
-        """Classify a batch of packets (vectorized where the classifier allows).
-
-        For classifiers with a columnar path (``supports_block``) this is a
-        thin object-materializing wrapper over :meth:`classify_block`: the
-        lookup itself stays columnar and the per-packet
-        :class:`ClassificationResult`/:class:`LookupTrace` objects are built
-        only here, because this caller asked for them.
-        """
-        classifier = self.classifier
-        if not getattr(classifier, "supports_block", False):
-            return classifier.classify_batch(packets)
-        if isinstance(packets, np.ndarray) and packets.ndim == 2:
-            block = packets
-        else:
-            packet_list = list(packets)
-            if not packet_list:
-                return []
-            block = np.array(
-                [
-                    packet.values if isinstance(packet, Packet) else tuple(packet)
-                    for packet in packet_list
-                ],
-                dtype=np.int64,
-            )
-        n = len(block)
-        if n == 0:
-            return []
-        traces = np.zeros((n, len(TRACE_FIELDS)), dtype=np.int64)
-        rule_ids, _priorities = classifier.classify_block(
-            validate_block(block), traces=traces
-        )
-        by_id = self.rules_by_id()
-        results: list[ClassificationResult] = []
-        for row in range(n):
-            rule_id = int(rule_ids[row])
-            rule = None
-            if rule_id >= 0:
-                rule = by_id.get(rule_id)
-                if rule is None:  # map went stale under a direct classifier update
-                    by_id = self.rules_by_id(refresh=True)
-                    rule = by_id.get(rule_id)
-            results.append(
-                ClassificationResult(
-                    rule,
-                    LookupTrace(
-                        index_accesses=int(traces[row, 0]),
-                        rule_accesses=int(traces[row, 1]),
-                        model_accesses=int(traces[row, 2]),
-                        compute_ops=int(traces[row, 3]),
-                        hash_ops=int(traces[row, 4]),
-                    ),
-                )
-            )
-        return results
 
     def classify_block(
         self,
@@ -285,8 +139,8 @@ class ClassificationEngine:
         is an optional ``(n, 5)`` int64 out-array filled with per-packet
         lookup counters (:data:`~repro.classifiers.base.TRACE_FIELDS` order).
         Input validation is shared across all engine stacks via
-        :func:`validate_block`.  Classifiers without a columnar path fall
-        back to the object route inside
+        :func:`~repro.engine.stack.validate_block`.  Classifiers without a
+        vectorized path serve blocks through the scalar loop in
         :meth:`Classifier.classify_block <repro.classifiers.base.Classifier.classify_block>`.
         """
         return self.classifier.classify_block(validate_block(block), traces=traces)
@@ -294,9 +148,9 @@ class ClassificationEngine:
     def rules_by_id(self, refresh: bool = False) -> dict[int, Rule]:
         """Map ``rule_id`` → :class:`Rule` over the *effective* rules.
 
-        Used by :meth:`classify_batch` (and wrapping stacks like
-        ``CachedEngine``) to materialize Rule objects from columnar
-        ``rule_ids``.  Cached; invalidated by :meth:`insert`/:meth:`remove`.
+        Used by the :class:`EngineStack` materializer (directly and through
+        a wrapping ``CachedEngine``) to resolve columnar ``rule_ids``.
+        Cached; invalidated by :meth:`insert`/:meth:`remove`.
         """
         if refresh or self._rules_by_id_cache is None:
             mapping = {rule.rule_id: rule for rule in self.ruleset}
@@ -306,31 +160,15 @@ class ClassificationEngine:
             self._rules_by_id_cache = mapping
         return self._rules_by_id_cache
 
-    def serve(
-        self, packets: Iterable[Packet | Sequence[int]], batch_size: int = 128
-    ) -> Iterable[BatchReport]:
-        """Serve a packet stream in fixed-size batches, yielding batch reports."""
-        return serve_in_batches(self.classify_batch, packets, batch_size)
-
-    def verify(self, packets: Iterable[Packet]) -> int:
-        """Check the engine against linear search; see :meth:`Classifier.verify`."""
-        return self.classifier.verify(packets)
-
     def close(self) -> None:
         """Release serving resources (a plain engine holds none).
 
-        Part of the uniform engine-stack surface — ``classify_batch`` /
+        Part of the uniform engine-stack surface — ``classify_block`` /
         ``insert`` / ``remove`` / ``statistics`` / ``close`` — that serving
         front-ends (:class:`~repro.serving.ShardedEngine` wrappers, the
         :class:`~repro.serving.server.AsyncServer`) rely on, so any stack can
         be torn down without type-sniffing.
         """
-
-    def __enter__(self) -> "ClassificationEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ----------------------------------------------------------------- update
 

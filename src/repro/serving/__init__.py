@@ -6,12 +6,13 @@ NuevoMatch — by splitting the rule-set across cores::
     from repro.serving import ShardedEngine
 
     sharded = ShardedEngine.build(ruleset, shards=4, classifier="nm")
-    results = sharded.classify_batch(packets)      # fan out + priority merge
+    rule_ids, priorities = sharded.classify_block(block)  # fan out + merge
+    results = sharded.classify_batch(packets)      # the same, as Rule objects
     sharded.insert(rule)                           # immediate, overlay-based
     sharded.save("acl1.sharded.json.gz")           # all shards, one snapshot
 
     cached = CachedEngine(sharded, capacity=4096)  # exact-match hot path
-    results = cached.classify_batch(packets)       # probe → miss → fill
+    rule_ids, priorities = cached.classify_block(block)   # probe → miss → fill
 
 See :mod:`repro.serving.sharded` for the engine,
 :mod:`repro.serving.partitioning` for the iSet-aware rule split,

@@ -7,16 +7,18 @@ a flow pays the full classification (RQ-RMI inference + remainder search), and
 every later packet of the same five-tuple is answered by one hash probe.
 This module provides that layer for the serving stack:
 
-* :class:`FlowCache` — a numpy-keyed LRU mapping five-tuple keys to
-  classification winners.  Probe and fill operate on whole batches, eviction
-  removes the least-recently-used entries in bulk, and invalidation is a
-  vectorized range-containment scan over the key matrix.
-* :class:`CachedEngine` — fronts any engine exposing ``classify_batch``
+* :class:`FlowCache` — a purely columnar LRU mapping five-tuple keys to the
+  winner's ``(rule_id, priority)``; it holds no :class:`Rule` objects.  Probe
+  and fill operate on whole blocks, eviction removes the least-recently-used
+  entries in bulk, and invalidation is a vectorized range-containment scan
+  over the key matrix.
+* :class:`CachedEngine` — fronts an engine stack
   (:class:`~repro.engine.ClassificationEngine` or
   :class:`~repro.serving.ShardedEngine`) with a :class:`FlowCache`: probe the
-  batch, classify only the missed flows (each distinct missed flow once), fill,
+  block, classify only the missed flows (each distinct missed flow once), fill,
   and return results in arrival order — identical matches to the uncached
-  engine.
+  engine.  Object results come from the shared
+  :class:`~repro.engine.stack.EngineStack` materializer.
 
 Consistency contract (eviction before ack)
 ------------------------------------------
@@ -36,7 +38,7 @@ Both run *before the update call returns*: once ``insert``/``remove`` is
 acknowledged, a subsequent ``classify`` cannot serve a pre-update cached
 result.  A slow-path fill that raced an update cannot resurrect pre-update
 state either: :class:`CachedEngine` snapshots the cache's invalidation
-*epoch* before classifying misses, and :meth:`FlowCache.fill_batch` drops the
+*epoch* before classifying misses, and :meth:`FlowCache.fill_block` drops the
 fill if any invalidation landed in between.  Results already *returned*
 before the ack reflect the old state, exactly as a lookup that raced the
 update would — callers needing a fence must order their lookups after the
@@ -48,17 +50,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.classifiers.base import (
-    HASH_TABLE_OVERHEAD,
-    POINTER_BYTES,
-    ClassificationResult,
-    LookupTrace,
-)
-from repro.rules.rule import Packet, Rule
+from repro.classifiers.base import HASH_TABLE_OVERHEAD, POINTER_BYTES
+from repro.engine.stack import EngineStack, validate_block
+from repro.rules.rule import Rule
 
 __all__ = ["DEFAULT_CACHE_CAPACITY", "CacheStats", "FlowCache", "CachedEngine"]
 
@@ -102,16 +100,6 @@ class CacheStats:
         }
 
 
-def pack_packets(
-    packets: Sequence[Packet | Sequence[int]], num_fields: int
-) -> np.ndarray:
-    """Batch of packets as a contiguous ``(n, num_fields)`` uint64 key matrix."""
-    arr = np.empty((len(packets), num_fields), dtype=np.uint64)
-    for row, packet in enumerate(packets):
-        arr[row] = packet.values if isinstance(packet, Packet) else tuple(packet)
-    return arr
-
-
 def _row_bytes(keys: np.ndarray) -> list[bytes]:
     """Per-row dict keys for a contiguous key matrix, via one ``tobytes``.
 
@@ -125,14 +113,14 @@ def _row_bytes(keys: np.ndarray) -> list[bytes]:
 
 
 class FlowCache:
-    """An exact-match five-tuple → classification-result LRU cache.
+    """An exact-match five-tuple → ``(rule_id, priority)`` LRU cache.
 
     Entries live in fixed, slot-parallel storage: a ``(capacity, num_fields)``
-    uint64 key matrix, a winner ``rule_id`` vector and a last-used clock vector
-    (all numpy), plus a bytes-key → slot dict for exact probes.  Batch fills
-    evict the *k* least-recently-used entries in one ``argpartition``;
-    invalidation scans the key matrix with vectorized range containment, so
-    update cost does not depend on rule count.
+    uint64 key matrix, winner ``rule_id`` and priority vectors and a last-used
+    clock vector (all numpy), plus a bytes-key → slot dict for exact probes.
+    Batch fills evict the *k* least-recently-used entries in one
+    ``argpartition``; invalidation scans the key matrix with vectorized range
+    containment, so update cost does not depend on rule count.
 
     No-match results are cached too (``rule_id`` sentinel −1): skewed traces
     repeat unmatched flows as often as matched ones, and the insert-side
@@ -144,7 +132,7 @@ class FlowCache:
     Thread safety: probe, fill, invalidation and clear serialize on an
     internal lock, so listener-driven invalidation (which runs on the
     updater's thread) cannot corrupt the slot bookkeeping or hand a probe
-    another flow's entry; the epoch check in :meth:`fill_batch` additionally
+    another flow's entry; the epoch check in :meth:`fill_block` additionally
     fences fills whose winners were computed before an invalidation landed.
     """
 
@@ -161,8 +149,7 @@ class FlowCache:
         self._priorities = np.zeros(capacity, dtype=np.int64)
         self._last_used = np.zeros(capacity, dtype=np.int64)
         self._occupied = np.zeros(capacity, dtype=bool)
-        self._rules: list[Optional[Rule]] = [None] * capacity
-        self._slot_keys: list[Optional[bytes]] = [None] * capacity
+        self._slot_keys: list[bytes | None] = [None] * capacity
         self._index: dict[bytes, int] = {}
         self._free: list[int] = list(range(capacity - 1, -1, -1))
         self._clock = 0
@@ -185,52 +172,13 @@ class FlowCache:
         """Invalidation epoch: bumped by every invalidate/clear call.
 
         Snapshot it before computing results on the slow path and pass it to
-        :meth:`fill_batch`: a fill whose epoch is stale (an update was
+        :meth:`fill_block`: a fill whose epoch is stale (an update was
         acknowledged while the results were being computed) is dropped rather
         than re-caching state from before the update.
         """
         return self._epoch
 
     # -------------------------------------------------------------- probe/fill
-
-    def probe_batch(
-        self, keys: np.ndarray, row_bytes: Sequence[bytes] | None = None
-    ) -> tuple[list[Optional[Rule]], np.ndarray]:
-        """Probe a key matrix; returns (per-row cached winners, hit mask).
-
-        The winners list holds the cached :class:`Rule` (or ``None`` for a
-        cached no-match) at hit rows; miss rows hold ``None`` and are
-        distinguished by the mask.  Hit slots' LRU clocks advance together.
-        ``row_bytes`` lets a caller that already serialized the rows (the
-        :class:`CachedEngine` hot path reuses them for miss dedup) skip the
-        per-row ``tobytes``.
-        """
-        n = len(keys)
-        mask = np.zeros(n, dtype=bool)
-        winners: list[Optional[Rule]] = [None] * n
-        if row_bytes is None:
-            row_bytes = _row_bytes(keys)
-        with self._lock:
-            if not self._index:
-                self.stats.misses += n
-                self._window_misses += n
-                return winners, mask
-            hit_slots: list[int] = []
-            index = self._index
-            for row in range(n):
-                slot = index.get(row_bytes[row])
-                if slot is not None:
-                    mask[row] = True
-                    winners[row] = self._rules[slot]
-                    hit_slots.append(slot)
-            if hit_slots:
-                self._clock += 1
-                self._last_used[hit_slots] = self._clock
-            self.stats.hits += len(hit_slots)
-            self.stats.misses += n - len(hit_slots)
-            self._window_hits += len(hit_slots)
-            self._window_misses += n - len(hit_slots)
-        return winners, mask
 
     def probe_block(
         self, keys: np.ndarray, row_bytes: Sequence[bytes] | None = None
@@ -240,8 +188,9 @@ class FlowCache:
         ``rule_ids``/``priorities`` are int64 ``(n,)`` in the one columnar
         miss encoding (``-1``/``0``); a *cached no-match* is a hit row with
         ``rule_id == -1`` — the mask is what separates it from a cold miss.
-        LRU clocks and hit/miss stats advance exactly as in
-        :meth:`probe_batch`.
+        Hit slots' LRU clocks advance together.  ``row_bytes`` lets a caller
+        that already serialized the rows (the :class:`CachedEngine` hot path
+        reuses them for miss dedup) skip the per-row ``tobytes``.
         """
         n = len(keys)
         rule_ids = np.full(n, _NO_MATCH, dtype=np.int64)
@@ -278,57 +227,18 @@ class FlowCache:
         self,
         keys: np.ndarray,
         rule_ids: np.ndarray,
-        rules_by_id: dict[int, Rule],
+        priorities: np.ndarray,
         epoch: int | None = None,
         row_bytes: Sequence[bytes] | None = None,
     ) -> None:
-        """Columnar fill: cache ``(key row, rule_id)`` pairs from a block.
+        """Cache ``(key row, rule_id, priority)`` triples, bulk-evicting LRU
+        entries as needed.
 
-        Winners resolve through ``rules_by_id`` so object-path probes keep
-        returning real :class:`Rule` instances; a row whose id no longer
-        resolves (the rule was removed while the results were in flight) is
-        skipped rather than cached as a spurious no-match.  ``rule_id == -1``
-        rows cache as no-match entries.  Eviction, dedup and the ``epoch``
-        fence match :meth:`fill_batch`.
-        """
-        if self.capacity == 0 or not len(keys):
-            return
-        resolvable = np.ones(len(keys), dtype=bool)
-        winners: list[Optional[Rule]] = []
-        for row, rule_id in enumerate(rule_ids):
-            rule_id = int(rule_id)
-            if rule_id < 0:
-                winners.append(None)
-                continue
-            rule = rules_by_id.get(rule_id)
-            if rule is None:
-                resolvable[row] = False
-            else:
-                winners.append(rule)
-        if not resolvable.all():
-            keys = keys[resolvable]
-            row_bytes = (
-                None
-                if row_bytes is None
-                else [
-                    row_bytes[row] for row in np.flatnonzero(resolvable)
-                ]
-            )
-        self.fill_batch(keys, winners, epoch=epoch, row_bytes=row_bytes)
-
-    def fill_batch(
-        self,
-        keys: np.ndarray,
-        winners: Sequence[Optional[Rule]],
-        epoch: int | None = None,
-        row_bytes: Sequence[bytes] | None = None,
-    ) -> None:
-        """Insert (key row, winner) pairs, bulk-evicting LRU entries as needed.
-
-        Duplicate keys within the batch collapse to one entry; keys already
-        cached are refreshed in place.  When the batch brings more new flows
-        than ``capacity``, only the last ``capacity`` of them are kept (they
-        are the most recent fills).
+        ``rule_id == -1`` rows cache as no-match entries.  Duplicate keys
+        within the block collapse to one entry; keys already cached are
+        refreshed in place.  When the block brings more new flows than
+        ``capacity``, only the last ``capacity`` of them are kept (they are
+        the most recent fills).
 
         ``epoch`` is the :attr:`epoch` snapshot taken before the winners were
         computed.  If an invalidation landed in between, the whole fill is
@@ -344,44 +254,32 @@ class FlowCache:
             if epoch is not None and epoch != self._epoch:
                 self.stats.dropped_fills += 1
                 return
-            fresh: dict[bytes, tuple[np.ndarray, Optional[Rule]]] = {}
-            for row, key, winner in zip(keys, row_bytes, winners):
+            fresh: dict[bytes, int] = {}
+            for row, key in enumerate(row_bytes):
                 slot = self._index.get(key)
                 if slot is not None:
-                    self._store(slot, row, key, winner, refresh=True)
+                    self._store(slot, keys[row], key, rule_ids[row], priorities[row])
                 else:
-                    fresh[key] = (row, winner)
+                    fresh[key] = row
             if len(fresh) > self.capacity:
                 fresh = dict(list(fresh.items())[-self.capacity:])
             overflow = len(fresh) - len(self._free)
             if overflow > 0:
                 self._evict_lru(overflow)
-            for key, (row, winner) in fresh.items():
-                self._store(self._free.pop(), row, key, winner, refresh=False)
+            for key, row in fresh.items():
+                slot = self._free.pop()
+                self._store(slot, keys[row], key, rule_ids[row], priorities[row])
+                self._index[key] = slot
+                self.stats.insertions += 1
 
-    def _store(
-        self,
-        slot: int,
-        row: np.ndarray,
-        key: bytes,
-        winner: Optional[Rule],
-        refresh: bool,
-    ) -> None:
+    def _store(self, slot: int, row: np.ndarray, key: bytes, rule_id, priority) -> None:
         self._keys[slot] = row
-        if winner is not None:
-            self._rule_ids[slot] = winner.rule_id
-            self._priorities[slot] = winner.priority
-        else:
-            self._rule_ids[slot] = _NO_MATCH
-            self._priorities[slot] = 0
-        self._rules[slot] = winner
+        self._rule_ids[slot] = rule_id
+        self._priorities[slot] = priority if rule_id >= 0 else 0
         self._slot_keys[slot] = key
         self._occupied[slot] = True
         self._clock += 1
         self._last_used[slot] = self._clock
-        if not refresh:
-            self._index[key] = slot
-            self.stats.insertions += 1
 
     def _evict_lru(self, count: int) -> None:
         occupied = np.flatnonzero(self._occupied)
@@ -403,7 +301,6 @@ class FlowCache:
         assert key is not None
         del self._index[key]
         self._slot_keys[slot] = None
-        self._rules[slot] = None
         self._rule_ids[slot] = _NO_MATCH
         self._priorities[slot] = 0
         self._occupied[slot] = False
@@ -489,7 +386,6 @@ class FlowCache:
             rule_ids = self._rule_ids[survivors].copy()
             priorities = self._priorities[survivors].copy()
             last_used = self._last_used[survivors].copy()
-            rules = [self._rules[int(slot)] for slot in survivors]
             slot_keys = [self._slot_keys[int(slot)] for slot in survivors]
             self.capacity = capacity
             self._keys = np.zeros((capacity, self.num_fields), dtype=np.uint64)
@@ -497,7 +393,6 @@ class FlowCache:
             self._priorities = np.zeros(capacity, dtype=np.int64)
             self._last_used = np.zeros(capacity, dtype=np.int64)
             self._occupied = np.zeros(capacity, dtype=bool)
-            self._rules = [None] * capacity
             self._slot_keys = [None] * capacity
             self._index = {}
             count = len(survivors)
@@ -510,7 +405,6 @@ class FlowCache:
                 for slot in range(count):
                     key = slot_keys[slot]
                     assert key is not None
-                    self._rules[slot] = rules[slot]
                     self._slot_keys[slot] = key
                     self._index[key] = slot
             self._free = list(range(capacity - 1, count - 1, -1))
@@ -534,7 +428,7 @@ class FlowCache:
         """Size of the cache structures, for cache-hierarchy placement.
 
         Key matrix + winner ids + winner priorities + LRU clocks + one
-        pointer per slot, plus a fixed table overhead — the quantity the
+        index entry per slot, plus a fixed table overhead — the quantity the
         replay harness feeds to
         :meth:`repro.simulation.CacheHierarchy.access_latency_ns` to price a
         hit.
@@ -552,24 +446,14 @@ class FlowCache:
             }
 
 
-def _hit_trace() -> LookupTrace:
-    """Trace of a cache hit: one hash computation plus one slot access.
+class CachedEngine(EngineStack):
+    """A flow cache fronting an engine stack.
 
-    A fresh instance per result — :class:`LookupTrace` is a mutable dataclass
-    and results must not alias one another.
-    """
-    return LookupTrace(index_accesses=1, hash_ops=1)
-
-
-class CachedEngine:
-    """A flow cache fronting any batch-serving engine.
-
-    ``classify_batch`` probes the cache, classifies each *distinct* missed
+    ``classify_block`` probes the cache, classifies each *distinct* missed
     five-tuple once through the wrapped engine, fills the cache and returns
     per-packet results in arrival order.  Matches are identical to the
-    uncached engine; hit results carry the cache's own
-    :class:`~repro.classifiers.base.LookupTrace` (one hash + one access)
-    instead of the full lookup's.
+    uncached engine; hit rows carry the cache's own trace (one hash + one
+    index access) instead of the full lookup's.
 
     If the wrapped engine exposes an ``updates``
     :class:`~repro.serving.updates.UpdateQueue` (the
@@ -581,41 +465,12 @@ class CachedEngine:
     eviction-before-ack ordering inline.
     """
 
-    #: The columnar contract holds whenever the wrapped engine serves blocks
-    #: (both :class:`~repro.engine.ClassificationEngine` and
-    #: :class:`~repro.serving.ShardedEngine` do).
-    supports_block = True
-
     def __init__(self, engine, capacity: int = DEFAULT_CACHE_CAPACITY):
         self.engine = engine
-        self._num_fields = len(engine.ruleset.schema)
-        self.cache = FlowCache(capacity, self._num_fields)
+        self.cache = FlowCache(capacity, len(engine.schema))
         self._queue = getattr(engine, "updates", None)
-        self._listener = self._on_update
-        self._rules_by_id: dict[int, Rule] | None = None
         if self._queue is not None:
-            self._queue.add_listener(self._listener)
-
-    def _on_update(self, op: str, payload) -> None:
-        """Update listener: evict stale cache entries and drop the id map."""
-        self._rules_by_id = None
-        self.cache.handle_update(op, payload)
-
-    def _rules_map(self, refresh: bool = False) -> dict[int, Rule]:
-        """``rule_id -> Rule`` over the wrapped engine's live rules.
-
-        Delegates to the engine's own per-generation cache when it has one;
-        otherwise built from ``engine.ruleset`` and invalidated whenever an
-        update lands (listener or inline).
-        """
-        getter = getattr(self.engine, "rules_by_id", None)
-        if getter is not None:
-            return getter(refresh=refresh)
-        if refresh or self._rules_by_id is None:
-            self._rules_by_id = {
-                rule.rule_id: rule for rule in self.engine.ruleset
-            }
-        return self._rules_by_id
+            self._queue.add_listener(self.cache.handle_update)
 
     # ------------------------------------------------------------------ serve
 
@@ -623,55 +478,13 @@ class CachedEngine:
     def ruleset(self):
         return self.engine.ruleset
 
-    def classify_batch(
-        self, packets: Sequence[Packet | Sequence[int]]
-    ) -> list[ClassificationResult]:
-        packet_list = list(packets)
-        if not packet_list:
-            return []
-        keys = pack_packets(packet_list, self._num_fields)
-        # Rows are serialized once and reused for probe, miss dedup and fill.
-        row_bytes = _row_bytes(keys)
-        winners, hit_mask = self.cache.probe_batch(keys, row_bytes=row_bytes)
-        results: list[Optional[ClassificationResult]] = [None] * len(packet_list)
-        for row in np.flatnonzero(hit_mask):
-            results[row] = ClassificationResult(winners[row], _hit_trace())
-        miss_rows = np.flatnonzero(~hit_mask)
-        if len(miss_rows):
-            # Classify each distinct missed flow once: under skewed traffic a
-            # batch repeats hot flows, and duplicates resolve to the same rule.
-            first_row: dict[bytes, int] = {}
-            for row in miss_rows:
-                first_row.setdefault(row_bytes[row], int(row))
-            unique_rows = sorted(first_row.values())
-            epoch = self.cache.epoch
-            missed = self.engine.classify_batch(
-                [packet_list[row] for row in unique_rows]
-            )
-            by_key = {
-                row_bytes[row]: result
-                for row, result in zip(unique_rows, missed)
-            }
-            for row in miss_rows:
-                key = row_bytes[row]
-                result = by_key[key]
-                if int(row) == first_row[key]:
-                    results[row] = result
-                else:
-                    # Duplicate of an in-batch flow: resolved from the batch
-                    # dedup, so it carries the hit trace (no aliased results,
-                    # and the engine's one lookup is not counted per copy).
-                    results[row] = ClassificationResult(result.rule, _hit_trace())
-            # The epoch snapshot predates the slow-path classification: if an
-            # update was acknowledged meanwhile, the fill is dropped so no
-            # post-ack lookup can hit pre-update results.
-            self.cache.fill_batch(
-                keys[unique_rows],
-                [result.rule for result in missed],
-                epoch=epoch,
-                row_bytes=[row_bytes[row] for row in unique_rows],
-            )
-        return results  # type: ignore[return-value]
+    @property
+    def schema(self):
+        return self.engine.schema
+
+    def rules_by_id(self, refresh: bool = False) -> dict[int, Rule]:
+        """``rule_id -> Rule`` over the wrapped engine's live rules."""
+        return self.engine.rules_by_id(refresh=refresh)
 
     def classify_block(
         self, block, traces: np.ndarray | None = None
@@ -679,19 +492,16 @@ class CachedEngine:
         """Columnar lookup through the cache: probe → classify misses → fill.
 
         The validated block *is* the cache's key matrix, so the hot path is
-        one ``tobytes`` plus dict probes — no :class:`Packet`,
+        one ``tobytes`` plus dict probes — no :class:`~repro.rules.rule.Packet`,
         :class:`~repro.classifiers.base.ClassificationResult` or
         :class:`~repro.classifiers.base.LookupTrace` objects are created.
         Distinct missed flows classify once through the wrapped engine's
         ``classify_block``; in-batch duplicates copy the first occurrence's
-        columnar result.  Probe/fill/invalidation semantics (LRU clocks,
-        stats, the epoch fence) are identical to :meth:`classify_batch`.
-        Misses carry ``rule_id == -1`` and ``priority == 0``; ``traces``
-        rows are the hit trace (one hash + one index access) for cache and
-        in-batch duplicate hits, the wrapped engine's trace otherwise.
+        columnar result.  Misses carry ``rule_id == -1`` and ``priority ==
+        0``; ``traces`` rows are the hit trace (one hash + one index access)
+        for cache and in-batch duplicate hits, the wrapped engine's trace
+        otherwise.
         """
-        from repro.engine.engine import validate_block
-
         block = validate_block(block)
         n = block.shape[0]
         if traces is not None:
@@ -710,11 +520,15 @@ class CachedEngine:
             traces[hit_mask, 4] = 1
         miss_rows = np.flatnonzero(~hit_mask)
         if miss_rows.size:
-            # Classify each distinct missed flow once (as in classify_batch).
+            # Classify each distinct missed flow once: under skewed traffic a
+            # batch repeats hot flows, and duplicates resolve to the same rule.
             first_row: dict[bytes, int] = {}
             for row in miss_rows:
                 first_row.setdefault(row_bytes[row], int(row))
             unique_rows = np.array(sorted(first_row.values()), dtype=np.int64)
+            # The epoch snapshot predates the slow-path classification: if an
+            # update was acknowledged meanwhile, the fill is dropped so no
+            # post-ack lookup can hit pre-update results.
             epoch = self.cache.epoch
             sub_block = block[unique_rows]
             sub_traces = (
@@ -731,7 +545,8 @@ class CachedEngine:
                 traces[unique_rows] = sub_traces
             if len(unique_rows) < miss_rows.size:
                 # In-batch duplicates of a missed flow resolve from the batch
-                # dedup and carry the hit trace, mirroring classify_batch.
+                # dedup and carry the hit trace (the engine's one lookup is
+                # not counted per copy).
                 src = np.array(
                     [first_row[row_bytes[row]] for row in miss_rows],
                     dtype=np.int64,
@@ -744,30 +559,14 @@ class CachedEngine:
                     traces[dup_rows] = 0
                     traces[dup_rows, 0] = 1
                     traces[dup_rows, 4] = 1
-            rules = self._rules_map()
-            if any(int(rule_id) >= 0 and int(rule_id) not in rules
-                   for rule_id in sub_ids):
-                rules = self._rules_map(refresh=True)
             self.cache.fill_block(
                 sub_block,
                 sub_ids,
-                rules,
+                sub_pris,
                 epoch=epoch,
                 row_bytes=[row_bytes[row] for row in unique_rows],
             )
         return rule_ids, priorities
-
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self.classify_batch([packet])[0]
-
-    def classify(self, packet: Packet | Sequence[int]) -> Optional[Rule]:
-        return self.classify_traced(packet).rule
-
-    def serve(self, packets, batch_size: int = 128):
-        """Serve a packet stream in fixed-size batches, yielding batch reports."""
-        from repro.engine.engine import serve_in_batches
-
-        return serve_in_batches(self.classify_batch, packets, batch_size)
 
     # ----------------------------------------------------------------- update
 
@@ -780,14 +579,12 @@ class CachedEngine:
         """Insert a rule; stale cache entries are evicted before this returns."""
         self.engine.insert(rule)
         if getattr(self.engine, "updates", None) is None:
-            self._rules_by_id = None
             self.cache.invalidate_insert(rule)
 
     def remove(self, rule_id: int) -> bool:
         """Remove a rule; stale cache entries are evicted before this returns."""
         removed = self.engine.remove(rule_id)
         if removed and getattr(self.engine, "updates", None) is None:
-            self._rules_by_id = None
             self.cache.invalidate_remove(rule_id)
         return removed
 
@@ -810,17 +607,9 @@ class CachedEngine:
 
     def close(self) -> None:
         if self._queue is not None:
-            self._queue.remove_listener(self._listener)
+            self._queue.remove_listener(self.cache.handle_update)
             self._queue = None
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "CachedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self.engine.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,8 +12,7 @@ gap with the classic adaptive-batching pattern from serving systems:
   bound).  The clock is injectable so the policy is testable deterministically
   (`tests/test_request_batcher.py` drives it with a fake clock).
 * :class:`AsyncServer` — an asyncio TCP server speaking a length-prefixed
-  JSON protocol in front of *any* engine stack exposing ``classify_batch``
-  (plain :class:`~repro.engine.ClassificationEngine`,
+  JSON protocol in front of *any* engine stack (plain :class:`~repro.engine.ClassificationEngine`,
   :class:`~repro.serving.ShardedEngine`, or either wrapped in a
   :class:`~repro.serving.CachedEngine`).  ``classify`` requests flow through
   the batcher; ``insert``/``remove``/``stats`` are serialized through the same
@@ -72,7 +71,6 @@ from typing import Awaitable, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.engine import results_to_arrays
 from repro.engine.serialization import rule_from_state, rule_to_state
 from repro.rules.rule import Packet, Rule
 from repro.serving import wire
@@ -422,8 +420,9 @@ class AsyncServer:
     """An asyncio TCP front-end over any batch-serving engine stack.
 
     ``classify`` requests coalesce through a :class:`RequestBatcher`; each
-    closed batch runs as *one* ``engine.classify_batch`` call on a dedicated
-    single-threaded executor.  ``insert``/``remove``/``stats`` run on the same
+    closed batch runs as *one* ``engine.classify_batch`` call (the stack's
+    materializer over ``classify_block``) on a dedicated single-threaded
+    executor.  ``insert``/``remove``/``stats`` run on the same
     executor, so all engine operations serialize in submission order: by the
     time an update's response reaches the client, the engine (and any flow
     cache listening on its :class:`~repro.serving.updates.UpdateQueue`) has
@@ -750,18 +749,6 @@ class AsyncServer:
 
     # ----------------------------------------------------------- binary path
 
-    def _classify_block(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar classify on the engine worker thread.
-
-        Engine stacks expose ``classify_block`` (vectorized through the
-        shard-worker rings where available); the ``classify_batch`` fallback
-        keeps foreign engine objects servable.
-        """
-        classify_block = getattr(self.engine, "classify_block", None)
-        if classify_block is not None:
-            return classify_block(block)
-        return results_to_arrays(self.engine.classify_batch(block))
-
     async def _serve_binary(
         self, payload: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
     ) -> None:
@@ -783,6 +770,10 @@ class AsyncServer:
         response: bytes
         try:
             request_id, block = wire.decode_classify_request(payload)
+            # Known cost, kept as at PR 11: a sharded stack rebuilds and sorts
+            # its live rules on every ``ruleset`` read.  ``engine.schema`` is
+            # the fix; it moves ``update_churn`` pps ~20x, which a PR that
+            # claims no benchmark gain cannot carry (see CHANGES.md, PR 12).
             num_fields = len(self.engine.ruleset.schema)
             if block.shape[1] != num_fields:
                 raise ValueError(
@@ -796,7 +787,7 @@ class AsyncServer:
                     self._controller.observe_queue(self.budget.in_flight)
                 start = self._clock()
                 rule_ids, priorities = await self._in_worker(
-                    self._classify_block, block
+                    self.engine.classify_block, block
                 )
                 latency_us = (self._clock() - start) * 1e6
             finally:

@@ -4,27 +4,27 @@ The paper's evaluation scales NuevoMatch by splitting the rule-set across
 cores and merging per-core matches by priority (§5).  :class:`ShardedEngine`
 reproduces that layer in software: the rule-set is partitioned across ``N``
 per-shard :class:`~repro.engine.ClassificationEngine` instances (iSet-aware by
-default, see :mod:`repro.serving.partitioning`), ``classify_batch`` fans out
-over a worker pool, and the per-shard winners merge exactly like NuevoMatch's
-selector merges its iSets — lowest numeric priority wins, ties broken by
-``rule_id``.
+default, see :mod:`repro.serving.partitioning`), ``classify_block`` fans the
+block out to every shard, applies each shard's update overlay vectorized, and
+merges the per-shard winners exactly like NuevoMatch's selector merges its
+iSets — lowest numeric priority wins, ties broken by ``rule_id``.  That is the
+only lookup implemented here; object results come from the shared
+:class:`~repro.engine.stack.EngineStack` materializer.
 
-Executors:
+Executors — two, each with a benchmark workload (``bench/``) measuring it:
 
-* ``"thread"`` (default) — one persistent :class:`ThreadPoolExecutor` worker
-  per shard.  The numpy-heavy lookup paths release the GIL, so threads give
-  real parallelism without pickling.
-* ``"process"`` — a :class:`ProcessPoolExecutor` whose workers each restore
-  the shard engines from their snapshot documents; useful when lookups are
-  dominated by pure-Python classifier code.  The pool is resynced
-  automatically after a shard retrain swaps an engine.
+* ``"serial"`` (default) — the shards run in-process, one after another.
+  Deterministic, no start-up cost, and the right choice on one core or when
+  one shard answers in microseconds.
 * ``"workers"`` — the persistent shard-worker runtime
   (:mod:`repro.serving.workers`): long-lived spawn processes fed through
   per-shard columnar shared-memory rings, no per-call pickling.  Engine swaps
   republish the shard's snapshot segment instead of tearing workers down.
-  This is the executor that makes *measured* sharded throughput scale; the
-  serving CLI defaults to it when ``shards > 1``.
-* ``"serial"`` — in-process loop, for debugging and deterministic tests.
+  This is the one way to use N cores; ``repro serve`` defaults to it when
+  ``shards > 1``.
+
+The executor is a deployment choice, not persisted state: snapshots do not
+record it and :meth:`ShardedEngine.load` takes it as an argument.
 
 Online updates go through :class:`~repro.serving.updates.UpdateQueue`:
 inserts/removes apply immediately to the owning shard's overlay ("delta
@@ -36,26 +36,16 @@ the rebuilt engine in atomically.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.classifiers.base import (
-    TRACE_FIELDS,
-    ClassificationResult,
-    LookupTrace,
-    MemoryFootprint,
-)
+from repro.classifiers.base import TRACE_FIELDS, MemoryFootprint
 from repro.core.nuevomatch import NuevoMatch
 from repro.core.pipeline import TrainingPipeline
-from repro.engine.engine import (
-    BatchReport,
-    ClassificationEngine,
-    serve_in_batches,
-    validate_block,
-)
+from repro.engine.engine import ClassificationEngine
+from repro.engine.stack import EngineStack, validate_block
 from repro.engine.serialization import (
     SHARDED_FILE_VERSION,
     read_document,
@@ -63,15 +53,16 @@ from repro.engine.serialization import (
     rule_to_state,
     write_engine_file,
 )
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.fields import FieldSchema
+from repro.rules.rule import Rule, RuleSet
 from repro.serving.partitioning import PARTITIONERS, partition_for_shards
 from repro.serving.updates import DEFAULT_RETRAIN_THRESHOLD, UpdateQueue
 from repro.serving.workers import ShardWorkerRuntime, WorkerCrashed
 
 __all__ = ["EXECUTORS", "ShardedEngine"]
 
-#: Accepted fan-out strategies.
-EXECUTORS = ("thread", "process", "workers", "serial")
+#: Accepted fan-out strategies: in-process, or the shared-memory worker runtime.
+EXECUTORS = ("serial", "workers")
 
 #: ``kind`` discriminator stored in sharded snapshot documents.
 _SHARDED_KIND = "sharded-engine"
@@ -84,7 +75,7 @@ def _rules_to_arrays(
 
     Rows are sorted by ``(priority, rule_id)`` so a first-containment scan
     (``argmax`` over a boolean matrix) yields the best match directly — the
-    columnar overlay/rescan paths lean on that ordering.
+    overlay/rescan passes lean on that ordering.
     """
     ordered = sorted(rules, key=lambda rule: (rule.priority, rule.rule_id))
     count = len(ordered)
@@ -125,8 +116,6 @@ class _Shard:
         self.retrain_count = 0
         self._base_ids: set[int] = set()
         self._base_ids_generation = -1
-        self._by_id: dict[int, Rule] = {}
-        self._by_id_generation = -1
         self._rule_arrays: tuple | None = None
         self._rule_arrays_generation = -1
 
@@ -140,30 +129,13 @@ class _Shard:
                 self._base_ids_generation = self.generation
             return self._base_ids
 
-    def rules_by_id(self, engine: ClassificationEngine) -> dict[int, Rule]:
-        """``rule_id -> Rule`` for ``engine``'s built rules.
-
-        Cached per generation when ``engine`` is the shard's current engine
-        (the worker-runtime result path resolves every returned id through
-        this); built ad hoc for a stale snapshot engine (a retrain swapped
-        mid-call — rare).
-        """
-        with self.lock:
-            if engine is self.engine:
-                if self._by_id_generation != self.generation:
-                    self._by_id = {
-                        rule.rule_id: rule for rule in self.engine.ruleset
-                    }
-                    self._by_id_generation = self.generation
-                return self._by_id
-        return {rule.rule_id: rule for rule in engine.ruleset}
-
     def rule_arrays(
         self, engine: ClassificationEngine
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Best-first ``(los, his, priorities, rule_ids)`` over ``engine``'s
-        built rules, cached per generation (ad hoc for a stale snapshot
-        engine, as in :meth:`rules_by_id`)."""
+        built rules.  Cached per generation when ``engine`` is the shard's
+        current engine; built ad hoc for a stale snapshot engine (a retrain
+        swapped mid-call — rare)."""
         num_fields = len(engine.ruleset.schema)
         with self.lock:
             if engine is self.engine:
@@ -271,65 +243,6 @@ class _Shard:
             )
             return self.engine, overlay, frozenset(self.removed)
 
-    def adjust(
-        self,
-        engine: ClassificationEngine,
-        overlay: list[Rule],
-        removed: frozenset,
-        results: list[ClassificationResult],
-        packets: Sequence,
-    ) -> list[ClassificationResult]:
-        """Apply the update overlay to the shard's base lookup results."""
-        if not overlay and not removed:
-            return results
-        adjusted: list[ClassificationResult] = []
-        num_fields = len(engine.ruleset.schema)
-        for result, packet in zip(results, packets):
-            winner = result.rule
-            trace = result.trace
-            values = packet.values if isinstance(packet, Packet) else tuple(packet)
-            if winner is not None and winner.rule_id in removed:
-                # The built structure returned a masked rule: rescan the live
-                # base rules for the runner-up (rare path; masked rules vanish
-                # for good at the next retraining, cf. UpdatableNuevoMatch).
-                winner = None
-                scanned = 0
-                for rule in engine.ruleset:
-                    if rule.rule_id in removed:
-                        continue
-                    scanned += 1
-                    if rule.matches(values) and (
-                        winner is None
-                        or (rule.priority, rule.rule_id)
-                        < (winner.priority, winner.rule_id)
-                    ):
-                        winner = rule
-                trace = LookupTrace(
-                    index_accesses=trace.index_accesses,
-                    rule_accesses=trace.rule_accesses + scanned,
-                    model_accesses=trace.model_accesses,
-                    compute_ops=trace.compute_ops + scanned * num_fields,
-                    hash_ops=trace.hash_ops,
-                )
-            for rule in overlay:  # best-first: first match wins
-                if winner is not None and (winner.priority, winner.rule_id) < (
-                    rule.priority,
-                    rule.rule_id,
-                ):
-                    break
-                trace = LookupTrace(
-                    index_accesses=trace.index_accesses,
-                    rule_accesses=trace.rule_accesses + 1,
-                    model_accesses=trace.model_accesses,
-                    compute_ops=trace.compute_ops + num_fields,
-                    hash_ops=trace.hash_ops,
-                )
-                if rule.matches(values):
-                    winner = rule
-                    break
-            adjusted.append(ClassificationResult(winner, trace))
-        return adjusted
-
     def adjust_block(
         self,
         engine: ClassificationEngine,
@@ -340,12 +253,13 @@ class _Shard:
         priorities: np.ndarray,
         traces: np.ndarray | None = None,
     ) -> None:
-        """Columnar twin of :meth:`adjust`: apply the overlay in place.
+        """Apply the update overlay to the shard's base results, in place.
 
         ``values`` is the int64 packet block; ``rule_ids``/``priorities`` are
-        the shard's base columnar results and are rewritten in place.  The
-        winner/trace semantics are bit-identical to :meth:`adjust` — the
-        differential conformance tests hold the two paths together.
+        the shard's base columnar results.  A masked winner costs a rescan of
+        every live base rule (one rule access + ``num_fields`` compute ops
+        each); overlay rules are then probed best-first, one access each,
+        until one matches or the current winner strictly beats the next.
         """
         if not overlay and not removed:
             return
@@ -358,8 +272,8 @@ class _Shard:
             if affected.size:
                 # The built structure returned masked rules: rescan the live
                 # base rules for the runner-up, vectorized over the (rare)
-                # affected rows.  Trace cost mirrors the object path: every
-                # live base rule is scanned.
+                # affected rows (masked rules vanish for good at the next
+                # retraining, cf. UpdatableNuevoMatch).
                 los, his, base_pris, base_ids = self.rule_arrays(engine)
                 live = ~np.isin(base_ids, removed_ids)
                 scanned = int(live.sum())
@@ -380,9 +294,9 @@ class _Shard:
             o_los, o_his, o_pris, o_ids = _rules_to_arrays(
                 overlay, num_fields
             )
-            # Object path probes overlay rules best-first until the current
-            # winner strictly beats the next rule; with the overlay sorted
-            # ascending that cutoff is the first "beaten" column.
+            # Overlay rules are probed best-first until the current winner
+            # strictly beats the next rule; with the overlay sorted ascending
+            # that cutoff is the first "beaten" column.
             has_winner = rule_ids >= 0
             beaten = has_winner[:, None] & (
                 (priorities[:, None] < o_pris[None, :])
@@ -455,48 +369,13 @@ def _rebuild_shard_engine(
     )
 
 
-# --------------------------------------------------------------------------
-# Process-pool plumbing.  Workers restore the shard engines once (from their
-# snapshot documents, passed through the pool initializer) and then serve
-# classify_batch requests addressed by shard index.
-
-_WORKER_ENGINES: list[ClassificationEngine] | None = None
-
-
-def _process_worker_init(documents: list[dict]) -> None:
-    global _WORKER_ENGINES
-    _WORKER_ENGINES = [
-        ClassificationEngine.from_document(document) for document in documents
-    ]
-
-
-def _process_worker_classify(index: int, packets: list) -> list[ClassificationResult]:
-    assert _WORKER_ENGINES is not None, "process pool initializer did not run"
-    return _WORKER_ENGINES[index].classify_batch(packets)
-
-
-def _process_worker_classify_block(
-    index: int, block: np.ndarray, want_traces: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    assert _WORKER_ENGINES is not None, "process pool initializer did not run"
-    traces = (
-        np.zeros((block.shape[0], len(TRACE_FIELDS)), dtype=np.int64)
-        if want_traces
-        else None
-    )
-    rule_ids, priorities = _WORKER_ENGINES[index].classify_block(
-        block, traces=traces
-    )
-    return rule_ids, priorities, traces
-
-
-class ShardedEngine:
+class ShardedEngine(EngineStack):
     """N per-shard engines serving as one classifier, with online updates.
 
     Build with :meth:`build` (partitions the rule-set and builds one
     :class:`~repro.engine.ClassificationEngine` per shard) or restore with
-    :meth:`load`.  ``classify_batch`` output is identical to an unsharded
-    engine over the same rules: every shard classifies the batch against its
+    :meth:`load`.  ``classify_block`` output is identical to an unsharded
+    engine over the same rules: every shard classifies the block against its
     subset and the per-packet winners merge by ``(priority, rule_id)``; the
     merged trace is the element-wise sum of the shard traces (the total work
     performed across cores).
@@ -506,7 +385,7 @@ class ShardedEngine:
         self,
         engines: Sequence[ClassificationEngine],
         partitioner: str = "auto",
-        executor: str = "thread",
+        executor: str = "serial",
         retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
         background_retraining: bool = True,
         warm_retrain: bool = True,
@@ -547,9 +426,6 @@ class ShardedEngine:
             retrain_threshold=retrain_threshold,
             background=background_retraining,
         )
-        self._thread_pool: ThreadPoolExecutor | None = None
-        self._process_pool: ProcessPoolExecutor | None = None
-        self._process_generations: list[int] | None = None
         self._worker_runtime: ShardWorkerRuntime | None = None
         self._worker_generations: list[int] | None = None
         self._pool_lock = threading.Lock()
@@ -571,7 +447,7 @@ class ShardedEngine:
         shards: int = 2,
         classifier: str | type = "nm",
         partitioner: str = "auto",
-        executor: str = "thread",
+        executor: str = "serial",
         retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
         background_retraining: bool = True,
         warm_retrain: bool = True,
@@ -621,9 +497,6 @@ class ShardedEngine:
 
     # ------------------------------------------------------------------ serve
 
-    #: The columnar contract holds on every executor (see :meth:`classify_block`).
-    supports_block = True
-
     @property
     def num_shards(self) -> int:
         return len(self._shards)
@@ -641,86 +514,75 @@ class ShardedEngine:
         return [shard.live_size() for shard in self._shards]
 
     @property
+    def schema(self) -> FieldSchema:
+        return self._schema
+
+    @property
     def ruleset(self) -> RuleSet:
-        """The live rules across all shards, best-priority first."""
+        """The live rules across all shards, best-priority first.
+
+        Rebuilt and sorted on every read — for reports and oracles; a data
+        path needs only :attr:`schema`."""
         rules: list[Rule] = []
         for shard in self._shards:
             rules.extend(shard.live_ruleset().rules)
         rules.sort(key=lambda rule: (rule.priority, rule.rule_id))
         return RuleSet(rules, self._schema, name="sharded")
 
-    def classify_batch_per_shard(
-        self, packets: Sequence[Packet | Sequence[int]]
-    ) -> list[list[ClassificationResult]]:
-        """Per-shard results for a batch (overlay applied), one list per shard.
+    def classify_block_per_shard(
+        self, block: np.ndarray, want_traces: bool = False
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+        """Per-shard ``(rule_ids, priorities, traces)`` for a block, overlay
+        applied — :meth:`classify_block` before the merge.
 
-        The building block of :meth:`classify_batch`; exposed so the
-        simulation layer can price each shard's work separately (per-shard
-        latency → parallel batch latency).
+        Exposed so the simulation layer can price each shard's work separately
+        (per-shard latency → parallel batch latency).  ``traces`` is ``None``
+        on the serial executor unless ``want_traces`` — skipping the per-shard
+        trace arrays keeps the no-trace serve path allocation-light; the
+        worker rings always carry it.
         """
-        packet_list = (
-            packets if isinstance(packets, np.ndarray) else list(packets)
-        )
-        if len(packet_list) == 0:
-            return [[] for _ in self._shards]
+        block = validate_block(block)
         if self._executor_kind == "workers":
             # Sync the runtime before snapshotting so workers serve the same
             # generation the snapshots describe.
             self._ensure_worker_runtime()
         snapshots = [shard.snapshot() for shard in self._shards]
-        base_results = self._fan_out(packet_list, snapshots)
-        return [
-            shard.adjust(engine, overlay, removed, results, packet_list)
-            for shard, (engine, overlay, removed), results in zip(
-                self._shards, snapshots, base_results
-            )
-        ]
-
-    def classify_batch(
-        self, packets: Sequence[Packet | Sequence[int]]
-    ) -> list[ClassificationResult]:
-        """Classify a batch; identical matches to an unsharded engine.
-
-        Accepts a list of packets/tuples or a 2-d numpy block (rows are
-        packets) — the latter skips per-packet conversion on the workers path.
-        """
-        packet_list = (
-            packets if isinstance(packets, np.ndarray) else list(packets)
-        )
-        if len(packet_list) == 0:
-            return []
-        per_shard = self.classify_batch_per_shard(packet_list)
-        merged: list[ClassificationResult] = []
-        for row in range(len(packet_list)):
-            winner: Rule | None = None
-            traces: list[LookupTrace] = []
-            for shard_results in per_shard:
-                result = shard_results[row]
-                traces.append(result.trace)
-                rule = result.rule
-                if rule is not None and (
-                    winner is None
-                    or (rule.priority, rule.rule_id)
-                    < (winner.priority, winner.rule_id)
-                ):
-                    winner = rule
-            merged.append(ClassificationResult(winner, LookupTrace.aggregate(traces)))
-        return merged
+        if self._executor_kind == "workers":
+            outputs = self._runtime_classify(block)
+        else:
+            outputs = []
+            for engine, _overlay, _removed in snapshots:
+                shard_traces = (
+                    np.zeros((block.shape[0], len(TRACE_FIELDS)), dtype=np.int64)
+                    if want_traces
+                    else None
+                )
+                ids, pris = engine.classify_block(block, traces=shard_traces)
+                outputs.append((ids, pris, shard_traces))
+        if any(overlay or removed for _engine, overlay, removed in snapshots):
+            values = block.astype(np.int64, copy=False)
+            for shard, (engine, overlay, removed), (ids, pris, shard_traces) in zip(
+                self._shards, snapshots, outputs
+            ):
+                shard.adjust_block(
+                    engine, overlay, removed, values, ids, pris, traces=shard_traces
+                )
+        return outputs
 
     def classify_block(
         self, block: np.ndarray, traces: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar fast path: ``(n, fields)`` block → ``(rule_ids, priorities)``.
+        """Columnar lookup: ``(n, fields)`` block → ``(rule_ids, priorities)``.
 
         The block fans out columnar to every shard (shared-memory rings for
-        ``executor="workers"``, per-shard ``classify_block`` otherwise), the
-        update overlay applies vectorized (:meth:`_Shard.adjust_block`), and
-        the per-shard winners merge rule-id-aware — no per-packet Python
-        objects on any executor, with or without pending updates.  Misses
-        carry ``rule_id == -1`` and ``priority == 0``; ``traces`` (optional
-        ``(n, 5)`` int64, :data:`~repro.classifiers.base.TRACE_FIELDS` order)
-        is overwritten with the element-wise sum of the shard traces, exactly
-        like :meth:`classify_batch`'s aggregated trace.
+        ``executor="workers"``, per-shard ``classify_block`` in-process
+        otherwise), the update overlay applies vectorized
+        (:meth:`_Shard.adjust_block`), and the per-shard winners merge
+        rule-id-aware — no per-packet Python objects on either executor, with
+        or without pending updates.  Misses carry ``rule_id == -1`` and
+        ``priority == 0``; ``traces`` (optional ``(n, 5)`` int64,
+        :data:`~repro.classifiers.base.TRACE_FIELDS` order) is overwritten
+        with the element-wise sum of the shard traces.
         """
         block = validate_block(block)
         n = block.shape[0]
@@ -730,30 +592,13 @@ class ShardedEngine:
             traces[:n] = 0
         if n == 0:
             return rule_ids, priorities
-        if self._executor_kind == "workers":
-            # Sync the runtime before snapshotting so workers serve the same
-            # generation the snapshots describe.
-            self._ensure_worker_runtime()
-        snapshots = [shard.snapshot() for shard in self._shards]
-        outputs = self._fan_out_block(block, snapshots, traces is not None)
-        values: np.ndarray | None = None
-        if any(overlay or removed for _engine, overlay, removed in snapshots):
-            values = block.astype(np.int64, copy=False)
-        first = True
-        for shard, (engine, overlay, removed), (ids, pris, shard_traces) in zip(
-            self._shards, snapshots, outputs
-        ):
-            if values is not None:
-                shard.adjust_block(
-                    engine, overlay, removed, values, ids, pris,
-                    traces=shard_traces,
-                )
+        outputs = self.classify_block_per_shard(block, traces is not None)
+        for index, (ids, pris, shard_traces) in enumerate(outputs):
             if traces is not None:
                 traces[:n] += shard_traces
-            if first:
+            if index == 0:
                 rule_ids[:] = ids
                 priorities[:] = pris
-                first = False
             else:
                 better = (ids >= 0) & (
                     (rule_ids < 0)
@@ -764,58 +609,12 @@ class ShardedEngine:
                 np.copyto(priorities, pris, where=better)
         return rule_ids, priorities
 
-    def _fan_out_block(
-        self, block: np.ndarray, snapshots: list, want_traces: bool
-    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-        """Columnar fan-out: one ``(rule_ids, priorities, traces)`` per shard.
-
-        ``traces`` is always populated on the workers path (the rings carry
-        it); on the other executors it is ``None`` unless ``want_traces`` —
-        skipping the per-shard trace arrays is what keeps the no-trace serve
-        path allocation-free.
-        """
-        engines = [engine for engine, _overlay, _removed in snapshots]
-        if self._executor_kind == "workers":
-            return self._runtime_classify(block)
-        if self._executor_kind == "serial" or len(engines) == 1:
-            outputs = []
-            for engine in engines:
-                shard_traces = (
-                    np.zeros((block.shape[0], len(TRACE_FIELDS)), dtype=np.int64)
-                    if want_traces
-                    else None
-                )
-                ids, pris = engine.classify_block(block, traces=shard_traces)
-                outputs.append((ids, pris, shard_traces))
-            return outputs
-        if self._executor_kind == "thread":
-
-            def run(engine: ClassificationEngine):
-                shard_traces = (
-                    np.zeros((block.shape[0], len(TRACE_FIELDS)), dtype=np.int64)
-                    if want_traces
-                    else None
-                )
-                ids, pris = engine.classify_block(block, traces=shard_traces)
-                return ids, pris, shard_traces
-
-            pool = self._ensure_thread_pool()
-            futures = [pool.submit(run, engine) for engine in engines]
-            return [future.result() for future in futures]
-        pool = self._ensure_process_pool()
-        futures = [
-            pool.submit(_process_worker_classify_block, index, block, want_traces)
-            for index in range(len(self._shards))
-        ]
-        return [future.result() for future in futures]
-
     def rules_by_id(self, refresh: bool = False) -> dict[int, Rule]:
         """``rule_id -> Rule`` over the live rules of every shard.
 
-        Cached against each shard's ``(generation, update_seq)`` pair so
-        object-materializing callers (``FlowCache`` fills, the engine-style
-        batch wrapper) resolve columnar ids without rebuilding the map per
-        batch.
+        Cached against each shard's ``(generation, update_seq)`` pair so the
+        :class:`EngineStack` materializer resolves columnar ids without
+        rebuilding the map per batch.
         """
         key = tuple(
             (shard.generation, shard.update_seq) for shard in self._shards
@@ -837,111 +636,7 @@ class ShardedEngine:
             self._rules_map_key = key
         return self._rules_map
 
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self.classify_batch([packet])[0]
-
-    def classify(self, packet: Packet | Sequence[int]) -> Optional[Rule]:
-        return self.classify_traced(packet).rule
-
-    def serve(
-        self, packets: Iterable[Packet | Sequence[int]], batch_size: int = 128
-    ) -> Iterable[BatchReport]:
-        """Serve a packet stream in fixed-size batches, yielding batch reports."""
-        return serve_in_batches(self.classify_batch, packets, batch_size)
-
-    def verify(self, packets: Iterable[Packet]) -> int:
-        """Check the sharded engine against linear search over the live rules."""
-        oracle = self.ruleset
-        count = 0
-        for packet in packets:
-            expected = oracle.match(packet)
-            actual = self.classify(packet)
-            expected_key = (
-                None if expected is None else (expected.priority, expected.rule_id)
-            )
-            actual_key = None if actual is None else (actual.priority, actual.rule_id)
-            if expected_key != actual_key:
-                raise AssertionError(
-                    f"sharded: mismatch for packet {tuple(packet)}: "
-                    f"expected {expected_key}, got {actual_key}"
-                )
-            count += 1
-        return count
-
     # ---------------------------------------------------------------- fan-out
-
-    def _fan_out(
-        self, packets, snapshots: list
-    ) -> list[list[ClassificationResult]]:
-        engines = [engine for engine, _overlay, _removed in snapshots]
-        if self._executor_kind == "workers":
-            return self._fan_out_workers(packets, engines)
-        if self._executor_kind == "serial" or len(engines) == 1:
-            return [engine.classify_batch(packets) for engine in engines]
-        if self._executor_kind == "thread":
-            pool = self._ensure_thread_pool()
-            futures = [
-                pool.submit(engine.classify_batch, packets) for engine in engines
-            ]
-            return [future.result() for future in futures]
-        pool = self._ensure_process_pool()
-        futures = [
-            pool.submit(_process_worker_classify, index, packets)
-            for index in range(len(self._shards))
-        ]
-        return [future.result() for future in futures]
-
-    def _fan_out_workers(
-        self, packets, engines: list[ClassificationEngine]
-    ) -> list[list[ClassificationResult]]:
-        """Classify through the shard-worker rings, rehydrating results.
-
-        Workers return columnar ``(rule_id, priority, trace)`` arrays; each
-        id resolves to its :class:`Rule` through the shard's per-generation
-        map so the caller sees ordinary :class:`ClassificationResult` lists
-        (the overlay adjustment and merge paths are shared with the other
-        executors).
-        """
-        if isinstance(packets, np.ndarray):
-            block = np.ascontiguousarray(packets, dtype=np.uint64)
-        else:
-            block = np.array(
-                [
-                    packet.values if isinstance(packet, Packet) else tuple(packet)
-                    for packet in packets
-                ],
-                dtype=np.uint64,
-            )
-        outputs = self._runtime_classify(block)
-        fan_out: list[list[ClassificationResult]] = []
-        for shard, engine, (rule_ids, _priorities, traces) in zip(
-            self._shards, engines, outputs
-        ):
-            by_id = shard.rules_by_id(engine)
-            current = None
-            results: list[ClassificationResult] = []
-            for row in range(len(rule_ids)):
-                rule_id = int(rule_ids[row])
-                rule = None
-                if rule_id >= 0:
-                    rule = by_id.get(rule_id)
-                    if rule is None:
-                        # Retrain swapped engines mid-call: the worker served
-                        # a different generation than the snapshot.  Resolve
-                        # through the current engine's map.
-                        if current is None:
-                            current = shard.rules_by_id(shard.engine)
-                        rule = current.get(rule_id)
-                trace = LookupTrace(
-                    index_accesses=int(traces[row, 0]),
-                    rule_accesses=int(traces[row, 1]),
-                    model_accesses=int(traces[row, 2]),
-                    compute_ops=int(traces[row, 3]),
-                    hash_ops=int(traces[row, 4]),
-                )
-                results.append(ClassificationResult(rule, trace))
-            fan_out.append(results)
-        return fan_out
 
     def _runtime_classify(
         self, block: np.ndarray
@@ -958,54 +653,6 @@ class ShardedEngine:
                     self._worker_runtime = None
                     self._worker_generations = None
             return self._ensure_worker_runtime().classify_block(block)
-
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._thread_pool is None:
-                self._thread_pool = ThreadPoolExecutor(
-                    max_workers=len(self._shards),
-                    thread_name_prefix="shard",
-                )
-            return self._thread_pool
-
-    @staticmethod
-    def _retire_process_pool(pool: ProcessPoolExecutor) -> None:
-        """Shut a pool down without letting a dead worker leak the rest.
-
-        ``shutdown`` on a broken pool (a worker killed mid-swap) can raise;
-        the remaining workers must still be reaped, so fall back to a
-        non-waiting shutdown with queued work cancelled.
-        """
-        try:
-            pool.shutdown(wait=True, cancel_futures=True)
-        except Exception:
-            try:
-                pool.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - defensive
-                pass
-
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        """The worker pool, resynced whenever a retrain swapped an engine."""
-        with self._pool_lock:
-            generations = [shard.generation for shard in self._shards]
-            if self._process_pool is None or generations != self._process_generations:
-                # Drop the reference before retiring: if the new pool's
-                # construction fails, a later call must not touch the retired
-                # pool again.
-                stale, self._process_pool = self._process_pool, None
-                self._process_generations = None
-                if stale is not None:
-                    self._retire_process_pool(stale)
-                documents = [
-                    shard.engine.to_document() for shard in self._shards
-                ]
-                self._process_pool = ProcessPoolExecutor(
-                    max_workers=len(self._shards),
-                    initializer=_process_worker_init,
-                    initargs=(documents,),
-                )
-                self._process_generations = generations
-            return self._process_pool
 
     def _ensure_worker_runtime(self) -> ShardWorkerRuntime:
         """The shard-worker runtime, started lazily; engine swaps republish
@@ -1029,26 +676,13 @@ class ShardedEngine:
             return self._worker_runtime
 
     def close(self) -> None:
-        """Shut down worker pools and wait for in-flight retrains."""
+        """Stop the shard workers and wait for in-flight retrains."""
         self.updates.join()
         with self._pool_lock:
-            if self._thread_pool is not None:
-                self._thread_pool.shutdown(wait=True)
-                self._thread_pool = None
-            if self._process_pool is not None:
-                stale, self._process_pool = self._process_pool, None
-                self._process_generations = None
-                self._retire_process_pool(stale)
             if self._worker_runtime is not None:
                 runtime, self._worker_runtime = self._worker_runtime, None
                 self._worker_generations = None
                 runtime.close()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ----------------------------------------------------------------- update
 
@@ -1118,7 +752,6 @@ class ShardedEngine:
                 "kind": _SHARDED_KIND,
                 "repro_version": __version__,
                 "partitioner": self._partitioner,
-                "executor": self._executor_kind,
                 "retrain_threshold": self.updates.retrain_threshold,
                 "warm_retrain": self._warm_retrain,
                 "retrain_jobs": self._retrain_jobs,
@@ -1131,13 +764,14 @@ class ShardedEngine:
     def load(
         cls,
         path: str | Path,
-        executor: str | None = None,
+        executor: str = "serial",
         background_retraining: bool = True,
     ) -> "ShardedEngine":
         """Restore a sharded engine saved with :meth:`save`.
 
-        ``executor`` overrides the persisted fan-out strategy (e.g. restore a
-        thread-pool snapshot into a process pool).
+        ``executor`` is a deployment choice, not snapshot state: an
+        ``"executor"`` key written by an older build is ignored, so those
+        snapshots keep loading whatever it names.
         """
         document = read_document(path)
         kind = document.get("kind")
@@ -1159,7 +793,7 @@ class ShardedEngine:
         sharded = cls(
             engines,
             partitioner=document.get("partitioner", "auto"),
-            executor=executor or document.get("executor", "thread"),
+            executor=executor,
             retrain_threshold=document.get(
                 "retrain_threshold", DEFAULT_RETRAIN_THRESHOLD
             ),

@@ -1,12 +1,10 @@
 """Persistent shard-worker runtime over ``multiprocessing.shared_memory``.
 
-The ``"process"`` executor of :class:`~repro.serving.ShardedEngine` pays for
-its :class:`~concurrent.futures.ProcessPoolExecutor` on every call: each
-``classify_batch`` pickles the packet list per shard, and every engine swap
-tears the whole pool down.  At serving rates those per-call costs dwarf the
-lookups — sharding made measured throughput *worse* (the scaling inversion in
-``benchmarks/results/sharded_scaling.json``).  This module replaces that
-hand-off with a data plane that moves bytes, not objects:
+The ``"workers"`` executor of :class:`~repro.serving.ShardedEngine` — the one
+way the serving stack uses N cores.  Handing work to other processes through a
+pool pickles every packet batch per shard and tears the pool down on every
+engine swap; at serving rates those per-call costs dwarf the lookups.  This
+runtime is a data plane that moves bytes, not objects:
 
 * **Snapshot publication** — each shard's
   :class:`~repro.engine.ClassificationEngine` document is written once into a
@@ -22,7 +20,7 @@ hand-off with a data plane that moves bytes, not objects:
 * **Columnar result rings** — workers answer with fixed-width records
   (``rule_id``, ``priority``, five :class:`~repro.classifiers.base.LookupTrace`
   counters) in a result ring; the parent merges winners by
-  ``(priority, rule_id)`` exactly like the in-process executors.
+  ``(priority, rule_id)`` exactly like the in-process ``serial`` executor.
 * **Semaphore doorbells** — a request/result semaphore pair per shard wakes
   the other side without polling loops on the data path (the control loop —
   generation checks, shutdown — runs only between batches, keeping the data
@@ -267,9 +265,8 @@ class ShardWorkerRuntime:
     snapshot and spawns its worker).  :meth:`classify_block` fans a columnar
     packet block over every shard and returns per-shard result arrays;
     :meth:`publish` swaps one shard's engine after a retrain.  The runtime is
-    oblivious to update overlays — it serves each shard's *built* engine,
-    exactly like the process-pool executor it replaces; the parent applies
-    overlays on the results.
+    oblivious to update overlays — it serves each shard's *built* engine;
+    the parent applies overlays on the results.
     """
 
     def __init__(
@@ -314,7 +311,7 @@ class ShardWorkerRuntime:
             raise RuntimeError("runtime already started")
         if not engines:
             raise ValueError("at least one shard engine is required")
-        num_fields = len(engines[0].ruleset.schema)
+        num_fields = len(engines[0].schema)
         self._geometry = RingGeometry(self._slots, self._slot_packets, num_fields)
         self._atexit = self.close
         atexit.register(self._atexit)

@@ -21,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.classifiers.base import Classifier, LookupTrace
+import numpy as np
+
+from repro.classifiers.base import TRACE_FIELDS, Classifier, trace_from_row
 from repro.core.nuevomatch import LookupBreakdown, NuevoMatch
 from repro.simulation.cost_model import CostModel, LatencyBreakdown
 from repro.traffic.packet import Trace
@@ -105,6 +107,12 @@ def evaluate_classifier(
     )
 
 
+def _block(packets: list) -> np.ndarray:
+    """A non-empty packet chunk as the ``(n, fields)`` uint64 block
+    ``classify_block`` takes."""
+    return np.array([tuple(packet) for packet in packets], dtype=np.uint64)
+
+
 def evaluate_classifier_batched(
     classifier: Classifier,
     trace: Trace | Iterable,
@@ -115,11 +123,12 @@ def evaluate_classifier_batched(
 ) -> PerfReport:
     """Evaluate a classifier in batch-serving mode.
 
-    Packets are classified through ``classify_batch`` in fixed-size chunks and
-    each chunk is priced in one :class:`CostModel` call on its *aggregated*
-    :class:`LookupTrace` — the batch-level accounting the vectorized serving
-    path (and the paper's Table-1 batching) makes meaningful.  The reported
-    latency is the average per-packet share of its batch's latency.
+    Packets are classified through ``classify_block`` in fixed-size chunks
+    and each chunk is priced in one :class:`CostModel` call on the column sums
+    of its trace out-array — the batch-level accounting the vectorized serving
+    path (and the paper's Table-1 batching) makes meaningful, with no
+    per-packet objects in the modelled run.  The reported latency is the
+    average per-packet share of its batch's latency.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -128,11 +137,13 @@ def evaluate_classifier_batched(
     total = LatencyBreakdown()
     num_batches = 0
     for start in range(0, len(packets), batch_size):
-        chunk = packets[start : start + batch_size]
-        results = classifier.classify_batch(chunk)
-        aggregate = LookupTrace.aggregate(result.trace for result in results)
+        chunk = _block(packets[start : start + batch_size])
+        traces = np.zeros((len(chunk), len(TRACE_FIELDS)), dtype=np.int64)
+        classifier.classify_block(chunk, traces=traces)
         total = total.merge(
-            cost_model.classifier_lookup_latency(classifier, aggregate)
+            cost_model.classifier_lookup_latency(
+                classifier, trace_from_row(traces.sum(axis=0))
+            )
         )
         num_batches += 1
     breakdown = total.scaled(1.0 / len(packets)) if packets else LatencyBreakdown()
@@ -252,8 +263,9 @@ def evaluate_sharded(
     """Evaluate a :class:`~repro.serving.ShardedEngine` on a trace.
 
     Shards run on separate cores, so a batch's modelled latency is the
-    *maximum* over the shards' batch latencies (each priced on that shard's
-    aggregated :class:`LookupTrace` against that shard's structures) plus the
+    *maximum* over the shards' batch latencies (each priced on the column sums
+    of that shard's ``classify_block_per_shard`` trace block, against that
+    shard's structures) plus the
     same per-packet synchronisation overhead as the two-core NuevoMatch
     pipeline.  Throughput is packets over total time — the shard-count
     scaling knob the paper's multi-core evaluation turns.
@@ -268,12 +280,15 @@ def evaluate_sharded(
     total = LatencyBreakdown()
     num_batches = 0
     for start in range(0, len(packets), batch_size):
-        chunk = packets[start : start + batch_size]
-        per_shard = sharded.classify_batch_per_shard(chunk)
+        chunk = _block(packets[start : start + batch_size])
+        per_shard = sharded.classify_block_per_shard(chunk, want_traces=True)
         slowest = LatencyBreakdown()
-        for classifier, results in zip(shard_classifiers, per_shard):
-            aggregate = LookupTrace.aggregate(result.trace for result in results)
-            latency = cost_model.classifier_lookup_latency(classifier, aggregate)
+        for classifier, (_ids, _priorities, traces) in zip(
+            shard_classifiers, per_shard
+        ):
+            latency = cost_model.classifier_lookup_latency(
+                classifier, trace_from_row(traces.sum(axis=0))
+            )
             if latency.total_ns > slowest.total_ns:
                 slowest = latency
         total = total.merge(slowest).merge(

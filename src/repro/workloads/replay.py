@@ -1,7 +1,7 @@
 """Trace replay: one harness from generator trace to serving-stack report.
 
 ``replay_trace`` plays a :class:`~repro.traffic.Trace` through any engine
-exposing ``classify_batch`` — a bare
+stack's ``classify_block`` — a bare
 :class:`~repro.engine.ClassificationEngine`, a multi-core
 :class:`~repro.serving.ShardedEngine`, or either wrapped in a
 :class:`~repro.serving.CachedEngine` — and reports:
@@ -87,7 +87,7 @@ def build_scenario_engine(
     shards: int = 1,
     cache_size: int = 0,
     classifier: str | type = "tm",
-    executor: str = "thread",
+    executor: str = "serial",
     background_retraining: bool = True,
     **params,
 ):
@@ -123,7 +123,6 @@ class ReplayReport:
     shards: int
     cache_size: int
     batch_size: int
-    columnar: bool
     packets: int
     matched: int
     hit_rate: float
@@ -143,7 +142,6 @@ class ReplayReport:
             "shards": self.shards,
             "cache_size": self.cache_size,
             "batch_size": self.batch_size,
-            "columnar": self.columnar,
             "packets": self.packets,
             "matched": self.matched,
             "hit_rate": round(self.hit_rate, 4),
@@ -203,15 +201,12 @@ def replay_trace(
     batch_size: int = 128,
     cost_model: CostModel | None = None,
     model_packets: int = 2000,
-    columnar: bool | None = None,
 ) -> ReplayReport:
     """Play ``trace`` through ``engine`` batch by batch and report.
 
-    With ``columnar`` (default: on whenever the engine serves blocks) the
-    trace is packed into one uint64 block up front and each batch is a slice
-    driven through ``classify_block`` — no per-packet objects anywhere on the
-    serve path, which is what the measured numbers are meant to price.
-    ``columnar=False`` forces the object path (``classify_batch``).
+    The trace is packed into one uint64 block up front and each batch is a
+    slice driven through ``classify_block`` — no per-packet objects anywhere
+    on the serve path, which is what the measured numbers are meant to price.
 
     Each batch call is timed; per-packet latency percentiles are taken over
     the batches (a batch's packets share its latency).  The modelled numbers
@@ -224,37 +219,22 @@ def replay_trace(
     cost_model = cost_model or CostModel()
     base, cached = _unwrap(engine)
     stats_before = replace(cached.cache.stats) if cached else None
-    if columnar is None:
-        columnar = getattr(engine, "supports_block", False) or hasattr(
-            engine, "classify_block"
-        )
 
     packets = list(trace)
     matched = 0
     per_packet_ns: list[float] = []
     batch_sizes: list[int] = []
     wall = 0.0
-    if columnar:
-        block = np.array([tuple(packet) for packet in packets], dtype=np.uint64)
-        for start in range(0, len(block), batch_size):
-            chunk = block[start : start + batch_size]
-            begin = time.perf_counter()
-            rule_ids, _priorities = engine.classify_block(chunk)
-            elapsed = time.perf_counter() - begin
-            wall += elapsed
-            matched += int((rule_ids >= 0).sum())
-            per_packet_ns.append(elapsed * 1e9 / len(chunk))
-            batch_sizes.append(len(chunk))
-    else:
-        for start in range(0, len(packets), batch_size):
-            chunk = packets[start : start + batch_size]
-            begin = time.perf_counter()
-            results = engine.classify_batch(chunk)
-            elapsed = time.perf_counter() - begin
-            wall += elapsed
-            matched += sum(1 for result in results if result.rule is not None)
-            per_packet_ns.append(elapsed * 1e9 / len(chunk))
-            batch_sizes.append(len(chunk))
+    block = np.array([tuple(packet) for packet in packets], dtype=np.uint64)
+    for start in range(0, len(block), batch_size):
+        chunk = block[start : start + batch_size]
+        begin = time.perf_counter()
+        rule_ids, _priorities = engine.classify_block(chunk)
+        elapsed = time.perf_counter() - begin
+        wall += elapsed
+        matched += int((rule_ids >= 0).sum())
+        per_packet_ns.append(elapsed * 1e9 / len(chunk))
+        batch_sizes.append(len(chunk))
 
     if cached is not None:
         assert stats_before is not None
@@ -302,7 +282,6 @@ def replay_trace(
         shards=_num_shards(engine),
         cache_size=cached.cache.capacity if cached else 0,
         batch_size=batch_size,
-        columnar=bool(columnar),
         packets=len(packets),
         matched=matched,
         hit_rate=hit_rate,
@@ -324,11 +303,10 @@ def run_scenario(
     shards: int = 1,
     cache_size: int = 0,
     classifier: str | type = "tm",
-    executor: str = "thread",
+    executor: str = "serial",
     batch_size: int = 128,
     seed: int = 1,
     cost_model: CostModel | None = None,
-    columnar: bool | None = None,
     **params,
 ) -> ReplayReport:
     """Build a scenario's engine, generate its trace, replay, and clean up.
@@ -346,13 +324,7 @@ def run_scenario(
     )
     try:
         return replay_trace(
-            engine,
-            trace,
-            batch_size=batch_size,
-            cost_model=cost_model,
-            columnar=columnar,
+            engine, trace, batch_size=batch_size, cost_model=cost_model
         )
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()

@@ -9,6 +9,9 @@ conftest was imported first.
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.classifiers.base import TRACE_FIELDS
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 
 #: Fast RQ-RMI settings used across tests (fewer Adam epochs, small widths).
@@ -22,3 +25,45 @@ def fast_nm_config(max_isets: int = 4, min_coverage: float = 0.05) -> NuevoMatch
         min_iset_coverage=min_coverage,
         rqrmi=FAST_RQRMI,
     )
+
+
+def block_of(packets) -> np.ndarray:
+    """``packets`` as the ``(n, fields)`` uint64 block ``classify_block`` takes."""
+    return np.array([tuple(packet) for packet in packets], dtype=np.uint64)
+
+
+def block_keys(rule_ids, priorities) -> list:
+    """Columnar outputs as ``(priority, rule_id)`` keys (``None`` for a miss)."""
+    return [
+        None if rule_id < 0 else (int(priority), int(rule_id))
+        for rule_id, priority in zip(rule_ids, priorities)
+    ]
+
+
+def scalar_arrays(classifier, packets):
+    """``(rule_ids, priorities, traces)`` from the scalar ``classify_traced``
+    reference path of ``classifier`` — what every ``classify_block`` must equal
+    row for row (misses encode as ``-1``/``0``)."""
+    n = len(packets)
+    rule_ids = np.full(n, -1, dtype=np.int64)
+    priorities = np.zeros(n, dtype=np.int64)
+    traces = np.zeros((n, len(TRACE_FIELDS)), dtype=np.int64)
+    for row, packet in enumerate(packets):
+        result = classifier.classify_traced(tuple(int(v) for v in packet))
+        if result.rule is not None:
+            rule_ids[row] = result.rule.rule_id
+            priorities[row] = result.rule.priority
+        traces[row] = [getattr(result.trace, name) for name in TRACE_FIELDS]
+    return rule_ids, priorities, traces
+
+
+def linear_keys(rules, packets) -> list:
+    """Linear search over ``rules`` (the live rules of a stack): the best
+    ``(priority, rule_id)`` matching each packet, ``None`` for a miss."""
+    ordered = sorted(rules, key=lambda rule: (rule.priority, rule.rule_id))
+    keys = []
+    for packet in packets:
+        values = tuple(int(v) for v in packet)
+        match = next((rule for rule in ordered if rule.matches(values)), None)
+        keys.append(None if match is None else (match.priority, match.rule_id))
+    return keys

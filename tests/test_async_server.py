@@ -316,6 +316,60 @@ class TestBinaryAdmission:
         run_scenario_coro(scenario())
 
 
+class TestDataPathReadsNoRuleset:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open bug, fix held back: `_serve_binary` still reads "
+        "`engine.ruleset` per frame (one-line fix: `len(engine.schema)` at "
+        "construction); it moves update_churn pps ~20x, so it needs a PR that "
+        "claims the gain -- CHANGES.md, PR 12",
+    )
+    @pytest.mark.parametrize("cache_size", [0, 256])
+    def test_binary_frames_never_read_sharded_ruleset(
+        self, server_rules, cache_size, monkeypatch
+    ):
+        """``ShardedEngine.ruleset`` rebuilds and sorts the live rules on every
+        read (tens of ms at 8k rules) and the server reads it per binary frame,
+        on the event-loop thread.  The target: constructing the server and
+        serving frames read it zero times — the field count comes from the
+        stack's ``schema``, once."""
+        reads = []
+        real = ShardedEngine.ruleset.fget
+        monkeypatch.setattr(
+            ShardedEngine,
+            "ruleset",
+            property(lambda self: reads.append(1) or real(self)),
+        )
+
+        async def scenario():
+            engine = build_stack(server_rules, shards=2, cache_size=cache_size)
+            try:
+                async with AsyncServer(engine) as server:
+                    await server.start("127.0.0.1", 0)
+                    packets = [
+                        tuple(p) for p in server_rules.sample_packets(32, seed=83)
+                    ]
+                    async with await AsyncClient.connect(
+                        server.host, server.port
+                    ) as client:
+                        assert client.wire_v2
+                        for _ in range(8):
+                            responses = await client.classify_batch(packets)
+                            assert [response_key(r) for r in responses] == [
+                                result_key(ground_truth(server_rules.rules, p))
+                                for p in packets
+                            ]
+                        # A frame of the wrong width is still rejected.
+                        with pytest.raises(ServerError):
+                            await client.classify_batch([(1, 2, 3)])
+                    assert server._binary_batches == 8
+            finally:
+                engine.close()
+
+        run_scenario_coro(scenario())
+        assert reads == []
+
+
 class TestAdaptiveServer:
     def test_ramp_adapts_dials_without_stale_matches(self, server_rules):
         """Under a ramp of growing bursts with interleaved updates, the

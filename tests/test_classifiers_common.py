@@ -8,7 +8,6 @@ early-termination contract of ``classify_with_floor``.
 import pytest
 
 from repro.classifiers import (
-    CLASSIFIER_REGISTRY,
     CutSplitClassifier,
     HiCutsClassifier,
     LinearSearchClassifier,
@@ -60,10 +59,6 @@ class TestRegistry:
         clf = build_classifier("tuplemerge", acl_small, collision_limit=10)
         assert clf.name == "tm"
         assert clf.collision_limit == 10
-
-    def test_deprecated_static_registry_warns(self):
-        with pytest.warns(DeprecationWarning):
-            assert CLASSIFIER_REGISTRY["tm"] is TupleMergeClassifier
 
 
 class TestAgainstOracle:

@@ -182,9 +182,26 @@ class TestServe:
         out = capsys.readouterr().out
         assert "sharded[3]" in out
 
-    def test_serve_rejects_unknown_executor(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "x.txt", "--executor", "gpu"])
+    def test_executor_flag_offers_only_serial_and_workers(self):
+        parser = build_parser()
+        for command in (["serve", "x.txt"], ["replay"]):
+            for executor in ("serial", "workers"):
+                args = parser.parse_args([*command, "--executor", executor])
+                assert args.executor == executor
+            for removed in ("gpu", "thread", "process"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([*command, "--executor", removed])
+
+    def test_executor_defaults(self, ruleset_file, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["replay"]).executor == "serial"
+        # `serve` resolves its default at run time: a single shard has nothing
+        # to fan out and stays in-process; a snapshot restores in-process too.
+        assert parser.parse_args(["serve", "x.txt"]).executor is None
+        assert main(["serve", str(ruleset_file), "--shards", "1",
+                     "--classifier", "tm", "--packets", "50"]) == 0
+        out = capsys.readouterr().out
+        assert "executor" in out and "serial" in out and "workers" not in out
 
 
 class TestReplay:

@@ -21,7 +21,13 @@ from repro.engine import ClassificationEngine
 from repro.rules.rule import Rule
 from repro.serving import CachedEngine, ShardedEngine, wire
 
-from _helpers import fast_nm_config
+from _helpers import (
+    block_keys,
+    block_of,
+    fast_nm_config,
+    linear_keys,
+    scalar_arrays,
+)
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -48,18 +54,6 @@ def _keys(results):
     ]
 
 
-def _block(packets):
-    return np.array([tuple(packet) for packet in packets], dtype=np.uint64)
-
-
-def _block_keys(rule_ids, priorities):
-    """Columnar outputs in the same key shape as :func:`_keys`."""
-    return [
-        None if rule_id < 0 else (int(priority), int(rule_id))
-        for rule_id, priority in zip(rule_ids, priorities)
-    ]
-
-
 def _wide_rule(ruleset, priority, rule_id):
     """A full-range rule: matches every probe, so overlay order is stressed."""
     ranges = tuple((0, spec.max_value) for spec in ruleset.schema)
@@ -72,6 +66,17 @@ def _build(name, ruleset):
             ruleset, remainder_classifier="tm", config=fast_nm_config()
         )
     return build_classifier(name, ruleset)
+
+
+def _assert_block_equals_scalar(stack, classifier, packets):
+    """``stack.classify_block`` (ids, priorities, trace rows) equals the scalar
+    ``classify_traced`` reference of ``classifier`` on ``packets``."""
+    traces = np.full((len(packets), 5), -7, dtype=np.int64)  # must be overwritten
+    rule_ids, priorities = stack.classify_block(block_of(packets), traces=traces)
+    expected_ids, expected_pris, expected_traces = scalar_arrays(classifier, packets)
+    np.testing.assert_array_equal(rule_ids, expected_ids)
+    np.testing.assert_array_equal(priorities, expected_pris)
+    np.testing.assert_array_equal(traces, expected_traces)
 
 
 @pytest.fixture(scope="module", params=["acl_small", "fw_small"])
@@ -89,6 +94,34 @@ class TestRegisteredClassifiers:
         assert _keys(classifier.classify_batch(packets)) == _keys(
             oracle.classify_batch(packets)
         )
+
+    @pytest.mark.parametrize("name", available_classifiers())
+    def test_block_equals_scalar_reference(self, name, conformance_ruleset):
+        """Every classifier's ``classify_block`` — vectorized override or the
+        base-class loop — equals its scalar ``classify_traced`` row for row:
+        ids, priorities *and* trace counters."""
+        classifier = _build(name, conformance_ruleset)
+        packets = _packets_for(conformance_ruleset)
+        _assert_block_equals_scalar(classifier, classifier, packets)
+
+    @pytest.mark.parametrize("early_termination", [True, False])
+    @pytest.mark.parametrize("remainder", ["cs", "nc", "tss", "linear"])
+    def test_nuevomatch_over_unvectorized_remainder(
+        self, remainder, early_termination, acl_small
+    ):
+        """A remainder without its own floored block hook serves NuevoMatch
+        blocks through ``Classifier.classify_block_with_floors``."""
+        from dataclasses import replace
+
+        nm = NuevoMatch.build(
+            acl_small,
+            remainder_classifier=remainder,
+            config=replace(fast_nm_config(), early_termination=early_termination),
+        )
+        packets = _packets_for(acl_small)
+        _assert_block_equals_scalar(nm, nm, packets)
+        rule_ids, priorities = nm.classify_block(block_of(packets))
+        assert block_keys(rule_ids, priorities) == linear_keys(acl_small.rules, packets)
 
 
 class TestShardedEngine:
@@ -196,58 +229,100 @@ class TestCachedEngine:
             assert _keys(cached.classify_batch(packets)) == baseline
 
 
-class TestColumnarConformance:
-    """``classify_block`` is the primitive; ``classify_batch`` is a view.
+def _stack_params(kind):
+    if kind == "nm+tm":
+        return {
+            "classifier": "nm",
+            "remainder_classifier": "tm",
+            "config": fast_nm_config(),
+        }
+    return {"classifier": kind}
 
-    For every serving stack the columnar outputs must be row-identical to the
-    object path *on the same instance*, both with a clean ruleset and with a
-    pending update overlay (interleaved inserts and removes that have not been
-    merged into the built structures yet).
+
+def _assert_sharded_block(sharded, packets, clean):
+    """A sharded block equals linear search over the live rules; with no
+    pending overlay its trace rows are the sum of the shards' scalar traces,
+    with one the overlay pass only adds rule accesses / compute ops."""
+    traces = np.full((len(packets), 5), -7, dtype=np.int64)
+    rule_ids, priorities = sharded.classify_block(block_of(packets), traces=traces)
+    assert block_keys(rule_ids, priorities) == linear_keys(
+        sharded.rules_by_id().values(), packets
+    )
+    base = sum(
+        scalar_arrays(shard.engine.classifier, packets)[2] for shard in sharded._shards
+    )
+    if clean:
+        np.testing.assert_array_equal(traces, base)
+    else:
+        np.testing.assert_array_equal(traces[:, [0, 2, 4]], base[:, [0, 2, 4]])
+        assert (traces[:, [1, 3]] >= base[:, [1, 3]]).all()
+    return rule_ids, priorities
+
+
+class TestColumnarConformance:
+    """``classify_block`` is the one lookup; its references are external.
+
+    For every serving stack the columnar outputs must equal the scalar
+    ``classify_traced`` path of the underlying classifiers (ids, priorities
+    and trace rows) and linear search over the live rules — both with a clean
+    ruleset and with a pending update overlay (interleaved inserts and
+    removes, including the removed-winner rescan).  Overlay trace accounting
+    is pinned by explicit values in ``test_sharded.TestOverlayTraceAccounting``.
     """
 
-    def test_plain_engine_block_matches_batch(self, conformance_ruleset):
-        engine = ClassificationEngine.build(conformance_ruleset, classifier="tm")
+    @pytest.mark.parametrize("kind", ["nm+tm", "tm", "linear"])
+    def test_plain_engine_block_equals_scalar_and_linear(self, kind, conformance_ruleset):
+        engine = ClassificationEngine.build(conformance_ruleset, **_stack_params(kind))
         packets = _packets_for(conformance_ruleset)
-        rule_ids, priorities = engine.classify_block(_block(packets))
-        assert _block_keys(rule_ids, priorities) == _keys(
-            engine.classify_batch(packets)
+        _assert_block_equals_scalar(engine, engine.classifier, packets)
+        rule_ids, priorities = engine.classify_block(block_of(packets))
+        assert block_keys(rule_ids, priorities) == linear_keys(
+            conformance_ruleset.rules, packets
         )
 
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_sharded_block_matches_batch(self, shards, executor, acl_small):
+    def test_plain_engine_block_tracks_online_updates(self, acl_small):
+        """The plain stack's "overlay" is the updatable classifier itself."""
+        engine = ClassificationEngine.build(acl_small, classifier="tm")
         packets = _packets_for(acl_small)
-        block = _block(packets)
+        engine.insert(_wide_rule(acl_small, priority=-10, rule_id=900_000))
+        for rule in list(acl_small)[:3]:
+            engine.remove(rule.rule_id)
+        for _ in range(2):
+            _assert_block_equals_scalar(engine, engine.classifier, packets)
+            rule_ids, priorities = engine.classify_block(block_of(packets))
+            assert block_keys(rule_ids, priorities) == linear_keys(
+                engine.rules_by_id().values(), packets
+            )
+            engine.remove(900_000)
+
+    @pytest.mark.parametrize(
+        "kind, shards",
+        [("tm", count) for count in SHARD_COUNTS] + [("nm+tm", 2), ("linear", 2)],
+    )
+    def test_sharded_serial_block_equals_scalar_and_linear(self, kind, shards, acl_small):
+        packets = _packets_for(acl_small)
         with ShardedEngine.build(
             acl_small,
             shards=shards,
-            classifier="tm",
-            executor=executor,
+            executor="serial",
             retrain_threshold=1.0,
+            **_stack_params(kind),
         ) as sharded:
-            rule_ids, priorities = sharded.classify_block(block)
-            assert _block_keys(rule_ids, priorities) == _keys(
-                sharded.classify_batch(packets)
-            )
+            _assert_sharded_block(sharded, packets, clean=True)
             # Build a pending overlay: a full-range insert that beats every
             # base rule, plus removals of current winners.
             sharded.insert(_wide_rule(acl_small, priority=-10, rule_id=900_001))
             for rule in list(acl_small)[:3]:
                 sharded.remove(rule.rule_id)
-            rule_ids, priorities = sharded.classify_block(block)
-            assert _block_keys(rule_ids, priorities) == _keys(
-                sharded.classify_batch(packets)
-            )
-            # Removing the overlay winner exercises the removed-winner rescan.
+            rule_ids, _pris = _assert_sharded_block(sharded, packets, clean=False)
+            assert (rule_ids == 900_001).all()
+            # Removing the overlay winner exercises the removed-winner rescan
+            # (the base winners of the removed rules' packets are masked).
             sharded.remove(900_001)
-            rule_ids, priorities = sharded.classify_block(block)
-            assert _block_keys(rule_ids, priorities) == _keys(
-                sharded.classify_batch(packets)
-            )
+            _assert_sharded_block(sharded, packets, clean=False)
 
-    def test_sharded_workers_block_matches_batch(self, acl_small):
+    def test_sharded_workers_block_equals_scalar_and_linear(self, acl_small):
         packets = _packets_for(acl_small)
-        block = _block(packets)
         with ShardedEngine.build(
             acl_small,
             shards=2,
@@ -255,57 +330,21 @@ class TestColumnarConformance:
             executor="workers",
             retrain_threshold=1.0,
         ) as sharded:
-            rule_ids, priorities = sharded.classify_block(block)
-            assert _block_keys(rule_ids, priorities) == _keys(
-                sharded.classify_batch(packets)
-            )
+            _assert_sharded_block(sharded, packets, clean=True)
             sharded.insert(_wide_rule(acl_small, priority=-10, rule_id=900_002))
             for rule in list(acl_small)[:2]:
                 sharded.remove(rule.rule_id)
-            rule_ids, priorities = sharded.classify_block(block)
-            assert _block_keys(rule_ids, priorities) == _keys(
-                sharded.classify_batch(packets)
-            )
-
-    def test_sharded_block_traces_match_object_traces(self, acl_small):
-        """Per-packet trace counters agree between the two paths, including
-        over a pending overlay (probe counts are part of the contract)."""
-        packets = _packets_for(acl_small)
-        block = _block(packets)
-        with ShardedEngine.build(
-            acl_small,
-            shards=2,
-            classifier="tm",
-            executor="serial",
-            retrain_threshold=1.0,
-        ) as sharded:
-            sharded.insert(_wide_rule(acl_small, priority=-10, rule_id=900_003))
-            sharded.remove(list(acl_small)[0].rule_id)
-            traces = np.zeros((len(block), 5), dtype=np.int64)
-            sharded.classify_block(block, traces=traces)
-            results = sharded.classify_batch(packets)
-            expected = np.array(
-                [
-                    [
-                        result.trace.index_accesses,
-                        result.trace.rule_accesses,
-                        result.trace.model_accesses,
-                        result.trace.compute_ops,
-                        result.trace.hash_ops,
-                    ]
-                    for result in results
-                ],
-                dtype=np.int64,
-            )
-            np.testing.assert_array_equal(traces, expected)
+            _assert_sharded_block(sharded, packets, clean=False)
+            sharded.remove(900_002)
+            _assert_sharded_block(sharded, packets, clean=False)
 
     @pytest.mark.parametrize("capacity", CACHE_CAPACITIES)
     @pytest.mark.parametrize("wrap", ["plain", "sharded"])
-    def test_cached_block_matches_batch_with_interleaved_updates(
+    def test_cached_block_equals_linear_with_interleaved_updates(
         self, capacity, wrap, acl_small
     ):
         packets = _packets_for(acl_small)
-        block = _block(packets)
+        block = block_of(packets)
         if wrap == "sharded":
             base = ShardedEngine.build(
                 acl_small,
@@ -316,38 +355,39 @@ class TestColumnarConformance:
             )
         else:
             base = ClassificationEngine.build(acl_small, classifier="tm")
-        try:
-            with CachedEngine(base, capacity=capacity) as cached:
-                # Cold (block fills the cache), warm (block hits), and the
-                # object path must all agree with the underlying engine.
-                for _ in range(2):
-                    expected = _keys(base.classify_batch(packets))
-                    rule_ids, priorities = cached.classify_block(block)
-                    assert _block_keys(rule_ids, priorities) == expected
-                    assert _keys(cached.classify_batch(packets)) == expected
-                # Interleaved updates invalidate; both paths must track them.
-                cached.insert(_wide_rule(acl_small, priority=-5, rule_id=910_001))
-                expected = _keys(base.classify_batch(packets))
-                rule_ids, priorities = cached.classify_block(block)
-                assert _block_keys(rule_ids, priorities) == expected
-                assert _keys(cached.classify_batch(packets)) == expected
-                cached.remove(910_001)
-                cached.remove(list(acl_small)[0].rule_id)
-                expected = _keys(base.classify_batch(packets))
-                rule_ids, priorities = cached.classify_block(block)
-                assert _block_keys(rule_ids, priorities) == expected
-                assert _keys(cached.classify_batch(packets)) == expected
-        finally:
-            close = getattr(base, "close", None)
-            if close is not None:
-                close()
+        hit_row = [1, 0, 0, 0, 1]  # one hash + one index access
+
+        def check():
+            expected = linear_keys(base.rules_by_id().values(), packets)
+            base_traces = np.zeros((len(block), 5), dtype=np.int64)
+            base.classify_block(block, traces=base_traces)
+            for _ in range(2):  # cold (fills), then warm (hits)
+                hits_before = cached.cache.stats.hits
+                traces = np.full((len(block), 5), -7, dtype=np.int64)
+                rule_ids, priorities = cached.classify_block(block, traces=traces)
+                assert block_keys(rule_ids, priorities) == expected
+                # Every row carries either the wrapped engine's trace (a
+                # slow-path lookup) or the cache's hit trace.
+                slow = (traces == base_traces).all(axis=1)
+                hit = (traces == hit_row).all(axis=1)
+                assert (slow | hit).all()
+                assert cached.cache.stats.hits - hits_before <= hit.sum()
+
+        with CachedEngine(base, capacity=capacity) as cached:
+            check()
+            # Interleaved updates invalidate; the cached block must track them.
+            cached.insert(_wide_rule(acl_small, priority=-5, rule_id=910_001))
+            check()
+            cached.remove(910_001)
+            cached.remove(list(acl_small)[0].rule_id)
+            check()
 
     def test_block_path_allocates_no_result_objects(self, acl_small, monkeypatch):
         """The no-caller-objects path really is allocation-free: no
         ClassificationResult and no LookupTrace is constructed anywhere in
         cached → sharded → classifier ``classify_block``, cold or warm."""
         packets = _packets_for(acl_small)
-        block = _block(packets)
+        block = block_of(packets)
         counts = {"results": 0, "traces": 0}
         real_result_init = ClassificationResult.__init__
         real_trace_init = LookupTrace.__init__
@@ -376,7 +416,7 @@ class TestColumnarConformance:
                 cached.classify_block(block)  # warm: cache hits
                 sharded.classify_block(block)  # uncached slow path
                 assert counts == {"results": 0, "traces": 0}
-                # Sanity: the counters do fire on the object path.
+                # Sanity: the counters do fire when objects are materialized.
                 cached.classify_batch(packets[:4])
                 assert counts["results"] > 0 and counts["traces"] > 0
 
@@ -398,7 +438,7 @@ class TestMissEncoding:
             if key is None
         ]
         assert miss_rows, "probe set must contain at least one miss"
-        block = _block(packets)
+        block = block_of(packets)
         plain = ClassificationEngine.build(acl_small, classifier="tm")
         with ShardedEngine.build(
             acl_small, shards=2, classifier="tm", executor="serial"
@@ -466,7 +506,7 @@ class TestBlockValidation:
         """int64 blocks with non-negative values pass through every stack
         (signedness alone is not a rejection)."""
         packets = _packets_for(acl_small, matching=10, uniform=0)
-        signed = _block(packets).astype(np.int64)
+        signed = block_of(packets).astype(np.int64)
         plain = ClassificationEngine.build(acl_small, classifier="tm")
         with ShardedEngine.build(
             acl_small, shards=2, classifier="tm", executor="serial"
@@ -474,6 +514,6 @@ class TestBlockValidation:
             with CachedEngine(
                 ClassificationEngine.build(acl_small, classifier="tm"), capacity=64
             ) as cached:
-                expected = _block_keys(*plain.classify_block(_block(packets)))
+                expected = block_keys(*plain.classify_block(block_of(packets)))
                 for stack in (plain, sharded, cached):
-                    assert _block_keys(*stack.classify_block(signed)) == expected
+                    assert block_keys(*stack.classify_block(signed)) == expected

@@ -15,6 +15,20 @@ def keys_of(*rows: tuple[int, ...]) -> np.ndarray:
     return np.asarray(rows, dtype=np.uint64)
 
 
+def fill(cache: FlowCache, keys: np.ndarray, winners, **kwargs) -> None:
+    """``fill_block`` with the winners given as one Rule-or-None per row."""
+    cache.fill_block(
+        keys,
+        np.array([-1 if w is None else w.rule_id for w in winners], dtype=np.int64),
+        np.array([0 if w is None else w.priority for w in winners], dtype=np.int64),
+        **kwargs,
+    )
+
+
+def probe_mask(cache: FlowCache, keys: np.ndarray) -> np.ndarray:
+    return cache.probe_block(keys)[2]
+
+
 def rule_over(values: tuple[int, ...], priority: int, rule_id: int) -> Rule:
     """An exact-match rule covering exactly one five-tuple."""
     return Rule(tuple((v, v) for v in values), priority=priority, rule_id=rule_id)
@@ -24,45 +38,47 @@ class TestFlowCache:
     def test_probe_miss_then_fill_then_hit(self):
         cache = FlowCache(8, num_fields=2)
         keys = keys_of((1, 2), (3, 4))
-        winners, mask = cache.probe_batch(keys)
-        assert not mask.any() and winners == [None, None]
+        rule_ids, priorities, mask = cache.probe_block(keys)
+        assert not mask.any()
+        assert list(rule_ids) == [-1, -1] and list(priorities) == [0, 0]
         rule = Rule(((0, 10), (0, 10)), priority=1, rule_id=5)
-        cache.fill_batch(keys, [rule, None])
-        winners, mask = cache.probe_batch(keys)
+        fill(cache, keys, [rule, None])
+        rule_ids, priorities, mask = cache.probe_block(keys)
         assert mask.all()
-        assert winners[0] is rule
-        assert winners[1] is None  # cached no-match, distinguished by the mask
+        assert (rule_ids[0], priorities[0]) == (5, 1)
+        # A cached no-match: same encoding as a miss, distinguished by the mask.
+        assert (rule_ids[1], priorities[1]) == (-1, 0)
         assert cache.stats.hits == 2 and cache.stats.misses == 2
 
     def test_duplicate_keys_collapse_to_one_entry(self):
         cache = FlowCache(8, num_fields=2)
         keys = keys_of((1, 1), (1, 1), (1, 1))
-        cache.fill_batch(keys, [None, None, None])
+        fill(cache, keys, [None, None, None])
         assert len(cache) == 1
 
     def test_capacity_bound_and_bulk_lru_eviction(self):
         cache = FlowCache(4, num_fields=1)
-        cache.fill_batch(keys_of((0,), (1,), (2,), (3,)), [None] * 4)
+        fill(cache, keys_of((0,), (1,), (2,), (3,)), [None] * 4)
         # Touch 2 and 3: 0 and 1 become the LRU pair.
-        cache.probe_batch(keys_of((2,), (3,)))
-        cache.fill_batch(keys_of((4,), (5,)), [None, None])
+        cache.probe_block(keys_of((2,), (3,)))
+        fill(cache, keys_of((4,), (5,)), [None, None])
         assert len(cache) == 4
-        _, mask = cache.probe_batch(keys_of((0,), (1,), (2,), (3,), (4,), (5,)))
+        mask = probe_mask(cache, keys_of((0,), (1,), (2,), (3,), (4,), (5,)))
         assert list(mask) == [False, False, True, True, True, True]
         assert cache.stats.evictions == 2
 
     def test_overfull_batch_keeps_most_recent_capacity_entries(self):
         cache = FlowCache(3, num_fields=1)
-        cache.fill_batch(keys_of(*[(i,) for i in range(10)]), [None] * 10)
+        fill(cache, keys_of(*[(i,) for i in range(10)]), [None] * 10)
         assert len(cache) == 3
-        _, mask = cache.probe_batch(keys_of((7,), (8,), (9,), (0,)))
+        mask = probe_mask(cache, keys_of((7,), (8,), (9,), (0,)))
         assert list(mask) == [True, True, True, False]
 
     def test_zero_capacity_disables_cache(self):
         cache = FlowCache(0, num_fields=2)
         keys = keys_of((1, 2))
-        cache.fill_batch(keys, [None])
-        _, mask = cache.probe_batch(keys)
+        fill(cache, keys, [None])
+        mask = probe_mask(cache, keys)
         assert not mask.any()
         assert len(cache) == 0
 
@@ -70,29 +86,29 @@ class TestFlowCache:
         cache = FlowCache(4, num_fields=1)
         old = Rule(((0, 9),), priority=2, rule_id=1)
         new = Rule(((0, 9),), priority=1, rule_id=2)
-        cache.fill_batch(keys_of((5,)), [old])
-        cache.fill_batch(keys_of((5,)), [new])
-        winners, mask = cache.probe_batch(keys_of((5,)))
-        assert mask.all() and winners[0] is new
+        fill(cache, keys_of((5,)), [old])
+        fill(cache, keys_of((5,)), [new])
+        rule_ids, priorities, mask = cache.probe_block(keys_of((5,)))
+        assert mask.all() and (rule_ids[0], priorities[0]) == (2, 1)
         assert len(cache) == 1
 
     def test_invalidate_insert_evicts_covered_flows_and_stale_no_match(self):
         cache = FlowCache(8, num_fields=2)
         inside = (3, 3)
         outside = (9, 9)
-        cache.fill_batch(keys_of(inside, outside), [None, None])
+        fill(cache, keys_of(inside, outside), [None, None])
         evicted = cache.invalidate_insert(
             Rule(((0, 5), (0, 5)), priority=0, rule_id=77)
         )
         assert evicted == 1
-        _, mask = cache.probe_batch(keys_of(inside, outside))
+        mask = probe_mask(cache, keys_of(inside, outside))
         assert list(mask) == [False, True]
         assert cache.stats.invalidations == 1
 
     def test_invalidate_insert_evicts_previous_version_by_rule_id(self):
         cache = FlowCache(8, num_fields=1)
         old_version = Rule(((40, 50),), priority=1, rule_id=3)
-        cache.fill_batch(keys_of((45,)), [old_version])
+        fill(cache, keys_of((45,)), [old_version])
         # Same id re-inserted with a disjoint matching set: the cached winner
         # is a stale version even though the key is outside the new ranges.
         evicted = cache.invalidate_insert(Rule(((0, 5),), priority=1, rule_id=3))
@@ -103,14 +119,14 @@ class TestFlowCache:
         cache = FlowCache(8, num_fields=1)
         a = Rule(((0, 9),), priority=1, rule_id=1)
         b = Rule(((10, 19),), priority=2, rule_id=2)
-        cache.fill_batch(keys_of((4,), (14,), (25,)), [a, b, None])
+        fill(cache, keys_of((4,), (14,), (25,)), [a, b, None])
         assert cache.invalidate_remove(1) == 1
-        _, mask = cache.probe_batch(keys_of((4,), (14,), (25,)))
+        mask = probe_mask(cache, keys_of((4,), (14,), (25,)))
         assert list(mask) == [False, True, True]
 
     def test_clear_counts_invalidations(self):
         cache = FlowCache(8, num_fields=1)
-        cache.fill_batch(keys_of((1,), (2,)), [None, None])
+        fill(cache, keys_of((1,), (2,)), [None, None])
         assert cache.clear() == 2
         assert len(cache) == 0
         assert cache.stats.invalidations == 2
@@ -132,34 +148,32 @@ class TestFlowCache:
         fill race)."""
         cache = FlowCache(8, num_fields=1)
         keys = keys_of((4,))
-        cache.probe_batch(keys)  # miss; slow path starts computing
+        cache.probe_block(keys)  # miss; slow path starts computing
         epoch = cache.epoch
         # An update is applied and acknowledged mid-classification.  Nothing
         # was cached for the flow, so the invalidation evicts zero entries —
         # but it must still fence the in-flight fill.
         assert cache.invalidate_remove(rule_id=1) == 0
-        cache.fill_batch(keys, [Rule(((0, 9),), priority=1, rule_id=1)], epoch=epoch)
-        _, mask = cache.probe_batch(keys)
+        fill(cache, keys, [Rule(((0, 9),), priority=1, rule_id=1)], epoch=epoch)
+        mask = probe_mask(cache, keys)
         assert not mask.any()
         assert cache.stats.dropped_fills == 1
         # A fill with the current epoch goes through.
-        cache.fill_batch(keys, [None], epoch=cache.epoch)
+        fill(cache, keys, [None], epoch=cache.epoch)
         assert len(cache) == 1
 
 
 class TestResizeAndHitWindow:
     def test_shrink_keeps_the_most_recently_used_entries(self):
         cache = FlowCache(8, num_fields=1)
-        cache.fill_batch(keys_of(*[(i,) for i in range(8)]), [None] * 8)
+        fill(cache, keys_of(*[(i,) for i in range(8)]), [None] * 8)
         # Touch 4..7: 0..3 become the LRU half.
-        cache.probe_batch(keys_of((4,), (5,), (6,), (7,)))
+        cache.probe_block(keys_of((4,), (5,), (6,), (7,)))
         evicted = cache.resize(4)
         assert evicted == 4
         assert cache.capacity == 4
         assert len(cache) == 4
-        _, mask = cache.probe_batch(
-            keys_of(*[(i,) for i in range(8)])
-        )
+        mask = probe_mask(cache, keys_of(*[(i,) for i in range(8)]))
         assert list(mask) == [False] * 4 + [True] * 4
         assert cache.stats.evictions == 4
 
@@ -170,46 +184,47 @@ class TestResizeAndHitWindow:
         epoch = cache.epoch
         cache.resize(4)
         assert cache.epoch == epoch
-        cache.fill_batch(keys_of((1,)), [None], epoch=epoch)
-        _, mask = cache.probe_batch(keys_of((1,)))
+        fill(cache, keys_of((1,)), [None], epoch=epoch)
+        mask = probe_mask(cache, keys_of((1,)))
         assert mask.all()
         assert cache.stats.dropped_fills == 0
 
     def test_grow_keeps_everything_and_opens_new_slots(self):
         cache = FlowCache(2, num_fields=1)
-        cache.fill_batch(keys_of((0,), (1,)), [None, None])
+        fill(cache, keys_of((0,), (1,)), [None, None])
         assert cache.resize(4) == 0
-        cache.fill_batch(keys_of((2,), (3,)), [None, None])
+        fill(cache, keys_of((2,), (3,)), [None, None])
         assert len(cache) == 4
-        _, mask = cache.probe_batch(keys_of((0,), (1,), (2,), (3,)))
+        mask = probe_mask(cache, keys_of((0,), (1,), (2,), (3,)))
         assert mask.all()
 
-    def test_resize_preserves_winner_identity_and_lru_order(self):
+    def test_resize_preserves_winners_and_lru_order(self):
         cache = FlowCache(4, num_fields=1)
         rule = rule_over((7,), priority=1, rule_id=9)
-        cache.fill_batch(keys_of((7,), (8,)), [rule, None])
-        cache.probe_batch(keys_of((7,)))  # 8 is now the LRU entry
+        fill(cache, keys_of((7,), (8,)), [rule, None])
+        cache.probe_block(keys_of((7,)))  # 8 is now the LRU entry
         cache.resize(8)
-        winners, mask = cache.probe_batch(keys_of((7,), (8,)))
-        assert mask.all() and winners[0] is rule and winners[1] is None
+        rule_ids, priorities, mask = cache.probe_block(keys_of((7,), (8,)))
+        assert mask.all()
+        assert (rule_ids[0], priorities[0]) == (9, 1) and rule_ids[1] == -1
         # The combined probe gave both entries the same LRU tick; re-touch
         # (7,) alone so (8,) is strictly the LRU tail before the fill.
-        cache.probe_batch(keys_of((7,)))
+        cache.probe_block(keys_of((7,)))
         # Fill 7 fresh entries: the lone eviction must be the old LRU tail,
         # proving last-used clocks survived the array rebuild.
-        cache.fill_batch(keys_of(*[(i,) for i in range(10, 17)]), [None] * 7)
-        _, mask = cache.probe_batch(keys_of((7,), (8,)))
+        fill(cache, keys_of(*[(i,) for i in range(10, 17)]), [None] * 7)
+        mask = probe_mask(cache, keys_of((7,), (8,)))
         assert list(mask) == [True, False]
 
     def test_resize_to_zero_disables_and_back(self):
         cache = FlowCache(4, num_fields=1)
-        cache.fill_batch(keys_of((1,)), [None])
+        fill(cache, keys_of((1,)), [None])
         assert cache.resize(0) == 1
-        _, mask = cache.probe_batch(keys_of((1,)))
+        mask = probe_mask(cache, keys_of((1,)))
         assert not mask.any()
         cache.resize(4)
-        cache.fill_batch(keys_of((1,)), [None])
-        _, mask = cache.probe_batch(keys_of((1,)))
+        fill(cache, keys_of((1,)), [None])
+        mask = probe_mask(cache, keys_of((1,)))
         assert mask.all()
 
     def test_resize_rejects_negative_and_noops_on_same_capacity(self):
@@ -220,11 +235,11 @@ class TestResizeAndHitWindow:
 
     def test_take_hit_window_drains_without_touching_stats(self):
         cache = FlowCache(4, num_fields=1)
-        cache.fill_batch(keys_of((1,)), [None])
-        cache.probe_batch(keys_of((1,), (2,)))  # one hit, one miss
+        fill(cache, keys_of((1,)), [None])
+        cache.probe_block(keys_of((1,), (2,)))  # one hit, one miss
         assert cache.take_hit_window() == (1, 1)
         assert cache.take_hit_window() == (0, 0)  # drained
-        cache.probe_batch(keys_of((1,)))
+        cache.probe_block(keys_of((1,)))
         assert cache.take_hit_window() == (1, 0)
         # Aggregate counters keep the full history.
         assert cache.stats.hits == 2 and cache.stats.misses == 1

@@ -17,6 +17,7 @@ flows collide, rules overlap and invalidation paths actually fire.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,19 +140,21 @@ def test_cached_sharded_engine_never_serves_stale_match(rules, ops, capacity):
 def test_flowcache_capacity_bound_under_fill_and_invalidate(fills, capacity):
     """Raw FlowCache: interleaved fills and range invalidations never push the
     entry count past capacity, and the slot bookkeeping stays consistent."""
-    from repro.serving.flowcache import pack_packets
-
     cache = FlowCache(capacity, num_fields=5)
     for index, (packets, ranges) in enumerate(fills):
-        keys = pack_packets(packets, 5)
-        cache.probe_batch(keys)
+        keys = np.array(packets, dtype=np.uint64)
+        cache.probe_block(keys)
         rule = Rule(ranges, priority=index, rule_id=index)
-        cache.fill_batch(keys, [rule] * len(packets))
+        cache.fill_block(
+            keys,
+            np.full(len(packets), rule.rule_id, dtype=np.int64),
+            np.full(len(packets), rule.priority, dtype=np.int64),
+        )
         assert len(cache) <= capacity
         if index % 2 == 1:
             cache.invalidate_insert(rule)
             # Everything inside the rule's ranges is gone now.
-            winners, mask = cache.probe_batch(keys)
+            _ids, _priorities, mask = cache.probe_block(keys)
             for row, packet in enumerate(packets):
                 if rule.matches(packet):
                     assert not mask[row]

@@ -9,15 +9,9 @@ that the cached hot path works at all under the paper's highest-skew setting
 
 from __future__ import annotations
 
-import time
-
-import numpy as np
 import pytest
 
-from repro.engine import ClassificationEngine
 from repro.rules import generate_classbench
-from repro.serving import CachedEngine
-from repro.traffic import generate_zipf_trace
 from repro.workloads import run_scenario
 
 pytestmark = pytest.mark.perf
@@ -56,38 +50,3 @@ def test_cached_sharded_replay_beats_uncached_in_the_model():
     )
     assert cached.modelled_latency_ns < uncached.modelled_latency_ns
     assert cached.matched == uncached.matched
-
-
-def _best_pps(run, block, batch_size: int, repeats: int = 3) -> float:
-    """Best-of-N wall-clock throughput of ``run`` over ``block`` batches."""
-    best = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for chunk_start in range(0, len(block), batch_size):
-            run(block[chunk_start : chunk_start + batch_size])
-        elapsed = time.perf_counter() - start
-        if elapsed > 0:
-            best = max(best, len(block) / elapsed)
-    return best
-
-
-def test_columnar_path_beats_object_path_5x():
-    """The zero-copy floor: on a warm flow cache, ``classify_block`` (arrays
-    in, arrays out, no per-packet objects) must run at least 5x faster than
-    ``classify_batch`` over the *same columnar batches* — what the object
-    path costs is exactly the per-packet materialization the block path
-    skips."""
-    rules = generate_classbench("acl1", 1000, seed=7)
-    trace = generate_zipf_trace(rules, 16_000, top3_share=95, seed=9)
-    block = np.array([tuple(p) for p in trace], dtype=np.uint64)
-    batch_size = 512
-    with CachedEngine(
-        ClassificationEngine.build(rules, classifier="tm"), capacity=1 << 14
-    ) as cached:
-        cached.classify_block(block)  # warm: fill the cache once
-        columnar_pps = _best_pps(cached.classify_block, block, batch_size)
-        object_pps = _best_pps(cached.classify_batch, block, batch_size)
-    assert columnar_pps >= 5.0 * object_pps, (
-        f"columnar path {columnar_pps:.0f} pps is below 5x the object path "
-        f"{object_pps:.0f} pps"
-    )

@@ -153,6 +153,31 @@ def test_replay_trace_reports_cached_and_uncached_consistently(matrix_rules):
     assert r_cached.modelled_latency_ns < r_uncached.modelled_latency_ns
 
 
+def test_replay_always_drives_blocks_and_defaults_to_serial(matrix_rules, monkeypatch):
+    """``replay_trace`` has one data path (``classify_block``; the
+    ``columnar=`` knob is gone) and the scenario builders default the sharded
+    executor to the in-process one."""
+    import inspect
+
+    from repro.workloads import run_scenario
+
+    assert "columnar" not in inspect.signature(replay_trace).parameters
+    assert "columnar" not in inspect.signature(run_scenario).parameters
+    for builder in (build_scenario_engine, run_scenario):
+        assert inspect.signature(builder).parameters["executor"].default == "serial"
+    with build_scenario_engine(matrix_rules, shards=2, classifier="tm") as engine:
+        assert engine.executor == "serial"
+        monkeypatch.setattr(
+            engine, "classify_batch", lambda packets: pytest.fail("object path used")
+        )
+        trace = make_trace("uniform", matrix_rules, 200, seed=11)
+        report = replay_trace(engine, trace, batch_size=BATCH)
+    assert report.matched == report.packets == 200
+    assert "columnar" not in report.as_dict()
+    # The modelled number prices the same blocks: sharded per-shard traces.
+    assert report.modelled_latency_ns > 0
+
+
 def test_replay_cache_stats_are_windowed_per_replay(matrix_rules):
     """Replaying twice on one warm engine: the second report's counters cover
     only the second replay, and its embedded cache dict agrees with the

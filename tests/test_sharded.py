@@ -1,8 +1,10 @@
 """Tests for the sharded serving layer: partitioning, fan-out, updates,
 background retraining and persistence."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.isets import partition_shards
@@ -14,7 +16,7 @@ from repro.serving import (
     partition_for_shards,
 )
 
-from _helpers import fast_nm_config
+from _helpers import block_keys, block_of, fast_nm_config, linear_keys, scalar_arrays
 
 
 def _key(rule):
@@ -72,31 +74,34 @@ class TestServing:
     def test_empty_batch(self, sharded):
         assert sharded.classify_batch([]) == []
 
-    def test_thread_and_serial_executors_agree(self, acl_small, unsharded):
+    def test_serial_and_workers_executors_agree(self, acl_small, unsharded):
         packets = acl_small.sample_packets(100, seed=51)
         expected = _keys(unsharded.classify_batch(packets))
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "workers"):
             with ShardedEngine.build(
                 acl_small, shards=3, classifier="tm", executor=executor
             ) as engine:
+                assert engine.executor == executor
                 assert _keys(engine.classify_batch(packets)) == expected
 
-    def test_process_executor_agrees(self, acl_small, unsharded):
-        packets = acl_small.sample_packets(40, seed=52)
-        expected = _keys(unsharded.classify_batch(packets))
-        with ShardedEngine.build(
-            acl_small, shards=2, classifier="linear", executor="process"
-        ) as engine:
-            assert _keys(engine.classify_batch(packets)) == expected
-
     def test_merged_trace_sums_shard_work(self, sharded, acl_small):
-        packet = acl_small.sample_packets(1, seed=53)[0]
-        per_shard = sharded.classify_batch_per_shard([packet])
-        merged = sharded.classify_traced(packet)
-        assert merged.trace.total_accesses == sum(
-            results[0].trace.total_accesses for results in per_shard
+        block = block_of(acl_small.sample_packets(8, seed=53))
+        per_shard = sharded.classify_block_per_shard(block, want_traces=True)
+        assert len(per_shard) == sharded.num_shards
+        merged = np.zeros((len(block), 5), dtype=np.int64)
+        sharded.classify_block(block, traces=merged)
+        np.testing.assert_array_equal(
+            merged, sum(traces for _ids, _priorities, traces in per_shard)
         )
-        assert merged.trace.total_accesses > 0
+        # With no overlay, each shard's rows are its classifier's scalar traces.
+        for shard, (ids, priorities, traces) in zip(sharded._shards, per_shard):
+            expected = scalar_arrays(shard.engine.classifier, block)
+            np.testing.assert_array_equal(ids, expected[0])
+            np.testing.assert_array_equal(priorities, expected[1])
+            np.testing.assert_array_equal(traces, expected[2])
+        assert sharded.classify_traced(tuple(block[0])).trace.total_accesses == int(
+            merged[0, :3].sum()
+        )
 
     def test_serve_batches_cover_all_packets(self, sharded, acl_small):
         packets = acl_small.sample_packets(70, seed=54)
@@ -117,10 +122,21 @@ class TestServing:
         assert sharded.memory_footprint().total_bytes > 0
 
     def test_rejects_bad_config(self, acl_small):
-        with pytest.raises(ValueError, match="unknown executor"):
-            ShardedEngine.build(acl_small, shards=2, classifier="tm", executor="gpu")
+        # The removed executors are rejected like any unknown name, and the
+        # message names the two that exist.
+        for executor in ("gpu", "thread", "process"):
+            with pytest.raises(
+                ValueError, match=r"unknown executor .*\('serial', 'workers'\)"
+            ):
+                ShardedEngine.build(
+                    acl_small, shards=2, classifier="tm", executor=executor
+                )
         with pytest.raises(ValueError, match="at least one shard"):
             ShardedEngine([])
+
+    def test_default_executor_is_serial(self, acl_small):
+        with ShardedEngine.build(acl_small, shards=2, classifier="linear") as engine:
+            assert engine.executor == "serial"
 
     def test_rejects_duplicate_rule_ids(self, acl_small):
         engine = ClassificationEngine.build(acl_small, classifier="linear")
@@ -272,82 +288,63 @@ class TestRetraining:
                     }
 
 
-class TestProcessPoolTeardown:
-    """Regressions for the process-pool resync on engine swap: a retrain
-    mid-load must rotate the pool without leaking workers, even when a pool
-    worker died before the swap."""
+class TestOverlayTraceAccounting:
+    """Explicit values for what the overlay pass adds to a shard's trace rows
+    (hand-computed; the scalar reference covers only the built structure)."""
 
-    def _churn_engine(self, acl_small):
-        return ShardedEngine.build(
-            acl_small,
-            shards=2,
-            classifier="linear",
-            executor="process",
-            background_retraining=False,
-            retrain_threshold=0.05,
+    def test_three_rule_overlay_and_one_masked_winner(self):
+        from repro.rules.fields import FieldSchema, FieldSpec
+        from repro.rules.rule import RuleSet
+
+        schema = FieldSchema([FieldSpec("a", 8), FieldSpec("b", 8)])
+        base = RuleSet(
+            [
+                Rule(((0, 9), (0, 255)), priority=10, rule_id=0),
+                Rule(((0, 99), (0, 255)), priority=20, rule_id=1),
+                Rule(((0, 255), (0, 255)), priority=30, rule_id=2),
+            ],
+            schema,
         )
+        # Packets: row 0 -> base winner 0, row 1 -> base winner 1, row 2 -> 2.
+        block = np.array([[5, 0], [50, 0], [200, 0]], dtype=np.uint64)
+        engine = ClassificationEngine.build(base, classifier="linear")
+        with ShardedEngine(
+            [engine], background_retraining=False, retrain_threshold=1.0
+        ) as sharded:
+            clean = np.zeros((3, 5), dtype=np.int64)
+            sharded.classify_block(block, traces=clean)
+            # Linear scan: rule_accesses = 1-based position of the winner,
+            # compute_ops = that times the two fields.
+            np.testing.assert_array_equal(clean[:, 1], [1, 2, 3])
+            np.testing.assert_array_equal(clean[:, 3], [2, 4, 6])
 
-    def test_swap_under_concurrent_classify_load(self, acl_small):
-        import threading
+            # A 3-rule overlay, best-first: prio 5 (matches nothing probed),
+            # prio 15 (matches row 1), prio 25 (matches every row).
+            sharded.insert(Rule(((250, 255), (9, 9)), priority=5, rule_id=100))
+            sharded.insert(Rule(((40, 60), (0, 255)), priority=15, rule_id=101))
+            sharded.insert(Rule(((0, 255), (0, 255)), priority=25, rule_id=102))
+            # ... and mask row 0's winner: the rescan visits both live base
+            # rules (2 accesses, 4 ops) and finds rule 1.
+            assert sharded.remove(0)
 
-        with self._churn_engine(acl_small) as engine:
-            packets = acl_small.sample_packets(20, seed=101)
-            engine.classify_batch(packets)  # warm the pool
-            errors: list[BaseException] = []
-            stop = threading.Event()
-
-            def hammer():
-                while not stop.is_set():
-                    try:
-                        assert len(engine.classify_batch(packets)) == len(packets)
-                    except BaseException as exc:  # noqa: BLE001
-                        errors.append(exc)
-                        return
-
-            thread = threading.Thread(target=hammer)
-            thread.start()
-            try:
-                # Each retrain bumps a shard generation → pool resync races
-                # the classify thread.
-                for index in range(40):
-                    template = acl_small.rules[index]
-                    engine.insert(
-                        Rule(template.ranges, template.priority, "new", 96_000 + index)
-                    )
-            finally:
-                stop.set()
-                thread.join(timeout=60.0)
-            assert not errors
-            assert engine.updates.retrains_triggered > 0
-            assert engine.verify(acl_small.sample_packets(40, seed=102)) == 40
-
-    def test_dead_worker_does_not_leak_pool_on_swap(self, acl_small):
-        import multiprocessing
-
-        with self._churn_engine(acl_small) as engine:
-            packets = acl_small.sample_packets(20, seed=103)
-            expected = _keys(engine.classify_batch(packets))
-            pool = engine._process_pool
-            victim = next(iter(pool._processes.values()))
-            victim.kill()
-            victim.join()
-            # Trigger a retrain (generation bump) so the next classify must
-            # retire the broken pool and build a fresh one.
-            for index in range(40):
-                template = acl_small.rules[index]
-                engine.insert(
-                    Rule(template.ranges, template.priority, "new", 97_000 + index)
-                )
-            assert engine.updates.retrains_triggered > 0
-            # Duplicates lose the (priority, rule_id) tie-break, so winners
-            # are unchanged — and they came from a rebuilt pool.
-            assert _keys(engine.classify_batch(packets)) == expected
-            assert engine._process_pool is not pool
-            assert engine.verify(acl_small.sample_packets(30, seed=104)) == 30
-        # close() reaped both the broken pool's survivors and the fresh pool.
-        for child in multiprocessing.active_children():
-            assert not child.name.startswith("shard-worker")
-        assert engine._process_pool is None
+            traces = np.zeros((3, 5), dtype=np.int64)
+            rule_ids, priorities = sharded.classify_block(block, traces=traces)
+            assert block_keys(rule_ids, priorities) == [(20, 1), (15, 101), (25, 102)]
+            # Overlay probes per row: row 0 (winner prio 20) probes 100 and
+            # 101, stops at 102 (25 > 20): 2.  Row 1 (winner prio 20) probes
+            # 100, then 101 matches: 2.  Row 2 (winner prio 30) probes all
+            # three, the last matches: 3.
+            np.testing.assert_array_equal(
+                traces[:, 1] - clean[:, 1], [2 + 2, 2, 3]
+            )
+            np.testing.assert_array_equal(
+                traces[:, 3] - clean[:, 3], [(2 + 2) * 2, 2 * 2, 3 * 2]
+            )
+            # The other counters are untouched by the overlay pass.
+            np.testing.assert_array_equal(traces[:, [0, 2, 4]], clean[:, [0, 2, 4]])
+            assert block_keys(rule_ids, priorities) == linear_keys(
+                sharded.rules_by_id().values(), block
+            )
 
 
 class TestPersistence:
@@ -374,9 +371,42 @@ class TestPersistence:
             assert restored.updates.owner_of(95_000) is not None
             assert restored.updates.owner_of(victim.rule_id) is None
 
-    def test_load_rejects_future_format(self, acl_small, tmp_path):
-        import json
+    @pytest.mark.parametrize("persisted", ["thread", "process"])
+    def test_parent_snapshot_with_removed_executor_loads_and_serves(
+        self, persisted, acl_small, tmp_path
+    ):
+        """Old artefacts keep working: a snapshot written by a build that
+        persisted ``"executor": "thread"|"process"`` loads (the key is ignored
+        on read, no format bump) and serves correctly in-process."""
+        with ShardedEngine.build(
+            acl_small,
+            shards=2,
+            classifier="tm",
+            background_retraining=False,
+            retrain_threshold=0.95,
+        ) as engine:
+            engine.insert(_wildcard(acl_small.schema, priority=-1, rule_id=95_100))
+            path = tmp_path / "old.json"
+            engine.save(path)
+        document = json.loads(path.read_text())
+        assert "executor" not in document  # no longer persisted state
+        document["executor"] = persisted
+        path.write_text(json.dumps(document))
+        block = block_of(acl_small.sample_packets(60, seed=82))
+        with ShardedEngine.load(path) as restored:
+            assert restored.executor == "serial"
+            rule_ids, priorities = restored.classify_block(block)
+            assert block_keys(rule_ids, priorities) == linear_keys(
+                restored.rules_by_id().values(), block
+            )
+            assert (rule_ids == 95_100).all()
+        with ShardedEngine.load(path, executor="workers") as restored:
+            assert restored.executor == "workers"
+            np.testing.assert_array_equal(
+                restored.classify_block(block)[0], rule_ids
+            )
 
+    def test_load_rejects_future_format(self, acl_small, tmp_path):
         with ShardedEngine.build(
             acl_small, shards=2, classifier="linear", executor="serial"
         ) as engine:

@@ -138,6 +138,47 @@ class TestPerfHarness:
             per_packet.avg_latency_ns, rel=1e-9
         )
 
+    def test_sharded_report_prices_per_shard_trace_columns(self, acl_small, monkeypatch):
+        """``evaluate_sharded`` prices each batch at its slowest shard, from
+        the column sums of that shard's trace block — equal to aggregating the
+        shard classifier's scalar traces, with no per-packet result objects
+        built in the modelled run."""
+        from repro.classifiers.base import ClassificationResult, LookupTrace
+        from repro.serving import ShardedEngine
+        from repro.simulation import evaluate_sharded
+        from repro.simulation.perf import SYNC_OVERHEAD_NS
+
+        trace = generate_uniform_trace(acl_small, 48, seed=6)
+        packets = list(trace)
+        cost_model = CostModel()
+        with ShardedEngine.build(acl_small, shards=2, classifier="tm") as sharded:
+            classifiers = [shard.engine.classifier for shard in sharded._shards]
+            expected_ns = 0.0
+            for start in range(0, len(packets), 16):
+                chunk = packets[start : start + 16]
+                expected_ns += max(
+                    cost_model.classifier_lookup_latency(
+                        classifier,
+                        LookupTrace.aggregate(
+                            classifier.classify_traced(p).trace for p in chunk
+                        ),
+                    ).total_ns
+                    for classifier in classifiers
+                ) + SYNC_OVERHEAD_NS * len(chunk)
+            built = []
+            real_init = ClassificationResult.__init__
+            monkeypatch.setattr(
+                ClassificationResult,
+                "__init__",
+                lambda self, *a, **k: built.append(1) or real_init(self, *a, **k),
+            )
+            report = evaluate_sharded(sharded, trace, cost_model, batch_size=16)
+        assert built == []
+        assert report.extra["num_batches"] == 3 and report.cores == 2
+        assert report.avg_latency_ns == pytest.approx(
+            expected_ns / len(packets), rel=1e-9
+        )
+
     def test_batched_rejects_bad_batch_size(self, acl_medium):
         tm = TupleMergeClassifier.build(acl_medium)
         with pytest.raises(ValueError):

@@ -1,0 +1,117 @@
+"""Structural guard: one lookup path per stack cannot grow back unnoticed.
+
+AST-based, so it reads what the source *defines*, not what an import happens
+to expose: among classifiers and engine stacks under ``src/repro`` only
+``Classifier`` and ``EngineStack`` define ``classify_batch``, only
+``EngineStack`` defines ``serve``/``verify`` for engine stacks, the sharded
+engine keeps exactly two executors, and none of the superseded names
+survives.  (The wire client's ``AsyncClient.classify_batch`` is a network
+call, not a lookup implementation, and is exempt.)
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: ``class -> method names`` for every class defined under ``src/repro``.
+CLASS_METHODS: dict[str, set[str]] = {}
+#: ``class -> base-class names`` (as written in the source).
+CLASS_BASES: dict[str, set[str]] = {}
+for _path in SRC.rglob("*.py"):
+    for _node in ast.walk(ast.parse(_path.read_text())):
+        if isinstance(_node, ast.ClassDef):
+            CLASS_METHODS[_node.name] = {
+                item.name
+                for item in _node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            CLASS_BASES[_node.name] = {
+                base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                for base in _node.bases
+            }
+
+
+def _defining(method: str) -> set[str]:
+    return {name for name, methods in CLASS_METHODS.items() if method in methods}
+
+
+def _descends_from(name: str, root: str) -> bool:
+    return name == root or any(
+        _descends_from(base, root)
+        for base in CLASS_BASES.get(name, ())
+        if base in CLASS_BASES
+    )
+
+
+def test_classify_batch_has_two_definitions():
+    assert _defining("classify_batch") - {"AsyncClient"} == {
+        "Classifier",
+        "EngineStack",
+    }
+
+
+def test_only_the_mixin_defines_serve_and_verify_for_stacks():
+    stacks = {name for name in CLASS_METHODS if _descends_from(name, "EngineStack")}
+    assert {"ClassificationEngine", "ShardedEngine", "CachedEngine"} <= stacks
+    for method in ("serve", "verify", "classify_traced", "classify"):
+        assert _defining(method) & stacks == {"EngineStack"}, method
+    # Each stack implements the one lookup itself.
+    for stack in stacks - {"EngineStack"}:
+        assert "classify_block" in CLASS_METHODS[stack], stack
+
+
+def test_sharded_engine_keeps_exactly_two_executors():
+    from repro.serving import EXECUTORS
+
+    assert EXECUTORS == ("serial", "workers")
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((SRC / "serving" / "sharded.py").read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not imported & {"ThreadPoolExecutor", "ProcessPoolExecutor"}
+
+
+def test_superseded_names_are_gone():
+    removed = re.compile(
+        r"\b(lookup_batch|probe_batch|fill_batch|classify_batch_per_shard|"
+        r"_fan_out_workers|_process_worker_\w*|_retire_process_pool|"
+        r"supports_block|CLASSIFIER_REGISTRY)\b|columnar="
+    )
+    offenders = [
+        f"{path.relative_to(SRC)}:{number}: {line.strip()}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if removed.search(line)
+    ]
+    assert offenders == []
+
+
+def test_flowcache_holds_no_rule_objects():
+    """``FlowCache`` slots are key, rule_id, priority: its methods never
+    construct, store or return a ``Rule`` (``invalidate_insert`` only reads
+    the ranges/id of the rule an update hands it)."""
+    tree = ast.parse((SRC / "serving" / "flowcache.py").read_text())
+    cache = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "FlowCache"
+    )
+    assert {"probe_block", "fill_block"} <= CLASS_METHODS["FlowCache"]
+    for method in cache.body:
+        if not isinstance(method, ast.FunctionDef) or method.name == "invalidate_insert":
+            continue
+        names = {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
+        assert "Rule" not in names, method.name
+    attributes = {
+        node.attr
+        for node in ast.walk(cache)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    }
+    assert "_rules" not in attributes

@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from repro.classifiers.linear import LinearSearchClassifier
-from repro.engine import ClassificationEngine, results_to_arrays
+from repro.engine import ClassificationEngine
 from repro.rules.rule import Rule, RuleSet
 from repro.serving import ShardedEngine, ShardWorkerRuntime, WorkerCrashed
 from repro.serving.partitioning import partition_for_shards
+
+from _helpers import block_keys, linear_keys, scalar_arrays
 
 SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -77,14 +79,14 @@ class TestRuntime:
             outputs = runtime.classify_block(block)
             assert len(outputs) == 2
             for engine, (rule_ids, priorities, traces) in zip(engines, outputs):
-                expected_ids, expected_pris = results_to_arrays(
-                    engine.classify_batch(block.astype(np.int64))
+                # The rings carry exactly what the shard's scalar reference
+                # path computes: ids, priorities (0 on a miss) and trace rows.
+                expected_ids, expected_pris, expected_traces = scalar_arrays(
+                    engine.classifier, block
                 )
                 np.testing.assert_array_equal(rule_ids, expected_ids)
-                hits = rule_ids >= 0
-                np.testing.assert_array_equal(priorities[hits], expected_pris[hits])
-                assert (priorities[~hits] == 0).all()
-                assert (traces >= 0).all() and traces.shape == (len(block), 5)
+                np.testing.assert_array_equal(priorities, expected_pris)
+                np.testing.assert_array_equal(traces, expected_traces)
         finally:
             runtime.close()
         # Every shared-memory segment the runtime created is unlinked.
@@ -282,17 +284,15 @@ class TestWorkersExecutorConformance:
 
 
 class TestClassifyBlock:
-    def test_sharded_block_fast_path_matches_batch(self, acl_small):
+    def test_sharded_block_matches_linear_search(self, acl_small):
         block = _block_for(acl_small)
         with ShardedEngine.build(
             acl_small, shards=2, classifier="linear", executor="workers"
         ) as engine:
             rule_ids, priorities = engine.classify_block(block)
-            expected_ids, expected_pris = results_to_arrays(
-                engine.classify_batch([tuple(int(v) for v in row) for row in block])
+            assert block_keys(rule_ids, priorities) == linear_keys(
+                acl_small.rules, block
             )
-            np.testing.assert_array_equal(rule_ids, expected_ids)
-            np.testing.assert_array_equal(priorities, expected_pris)
 
     def test_sharded_block_overlay_falls_back(self, acl_small):
         block = _block_for(acl_small, matching=20, uniform=5)
@@ -314,14 +314,16 @@ class TestClassifyBlock:
             assert (rule_ids == 71_000).all()
             assert (priorities == -10).all()
 
-    def test_plain_engine_block_matches_batch(self, acl_small):
+    def test_plain_engine_block_matches_scalar_reference(self, acl_small):
         engine = ClassificationEngine.build(acl_small, classifier="linear")
         block = _block_for(acl_small, matching=25, uniform=10)
-        rule_ids, priorities = engine.classify_block(block)
-        expected_ids, expected_pris = results_to_arrays(
-            engine.classify_batch([tuple(int(v) for v in row) for row in block])
+        traces = np.zeros((len(block), 5), dtype=np.int64)
+        rule_ids, priorities = engine.classify_block(block, traces=traces)
+        expected_ids, expected_pris, expected_traces = scalar_arrays(
+            engine.classifier, block
         )
         np.testing.assert_array_equal(rule_ids, expected_ids)
         np.testing.assert_array_equal(priorities, expected_pris)
+        np.testing.assert_array_equal(traces, expected_traces)
         with pytest.raises(ValueError, match="2-dimensional"):
             engine.classify_block(block[0])
