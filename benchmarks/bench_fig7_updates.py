@@ -8,16 +8,13 @@ sustains ~4K updates/second at about half the update-free speedup.
 
 This benchmark reproduces the curve with the analytical model of
 :mod:`repro.core.updates` (parameterised by measured NuevoMatch / remainder
-throughputs) and exercises the online-update manager on a real classifier.
+throughputs) and exercises the online-update path — the engine's overlay — on
+a real classifier.
 """
 
 from repro.analysis import format_table
-from repro.core.nuevomatch import NuevoMatch
-from repro.core.updates import (
-    UpdatableNuevoMatch,
-    sustained_update_rate,
-    throughput_over_time,
-)
+from repro.core.updates import sustained_update_rate, throughput_over_time
+from repro.engine import ClassificationEngine
 from repro.rules.rule import Rule
 from repro.simulation import CostModel, evaluate_classifier, evaluate_nuevomatch
 from repro.traffic import generate_uniform_trace
@@ -102,22 +99,22 @@ def test_fig7_throughput_under_updates(benchmark):
     assert min(series_by_training[90.0]) >= rem_tp * 0.99
     assert max(series_by_training[90.0]) <= nm_tp * 1.01
 
-    # Exercise the real update path: additions land in the remainder and are
-    # still found; the benchmark times single-rule insertion.
+    # Exercise the real update path: additions land in the engine's overlay
+    # and are still found; the benchmark times single-rule insertion.
     small_rules = ruleset(application, scale["sizes"]["10K"])
-    updatable = UpdatableNuevoMatch(
-        NuevoMatch.build(small_rules, remainder_classifier="tm",
-                         config=bench_nm_config("tm"))
+    engine = ClassificationEngine.build(
+        small_rules, classifier="nm", remainder_classifier="tm",
+        config=bench_nm_config("tm"),
     )
     counter = [1_000_000]
 
     def add_one():
         rule_id = counter[0]
         counter[0] += 1
-        updatable.add(
+        engine.insert(
             Rule(((7, 7), (9, 9), (80, 80), (443, 443), (6, 6)),
                  priority=-1, rule_id=rule_id)
         )
 
     benchmark(add_one)
-    assert updatable.classify((7, 9, 80, 443, 6)) is not None
+    assert engine.classify((7, 9, 80, 443, 6)) is not None

@@ -2,13 +2,15 @@
 """Scenario: online rule updates with periodic retraining (the paper's §3.9).
 
 Network policies change continuously: rules are added, deleted and modified
-while traffic keeps flowing.  NuevoMatch routes updated rules to the remainder
-classifier (TupleMerge, which supports fast updates) and retrains the RQ-RMIs
-periodically.  This example:
+while traffic keeps flowing.  Updated rules go to a slow path that grows — the
+engine's update overlay, probed after the built NuevoMatch — and the RQ-RMIs
+are retrained periodically over the live rules.  This example:
 
-1. applies a stream of updates to a live classifier and verifies correctness
-   against the evolving oracle rule-set;
-2. shows the remainder fraction growing until the retraining threshold fires;
+1. applies a stream of updates to a live ``ClassificationEngine`` and verifies
+   correctness against linear search over the evolving live rules;
+2. shows the remainder fraction growing until the retraining threshold fires
+   (here the caller decides when to ``rebuild``; sharded serving schedules it
+   in the background, see ``docs/serving.md``);
 3. plots (textually) the analytical throughput-over-time curve of Figure 7 and
    the sustained-update-rate estimate.
 
@@ -20,16 +22,13 @@ Run with::
 import argparse
 import random
 
-from repro import NuevoMatch, NuevoMatchConfig, generate_classbench
+from repro import ClassificationEngine, NuevoMatchConfig, generate_classbench
 from repro.analysis import format_series
-from repro.classifiers import TupleMergeClassifier
 from repro.core.config import RQRMIConfig
-from repro.core.updates import (
-    UpdatableNuevoMatch,
-    sustained_update_rate,
-    throughput_over_time,
-)
+from repro.core.updates import sustained_update_rate, throughput_over_time
 from repro.rules.rule import Rule
+
+RETRAIN_THRESHOLD = 0.25
 
 
 def main() -> None:
@@ -40,14 +39,14 @@ def main() -> None:
 
     print(f"Building NuevoMatch over {args.rules} rules (TupleMerge remainder)...")
     rules = generate_classbench("ipc1", args.rules, seed=3)
-    nm = NuevoMatch.build(
+    engine = ClassificationEngine.build(
         rules,
-        remainder_classifier=TupleMergeClassifier,
+        classifier="nm",
+        remainder_classifier="tm",
         config=NuevoMatchConfig(
             max_isets=4, min_iset_coverage=0.05, rqrmi=RQRMIConfig(error_threshold=64)
         ),
     )
-    updatable = UpdatableNuevoMatch(nm, retrain_threshold=0.25)
     rng = random.Random(9)
 
     print(f"Applying {args.updates} updates "
@@ -62,34 +61,38 @@ def main() -> None:
             rule = Rule(
                 ((value, value), (value ^ 0xFFFF, value ^ 0xFFFF),
                  (0, 65535), (rng.randrange(1, 65536),) * 2, (6, 6)),
-                priority=-step, rule_id=next_id,
+                priority=rng.randrange(args.rules), rule_id=next_id,
             )
-            updatable.add(rule)
+            engine.insert(rule)
             live_ids.add(next_id)
             next_id += 1
         elif kind < 0.8 and live_ids:
             victim = rng.choice(sorted(live_ids))
-            if updatable.delete(victim):
+            if engine.remove(victim):
                 live_ids.discard(victim)
         else:
-            victim = rng.choice(sorted(live_ids))
-            updatable.change_action(victim, f"updated-{step}")
+            # An action change is an insert under the rule's own id.
+            victim = engine.rules_by_id()[rng.choice(sorted(live_ids))]
+            engine.insert(
+                Rule(victim.ranges, victim.priority, f"updated-{step}", victim.rule_id)
+            )
 
-        if updatable.needs_retraining():
+        if engine.remainder_fraction() >= RETRAIN_THRESHOLD:
             print(f"  step {step}: remainder fraction "
-                  f"{updatable.remainder_fraction:.1%} -> retraining")
-            updatable.retrain()
+                  f"{engine.remainder_fraction():.1%} -> retraining")
+            engine = engine.rebuild()
             retrains += 1
 
     print(f"Done: {retrains} retrainings, final remainder fraction "
-          f"{updatable.remainder_fraction:.1%}")
+          f"{engine.remainder_fraction():.1%}")
 
     print("\nVerifying the updated classifier against the live rule-set...")
-    live = updatable.current_rules()
+    live = engine.live_ruleset()
+    assert {rule.rule_id for rule in live} == live_ids
     mismatches = 0
     for packet in live.sample_packets(300, seed=11):
         expected = live.match(packet)
-        actual = updatable.classify(packet)
+        actual = engine.classify(packet)
         if (expected is None) != (actual is None) or (
             expected is not None and actual.priority != expected.priority
         ):

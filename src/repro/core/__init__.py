@@ -13,7 +13,8 @@ Public API:
   :class:`~repro.core.pipeline.PipelineConfig` — the vectorized, parallel,
   warm-startable training pipeline (stacked batched Adam, process fan-out,
   submodel reuse under recomputed error bounds).
-* :class:`~repro.core.updates.UpdatableNuevoMatch` and the §3.9 update model.
+* :mod:`~repro.core.updates` — the §3.9 closed-form update model (the update
+  mechanism itself is :class:`repro.engine.ClassificationEngine`'s).
 * :mod:`~repro.core.metrics` — diversity and centrality (§3.7).
 """
 
@@ -47,7 +48,6 @@ from repro.core.metrics import (
 )
 from repro.core.nuevomatch import ISetIndex, LookupBreakdown, NuevoMatch
 from repro.core.updates import (
-    UpdatableNuevoMatch,
     expected_unmodified_rules,
     sustained_update_rate,
     throughput_over_time,
@@ -79,7 +79,6 @@ __all__ = [
     "ISetIndex",
     "LookupBreakdown",
     "NuevoMatch",
-    "UpdatableNuevoMatch",
     "expected_unmodified_rules",
     "throughput_with_updates",
     "throughput_over_time",

@@ -1,149 +1,26 @@
-"""Rule updates (§3.9) and the update-rate / retraining analytical model.
+"""The update-rate / retraining analytical model of §3.9.
 
 NuevoMatch supports four update types: action changes and deletions are
 in-place; matching-set changes and additions are routed to the remainder set
 (which therefore grows over time), and the whole classifier is retrained
-periodically.  This module implements:
-
-* :class:`UpdatableNuevoMatch` — a thin manager around a built
-  :class:`~repro.core.nuevomatch.NuevoMatch` that applies online updates and
-  triggers retraining.
-* The closed-form model of §3.9 — expected unmodified rules after ``u``
-  uniform updates, throughput as a weighted average between NuevoMatch and the
-  remainder classifier, and the throughput-over-time series of Figure 7.
+periodically.  The mechanism lives in
+:class:`repro.engine.ClassificationEngine` (``insert`` / ``remove`` /
+``remainder_fraction`` / ``rebuild``); this module is the closed-form model of
+what it costs — expected unmodified rules after ``u`` uniform updates,
+throughput as a weighted average between NuevoMatch and the remainder
+classifier, and the throughput-over-time series of Figure 7.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-from repro.classifiers.base import ClassificationResult, Classifier, UpdatableClassifier
-from repro.core.nuevomatch import NuevoMatch
-from repro.rules.rule import Packet, Rule, RuleSet
 
 __all__ = [
-    "UpdatableNuevoMatch",
     "expected_unmodified_rules",
     "throughput_with_updates",
     "throughput_over_time",
     "sustained_update_rate",
 ]
-
-
-class UpdatableNuevoMatch:
-    """Online update manager for a NuevoMatch instance (§3.9).
-
-    Updates that change a rule's matching set (or add a rule) move the rule to
-    the remainder classifier, which must support insertion.  Deletions of
-    RQ-RMI-indexed rules are masked in the value array (the paper's type-(ii)
-    update).  ``retrain`` rebuilds the whole structure from the current rules.
-    """
-
-    def __init__(self, nuevomatch: NuevoMatch, retrain_threshold: float = 0.5):
-        if not isinstance(nuevomatch.remainder, UpdatableClassifier):
-            raise TypeError(
-                "the remainder classifier must support updates (e.g. TupleMerge)"
-            )
-        self.nm = nuevomatch
-        self.retrain_threshold = retrain_threshold
-        self._deleted_ids: set[int] = set()
-        self._added_rules: dict[int, Rule] = {}
-        self._moved_to_remainder = 0
-        self.retrain_count = 0
-
-    # -- update operations ----------------------------------------------------
-
-    def change_action(self, rule_id: int, action: str) -> bool:
-        """Type (i): change the action of an existing rule, in place."""
-        for holder in (self.nm.ruleset.rules, list(self._added_rules.values())):
-            for index, rule in enumerate(holder):
-                if rule.rule_id == rule_id and rule_id not in self._deleted_ids:
-                    updated = Rule(rule.ranges, rule.priority, action, rule.rule_id)
-                    holder[index] = updated
-                    return True
-        return False
-
-    def delete(self, rule_id: int) -> bool:
-        """Type (ii): delete a rule; no performance degradation."""
-        if rule_id in self._added_rules:
-            del self._added_rules[rule_id]
-            self.nm.remainder.remove(rule_id)
-            return True
-        known = {rule.rule_id for rule in self.nm.ruleset.rules}
-        if rule_id not in known or rule_id in self._deleted_ids:
-            return False
-        self._deleted_ids.add(rule_id)
-        self.nm.remainder.remove(rule_id)
-        return True
-
-    def add(self, rule: Rule) -> None:
-        """Type (iv): add a new rule; it goes to the remainder set."""
-        self._added_rules[rule.rule_id] = rule
-        self.nm.remainder.insert(rule)
-        self._moved_to_remainder += 1
-
-    def modify(self, rule: Rule) -> None:
-        """Type (iii): change a rule's matching set (delete + re-add)."""
-        self.delete(rule.rule_id)
-        self._added_rules[rule.rule_id] = rule
-        self.nm.remainder.insert(rule)
-        self._moved_to_remainder += 1
-
-    # -- lookup ------------------------------------------------------------------
-
-    def classify(self, packet: Packet | Sequence[int]) -> Optional[Rule]:
-        return self.classify_traced(packet).rule
-
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        result = self.nm.classify_traced(packet)
-        rule = result.rule
-        if rule is not None and rule.rule_id in self._deleted_ids:
-            # The RQ-RMI may still return a deleted rule: fall back to a scan of
-            # the live rules for the correct answer (rare path; deleted rules
-            # disappear for good at the next retraining).
-            live = self.current_rules()
-            rule = live.match(packet)
-            result = ClassificationResult(rule, result.trace)
-        return result
-
-    # -- retraining ----------------------------------------------------------------
-
-    @property
-    def remainder_fraction(self) -> float:
-        base_remainder = len(self.nm.partition.remainder)
-        total = len(self.nm.ruleset) + len(self._added_rules) - len(self._deleted_ids)
-        if total <= 0:
-            return 1.0
-        return (base_remainder + self._moved_to_remainder) / total
-
-    def needs_retraining(self) -> bool:
-        return self.remainder_fraction >= self.retrain_threshold
-
-    def current_rules(self) -> RuleSet:
-        """The live rule-set: original minus deletions plus additions."""
-        rules = [
-            rule
-            for rule in self.nm.ruleset.rules
-            if rule.rule_id not in self._deleted_ids and rule.rule_id not in self._added_rules
-        ]
-        rules.extend(self._added_rules.values())
-        return RuleSet(rules, self.nm.ruleset.schema, name=self.nm.ruleset.name)
-
-    def retrain(self, remainder_classifier=None, config=None) -> NuevoMatch:
-        """Rebuild NuevoMatch from the current rules (periodic retraining)."""
-        remainder_classifier = remainder_classifier or type(self.nm.remainder)
-        config = config or self.nm.config
-        rebuilt = NuevoMatch.build(
-            self.current_rules(), remainder_classifier=remainder_classifier, config=config
-        )
-        self.nm = rebuilt
-        self._deleted_ids.clear()
-        self._added_rules.clear()
-        self._moved_to_remainder = 0
-        self.retrain_count += 1
-        return rebuilt
 
 
 # ----------------------------------------------------------------- analytic model

@@ -10,26 +10,39 @@ registered classifier:
   object results (``classify_batch``, ``classify_traced``, ``classify``,
   ``serve``, ``verify``) are the :class:`~repro.engine.stack.EngineStack`
   mixin's views over it, shared with the sharded and cached stacks.
-* **update** — :meth:`insert` / :meth:`remove` delegate to classifiers that
-  implement :class:`~repro.classifiers.base.UpdatableClassifier`.
+* **update** — the engine is the one updatable unit of the paper's §3.9
+  story, for every registered classifier: :meth:`insert` (a new id adds a
+  rule, an existing id changes its action or matching set) and :meth:`remove`
+  go to the engine's *overlay* — inserted rules probed best-first after the
+  built classifier, removed ids masked (a masked winner is rescanned among
+  the live built rules) — which :meth:`classify_block` applies to every
+  block.  The overlay is the slow path that grows; :meth:`remainder_fraction`
+  measures it and :meth:`rebuild` folds it into a freshly built engine.
+  *When* to rebuild is the caller's policy: a plain engine's owner calls
+  :meth:`rebuild` itself, sharded serving schedules it per shard
+  (:class:`~repro.serving.updates.UpdateQueue`).
 * **persist** — :meth:`save` / :meth:`load` round-trip the trained structures
   (RQ-RMI submodels, iSet partitions, remainder state) through the versioned
   ``to_state``/``from_state`` protocol, so training cost is paid once per
-  rule-set.
+  rule-set; a pending overlay is persisted beside them.
 """
 
 from __future__ import annotations
 
+import threading
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.classifiers.base import Classifier, MemoryFootprint, UpdatableClassifier
+from repro.classifiers.base import Classifier, MemoryFootprint
 from repro.classifiers.registry import resolve_classifier
+from repro.core.nuevomatch import NuevoMatch
 from repro.engine.serialization import (
     ENGINE_FILE_VERSION,
     read_document,
+    rule_from_state,
+    rule_to_state,
     ruleset_from_state,
     ruleset_to_state,
     write_engine_file,
@@ -41,8 +54,36 @@ from repro.rules.rule import Rule, RuleSet
 __all__ = ["ClassificationEngine"]
 
 
+def _rules_to_arrays(
+    rules: Sequence[Rule], num_fields: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(los, his, priorities, rule_ids)`` for ``rules``, best-first.
+
+    Rows are sorted by ``(priority, rule_id)`` so a first-containment scan
+    (``argmax`` over a boolean matrix) yields the best match directly — the
+    overlay/rescan passes lean on that ordering.
+    """
+    ordered = sorted(rules, key=lambda rule: (rule.priority, rule.rule_id))
+    ranges = np.array([rule.ranges for rule in ordered], dtype=np.int64).reshape(
+        len(ordered), num_fields, 2
+    )
+    return (
+        ranges[:, :, 0],
+        ranges[:, :, 1],
+        np.array([rule.priority for rule in ordered], dtype=np.int64),
+        np.array([rule.rule_id for rule in ordered], dtype=np.int64),
+    )
+
+
 class ClassificationEngine(EngineStack):
-    """Facade over a built classifier: batch serving, updates, persistence."""
+    """Facade over a built classifier: batch serving, updates, persistence.
+
+    The update overlay is the engine's *delta remainder*: ``_inserted`` holds
+    rules added (or modified) since the classifier was built, ``_removed``
+    masks rule ids deleted from the built structure.  Both carry the update
+    sequence number at which they were applied, so a rebuild folds in exactly
+    the updates its snapshot covered and :meth:`carry_overlay` keeps the rest.
+    """
 
     def __init__(
         self,
@@ -51,11 +92,17 @@ class ClassificationEngine(EngineStack):
     ):
         self.classifier = classifier
         self.metadata = dict(metadata or {})
-        # Online updates applied through the engine, so save() can persist the
-        # *effective* rule-set (the classifier's own ruleset is the build-time
-        # snapshot and does not see insert/remove).
-        self._inserted: dict[int, Rule] = {}
-        self._removed: set[int] = set()
+        self._lock = threading.RLock()
+        #: rule_id -> (update sequence, rule)
+        self._inserted: dict[int, tuple[int, Rule]] = {}
+        #: rule_id -> update sequence at which it was masked
+        self._removed: dict[int, int] = {}
+        self._update_seq = 0
+        #: Update sequence of the engine this one was rebuilt from that the
+        #: built structure already covers (0 for a fresh build).
+        self._built_seq = 0
+        self._base_ids = frozenset(rule.rule_id for rule in classifier.ruleset)
+        self._base_arrays: tuple | None = None
         self._rules_by_id_cache: dict[int, Rule] | None = None
 
     # ------------------------------------------------------------------ build
@@ -116,6 +163,7 @@ class ClassificationEngine(EngineStack):
 
     @property
     def ruleset(self) -> RuleSet:
+        """The rules the classifier was *built* over (see :meth:`live_ruleset`)."""
         return self.classifier.ruleset
 
     @property
@@ -134,7 +182,9 @@ class ClassificationEngine(EngineStack):
         """Columnar lookup: ``(n, fields)`` uint64 block → ``(rule_ids, priorities)``.
 
         The serving data plane's native shape (shared-memory rings, wire
-        protocol v2) and the primitive every other lookup surface wraps.
+        protocol v2) and the primitive every other lookup surface wraps: the
+        built classifier answers the block, then the update overlay applies
+        (:meth:`adjust_block`; a no-op check when it is empty).
         Misses encode as ``rule_id == -1`` with ``priority == 0``.  ``traces``
         is an optional ``(n, 5)`` int64 out-array filled with per-packet
         lookup counters (:data:`~repro.classifiers.base.TRACE_FIELDS` order).
@@ -143,22 +193,118 @@ class ClassificationEngine(EngineStack):
         vectorized path serve blocks through the scalar loop in
         :meth:`Classifier.classify_block <repro.classifiers.base.Classifier.classify_block>`.
         """
-        return self.classifier.classify_block(validate_block(block), traces=traces)
+        block = validate_block(block)
+        rule_ids, priorities = self.classifier.classify_block(block, traces=traces)
+        self.adjust_block(block, rule_ids, priorities, traces=traces)
+        return rule_ids, priorities
+
+    def adjust_block(
+        self,
+        block: np.ndarray,
+        rule_ids: np.ndarray,
+        priorities: np.ndarray,
+        traces: np.ndarray | None = None,
+    ) -> None:
+        """Apply the update overlay to the built classifier's results, in place.
+
+        ``rule_ids``/``priorities`` are the built structure's columnar results
+        for ``block`` — computed here by :meth:`classify_block`, or by a shard
+        worker that holds a snapshot of the built structure only.  A masked
+        winner costs a rescan of every live built rule (one rule access +
+        ``num_fields`` compute ops each); overlay rules are then probed
+        best-first, one access each, until one matches or the current winner
+        strictly beats the next.  With an empty overlay this is one check.
+        """
+        if not self._inserted and not self._removed:
+            return
+        with self._lock:
+            overlay = [rule for _seq, rule in self._inserted.values()]
+            removed = list(self._removed)
+        values = block.astype(np.int64, copy=False)
+        num_fields = values.shape[1]
+        if removed:
+            removed_ids = np.array(removed, dtype=np.int64)
+            affected = np.flatnonzero(np.isin(rule_ids, removed_ids))
+            if affected.size:
+                # The built structure returned masked rules: rescan the live
+                # built rules for the runner-up, vectorized over the (rare)
+                # affected rows (masked rules vanish for good at the next
+                # rebuild).
+                los, his, base_pris, base_ids = self._built_rule_arrays()
+                live = ~np.isin(base_ids, removed_ids)
+                scanned = int(live.sum())
+                rows = values[affected]
+                contained = (
+                    (rows[:, None, :] >= los[None, :, :])
+                    & (rows[:, None, :] <= his[None, :, :])
+                ).all(axis=2) & live[None, :]
+                hit = contained.any(axis=1)
+                first = np.where(hit, contained.argmax(axis=1), 0)
+                rule_ids[affected] = np.where(hit, base_ids[first], -1)
+                priorities[affected] = np.where(hit, base_pris[first], 0)
+                if traces is not None:
+                    traces[affected, 1] += scanned
+                    traces[affected, 3] += scanned * num_fields
+        if overlay:
+            count = len(overlay)
+            o_los, o_his, o_pris, o_ids = _rules_to_arrays(overlay, num_fields)
+            # Overlay rules are probed best-first until the current winner
+            # strictly beats the next rule; with the overlay sorted ascending
+            # that cutoff is the first "beaten" column.
+            has_winner = rule_ids >= 0
+            beaten = has_winner[:, None] & (
+                (priorities[:, None] < o_pris[None, :])
+                | (
+                    (priorities[:, None] == o_pris[None, :])
+                    & (rule_ids[:, None] < o_ids[None, :])
+                )
+            )
+            stop = np.where(beaten.any(axis=1), beaten.argmax(axis=1), count)
+            match = (
+                (values[:, None, :] >= o_los[None, :, :])
+                & (values[:, None, :] <= o_his[None, :, :])
+            ).all(axis=2)
+            eligible = match & (np.arange(count)[None, :] < stop[:, None])
+            hit = eligible.any(axis=1)
+            first = np.where(hit, eligible.argmax(axis=1), 0)
+            if traces is not None:
+                probed = np.where(hit, first + 1, stop)
+                traces[: len(values), 1] += probed
+                traces[: len(values), 3] += probed * num_fields
+            rule_ids[hit] = o_ids[first[hit]]
+            priorities[hit] = o_pris[first[hit]]
+
+    def _built_rule_arrays(self) -> tuple[np.ndarray, ...]:
+        """Best-first ``(los, his, priorities, rule_ids)`` over the built rules
+        (for the masked-winner rescan; built on first use)."""
+        with self._lock:
+            if self._base_arrays is None:
+                self._base_arrays = _rules_to_arrays(
+                    list(self.ruleset), len(self.schema)
+                )
+            return self._base_arrays
 
     def rules_by_id(self, refresh: bool = False) -> dict[int, Rule]:
-        """Map ``rule_id`` → :class:`Rule` over the *effective* rules.
+        """Map ``rule_id`` → :class:`Rule` over the *live* rules.
 
         Used by the :class:`EngineStack` materializer (directly and through
         a wrapping ``CachedEngine``) to resolve columnar ``rule_ids``.
-        Cached; invalidated by :meth:`insert`/:meth:`remove`.
+        Cached; invalidated by :meth:`insert`/:meth:`remove`.  Holds the
+        original :class:`Rule` objects, not :meth:`live_ruleset`'s: ``RuleSet``
+        normalization rewrites negative priorities, and the overlay serves
+        inserted rules exactly as given.
         """
-        if refresh or self._rules_by_id_cache is None:
-            mapping = {rule.rule_id: rule for rule in self.ruleset}
-            for rule_id in self._removed:
-                mapping.pop(rule_id, None)
-            mapping.update(self._inserted)
-            self._rules_by_id_cache = mapping
-        return self._rules_by_id_cache
+        with self._lock:
+            if refresh or self._rules_by_id_cache is None:
+                mapping = {
+                    rule.rule_id: rule
+                    for rule in self.ruleset
+                    if rule.rule_id not in self._removed
+                }
+                for _seq, rule in self._inserted.values():
+                    mapping[rule.rule_id] = rule
+                self._rules_by_id_cache = mapping
+            return self._rules_by_id_cache
 
     def close(self) -> None:
         """Release serving resources (a plain engine holds none).
@@ -172,67 +318,163 @@ class ClassificationEngine(EngineStack):
 
     # ----------------------------------------------------------------- update
 
-    @property
-    def supports_updates(self) -> bool:
-        """True when :meth:`insert`/:meth:`remove` will be accepted."""
-        return isinstance(self.classifier, UpdatableClassifier)
-
     def insert(self, rule: Rule) -> None:
-        """Insert a rule online (classifiers supporting updates only)."""
-        self._updatable().insert(rule)
-        self._removed.discard(rule.rule_id)
-        self._inserted[rule.rule_id] = rule
-        self._rules_by_id_cache = None
+        """Insert a rule online; the next :meth:`classify_block` serves it.
+
+        A new ``rule_id`` adds a rule (the paper's update type iv); an
+        existing one replaces that rule — its action (type i) or its matching
+        set (type iii): the stale copy is masked and the new version enters
+        the overlay.  Raises ``ValueError``, changing nothing, when the rule
+        does not fit the engine's schema (field count, every range inside its
+        field's domain).
+        """
+        self.schema.validate_ranges(rule.ranges)
+        with self._lock:
+            self._update_seq += 1
+            if rule.rule_id in self._inserted or rule.rule_id in self._base_ids:
+                self._removed[rule.rule_id] = self._update_seq
+            self._inserted[rule.rule_id] = (self._update_seq, rule)
+            self._rules_by_id_cache = None
+
+    def has_rule(self, rule_id: int) -> bool:
+        """True when ``rule_id`` is live: in the overlay, or built and not masked."""
+        with self._lock:
+            return rule_id in self._inserted or (
+                rule_id in self._base_ids and rule_id not in self._removed
+            )
 
     def remove(self, rule_id: int) -> bool:
-        """Remove a rule online; returns True if it was present."""
-        removed = self._updatable().remove(rule_id)
-        if removed:
-            if rule_id in self._inserted:
-                del self._inserted[rule_id]
-            else:
-                self._removed.add(rule_id)
+        """Remove a rule online (type ii); returns True if it was live.
+
+        The id is masked even when the rule lived only in the overlay: a
+        rebuild in flight may already have folded it into the structure that
+        :meth:`carry_overlay` is about to take over.
+        """
+        with self._lock:
+            if not self.has_rule(rule_id):
+                return False
+            self._update_seq += 1
+            self._inserted.pop(rule_id, None)
+            self._removed[rule_id] = self._update_seq
             self._rules_by_id_cache = None
-        return removed
+            return True
 
-    def _effective_ruleset(self) -> RuleSet:
-        """The build-time rule-set with the engine's online updates applied."""
-        if not self._inserted and not self._removed:
-            return self.ruleset
-        rules = [
-            rule
-            for rule in self.ruleset
-            if rule.rule_id not in self._removed and rule.rule_id not in self._inserted
-        ]
-        rules.extend(self._inserted.values())
-        return self.ruleset.subset(rules)
+    def live_size(self) -> int:
+        """Number of live rules: built, minus masked, plus the overlay's."""
+        with self._lock:
+            masked = sum(1 for rule_id in self._removed if rule_id in self._base_ids)
+            return len(self._base_ids) - masked + len(self._inserted)
 
-    def _updatable(self) -> UpdatableClassifier:
-        if not isinstance(self.classifier, UpdatableClassifier):
-            raise TypeError(
-                f"classifier {self.classifier_name!r} does not support online "
-                "updates; wrap NuevoMatch in repro.core.UpdatableNuevoMatch or "
-                "use an updatable remainder classifier (tss, tm)"
+    def live_ruleset(self) -> RuleSet:
+        """The live rules: the built rules minus masks plus the overlay."""
+        with self._lock:
+            rules = [
+                rule for rule in self.ruleset if rule.rule_id not in self._removed
+            ]
+            rules.extend(rule for _seq, rule in self._inserted.values())
+            return self.ruleset.subset(rules)
+
+    def remainder_fraction(self) -> float:
+        """Fraction of live rules served by the slow path (§3.9).
+
+        For NuevoMatch that is the built-in remainder set plus the update
+        overlay; for baseline classifiers only the overlay counts (the whole
+        structure *is* the "remainder").
+        """
+        with self._lock:
+            live = self.live_size()
+            if live <= 0:
+                return 1.0
+            base_remainder = (
+                len(self.classifier.partition.remainder)
+                if isinstance(self.classifier, NuevoMatch)
+                else 0
             )
-        return self.classifier
+            overlay = len(self._inserted) + len(self._removed)
+            return min(1.0, (base_remainder + overlay) / live)
+
+    def rebuild(self, pipeline=None, warm: bool = False) -> "ClassificationEngine":
+        """A new engine built over the live rules, overlay folded in.
+
+        Same classifier type, configuration and build parameters as this
+        engine's.  With ``warm``, a NuevoMatch retrain is seeded from the
+        classifier being replaced: unchanged submodels are reused under their
+        certified bounds and only submodels whose responsibility content
+        changed retrain (see :mod:`repro.core.pipeline`).  Baseline
+        classifiers have no trained state and always rebuild from parameters.
+
+        This engine keeps serving while the new one builds.  Updates applied
+        to it meanwhile are not in the new engine: whoever swaps the two calls
+        ``rebuilt.carry_overlay(old)`` under the lock that keeps updates out.
+        """
+        with self._lock:
+            live, snapshot_seq = self.live_ruleset(), self._update_seq
+        old = self.classifier
+        if isinstance(old, NuevoMatch):
+            classifier = NuevoMatch.build(
+                live,
+                remainder_classifier=type(old.remainder),
+                config=old.config,
+                pipeline=pipeline,
+                warm_from=old if warm else None,
+                **old.remainder.build_params,
+            )
+        else:
+            classifier = type(old).build(live, **old.build_params)
+        rebuilt = ClassificationEngine(classifier, metadata=self.metadata)
+        rebuilt._built_seq = rebuilt._update_seq = snapshot_seq
+        return rebuilt
+
+    def carry_overlay(self, old: "ClassificationEngine") -> None:
+        """Take over the updates ``old`` received after this engine's
+        :meth:`rebuild` snapshot (everything older is in the built structure)."""
+        with old._lock:
+            self._inserted = {
+                rule_id: (seq, rule)
+                for rule_id, (seq, rule) in old._inserted.items()
+                if seq > self._built_seq
+            }
+            # Masks newer than the snapshot still apply (their built copy is in
+            # this structure); everything else was already excluded.
+            self._removed = {
+                rule_id: seq
+                for rule_id, seq in old._removed.items()
+                if seq > self._built_seq and rule_id in self._base_ids
+            }
+            self._update_seq = old._update_seq
+            self._rules_by_id_cache = None
 
     # ----------------------------------------------------------- introspection
 
     def memory_footprint(self) -> MemoryFootprint:
         return self.classifier.memory_footprint()
 
+    def update_statistics(self) -> dict[str, object]:
+        """Rule counts of the built structure and the update overlay."""
+        with self._lock:
+            return {
+                "live_rules": self.live_size(),
+                "base_rules": len(self._base_ids),
+                "overlay_inserted": len(self._inserted),
+                "overlay_removed": len(self._removed),
+                "remainder_fraction": self.remainder_fraction(),
+            }
+
     def statistics(self) -> dict[str, object]:
         stats = self.classifier.statistics()
+        stats.update(self.update_statistics())
         stats["engine_metadata"] = dict(self.metadata)
         return stats
 
     # ------------------------------------------------------------ persistence
 
-    def to_document(self) -> dict:
-        """The engine's snapshot document (the JSON payload :meth:`save` writes).
+    def built_document(self) -> dict:
+        """Snapshot document of the *built* structure alone, no overlay.
 
-        Exposed separately so composite snapshots — the sharded-engine format
-        embeds one engine document per shard — reuse the same layout.
+        What a shard worker restores: it serves the built classifier and the
+        parent process applies the overlay to its results.  Composite
+        snapshots — the sharded-engine format embeds one per shard — reuse
+        the same layout.
         """
         from repro import __version__
 
@@ -240,10 +482,41 @@ class ClassificationEngine(EngineStack):
             "format": ENGINE_FILE_VERSION,
             "repro_version": __version__,
             "classifier_kind": self.classifier_name,
-            "ruleset": ruleset_to_state(self._effective_ruleset()),
+            "ruleset": ruleset_to_state(self.ruleset),
             "classifier": self.classifier.to_state(),
             "metadata": self.metadata,
         }
+
+    def overlay_state(self) -> dict:
+        """JSON-compatible dump of the pending overlay (``{}`` when empty):
+        ``inserted`` rules in update order, ``removed`` ids."""
+        with self._lock:
+            if not self._inserted and not self._removed:
+                return {}
+            return {
+                "inserted": [
+                    rule_to_state(rule)
+                    for _seq, rule in sorted(self._inserted.values())
+                ],
+                "removed": sorted(self._removed),
+            }
+
+    def restore_overlay(self, state: dict) -> None:
+        """Inverse of :meth:`overlay_state` (absent keys restore nothing)."""
+        with self._lock:
+            for rule_id in state.get("removed", []):
+                self._update_seq += 1
+                self._removed[int(rule_id)] = self._update_seq
+            for rule_state in state.get("inserted", []):
+                rule = rule_from_state(rule_state)
+                self._update_seq += 1
+                self._inserted[rule.rule_id] = (self._update_seq, rule)
+            self._rules_by_id_cache = None
+
+    def to_document(self) -> dict:
+        """The engine's snapshot document (the JSON payload :meth:`save`
+        writes): :meth:`built_document` plus the pending overlay."""
+        return {**self.built_document(), **self.overlay_state()}
 
     @classmethod
     def from_document(cls, document: dict) -> "ClassificationEngine":
@@ -262,18 +535,17 @@ class ClassificationEngine(EngineStack):
         ruleset = ruleset_from_state(document["ruleset"])
         classifier_cls = resolve_classifier(document["classifier_kind"])
         classifier = classifier_cls.from_state(document["classifier"], ruleset)
-        return cls(classifier, metadata=document.get("metadata"))
+        engine = cls(classifier, metadata=document.get("metadata"))
+        engine.restore_overlay(document)
+        return engine
 
     def save(self, path: str | Path) -> None:
         """Persist the engine — rules plus trained classifier state — to disk.
 
         The snapshot restores with :meth:`load` to an engine whose
-        ``classify_batch`` output is bitwise-identical to this one's, without
-        repeating RQ-RMI training.  An engine that received online
-        :meth:`insert`/:meth:`remove` updates is persisted with its *updated*
-        rule-set and restored by rebuilding over it: the restored matches
-        include every update, though the rebuilt structure's lookup traces may
-        differ from the incrementally-updated original's.  Paths ending in
+        ``classify_block`` output is bitwise-identical to this one's, without
+        repeating RQ-RMI training; a pending update overlay is persisted as it
+        is and serves the same results after the round trip.  Paths ending in
         ``.gz`` are compressed.
         """
         write_engine_file(path, self.to_document())

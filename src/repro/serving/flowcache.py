@@ -570,11 +570,6 @@ class CachedEngine(EngineStack):
 
     # ----------------------------------------------------------------- update
 
-    @property
-    def supports_updates(self) -> bool:
-        """Whatever the wrapped engine accepts (the cache itself always can)."""
-        return getattr(self.engine, "supports_updates", True)
-
     def insert(self, rule: Rule) -> None:
         """Insert a rule; stale cache entries are evicted before this returns."""
         self.engine.insert(rule)

@@ -841,9 +841,6 @@ class AsyncServer:
                 "requests_served": self._requests_served,
                 "wire_v2": self.wire_v2,
                 "binary_batches": self._binary_batches,
-                "supports_updates": bool(
-                    getattr(self.engine, "supports_updates", False)
-                ),
                 "queue_depth": self.batcher.queue_depth,
                 "queued_packets": self.batcher.queued_packets,
                 "max_batch": self.batcher.max_batch,

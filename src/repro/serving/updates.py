@@ -2,14 +2,15 @@
 
 The paper's update story (§3.9) routes rule additions and matching-set
 changes to the remainder set, which grows until the structure is retrained in
-the background and swapped in.  :class:`UpdateQueue` applies that policy per
-shard:
+the background and swapped in.  The mechanism — the overlay a lookup applies
+after the built classifier, the live-rules view, the remainder fraction, the
+rebuild that folds the overlay in — belongs to each shard's
+:class:`~repro.engine.ClassificationEngine`.  :class:`UpdateQueue` is the
+policy around it:
 
-* **insert / remove apply immediately** — the owning shard's *delta remainder*
-  (a small priority-ordered overlay scanned after the shard's built
-  classifier) absorbs inserted rules, and removed rule ids are masked.  The
-  overlay works for every classifier kind, including ones that do not
-  implement :class:`~repro.classifiers.base.UpdatableClassifier`.
+* **routing** — an insert/remove goes to the engine of the shard that owns the
+  rule id (a fresh id to the shard with the fewest live rules) and is served
+  by that engine's next lookup.
 * **background retraining** — when a shard's remainder fraction (built-in
   remainder plus overlay, over the live rules) crosses the threshold, its
   engine is rebuilt over a live snapshot in a worker thread and swapped in
@@ -18,7 +19,11 @@ shard:
   default (:mod:`repro.core.pipeline`): new RQ-RMI submodels are seeded from
   the engine being replaced and only submodels whose responsibility content
   changed retrain, shrinking the retrain-to-swap latency — the queue records
-  it per retrain (``last_retrain_seconds`` / ``retrain_seconds_total``).
+  it per retrain (``last_retrain_seconds`` / ``retrain_seconds_total``).  A
+  rebuild that raises is counted and kept (``retrains_failed`` /
+  ``last_retrain_error``), never thrown through the update that triggered
+  it: the shard goes on serving exact results from its overlay and the next
+  update past the threshold tries again.
 * **invalidation listeners** — downstream result caches (the
   :class:`~repro.serving.flowcache.FlowCache` hot path) register a listener
   with :meth:`UpdateQueue.add_listener`; it fires after the update is applied
@@ -46,8 +51,7 @@ __all__ = ["DEFAULT_RETRAIN_THRESHOLD", "UpdateQueue"]
 
 #: Retrain once this fraction of a shard's live rules is served by the slow
 #: path (built-in remainder plus the update overlay) — the paper's framing of
-#: "retrain when the remainder absorbs too much" (§3.9; UpdatableNuevoMatch
-#: uses the same default).
+#: "retrain when the remainder absorbs too much" (§3.9).
 DEFAULT_RETRAIN_THRESHOLD = 0.5
 
 
@@ -57,9 +61,9 @@ class UpdateQueue:
     Args:
         shards: The engine's shard objects
             (:class:`repro.serving.sharded._Shard`).
-        rebuild: ``rebuild(shard)`` snapshots the shard's live rules and
-            builds a fresh engine over them (same classifier and parameters);
-            returns ``(engine, snapshot_seq)`` for the atomic swap.
+        rebuild: ``rebuild(engine)`` returns a new engine built over
+            ``engine``'s live rules (:meth:`ClassificationEngine.rebuild
+            <repro.engine.ClassificationEngine.rebuild>`) for the atomic swap.
         retrain_threshold: Remainder fraction that triggers a retrain.
         background: Retrain in a daemon thread (production mode) or inline
             during the triggering update (deterministic mode for tests and
@@ -82,26 +86,17 @@ class UpdateQueue:
         self._lock = threading.RLock()
         self._threads: list[threading.Thread] = []
         self._listeners: list[Callable[[str, object], None]] = []
-        #: rule_id -> index of the shard currently holding the rule.
-        self._owner: dict[int, int] = {}
         self.inserts_applied = 0
         self.removes_applied = 0
         self.retrains_triggered = 0
         self.retrains_completed = 0
+        self.retrains_failed = 0
+        #: ``"ExceptionType: message"`` of the most recent failed rebuild.
+        self.last_retrain_error: str | None = None
         #: Rebuild-to-swap wall time of the most recent / all completed
         #: retrains (the latency the paper's §3.9 update story is bounded by).
         self.last_retrain_seconds = 0.0
         self.retrain_seconds_total = 0.0
-        self.reindex()
-
-    def reindex(self) -> None:
-        """Rebuild the rule-id ownership map from the shards' live rules."""
-        with self._lock:
-            self._owner = {
-                rule_id: shard.index
-                for shard in self._shards
-                for rule_id in shard.live_ids()
-            }
 
     # -------------------------------------------------------------- listeners
 
@@ -132,27 +127,28 @@ class UpdateQueue:
 
     def owner_of(self, rule_id: int) -> Optional[int]:
         """Index of the shard holding ``rule_id`` (None if not live)."""
-        with self._lock:
-            return self._owner.get(rule_id)
+        for shard in self._shards:
+            if shard.engine.has_rule(rule_id):
+                return shard.index
+        return None
 
     def insert(self, rule: Rule) -> None:
-        """Apply an insert immediately to the owning shard's overlay.
+        """Apply an insert immediately to the owning shard's engine.
 
         A fresh ``rule_id`` goes to the shard with the fewest live rules
-        (keeping shards balanced); an existing id is a matching-set change —
-        the stale copy is masked on its owning shard and the new version
-        enters the same shard's overlay (the paper's type-(iii) update stays
-        on one shard, so lookups never see both versions).
+        (keeping shards balanced); an existing id is an action or
+        matching-set change and stays on its owning shard (the paper's
+        type-(iii) update stays on one shard, so lookups never see both
+        versions).  A rule the engine rejects raises before anything changed.
         """
         with self._lock:
-            owner = self._owner.get(rule.rule_id)
+            owner = self.owner_of(rule.rule_id)
             if owner is None:
-                shard = min(self._shards, key=lambda s: s.live_size())
+                shard = min(self._shards, key=lambda s: s.engine.live_size())
             else:
                 shard = self._shards[owner]
-            shard.engine.ruleset.schema.validate_ranges(rule.ranges)
-            shard.apply_insert(rule, mask_old=owner is not None)
-            self._owner[rule.rule_id] = shard.index
+            with shard.lock:
+                shard.engine.insert(rule)
             self.inserts_applied += 1
         # Eviction before ack: stale cached results are gone before the caller
         # learns the insert completed.
@@ -162,12 +158,12 @@ class UpdateQueue:
     def remove(self, rule_id: int) -> bool:
         """Mask a rule immediately on its owning shard; True if it was live."""
         with self._lock:
-            owner = self._owner.get(rule_id)
+            owner = self.owner_of(rule_id)
             if owner is None:
                 return False
             shard = self._shards[owner]
-            shard.apply_remove(rule_id)
-            del self._owner[rule_id]
+            with shard.lock:
+                shard.engine.remove(rule_id)
             self.removes_applied += 1
         # Eviction before ack: a classify issued after this call returns can
         # never be served the removed rule from a result cache.
@@ -181,7 +177,7 @@ class UpdateQueue:
         with shard.lock:
             if shard.retraining:
                 return
-            if shard.remainder_fraction() < self.retrain_threshold:
+            if shard.engine.remainder_fraction() < self.retrain_threshold:
                 return
             shard.retraining = True
         with self._lock:
@@ -203,12 +199,17 @@ class UpdateQueue:
     def _retrain(self, shard) -> None:
         start = time.perf_counter()
         try:
-            new_engine, snapshot_seq = self._rebuild(shard)
-        except Exception:
+            rebuilt = self._rebuild(shard.engine)
+        except Exception as exc:  # noqa: BLE001 - reported through statistics()
+            # The update that crossed the threshold is applied and
+            # acknowledged; the overlay keeps serving it exactly.
             with shard.lock:
                 shard.retraining = False
-            raise
-        shard.complete_retrain(new_engine, snapshot_seq)
+            with self._lock:
+                self.retrains_failed += 1
+                self.last_retrain_error = f"{type(exc).__name__}: {exc}"
+            return
+        shard.swap(rebuilt)
         elapsed = time.perf_counter() - start
         with self._lock:
             self.retrains_completed += 1
@@ -232,10 +233,10 @@ class UpdateQueue:
             "removes_applied": self.removes_applied,
             "retrains_triggered": self.retrains_triggered,
             "retrains_completed": self.retrains_completed,
+            "retrains_failed": self.retrains_failed,
+            "last_retrain_error": self.last_retrain_error,
             "last_retrain_seconds": self.last_retrain_seconds,
             "retrain_seconds_total": self.retrain_seconds_total,
             "retrain_threshold": self.retrain_threshold,
             "background": self.background,
-            "pending_inserted": sum(len(s.inserted) for s in self._shards),
-            "masked_removed": sum(len(s.removed) for s in self._shards),
         }

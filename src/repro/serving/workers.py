@@ -357,8 +357,10 @@ class ShardWorkerRuntime:
             self._wait_ack(shard, 0, deadline)
 
     def _write_snapshot(self, shard: int, engine, generation: int) -> None:
+        # The built structure only: the parent applies the engine's update
+        # overlay to the ring results.
         payload = json.dumps(
-            engine.to_document(), separators=(",", ":")
+            engine.built_document(), separators=(",", ":")
         ).encode("utf-8")
         segment = shared_memory.SharedMemory(
             name=_snapshot_name(self._prefix, shard, generation),

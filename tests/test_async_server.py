@@ -31,6 +31,8 @@ from repro.serving import (
 )
 from repro.workloads import build_scenario_engine, make_trace, open_loop_load
 
+from _helpers import fast_nm_config
+
 SCENARIO_DEADLINE = 120.0
 
 pytestmark = pytest.mark.timeout(180)
@@ -460,14 +462,55 @@ class TestProtocol:
                     assert excinfo.value.code == "bad-request"
                     with pytest.raises(ServerError):
                         await client.request("classify")  # missing packet
-                    # tm supports updates; removing an unknown id is ok=False?
-                    # No: remove of a missing rule is a successful op that
-                    # reports removed=False.
+                    # Removing a missing rule is a successful op that reports
+                    # removed=False.
                     assert await client.remove(10_000_000) is False
                     stats = await client.stats()
-                    assert stats["server"]["supports_updates"] is True
+                    # Every stack takes updates; there is no flag to report.
+                    assert "supports_updates" not in stats["server"]
                     assert stats["server"]["max_batch"] == server.batcher.max_batch
                     assert stats["engine"]["name"] == "tm"
+
+        run_scenario_coro(scenario())
+
+    def test_single_shard_nm_server_takes_inserts_and_rejects_malformed_ones(
+        self, server_rules
+    ):
+        """What ``repro serve RULES --listen`` builds by default — a plain
+        NuevoMatch engine — answers ``insert`` with ``ok`` (``bad-request`` at
+        the parent commit); a rule outside the schema is ``bad-request`` and
+        changes nothing."""
+
+        async def scenario():
+            engine = ClassificationEngine.build(
+                server_rules,
+                classifier="nm",
+                remainder_classifier="tm",
+                config=fast_nm_config(),
+            )
+            packet = tuple(server_rules.sample_packets(1, seed=67)[0])
+            full = [[0, spec.max_value] for spec in server_rules.schema]
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                async with await AsyncClient.connect(
+                    server.host, server.port
+                ) as client:
+                    for ranges in ([[0, 10], [0, 10]], [[0, 2**40]] + full[1:]):
+                        with pytest.raises(ServerError) as excinfo:
+                            await client.request(
+                                "insert", rule=[ranges, 0, "bad", 600_000]
+                            )
+                        assert excinfo.value.code == "bad-request"
+                    stats = await client.stats()
+                    assert stats["engine"]["overlay_inserted"] == 0
+                    assert stats["engine"]["live_rules"] == len(server_rules)
+                    pin = Rule(
+                        tuple((v, v) for v in packet), priority=0, rule_id=600_001
+                    )
+                    assert (await client.insert(pin))["ok"] is True
+                    assert (await client.classify(packet))["rule_id"] == 600_001
+                    assert await client.remove(600_001) is True
+                    assert (await client.classify(packet))["rule_id"] != 600_001
 
         run_scenario_coro(scenario())
 

@@ -280,20 +280,55 @@ class TestColumnarConformance:
             conformance_ruleset.rules, packets
         )
 
-    def test_plain_engine_block_tracks_online_updates(self, acl_small):
-        """The plain stack's "overlay" is the updatable classifier itself."""
-        engine = ClassificationEngine.build(acl_small, classifier="tm")
-        packets = _packets_for(acl_small)
-        engine.insert(_wide_rule(acl_small, priority=-10, rule_id=900_000))
-        for rule in list(acl_small)[:3]:
-            engine.remove(rule.rule_id)
-        for _ in range(2):
-            _assert_block_equals_scalar(engine, engine.classifier, packets)
-            rule_ids, priorities = engine.classify_block(block_of(packets))
+    @pytest.mark.parametrize("name", available_classifiers())
+    def test_plain_engine_block_tracks_online_updates(self, name, acl_small, tmp_path):
+        """Every registered classifier takes updates through the engine's
+        overlay.  The bare classifier no longer sees them, so the block's
+        references are the stack's own ``classify_traced`` (ids, priorities
+        and trace rows) and linear search over ``rules_by_id()``."""
+        engine = ClassificationEngine.build(
+            acl_small, **_stack_params("nm+tm" if name == "nm" else name)
+        )
+        packets = _packets_for(acl_small, matching=60, uniform=30)
+        block = block_of(packets)
+
+        def check():
+            traces = np.full((len(packets), 5), -7, dtype=np.int64)
+            rule_ids, priorities = engine.classify_block(block, traces=traces)
             assert block_keys(rule_ids, priorities) == linear_keys(
                 engine.rules_by_id().values(), packets
             )
-            engine.remove(900_000)
+            expected_ids, expected_pris, expected_traces = scalar_arrays(engine, packets)
+            np.testing.assert_array_equal(rule_ids, expected_ids)
+            np.testing.assert_array_equal(priorities, expected_pris)
+            np.testing.assert_array_equal(traces, expected_traces)
+            return rule_ids, priorities
+
+        # Remove built winners: their rows take the masked rescan.
+        built_ids, _pris = check()
+        victims = [int(rule_id) for rule_id in dict.fromkeys(built_ids[:3])]
+        for victim in victims:
+            assert engine.remove(victim)
+        rescanned, _pris = check()
+        assert not np.isin(rescanned, victims).any()
+        assert (rescanned[3:] == built_ids[3:])[~np.isin(built_ids[3:], victims)].all()
+        # An insert that beats every built rule, then the round trip with the
+        # overlay still pending.
+        engine.insert(_wide_rule(acl_small, priority=-10, rule_id=900_000))
+        rule_ids, priorities = check()
+        assert (rule_ids == 900_000).all()
+        path = tmp_path / "pending.engine.json.gz"
+        engine.save(path)
+        restored = ClassificationEngine.load(path)
+        assert restored.update_statistics() == engine.update_statistics()
+        for stack in (restored, engine):  # saving folds nothing
+            served_ids, served_pris = stack.classify_block(block)
+            np.testing.assert_array_equal(served_ids, rule_ids)
+            np.testing.assert_array_equal(served_pris, priorities)
+        # Remove the inserted rule: the masked built winners stay masked.
+        assert engine.remove(900_000)
+        assert not engine.remove(900_000)
+        np.testing.assert_array_equal(check()[0], rescanned)
 
     @pytest.mark.parametrize(
         "kind, shards",

@@ -135,12 +135,11 @@ class TestEngineFacade:
         assert stats["engine_metadata"] == {"origin": "test"}
         assert stats["name"] == "nm"
 
-    def test_updates_require_updatable_classifier(self, engine):
-        with pytest.raises(TypeError, match="does not support online updates"):
-            engine.remove(0)
-
-    def test_updates_delegate_for_updatable(self, acl_small):
-        engine = ClassificationEngine.build(acl_small, classifier="tss")
+    @pytest.mark.parametrize("name", ["tss", "hicuts"])
+    def test_updates_go_to_the_overlay_not_the_classifier(self, name, acl_small):
+        # With or without UpdatableClassifier (tss has it, hicuts does not):
+        # the built classifier is never touched.
+        engine = ClassificationEngine.build(acl_small, classifier=name)
         packet = acl_small.sample_packets(1, seed=25)[0]
         before = engine.classify(packet)
         assert before is not None
@@ -152,8 +151,12 @@ class TestEngineFacade:
         )
         engine.insert(wildcard)
         assert engine.classify(packet).rule_id == 10_000
+        assert engine.classifier.classify(packet).rule_id == before.rule_id
         assert engine.remove(10_000)
         assert engine.classify(packet).rule_id == before.rule_id
+        assert engine.remove(before.rule_id)
+        assert engine.classifier.classify(packet).rule_id == before.rule_id
+        assert engine.verify([packet]) == 1
 
 
 class TestPersistence:
@@ -216,8 +219,9 @@ class TestPersistence:
         engine.save(path)
         restored = ClassificationEngine.load(path)
         assert restored.classify(packet).rule_id == 20_000
-        assert victim.rule_id not in {rule.rule_id for rule in restored.ruleset}
-        assert 20_000 in {rule.rule_id for rule in restored.ruleset}
+        assert victim.rule_id not in restored.rules_by_id()
+        assert restored.rules_by_id()[20_000].action == "drop"
+        assert restored.rules_by_id().keys() == engine.rules_by_id().keys()
 
     def test_load_rejects_future_format(self, acl_small, tmp_path):
         import json

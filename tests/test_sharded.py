@@ -258,6 +258,67 @@ class TestRetraining:
             assert sum(s.retrain_count for s in engine._shards) > 0
             assert engine.verify(acl_small.sample_packets(60, seed=72)) == 60
 
+    @pytest.mark.parametrize("background", [False, True])
+    def test_failed_retrain_is_reported_not_thrown(
+        self, background, acl_small, monkeypatch
+    ):
+        """A rebuild that raises is counted and kept in the statistics; the
+        update that triggered it is applied, acknowledged and its listeners
+        ran; the overlay keeps serving exact results; the next update past
+        the threshold retries and completes."""
+        import threading
+
+        real_rebuild = ClassificationEngine.rebuild
+        attempts = []
+
+        def flaky(engine, **kwargs):
+            attempts.append(engine)
+            if len(attempts) == 1:
+                raise RuntimeError("trainer exploded")
+            return real_rebuild(engine, **kwargs)
+
+        unhandled = []
+        monkeypatch.setattr(ClassificationEngine, "rebuild", flaky)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        packets = acl_small.sample_packets(60, seed=73)
+        with ShardedEngine.build(
+            acl_small,
+            shards=2,
+            classifier="linear",
+            executor="serial",
+            background_retraining=background,
+            retrain_threshold=0.05,
+        ) as engine:
+            notified = []
+            engine.updates.add_listener(lambda op, payload: notified.append(payload))
+            inserted = []
+
+            def insert_until(done):
+                while not done():
+                    template = acl_small.rules[len(inserted)]
+                    rule = Rule(
+                        template.ranges, template.priority, "new", 93_000 + len(inserted)
+                    )
+                    engine.insert(rule)  # never raises
+                    inserted.append(rule)
+                    engine.updates.join(timeout=30)
+                    assert len(inserted) < 200
+
+            insert_until(lambda: engine.updates.retrains_failed == 1)
+            stats = engine.updates.statistics()
+            assert stats["last_retrain_error"] == "RuntimeError: trainer exploded"
+            assert stats["retrains_completed"] == 0
+            assert stats["inserts_applied"] == len(inserted) == len(notified)
+            assert not any(shard.retraining for shard in engine._shards)
+            assert engine.classify(inserted[-1].sample_packet()) is not None
+            assert engine.verify(packets) == len(packets)
+
+            insert_until(lambda: engine.updates.retrains_completed == 1)
+            assert len(attempts) == 2 and engine.updates.retrains_failed == 1
+            assert sum(shard.retrain_count for shard in engine._shards) == 1
+            assert engine.verify(packets) == len(packets)
+        assert unhandled == []
+
     def test_default_threshold_matches_paper(self):
         assert DEFAULT_RETRAIN_THRESHOLD == 0.5
 

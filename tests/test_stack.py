@@ -5,7 +5,9 @@ Every stack implements only ``classify_block``; ``classify_batch`` /
 mixin.  These tests pin that the materialized results are *real*
 :class:`Rule` objects (action included) through every way a rule can become
 live — built, inserted into an overlay, surviving a removal, and folded in by
-a sharded retrain swap — on every stack.
+a sharded retrain swap — on every stack.  They also pin that every stack takes
+``insert``/``remove`` for every registered classifier, through one validation
+point (the engine that owns the overlay).
 """
 
 from __future__ import annotations
@@ -13,36 +15,39 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.classifiers import available_classifiers
 from repro.engine import ClassificationEngine, EngineStack
 from repro.rules.rule import Rule
 from repro.serving import CachedEngine, ShardedEngine
 
-from _helpers import block_of, scalar_arrays
+from _helpers import block_of, fast_nm_config, scalar_arrays
 
 STACKS = ("plain", "sharded-serial", "sharded-workers", "cached-plain", "cached-sharded")
 
 
-def _build(kind: str, ruleset, retrain_threshold: float = 1.0):
+def _build(kind: str, ruleset, retrain_threshold: float = 1.0, classifier: str = "tm"):
+    params = {"classifier": classifier}
+    if classifier == "nm":
+        params.update(remainder_classifier="tm", config=fast_nm_config())
+
     def sharded(executor):
         return ShardedEngine.build(
             ruleset,
             shards=2,
-            classifier="tm",
             executor=executor,
             background_retraining=False,
             retrain_threshold=retrain_threshold,
+            **params,
         )
 
     if kind == "plain":
-        return ClassificationEngine.build(ruleset, classifier="tm")
+        return ClassificationEngine.build(ruleset, **params)
     if kind == "sharded-serial":
         return sharded("serial")
     if kind == "sharded-workers":
         return sharded("workers")
     if kind == "cached-plain":
-        return CachedEngine(
-            ClassificationEngine.build(ruleset, classifier="tm"), capacity=64
-        )
+        return CachedEngine(ClassificationEngine.build(ruleset, **params), capacity=64)
     return CachedEngine(sharded("serial"), capacity=64)
 
 
@@ -77,8 +82,7 @@ def test_classify_batch_materializes_real_rules(kind, acl_small):
             assert isinstance(result.rule, Rule)
             assert result.rule == by_id[result.rule.rule_id]
             assert result.action == by_id[result.rule.rule_id].action
-        # An inserted rule is materialized as given (overlay on sharded
-        # stacks, the updatable classifier on the plain one).
+        # An inserted rule is materialized as given, out of the overlay.
         pinned = _pin(packets[0], priority=0, rule_id=700_001, action="pinned")
         stack.insert(pinned)
         result = stack.classify_traced(packets[0])
@@ -160,3 +164,61 @@ def test_verify_checks_the_stack_against_its_live_rules(kind, acl_small, monkeyp
         monkeypatch.setattr(stack, "classify_block", lossy)
         with pytest.raises(AssertionError, match="mismatch"):
             stack.verify(packets)
+
+
+@pytest.mark.parametrize("kind", ["plain", "cached-plain", "sharded-serial", "sharded-workers"])
+@pytest.mark.parametrize("name", available_classifiers())
+def test_every_stack_takes_updates_for_every_classifier(name, kind, acl_small):
+    """insert (new id, same id) / remove (built winner, inserted rule) on every
+    stack over every registered classifier; linear search over the live rules
+    agrees after every step."""
+    packets = _beatable_packets(acl_small, 24, seed=15)
+    victim = acl_small.match(packets[1])
+    with _build(kind, acl_small, classifier=name) as stack:
+        steps = [
+            lambda: stack.insert(_pin(packets[0], 0, 730_000, "pinned")),
+            lambda: stack.remove(victim.rule_id),
+            lambda: stack.insert(_pin(packets[2], 0, 730_000, "moved")),
+            lambda: stack.insert(
+                Rule(victim.ranges, victim.priority, "back", victim.rule_id)
+            ),
+            lambda: stack.remove(730_000),
+        ]
+        assert stack.verify(packets) == len(packets)
+        for step in steps:
+            assert step() is not False
+            assert stack.verify(packets) == len(packets)
+        assert stack.classify(packets[1]).action == "back"
+        assert not stack.remove(730_000)
+
+
+@pytest.mark.parametrize("kind", STACKS)
+def test_every_stack_rejects_a_rule_outside_its_schema(kind, acl_small):
+    """One validation point: the engine that owns the overlay.  (At the parent
+    commit the plain tm/tss engine accepted both of these.)"""
+    packets = acl_small.sample_packets(20, seed=17)
+    two_fields = Rule(((0, 10), (0, 10)), priority=0, rule_id=740_000)
+    too_wide = Rule(
+        ((0, 2**40),) + tuple(spec.full_range() for spec in acl_small.schema)[1:],
+        priority=0,
+        rule_id=740_001,
+    )
+    block = block_of(packets)
+    with _build(kind, acl_small) as stack:
+        before = stack.classify_block(block)
+        live = set(stack.rules_by_id())
+        for bad, message in ((two_fields, "expected 5 ranges"), (too_wide, "outside")):
+            with pytest.raises(ValueError, match=message):
+                stack.insert(bad)
+        # Nothing changed: no rule, no overlay entry, no cache invalidation.
+        assert set(stack.rules_by_id(refresh=True)) == live
+        np.testing.assert_array_equal(stack.classify_block(block), before)
+        stats = stack.statistics()
+        if isinstance(stack, CachedEngine):
+            assert stats["cache"]["invalidations"] == 0
+            stats = stats["engine"]
+        if "updates" in stats:
+            assert stats["updates"]["inserts_applied"] == 0
+            assert not any(shard["overlay_inserted"] for shard in stats["shards"])
+        else:
+            assert stats["overlay_inserted"] == 0

@@ -1,12 +1,15 @@
-"""Structural guard: one lookup path per stack cannot grow back unnoticed.
+"""Structural guard: one lookup path per stack, and one update path, cannot
+grow back unnoticed.
 
 AST-based, so it reads what the source *defines*, not what an import happens
 to expose: among classifiers and engine stacks under ``src/repro`` only
 ``Classifier`` and ``EngineStack`` define ``classify_batch``, only
 ``EngineStack`` defines ``serve``/``verify`` for engine stacks, the sharded
-engine keeps exactly two executors, and none of the superseded names
-survives.  (The wire client's ``AsyncClient.classify_batch`` is a network
-call, not a lookup implementation, and is exempt.)
+engine keeps exactly two executors, the §3.9 update overlay lives in exactly
+one class (``ClassificationEngine``; ``_Shard`` is swap bookkeeping), and none
+of the superseded names survives.  (The wire client's
+``AsyncClient.classify_batch`` is a network call, not a lookup
+implementation, and is exempt.)
 """
 
 from __future__ import annotations
@@ -77,11 +80,33 @@ def test_sharded_engine_keeps_exactly_two_executors():
     assert not imported & {"ThreadPoolExecutor", "ProcessPoolExecutor"}
 
 
+def test_the_engine_is_the_one_updatable_unit():
+    for method in (
+        "adjust_block",
+        "live_ruleset",
+        "remainder_fraction",
+        "rebuild",
+        "carry_overlay",
+    ):
+        # (NuevoMatch.remainder_fraction is the built partition's own share.)
+        assert _defining(method) - {"NuevoMatch"} == {"ClassificationEngine"}, method
+    assert not CLASS_METHODS["_Shard"] & {
+        "apply_insert",
+        "apply_remove",
+        "live_ruleset",
+        "rule_arrays",
+        "adjust_block",
+        "remainder_fraction",
+    }
+
+
 def test_superseded_names_are_gone():
     removed = re.compile(
         r"\b(lookup_batch|probe_batch|fill_batch|classify_batch_per_shard|"
         r"_fan_out_workers|_process_worker_\w*|_retire_process_pool|"
-        r"supports_block|CLASSIFIER_REGISTRY)\b|columnar="
+        r"supports_block|CLASSIFIER_REGISTRY|UpdatableNuevoMatch|"
+        r"supports_updates|_effective_ruleset|_updatable|"
+        r"_rebuild_shard_engine)\b|columnar="
     )
     offenders = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"

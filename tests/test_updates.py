@@ -1,95 +1,138 @@
-"""Tests for online updates (§3.9) and the update-rate analytical model."""
+"""Tests for online updates (§3.9) and the update-rate analytical model.
+
+The update mechanism is :class:`repro.engine.ClassificationEngine`'s overlay;
+``TestEngineUpdates`` holds the behaviours the deleted ``UpdatableNuevoMatch``
+tests pinned, one for one, plus what that wrapper got wrong (a changed action
+never reached lookups).  Cross-stack agreement under updates is in
+``test_conformance.py`` / ``test_stack.py``.
+"""
 
 import math
 
 import pytest
 
-from repro.core.nuevomatch import NuevoMatch
 from repro.core.updates import (
-    UpdatableNuevoMatch,
     expected_unmodified_rules,
     sustained_update_rate,
     throughput_over_time,
     throughput_with_updates,
 )
+from repro.engine import ClassificationEngine
 from repro.rules.rule import Rule
-from _helpers import fast_nm_config
+from _helpers import block_of, fast_nm_config
 
 
 @pytest.fixture()
-def updatable(acl_small):
-    nm = NuevoMatch.build(acl_small, remainder_classifier="tm", config=fast_nm_config())
-    return UpdatableNuevoMatch(nm, retrain_threshold=0.5)
+def engine(acl_small):
+    return ClassificationEngine.build(
+        acl_small, classifier="nm", remainder_classifier="tm", config=fast_nm_config()
+    )
 
 
-def fresh_rule(rule_id, value=12345):
+def fresh_rule(rule_id, value=12345, priority=0):
     return Rule(
         ((value, value), (value, value), (80, 80), (443, 443), (6, 6)),
-        priority=-1,
+        priority=priority,
         action="new",
         rule_id=rule_id,
     )
 
 
-class TestUpdatableNuevoMatch:
-    def test_requires_updatable_remainder(self, acl_small):
-        nm = NuevoMatch.build(acl_small, remainder_classifier="cs", config=fast_nm_config())
-        with pytest.raises(TypeError):
-            UpdatableNuevoMatch(nm)
+class TestEngineUpdates:
+    def test_any_remainder_takes_updates(self, acl_small):
+        # UpdatableNuevoMatch refused a non-updatable remainder (cs); the
+        # engine's overlay does not depend on the classifier at all.
+        engine = ClassificationEngine.build(
+            acl_small, classifier="nm", remainder_classifier="cs", config=fast_nm_config()
+        )
+        engine.insert(fresh_rule(50_000))
+        assert engine.classify((12345, 12345, 80, 443, 6)).rule_id == 50_000
 
-    def test_add_rule_goes_to_remainder(self, updatable):
-        rule = fresh_rule(50_000)
-        updatable.add(rule)
-        found = updatable.classify((12345, 12345, 80, 443, 6))
+    def test_added_rule_is_found(self, engine):
+        engine.insert(fresh_rule(50_000))
+        found = engine.classify((12345, 12345, 80, 443, 6))
         assert found is not None and found.rule_id == 50_000
 
-    def test_delete_rule(self, updatable, acl_small):
+    def test_deleted_rule_is_never_served(self, engine, acl_small):
         victim = acl_small[0]
         packet = victim.sample_packet()
-        assert updatable.delete(victim.rule_id)
-        result = updatable.classify(packet)
+        assert engine.remove(victim.rule_id)
+        result = engine.classify(packet)
         assert result is None or result.rule_id != victim.rule_id
+        assert engine.verify([packet]) == 1
 
-    def test_delete_unknown_returns_false(self, updatable):
-        assert not updatable.delete(10**9)
+    def test_delete_unknown_returns_false(self, engine, acl_small):
+        assert not engine.remove(10**9)
+        assert engine.remove(acl_small[0].rule_id)
+        assert not engine.remove(acl_small[0].rule_id)  # already gone
 
-    def test_change_action(self, updatable, acl_small):
-        victim = acl_small[3]
-        assert updatable.change_action(victim.rule_id, "drop")
-        live = updatable.current_rules().by_id()[victim.rule_id]
-        assert live.action == "drop"
+    def test_same_id_insert_changes_the_action_lookups_see(self, engine, acl_small):
+        """Type (i).  Probes iSet-indexed rules — where the deleted wrapper's
+        ``change_action`` left every lookup on the stale action — through both
+        the block path and the object path."""
+        indexed = [
+            rule
+            for iset in engine.classifier.partition.isets
+            for rule in iset.rules
+        ][:25]
+        assert indexed
+        for victim in indexed:
+            engine.insert(Rule(victim.ranges, victim.priority, "drop", victim.rule_id))
+        served = 0
+        for victim in indexed:
+            packet = victim.sample_packet()
+            rule_ids, _priorities = engine.classify_block(block_of([packet]))
+            hit = engine.classify(packet)
+            assert hit.rule_id == int(rule_ids[0])
+            if hit.rule_id == victim.rule_id:  # else a better rule overlaps it
+                assert hit.action == "drop"
+                served += 1
+        assert served > 0
+        assert engine.live_ruleset().by_id()[indexed[0].rule_id].action == "drop"
 
-    def test_modify_moves_rule_to_remainder(self, updatable):
-        updated = fresh_rule(1, value=999)
-        before = updatable.remainder_fraction
-        updatable.modify(updated)
-        assert updatable.remainder_fraction >= before
-        found = updatable.classify((999, 999, 80, 443, 6))
-        assert found is not None and found.rule_id == 1
+    def test_same_id_insert_changes_the_matching_set(self, engine, acl_small):
+        """Type (iii): the old matching set stops matching, the new one does."""
+        victim = acl_small[1]
+        before = engine.remainder_fraction()
+        engine.insert(fresh_rule(victim.rule_id, value=999, priority=victim.priority))
+        assert engine.remainder_fraction() >= before
+        found = engine.classify((999, 999, 80, 443, 6))
+        assert found is not None and found.rule_id == victim.rule_id
+        stale = engine.classify(victim.sample_packet())
+        assert stale is None or stale.rule_id != victim.rule_id
 
-    def test_remainder_growth_triggers_retraining_flag(self, updatable, acl_small):
-        assert not updatable.needs_retraining()
+    def test_remainder_growth_crosses_the_threshold(self, engine, acl_small):
+        assert engine.remainder_fraction() < 0.5
         # Adding 1.5x the original rule count pushes the remainder fraction
-        # ((base_remainder + added) / (original + added)) past the 0.5 threshold.
+        # ((base_remainder + added) / (original + added)) past 0.5.
         for index in range(int(len(acl_small) * 1.5)):
-            updatable.add(fresh_rule(100_000 + index, value=index + 1))
-        assert updatable.needs_retraining()
+            engine.insert(fresh_rule(100_000 + index, value=index + 1))
+        assert 0.5 <= engine.remainder_fraction() <= 1.0
 
-    def test_retrain_resets_state(self, updatable):
+    def test_rebuild_empties_the_overlay_and_keeps_the_live_rules(self, engine, acl_small):
         for index in range(20):
-            updatable.add(fresh_rule(200_000 + index, value=index + 7))
-        rebuilt = updatable.retrain()
-        assert updatable.retrain_count == 1
-        assert updatable.remainder_fraction <= 1.0
-        assert len(rebuilt.ruleset) == len(updatable.current_rules())
-        found = updatable.classify((8, 8, 80, 443, 6))
-        assert found is not None
+            engine.insert(fresh_rule(200_000 + index, value=index + 7))
+        assert engine.remove(acl_small[2].rule_id)
+        live = engine.rules_by_id()
+        rebuilt = engine.rebuild()
+        assert rebuilt is not engine
+        assert rebuilt.update_statistics()["overlay_inserted"] == 0
+        assert rebuilt.update_statistics()["overlay_removed"] == 0
+        assert rebuilt.remainder_fraction() < engine.remainder_fraction()
+        assert len(rebuilt.ruleset) == len(live) == rebuilt.live_size()
+        assert rebuilt.rules_by_id().keys() == live.keys()
+        assert type(rebuilt.classifier.remainder) is type(engine.classifier.remainder)
+        found = rebuilt.classify((8, 8, 80, 443, 6))
+        assert found is not None and found.rule_id == 200_001
+        assert rebuilt.verify(acl_small.sample_packets(60, seed=3)) == 60
 
-    def test_current_rules_reflects_adds_and_deletes(self, updatable, acl_small):
+    def test_live_rules_reflect_adds_and_deletes(self, engine, acl_small):
         original = len(acl_small)
-        updatable.add(fresh_rule(300_000))
-        updatable.delete(acl_small[0].rule_id)
-        assert len(updatable.current_rules()) == original
+        engine.insert(fresh_rule(300_000))
+        engine.remove(acl_small[0].rule_id)
+        assert engine.live_size() == len(engine.live_ruleset()) == original
+        assert len(engine.rules_by_id()) == original
+        assert len(engine.ruleset) == original  # the built rules do not change
 
 
 class TestAnalyticModel:
