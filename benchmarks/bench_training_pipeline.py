@@ -1,29 +1,31 @@
-"""Training-pipeline benchmark — cold vs. parallel vs. warm-start build times.
+"""Training-pipeline benchmark — fan-out and warm-start build times.
 
 The paper's Figure 15 measures absolute RQ-RMI training cost; this benchmark
-measures what the :mod:`repro.core.pipeline` subsystem buys back on the build
-path:
+measures what the :mod:`repro.core.pipeline` orchestration buys on the build
+path.  There is one trainer; what varies is how it is driven:
 
-* **cold serial** — the legacy per-submodel trainer
-  (:meth:`RQRMI.train <repro.core.rqrmi.RQRMI.train>` loop), the baseline
-  every earlier PR built with;
-* **cold pipeline** — the vectorized stacked-Adam trainer at ``jobs=1`` and
-  fanned across a process pool at ``jobs=4``;
+* **cold build, ``jobs=1`` vs ``jobs=4``** — the same per-iSet training jobs
+  inline and fanned across a process pool.  The ratio is bounded by the
+  largest iSet's share of the training time (reported as ``ideal``), and it
+  is a scaling result only on a host with cores to scale onto: below
+  :data:`FLOOR_CORES` usable cores it is reported as
+  ``"not measurable (N cores)"``.  It is never asserted;
 * **warm retrain** — rebuilding after an update workload (rule modifications,
   removals and insertions) with submodels seeded/reused from the previous
   engine, against the same rebuild done cold;
-* **retrain-to-swap latency** — the ``UpdateQueue`` path end to end: the wall
-  time from the update that crosses the retrain threshold to the rebuilt
-  engine being swapped in, warm vs. cold.
+* **retrain-to-swap latency** — the rebuild-to-swap wall time of the
+  ``UpdateQueue`` path (always ``engine.rebuild(warm=True)``), against
+  ``engine.rebuild(warm=False)`` of the same engine at the same moment.
 
 Every timed engine is verified against linear-search ground truth before its
 number is reported, so the speedups never come at the cost of the certified
 error-bound contract.
 
 Emits the BENCH json line / ``benchmarks/results/training_pipeline.json``
-consumed by ``scripts/bench_table.py``.
+consumed by ``scripts/bench_table.py``; ``config.host.cores`` is part of it.
 """
 
+import os
 import time
 
 import numpy as np
@@ -38,6 +40,9 @@ from bench_helpers import bench_nm_config, current_scale, report, report_json, r
 
 #: Modification fraction of the update workload (§3.9-style churn).
 UPDATE_FRACTION = 0.02
+
+#: Fewest usable cores on which ``jobs=4`` vs ``jobs=1`` is a scaling result.
+FLOOR_CORES = 4
 
 
 def _timed(fn, repeats: int = 1):
@@ -86,24 +91,30 @@ def _verify(classifier, rules, seed: int) -> None:
     classifier.verify(rules.sample_packets(200, seed=seed))
 
 
-def _retrain_to_swap_seconds(rules, config, warm_retrain: bool) -> float:
-    """Insert until the threshold trips; report the rebuild-to-swap latency."""
-    engine = ShardedEngine.build(
+def _retrain_to_swap_seconds(rules, config) -> tuple[float, float]:
+    """Insert until the threshold trips; ``(cold, warm)`` rebuild seconds.
+
+    Warm is the rebuild-to-swap latency the ``UpdateQueue`` records; cold is
+    ``rebuild(warm=False)`` of the engine it swapped in, i.e. a from-scratch
+    build over exactly the rules the warm retrain was built over.
+    """
+    probe = rules.sample_packets(100, seed=17)
+    with ShardedEngine.build(
         rules, shards=1, classifier="nm", remainder_classifier="tm",
         config=config, background_retraining=False, retrain_threshold=0.2,
-        warm_retrain=warm_retrain,
-    )
-    try:
+    ) as engine:
         donor = rules.rules[0]
         max_id = max(rule.rule_id for rule in rules)
         for index in range(1, len(rules)):
             engine.insert(Rule(donor.ranges, priority=200_000 + index,
                                action=donor.action, rule_id=max_id + index))
             if engine.updates.retrains_completed:
-                return engine.updates.last_retrain_seconds
+                engine.verify(probe)
+                swapped_in = engine._shards[0].engine
+                rebuilt, cold_s = _timed(lambda: swapped_in.rebuild(warm=False))
+                rebuilt.verify(probe)
+                return cold_s, engine.updates.last_retrain_seconds
         raise AssertionError("retrain threshold never tripped")
-    finally:
-        engine.close()
 
 
 def test_training_pipeline(benchmark):
@@ -111,52 +122,49 @@ def test_training_pipeline(benchmark):
     size = scale["sizes"]["100K"]
     rules = ruleset("acl1", size)
     config = bench_nm_config("tm")
+    cores = len(os.sched_getaffinity(0))  # what this process may use
 
-    build_serial = lambda: NuevoMatch.build(
-        rules, remainder_classifier="tm", config=config
-    )
     build_jobs = lambda jobs: NuevoMatch.build(
         rules, remainder_classifier="tm", config=config,
         pipeline=TrainingPipeline(jobs=jobs),
     )
-
-    nm_serial, cold_serial_s = _timed(build_serial)
-    nm_pipe1, cold_pipe1_s = _timed(lambda: build_jobs(1))
-    nm_pipe4, cold_pipe4_s = _timed(lambda: build_jobs(4))
-    _verify(nm_serial, rules, seed=11)
-    _verify(nm_pipe1, rules, seed=11)
-    _verify(nm_pipe4, rules, seed=11)
+    nm_jobs1, cold_jobs1_s = _timed(lambda: build_jobs(1), repeats=3)
+    nm_jobs4, cold_jobs4_s = _timed(lambda: build_jobs(4), repeats=3)
+    _verify(nm_jobs1, rules, seed=11)
+    _verify(nm_jobs4, rules, seed=11)
+    per_iset_s = [iset.model.report.training_seconds for iset in nm_jobs1.isets]
+    ideal_speedup = sum(per_iset_s) / max(per_iset_s)
 
     updated = _update_workload(rules, UPDATE_FRACTION)
     retrain_cold = lambda: NuevoMatch.build(
-        updated, remainder_classifier="tm", config=config,
-        pipeline=TrainingPipeline(jobs=1),
+        updated, remainder_classifier="tm", config=config
     )
     retrain_warm = lambda: NuevoMatch.build(
-        updated, remainder_classifier="tm", config=config,
-        pipeline=TrainingPipeline(jobs=1), warm_from=nm_pipe1,
+        updated, remainder_classifier="tm", config=config, warm_from=nm_jobs1
     )
     nm_cold, cold_retrain_s = _timed(retrain_cold, repeats=2)
-    nm_warm, warm_retrain_s = _timed(retrain_warm, repeats=2)
+    nm_warm, warm_s = _timed(retrain_warm, repeats=2)
     _verify(nm_cold, updated, seed=13)
     _verify(nm_warm, updated, seed=13)
 
     swap_rules = ruleset("acl1", max(400, size // 8))
-    swap_cold_s = _retrain_to_swap_seconds(swap_rules, config, warm_retrain=False)
-    swap_warm_s = _retrain_to_swap_seconds(swap_rules, config, warm_retrain=True)
+    swap_cold_s, swap_warm_s = _retrain_to_swap_seconds(swap_rules, config)
 
-    parallel_speedup = cold_serial_s / cold_pipe4_s
-    warm_speedup = cold_retrain_s / warm_retrain_s
+    measurable = cores >= FLOOR_CORES
+    parallel_speedup = (
+        cold_jobs1_s / cold_jobs4_s if measurable
+        else f"not measurable ({cores} core{'s' if cores != 1 else ''})"
+    )
+    warm_speedup = cold_retrain_s / warm_s
     swap_speedup = swap_cold_s / swap_warm_s
 
     rows = [
-        ["cold build (serial loop)", round(cold_serial_s, 3), "1.00x"],
-        ["cold build (pipeline, jobs=1)", round(cold_pipe1_s, 3),
-         f"{cold_serial_s / cold_pipe1_s:.2f}x"],
-        ["cold build (pipeline, jobs=4)", round(cold_pipe4_s, 3),
-         f"{parallel_speedup:.2f}x"],
+        ["cold build (jobs=1)", round(cold_jobs1_s, 3), "1.00x"],
+        [f"cold build (jobs=4, {cores} cores, ideal {ideal_speedup:.2f}x)",
+         round(cold_jobs4_s, 3),
+         f"{parallel_speedup:.2f}x" if measurable else parallel_speedup],
         ["retrain after updates (cold)", round(cold_retrain_s, 3), "1.00x"],
-        ["retrain after updates (warm)", round(warm_retrain_s, 3),
+        ["retrain after updates (warm)", round(warm_s, 3),
          f"{warm_speedup:.2f}x"],
         ["retrain-to-swap (cold)", round(swap_cold_s, 3), "1.00x"],
         ["retrain-to-swap (warm)", round(swap_warm_s, 3),
@@ -176,29 +184,32 @@ def test_training_pipeline(benchmark):
         config={
             "ruleset": f"acl1/{size}",
             "update_fraction": UPDATE_FRACTION,
+            "host": {"cores": cores},
         },
         measured={
-            "cold_serial_s": cold_serial_s,
-            "cold_pipeline_jobs1_s": cold_pipe1_s,
-            "cold_pipeline_jobs4_s": cold_pipe4_s,
+            "cold_jobs1_s": cold_jobs1_s,
+            "cold_jobs4_s": cold_jobs4_s,
+            "iset_training_s": per_iset_s,
             "cold_retrain_s": cold_retrain_s,
-            "warm_retrain_s": warm_retrain_s,
+            "warm_s": warm_s,
             "retrain_to_swap_cold_s": swap_cold_s,
             "retrain_to_swap_warm_s": swap_warm_s,
-            "warm_submodels_reused": warm_prov.get("submodels_reused", 0),
-            "warm_submodels_trained": warm_prov.get("submodels_trained", 0),
-            "warm_cold_fallbacks": warm_prov.get("cold_fallbacks", 0),
+            "warm_submodels_reused": warm_prov["submodels_reused"],
+            "warm_submodels_trained": warm_prov["submodels_trained"],
+            "warm_cold_fallbacks": warm_prov["cold_fallbacks"],
         },
         summary={
             "parallel_speedup": parallel_speedup,
+            "parallel_ideal_speedup": ideal_speedup,
             "warm_speedup": warm_speedup,
             "retrain_to_swap_speedup": swap_speedup,
             "retrain_to_swap_warm_s": swap_warm_s,
         },
     )
 
-    # The headline claims of the pipeline PR, asserted loosely enough for CI
-    # noise: parallel build at least 2x over the serial loop, warm retrain at
-    # least 3x over a cold retrain of the same rules.
-    assert parallel_speedup >= 2.0, f"parallel build only {parallel_speedup:.2f}x"
+    # Asserted loosely enough for CI noise: a warm retrain at least 3x faster
+    # than a cold retrain of the same rules.  The fan-out ratio is reported,
+    # not asserted: jobs are per iSet, so it is bounded by ``ideal_speedup``
+    # (≈1.4x here) less the pool's start-up, and no floor for it has been
+    # measured on a host with the cores to show it.
     assert warm_speedup >= 3.0, f"warm retrain only {warm_speedup:.2f}x"

@@ -142,9 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--warm-epochs", type=int, default=None,
                        help="Adam epochs for warm-started submodels "
                             "(default: a third of the cold budget)")
-    train.add_argument("--serial-trainer", action="store_true",
-                       help="use the serial per-submodel trainer instead of "
-                            "the vectorized stacked trainer (baseline mode)")
 
     engine = sub.add_parser("engine", help="build, persist and serve engines")
     engine_sub = engine.add_subparsers(dest="engine_command", required=True)
@@ -381,23 +378,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     params = {}
     pipeline = None
     warm_from = None
-    if args.warm_start and args.serial_trainer:
-        print(
-            "error: --warm-start requires the stacked trainer; drop "
-            "--serial-trainer to warm-start",
-            file=sys.stderr,
-        )
-        return 2
     if args.classifier == "nm":
         params = {
             "remainder_classifier": args.remainder,
             "config": _nm_config(args.error_threshold),
         }
-        pipeline = TrainingPipeline(
-            jobs=args.jobs,
-            warm_epochs=args.warm_epochs,
-            vectorized=not args.serial_trainer,
-        )
+        pipeline = TrainingPipeline(jobs=args.jobs, warm_epochs=args.warm_epochs)
         if args.warm_start:
             warm_from = ClassificationEngine.load(args.warm_start)
             if warm_from.classifier_name != "nm":

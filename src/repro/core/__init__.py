@@ -10,9 +10,9 @@ Public API:
 * :class:`~repro.core.config.RQRMIConfig` /
   :class:`~repro.core.config.NuevoMatchConfig` — configuration (Table 4, §5.1).
 * :class:`~repro.core.pipeline.TrainingPipeline` /
-  :class:`~repro.core.pipeline.PipelineConfig` — the vectorized, parallel,
-  warm-startable training pipeline (stacked batched Adam, process fan-out,
-  submodel reuse under recomputed error bounds).
+  :class:`~repro.core.pipeline.PipelineConfig` — the staged trainer every
+  build uses (:func:`~repro.core.pipeline.train_rqrmi`) with process fan-out
+  and warm start (submodel reuse under recomputed error bounds).
 * :mod:`~repro.core.updates` — the §3.9 closed-form update model (the update
   mechanism itself is :class:`repro.engine.ClassificationEngine`'s).
 * :mod:`~repro.core.metrics` — diversity and centrality (§3.7).
@@ -27,12 +27,7 @@ from repro.core.config import (
 from repro.core.submodel import Submodel
 from repro.core.training import TrainingDataset, sample_responsibility, train_submodel
 from repro.core.rqrmi import RQRMI, RangeSet, RQRMILookup, TrainingReport
-from repro.core.pipeline import (
-    PipelineConfig,
-    TrainingPipeline,
-    train_rqrmi,
-    train_submodels_stacked,
-)
+from repro.core.pipeline import PipelineConfig, TrainingPipeline, train_rqrmi
 from repro.core.isets import (
     ISet,
     PartitionResult,
@@ -70,7 +65,6 @@ __all__ = [
     "PipelineConfig",
     "TrainingPipeline",
     "train_rqrmi",
-    "train_submodels_stacked",
     "ISet",
     "PartitionResult",
     "max_independent_set",

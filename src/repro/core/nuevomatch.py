@@ -39,6 +39,7 @@ from repro.classifiers.base import (
 from repro.classifiers.registry import register, resolve_classifier
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.isets import ISet, PartitionResult, partition_isets
+from repro.core.pipeline import TrainingPipeline
 from repro.core.rqrmi import RQRMI, RangeSet
 from repro.rules.rule import Packet, Rule, RuleSet
 
@@ -80,13 +81,6 @@ class ISetIndex:
         # Packed (lo, hi, priority, rule_id) arrays for the columnar block
         # path, built on first use (iSet rules are immutable after training).
         self._packed_rules: tuple[np.ndarray, ...] | None = None
-
-    @classmethod
-    def train(cls, iset: ISet, schema, rqrmi_config: RQRMIConfig) -> "ISetIndex":
-        """Train an RQ-RMI over the iSet's ranges in its field."""
-        domain_size = schema[iset.dim].domain_size
-        range_set = RangeSet.from_integer_ranges(iset.ranges(), domain_size)
-        return cls(iset, RQRMI.train(range_set, rqrmi_config))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -219,10 +213,6 @@ class NuevoMatch(Classifier):
 
     name = "nm"
 
-    #: NuevoMatch builds accept the ``pipeline`` / ``warm_from`` keywords
-    #: (checked by :meth:`repro.engine.ClassificationEngine.build`).
-    supports_training_pipeline = True
-
     def __init__(
         self,
         ruleset: RuleSet,
@@ -238,10 +228,10 @@ class NuevoMatch(Classifier):
         self.partition = partition
         self.config = config
         self.build_seconds = build_seconds
-        #: How this instance was trained: pipeline mode, job count, warm-start
-        #: reuse counters.  JSON-safe; persisted by :meth:`to_state` and
-        #: surfaced by :meth:`statistics`.
-        self.training_provenance: dict[str, object] = {"mode": "serial"}
+        #: How this instance was trained: job count, warm-start reuse
+        #: counters.  JSON-safe; persisted by :meth:`to_state` and surfaced by
+        #: :meth:`statistics`.
+        self.training_provenance: dict[str, object] = {}
 
     # ------------------------------------------------------------------ build
 
@@ -271,7 +261,7 @@ class NuevoMatch(Classifier):
         ruleset: RuleSet,
         remainder_classifier: Type[Classifier] | str = "tm",
         config: NuevoMatchConfig | None = None,
-        pipeline: "TrainingPipeline | None" = None,
+        pipeline: TrainingPipeline | None = None,
         warm_from: "NuevoMatch | None" = None,
         **remainder_params,
     ) -> "NuevoMatch":
@@ -286,16 +276,15 @@ class NuevoMatch(Classifier):
                 against.
             config: NuevoMatch configuration; defaults follow the paper
                 (error threshold 64, iSet coverage cut-off 25%).
-            pipeline: A :class:`~repro.core.pipeline.TrainingPipeline` — iSet
-                models train through the vectorized stacked trainer, fanned
-                across ``pipeline.jobs`` processes.  ``None`` (with no
-                ``warm_from``) keeps the serial per-submodel trainer.
+            pipeline: A :class:`~repro.core.pipeline.TrainingPipeline` — the
+                iSet models' training jobs fan across ``pipeline.jobs``
+                processes.  ``None`` is ``TrainingPipeline()`` (inline); the
+                trained models are the same either way.
             warm_from: A previously built NuevoMatch over an earlier version
                 of the rules; matching iSets seed their RQ-RMI training from
                 the old weights and submodels whose responsibility content is
                 unchanged are reused outright (error bounds are recomputed or
-                carried over analytically either way).  Implies the pipeline
-                trainer.
+                carried over analytically either way).
             **remainder_params: Extra arguments passed to the remainder
                 classifier's ``build`` (e.g. ``binth``).
         """
@@ -313,18 +302,10 @@ class NuevoMatch(Classifier):
             max_isets=config.max_isets,
             min_coverage=config.min_iset_coverage,
         )
-        if pipeline is None and warm_from is None:
-            isets = [
-                ISetIndex.train(iset, ruleset.schema, config.rqrmi)
-                for iset in partition.isets
-            ]
-            provenance: dict[str, object] = {"mode": "serial"}
-        else:
-            from repro.core.pipeline import TrainingPipeline
-
-            pipeline = pipeline or TrainingPipeline()
-            warm_models = cls._match_warm_isets(partition.isets, warm_from)
-            specs = [
+        pipeline = pipeline or TrainingPipeline()
+        warm_models = cls._match_warm_isets(partition.isets, warm_from)
+        models = pipeline.train_many(
+            [
                 (
                     RangeSet.from_integer_ranges(
                         iset.ranges(), ruleset.schema[iset.dim].domain_size
@@ -334,29 +315,25 @@ class NuevoMatch(Classifier):
                 )
                 for iset, warm_model in zip(partition.isets, warm_models)
             ]
-            models = pipeline.train_many(specs)
-            isets = [
-                ISetIndex(iset, model)
-                for iset, model in zip(partition.isets, models)
-            ]
-            provenance = {"mode": "pipeline", **pipeline.describe()}
-            provenance.update(
-                warm_started=any(m.report.warm_started for m in models),
-                submodels_trained=sum(m.report.submodels_trained for m in models),
-                submodels_reused=sum(m.report.submodels_reused for m in models),
-                warm_trained=sum(m.report.warm_trained for m in models),
-                cold_fallbacks=sum(m.report.cold_fallbacks for m in models),
-            )
+        )
+        isets = [
+            ISetIndex(iset, model) for iset, model in zip(partition.isets, models)
+        ]
         params = dict(config.remainder_params)
         params.update(remainder_params)
         remainder_rules = ruleset.subset(partition.remainder, name=f"{ruleset.name}-remainder")
         remainder = remainder_cls.build(remainder_rules, **params)
         build_seconds = time.perf_counter() - start
         instance = cls(ruleset, isets, remainder, partition, config, build_seconds)
-        provenance["training_seconds"] = sum(
-            index.model.report.training_seconds for index in isets
-        )
-        instance.training_provenance = provenance
+        instance.training_provenance = {
+            **pipeline.describe(),
+            "warm_started": any(m.report.warm_started for m in models),
+            "submodels_trained": sum(m.report.submodels_trained for m in models),
+            "submodels_reused": sum(m.report.submodels_reused for m in models),
+            "warm_trained": sum(m.report.warm_trained for m in models),
+            "cold_fallbacks": sum(m.report.cold_fallbacks for m in models),
+            "training_seconds": sum(m.report.training_seconds for m in models),
+        }
         return instance
 
     # ------------------------------------------------------------------ lookup
@@ -546,5 +523,5 @@ class NuevoMatch(Classifier):
             config,
             build_seconds=float(state.get("build_seconds", 0.0)),
         )
-        instance.training_provenance = dict(state.get("training", {"mode": "serial"}))
+        instance.training_provenance = dict(state.get("training", {}))
         return instance

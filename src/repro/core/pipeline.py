@@ -1,19 +1,16 @@
-"""Parallel warm-start RQ-RMI training pipeline.
+"""The staged RQ-RMI trainer and the build orchestrator around it.
 
-The serial trainer (:meth:`repro.core.rqrmi.RQRMI.train`) builds submodels one
-at a time with a per-submodel numpy Adam loop — correct, but the slowest path
-between "rules changed" and "new engine swapped in".  This module is the
-build-path counterpart of the batched serving path, with three layers:
+Every build in the repository — ``RQRMI.train``, ``NuevoMatch.build``,
+``ClassificationEngine.build``/``rebuild``, the sharded engine's background
+retrains and every CLI command — trains through this module, over the one
+optimiser in :mod:`repro.core.training`:
 
-* :func:`train_submodels_stacked` — trains *all* submodels of a stage as one
-  vectorized batched-Adam optimisation over stacked ``(N, H)`` weight tensors
-  and a flat concatenated sample vector with per-row segment reductions,
-  instead of a Python loop over submodels.  Per-submodel semantics
-  (cold-start knot initialisation, closed-form output refits every 50 epochs,
-  best-loss tracking) are preserved; only the loop over submodels disappears.
-* :func:`train_rqrmi` — the staged RQ-RMI training procedure (§3.5, Figure 5)
-  over the stacked trainer, including the last-stage retrain-with-doubled-
-  samples loop, plus **warm-start retraining**: given the previously trained
+* :func:`train_rqrmi` — the staged RQ-RMI training procedure (§3.5, Figure 5):
+  stage by stage, sample each submodel's responsibility, fit it with
+  :func:`~repro.core.training.train_submodel`, derive the next stage's
+  responsibilities from the transition inputs, and on the last stage certify
+  the error bound analytically, retrying with doubled samples while it misses
+  the threshold.  Plus **warm-start retraining**: given the previously trained
   model, the internal stages are reused verbatim (their transition inputs —
   hence the last-stage responsibilities — are unchanged), and each last-stage
   submodel is (a) reused together with its certified error bound when the
@@ -25,16 +22,13 @@ build-path counterpart of the batched serving path, with three layers:
   computation, so the certified lookup contract is independent of how the
   weights were obtained.
 * :class:`TrainingPipeline` — the build orchestrator: fans independent
-  RQ-RMI training jobs (one per iSet) across a process pool with
-  deterministic per-job seeding, so ``jobs=1`` and ``jobs=N`` produce
-  identical engines.
+  RQ-RMI training jobs (one per iSet) across a process pool.
 
-Determinism: the pipeline seeds each (stage, slot, attempt) sampler from a
-:class:`numpy.random.SeedSequence` derived from the config seed, so results do
-not depend on training order or process placement.  The stacked trainer is a
-different (vectorized) floating-point evaluation order than the serial loop,
-so pipeline-built models are *not* bitwise-equal to serially built ones —
-both are valid RQ-RMIs and both certify their own error bounds analytically.
+Determinism: each (stage, slot, attempt) sampler is seeded from a
+:class:`numpy.random.SeedSequence` derived from the config seed and the
+optimiser draws no randomness, so a model depends only on its ranges and its
+:class:`~repro.core.config.RQRMIConfig` — not on the entry point, training
+order, job count or process placement.
 """
 
 from __future__ import annotations
@@ -49,17 +43,11 @@ import numpy as np
 from repro.core.config import RQRMIConfig
 from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport
 from repro.core.submodel import Submodel
-from repro.core.training import (
-    TrainingDataset,
-    fit_output_layer,
-    initial_submodel_params,
-    sample_responsibility,
-)
+from repro.core.training import sample_responsibility, train_submodel
 
 __all__ = [
     "PipelineConfig",
     "TrainingPipeline",
-    "train_submodels_stacked",
     "train_rqrmi",
 ]
 
@@ -78,37 +66,16 @@ class PipelineConfig:
         warm_epochs: Adam epochs for warm-started submodels (seeded from the
             previous weights, they need far fewer steps than a cold start);
             ``None`` uses a third of the cold epoch budget, at least 20.
-        vectorized: Train stages with :func:`train_submodels_stacked`
-            (default).  ``False`` falls back to the serial per-submodel loop
-            of :meth:`RQRMI.train` — useful for isolating the vectorization
-            speedup in benchmarks; warm starting requires the stacked path.
-        early_stop_tolerance: Per-submodel convergence cut-off — a submodel
-            whose best loss improves by less than this fraction over a
-            10-epoch window stops training (the closed-form initialisation
-            already lands most submodels near their optimum).  ``0`` always
-            runs the full epoch budget.  This is the pipeline's
-            latency-vs-training-compute dial; the analytic error bound is
-            computed on the final weights either way, so certification is
-            unaffected.
-        max_stacked_elements: Chunk budget for the stacked trainer's flat
-            sample tensors, bounding peak memory.
     """
 
     jobs: int = 1
     warm_epochs: int | None = None
-    vectorized: bool = True
-    early_stop_tolerance: float = 1e-3
-    max_stacked_elements: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.warm_epochs is not None and self.warm_epochs < 1:
             raise ValueError("warm_epochs must be at least 1")
-        if self.early_stop_tolerance < 0:
-            raise ValueError("early_stop_tolerance must be non-negative")
-        if self.max_stacked_elements < 1:
-            raise ValueError("max_stacked_elements must be positive")
 
     def resolve_warm_epochs(self, adam_epochs: int) -> int:
         if self.warm_epochs is not None:
@@ -117,317 +84,48 @@ class PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# Stacked batched-Adam trainer
-# ---------------------------------------------------------------------------
-
-
-#: Early-stop cadence: convergence is checked every this many epochs.
-EARLY_STOP_CHECK_EPOCHS = 10
-
-#: Closed-form output refit cadence (as in the serial trainer).
-REFIT_EPOCHS = 50
-
-
-def _train_stacked_chunk(
-    xs_rows: list[np.ndarray],
-    ys_rows: list[np.ndarray],
-    inits: list[tuple[np.ndarray, np.ndarray, np.ndarray, float] | None],
-    hidden_units: int,
-    epochs: int,
-    learning_rate: float,
-    early_stop_tolerance: float,
-) -> list[Submodel]:
-    """One stacked optimisation over a group of submodels.
-
-    Mirrors :func:`repro.core.training.train_submodel` per row: same
-    initialisation, same Adam hyper-parameters (hidden layer at one tenth of
-    the output learning rate), same closed-form output refit every 50 epochs,
-    same best-loss parameter tracking — vectorized over the row axis.
-
-    Two deliberate departures from the serial loop:
-
-    * Layout — the rows' samples are concatenated into one flat vector (no
-      padding); per-sample parameters come from a single row-index gather of
-      one ``(N, 3H+1)`` parameter matrix, gradients from one fused
-      :func:`numpy.add.reduceat` over the contiguous row segments.
-    * Early stopping — every :data:`EARLY_STOP_CHECK_EPOCHS` epochs, rows
-      whose best loss stopped improving (relative improvement below
-      ``early_stop_tolerance``) freeze at their best parameters.  The
-      closed-form initialisation already lands most submodels near their
-      optimum, so this converts unneeded epochs directly into build-latency
-      savings; the analytic error bound is computed on the final weights
-      either way, so certification is unaffected.
-
-    Every row's trajectory depends only on its own samples (segment
-    reductions and element-wise parameter math), so results are independent
-    of how submodels are grouped into chunks — the property behind
-    ``jobs=1 == jobs=N`` builds.
-    """
-    num_rows = len(xs_rows)
-    hidden = hidden_units
-    # All parameters of one submodel live in a single row of ``params``:
-    # [w1 | b1 | w2 | b2] — one gather per epoch, one fused gradient
-    # reduction, one Adam update.
-    width = 3 * hidden + 1
-    s_w1, s_b1, s_w2, s_b2 = (
-        slice(0, hidden),
-        slice(hidden, 2 * hidden),
-        slice(2 * hidden, 3 * hidden),
-        3 * hidden,
-    )
-    params = np.empty((num_rows, width), dtype=np.float64)
-    for row in range(num_rows):
-        if inits[row] is not None:
-            iw1, ib1, iw2, ib2 = inits[row]
-        else:
-            iw1, ib1, iw2, ib2 = initial_submodel_params(
-                xs_rows[row], ys_rows[row], hidden
-            )
-        params[row, s_w1] = np.asarray(iw1, dtype=np.float64)
-        params[row, s_b1] = np.asarray(ib1, dtype=np.float64)
-        params[row, s_w2] = np.asarray(iw2, dtype=np.float64)
-        params[row, s_b2] = float(ib2)
-
-    def _models_from(array: np.ndarray) -> list[Submodel]:
-        return [
-            Submodel(
-                array[row, s_w1], array[row, s_b1],
-                array[row, s_w2], float(array[row, s_b2]),
-            )
-            for row in range(num_rows)
-        ]
-
-    if epochs <= 0:
-        return _models_from(params)
-
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    # Per-column learning rate: the hidden layer trains at one tenth of the
-    # output learning rate (as in the serial trainer).
-    lr_row = np.empty(width)
-    lr_row[s_w1] = lr_row[s_b1] = learning_rate * 0.1
-    lr_row[s_w2] = lr_row[s_b2] = learning_rate
-    adam_m = np.zeros_like(params)
-    adam_v = np.zeros_like(params)
-
-    best_loss = np.full(num_rows, np.inf)
-    best = params.copy()
-    checked_best = best_loss.copy()
-    active = np.arange(num_rows)
-    t = 0
-
-    while t < epochs and len(active):
-        # Flat sample layout over the still-active rows.
-        counts = np.array([len(xs_rows[row]) for row in active], dtype=np.int64)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        xs_flat = np.concatenate([xs_rows[row] for row in active])
-        ys_flat = np.concatenate([ys_rows[row] for row in active])
-        local_of = np.repeat(np.arange(len(active)), counts)
-        xs_col = xs_flat[:, None]
-        inv_counts = 1.0 / counts.astype(np.float64)
-        dpred_scale = (2.0 * inv_counts)[local_of]
-        # Fused per-sample contributions: [w1 | b1 | w2 | b2 | loss].
-        contrib = np.empty((len(xs_flat), width + 1), dtype=np.float64)
-
-        p = params[active]
-        a_m = adam_m[active]
-        a_v = adam_v[active]
-        block_end = min(epochs, t + EARLY_STOP_CHECK_EPOCHS)
-        while t < block_end:
-            t += 1
-            gathered = p[local_of]
-            pre = xs_col * gathered[:, s_w1] + gathered[:, s_b1]
-            act = np.maximum(pre, 0.0)
-            err = (act * gathered[:, s_w2]).sum(axis=1) + gathered[:, s_b2] - ys_flat
-
-            dpred = dpred_scale * err
-            dpred_col = dpred[:, None]
-            dhidden = dpred_col * gathered[:, s_w2] * (pre > 0.0)
-            contrib[:, s_w1] = xs_col * dhidden
-            contrib[:, s_b1] = dhidden
-            contrib[:, s_w2] = act * dpred_col
-            contrib[:, s_b2] = dpred
-            contrib[:, width] = err * err
-            reduced = np.add.reduceat(contrib, starts, axis=0)
-            grads = reduced[:, :width]
-            loss = reduced[:, width] * inv_counts
-
-            improved = loss < best_loss[active]
-            if improved.any():
-                rows = active[improved]
-                best_loss[rows] = loss[improved]
-                best[rows] = p[improved]
-
-            a_m = beta1 * a_m + (1 - beta1) * grads
-            a_v = beta2 * a_v + (1 - beta2) * (grads * grads)
-            m_hat = a_m / (1 - beta1**t)
-            v_hat = a_v / (1 - beta2**t)
-            p = p - lr_row * m_hat / (np.sqrt(v_hat) + eps)
-
-            # Periodic closed-form output refit, as in the serial trainer.
-            if t % REFIT_EPOCHS == 0:
-                for local, row in enumerate(active):
-                    w2_fit, b2_fit = fit_output_layer(
-                        xs_rows[row], ys_rows[row], p[local, s_w1], p[local, s_b1]
-                    )
-                    p[local, s_w2] = w2_fit
-                    p[local, s_b2] = b2_fit
-
-        params[active] = p
-        adam_m[active] = a_m
-        adam_v[active] = a_v
-
-        if t >= epochs:
-            # Final best-parameter revert needs the loss of the *current*
-            # parameters (one extra forward pass, as in the serial trainer).
-            gathered = p[local_of]
-            pre = xs_col * gathered[:, s_w1] + gathered[:, s_b1]
-            act = np.maximum(pre, 0.0)
-            err = (act * gathered[:, s_w2]).sum(axis=1) + gathered[:, s_b2] - ys_flat
-            final_loss = np.add.reduceat(err * err, starts) * inv_counts
-            worse = final_loss > best_loss[active]
-            rows = active[worse]
-            params[rows] = best[rows]
-            break
-
-        if early_stop_tolerance > 0.0:
-            # Freeze rows whose best loss stalled since the last check; a
-            # frozen row keeps its best parameters.  The check uses only the
-            # row's own loss trajectory, so freezing is chunk-independent.
-            # The first window only records a baseline (checked_best is still
-            # infinite there — comparing against it would freeze every row
-            # after one window regardless of progress).
-            reference = checked_best[active]
-            current = best_loss[active]
-            floor = np.maximum(reference, 1e-300)
-            stalled = np.isfinite(reference) & (
-                (reference - current) <= early_stop_tolerance * floor
-            )
-            if stalled.any():
-                rows = active[stalled]
-                params[rows] = best[rows]
-                active = active[~stalled]
-            checked_best[active] = best_loss[active]
-
-    return _models_from(params)
-
-
-def train_submodels_stacked(
-    datasets: list[TrainingDataset | None],
-    hidden_units: int = 8,
-    epochs: int = 300,
-    learning_rate: float = 0.05,
-    inits: list[tuple | None] | None = None,
-    max_stacked_elements: int = 2_000_000,
-    early_stop_tolerance: float = 1e-3,
-) -> list[Submodel]:
-    """Train many submodels as one (chunked) vectorized batched-Adam run.
-
-    Args:
-        datasets: One :class:`TrainingDataset` per submodel; ``None`` or an
-            empty dataset yields an identity submodel (its responsibility
-            holds no rules).
-        hidden_units / epochs / learning_rate: As in
-            :func:`repro.core.training.train_submodel`.
-        inits: Optional per-submodel warm-start weights ``(w1, b1, w2, b2)``.
-        max_stacked_elements: Upper bound on ``total_samples * hidden`` per
-            stacked chunk; larger stages are split into several runs.
-        early_stop_tolerance: Per-submodel convergence cut-off (relative
-            best-loss improvement per check window); ``0`` disables early
-            stopping and always runs the full epoch budget.
-
-    Returns:
-        One trained :class:`Submodel` per input dataset, in order.
-    """
-    if inits is None:
-        inits = [None] * len(datasets)
-    if len(inits) != len(datasets):
-        raise ValueError("inits must match datasets in length")
-
-    models: list[Submodel | None] = [None] * len(datasets)
-    trainable: list[int] = []
-    for index, dataset in enumerate(datasets):
-        if dataset is None or len(dataset) == 0:
-            models[index] = Submodel.identity(hidden_units)
-            continue
-        xs = dataset.xs.astype(np.float64)
-        ys = dataset.ys.astype(np.float64)
-        if float(xs.max()) <= float(xs.min()):
-            # A single distinct input: constant prediction (as in the serial
-            # trainer); warm weights cannot improve on it.
-            w1 = np.ones(hidden_units)
-            b1 = -np.full(hidden_units, float(xs.min()))
-            models[index] = Submodel(w1, b1, np.zeros(hidden_units), float(ys.mean()))
-            continue
-        trainable.append(index)
-
-    # Chunk so one stacked run's (T, H) intermediates stay inside the element
-    # budget (T = total samples across the chunk's rows).
-    chunk: list[int] = []
-    chunk_elements = 0
-    for index in trainable:
-        size = len(datasets[index]) * hidden_units
-        if chunk and chunk_elements + size > max_stacked_elements:
-            _run_chunk(chunk, datasets, inits, models, hidden_units, epochs,
-                       learning_rate, early_stop_tolerance)
-            chunk, chunk_elements = [], 0
-        chunk.append(index)
-        chunk_elements += size
-    if chunk:
-        _run_chunk(chunk, datasets, inits, models, hidden_units, epochs,
-                   learning_rate, early_stop_tolerance)
-    assert all(model is not None for model in models)
-    return models  # type: ignore[return-value]
-
-
-def _run_chunk(indices, datasets, inits, models, hidden_units, epochs,
-               learning_rate, early_stop_tolerance):
-    trained = _train_stacked_chunk(
-        [datasets[i].xs.astype(np.float64) for i in indices],
-        [datasets[i].ys.astype(np.float64) for i in indices],
-        [inits[i] for i in indices],
-        hidden_units,
-        epochs,
-        learning_rate,
-        early_stop_tolerance,
-    )
-    for index, model in zip(indices, trained):
-        models[index] = model
-
-
-# ---------------------------------------------------------------------------
-# Staged RQ-RMI training over the stacked trainer (+ warm start)
+# Staged RQ-RMI training (+ warm start)
 # ---------------------------------------------------------------------------
 
 
 def _slot_rng(seed: int, stage_index: int, slot: int, attempt: int) -> np.random.Generator:
     """Deterministic per-(stage, slot, attempt) sampler.
 
-    Unlike the serial trainer's single shared stream, each slot draws from its
-    own :class:`~numpy.random.SeedSequence`, so sampling is independent of
-    training order and process placement — the property that makes
-    ``jobs=1`` and ``jobs=N`` builds identical.
+    Each slot draws from its own :class:`~numpy.random.SeedSequence`, so
+    sampling is independent of training order and process placement — the
+    property that makes ``jobs=1`` and ``jobs=N`` builds identical.
     """
     return np.random.default_rng(
         np.random.SeedSequence([seed & 0xFFFFFFFF, stage_index, slot, attempt])
     )
 
 
-def _sample_slot(
+def _fit_slot(
     intervals: list[Interval],
     ranges: RangeSet,
-    num_samples: int,
-    seed: int,
+    config: RQRMIConfig,
     stage_index: int,
     slot: int,
     attempt: int,
-) -> TrainingDataset:
-    return sample_responsibility(
+    num_samples: int,
+    epochs: int,
+    init: tuple | None = None,
+) -> Submodel:
+    """Sample a slot's responsibility (§3.5.4) and fit a submodel to it."""
+    dataset = sample_responsibility(
         intervals,
         ranges.lo,
         ranges.hi,
         num_samples,
         max(1, len(ranges)),
-        _slot_rng(seed, stage_index, slot, attempt),
+        _slot_rng(config.seed, stage_index, slot, attempt),
+    )
+    return train_submodel(
+        dataset,
+        hidden_units=config.hidden_units,
+        epochs=epochs,
+        learning_rate=config.learning_rate,
+        init=init,
     )
 
 
@@ -463,7 +161,7 @@ def train_rqrmi(
     warm_from: RQRMI | None = None,
     pipeline_config: PipelineConfig | None = None,
 ) -> RQRMI:
-    """Train an RQ-RMI with the vectorized pipeline (§3.5 / Figure 5).
+    """Train an RQ-RMI for ``ranges`` following §3.5 / Figure 5.
 
     With ``warm_from`` (a previously trained model over an older version of
     the ranges, same stage structure), internal stages are reused verbatim and
@@ -474,11 +172,6 @@ def train_rqrmi(
     """
     config = config or RQRMIConfig()
     pipeline_config = pipeline_config or PipelineConfig()
-    if not pipeline_config.vectorized:
-        # Serial fallback: the per-submodel loop (warm start needs the
-        # stacked path; structure-incompatible warm models land here too).
-        return RQRMI.train(ranges, config)
-
     start = time.perf_counter()
     num_ranges = len(ranges)
     widths = config.widths_for(max(1, num_ranges))
@@ -497,13 +190,13 @@ def train_rqrmi(
     report = TrainingReport(
         stage_widths=list(widths),
         num_ranges=num_ranges,
-        trainer="stacked",
         warm_started=warm is not None,
     )
     if warm is None:
-        model = _train_cold(ranges, config, widths, report, pipeline_config)
+        model = _train_cold(ranges, config, widths, report)
     else:
-        model = _train_warm(ranges, config, widths, report, pipeline_config, warm)
+        warm_epochs = pipeline_config.resolve_warm_epochs(config.adam_epochs)
+        model = _train_warm(ranges, config, widths, report, warm, warm_epochs)
     model.report.training_seconds = time.perf_counter() - start
     return model
 
@@ -522,73 +215,50 @@ def _initial_responsibilities(widths: list[int]) -> list[list[list[Interval]]]:
     return responsibilities
 
 
-def _train_last_stage_with_retries(
+def _train_leaf(
     stages: list[list[Submodel]],
-    responsibilities: list[list[Interval]],
+    intervals: list[Interval],
     ranges: RangeSet,
     config: RQRMIConfig,
     widths: list[int],
     report: TrainingReport,
-    pipeline_config: PipelineConfig,
-    stage_index: int,
-    slots: list[int],
-    stage_models: list[Submodel | None],
-    error_bounds: list[int],
-    inits: dict[int, tuple] | None = None,
-    first_epochs: int | None = None,
-) -> None:
-    """Train ``slots`` of the last stage, doubling samples while the analytic
-    bound misses the threshold (Figure 5), all attempts stacked.
+    slot: int,
+    incumbent: tuple[Submodel, int] | None = None,
+    warm_epochs: int = 0,
+) -> tuple[Submodel, int]:
+    """Train one last-stage submodel, doubling samples while the analytic
+    bound misses the threshold (Figure 5); returns ``(submodel, bound)``.
 
-    ``inits`` warm-starts the first attempt (``first_epochs`` Adam epochs);
-    retries are always cold with the full epoch budget, which is the
-    "fallback to cold start when error bounds regress" path.
+    ``incumbent`` — the previous model's leaf and its (failing) bound over the
+    new ranges — warm-starts the first attempt (``warm_epochs`` Adam epochs
+    from the old weights); retries are always cold with the full epoch
+    budget, which is the "fallback to cold start when error bounds regress"
+    path.  The best attempt seen is kept; the bound is re-checked either way.
     """
-    samples = {slot: config.initial_samples for slot in slots}
-    current = list(slots)
-    inits = inits or {}
+    best_model, best_bound = incumbent or (None, 0)
+    samples = config.initial_samples
+    stage_index = len(widths) - 1
     for attempt in range(config.max_retrain_attempts + 1):
-        datasets = [
-            _sample_slot(
-                responsibilities[slot], ranges, samples[slot],
-                config.seed, stage_index, slot, attempt,
-            )
-            for slot in current
-        ]
-        warm_attempt = attempt == 0 and bool(inits)
-        trained = train_submodels_stacked(
-            datasets,
-            hidden_units=config.hidden_units,
-            epochs=(first_epochs if warm_attempt and first_epochs is not None
-                    else config.adam_epochs),
-            learning_rate=config.learning_rate,
-            inits=[inits.get(slot) for slot in current] if warm_attempt else None,
-            max_stacked_elements=pipeline_config.max_stacked_elements,
-            early_stop_tolerance=pipeline_config.early_stop_tolerance,
+        warm = incumbent is not None and attempt == 0
+        model = _fit_slot(
+            intervals, ranges, config, stage_index, slot, attempt, samples,
+            epochs=warm_epochs if warm else config.adam_epochs,
+            init=incumbent[0].weights() if warm else None,
         )
-        report.submodels_trained += len(current)
-        failing: list[int] = []
-        for slot, model in zip(current, trained):
-            bound = RQRMI._error_bound_for(
-                stages, model, responsibilities[slot], ranges, widths
-            )
-            # Keep the best attempt seen for the slot, as the serial trainer
-            # keeps its last (the bound is re-checked either way).
-            previous = stage_models[slot]
-            if previous is None or bound <= error_bounds[slot]:
-                stage_models[slot] = model
-                error_bounds[slot] = bound
-            if error_bounds[slot] > config.error_threshold:
-                failing.append(slot)
-        if not failing:
-            return
-        report.retrain_attempts += len(failing)
-        if warm_attempt:
-            report.cold_fallbacks += len(failing)
-        for slot in failing:
-            if not warm_attempt:
-                samples[slot] *= 2
-        current = failing
+        report.submodels_trained += 1
+        bound = RQRMI._error_bound_for(stages, model, intervals, ranges, widths)
+        if best_model is None or bound <= best_bound:
+            best_model, best_bound = model, bound
+        if best_bound <= config.error_threshold:
+            if warm:
+                report.warm_trained += 1
+            break
+        report.retrain_attempts += 1
+        if warm:
+            report.cold_fallbacks += 1
+        else:
+            samples *= 2
+    return best_model, best_bound
 
 
 def _train_cold(
@@ -596,7 +266,6 @@ def _train_cold(
     config: RQRMIConfig,
     widths: list[int],
     report: TrainingReport,
-    pipeline_config: PipelineConfig,
 ) -> RQRMI:
     num_stages = len(widths)
     responsibilities = _initial_responsibilities(widths)
@@ -604,49 +273,25 @@ def _train_cold(
     error_bounds = [0] * widths[-1]
 
     for stage_index in range(num_stages):
-        width = widths[stage_index]
         is_last = stage_index == num_stages - 1
-        slot_intervals = responsibilities[stage_index]
-        stage_models: list[Submodel | None] = [None] * width
-        occupied = [slot for slot in range(width) if slot_intervals[slot]]
-        for slot in range(width):
-            if not slot_intervals[slot]:
-                stage_models[slot] = Submodel.identity(config.hidden_units)
-
-        if not is_last:
-            datasets = [
-                _sample_slot(
-                    slot_intervals[slot], ranges, config.initial_samples,
-                    config.seed, stage_index, slot, 0,
+        stage_models: list[Submodel] = []
+        for slot, intervals in enumerate(responsibilities[stage_index]):
+            if not intervals:
+                stage_models.append(Submodel.identity(config.hidden_units))
+            elif is_last:
+                model, error_bounds[slot] = _train_leaf(
+                    stages, intervals, ranges, config, widths, report, slot
                 )
-                for slot in occupied
-            ]
-            trained = train_submodels_stacked(
-                datasets,
-                hidden_units=config.hidden_units,
-                epochs=config.adam_epochs,
-                learning_rate=config.learning_rate,
-                max_stacked_elements=pipeline_config.max_stacked_elements,
-                early_stop_tolerance=pipeline_config.early_stop_tolerance,
-            )
-            report.submodels_trained += len(occupied)
-            for slot, model in zip(occupied, trained):
-                stage_models[slot] = model
-        else:
-            # Sentinel bounds force the retry loop to adopt the first attempt.
-            for slot in occupied:
-                error_bounds[slot] = np.iinfo(np.int64).max
-            _train_last_stage_with_retries(
-                stages, slot_intervals, ranges, config, widths, report,
-                pipeline_config, stage_index, occupied, stage_models, error_bounds,
-            )
-            for slot in range(width):
-                if stage_models[slot] is None:
-                    stage_models[slot] = Submodel.identity(config.hidden_units)
-                if error_bounds[slot] == np.iinfo(np.int64).max:
-                    error_bounds[slot] = 0
-
-        stages.append([model for model in stage_models if model is not None])
+                stage_models.append(model)
+            else:
+                stage_models.append(
+                    _fit_slot(
+                        intervals, ranges, config, stage_index, slot, 0,
+                        config.initial_samples, config.adam_epochs,
+                    )
+                )
+                report.submodels_trained += 1
+        stages.append(stage_models)
         if not is_last:
             RQRMI._assign_responsibilities(stages, responsibilities, widths, stage_index)
 
@@ -658,8 +303,8 @@ def _train_warm(
     config: RQRMIConfig,
     widths: list[int],
     report: TrainingReport,
-    pipeline_config: PipelineConfig,
     warm: RQRMI,
+    warm_epochs: int,
 ) -> RQRMI:
     num_stages = len(widths)
     # Internal stages are reused verbatim: their transition inputs — and
@@ -676,54 +321,35 @@ def _train_warm(
             stages[: stage_index + 1], responsibilities, widths, stage_index
         )
 
-    last = num_stages - 1
-    width = widths[last]
-    slot_intervals = responsibilities[last]
-    old_leaves = warm.stages[last]
-    stage_models: list[Submodel | None] = [None] * width
-    error_bounds = [0] * width
-
-    warm_slots: list[int] = []
-    warm_bound_snapshot: dict[int, tuple[Submodel, int]] = {}
-    for slot in range(width):
-        intervals = slot_intervals[slot]
+    leaves: list[Submodel] = []
+    error_bounds = [0] * widths[-1]
+    for slot, intervals in enumerate(responsibilities[-1]):
         if not intervals:
-            stage_models[slot] = Submodel.identity(config.hidden_units)
+            leaves.append(Submodel.identity(config.hidden_units))
             continue
-        old_leaf = old_leaves[slot]
+        leaf = warm.stages[-1][slot].copy()
         if _slot_signature(intervals, warm.ranges) == _slot_signature(intervals, ranges):
             # Identical range content inside the responsibility: the old
             # weights *and* the old certified bound carry over unchanged.
-            stage_models[slot] = old_leaf.copy()
-            error_bounds[slot] = warm.error_bounds[slot]
+            bound = warm.error_bounds[slot]
             report.submodels_reused += 1
-            continue
-        bound = RQRMI._error_bound_for(stages, old_leaf, intervals, ranges, widths)
-        if bound <= config.error_threshold:
-            # Changed content, but the old weights still certify: reuse them
-            # under the freshly computed bound — no training at all.
-            stage_models[slot] = old_leaf.copy()
-            error_bounds[slot] = bound
-            report.submodels_reused += 1
-            continue
-        warm_bound_snapshot[slot] = (old_leaf.copy(), bound)
-        warm_slots.append(slot)
+        else:
+            bound = RQRMI._error_bound_for(stages, leaf, intervals, ranges, widths)
+            if bound <= config.error_threshold:
+                # Changed content, but the old weights still certify: reuse
+                # them under the freshly computed bound — no training at all.
+                report.submodels_reused += 1
+            else:
+                # Seed from the old weights; the first (short) attempt is
+                # warm, retries fall back to cold full-budget training.
+                leaf, bound = _train_leaf(
+                    stages, intervals, ranges, config, widths, report, slot,
+                    incumbent=(leaf, bound), warm_epochs=warm_epochs,
+                )
+        leaves.append(leaf)
+        error_bounds[slot] = bound
 
-    if warm_slots:
-        # Seed the failing slots from the old weights; the first (short)
-        # attempt is warm, retries fall back to cold full-budget training.
-        for slot in warm_slots:
-            error_bounds[slot] = warm_bound_snapshot[slot][1]
-            stage_models[slot] = warm_bound_snapshot[slot][0]
-        _train_last_stage_with_retries(
-            stages, slot_intervals, ranges, config, widths, report,
-            pipeline_config, last, warm_slots, stage_models, error_bounds,
-            inits={slot: warm_bound_snapshot[slot][0].weights() for slot in warm_slots},
-            first_epochs=pipeline_config.resolve_warm_epochs(config.adam_epochs),
-        )
-        report.warm_trained += len(warm_slots) - report.cold_fallbacks
-
-    stages.append([model for model in stage_models if model is not None])
+    stages.append(leaves)
     return _finalise(ranges, widths, stages, error_bounds, report, config)
 
 
@@ -753,8 +379,7 @@ class TrainingPipeline:
     """Build orchestrator: trains many RQ-RMIs, optionally across processes.
 
     One pipeline instance carries the training policy (job count, warm-start
-    epoch budget, stacked-trainer chunking) and is shared by everything that
-    builds classifiers: :meth:`NuevoMatch.build
+    epoch budget) and is shared by everything that builds classifiers: :meth:`NuevoMatch.build
     <repro.core.nuevomatch.NuevoMatch.build>`,
     :meth:`ClassificationEngine.build
     <repro.engine.engine.ClassificationEngine.build>`, the sharded engine's
@@ -828,6 +453,5 @@ class TrainingPipeline:
         """JSON-safe provenance snapshot of the pipeline policy."""
         return {
             "jobs": self.config.jobs,
-            "vectorized": self.config.vectorized,
             "warm_epochs": self.config.warm_epochs,
         }

@@ -11,20 +11,20 @@ submodels' transition inputs and the range boundaries are evaluated.
 The model is trained stage by stage.  Responsibilities of stage ``i+1`` are
 derived from the transition inputs of stage ``i`` (Theorem A.1); last-stage
 submodels are retrained with doubled sample counts until the error bound meets
-the configured threshold (Figure 5).
+the configured threshold (Figure 5).  That staged loop lives in
+:func:`repro.core.pipeline.train_rqrmi`; this module holds the model, the
+responsibility and error-bound analysis it calls, lookup and persistence.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from repro.core.config import RQRMIConfig
 from repro.core.submodel import Submodel
-from repro.core.training import sample_responsibility, train_submodel
 
 __all__ = ["RangeSet", "RQRMI", "RQRMILookup", "TrainingReport"]
 
@@ -113,9 +113,6 @@ class RQRMILookup:
 class TrainingReport:
     """Statistics gathered while training one RQ-RMI model.
 
-    The provenance fields (``trainer`` onward) record *how* the model was
-    built: ``trainer`` is ``"loop"`` for the serial per-submodel path below or
-    ``"stacked"`` for the vectorized :mod:`repro.core.pipeline` trainer;
     ``warm_started`` marks models seeded from a previous RQ-RMI, with
     ``submodels_reused`` / ``warm_trained`` / ``cold_fallbacks`` counting how
     each last-stage submodel was obtained (reused verbatim, refined from the
@@ -130,7 +127,6 @@ class TrainingReport:
     max_error_bound: int = 0
     error_bounds: list[int] = field(default_factory=list)
     converged: bool = True
-    trainer: str = "loop"
     warm_started: bool = False
     submodels_reused: int = 0
     warm_trained: int = 0
@@ -156,76 +152,14 @@ class RQRMI:
 
     @classmethod
     def train(cls, ranges: RangeSet, config: RQRMIConfig | None = None) -> "RQRMI":
-        """Train an RQ-RMI for ``ranges`` following §3.5 / Figure 5."""
-        config = config or RQRMIConfig()
-        start = time.perf_counter()
-        num_ranges = len(ranges)
-        widths = config.widths_for(max(1, num_ranges))
-        if widths[0] != 1:
-            raise ValueError("the first stage must have width 1")
-        num_stages = len(widths)
-        rng = np.random.default_rng(config.seed)
-        report = TrainingReport(stage_widths=list(widths), num_ranges=num_ranges)
+        """Train an RQ-RMI for ``ranges`` following §3.5 / Figure 5.
 
-        stages: list[list[Submodel]] = []
-        responsibilities: list[list[list[Interval]]] = [[[(0.0, 1.0)]]]
-        for stage_index in range(1, num_stages):
-            responsibilities.append([[] for _ in range(widths[stage_index])])
+        The staged procedure lives in :func:`repro.core.pipeline.train_rqrmi`
+        (which also warm-starts from a previous model); this is the same call.
+        """
+        from repro.core.pipeline import train_rqrmi
 
-        error_bounds = [0] * widths[-1]
-
-        for stage_index in range(num_stages):
-            stage_models: list[Submodel] = []
-            is_last = stage_index == num_stages - 1
-            for slot in range(widths[stage_index]):
-                intervals = responsibilities[stage_index][slot]
-                if not intervals:
-                    stage_models.append(Submodel.identity(config.hidden_units))
-                    continue
-                samples = config.initial_samples
-                submodel: Submodel | None = None
-                for attempt in range(config.max_retrain_attempts + 1):
-                    dataset = sample_responsibility(
-                        intervals,
-                        ranges.lo,
-                        ranges.hi,
-                        samples,
-                        max(1, num_ranges),
-                        rng,
-                    )
-                    submodel = train_submodel(
-                        dataset,
-                        hidden_units=config.hidden_units,
-                        epochs=config.adam_epochs,
-                        learning_rate=config.learning_rate,
-                        seed=config.seed + stage_index * 1009 + slot,
-                    )
-                    report.submodels_trained += 1
-                    if not is_last:
-                        break
-                    bound = cls._error_bound_for(
-                        stages, submodel, intervals, ranges, widths
-                    )
-                    if bound <= config.error_threshold:
-                        error_bounds[slot] = bound
-                        break
-                    report.retrain_attempts += 1
-                    samples *= 2
-                    error_bounds[slot] = bound
-                assert submodel is not None
-                stage_models.append(submodel)
-            stages.append(stage_models)
-
-            if not is_last:
-                cls._assign_responsibilities(
-                    stages, responsibilities, widths, stage_index
-                )
-
-        report.training_seconds = time.perf_counter() - start
-        report.error_bounds = list(error_bounds)
-        report.max_error_bound = max(error_bounds) if error_bounds else 0
-        report.converged = report.max_error_bound <= config.error_threshold
-        return cls(stages, ranges, error_bounds, report)
+        return train_rqrmi(ranges, config)
 
     # ----------------------------------------------------------- responsibility
 
@@ -550,8 +484,6 @@ class RQRMI:
         the point of engine persistence — the Figure-15 training cost is paid
         once per rule-set.
         """
-        from dataclasses import asdict
-
         return {
             "stages": [
                 [submodel.to_dict() for submodel in stage] for stage in self.stages
@@ -566,7 +498,11 @@ class RQRMI:
         stages = [
             [Submodel.from_dict(data) for data in stage] for stage in state["stages"]
         ]
-        report = TrainingReport(**state["report"])
+        # Snapshots outlive this dataclass's field list: keep what it knows.
+        known = {spec.name for spec in fields(TrainingReport)}
+        report = TrainingReport(
+            **{key: value for key, value in state["report"].items() if key in known}
+        )
         return cls(
             stages=stages,
             ranges=RangeSet.from_state(state["ranges"]),

@@ -8,6 +8,13 @@ implementation used TensorFlow; here the same 1×H×1 ReLU network is trained
 with a small pure-numpy Adam, preceded by a closed-form least-squares fit of
 the output layer (the model is linear in the output weights given the hidden
 layer), which makes convergence fast and reliable for these tiny models.
+
+:func:`train_submodel` is the only optimiser in the package: every build —
+cold or warm-started, through whichever entry point — reaches it through the
+staged procedure in :func:`repro.core.pipeline.train_rqrmi`.  It stops as soon
+as the loss stalls; that is safe because the error bound that certifies
+lookups is computed analytically on the weights it returns, never assumed from
+how long they trained.
 """
 
 from __future__ import annotations
@@ -24,8 +31,18 @@ __all__ = [
     "fit_output_layer",
     "initial_submodel_params",
     "train_submodel",
-    "AdamState",
 ]
+
+#: Early stop: every ``STALL_CHECK_EPOCHS`` epochs a submodel whose best loss
+#: improved by less than ``STALL_TOLERANCE`` (relative) since the previous
+#: check stops training.  The closed-form initialisation already lands most
+#: submodels near their optimum, and the analytic error bound is computed on
+#: the returned weights either way, so certification is unaffected.
+STALL_CHECK_EPOCHS = 10
+STALL_TOLERANCE = 1e-3
+
+#: Closed-form output refit cadence.
+REFIT_EPOCHS = 50
 
 
 @dataclass
@@ -130,42 +147,10 @@ def fit_output_layer(
     return solution[:-1], float(solution[-1])
 
 
-@dataclass
-class AdamState:
-    """Adam optimiser state for one parameter array."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, param: np.ndarray) -> "AdamState":
-        return cls(np.zeros_like(param), np.zeros_like(param))
-
-    def step(
-        self,
-        param: np.ndarray,
-        grad: np.ndarray,
-        lr: float,
-        t: int,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> np.ndarray:
-        self.m = beta1 * self.m + (1 - beta1) * grad
-        self.v = beta2 * self.v + (1 - beta2) * (grad * grad)
-        m_hat = self.m / (1 - beta1**t)
-        v_hat = self.v / (1 - beta2**t)
-        return param - lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 def initial_submodel_params(
     xs: np.ndarray, ys: np.ndarray, hidden_units: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Cold-start parameters: uniform knots over the span + least-squares output.
-
-    Shared by the serial trainer below and the stacked trainer in
-    :mod:`repro.core.pipeline`, so both start from the same initialisation.
-    """
+    """Cold-start parameters: uniform knots over the span + least-squares output."""
     x_lo, x_hi = float(xs.min()), float(xs.max())
     span = x_hi - x_lo
     knots = np.linspace(x_lo, x_hi, hidden_units, endpoint=False)
@@ -183,21 +168,24 @@ def train_submodel(
     hidden_units: int = 8,
     epochs: int = 300,
     learning_rate: float = 0.05,
-    seed: int = 0,
     init: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None,
 ) -> Submodel:
-    """Train one submodel on ``dataset`` (§3.5.5).
+    """Train one submodel on ``dataset`` (§3.5.5) — the only optimiser.
 
     The hidden-layer knots are initialised uniformly over the dataset's input
     span, the output layer is solved in closed form, and all parameters are
-    then refined jointly with full-batch Adam under an MSE loss.  If the
+    then refined jointly with full-batch Adam under an MSE loss (hidden layer
+    at one tenth of the output learning rate, closed-form output refit every
+    :data:`REFIT_EPOCHS` epochs).  Training stops at ``epochs`` or as soon as
+    the best loss stalls (:data:`STALL_TOLERANCE`; the first check window only
+    records a baseline), and the best parameters seen are returned.  If the
     dataset is empty an identity-like submodel is returned (its responsibility
     holds no rules, so it is never consulted for a real key).
 
     ``init`` warm-starts the optimisation from previously trained
     ``(w1, b1, w2, b2)`` weights instead of the cold-start initialisation;
-    the training pipeline uses this to seed retrained submodels from the
-    engine being replaced.
+    the staged trainer uses this to seed retrained submodels from the model
+    being replaced.  Deterministic: the same inputs give the same weights.
     """
     if len(dataset) == 0:
         return Submodel.identity(hidden_units)
@@ -212,63 +200,76 @@ def train_submodel(
         w2 = np.zeros(hidden_units)
         return Submodel(w1, b1, w2, float(ys.mean()))
 
-    if init is not None:
-        w1, b1, w2, b2 = init
-        w1 = np.asarray(w1, dtype=np.float64).copy()
-        b1 = np.asarray(b1, dtype=np.float64).copy()
-        w2 = np.asarray(w2, dtype=np.float64).copy()
-        b2 = float(b2)
-    else:
-        w1, b1, w2, b2 = initial_submodel_params(xs, ys, hidden_units)
+    if init is None:
+        init = initial_submodel_params(xs, ys, hidden_units)
+    # All parameters live in one vector [w1 | b1 | w2 | b2]: one Adam update
+    # per epoch.
+    s_w1, s_b1, s_w2, s_b2 = (
+        slice(0, hidden_units),
+        slice(hidden_units, 2 * hidden_units),
+        slice(2 * hidden_units, 3 * hidden_units),
+        3 * hidden_units,
+    )
+    params = np.concatenate(
+        [np.asarray(part, dtype=np.float64).reshape(-1) for part in init]
+    )
+
+    n = len(xs)
+    xs_col = xs[:, None]
+
+    def submodel_from(vector: np.ndarray) -> Submodel:
+        return Submodel(
+            vector[s_w1].copy(), vector[s_b1].copy(), vector[s_w2].copy(),
+            float(vector[s_b2]),
+        )
+
+    def forward(vector: np.ndarray):
+        pre = xs_col * vector[s_w1] + vector[s_b1]
+        hidden = np.maximum(pre, 0.0)
+        err = hidden @ vector[s_w2] + vector[s_b2] - ys
+        return pre, hidden, err, float(err @ err) / n
 
     if epochs <= 0:
-        return Submodel(w1, b1, w2, b2)
+        return submodel_from(params)
 
-    rng = np.random.default_rng(seed)
-    states = {
-        "w1": AdamState.zeros_like(w1),
-        "b1": AdamState.zeros_like(b1),
-        "w2": AdamState.zeros_like(w2),
-        "b2": AdamState.zeros_like(np.zeros(1)),
-    }
-    b2_arr = np.array([b2])
-    n = len(xs)
-    best_params = (w1.copy(), b1.copy(), w2.copy(), float(b2_arr[0]))
-    best_loss = np.inf
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    lr = np.full(len(params), learning_rate)
+    lr[: 2 * hidden_units] *= 0.1
+    adam_m = np.zeros_like(params)
+    adam_v = np.zeros_like(params)
+    best, best_loss, checked_loss = params, np.inf, np.inf
 
     for t in range(1, epochs + 1):
-        pre = np.outer(xs, w1) + b1
-        hidden = np.maximum(pre, 0.0)
-        pred = hidden @ w2 + b2_arr[0]
-        err = pred - ys
-        loss = float(np.mean(err**2))
+        pre, hidden, err, loss = forward(params)
         if loss < best_loss:
-            best_loss = loss
-            best_params = (w1.copy(), b1.copy(), w2.copy(), float(b2_arr[0]))
+            best, best_loss = params, loss
 
         dpred = (2.0 / n) * err
-        grad_w2 = hidden.T @ dpred
-        grad_b2 = np.array([dpred.sum()])
-        dhidden = np.outer(dpred, w2) * (pre > 0.0)
-        grad_w1 = xs @ dhidden
-        grad_b1 = dhidden.sum(axis=0)
-
-        w1 = states["w1"].step(w1, grad_w1, learning_rate * 0.1, t)
-        b1 = states["b1"].step(b1, grad_b1, learning_rate * 0.1, t)
-        w2 = states["w2"].step(w2, grad_w2, learning_rate, t)
-        b2_arr = states["b2"].step(b2_arr, grad_b2, learning_rate, t)
+        dhidden = (dpred[:, None] * params[s_w2]) * (pre > 0.0)
+        grad = np.concatenate(
+            [xs @ dhidden, dhidden.sum(axis=0), hidden.T @ dpred, [dpred.sum()]]
+        )
+        adam_m = beta1 * adam_m + (1 - beta1) * grad
+        adam_v = beta2 * adam_v + (1 - beta2) * (grad * grad)
+        m_hat = adam_m / (1 - beta1**t)
+        v_hat = adam_v / (1 - beta2**t)
+        # A new vector each epoch, so ``best`` keeps the one it points at.
+        params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
 
         # Periodically re-solve the output layer in closed form; this is a pure
         # implementation accelerant (the model family is unchanged).
-        if t % 50 == 0:
-            w2, new_b2 = fit_output_layer(xs, ys, w1, b1)
-            b2_arr = np.array([new_b2])
+        if t % REFIT_EPOCHS == 0:
+            params[s_w2], params[s_b2] = fit_output_layer(
+                xs, ys, params[s_w1], params[s_b1]
+            )
+        if t % STALL_CHECK_EPOCHS == 0:
+            # The first window only records a baseline (nothing to compare).
+            if (
+                np.isfinite(checked_loss)
+                and checked_loss - best_loss <= STALL_TOLERANCE * checked_loss
+            ):
+                break
+            checked_loss = best_loss
 
-    pre = np.outer(xs, w1) + b1
-    hidden = np.maximum(pre, 0.0)
-    pred = hidden @ w2 + b2_arr[0]
-    final_loss = float(np.mean((pred - ys) ** 2))
-    if final_loss > best_loss:
-        w1, b1, w2, b2_final = best_params
-        return Submodel(w1, b1, w2, b2_final)
-    return Submodel(w1, b1, w2, float(b2_arr[0]))
+    final_loss = forward(params)[3]
+    return submodel_from(best if final_loss > best_loss else params)

@@ -125,8 +125,8 @@ class ClassificationEngine(EngineStack):
                 a :class:`Classifier` subclass.
             metadata: Free-form annotations persisted with :meth:`save`.
             pipeline: A :class:`~repro.core.pipeline.TrainingPipeline` for
-                classifiers with trained state (NuevoMatch): stage training
-                runs vectorized and fans across ``pipeline.jobs`` processes.
+                classifiers with trained state (NuevoMatch): the per-iSet
+                training jobs fan across ``pipeline.jobs`` processes.
             warm_from: A previous engine (or its classifier) over an earlier
                 version of the rules; trained submodels are seeded/reused
                 from it (see :meth:`NuevoMatch.build
@@ -134,27 +134,25 @@ class ClassificationEngine(EngineStack):
             **params: Forwarded to the classifier's ``build`` (e.g. ``config``
                 for NuevoMatch, ``binth`` for the tree baselines).
 
-        The resulting training provenance (pipeline mode, job count,
-        warm-start reuse counters) is recorded under the engine metadata's
-        ``"training"`` key and persisted by :meth:`save`.
+        A NuevoMatch build's training provenance (job count, warm-start reuse
+        counters) is recorded under the engine metadata's ``"training"`` key
+        and persisted by :meth:`save`.
         """
         classifier_cls = (
             resolve_classifier(classifier) if isinstance(classifier, str) else classifier
         )
-        pipelined = pipeline is not None or warm_from is not None
-        if pipelined:
-            if not getattr(classifier_cls, "supports_training_pipeline", False):
-                raise ValueError(
-                    f"classifier {classifier_cls.name!r} has no trained state; "
-                    "pipeline/warm_from apply to NuevoMatch-style classifiers"
-                )
-            if warm_from is not None and isinstance(warm_from, cls):
+        if issubclass(classifier_cls, NuevoMatch):
+            if isinstance(warm_from, cls):
                 warm_from = warm_from.classifier
-            params["pipeline"] = pipeline
-            params["warm_from"] = warm_from
+            params.update(pipeline=pipeline, warm_from=warm_from)
+        elif pipeline is not None or warm_from is not None:
+            raise ValueError(
+                f"classifier {classifier_cls.name!r} has no trained state; "
+                "pipeline/warm_from apply to NuevoMatch-style classifiers"
+            )
         built = classifier_cls.build(ruleset, **params)
         provenance = getattr(built, "training_provenance", None)
-        if pipelined and provenance:
+        if provenance:
             metadata = dict(metadata or {})
             metadata.setdefault("training", dict(provenance))
         return cls(built, metadata=metadata)
@@ -393,7 +391,7 @@ class ClassificationEngine(EngineStack):
             overlay = len(self._inserted) + len(self._removed)
             return min(1.0, (base_remainder + overlay) / live)
 
-    def rebuild(self, pipeline=None, warm: bool = False) -> "ClassificationEngine":
+    def rebuild(self, warm: bool = False) -> "ClassificationEngine":
         """A new engine built over the live rules, overlay folded in.
 
         Same classifier type, configuration and build parameters as this
@@ -415,7 +413,6 @@ class ClassificationEngine(EngineStack):
                 live,
                 remainder_classifier=type(old.remainder),
                 config=old.config,
-                pipeline=pipeline,
                 warm_from=old if warm else None,
                 **old.remainder.build_params,
             )

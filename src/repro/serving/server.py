@@ -62,7 +62,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import struct
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -1109,6 +1111,9 @@ def run_server(
 ) -> dict:
     """Serve ``engine`` over TCP until interrupted; returns final statistics.
 
+    ``SIGINT`` and ``SIGTERM`` (how systemd, Docker and Kubernetes stop a
+    process) both end in a clean return, so the caller's ``finally`` closes
+    the engine — shard workers and their shared-memory segments included.
     ``ready(server)`` fires once the socket is bound (the CLI prints the
     listening address there); ``shutdown`` is an optional externally-set event
     for embedding the blocking server in tests.  The engine is *not* closed —
@@ -1127,10 +1132,15 @@ def run_server(
             adaptive=adaptive,
         )
         await server.start(host, port)
+        stop = shutdown or asyncio.Event()
+        # Signal handlers can only be installed from the main thread; closing
+        # the loop (asyncio.run) removes this one.
+        if threading.current_thread() is threading.main_thread():
+            asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stop.set)
         if ready is not None:
             ready(server)
         try:
-            await (shutdown or asyncio.Event()).wait()
+            await stop.wait()
         finally:
             final_stats.update(server.statistics())
             await server.stop()

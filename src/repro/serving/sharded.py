@@ -32,8 +32,10 @@ remainder", see :mod:`repro.engine.engine`) and applies it in its own
 the built structures only, and the same engines' overlays are applied here to
 the ring results.  :class:`~repro.serving.updates.UpdateQueue` routes each
 insert/remove to the owning shard's engine and schedules a shard's
-``engine.rebuild`` once its remainder fraction crosses the threshold; the
-rebuilt engine (a new object) is swapped in atomically.
+``engine.rebuild(warm=True)`` once its remainder fraction crosses the
+threshold — a NuevoMatch shard reuses or refines the submodels of the engine
+being replaced, and a submodel whose warm start cannot certify its bound
+retrains cold; the rebuilt engine (a new object) is swapped in atomically.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.classifiers.base import TRACE_FIELDS, MemoryFootprint
-from repro.core.pipeline import TrainingPipeline
 from repro.engine.engine import ClassificationEngine
 from repro.engine.stack import EngineStack, validate_block
 from repro.engine.serialization import (
@@ -123,8 +124,6 @@ class ShardedEngine(EngineStack):
         executor: str = "serial",
         retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
         background_retraining: bool = True,
-        warm_retrain: bool = True,
-        retrain_jobs: int = 1,
         metadata: dict | None = None,
     ):
         if not engines:
@@ -148,18 +147,9 @@ class ShardedEngine(EngineStack):
         self._partitioner = partitioner
         self._executor_kind = executor
         self.metadata = dict(metadata or {})
-        self._warm_retrain = warm_retrain
-        self._retrain_jobs = retrain_jobs
-        self._retrain_pipeline = (
-            TrainingPipeline(jobs=retrain_jobs) if warm_retrain or retrain_jobs > 1
-            else None
-        )
         self._shards = [_Shard(index, engine) for index, engine in enumerate(engines)]
         self.updates = UpdateQueue(
             self._shards,
-            rebuild=lambda engine: engine.rebuild(
-                pipeline=self._retrain_pipeline, warm=self._warm_retrain
-            ),
             retrain_threshold=retrain_threshold,
             background=background_retraining,
         )
@@ -181,8 +171,6 @@ class ShardedEngine(EngineStack):
         executor: str = "serial",
         retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
         background_retraining: bool = True,
-        warm_retrain: bool = True,
-        retrain_jobs: int = 1,
         pipeline=None,
         metadata: dict | None = None,
         **params,
@@ -200,9 +188,6 @@ class ShardedEngine(EngineStack):
             retrain_threshold: Remainder fraction triggering a shard retrain.
             background_retraining: Retrain in a worker thread (default) or
                 inline during the triggering update (deterministic).
-            warm_retrain: Seed shard retrains from the engine being replaced
-                (NuevoMatch shards; see :mod:`repro.core.pipeline`).
-            retrain_jobs: Process-pool width for a retrain's iSet training.
             pipeline: Optional :class:`~repro.core.pipeline.TrainingPipeline`
                 for the *initial* per-shard builds (NuevoMatch only).
             metadata: Free-form annotations persisted with :meth:`save`.
@@ -221,8 +206,6 @@ class ShardedEngine(EngineStack):
             executor=executor,
             retrain_threshold=retrain_threshold,
             background_retraining=background_retraining,
-            warm_retrain=warm_retrain,
-            retrain_jobs=retrain_jobs,
             metadata=metadata,
         )
 
@@ -425,8 +408,6 @@ class ShardedEngine(EngineStack):
             "num_shards": self.num_shards,
             "executor": self._executor_kind,
             "partitioner": self._partitioner,
-            "warm_retrain": self._warm_retrain,
-            "retrain_jobs": self._retrain_jobs,
             "num_rules": sum(self.shard_sizes()),
             "shards": [shard.statistics() for shard in self._shards],
             "updates": self.updates.statistics(),
@@ -459,8 +440,6 @@ class ShardedEngine(EngineStack):
                 "repro_version": __version__,
                 "partitioner": self._partitioner,
                 "retrain_threshold": self.updates.retrain_threshold,
-                "warm_retrain": self._warm_retrain,
-                "retrain_jobs": self._retrain_jobs,
                 "metadata": self.metadata,
                 "shards": shards_state,
             },
@@ -477,7 +456,8 @@ class ShardedEngine(EngineStack):
 
         ``executor`` is a deployment choice, not snapshot state: an
         ``"executor"`` key written by an older build is ignored, so those
-        snapshots keep loading whatever it names.
+        snapshots keep loading whatever it names — as are the retrain-policy
+        keys older builds wrote (a retrain is always a warm rebuild).
         """
         document = read_document(path)
         kind = document.get("kind")
@@ -504,8 +484,6 @@ class ShardedEngine(EngineStack):
                 "retrain_threshold", DEFAULT_RETRAIN_THRESHOLD
             ),
             background_retraining=background_retraining,
-            warm_retrain=document.get("warm_retrain", True),
-            retrain_jobs=document.get("retrain_jobs", 1),
             metadata=document.get("metadata"),
         )
         for engine, shard_state in zip(engines, document["shards"]):

@@ -15,11 +15,12 @@ policy around it:
   remainder plus overlay, over the live rules) crosses the threshold, its
   engine is rebuilt over a live snapshot in a worker thread and swapped in
   atomically; updates that arrive mid-retrain stay in the overlay until the
-  next cycle.  The rebuild goes through the warm-start training pipeline by
-  default (:mod:`repro.core.pipeline`): new RQ-RMI submodels are seeded from
-  the engine being replaced and only submodels whose responsibility content
-  changed retrain, shrinking the retrain-to-swap latency — the queue records
-  it per retrain (``last_retrain_seconds`` / ``retrain_seconds_total``).  A
+  next cycle.  The rebuild is always ``engine.rebuild(warm=True)``
+  (:mod:`repro.core.pipeline`): new RQ-RMI submodels are seeded from the
+  engine being replaced and only submodels whose responsibility content
+  changed retrain (cold when the warm start cannot certify its bound),
+  shrinking the retrain-to-swap latency — the queue records it per retrain
+  (``last_retrain_seconds`` / ``retrain_seconds_total``).  A
   rebuild that raises is counted and kept (``retrains_failed`` /
   ``last_retrain_error``), never thrown through the update that triggered
   it: the shard goes on serving exact results from its overlay and the next
@@ -61,9 +62,6 @@ class UpdateQueue:
     Args:
         shards: The engine's shard objects
             (:class:`repro.serving.sharded._Shard`).
-        rebuild: ``rebuild(engine)`` returns a new engine built over
-            ``engine``'s live rules (:meth:`ClassificationEngine.rebuild
-            <repro.engine.ClassificationEngine.rebuild>`) for the atomic swap.
         retrain_threshold: Remainder fraction that triggers a retrain.
         background: Retrain in a daemon thread (production mode) or inline
             during the triggering update (deterministic mode for tests and
@@ -73,14 +71,12 @@ class UpdateQueue:
     def __init__(
         self,
         shards: Sequence,
-        rebuild: Callable,
         retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
         background: bool = True,
     ):
         if not 0.0 < retrain_threshold <= 1.0:
             raise ValueError("retrain_threshold must be in (0, 1]")
         self._shards = list(shards)
-        self._rebuild = rebuild
         self.retrain_threshold = retrain_threshold
         self.background = background
         self._lock = threading.RLock()
@@ -199,7 +195,7 @@ class UpdateQueue:
     def _retrain(self, shard) -> None:
         start = time.perf_counter()
         try:
-            rebuilt = self._rebuild(shard.engine)
+            rebuilt = shard.engine.rebuild(warm=True)
         except Exception as exc:  # noqa: BLE001 - reported through statistics()
             # The update that crossed the threshold is applied and
             # acknowledged; the overlay keeps serving it exactly.

@@ -88,10 +88,27 @@ class TestTrain:
         out = tmp_path / "engine.json.gz"
         assert main(["train", str(ruleset_file), str(out), "--jobs", "2"]) == 0
         printed = capsys.readouterr().out
-        assert "training mode" in printed
+        assert "training submodels_trained" in printed
         engine = ClassificationEngine.load(out)
-        assert engine.metadata["training"]["mode"] == "pipeline"
-        assert engine.metadata["training"]["jobs"] == 2
+        training = engine.metadata["training"]
+        assert training["jobs"] == 2 and training["submodels_trained"] > 0
+        assert training["warm_started"] is False
+        assert training["submodels_reused"] == training["warm_trained"] == 0
+        assert training["cold_fallbacks"] == 0
+
+    def test_train_and_engine_save_persist_the_same_model(self, ruleset_file, tmp_path):
+        from repro.engine import ClassificationEngine
+
+        def isets(path):
+            states = ClassificationEngine.load(path).classifier.to_state()["isets"]
+            for state in states:
+                state["model"]["report"]["training_seconds"] = None
+            return states
+
+        saved, trained = tmp_path / "saved.json.gz", tmp_path / "trained.json.gz"
+        assert main(["engine", "save", str(ruleset_file), str(saved)]) == 0
+        assert main(["train", str(ruleset_file), str(trained), "--jobs", "2"]) == 0
+        assert isets(saved) == isets(trained)
 
     def test_train_warm_start_from_snapshot(self, ruleset_file, tmp_path, capsys):
         cold = tmp_path / "cold.json.gz"
@@ -159,6 +176,77 @@ class TestServeListen:
         for bad in ("8590", "host:", "host:port"):
             with pytest.raises(SystemExit):
                 _listen_address(bad)
+
+    @pytest.mark.parametrize("stop_signal", ["SIGTERM", "SIGINT"])
+    def test_stop_signal_is_a_clean_shutdown(self, ruleset_file, stop_signal):
+        """``SIGTERM`` (systemd, Docker, Kubernetes) and ``SIGINT`` both stop
+        ``repro serve`` through ``engine.close()``: exit code 0, no shard
+        worker left running, no shared-memory segment left behind."""
+        import glob
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import threading
+        import time
+        from pathlib import Path
+
+        from repro.workloads import run_load
+
+        def children_of(pid):
+            found = []
+            for stat in glob.glob("/proc/[0-9]*/stat"):
+                try:
+                    fields = Path(stat).read_text().rsplit(")", 1)[1].split()
+                except OSError:
+                    continue  # exited while we were listing
+                if int(fields[1]) == pid and fields[0] != "Z":
+                    found.append(int(stat.split("/")[2]))
+            return found
+
+        segments_before = set(glob.glob("/dev/shm/rqw*"))
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(ruleset_file),
+             "--listen", "127.0.0.1:0", "--shards", "2", "--executor", "workers",
+             "--classifier", "tm"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            address = None
+            for line in proc.stderr:
+                address = re.search(r"listening on ([\d.]+):(\d+)", line)
+                if address:
+                    break
+            assert address, "server never announced its address"
+            packets = [
+                tuple(p)
+                for p in parse_classbench_file(ruleset_file).sample_packets(8, seed=5)
+            ]
+            report = run_load(
+                address[1], int(address[2]), packets, connections=1, window=8
+            )
+            assert report.completed == 8 and report.errors == 0
+            workers = children_of(proc.pid)
+            assert len(workers) >= 2, "the shard workers should be running"
+            assert set(glob.glob("/dev/shm/rqw*")) - segments_before
+
+            proc.send_signal(getattr(signal, stop_signal))
+            assert proc.wait(timeout=15) == 0
+            deadline = time.monotonic() + 5
+            while any(os.path.exists(f"/proc/{pid}") for pid in workers):
+                assert time.monotonic() < deadline, "a child survived the server"
+                time.sleep(0.05)
+            assert set(glob.glob("/dev/shm/rqw*")) <= segments_before
+        finally:
+            watchdog.cancel()
+            proc.kill()
+            proc.wait(timeout=15)
+            proc.stderr.close()
 
 
 class TestServe:

@@ -132,7 +132,9 @@ class TestEngineFacade:
 
     def test_statistics_carry_metadata(self, engine):
         stats = engine.statistics()
-        assert stats["engine_metadata"] == {"origin": "test"}
+        # The caller's annotations, plus the build's training provenance.
+        assert stats["engine_metadata"]["origin"] == "test"
+        assert stats["engine_metadata"]["training"]["submodels_trained"] > 0
         assert stats["name"] == "nm"
 
     @pytest.mark.parametrize("name", ["tss", "hicuts"])

@@ -6,6 +6,11 @@
 reads them without a format bump and serves the same answers: a clean
 NuevoMatch engine, a TupleMerge engine saved after native online updates, and
 a 2-shard NuevoMatch snapshot with a pending overlay on both shards.
+
+They also carry what later builds stopped writing — ``"trainer"`` in every
+RQ-RMI training report, ``warm_retrain``/``retrain_jobs`` in the sharded
+document — so loading them is the test that dropping a report field or a
+document key does not orphan a snapshot.
 """
 
 import json
@@ -15,6 +20,11 @@ import numpy as np
 import pytest
 
 from repro.engine import ClassificationEngine
+from repro.engine.serialization import (
+    ENGINE_FILE_VERSION,
+    SHARDED_FILE_VERSION,
+    read_document,
+)
 from repro.serving import ShardedEngine
 
 DATA = Path(__file__).parent / "data" / "parent_snapshots"
@@ -51,3 +61,25 @@ def test_parent_sharded_snapshot_with_overlay_serves_identically(executor, tmp_p
         sharded.save(tmp_path / "rewritten.json.gz")
     with ShardedEngine.load(tmp_path / "rewritten.json.gz") as rewritten:
         _assert_serves_as_recorded(rewritten, name)
+
+
+def test_fixtures_carry_the_dropped_fields_and_versions_did_not_move():
+    engine = read_document(DATA / "engine_nm.json.gz")
+    sharded = read_document(DATA / "sharded_nm_overlay.json.gz")
+    assert engine["format"] == ENGINE_FILE_VERSION == 1
+    assert sharded["format"] == SHARDED_FILE_VERSION == 1
+    assert {"warm_retrain", "retrain_jobs"} <= set(sharded)
+    for iset in engine["classifier"]["isets"]:
+        assert iset["model"]["report"]["trainer"] == "loop"
+
+
+def test_unknown_training_report_fields_are_ignored():
+    """A report field this build has never heard of (written by a newer or an
+    older one) does not make the snapshot unloadable."""
+    document = read_document(DATA / "engine_nm.json.gz")
+    for iset in document["classifier"]["isets"]:
+        iset["model"]["report"]["field_from_another_build"] = {"any": "value"}
+    engine = ClassificationEngine.from_document(document)
+    _assert_serves_as_recorded(engine, "engine_nm")
+    report = engine.classifier.isets[0].model.report
+    assert report.submodels_trained == 5 and not hasattr(report, "trainer")

@@ -1,11 +1,14 @@
-"""Tests for the parallel warm-start training pipeline (repro.core.pipeline).
+"""Tests for the staged trainer and build orchestrator (repro.core.pipeline).
 
-The pipeline's three contracts, in test form:
+The pipeline's contracts, in test form (the optimiser's own tests are in
+``test_training.py``):
 
+* **one model from every entry point** — ``RQRMI.train``, ``train_rqrmi`` and
+  ``TrainingPipeline`` at any job count produce the same weights and bounds;
 * **determinism** — ``jobs=1`` and ``jobs=4`` builds produce identical
   engines; warm-starting from the same source twice produces identical
   weights;
-* **certification** — however a submodel was obtained (stacked cold training,
+* **certification** — however a submodel was obtained (cold training,
   verbatim reuse, warm refinement, cold fallback), the per-leaf error bound
   holds analytically over sampled keys and the end-to-end classifier matches
   linear-search ground truth;
@@ -22,15 +25,9 @@ import pytest
 
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
-from repro.core.pipeline import (
-    PipelineConfig,
-    TrainingPipeline,
-    train_rqrmi,
-    train_submodels_stacked,
-)
+from repro.core.pipeline import PipelineConfig, TrainingPipeline, train_rqrmi
 from repro.core.rqrmi import RQRMI, RangeSet
 from repro.core.submodel import Submodel
-from repro.core.training import sample_responsibility, train_submodel
 from repro.engine import ClassificationEngine
 from repro.rules import generate_classbench
 from repro.rules.rule import Rule
@@ -92,64 +89,52 @@ def base_engine(acl_rules, nm_config):
     )
 
 
-class TestStackedTrainer:
-    def test_matches_serial_quality(self):
+def _rqrmi_state_sans_timing(model: RQRMI) -> str:
+    state = model.to_state()
+    state["report"]["training_seconds"] = None
+    return json.dumps(state, sort_keys=True)
+
+
+class TestOneModelFromEveryEntryPoint:
+    def test_rqrmi_entry_points_agree(self):
         domain = 1 << 24
-        ranges = _disjoint_ranges(200, seed=1, domain=domain)
-        rset = RangeSet.from_integer_ranges(ranges, domain)
-        rng = np.random.default_rng(2)
-        datasets = [
-            sample_responsibility(
-                [(i / 4, (i + 1) / 4)], rset.lo, rset.hi, 400, len(rset), rng
+        ranges = RangeSet.from_integer_ranges(_disjoint_ranges(700, 3, domain), domain)
+        config = RQRMIConfig(adam_epochs=60, error_threshold=32)
+        other = RangeSet.from_integer_ranges(_disjoint_ranges(300, 4, domain), domain)
+        reference = _rqrmi_state_sans_timing(train_rqrmi(ranges, config))
+        assert _rqrmi_state_sans_timing(RQRMI.train(ranges, config)) == reference
+        for jobs in (1, 2):
+            # Two specs, so jobs=2 really crosses the process boundary.
+            first, _second = TrainingPipeline(jobs=jobs).train_many(
+                [(ranges, config, None), (other, config, None)]
             )
-            for i in range(4)
-        ]
-        stacked = train_submodels_stacked(datasets, epochs=80)
-        for dataset, model in zip(datasets, stacked):
-            serial = train_submodel(dataset, epochs=80)
-            stacked_mse = float(np.mean((model.predict_batch(dataset.xs) - dataset.ys) ** 2))
-            serial_mse = float(np.mean((serial.predict_batch(dataset.xs) - dataset.ys) ** 2))
-            # The stacked trainer may early-stop; it must stay in the same
-            # quality regime as the full serial run.
-            assert stacked_mse <= max(serial_mse * 5, 1e-4)
+            assert _rqrmi_state_sans_timing(first) == reference, jobs
 
-    def test_empty_and_degenerate_datasets(self):
-        from repro.core.training import TrainingDataset
-
-        constant = TrainingDataset(np.array([0.5, 0.5]), np.array([0.25, 0.25]))
-        models = train_submodels_stacked([None, constant])
-        assert isinstance(models[0], Submodel)
-        assert models[1](0.5) == pytest.approx(0.25, abs=1e-6)
-
-    def test_chunking_is_transparent(self):
-        domain = 1 << 24
-        rset = RangeSet.from_integer_ranges(_disjoint_ranges(64, seed=4, domain=domain), domain)
-        rng = np.random.default_rng(5)
-        datasets = [
-            sample_responsibility(
-                [(i / 8, (i + 1) / 8)], rset.lo, rset.hi, 200, len(rset), rng
-            )
-            for i in range(8)
-        ]
-        whole = train_submodels_stacked(datasets, epochs=40)
-        chunked = train_submodels_stacked(
-            datasets, epochs=40, max_stacked_elements=200 * 8 * 2
+    def test_engine_build_without_a_pipeline_is_the_same_build(
+        self, acl_rules, nm_config, base_engine
+    ):
+        default = ClassificationEngine.build(
+            acl_rules, classifier="nm", remainder_classifier="tm", config=nm_config
         )
-        for a, b in zip(whole, chunked):
-            assert np.array_equal(a.w1, b.w1)
-            assert np.array_equal(a.w2, b.w2)
-            assert a.b2 == b.b2
-
-    def test_early_stop_disabled_matches_full_budget(self):
-        domain = 1 << 24
-        rset = RangeSet.from_integer_ranges(_disjoint_ranges(32, seed=6, domain=domain), domain)
-        rng = np.random.default_rng(7)
-        dataset = sample_responsibility(
-            [(0.0, 1.0)], rset.lo, rset.hi, 300, len(rset), rng
+        assert _model_states_sans_timing(default.classifier) == (
+            _model_states_sans_timing(base_engine)
         )
-        full = train_submodels_stacked([dataset], epochs=60, early_stop_tolerance=0.0)
-        again = train_submodels_stacked([dataset], epochs=60, early_stop_tolerance=0.0)
-        assert np.array_equal(full[0].w1, again[0].w1)
+        training = default.metadata["training"]
+        assert training["jobs"] == 1 and training["warm_started"] is False
+        assert training["submodels_trained"] > 0
+
+    def test_a_shards_first_build_is_the_same_build(self, acl_rules, nm_config):
+        with ShardedEngine.build(
+            acl_rules, shards=2, classifier="nm", remainder_classifier="tm",
+            config=nm_config,
+        ) as sharded:
+            for shard in sharded._shards:
+                alone = NuevoMatch.build(
+                    shard.engine.ruleset, remainder_classifier="tm", config=nm_config
+                )
+                assert _model_states_sans_timing(shard.engine.classifier) == (
+                    _model_states_sans_timing(alone)
+                )
 
 
 class TestPipelineConfig:
@@ -158,8 +143,6 @@ class TestPipelineConfig:
             PipelineConfig(jobs=0)
         with pytest.raises(ValueError):
             PipelineConfig(warm_epochs=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(early_stop_tolerance=-1.0)
         with pytest.raises(ValueError):
             TrainingPipeline(PipelineConfig(), jobs=2)
 
@@ -291,12 +274,16 @@ class TestEngineIntegration:
             acl_rules, classifier="nm", remainder_classifier="tm",
             config=nm_config, pipeline=TrainingPipeline(jobs=1),
         )
-        assert engine.metadata["training"]["mode"] == "pipeline"
+        training = engine.metadata["training"]
+        assert training["jobs"] == 1 and training["submodels_trained"] > 0
+        assert training["warm_started"] is False
+        assert training["submodels_reused"] == training["warm_trained"] == 0
+        assert training["cold_fallbacks"] == 0
         path = tmp_path / "engine.json.gz"
         engine.save(path)
         restored = ClassificationEngine.load(path)
-        assert restored.metadata["training"]["mode"] == "pipeline"
-        assert restored.classifier.training_provenance["mode"] == "pipeline"
+        assert restored.metadata["training"] == training
+        assert restored.classifier.training_provenance == training
 
     def test_engine_warm_from_engine_snapshot(
         self, acl_rules, nm_config, base_engine, tmp_path
@@ -338,45 +325,27 @@ class TestShardedWarmRetrain:
             assert retrained
             for shard in retrained:
                 provenance = shard.engine.classifier.training_provenance
-                assert provenance["mode"] == "pipeline"
                 assert provenance["warm_started"] is True
+                assert provenance["jobs"] == 1
+                assert provenance["submodels_reused"] + provenance["warm_trained"] > 0
             engine.verify(engine.ruleset.sample_packets(200, seed=41))
         finally:
             engine.close()
 
-    def test_cold_retrain_opt_out(self, acl_rules, nm_config):
-        engine = ShardedEngine.build(
-            acl_rules, shards=1, classifier="nm", remainder_classifier="tm",
-            config=nm_config, background_retraining=False,
-            retrain_threshold=0.25, warm_retrain=False,
-        )
-        try:
-            donor = acl_rules.rules[0]
-            max_id = max(rule.rule_id for rule in acl_rules)
-            for index in range(1, len(acl_rules)):
-                engine.insert(Rule(donor.ranges, priority=100_000 + index,
-                                   action=donor.action, rule_id=max_id + index))
-                if engine.updates.retrains_completed:
-                    break
-            provenance = engine._shards[0].engine.classifier.training_provenance
-            assert provenance.get("warm_started") is not True
-        finally:
-            engine.close()
+    def test_snapshot_carries_no_retrain_policy(self, acl_rules, nm_config, tmp_path):
+        """A retrain is always a warm rebuild: nothing about it is persisted,
+        and the keys older builds wrote are ignored on load (see
+        ``test_parent_snapshots``)."""
+        from repro.engine.serialization import read_document
 
-    def test_save_load_round_trips_retrain_policy(self, acl_rules, nm_config, tmp_path):
-        engine = ShardedEngine.build(
-            acl_rules, shards=2, classifier="nm", remainder_classifier="tm",
-            config=nm_config, warm_retrain=False, retrain_jobs=3,
-        )
         path = tmp_path / "sharded.json.gz"
-        try:
+        with ShardedEngine.build(
+            acl_rules, shards=2, classifier="nm", remainder_classifier="tm",
+            config=nm_config, retrain_threshold=0.4,
+        ) as engine:
             engine.save(path)
-        finally:
-            engine.close()
-        restored = ShardedEngine.load(path)
-        try:
-            stats = restored.statistics()
-            assert stats["warm_retrain"] is False
-            assert stats["retrain_jobs"] == 3
-        finally:
-            restored.close()
+            stats = engine.statistics()
+        assert not {"warm_retrain", "retrain_jobs"} & (set(read_document(path)) | set(stats))
+        with ShardedEngine.load(path) as restored:
+            assert restored.updates.retrain_threshold == 0.4
+            assert set(restored.statistics()) == set(stats)

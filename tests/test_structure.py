@@ -1,14 +1,15 @@
-"""Structural guard: one lookup path per stack, and one update path, cannot
-grow back unnoticed.
+"""Structural guard: one lookup path per stack, one update path and one
+RQ-RMI trainer cannot grow back unnoticed.
 
 AST-based, so it reads what the source *defines*, not what an import happens
 to expose: among classifiers and engine stacks under ``src/repro`` only
 ``Classifier`` and ``EngineStack`` define ``classify_batch``, only
 ``EngineStack`` defines ``serve``/``verify`` for engine stacks, the sharded
 engine keeps exactly two executors, the §3.9 update overlay lives in exactly
-one class (``ClassificationEngine``; ``_Shard`` is swap bookkeeping), and none
-of the superseded names survives.  (The wire client's
-``AsyncClient.classify_batch`` is a network call, not a lookup
+one class (``ClassificationEngine``; ``_Shard`` is swap bookkeeping), the
+staged training loop lives in ``core/pipeline.py`` and the Adam update in
+``core/training.py`` only, and none of the superseded names survives.  (The
+wire client's ``AsyncClient.classify_batch`` is a network call, not a lookup
 implementation, and is exempt.)
 """
 
@@ -106,7 +107,9 @@ def test_superseded_names_are_gone():
         r"_fan_out_workers|_process_worker_\w*|_retire_process_pool|"
         r"supports_block|CLASSIFIER_REGISTRY|UpdatableNuevoMatch|"
         r"supports_updates|_effective_ruleset|_updatable|"
-        r"_rebuild_shard_engine)\b|columnar="
+        r"_rebuild_shard_engine|train_submodels_stacked|_train_stacked_chunk|"
+        r"AdamState|max_stacked_elements|early_stop_tolerance|serial_trainer|"
+        r"supports_training_pipeline|warm_retrain|retrain_jobs)\b|columnar="
     )
     offenders = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
@@ -115,6 +118,43 @@ def test_superseded_names_are_gone():
         if removed.search(line)
     ]
     assert offenders == []
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every identifier a tree mentions: names, attributes, arguments."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_one_staged_loop_and_one_adam_update():
+    """``RQRMI`` trains through ``core/pipeline.train_rqrmi`` — no method of
+    it samples a responsibility or fits a submodel itself — and the Adam
+    moment update exists in ``core/training.py`` alone."""
+    rqrmi = ast.parse((SRC / "core" / "rqrmi.py").read_text())
+    assert not _names(rqrmi) & {"train_submodel", "sample_responsibility"}
+    adam = {
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if _names(ast.parse(path.read_text())) & {"beta1", "beta2"}
+    }
+    assert adam == {"core/training.py"}
+    callers = {
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", "")) == "train_submodel"
+    }
+    assert callers == {"core/pipeline.py"}
 
 
 def test_flowcache_holds_no_rule_objects():
