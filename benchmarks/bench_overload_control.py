@@ -39,7 +39,6 @@ from repro.engine import ClassificationEngine
 from repro.serving import (
     AsyncServer,
     ControllerConfig,
-    ControlSettings,
     OverloadController,
 )
 from repro.workloads import BurstProfile, open_loop_load
@@ -146,9 +145,7 @@ def test_overload_control():
     engine = PacedEngine(inner, PACKET_COST_US)
 
     def static_server():
-        return AsyncServer(
-            engine, max_batch=64, max_delay_us=200, max_queue=STATIC_QUEUE
-        )
+        return AsyncServer(engine, max_queue=STATIC_QUEUE)
 
     def adaptive_server():
         controller = OverloadController(
@@ -160,17 +157,9 @@ def test_overload_control():
                 window_s=CONTROL_WINDOW_S,
                 headroom=0.5,
             ),
-            ControlSettings(
-                max_batch=64, max_delay_us=200.0, max_queue=ADAPTIVE_QUEUE
-            ),
+            ADAPTIVE_QUEUE,
         )
-        return AsyncServer(
-            engine,
-            max_batch=64,
-            max_delay_us=200,
-            max_queue=ADAPTIVE_QUEUE,
-            controller=controller,
-        )
+        return AsyncServer(engine, max_queue=ADAPTIVE_QUEUE, controller=controller)
 
     static = asyncio.run(_run_phases(static_server, rules))
     adaptive = asyncio.run(_run_phases(adaptive_server, rules))

@@ -1,25 +1,21 @@
-"""Network-serving throughput — the adaptive-coalescing sweep.
+"""Network-serving throughput — the frame-width × concurrency sweep.
 
-The paper's throughput comes from batched RQ-RMI inference; the
-:class:`~repro.serving.server.AsyncServer` recovers that batching from
-*network* traffic by coalescing concurrent requests into micro-batches under
-a ``(max_batch, max_delay_us)`` policy.  This benchmark quantifies what the
-coalescing buys: a zipf-95 trace (§5.1.1) is offered open-loop to an
-in-process server across a {client concurrency} × {max_delay_us} sweep, plus
-a *one-request-per-call* baseline (``max_batch=1`` — every request is its own
-``classify_batch`` call, the dispatch regime a naive RPC server would use).
+The paper's throughput comes from running RQ-RMI inference over a block of
+packets, and the :class:`~repro.serving.server.AsyncServer` serves a lookup
+the same way: one wire-v2 classify-batch frame is one ``classify_block``
+call.  Batching is therefore the *client's* dial.  This benchmark prices it:
+a zipf-95 trace (§5.1.1) is offered open-loop to an in-process server across
+a {rows per frame} × {per-connection in-flight window} sweep, on the two
+stacks ``repro serve --classifier nm --remainder tm`` runs — the plain
+NuevoMatch engine and the same engine behind a flow cache (``--cache-size``).
 
-Reported per cell: client-observed throughput and p50/p99 latency, plus the
-server's mean coalesced batch size.  Shape assertions: concurrency must
-actually coalesce (mean batch size > 1), and coalesced dispatch must beat the
-one-request-per-call baseline at the same concurrency.
-
-A second sweep prices the wire protocol: the production serving stack (the
-flow-cached engine ``repro serve`` runs) is driven with pre-formed batches
-over pinned JSON (v1) and over negotiated binary v2, identical in every
-other respect.  The floor — binary v2 must reach at least
-``WIRE_V2_FLOOR`` × the JSON throughput — is hardware-independent: JSON
-spends its budget on per-request encode/parse that v2 simply does not do.
+Reported per cell: client-observed throughput (packets/s) and p50/p99
+latency.  One floor, hardware-independent because both sides pay the same
+per-frame costs (framing, a task, an executor hop, admission) and differ only
+in how many rows amortize them: at the heaviest window, 64-row frames must
+reach at least ``FRAME_FLOOR`` × the throughput of 1-row frames on both
+stacks (measured at ``ci`` scale on 2 vCPUs: 12–14× uncached, 16–25×
+cached).
 
 Results land in the shared BENCH schema (``benchmarks/results/
 server_throughput.json`` plus a ``BENCH {...}`` stdout line).
@@ -33,33 +29,32 @@ from repro.engine import ClassificationEngine
 from repro.serving import AsyncServer, CachedEngine
 from repro.workloads import make_trace, open_loop_load
 
-from bench_helpers import current_scale, report, report_json, ruleset
+from bench_helpers import (
+    build_nuevomatch,
+    current_scale,
+    report,
+    report_json,
+    ruleset,
+)
 from repro.analysis import format_table
 
-CLASSIFIER = "tm"
+REMAINDER = "tm"
+CLASSIFIER = f"nm/{REMAINDER}"
 CONNECTIONS = 4
+#: Packets per classify-batch frame: 1 is a per-packet sender.
+FRAME_ROWS = (1, 8, 64, 512)
 #: Per-connection in-flight windows: 1 ≈ closed-loop ping-pong, 32 ≈ heavy
 #: concurrent load.
 WINDOWS = (1, 8, 32)
-#: Coalescing delay bounds (us); 0 batches only what queued behind the
-#: previous dispatch.
-DELAYS_US = (0.0, 200.0, 1000.0)
-MAX_BATCH = 64
-
-#: Wire-protocol comparison: pre-formed batch size, per-connection window,
-#: flow-cache capacity for the serving stack, and the v2-vs-JSON floor.
-WIRE_BATCH = 64
-WIRE_WINDOW = 8
-WIRE_CACHE = 4096
-WIRE_V2_FLOOR = 3.0
+#: Flow-cache capacity of the cached stack.
+CACHE = 4096
+#: 64-row frames vs 1-row frames at the heaviest window.
+FLOOR_ROWS = 64
+FRAME_FLOOR = 3.0
 
 
-async def _measure(
-    engine, packets, max_batch, max_delay_us, window, batch=1, protocol="json"
-):
-    async with AsyncServer(
-        engine, max_batch=max_batch, max_delay_us=max_delay_us
-    ) as server:
+async def _measure(engine, packets, rows, window):
+    async with AsyncServer(engine) as server:
         await server.start("127.0.0.1", 0)
         return await open_loop_load(
             server.host,
@@ -67,18 +62,8 @@ async def _measure(
             packets,
             connections=CONNECTIONS,
             window=window,
-            batch=batch,
-            protocol=protocol,
+            batch=rows,
         )
-
-
-def _cell(engine, packets, max_batch, max_delay_us, window, **kwargs):
-    load = asyncio.run(
-        _measure(engine, packets, max_batch, max_delay_us, window, **kwargs)
-    )
-    assert load.completed == len(packets)
-    assert load.errors == 0 and load.overloaded == 0
-    return load
 
 
 def test_server_throughput():
@@ -89,119 +74,52 @@ def test_server_throughput():
     num_packets = max(10 * scale["trace_packets"], 2000)
     trace = make_trace("zipf", rules, num_packets, seed=59, skew=95)
     packets = [tuple(p) for p in trace]
-    engine = ClassificationEngine.build(rules, classifier=CLASSIFIER)
+    engine = ClassificationEngine(build_nuevomatch(REMAINDER, application, size))
+    stacks = {"uncached": engine, "cached": CachedEngine(engine, capacity=CACHE)}
 
     rows = []
     series = []
-    coalesced_by_window: dict[int, float] = {}
-    for window in WINDOWS:
-        for delay_us in DELAYS_US:
-            load = _cell(engine, packets, MAX_BATCH, delay_us, window)
-            concurrency = CONNECTIONS * window
-            coalesced_by_window[window] = max(
-                coalesced_by_window.get(window, 0.0), load.throughput_rps
-            )
-            series.append(
-                {
-                    "mode": "coalesced",
-                    "max_batch": MAX_BATCH,
-                    "max_delay_us": delay_us,
-                    "connections": CONNECTIONS,
-                    "window": window,
-                    "concurrency": concurrency,
-                    "load": load.as_dict(),
-                }
-            )
-            rows.append(
-                [
-                    f"coalesced({MAX_BATCH})",
-                    int(delay_us),
-                    concurrency,
-                    round(load.throughput_rps / 1e3, 2),
-                    round(load.mean_batch_size, 2),
-                    round(load.latency_p50_us, 1),
-                    round(load.latency_p99_us, 1),
-                ]
-            )
-
-    # One-request-per-call dispatch at the heaviest concurrency: the regime
-    # coalescing must beat.
-    heaviest = max(WINDOWS)
-    baseline = _cell(engine, packets, 1, 0.0, heaviest)
-    series.append(
-        {
-            "mode": "per-request",
-            "max_batch": 1,
-            "max_delay_us": 0.0,
-            "connections": CONNECTIONS,
-            "window": heaviest,
-            "concurrency": CONNECTIONS * heaviest,
-            "load": baseline.as_dict(),
-        }
-    )
-    rows.append(
-        [
-            "per-request(1)",
-            0,
-            CONNECTIONS * heaviest,
-            round(baseline.throughput_rps / 1e3, 2),
-            round(baseline.mean_batch_size, 2),
-            round(baseline.latency_p50_us, 1),
-            round(baseline.latency_p99_us, 1),
-        ]
-    )
-
-    # Wire-protocol comparison over the production stack: the flow-cached
-    # engine, pre-formed batches, one sweep pinned to JSON and one on the
-    # negotiated binary v2 protocol.
-    cached = CachedEngine(engine, capacity=WIRE_CACHE)
-    wire_series = []
-    wire_loads = {}
-    for protocol in ("json", "auto"):
-        load = _cell(
-            cached, packets, MAX_BATCH, 200.0, WIRE_WINDOW,
-            batch=WIRE_BATCH, protocol=protocol,
-        )
-        wire_loads[load.protocol] = load
-        wire_series.append(
-            {
-                "pinned": protocol,
-                "protocol": load.protocol,
-                "batch": WIRE_BATCH,
-                "window": WIRE_WINDOW,
-                "load": load.as_dict(),
-            }
-        )
-        rows.append(
-            [
-                f"wire-{load.protocol}({WIRE_BATCH})",
-                200,
-                CONNECTIONS * WIRE_WINDOW,
-                round(load.throughput_rps / 1e3, 2),
-                round(load.mean_batch_size, 2),
-                round(load.latency_p50_us, 1),
-                round(load.latency_p99_us, 1),
-            ]
-        )
+    pps: dict[tuple[str, int, int], float] = {}
+    for stack_name, stack in stacks.items():
+        for frame_rows in FRAME_ROWS:
+            for window in WINDOWS:
+                load = asyncio.run(_measure(stack, packets, frame_rows, window))
+                assert load.completed == len(packets)
+                assert load.errors == 0 and load.overloaded == 0
+                pps[stack_name, frame_rows, window] = load.throughput_rps
+                series.append(
+                    {
+                        "stack": stack_name,
+                        "frame_rows": frame_rows,
+                        "connections": CONNECTIONS,
+                        "window": window,
+                        "load": load.as_dict(),
+                    }
+                )
+                rows.append(
+                    [
+                        stack_name,
+                        frame_rows,
+                        CONNECTIONS * window,
+                        round(load.throughput_rps / 1e3, 2),
+                        round(load.latency_p50_us, 1),
+                        round(load.latency_p99_us, 1),
+                    ]
+                )
 
     text = format_table(
-        ["dispatch", "delay us", "concurrency", "krps", "mean batch",
-         "p50 us", "p99 us"],
+        ["stack", "rows/frame", "frames in flight", "kpps", "p50 us", "p99 us"],
         rows,
         title=f"Server throughput (zipf-95, {CLASSIFIER}, {application} "
-              f"{size} rules, {num_packets} requests)",
+              f"{size} rules, {num_packets} packets)",
     )
     report("server_throughput", text)
 
-    best_coalesced = coalesced_by_window[heaviest]
-    speedup = (
-        best_coalesced / baseline.throughput_rps
-        if baseline.throughput_rps > 0
-        else 0.0
-    )
-    json_rps = wire_loads["json"].throughput_rps
-    v2_rps = wire_loads["v2"].throughput_rps
-    wire_speedup = v2_rps / json_rps if json_rps > 0 else 0.0
+    heaviest = max(WINDOWS)
+    speedups = {
+        name: pps[name, FLOOR_ROWS, heaviest] / pps[name, 1, heaviest]
+        for name in stacks
+    }
     report_json(
         "server_throughput",
         config={
@@ -209,42 +127,31 @@ def test_server_throughput():
             "application": application,
             "rules": size,
             "trace": "zipf-95",
-            "requests": num_packets,
+            "packets": num_packets,
             "connections": CONNECTIONS,
-            "max_batch": MAX_BATCH,
-            "wire_batch": WIRE_BATCH,
-            "wire_window": WIRE_WINDOW,
-            "wire_cache": WIRE_CACHE,
+            "window": heaviest,
+            "frame_rows": FLOOR_ROWS,
+            "cache": CACHE,
         },
-        measured={"coalescing": series, "wire": wire_series},
+        measured={"sweep": series},
         summary={
-            "coalesced_best_rps": round(best_coalesced, 1),
-            "per_request_rps": round(baseline.throughput_rps, 1),
-            "coalescing_speedup": round(speedup, 3),
-            "wire_json_rps": round(json_rps, 1),
-            "wire_v2_rps": round(v2_rps, 1),
-            "wire_v2_speedup": round(wire_speedup, 3),
+            **{
+                f"{name}_rows{frame_rows}_pps": round(pps[name, frame_rows, heaviest], 1)
+                for name in stacks
+                for frame_rows in (1, FLOOR_ROWS)
+            },
+            **{
+                f"{name}_frame_speedup": round(speedup, 3)
+                for name, speedup in speedups.items()
+            },
         },
     )
 
-    # Shape checks: concurrency must coalesce, and coalesced dispatch must
-    # out-run one-request-per-call dispatch at the same offered concurrency.
-    heavy_cells = [
-        cell
-        for cell in series
-        if cell["mode"] == "coalesced" and cell["window"] == heaviest
-    ]
-    assert any(
-        cell["load"]["mean_batch_size"] > 1.0 for cell in heavy_cells
-    ), "concurrent load never coalesced"
-    assert baseline.mean_batch_size <= 1.0 + 1e-9
-    assert best_coalesced > baseline.throughput_rps, (
-        f"coalesced dispatch ({best_coalesced:.0f} rps) did not beat "
-        f"per-request dispatch ({baseline.throughput_rps:.0f} rps)"
-    )
-    # The wire-v2 floor: the binary data plane must beat pinned JSON by the
-    # documented factor on the same workload.
-    assert wire_speedup >= WIRE_V2_FLOOR, (
-        f"wire v2 ({v2_rps:.0f} rps) is only {wire_speedup:.2f}x the JSON "
-        f"baseline ({json_rps:.0f} rps); floor is {WIRE_V2_FLOOR}x"
-    )
+    # The one floor: what client-side batching buys a per-packet sender.
+    for name, speedup in speedups.items():
+        assert speedup >= FRAME_FLOOR, (
+            f"{name}: {FLOOR_ROWS}-row frames "
+            f"({pps[name, FLOOR_ROWS, heaviest]:.0f} pkt/s) are only "
+            f"{speedup:.2f}x 1-row frames ({pps[name, 1, heaviest]:.0f} pkt/s) "
+            f"at window {heaviest}; floor is {FRAME_FLOOR}x"
+        )

@@ -110,22 +110,18 @@ def _rows_flowcache_locality(data: dict) -> list[tuple[str, str, str]]:
 def _rows_server_throughput(data: dict) -> list[tuple[str, str, str]]:
     config = data.get("config", {})
     summary = data["summary"]
+    rows_per_frame = config.get("frame_rows", "?")
     name = (f"network serving ({config.get('application')}/"
             f"{config.get('rules')}, {config.get('connections')} conns)")
-    rows = [
-        (name, "request coalescing vs one-request-per-call",
-         f"{_fmt(summary['coalescing_speedup'])}x faster "
-         f"({_fmt(summary['coalesced_best_rps'] / 1e3, 1)} krps)"),
+    return [
+        (name,
+         f"{rows_per_frame}-row vs 1-row classify frames, {stack} "
+         f"{config.get('classifier')} stack",
+         f"{_fmt(summary[f'{stack}_frame_speedup'])}x faster "
+         f"({_fmt(summary[f'{stack}_rows{rows_per_frame}_pps'] / 1e3, 1)} kpps)")
+        for stack in ("uncached", "cached")
+        if f"{stack}_frame_speedup" in summary
     ]
-    if "wire_v2_speedup" in summary:
-        rows.append(
-            (name,
-             f"binary wire v2 vs JSON, batched flow-cached serving "
-             f"(batch {config.get('wire_batch', '?')})",
-             f"{_fmt(summary['wire_v2_speedup'])}x faster "
-             f"({_fmt(summary['wire_v2_rps'] / 1e3, 1)} krps)"),
-        )
-    return rows
 
 
 def _rows_overload_control(data: dict) -> list[tuple[str, str, str]]:

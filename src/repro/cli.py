@@ -24,14 +24,12 @@ Commands:
   report measured plus
   modelled throughput; ``--save`` persists all shards to one snapshot.  With
   ``--listen HOST:PORT`` the engine is served over asyncio TCP instead
-  (length-prefixed JSON; classify/insert/remove/stats), with concurrent
-  requests coalesced into micro-batches under the
-  ``(--max-batch, --max-delay-us)`` policy, a packet-weighted admission
-  budget (``--max-queue``) for backpressure shared by the JSON and binary
-  paths, and an optional exact-match flow cache (``--cache-size``).
-  ``--adaptive`` (implied by ``--slo-p99-us``) runs the overload
-  controller: batch/delay/budget — and the cache, when one is configured —
-  retune each window against the p99 SLO.
+  (binary classify-batch frames for lookups, length-prefixed JSON for
+  hello/insert/remove/stats), with a packet-weighted admission budget
+  (``--max-queue``) for backpressure and an optional exact-match flow cache
+  (``--cache-size``).  ``--adaptive`` (implied by ``--slo-p99-us``) runs
+  the overload controller: the budget — and the cache, when one is
+  configured — retunes each window against the p99 SLO.
 * ``replay``   — end-to-end scenario replay: drive a §5.1.1 trace
   (``--trace {uniform,zipf,caida}``, ``--skew`` for the Figure-12 Zipf
   settings) through any engine configuration (``--shards N``,
@@ -63,8 +61,6 @@ from repro.rules import (
     write_classbench_file,
 )
 from repro.serving import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_DELAY_US,
     DEFAULT_MAX_QUEUE,
     EXECUTORS,
     PARTITIONERS,
@@ -192,18 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument("--seed", type=int, default=1)
     sharded.add_argument("--save", help="persist the sharded engine to this path")
     sharded.add_argument("--listen", metavar="HOST:PORT",
-                         help="serve classify/insert/remove/stats over asyncio "
-                              "TCP (length-prefixed JSON) instead of replaying "
-                              "a local trace; PORT 0 picks an ephemeral port")
-    sharded.add_argument("--max-batch", type=int, default=DEFAULT_MAX_BATCH,
-                         help="request-coalescing micro-batch size cap")
-    sharded.add_argument("--max-delay-us", type=float,
-                         default=DEFAULT_MAX_DELAY_US,
-                         help="max time the oldest queued request waits before "
-                              "its batch closes (0 = no artificial delay)")
+                         help="serve binary classify-batch frames and JSON "
+                              "insert/remove/stats over asyncio TCP instead "
+                              "of replaying a local trace; PORT 0 picks an "
+                              "ephemeral port")
     sharded.add_argument("--max-queue", type=int, default=DEFAULT_MAX_QUEUE,
-                         help="bounded request queue; submissions beyond it "
-                              "are rejected with code 'overloaded'")
+                         help="admission budget in packets; frames beyond it "
+                              "are shed with status 'overloaded'")
     sharded.add_argument("--cache-size", type=int, default=0,
                          help="front the engine with an exact-match flow "
                               "cache of this many entries (--listen only)")
@@ -213,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "unless --no-adaptive is given")
     sharded.add_argument("--adaptive", default=None,
                          action=argparse.BooleanOptionalAction,
-                         help="self-tune max-batch/max-delay-us/max-queue "
-                              "(and the flow cache, with --cache-size) "
-                              "against the p99 SLO each control window")
+                         help="self-tune the admission budget (and the flow "
+                              "cache, with --cache-size) against the p99 SLO "
+                              "each control window")
 
     replay = sub.add_parser(
         "replay", help="replay a generated trace through the serving stack"
@@ -512,15 +503,12 @@ def _cmd_serve_listen(args: argparse.Namespace, engine) -> int:
             engine,
             host,
             port,
-            max_batch=args.max_batch,
-            max_delay_us=args.max_delay_us,
             max_queue=args.max_queue,
             slo_p99_us=args.slo_p99_us,
             adaptive=adaptive,
             ready=lambda server: print(
                 f"listening on {server.host}:{server.port} "
-                f"(max_batch={args.max_batch}, "
-                f"max_delay_us={args.max_delay_us:g}, "
+                f"(max_queue={args.max_queue}, "
                 f"cache_size={args.cache_size}, "
                 f"adaptive={'on' if adaptive else 'off'})",
                 file=sys.stderr,
@@ -530,17 +518,15 @@ def _cmd_serve_listen(args: argparse.Namespace, engine) -> int:
     finally:
         engine.close()
     server_stats = stats.get("server", {})
-    batcher = server_stats.get("batcher", {})
     budget = server_stats.get("budget", {})
     controller = server_stats.get("controller") or {}
     print(format_kv(
         {
             "requests served": server_stats.get("requests_served", 0),
-            "batches": batcher.get("batches", 0),
-            "mean batch size": batcher.get("mean_batch_size", 0.0),
-            "max batch seen": batcher.get("max_batch_seen", 0),
-            "rejected (overload)": batcher.get("rejected", 0),
-            "max queue depth": batcher.get("max_queue_depth", 0),
+            "frames served": server_stats.get("binary_batches", 0),
+            "admitted frames": budget.get("admitted", 0),
+            "rejected frames": budget.get("rejected", 0),
+            "admitted packets": budget.get("admitted_packets", 0),
             "shed packets": budget.get("rejected_packets", 0),
             "latency p50 us": round(server_stats.get("p50_us", 0.0), 1),
             "latency p99 us": round(server_stats.get("p99_us", 0.0), 1),
@@ -549,6 +535,7 @@ def _cmd_serve_listen(args: argparse.Namespace, engine) -> int:
                     "slo p99 us": controller.get("slo_p99_us"),
                     "control windows": controller.get("windows", 0),
                     "slo breaches": controller.get("breaches", 0),
+                    "budget limit": controller.get("limit"),
                 }
                 if controller
                 else {}

@@ -19,18 +19,18 @@ See :mod:`repro.serving.sharded` for the engine,
 :mod:`repro.serving.updates` for the online-update / background-retraining
 policy, :mod:`repro.serving.flowcache` for the exact-match flow cache that
 exploits the skewed traffic of the paper's §5.1.1 evaluation, and
-:mod:`repro.serving.server` for the asyncio TCP front-end that coalesces
-concurrent network requests into micro-batches (``repro serve --listen``),
+:mod:`repro.serving.server` for the asyncio TCP front-end
+(``repro serve --listen``: binary classify-batch frames in, one
+``classify_block`` call each; JSON for control ops),
 :mod:`repro.serving.workers` for the persistent shared-memory shard-worker
 runtime behind ``executor="workers"``, and :mod:`repro.serving.wire` for the
-binary wire protocol v2 the server and clients negotiate per connection.
+wire protocol the server and clients speak.
 """
 
 from repro.serving.control import (
     DEFAULT_SLO_P99_US,
     CacheTuner,
     ControllerConfig,
-    ControlSettings,
     OverloadController,
     PacketBudget,
 )
@@ -42,14 +42,10 @@ from repro.serving.flowcache import (
 )
 from repro.serving.partitioning import PARTITIONERS, partition_for_shards
 from repro.serving.server import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_DELAY_US,
     DEFAULT_MAX_QUEUE,
     AsyncClient,
     AsyncServer,
-    BatcherStats,
     QueueFullError,
-    RequestBatcher,
     ServerError,
     run_server,
 )
@@ -69,13 +65,10 @@ __all__ = [
     "CacheStats",
     "AsyncServer",
     "AsyncClient",
-    "RequestBatcher",
-    "BatcherStats",
     "QueueFullError",
     "PacketBudget",
     "OverloadController",
     "ControllerConfig",
-    "ControlSettings",
     "CacheTuner",
     "ServerError",
     "run_server",
@@ -84,8 +77,6 @@ __all__ = [
     "EXECUTORS",
     "DEFAULT_RETRAIN_THRESHOLD",
     "DEFAULT_CACHE_CAPACITY",
-    "DEFAULT_MAX_BATCH",
-    "DEFAULT_MAX_DELAY_US",
     "DEFAULT_MAX_QUEUE",
     "DEFAULT_SLO_P99_US",
 ]

@@ -1,32 +1,29 @@
 """Self-tuning overload control for the serving layer.
 
-The serving stack's throughput knobs — the request batcher's ``(max_batch,
-max_delay_us)`` policy and the bounded admission queue — used to be fixed at
-startup, but the right settings depend on the offered workload: a batch/delay
-pair that maximizes throughput under heavy load inflates latency under light
-load, and a queue bound that absorbs a burst on a fast engine drowns a slow
-one.  This module closes ROADMAP item 2 with a measured-load-drives-control
-feedback loop (the congestion-avoidance pattern of the DVB-RCS2 dynamic
-control work): every window, observed service latency percentiles and queue
-occupancy decide the next window's settings.
+How much admitted-but-unfinished work a server should hold depends on the
+offered workload: a budget that absorbs a burst on a fast engine drowns a
+slow one.  This module is a measured-load-drives-control feedback loop (the
+congestion-avoidance pattern of the DVB-RCS2 dynamic control work): every
+window, the observed service latency percentiles of the classify path decide
+the next window's admission limit — the one dial that acts on the load the
+controller measures.
 
 Three cooperating pieces, each a pure state machine with an injectable clock
-so policy is deterministically testable (``tests/test_control.py`` mirrors
-the fake-clock style of ``tests/test_request_batcher.py``):
+so policy is deterministically testable (``tests/test_control.py`` drives
+them with a fake clock):
 
-* :class:`PacketBudget` — the *shared*, packet-weighted admission budget.
-  Both wire paths charge it before work is accepted: a JSON ``classify``
-  costs 1 packet, a binary classify-batch frame costs its row count.  This
-  is what makes admission mean something again — previously the binary fast
-  path bypassed the request queue entirely, so ``max_queue`` bounded nothing
-  on the hot path and the ``overloaded`` status was unreachable there.
+* :class:`PacketBudget` — the packet-weighted admission budget.  A binary
+  classify-batch frame charges its row count before it reaches the engine
+  and frees it when its response is computed, so ``limit`` bounds rows of
+  outstanding work and an overloaded server answers ``STATUS_OVERLOADED``
+  instead of queueing without bound.
 * :class:`OverloadController` — the per-window feedback loop.  It collects
-  packet-weighted completion latencies, shed counts and queue-occupancy
+  packet-weighted completion latencies, shed counts and budget-occupancy
   samples, and at each window boundary applies an AIMD policy against a p99
-  SLO: a violation multiplicatively backs off delay, batch and the admission
-  budget (shed earlier, queue less); sustained headroom grows them
-  additively; in between lies a deadband where settings hold, which is what
-  makes the budget *converge* instead of oscillating on a step load.
+  SLO: a violation multiplicatively backs off the admission limit (shed
+  earlier, queue less); shedding while healthy grows it; in between lies a
+  deadband where it holds, which is what makes the limit *converge* instead
+  of oscillating on a step load.
 * :class:`CacheTuner` — auto-sizes a :class:`~repro.serving.FlowCache` from
   the observed *marginal* hit-rate value: capacity doubles while a doubling
   still buys at least ``min_gain`` of hit rate, then settles back to the
@@ -42,7 +39,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,7 +49,6 @@ __all__ = [
     "QueueFullError",
     "BudgetStats",
     "PacketBudget",
-    "ControlSettings",
     "ControllerConfig",
     "WindowReport",
     "OverloadController",
@@ -61,22 +57,20 @@ __all__ = [
 
 #: Default p99 service-time objective (microseconds) when adaptive control is
 #: enabled without an explicit SLO: 50 ms keeps an interactive client happy
-#: while leaving room for coalescing delay on a loaded server.
+#: while leaving room for queueing behind other frames on a loaded server.
 DEFAULT_SLO_P99_US = 50_000.0
 
 
 class QueueFullError(RuntimeError):
     """Admission was refused: the packet-weighted budget is at capacity.
 
-    Raised by :meth:`PacketBudget.try_acquire` (and therefore by
-    ``RequestBatcher.submit`` and the binary classify-batch path); the wire
-    layers translate it to the ``overloaded`` JSON code / binary
-    ``STATUS_OVERLOADED``.
+    Raised by :meth:`PacketBudget.try_acquire`; the server's classify path
+    translates it to the binary ``STATUS_OVERLOADED``.
     """
 
 
 # ---------------------------------------------------------------------------
-# Shared packet-weighted admission
+# Packet-weighted admission
 
 
 @dataclass
@@ -100,10 +94,8 @@ class BudgetStats:
 class PacketBudget:
     """A packet-weighted bound on admitted-but-unfinished serving work.
 
-    One instance is shared by every admission point of a server: the JSON
-    request batcher charges each queued ``classify`` (1 packet) until its
-    batch is taken for processing, and the binary path charges a whole
-    classify-batch frame (its row count) until the response is computed.
+    The server charges a whole classify-batch frame (its row count) before
+    the frame reaches the engine and frees it when the response is computed.
     ``limit`` is therefore a bound on *rows of outstanding work*, which is
     what actually bounds memory and engine backlog — a bound counted in
     requests is meaningless when one request may carry 10 000 rows.
@@ -154,43 +146,22 @@ class PacketBudget:
 
 
 @dataclass(frozen=True)
-class ControlSettings:
-    """One consistent set of serving knobs, as applied for one window."""
-
-    max_batch: int
-    max_delay_us: float
-    max_queue: int
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "max_batch": self.max_batch,
-            "max_delay_us": round(self.max_delay_us, 3),
-            "max_queue": self.max_queue,
-        }
-
-
-@dataclass(frozen=True)
 class ControllerConfig:
     """Policy envelope of an :class:`OverloadController`.
 
     ``slo_p99_us`` is the objective: the p99 of *admitted* traffic's service
     time must stay at or below it.  ``headroom`` defines the deadband — the
-    controller only grows settings while p99 < ``headroom * slo_p99_us``, so
-    between headroom and the SLO it holds, which is what stops grow/shrink
-    oscillation on a steady load.  Growth is additive (``batch_step``,
-    ``delay_step_us``, ``queue_growth``), backoff on an SLO breach is
-    multiplicative (``backoff``) — classic AIMD.
+    controller only grows the limit while p99 < ``headroom * slo_p99_us``,
+    so between headroom and the SLO it holds, which is what stops grow/shrink
+    oscillation on a steady load.  Growth (``queue_growth``) happens only
+    while a healthy window still sheds; backoff on an SLO breach is
+    multiplicative (``backoff``).  ``min_queue``/``max_queue`` clamp the
+    limit, in packets.
     """
 
     slo_p99_us: float
     window_s: float = 0.25
     headroom: float = 0.7
-    min_batch: int = 8
-    max_batch: int = 1024
-    batch_step: int = 16
-    min_delay_us: float = 0.0
-    max_delay_us: float = 5_000.0
-    delay_step_us: float = 50.0
     min_queue: int = 64
     max_queue: int = 1 << 20
     queue_growth: float = 1.25
@@ -203,14 +174,8 @@ class ControllerConfig:
             raise ValueError("window_s must be positive")
         if not 0.0 < self.headroom < 1.0:
             raise ValueError("headroom must be in (0, 1)")
-        if not 1 <= self.min_batch <= self.max_batch:
-            raise ValueError("need 1 <= min_batch <= max_batch")
-        if not 0.0 <= self.min_delay_us <= self.max_delay_us:
-            raise ValueError("need 0 <= min_delay_us <= max_delay_us")
         if not 1 <= self.min_queue <= self.max_queue:
             raise ValueError("need 1 <= min_queue <= max_queue")
-        if self.batch_step < 1 or self.delay_step_us < 0:
-            raise ValueError("steps must be positive")
         if self.queue_growth <= 1.0:
             raise ValueError("queue_growth must exceed 1.0")
         if not 0.0 < self.backoff < 1.0:
@@ -240,40 +205,37 @@ class WindowReport:
 
 
 class OverloadController:
-    """Per-window AIMD feedback over observed latency and queue occupancy.
+    """Per-window AIMD feedback over observed latency and budget occupancy.
 
-    Pure and clock-driven, mirroring ``RequestBatcher``'s testable core:
-    :meth:`observe_completion` / :meth:`observe_shed` / :meth:`observe_queue`
-    record the current window, :meth:`due_in` says when it closes, and
-    :meth:`maybe_roll` closes it and returns the next
-    :class:`ControlSettings` (or ``None`` while the window is still open).
+    Pure and clock-driven: :meth:`observe_completion` / :meth:`observe_shed`
+    / :meth:`observe_queue` record the current window, :meth:`due_in` says
+    when it closes, and :meth:`maybe_roll` closes it and returns the next
+    admission limit in packets (or ``None`` while the window is still open).
     The caller — :class:`~repro.serving.server.AsyncServer`'s control loop —
-    applies whatever is returned; this class never mutates a server.
+    writes whatever is returned to its :class:`PacketBudget`; this class
+    never mutates a server.
 
     Decision policy per closed window (all values packet-weighted):
 
-    * **breach** (``p99 > slo``, or everything shed): multiplicative
-      decrease — delay, batch and the admission budget all scale by
-      ``backoff``.  Smaller batches and less coalescing delay cut per-batch
-      service time; a smaller budget sheds earlier so admitted work queues
-      less.
-    * **grow** (``p99 < headroom * slo``): additive increase of batch and
-      delay (more coalescing, more throughput headroom).  The budget only
-      grows when the window *shed* traffic while healthy — shedding at low
-      latency means the budget, not the engine, is the bottleneck.  A
-      healthy window with no sheds leaves the budget alone: that is the
-      fixed point the budget converges to.
+    * **breach** (``p99 > slo``, or everything shed): the limit scales by
+      ``backoff`` — a smaller budget sheds earlier, so admitted work queues
+      less behind the engine worker.
+    * **grow** (``p99 < headroom * slo``): the limit grows by
+      ``queue_growth`` only when the window *shed* traffic while healthy —
+      shedding at low latency means the budget, not the engine, is the
+      bottleneck.  A healthy window with no sheds leaves the limit alone:
+      that is the fixed point it converges to.
     * **hold** (deadband, or an idle window): no change.
     """
 
     def __init__(
         self,
         config: ControllerConfig,
-        initial: ControlSettings,
+        initial_limit: int,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.config = config
-        self.settings = self._clamp(initial)
+        self.limit = self._clamp(initial_limit)
         self._clock = clock
         self._window_open = clock()
         self._latencies_us: list[float] = []
@@ -292,7 +254,7 @@ class OverloadController:
     # ------------------------------------------------------------ observation
 
     def observe_completion(self, latency_us: float, packets: int = 1) -> None:
-        """Record one admitted completion (a request or a whole batch)."""
+        """Record one admitted completion (a whole classify-batch frame)."""
         if packets < 1:
             return
         self._latencies_us.append(float(latency_us))
@@ -306,7 +268,7 @@ class OverloadController:
         self._shed += packets
 
     def observe_queue(self, depth: int) -> None:
-        """Record an occupancy sample of the shared admission budget."""
+        """Record an occupancy sample of the admission budget."""
         if depth > self._queue_peak:
             self._queue_peak = depth
 
@@ -317,16 +279,16 @@ class OverloadController:
         elapsed = self._clock() - self._window_open
         return max(0.0, self.config.window_s - elapsed)
 
-    def maybe_roll(self) -> Optional[ControlSettings]:
-        """Close the window if due; returns the settings to apply, else None."""
+    def maybe_roll(self) -> Optional[int]:
+        """Close the window if due; returns the limit to apply, else None."""
         # Sub-nanosecond residue from float subtraction must not keep a due
         # window open (0.4 - 0.3 > 0.1 by one ulp, and so on).
         if self.due_in() > 1e-9:
             return None
         return self.roll_window()
 
-    def roll_window(self) -> ControlSettings:
-        """Force-close the current window and decide the next settings."""
+    def roll_window(self) -> int:
+        """Force-close the current window and decide the next limit."""
         config = self.config
         report = WindowReport(
             completed_packets=self._completed,
@@ -343,7 +305,7 @@ class OverloadController:
             report.p50_us = float(np.percentile(samples, 50))
             report.p99_us = float(np.percentile(samples, 99))
 
-        settings = self.settings
+        limit = self.limit
         if self._completed == 0 and self._shed == 0:
             report.decision = "hold"
             self.holds += 1
@@ -351,32 +313,22 @@ class OverloadController:
             self._completed == 0 and self._shed > 0
         ):
             # SLO breach (or total shed, the degenerate breach): back off
-            # multiplicatively on every dial.
+            # multiplicatively.
             report.decision = "breach"
             self.breaches += 1
-            settings = ControlSettings(
-                max_batch=int(settings.max_batch * config.backoff),
-                max_delay_us=settings.max_delay_us * config.backoff,
-                max_queue=int(settings.max_queue * config.backoff),
-            )
+            limit = int(limit * config.backoff)
         elif report.p99_us < config.headroom * config.slo_p99_us:
             report.decision = "grow"
             self.grows += 1
-            grown_queue = settings.max_queue
             if self._shed > 0:
                 # Shedding while healthy: the budget is the bottleneck.
-                grown_queue = int(settings.max_queue * config.queue_growth) + 1
-            settings = ControlSettings(
-                max_batch=settings.max_batch + config.batch_step,
-                max_delay_us=settings.max_delay_us + config.delay_step_us,
-                max_queue=grown_queue,
-            )
+                limit = int(limit * config.queue_growth) + 1
         else:
             # Deadband between headroom and the SLO: the converged regime.
             report.decision = "hold"
             self.holds += 1
 
-        self.settings = self._clamp(settings)
+        self.limit = self._clamp(limit)
         self.windows += 1
         self.last_window = report
         self.history.append(report)
@@ -386,18 +338,10 @@ class OverloadController:
         self._shed = 0
         self._queue_peak = 0
         self._window_open = self._clock()
-        return self.settings
+        return self.limit
 
-    def _clamp(self, settings: ControlSettings) -> ControlSettings:
-        config = self.config
-        return ControlSettings(
-            max_batch=min(max(settings.max_batch, config.min_batch),
-                          config.max_batch),
-            max_delay_us=min(max(settings.max_delay_us, config.min_delay_us),
-                             config.max_delay_us),
-            max_queue=min(max(settings.max_queue, config.min_queue),
-                          config.max_queue),
-        )
+    def _clamp(self, limit: int) -> int:
+        return min(max(int(limit), self.config.min_queue), self.config.max_queue)
 
     # ----------------------------------------------------------- introspection
 
@@ -409,7 +353,7 @@ class OverloadController:
             "breaches": self.breaches,
             "grows": self.grows,
             "holds": self.holds,
-            "settings": self.settings.as_dict(),
+            "limit": self.limit,
             "last_window": (
                 self.last_window.as_dict() if self.last_window else None
             ),

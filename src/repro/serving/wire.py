@@ -1,40 +1,38 @@
-"""Binary wire protocol v2: fixed-width classify-batch framing.
+"""Wire protocol v2: the binary data plane and the JSON control plane's framing.
 
-The v1 protocol (docs/PROTOCOL.md) spends most of a classify request's budget
-on JSON: every packet is a JSON array, every response a JSON object, and the
-server re-parses both per request.  Protocol v2 moves the *data plane* —
-classify batches — to fixed-width binary frames that ``np.frombuffer`` maps
-straight into the columnar block the serving engines (and the shard-worker
-rings) consume.  The *control plane* (``insert``/``remove``/``stats``) and
-error reporting stay on v1 JSON frames, which remain valid on an upgraded
-connection.
+A lookup crosses the wire one way: as a fixed-width binary classify-batch
+frame that ``np.frombuffer`` maps straight into the columnar block the
+serving engines (and the shard-worker rings) consume.  The *control plane*
+(``hello``/``insert``/``remove``/``stats``) is length-prefixed JSON; both
+frame kinds are valid on a connection at any time.  docs/PROTOCOL.md is the
+normative spec.
 
-Negotiation (backward compatible)
----------------------------------
+Negotiation
+-----------
 
-A client that speaks v2 sends a v1 JSON request ``{"op": "hello",
-"protocols": ["v2"]}`` after connecting.  A v2-capable server answers
-``{"ok": true, "protocols": ["v2"]}`` and accepts binary frames on that
-connection from then on; an older server rejects the unknown op with
-``code: "bad-request"``, which the client treats as "JSON only" and silently
-falls back.  Servers never send binary frames to clients that did not
-negotiate.
+A client sends the JSON request ``{"op": "hello", "protocols": ["v2"]}``
+after connecting.  The server answers ``{"ok": true, "protocols": [...]}``
+with the intersection of what was offered and what it speaks (``["v2"]``
+today); a client whose offer shares nothing with the server gets an empty
+grant and must give up — there is no JSON classify to fall back to, and a
+JSON ``classify`` request is answered ``bad-request``.  A pre-v2 server
+rejects ``hello`` itself as an unknown op.
 
 Frame layout
 ------------
 
-Both protocols share the 4-byte frame prefix.  v1 JSON payloads are capped at
-4 MiB, so the first prefix byte of a v1 frame is always ``0x00``; a v2 binary
-frame marks itself with the magic first byte ``0xB2``:
+Both frame kinds share a 4-byte prefix.  JSON payloads are capped at 4 MiB,
+so the first prefix byte of a JSON frame is always ``0x00``; a binary frame
+marks itself with the magic first byte ``0xB2``:
 
 ===========  ==============================================================
-byte 0       ``0x00`` → v1: bytes 0–3 are a big-endian uint32 JSON length
-``0xB2``     → v2: bytes 1–3 are a big-endian uint24 binary payload length
+byte 0       ``0x00`` → JSON: bytes 0–3 are a big-endian uint32 length
+``0xB2``     → binary: bytes 1–3 are a big-endian uint24 payload length
 ===========  ==============================================================
 
 Binary payloads are little-endian (the columnar blocks are memory images,
-and every deployment target is little-endian; the prefix stays big-endian
-for v1 compatibility).  Classify-batch request (op ``0x01``)::
+and every deployment target is little-endian; the prefix is big-endian,
+as the JSON framing always was).  Classify-batch request (op ``0x01``)::
 
     u8 op | 3 reserved | u64 request_id | u32 count | u32 fields
     count × fields × u64 packet block (C order)
@@ -47,8 +45,7 @@ Classify-batch response (op ``0x81``)::
 ``status`` is 0 (ok), 1 (overloaded), 2 (bad-request) or 3 (error); error
 responses carry ``count == 0``.  A miss encodes as ``rule_id == -1`` with
 ``priority == 0``.  Binary responses carry no action strings — the data
-plane's contract is ``(matched, rule_id, priority)``; actions stay a
-control-plane (v1) concern.
+plane's contract is ``(matched, rule_id, priority)``.
 """
 
 from __future__ import annotations
@@ -88,10 +85,11 @@ __all__ = [
 #: Protocol token exchanged in ``hello`` negotiation.
 WIRE_V2 = "v2"
 
-#: First byte of a v2 binary frame (v1's JSON cap keeps its first byte 0x00).
+#: First byte of a binary frame (the JSON cap keeps a JSON frame's at 0x00).
 FRAME_MAGIC = 0xB2
 
-#: v1 JSON payload cap (mirrors the server's ``MAX_FRAME_BYTES``).
+#: JSON payload cap (a malformed length prefix must not make a peer
+#: allocate gigabytes).
 MAX_JSON_FRAME = 1 << 22
 
 #: v2 binary payload cap (24-bit length field).
@@ -105,7 +103,7 @@ STATUS_OVERLOADED = 1
 STATUS_BAD_REQUEST = 2
 STATUS_ERROR = 3
 
-#: Binary status → v1 error-code string (what a JSON response would carry).
+#: Binary status → error-code string (the ``code`` a JSON error carries).
 STATUS_CODES = {
     STATUS_OVERLOADED: "overloaded",
     STATUS_BAD_REQUEST: "bad-request",
@@ -250,12 +248,11 @@ def decode_classify_response(
 async def read_any_frame(
     reader: asyncio.StreamReader,
 ) -> Optional[tuple[str, object]]:
-    """Read one frame of either protocol.
+    """Read one frame of either kind.
 
-    Returns ``("json", dict)`` for a v1 frame, ``("binary", bytes)`` for a v2
-    frame, or ``None`` on a clean EOF.  Raises :class:`ValueError` (or
-    ``json.JSONDecodeError``) on oversized or malformed frames, mirroring the
-    v1-only reader.
+    Returns ``("json", dict)`` for a JSON frame, ``("binary", bytes)`` for a
+    binary frame, or ``None`` on a clean EOF.  Raises :class:`ValueError`
+    (or ``json.JSONDecodeError``) on oversized or malformed JSON frames.
     """
     try:
         header = await reader.readexactly(4)
@@ -288,6 +285,6 @@ def write_binary_frame(writer: asyncio.StreamWriter, payload: bytes) -> None:
 
 
 def write_json_frame(writer: asyncio.StreamWriter, message: dict) -> None:
-    """Queue one v1 JSON frame (caller drains); shared with the v1 writer."""
+    """Queue one length-prefixed JSON frame (caller drains)."""
     payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
     writer.write(_JSON_LENGTH.pack(len(payload)) + payload)

@@ -10,9 +10,9 @@ throughput and per-packet latency percentiles, next to the cost-model's
 cache-placement estimate.
 
 :mod:`repro.workloads.loadgen` is the open-loop counterpart for network
-serving: the same §5.1.1 traces offered as concurrent requests to an
-:class:`~repro.serving.server.AsyncServer`, measuring coalescing behaviour
-and client-observed latency.
+serving: the same §5.1.1 traces offered as pipelined classify-batch frames
+to an :class:`~repro.serving.server.AsyncServer`, measuring client-observed
+throughput, latency and shedding.
 """
 
 from repro.workloads.loadgen import (

@@ -3,9 +3,9 @@
 The trace-replay harness (:mod:`repro.workloads.replay`) drives pre-formed
 batches through an engine in-process — a *closed-loop* measurement.  Real
 serving traffic is open-loop: requests arrive on their own schedule whether
-or not earlier ones finished, which is exactly the regime the
-:class:`~repro.serving.server.RequestBatcher` exists for.  This module
-provides that client side:
+or not earlier ones finished, which is the regime the server's admission
+budget and overload controller exist for.  This module provides that client
+side:
 
 * :func:`open_loop_load` — an asyncio load generator: ``connections`` TCP
   clients share the packet stream; each packet is *scheduled* by the offered
@@ -24,14 +24,10 @@ provides that client side:
 Traces come from :func:`repro.workloads.make_trace`, so the §5.1.1 skew
 regimes (uniform / zipf-{80,85,90,95} / caida) apply to network serving
 unchanged.  The wire protocol the clients speak is specified in
-docs/PROTOCOL.md; by default each connection negotiates binary protocol v2
-(``protocol="auto"``) and falls back to JSON against older servers;
-``protocol="json"`` pins the v1 encoding for baseline comparisons.  With
-``batch > 1`` packets travel as pre-formed classify batches (one v2 frame,
-or pipelined JSON requests) instead of per-packet sends.  ``overloaded``
-rejections from the server's bounded queue are counted per
-:class:`LoadReport` rather than raised, so offered-load sweeps can ride
-through backpressure.
+docs/PROTOCOL.md: packets travel ``batch`` rows at a time, each group as one
+binary classify-batch frame.  ``STATUS_OVERLOADED`` rejections from the
+server's admission budget are counted per :class:`LoadReport` rather than
+raised, so offered-load sweeps can ride through backpressure.
 """
 
 from __future__ import annotations
@@ -142,15 +138,8 @@ class LoadReport:
     connections: int
     window: int
     batch: int = 1
-    protocol: str = "json"
     profile: Optional[str] = None
     server: dict = field(default_factory=dict)
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Server-reported mean coalesced batch size (0.0 if stats missing)."""
-        batcher = self.server.get("server", {}).get("batcher", {})
-        return float(batcher.get("mean_batch_size", 0.0))
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -167,9 +156,7 @@ class LoadReport:
             "connections": self.connections,
             "window": self.window,
             "batch": self.batch,
-            "protocol": self.protocol,
             "profile": self.profile,
-            "mean_batch_size": round(self.mean_batch_size, 3),
             "server": self.server,
         }
 
@@ -184,45 +171,25 @@ async def _drive_connection(
     latencies_us: list[float],
     counters: dict[str, int],
     batch: int = 1,
-    negotiate: bool = True,
 ) -> None:
     """One connection's share: scheduled sends, bounded in-flight window."""
     inflight = asyncio.Semaphore(window)
     tasks: list[asyncio.Task] = []
     loop = asyncio.get_running_loop()
 
-    async def _one(packet: tuple[int, ...], scheduled: float) -> None:
-        try:
-            response = await client.classify(packet)
-            if response["matched"]:
-                counters["matched"] += 1
-            counters["completed"] += 1
-            # Latency from the *scheduled* arrival: open-loop measurements
-            # charge queueing delay to the server.  Only completed work
-            # samples — shed requests return fast by design, and mixing
-            # their turnaround into the percentiles would let a server look
-            # "faster" by rejecting more (percentiles are of *admitted*
-            # traffic; sheds are reported separately in `overloaded`).
-            latencies_us.append((time.monotonic() - scheduled) * 1e6)
-        except ServerError as exc:
-            if exc.code == "overloaded":
-                counters["overloaded"] += 1
-            else:
-                counters["errors"] += 1
-        except (ConnectionError, RuntimeError):
-            counters["errors"] += 1
-        finally:
-            inflight.release()
-
-    async def _many(group: np.ndarray, scheduled: float) -> None:
+    async def _send(group: np.ndarray, scheduled: float) -> None:
         try:
             responses = await client.classify_batch(group)
             counters["matched"] += sum(1 for r in responses if r["matched"])
             counters["completed"] += len(responses)
-            # One latency sample *per packet*, not per batch: `completed`
-            # counts packets, so percentiles must weight a 8-packet batch
-            # eight times or batch>1 runs would report per-batch quantiles
-            # in packet-denominated reports.
+            # Latency from the *scheduled* arrival: open-loop measurements
+            # charge queueing delay to the server.  Only completed work
+            # samples — shed frames return fast by design, and mixing their
+            # turnaround into the percentiles would let a server look
+            # "faster" by rejecting more (percentiles are of *admitted*
+            # traffic; sheds are reported separately in `overloaded`).  One
+            # sample *per packet*, not per frame: `completed` counts packets,
+            # so an 8-row frame weighs eight times.
             latencies_us.extend(
                 [(time.monotonic() - scheduled) * 1e6] * len(responses)
             )
@@ -236,32 +203,15 @@ async def _drive_connection(
         finally:
             inflight.release()
 
-    async with await AsyncClient.connect(host, port, negotiate=negotiate) as client:
-        if client.wire_v2:
-            counters["wire_v2"] = counters.get("wire_v2", 0) + 1
-        if batch <= 1:
-            units: Sequence = packets
-            send = _one
-            unit_schedule = schedule
-        else:
-            # Batches ride as slices of one columnar block: the client's v2
-            # encoder maps contiguous uint64 rows straight into the frame, so
-            # no per-packet conversion happens after this point.
-            share_block = np.array(packets, dtype=np.uint64)
-            units = [
-                share_block[start : start + batch]
-                for start in range(0, len(packets), batch)
-            ]
-            send = _many
-            # A batch inherits its first packet's scheduled arrival.
-            unit_schedule = (
-                [schedule[start] for start in range(0, len(packets), batch)]
-                if schedule is not None
-                else None
-            )
-        for index, unit in enumerate(units):
-            if unit_schedule is not None:
-                scheduled = start_at + unit_schedule[index]
+    async with await AsyncClient.connect(host, port) as client:
+        # Frames ride as slices of one columnar block: the client's encoder
+        # maps contiguous uint64 rows straight into the frame, so no
+        # per-packet conversion happens after this point.
+        share_block = np.array(packets, dtype=np.uint64)
+        for start in range(0, len(packets), batch):
+            if schedule is not None:
+                # A frame inherits its first packet's scheduled arrival.
+                scheduled = start_at + schedule[start]
                 delay = scheduled - time.monotonic()
                 if delay > 0:
                     await asyncio.sleep(delay)
@@ -273,9 +223,9 @@ async def _drive_connection(
             # (coordinated omission).
             tasks.append(
                 loop.create_task(
-                    send(
-                        unit,
-                        time.monotonic() if unit_schedule is None else scheduled,
+                    _send(
+                        share_block[start : start + batch],
+                        time.monotonic() if schedule is None else scheduled,
                     )
                 )
             )
@@ -291,7 +241,6 @@ async def open_loop_load(
     window: int = 32,
     rate_pps: float | None = None,
     batch: int = 1,
-    protocol: str = "auto",
     profile: "RampProfile | BurstProfile | None" = None,
 ) -> LoadReport:
     """Fire ``packets`` at the server and report client-observed behaviour.
@@ -302,15 +251,12 @@ async def open_loop_load(
             e.g. a :class:`~repro.traffic.Trace`'s packets.
         connections: Concurrent TCP connections sharing the stream
             round-robin (preserving each connection's relative order).
-        window: Max in-flight requests per connection.
+        window: Max in-flight frames per connection.
         rate_pps: Offered arrival rate across all connections; ``None``
             offers as fast as the windows allow.
-        batch: Packets per classify request; > 1 sends pre-formed batches
-            (one binary frame each on a v2 connection).  The in-flight
-            window then counts batches, and ``rate_pps`` still paces
-            *packets* (a batch departs at its first packet's arrival time).
-        protocol: ``"auto"`` negotiates binary v2 with JSON fallback;
-            ``"json"`` pins v1 (the pre-v2 client behaviour).
+        batch: Packets per classify-batch frame.  The in-flight window
+            counts frames, and ``rate_pps`` paces *packets* (a frame departs
+            at its first packet's arrival time).
         profile: A time-varying offered rate (:class:`RampProfile` /
             :class:`BurstProfile`, or anything with ``offsets(n)`` and
             ``name``) instead of the constant ``rate_pps``; mutually
@@ -322,8 +268,6 @@ async def open_loop_load(
         raise ValueError("window must be at least 1")
     if batch < 1:
         raise ValueError("batch must be at least 1")
-    if protocol not in ("auto", "json"):
-        raise ValueError("protocol must be 'auto' or 'json'")
     if profile is not None and rate_pps is not None:
         raise ValueError("rate_pps and profile are mutually exclusive")
     values = [
@@ -361,7 +305,6 @@ async def open_loop_load(
                 latencies_us,
                 counters,
                 batch=batch,
-                negotiate=protocol == "auto",
             )
             for conn in range(connections)
             if shares[conn]
@@ -396,7 +339,6 @@ async def open_loop_load(
         connections=connections,
         window=window,
         batch=batch,
-        protocol="v2" if counters.get("wire_v2") else "json",
         profile=profile.name if profile is not None else None,
         server=server_stats,
     )
@@ -410,7 +352,6 @@ def run_load(
     window: int = 32,
     rate_pps: float | None = None,
     batch: int = 1,
-    protocol: str = "auto",
     profile: "RampProfile | BurstProfile | None" = None,
 ) -> LoadReport:
     """Blocking wrapper around :func:`open_loop_load`."""
@@ -423,7 +364,6 @@ def run_load(
             window=window,
             rate_pps=rate_pps,
             batch=batch,
-            protocol=protocol,
             profile=profile,
         )
     )

@@ -9,10 +9,13 @@ conftest was imported first.
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 
 from repro.classifiers.base import TRACE_FIELDS
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
+from repro.serving import wire
 
 #: Fast RQ-RMI settings used across tests (fewer Adam epochs, small widths).
 FAST_RQRMI = RQRMIConfig(adam_epochs=80, initial_samples=256)
@@ -67,3 +70,41 @@ def linear_keys(rules, packets) -> list:
         match = next((rule for rule in ordered if rule.matches(values)), None)
         keys.append(None if match is None else (match.priority, match.rule_id))
     return keys
+
+
+class RawPeer:
+    """A bare TCP peer that puts frames on the wire by hand — no
+    :class:`~repro.serving.AsyncClient`, so no negotiation, id bookkeeping or
+    response matching stands between a test and what the server sends."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+
+    @classmethod
+    async def open(cls, host: str, port: int) -> "RawPeer":
+        return cls(*await asyncio.open_connection(host, port))
+
+    async def send_json(self, **message) -> None:
+        wire.write_json_frame(self.writer, message)
+        await self.writer.drain()
+
+    async def send_block(self, request_id: int, packets) -> None:
+        wire.write_binary_frame(
+            self.writer, wire.encode_classify_request(request_id, block_of(packets))
+        )
+        await self.writer.drain()
+
+    async def recv(self, timeout: float = 10.0):
+        """Next frame: ``("json", dict)``, ``("binary", (request_id, status,
+        rule_ids, priorities))``, or ``None`` once the server hung up."""
+        frame = await asyncio.wait_for(wire.read_any_frame(self.reader), timeout)
+        if frame is not None and frame[0] == "binary":
+            return "binary", wire.decode_classify_response(frame[1])
+        return frame
+
+    async def close(self) -> None:
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass

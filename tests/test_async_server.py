@@ -2,9 +2,9 @@
 
 Extends the ``tests/test_replay_scenarios.py`` pattern over the wire: an
 :class:`~repro.serving.server.AsyncServer` on an ephemeral port, concurrent
-clients firing interleaved classify/insert/remove ops, and every response
-checked against :class:`LinearSearchClassifier`-style ground truth over the
-rules live at that instant.  Every asyncio scenario is wrapped in a hard
+clients firing interleaved classify-batch frames and insert/remove ops, and
+every response checked against :class:`LinearSearchClassifier`-style ground
+truth over the rules live at that instant.  Every asyncio scenario is wrapped in a hard
 ``asyncio.wait_for`` deadline so a hung event loop fails the test instead of
 stalling the whole run (CI additionally applies pytest-timeout).
 """
@@ -24,14 +24,15 @@ from repro.serving import (
     AsyncServer,
     CachedEngine,
     ControllerConfig,
-    ControlSettings,
     OverloadController,
     ServerError,
     ShardedEngine,
 )
 from repro.workloads import build_scenario_engine, make_trace, open_loop_load
 
-from _helpers import fast_nm_config
+from repro.serving import wire
+
+from _helpers import RawPeer, fast_nm_config, linear_keys
 
 SCENARIO_DEADLINE = 120.0
 
@@ -75,15 +76,65 @@ def server_rules():
 STACKS = list(itertools.product([1, 2], [0, 256]))
 
 
-def build_stack(ruleset, shards, cache_size):
+def build_stack(ruleset, shards, cache_size, executor="serial"):
     return build_scenario_engine(
         ruleset,
         shards=shards,
         cache_size=cache_size,
         classifier="tm",
-        executor="serial",
+        executor=executor,
         background_retraining=False,
     )
+
+
+class TestWireConformance:
+    """The conformance contract, taken over the wire: on every stack the
+    benchmark serves — plain, cached, sharded in-process, sharded over the
+    shared-memory workers — frames of 128 rows and of 1 row carry exactly
+    linear search over the rules live after acknowledged updates."""
+
+    @pytest.mark.parametrize(
+        "shards,cache_size,executor",
+        [(1, 0, "serial"), (1, 256, "serial"), (2, 0, "serial"), (2, 256, "workers")],
+        ids=["plain", "cached", "sharded-serial", "sharded-workers-cached"],
+    )
+    def test_served_frames_equal_linear_search(
+        self, server_rules, shards, cache_size, executor
+    ):
+        async def scenario():
+            engine = build_stack(server_rules, shards, cache_size, executor)
+            packets = [tuple(p) for p in server_rules.sample_packets(128, seed=97)]
+            try:
+                async with AsyncServer(engine) as server:
+                    await server.start("127.0.0.1", 0)
+                    async with await AsyncClient.connect(
+                        server.host, server.port
+                    ) as client:
+                        live = list(server_rules)
+                        for step in range(3):
+                            wide = await client.classify_batch(packets)
+                            narrow = await asyncio.gather(
+                                *map(client.classify, packets[:16])
+                            )
+                            expected = linear_keys(live, packets)
+                            assert [response_key(r) for r in wide] == expected
+                            assert [response_key(r) for r in narrow] == expected[:16]
+                            # Pin a packet with a new best rule, drop an old
+                            # winner; the next round must see both.
+                            pin = Rule(
+                                tuple((v, v) for v in packets[step]),
+                                priority=0,
+                                rule_id=800_000 + step,
+                            )
+                            await client.insert(pin)
+                            live.append(pin)
+                            loser = next(r["rule_id"] for r in wide if r["matched"])
+                            assert await client.remove(loser)
+                            live = [r for r in live if r.rule_id != loser]
+            finally:
+                engine.close()
+
+        run_scenario_coro(scenario())
 
 
 class TestConcurrentClients:
@@ -98,9 +149,7 @@ class TestConcurrentClients:
         async def scenario():
             engine = build_stack(server_rules, shards, cache_size)
             try:
-                async with AsyncServer(
-                    engine, max_batch=32, max_delay_us=500
-                ) as server:
+                async with AsyncServer(engine) as server:
                     await server.start("127.0.0.1", 0)
                     clients = [
                         await AsyncClient.connect(server.host, server.port)
@@ -113,16 +162,22 @@ class TestConcurrentClients:
                     )
                     packets = [tuple(p) for p in trace]
                     next_id = 500_000
+                    frames = 0
                     for step, start in enumerate(range(0, len(packets), 60)):
                         burst = packets[start : start + 60]
-                        # All clients fire their shares concurrently: these
-                        # requests coalesce into shared micro-batches.
-                        responses = await asyncio.gather(
-                            *(
-                                clients[i % len(clients)].classify(packet)
-                                for i, packet in enumerate(burst)
-                            )
+                        # All clients fire concurrently: two send their share
+                        # as one frame, two pipeline it as 1-row frames.
+                        shares = [burst[i :: len(clients)] for i in range(4)]
+                        answers = await asyncio.gather(
+                            clients[0].classify_batch(shares[0]),
+                            clients[1].classify_batch(shares[1]),
+                            asyncio.gather(*map(clients[2].classify, shares[2])),
+                            asyncio.gather(*map(clients[3].classify, shares[3])),
                         )
+                        frames += 2 + len(shares[2]) + len(shares[3])
+                        responses = [None] * len(burst)
+                        for i, answer in enumerate(answers):
+                            responses[i :: len(clients)] = answer
                         rules_now = list(live.values())
                         for packet, response in zip(burst, responses):
                             assert response_key(response) == result_key(
@@ -146,7 +201,8 @@ class TestConcurrentClients:
                                 assert await updater.remove(winner["rule_id"])
                                 del live[winner["rule_id"]]
                     stats = await updater.stats()
-                    assert stats["server"]["batcher"]["mean_batch_size"] > 1.0
+                    assert stats["server"]["binary_batches"] == frames
+                    assert stats["server"]["budget"]["in_flight"] == 0
                     for client in clients:
                         await client.close()
             finally:
@@ -164,30 +220,56 @@ class TestConcurrentClients:
                 server_rules.sample_packets(80, seed=31)
             )
             packets = [tuple(p) for p in server_rules.sample_packets(80, seed=31)]
-            async with AsyncServer(engine, max_batch=16) as server:
+            async with AsyncServer(engine) as server:
                 await server.start("127.0.0.1", 0)
                 async with await AsyncClient.connect(
                     server.host, server.port
                 ) as client:
-                    served = await asyncio.gather(
+                    pipelined = await asyncio.gather(
                         *(client.classify(packet) for packet in packets)
                     )
-            assert [response_key(r) for r in served] == [
-                result_key(result.rule) for result in direct
-            ]
+                    one_frame = await client.classify_batch(packets)
+            expected = [result_key(result.rule) for result in direct]
+            assert [response_key(r) for r in pipelined] == expected
+            assert [response_key(r) for r in one_frame] == expected
 
         run_scenario_coro(scenario())
+
+
+class _SlowBlockEngine:
+    """Delegating engine wrapper whose classify_block takes ``delay_s``.
+
+    Slowing only the columnar path keeps control traffic (stats, updates)
+    fast while binary classify batches pile up against the packet budget.
+    ``fail_on`` makes any block whose first value equals it raise instead.
+    """
+
+    def __init__(self, inner, delay_s: float, fail_on: int | None = None):
+        self._inner = inner
+        self.delay_s = delay_s
+        self.fail_on = fail_on
+
+    def classify_block(self, block):
+        import time
+
+        time.sleep(self.delay_s)
+        if self.fail_on is not None and int(block[0, 0]) == self.fail_on:
+            raise RuntimeError("engine exploded")
+        return self._inner.classify_block(block)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
 
 class TestBackpressure:
     def test_overload_rejects_with_code_and_recovers(self, server_rules):
         async def scenario():
-            engine = ClassificationEngine.build(server_rules, classifier="tm")
-            # A queue of 1 and a delay far longer than the burst: exactly one
-            # request is accepted per dispatch cycle, the rest bounce.
-            async with AsyncServer(
-                engine, max_batch=64, max_delay_us=200_000, max_queue=1
-            ) as server:
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            # A budget of one packet behind a slow engine: of a pipelined
+            # burst of 1-row frames the first is admitted, the ones that
+            # arrive while it is in flight bounce.
+            engine = _SlowBlockEngine(inner, delay_s=0.02)
+            async with AsyncServer(engine, max_queue=1) as server:
                 await server.start("127.0.0.1", 0)
                 packets = [tuple(p) for p in server_rules.sample_packets(20, seed=37)]
                 async with await AsyncClient.connect(
@@ -203,58 +285,30 @@ class TestBackpressure:
                         if isinstance(exc, ServerError) and exc.code == "overloaded"
                     ]
                     served = [o for o in outcomes if isinstance(o, dict)]
-                    unexpected = [
-                        o
-                        for o in outcomes
-                        if not isinstance(o, dict)
-                        and not (
-                            isinstance(o, ServerError) and o.code == "overloaded"
-                        )
-                    ]
-                    assert unexpected == []
-                    assert rejected, "bounded queue never pushed back"
-                    assert served, "backpressure starved every request"
+                    assert len(rejected) + len(served) == len(outcomes)
+                    assert rejected, "bounded budget never pushed back"
+                    assert served, "backpressure starved every frame"
                     for packet, response in zip(packets, outcomes):
                         if isinstance(response, dict):
                             assert response_key(response) == result_key(
                                 ground_truth(server_rules.rules, packet)
                             )
-                    assert server.batcher.stats.rejected == len(rejected)
+                    assert server.budget.stats.rejected == len(rejected)
                     # The server keeps serving correctly after shedding load.
                     again = await client.classify(packets[0])
                     assert response_key(again) == result_key(
                         ground_truth(server_rules.rules, packets[0])
                     )
-                    # Rejected requests are not counted as served work.
+                    # Rejected frames are not counted as served work.
                     assert server._requests_served == len(served) + 1
+            inner.close()
 
         run_scenario_coro(scenario())
 
 
-class _SlowBlockEngine:
-    """Delegating engine wrapper whose classify_block takes ``delay_s``.
-
-    Slowing only the columnar path keeps control traffic (stats, updates)
-    fast while binary classify batches pile up against the packet budget.
-    """
-
-    def __init__(self, inner, delay_s: float):
-        self._inner = inner
-        self.delay_s = delay_s
-
-    def classify_block(self, block):
-        import time
-
-        time.sleep(self.delay_s)
-        return self._inner.classify_block(block)
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class TestBinaryAdmission:
     def test_binary_flood_sheds_with_overloaded_status(self, server_rules):
-        """Binary classify batches charge the shared packet budget: a flood
+        """Binary classify batches charge the packet budget: a flood
         wider than the budget gets STATUS_OVERLOADED (surfaced as a
         ServerError with code 'overloaded') instead of queueing without
         bound — the admission hole the fast path used to have."""
@@ -262,9 +316,7 @@ class TestBinaryAdmission:
         async def scenario():
             inner = ClassificationEngine.build(server_rules, classifier="tm")
             engine = _SlowBlockEngine(inner, delay_s=0.05)
-            async with AsyncServer(
-                engine, max_batch=64, max_delay_us=100, max_queue=48
-            ) as server:
+            async with AsyncServer(engine, max_queue=48) as server:
                 await server.start("127.0.0.1", 0)
                 packets = [
                     tuple(p) for p in server_rules.sample_packets(32, seed=71)
@@ -272,7 +324,6 @@ class TestBinaryAdmission:
                 async with await AsyncClient.connect(
                     server.host, server.port
                 ) as client:
-                    assert client.wire_v2, "flood must ride the binary path"
                     outcomes = await asyncio.gather(
                         *(client.classify_batch(packets) for _ in range(8)),
                         return_exceptions=True,
@@ -297,7 +348,7 @@ class TestBinaryAdmission:
                             assert response_key(response) == result_key(
                                 ground_truth(server_rules.rules, packet)
                             )
-                    # Sheds are packet-weighted in the shared budget's stats.
+                    # Sheds are packet-weighted in the budget's stats.
                     assert server.budget.stats.rejected == len(shed)
                     assert (
                         server.budget.stats.rejected_packets
@@ -313,6 +364,129 @@ class TestBinaryAdmission:
                         stats["budget"]["rejected_packets"]
                         == server.budget.stats.rejected_packets
                     )
+            inner.close()
+
+        run_scenario_coro(scenario())
+
+
+async def drain_responses(peer: RawPeer, expected: int) -> list:
+    """Read binary responses until ``expected`` arrived or the server hung
+    up, then prove nothing further comes: ``[(request_id, status, rows)]``."""
+    responses = []
+    while len(responses) < expected:
+        frame = await peer.recv()
+        if frame is None:
+            return responses
+        kind, (request_id, status, rule_ids, _priorities) = frame
+        assert kind == "binary"
+        responses.append((request_id, status, len(rule_ids)))
+    try:
+        extra = await peer.recv(timeout=0.2)
+    except asyncio.TimeoutError:
+        extra = None
+    assert extra is None, f"a frame was answered twice: {extra}"
+    return responses
+
+
+class TestExactlyOnce:
+    """Every frame put on the wire is answered exactly once — what the deleted
+    ``RequestBatcher`` tests (``TestNoDropNoDouble``, ``TestAsyncDispatcher``)
+    guaranteed for queued JSON requests, restated on the one surviving path.
+    Frames are sent by hand so a duplicate response could not hide in
+    ``AsyncClient``'s id matching."""
+
+    @pytest.mark.parametrize("connections", [1, 3])
+    def test_pipelined_frames_each_get_one_response(
+        self, server_rules, connections
+    ):
+        async def scenario():
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            engine = _SlowBlockEngine(inner, delay_s=0.001)
+            packets = [tuple(p) for p in server_rules.sample_packets(7, seed=91)]
+            frames = 40
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                peers = [
+                    await RawPeer.open(server.host, server.port)
+                    for _ in range(connections)
+                ]
+
+                async def drive(peer: RawPeer, base: int):
+                    for index in range(frames):  # all in flight before any read
+                        await peer.send_block(base + index, packets[: 1 + index % 7])
+                    return await drain_responses(peer, frames)
+
+                answered = await asyncio.gather(
+                    *(drive(peer, 1000 * n) for n, peer in enumerate(peers))
+                )
+                for n, responses in enumerate(answered):
+                    # Any order, but each id once, OK, with its own row count.
+                    assert sorted(responses) == [
+                        (1000 * n + index, wire.STATUS_OK, 1 + index % 7)
+                        for index in range(frames)
+                    ]
+                assert server.budget.in_flight == 0
+                assert server.budget.stats.admitted == frames * connections
+                assert server._binary_batches == frames * connections
+                for peer in peers:
+                    await peer.close()
+            inner.close()
+
+        run_scenario_coro(scenario())
+
+    def test_engine_failure_answers_only_that_frame_with_status_error(
+        self, server_rules
+    ):
+        async def scenario():
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            packets = [tuple(p) for p in server_rules.sample_packets(6, seed=93)]
+            poison = (2**40 + 7,) + packets[0][1:]
+            engine = _SlowBlockEngine(inner, delay_s=0.0, fail_on=poison[0])
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                peer = await RawPeer.open(server.host, server.port)
+                for request_id in range(10):
+                    rows = [poison] + packets if request_id == 4 else packets
+                    await peer.send_block(request_id, rows)
+                responses = await drain_responses(peer, 10)
+                assert sorted(responses) == [
+                    (request_id, wire.STATUS_ERROR, 0)
+                    if request_id == 4
+                    else (request_id, wire.STATUS_OK, len(packets))
+                    for request_id in range(10)
+                ]
+                # The failed frame gave its budget back and is not "served".
+                assert server.budget.in_flight == 0
+                assert server.budget.stats.admitted == 10
+                assert server._binary_batches == 9
+                await peer.close()
+            inner.close()
+
+        run_scenario_coro(scenario())
+
+    def test_stop_with_frames_in_flight_answers_or_disconnects_each(
+        self, server_rules
+    ):
+        async def scenario():
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            engine = _SlowBlockEngine(inner, delay_s=0.01)
+            packets = [tuple(p) for p in server_rules.sample_packets(4, seed=95)]
+            server = AsyncServer(engine)
+            await server.start("127.0.0.1", 0)
+            peer = await RawPeer.open(server.host, server.port)
+            for request_id in range(30):
+                await peer.send_block(request_id, packets)
+            while server.budget.stats.admitted < 30:  # all reached the server
+                await asyncio.sleep(0.005)
+            await server.stop()  # bounded by the scenario deadline
+            # stop() waited for every admitted frame: nothing holds budget.
+            assert server.budget.in_flight == 0
+            # Each frame was answered at most once before the clean hang-up.
+            responses = await drain_responses(peer, 30)
+            assert len({request_id for request_id, _, _ in responses}) == len(responses)
+            assert all(status == wire.STATUS_OK for _, status, _ in responses)
+            assert await peer.recv() is None  # then a clean EOF, not a reset
+            await peer.close()
             inner.close()
 
         run_scenario_coro(scenario())
@@ -354,7 +528,6 @@ class TestDataPathReadsNoRuleset:
                     async with await AsyncClient.connect(
                         server.host, server.port
                     ) as client:
-                        assert client.wire_v2
                         for _ in range(8):
                             responses = await client.classify_batch(packets)
                             assert [response_key(r) for r in responses] == [
@@ -373,26 +546,19 @@ class TestDataPathReadsNoRuleset:
 
 
 class TestAdaptiveServer:
-    def test_ramp_adapts_dials_without_stale_matches(self, server_rules):
+    def test_ramp_adapts_budget_without_stale_matches(self, server_rules):
         """Under a ramp of growing bursts with interleaved updates, the
         controller (given an unmeetable SLO so every window breaches) shrinks
-        the batching dials — and every admitted response still matches
+        the admission budget — and every admitted response still matches
         linear-search ground truth over the rules live at that instant."""
 
         async def scenario():
             engine = ClassificationEngine.build(server_rules, classifier="tm")
             controller = OverloadController(
-                ControllerConfig(slo_p99_us=1.0, window_s=0.05),
-                ControlSettings(
-                    max_batch=128, max_delay_us=400.0, max_queue=4096
-                ),
+                ControllerConfig(slo_p99_us=1.0, window_s=0.05), 4096
             )
             async with AsyncServer(
-                engine,
-                max_batch=128,
-                max_delay_us=400,
-                max_queue=4096,
-                controller=controller,
+                engine, max_queue=4096, controller=controller
             ) as server:
                 await server.start("127.0.0.1", 0)
                 trace = make_trace("zipf", server_rules, 360, seed=73, skew=90)
@@ -420,7 +586,7 @@ class TestAdaptiveServer:
                             assert response_key(outcome) == result_key(
                                 ground_truth(rules_now, packet)
                             ), f"stale/wrong match for {packet} at step {step}"
-                        # Mutate the ruleset while the dials are moving.
+                        # Mutate the ruleset while the budget is moving.
                         rule = Rule(
                             tuple((v, v) for v in burst[0]),
                             priority=0,
@@ -437,12 +603,11 @@ class TestAdaptiveServer:
                 control = server_stats["controller"]
                 assert control["windows"] >= 3
                 assert control["breaches"] >= 1
-                # Every completed window breached the 1us SLO, so the dials
-                # must have walked down from their initial settings.
-                assert server.batcher.max_batch < 128
-                assert server.batcher.max_delay_us < 400.0
-                assert server_stats["max_batch"] == server.batcher.max_batch
-                assert control["settings"]["max_batch"] == server.batcher.max_batch
+                # Every completed window breached the 1us SLO, so the budget
+                # must have walked down from its initial limit.
+                assert server.budget.limit < 4096
+                assert server_stats["max_queue"] == server.budget.limit
+                assert control["limit"] == server.budget.limit
             engine.close()
 
         run_scenario_coro(scenario())
@@ -460,16 +625,66 @@ class TestProtocol:
                     with pytest.raises(ServerError) as excinfo:
                         await client.request("frobnicate")
                     assert excinfo.value.code == "bad-request"
-                    with pytest.raises(ServerError):
-                        await client.request("classify")  # missing packet
+                    with pytest.raises(ServerError, match="v2") as excinfo:
+                        await client.request("classify", packet=[1, 2, 3, 4, 5])
+                    assert excinfo.value.code == "bad-request"
                     # Removing a missing rule is a successful op that reports
                     # removed=False.
                     assert await client.remove(10_000_000) is False
                     stats = await client.stats()
                     # Every stack takes updates; there is no flag to report.
                     assert "supports_updates" not in stats["server"]
-                    assert stats["server"]["max_batch"] == server.batcher.max_batch
+                    assert stats["server"]["max_queue"] == server.budget.limit
                     assert stats["engine"]["name"] == "tm"
+
+        run_scenario_coro(scenario())
+
+    def test_hello_needs_a_protocols_list(self, server_rules):
+        async def scenario():
+            engine = ClassificationEngine.build(server_rules, classifier="tm")
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                async with await AsyncClient.connect(
+                    server.host, server.port
+                ) as client:
+                    for fields in ({}, {"protocols": "v2"}):
+                        with pytest.raises(ServerError, match="protocols") as excinfo:
+                            await client.request("hello", **fields)
+                        assert excinfo.value.code == "bad-request"
+                    granted = await client.request("hello", protocols=["v2", "v9"])
+                    assert granted["protocols"] == ["v2"]
+                    assert server._requests_served == 0  # hello is not work
+
+        run_scenario_coro(scenario())
+
+    def test_control_ops_charge_no_admission(self, server_rules):
+        """docs/PROTOCOL.md: only classify-batch frames draw on the budget —
+        a server shedding lookups still takes updates and answers stats."""
+
+        async def scenario():
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            engine = _SlowBlockEngine(inner, delay_s=0.2)
+            packet = tuple(server_rules.sample_packets(1, seed=99)[0])
+            async with AsyncServer(engine, max_queue=1) as server:
+                await server.start("127.0.0.1", 0)
+                async with await AsyncClient.connect(
+                    server.host, server.port
+                ) as client:
+                    slow = asyncio.ensure_future(client.classify(packet))
+                    while server.budget.in_flight == 0:
+                        await asyncio.sleep(0.005)
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.classify(packet)  # the budget is full
+                    assert excinfo.value.code == "overloaded"
+                    pin = Rule(
+                        tuple((v, v) for v in packet), priority=0, rule_id=900_000
+                    )
+                    assert (await client.insert(pin))["ok"] is True
+                    assert await client.remove(pin.rule_id) is True
+                    budget = (await client.stats())["server"]["budget"]
+                    assert (budget["admitted"], budget["rejected"]) == (1, 1)
+                    assert (await slow)["matched"] is not None
+            inner.close()
 
         run_scenario_coro(scenario())
 
@@ -589,8 +804,6 @@ class TestRunServer:
                     engine,
                     "127.0.0.1",
                     0,
-                    max_batch=32,
-                    max_delay_us=200,
                     ready=on_ready,
                     shutdown=shutdown,
                 ),
@@ -608,18 +821,17 @@ class TestRunServer:
         assert report.completed == 120 and report.errors == 0
         stats = holder["stats"]["server"]
         assert stats["requests_served"] >= 120
-        assert stats["batcher"]["batches"] >= 1
+        assert stats["binary_batches"] == 120   # window=16, 1-row frames
+        assert stats["budget"]["admitted_packets"] == 120
         engine.close()
 
 
 class TestOpenLoopLoadGenerator:
-    def test_open_loop_load_reports_and_coalesces(self, server_rules):
+    def test_open_loop_load_reports(self, server_rules):
         async def scenario():
             engine = ClassificationEngine.build(server_rules, classifier="tm")
             trace = make_trace("zipf", server_rules, 600, seed=43, skew=95)
-            async with AsyncServer(
-                engine, max_batch=64, max_delay_us=200
-            ) as server:
+            async with AsyncServer(engine) as server:
                 await server.start("127.0.0.1", 0)
                 report = await open_loop_load(
                     server.host,
@@ -633,47 +845,38 @@ class TestOpenLoopLoadGenerator:
             assert report.errors == 0 and report.overloaded == 0
             assert report.throughput_rps > 0
             assert report.latency_p99_us >= report.latency_p50_us > 0
-            # Concurrent connections must actually coalesce.
-            assert report.mean_batch_size > 1.0
+            # batch=1: every packet is its own 1-row frame.
+            assert report.server["server"]["binary_batches"] == 600
             payload = report.as_dict()
-            assert payload["mean_batch_size"] == pytest.approx(
-                report.mean_batch_size, abs=1e-3
-            )
+            assert payload["batch"] == 1
+            assert "protocol" not in payload and "mean_batch_size" not in payload
 
         run_scenario_coro(scenario())
 
-    def test_batched_load_rides_wire_v2_with_json_pin(self, server_rules):
+    def test_batched_load_sends_one_frame_per_batch(self, server_rules):
         async def scenario():
             engine = ClassificationEngine.build(server_rules, classifier="tm")
             async with AsyncServer(engine) as server:
                 await server.start("127.0.0.1", 0)
                 packets = [
-                    tuple(p) for p in server_rules.sample_packets(96, seed=48)
+                    tuple(p) for p in server_rules.sample_packets(100, seed=48)
                 ]
                 batched = await open_loop_load(
                     server.host, server.port, packets, connections=2, batch=8
                 )
-                pinned = await open_loop_load(
-                    server.host,
-                    server.port,
-                    packets,
-                    connections=2,
-                    batch=8,
-                    protocol="json",
+                single = await open_loop_load(
+                    server.host, server.port, packets, connections=2
                 )
-            assert batched.protocol == "v2" and batched.batch == 8
-            assert pinned.protocol == "json"
-            for report in (batched, pinned):
-                assert report.completed == 96
+            assert batched.batch == 8 and single.batch == 1
+            for report in (batched, single):
+                assert report.completed == 100
                 assert report.errors == 0
                 assert report.matched == batched.matched
-            assert batched.server["server"]["binary_batches"] >= 96 // 8
+            # Two connections x 50 packets: six full frames and a 2-row tail.
+            assert batched.server["server"]["binary_batches"] == 2 * 7
+            assert single.server["server"]["binary_batches"] == 2 * 7 + 100
             with pytest.raises(ValueError, match="batch"):
                 await open_loop_load(server.host, server.port, packets, batch=0)
-            with pytest.raises(ValueError, match="protocol"):
-                await open_loop_load(
-                    server.host, server.port, packets, protocol="v3"
-                )
 
         run_scenario_coro(scenario())
 

@@ -1,5 +1,18 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import contextlib
+import glob
+import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -117,8 +130,6 @@ class TestTrain:
         assert main(["train", str(ruleset_file), str(warm),
                      "--warm-start", str(cold)]) == 0
         printed = capsys.readouterr().out
-        import re
-
         assert re.search(r"training warm_started\s*: True", printed)
 
     def test_train_rejects_warm_start_for_stateless_classifier(
@@ -141,30 +152,59 @@ class TestTrain:
         assert "warm starting" in capsys.readouterr().err
 
 
+@contextlib.contextmanager
+def listening_server(ruleset_file, *flags):
+    """``repro serve RULES --listen 127.0.0.1:0 FLAGS`` as a child process.
+
+    Yields ``(proc, announce)`` once the child printed its ``listening on``
+    line (``announce`` is that line); kills the child on exit if the test did
+    not stop it, and never waits more than a minute for anything.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(ruleset_file),
+         "--listen", "127.0.0.1:0", "--classifier", "tm", *flags],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    watchdog = threading.Timer(60, proc.kill)
+    watchdog.start()
+    try:
+        announce = next(
+            (line for line in proc.stderr if "listening on" in line), None
+        )
+        assert announce, "server never announced its address"
+        yield proc, announce
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait(timeout=15)
+        proc.stdout.close()
+        proc.stderr.close()
+
+
 class TestServeListen:
-    def test_parser_accepts_coalescing_options(self):
+    def test_parser_accepts_serving_options(self):
         args = build_parser().parse_args(
             ["serve", "rules.txt", "--listen", "0.0.0.0:8590",
-             "--max-batch", "64", "--max-delay-us", "150",
-             "--max-queue", "512", "--cache-size", "2048"]
+             "--max-queue", "512", "--cache-size", "2048",
+             "--slo-p99-us", "20000", "--no-adaptive"]
         )
         assert args.listen == "0.0.0.0:8590"
-        assert args.max_batch == 64
-        assert args.max_delay_us == 150.0
         assert args.max_queue == 512
         assert args.cache_size == 2048
+        assert args.slo_p99_us == 20000.0 and args.adaptive is False
+
+    @pytest.mark.parametrize("flag", ["--max-batch", "--max-delay-us"])
+    def test_coalescing_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "rules.txt", flag, "64"])
 
     def test_listen_defaults(self):
-        from repro.serving import (
-            DEFAULT_MAX_BATCH,
-            DEFAULT_MAX_DELAY_US,
-            DEFAULT_MAX_QUEUE,
-        )
+        from repro.serving import DEFAULT_MAX_QUEUE
 
         args = build_parser().parse_args(["serve", "rules.txt"])
         assert args.listen is None
-        assert args.max_batch == DEFAULT_MAX_BATCH
-        assert args.max_delay_us == DEFAULT_MAX_DELAY_US
         assert args.max_queue == DEFAULT_MAX_QUEUE
         assert args.cache_size == 0
 
@@ -177,21 +217,100 @@ class TestServeListen:
             with pytest.raises(SystemExit):
                 _listen_address(bad)
 
+    def test_shutdown_summary_reports_what_the_budget_counted(self, ruleset_file):
+        """The operator-facing numbers come from the one budget and the one
+        path: flood a ``--max-queue 64`` server with pipelined 128-row frames
+        (each admitted only into an idle budget, so most are shed), read the
+        ``stats`` op, stop the server — the summary's rejected-frames and
+        shed-packets rows are non-zero and equal what ``stats`` said."""
+        from repro.serving import wire
+
+        block = wire.packet_block(
+            parse_classbench_file(ruleset_file).sample_packets(128, seed=5)
+        )
+
+        def read_frame(sock) -> bytes:
+            header = sock.recv(4, socket.MSG_WAITALL)
+            length = int.from_bytes(header[1:], "big")  # JSON's high byte is 0
+            return sock.recv(length, socket.MSG_WAITALL)
+
+        with listening_server(ruleset_file, "--max-queue", "64") as (proc, announce):
+            # bench/server_proc.py parses exactly this: third token, HOST:PORT.
+            assert announce.split()[:2] == ["listening", "on"]
+            host, port = announce.split()[2].rsplit(":", 1)
+            assert "max_queue=64" in announce and "max_batch" not in announce
+            with socket.create_connection((host, int(port)), timeout=30) as sock:
+                flood = b"".join(
+                    bytes([wire.FRAME_MAGIC]) + len(payload).to_bytes(3, "big") + payload
+                    for payload in (
+                        wire.encode_classify_request(i, block) for i in range(200)
+                    )
+                )
+                sock.sendall(flood)
+                statuses = [
+                    wire.decode_classify_response(read_frame(sock))[1]
+                    for _ in range(200)
+                ]
+                assert statuses.count(wire.STATUS_OK) >= 1
+                shed = statuses.count(wire.STATUS_OVERLOADED)
+                assert shed >= 1 and shed + statuses.count(wire.STATUS_OK) == 200
+                request = json.dumps({"id": 1, "op": "stats"}).encode()
+                sock.sendall(len(request).to_bytes(4, "big") + request)
+                server = json.loads(read_frame(sock))["stats"]["server"]
+            assert server["budget"]["rejected"] == shed
+            assert server["budget"]["rejected_packets"] == shed * 128
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=15) == 0
+            summary = dict(
+                (key.strip(), value.strip())
+                for key, _, value in (
+                    line.partition(":") for line in proc.stdout.read().splitlines()
+                )
+            )
+        assert int(summary["rejected frames"]) == shed
+        assert int(summary["shed packets"]) == shed * 128
+        assert int(summary["admitted frames"]) == 200 - shed
+        assert int(summary["frames served"]) == 200 - shed
+        assert int(summary["admitted packets"]) == (200 - shed) * 128
+        p50, p99 = (
+            float(summary[f"latency {q} us"].replace(",", "")) for q in ("p50", "p99")
+        )
+        assert p99 >= p50 > 0
+        for stale in ("batches", "mean batch size", "max batch seen",
+                      "rejected (overload)", "max queue depth"):
+            assert stale not in summary
+
+    def test_adaptive_summary_reports_the_controller(self, ruleset_file):
+        """With an SLO the summary also says what the controller did: its
+        objective, windows, breaches and the limit it left the budget at."""
+        from repro.workloads import run_load
+
+        with listening_server(
+            ruleset_file, "--slo-p99-us", "20000", "--max-queue", "512"
+        ) as (proc, announce):
+            assert "adaptive=on" in announce
+            host, port = announce.split()[2].rsplit(":", 1)
+            packets = [
+                tuple(p)
+                for p in parse_classbench_file(ruleset_file).sample_packets(64, seed=5)
+            ]
+            report = run_load(host, int(port), packets, connections=1, batch=16)
+            assert report.completed == 64
+            time.sleep(0.6)  # two control windows
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=15) == 0
+            summary = proc.stdout.read()
+        assert re.search(r"slo p99 us\s*: 20,000", summary)
+        assert int(re.search(r"control windows\s*: (\d+)", summary)[1]) >= 1
+        assert re.search(r"slo breaches\s*: \d+", summary)
+        assert 64 <= int(re.search(r"budget limit\s*: (\d+)", summary)[1]) <= 1 << 20
+        assert re.search(r"frames served\s*: 4\b", summary)
+
     @pytest.mark.parametrize("stop_signal", ["SIGTERM", "SIGINT"])
     def test_stop_signal_is_a_clean_shutdown(self, ruleset_file, stop_signal):
         """``SIGTERM`` (systemd, Docker, Kubernetes) and ``SIGINT`` both stop
         ``repro serve`` through ``engine.close()``: exit code 0, no shard
         worker left running, no shared-memory segment left behind."""
-        import glob
-        import os
-        import re
-        import signal
-        import subprocess
-        import sys
-        import threading
-        import time
-        from pathlib import Path
-
         from repro.workloads import run_load
 
         def children_of(pid):
@@ -206,23 +325,10 @@ class TestServeListen:
             return found
 
         segments_before = set(glob.glob("/dev/shm/rqw*"))
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", str(ruleset_file),
-             "--listen", "127.0.0.1:0", "--shards", "2", "--executor", "workers",
-             "--classifier", "tm"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-        )
-        watchdog = threading.Timer(60, proc.kill)
-        watchdog.start()
-        try:
-            address = None
-            for line in proc.stderr:
-                address = re.search(r"listening on ([\d.]+):(\d+)", line)
-                if address:
-                    break
-            assert address, "server never announced its address"
+        with listening_server(
+            ruleset_file, "--shards", "2", "--executor", "workers"
+        ) as (proc, announce):
+            address = re.search(r"listening on ([\d.]+):(\d+)", announce)
             packets = [
                 tuple(p)
                 for p in parse_classbench_file(ruleset_file).sample_packets(8, seed=5)
@@ -242,11 +348,6 @@ class TestServeListen:
                 assert time.monotonic() < deadline, "a child survived the server"
                 time.sleep(0.05)
             assert set(glob.glob("/dev/shm/rqw*")) <= segments_before
-        finally:
-            watchdog.cancel()
-            proc.kill()
-            proc.wait(timeout=15)
-            proc.stderr.close()
 
 
 class TestServe:
@@ -311,8 +412,6 @@ class TestReplay:
         assert "measured kpps" in out
 
     def test_replay_json_output(self, ruleset_file, capsys):
-        import json
-
         assert main(["replay", "--ruleset", str(ruleset_file), "--trace", "caida",
                      "--cache-size", "256", "--packets", "1000", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -98,20 +98,17 @@ class _FakeClient:
     """Stands in for AsyncClient: deterministic latency per packet value.
 
     Packets with first field < 32 take ``SLOW_S``; 32..39 take ``FAST_S``;
-    >= 40 are shed with an ``overloaded`` error.  Batches act on their first
-    row, so runs whose batch boundaries align with those bands behave
+    >= 40 are shed with an ``overloaded`` error.  Frames act on their first
+    row, so runs whose frame boundaries align with those bands behave
     identically packet-for-packet in batch=1 and batch>1 modes.
     """
 
     SLOW_S = 0.05
     FAST_S = 0.001
-    wire_v2 = True
 
     @classmethod
-    async def connect(cls, host, port, negotiate=True):
-        client = cls()
-        client.wire_v2 = bool(negotiate)
-        return client
+    async def connect(cls, host, port):
+        return cls()
 
     async def _respond(self, lead_value: int, count: int) -> list[dict]:
         if lead_value >= 40:
@@ -121,9 +118,6 @@ class _FakeClient:
             {"matched": False, "rule_id": None, "priority": None}
             for _ in range(count)
         ]
-
-    async def classify(self, packet):
-        return (await self._respond(int(packet[0]), 1))[0]
 
     async def classify_batch(self, group):
         return await self._respond(int(group[0][0]), len(group))
@@ -226,7 +220,7 @@ class TestProfileIntegration:
         async def scenario():
             rules = generate_classbench("acl1", 60, seed=19)
             engine = ClassificationEngine.build(rules, classifier="tm")
-            async with AsyncServer(engine, max_batch=32, max_delay_us=200) as server:
+            async with AsyncServer(engine) as server:
                 await server.start("127.0.0.1", 0)
                 packets = [tuple(p) for p in rules.sample_packets(120, seed=23)]
                 report = await open_loop_load(

@@ -6,10 +6,10 @@ concurrent classify bursts with inserts and removes through an
 :class:`~repro.serving.server.AsyncServer`, no response is ever a stale or
 wrong-priority match — every classify whose request was sent after an
 update's ack must equal linear search over the rules live at that instant
-(total order ``(priority, rule_id)``).  Classifies inside one burst run
-concurrently (they coalesce into shared micro-batches), updates are the
-sequence points; the update-queue contract makes exactly that pattern
-well-defined.
+(total order ``(priority, rule_id)``).  A burst's packets travel as v2
+frames — the first half pipelined as concurrent 1-row frames, the rest as
+one frame — updates are the sequence points; the update-queue contract makes
+exactly that pattern well-defined.
 
 The rule/packet universe is deliberately tiny (5-tuple values in 0..7) so
 flows collide, rules overlap, and the flow cache in front of the engine has
@@ -88,16 +88,19 @@ async def drive_server(rules, ops, capacity):
     next_priority = len(rules)
     next_id = 100
     try:
-        async with AsyncServer(engine, max_batch=4, max_delay_us=300) as server:
+        async with AsyncServer(engine) as server:
             await server.start("127.0.0.1", 0)
             async with await AsyncClient.connect(
                 server.host, server.port
             ) as client:
                 for op, payload in ops:
                     if op == "classify":
-                        responses = await asyncio.gather(
-                            *(client.classify(packet) for packet in payload)
+                        half = len(payload) // 2
+                        *singles, rest = await asyncio.gather(
+                            *(client.classify(packet) for packet in payload[:half]),
+                            client.classify_batch(payload[half:]),
                         )
+                        responses = singles + rest
                         rules_now = list(live.values())
                         for packet, response in zip(payload, responses):
                             expected = result_key(linear_best(rules_now, packet))

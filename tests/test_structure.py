@@ -1,5 +1,5 @@
-"""Structural guard: one lookup path per stack, one update path and one
-RQ-RMI trainer cannot grow back unnoticed.
+"""Structural guard: one lookup path per stack, one update path, one RQ-RMI
+trainer and one data plane cannot grow back unnoticed.
 
 AST-based, so it reads what the source *defines*, not what an import happens
 to expose: among classifiers and engine stacks under ``src/repro`` only
@@ -8,9 +8,10 @@ to expose: among classifiers and engine stacks under ``src/repro`` only
 engine keeps exactly two executors, the §3.9 update overlay lives in exactly
 one class (``ClassificationEngine``; ``_Shard`` is swap bookkeeping), the
 staged training loop lives in ``core/pipeline.py`` and the Adam update in
-``core/training.py`` only, and none of the superseded names survives.  (The
-wire client's ``AsyncClient.classify_batch`` is a network call, not a lookup
-implementation, and is exempt.)
+``core/training.py`` only, the server reaches the engine for a lookup from
+one call site behind one admission point, and none of the superseded names
+survives.  (The wire client's ``AsyncClient.classify_batch`` is a network
+call, not a lookup implementation, and is exempt.)
 """
 
 from __future__ import annotations
@@ -109,13 +110,42 @@ def test_superseded_names_are_gone():
         r"supports_updates|_effective_ruleset|_updatable|"
         r"_rebuild_shard_engine|train_submodels_stacked|_train_stacked_chunk|"
         r"AdamState|max_stacked_elements|early_stop_tolerance|serial_trainer|"
-        r"supports_training_pipeline|warm_retrain|retrain_jobs)\b|columnar="
+        r"supports_training_pipeline|warm_retrain|retrain_jobs|"
+        r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|"
+        r"_op_classify|_process_batch|_packet_values|negotiate|max_delay_us|"
+        r"DEFAULT_MAX_DELAY_US|DEFAULT_MAX_BATCH|read_frame|MAX_FRAME_BYTES)\b|"
+        r"columnar="
     )
     offenders = [
         f"{path.relative_to(SRC)}:{number}: {line.strip()}"
         for path in sorted(SRC.rglob("*.py"))
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if removed.search(line)
+    ]
+    assert offenders == []
+
+
+def test_nothing_shipped_still_describes_the_json_data_plane():
+    """ISSUE 15's acceptance grep, kept as a test: no source, example,
+    benchmark, script, doc or workflow names the deleted data plane or the
+    options that selected it (CHANGES.md is where the names are spelled)."""
+    gone = re.compile(
+        r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|_op_classify|"
+        r"negotiate=|wire_v2=|protocol=\"json\"|max_delay_us|max-delay-us|"
+        r"--max-batch|DEFAULT_MAX_BATCH|MAX_FRAME_BYTES"
+    )
+    root = SRC.parent.parent
+    shipped = [root / "README.md"] + [
+        path
+        for top in ("src", "examples", "benchmarks", "scripts", "docs", ".github")
+        for path in sorted((root / top).rglob("*"))
+        if path.is_file() and path.suffix in {".py", ".md", ".yml", ".yaml"}
+    ]
+    offenders = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in shipped
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if gone.search(line)
     ]
     assert offenders == []
 
@@ -155,6 +185,47 @@ def test_one_staged_loop_and_one_adam_update():
         and getattr(node.func, "id", getattr(node.func, "attr", "")) == "train_submodel"
     }
     assert callers == {"core/pipeline.py"}
+
+
+def _calls(path: Path, method: str) -> list[ast.Call]:
+    """Every ``<anything>.method(...)`` / ``method(...)`` call in a file, plus
+    every place the method is handed over uncalled (``run(x.method, ...)``)."""
+    tree = ast.parse(path.read_text())
+    called = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", "")) == method
+    ]
+    passed = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for arg in node.args
+        if isinstance(arg, ast.Attribute) and arg.attr == method
+    ]
+    return called + passed
+
+
+def test_the_server_has_one_data_plane():
+    """``serving/server.py`` reaches ``classify_block`` from exactly one site
+    and never asks an engine for ``classify_batch`` (the object materializer
+    the JSON classify op went through); ``PacketBudget.try_acquire`` has
+    exactly one call site in the serving package."""
+    server = SRC / "serving" / "server.py"
+    assert len(_calls(server, "classify_block")) == 1
+    on_an_engine = [
+        node
+        for node in _calls(server, "classify_batch")
+        if "engine" in ast.unparse(node)
+    ]
+    assert on_an_engine == []
+    admissions = {
+        str(path.relative_to(SRC)): len(_calls(path, "try_acquire"))
+        for path in (SRC / "serving").glob("*.py")
+        if _calls(path, "try_acquire")
+    }
+    assert admissions == {"serving/server.py": 1}
 
 
 def test_flowcache_holds_no_rule_objects():
