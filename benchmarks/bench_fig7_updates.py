@@ -113,7 +113,7 @@ def test_fig7_throughput_under_updates(benchmark):
         counter[0] += 1
         engine.insert(
             Rule(((7, 7), (9, 9), (80, 80), (443, 443), (6, 6)),
-                 priority=-1, rule_id=rule_id)
+                 priority=0, rule_id=rule_id)
         )
 
     benchmark(add_one)

@@ -1,15 +1,10 @@
-"""Training-pipeline benchmark — fan-out and warm-start build times.
+"""Training benchmark — cold and warm-start build times.
 
 The paper's Figure 15 measures absolute RQ-RMI training cost; this benchmark
-measures what the :mod:`repro.core.pipeline` orchestration buys on the build
-path.  There is one trainer; what varies is how it is driven:
+measures what the warm start of :func:`repro.core.pipeline.train_rqrmi` buys
+on the build path.  There is one trainer and it runs inline:
 
-* **cold build, ``jobs=1`` vs ``jobs=4``** — the same per-iSet training jobs
-  inline and fanned across a process pool.  The ratio is bounded by the
-  largest iSet's share of the training time (reported as ``ideal``), and it
-  is a scaling result only on a host with cores to scale onto: below
-  :data:`FLOOR_CORES` usable cores it is reported as
-  ``"not measurable (N cores)"``.  It is never asserted;
+* **cold build** — the reference build time of the rule-set;
 * **warm retrain** — rebuilding after an update workload (rule modifications,
   removals and insertions) with submodels seeded/reused from the previous
   engine, against the same rebuild done cold;
@@ -22,17 +17,15 @@ number is reported, so the speedups never come at the cost of the certified
 error-bound contract.
 
 Emits the BENCH json line / ``benchmarks/results/training_pipeline.json``
-consumed by ``scripts/bench_table.py``; ``config.host.cores`` is part of it.
+consumed by ``scripts/bench_table.py``.
 """
 
-import os
 import time
 
 import numpy as np
 
 from repro.analysis import format_table
 from repro.core.nuevomatch import NuevoMatch
-from repro.core.pipeline import TrainingPipeline
 from repro.rules.rule import Rule
 from repro.serving import ShardedEngine
 
@@ -40,9 +33,6 @@ from bench_helpers import bench_nm_config, current_scale, report, report_json, r
 
 #: Modification fraction of the update workload (§3.9-style churn).
 UPDATE_FRACTION = 0.02
-
-#: Fewest usable cores on which ``jobs=4`` vs ``jobs=1`` is a scaling result.
-FLOOR_CORES = 4
 
 
 def _timed(fn, repeats: int = 1):
@@ -122,25 +112,19 @@ def test_training_pipeline(benchmark):
     size = scale["sizes"]["100K"]
     rules = ruleset("acl1", size)
     config = bench_nm_config("tm")
-    cores = len(os.sched_getaffinity(0))  # what this process may use
 
-    build_jobs = lambda jobs: NuevoMatch.build(
-        rules, remainder_classifier="tm", config=config,
-        pipeline=TrainingPipeline(jobs=jobs),
+    nm_base, cold_build_s = _timed(
+        lambda: NuevoMatch.build(rules, remainder_classifier="tm", config=config),
+        repeats=3,
     )
-    nm_jobs1, cold_jobs1_s = _timed(lambda: build_jobs(1), repeats=3)
-    nm_jobs4, cold_jobs4_s = _timed(lambda: build_jobs(4), repeats=3)
-    _verify(nm_jobs1, rules, seed=11)
-    _verify(nm_jobs4, rules, seed=11)
-    per_iset_s = [iset.model.report.training_seconds for iset in nm_jobs1.isets]
-    ideal_speedup = sum(per_iset_s) / max(per_iset_s)
+    _verify(nm_base, rules, seed=11)
 
     updated = _update_workload(rules, UPDATE_FRACTION)
     retrain_cold = lambda: NuevoMatch.build(
         updated, remainder_classifier="tm", config=config
     )
     retrain_warm = lambda: NuevoMatch.build(
-        updated, remainder_classifier="tm", config=config, warm_from=nm_jobs1
+        updated, remainder_classifier="tm", config=config, warm_from=nm_base
     )
     nm_cold, cold_retrain_s = _timed(retrain_cold, repeats=2)
     nm_warm, warm_s = _timed(retrain_warm, repeats=2)
@@ -150,19 +134,11 @@ def test_training_pipeline(benchmark):
     swap_rules = ruleset("acl1", max(400, size // 8))
     swap_cold_s, swap_warm_s = _retrain_to_swap_seconds(swap_rules, config)
 
-    measurable = cores >= FLOOR_CORES
-    parallel_speedup = (
-        cold_jobs1_s / cold_jobs4_s if measurable
-        else f"not measurable ({cores} core{'s' if cores != 1 else ''})"
-    )
     warm_speedup = cold_retrain_s / warm_s
     swap_speedup = swap_cold_s / swap_warm_s
 
     rows = [
-        ["cold build (jobs=1)", round(cold_jobs1_s, 3), "1.00x"],
-        [f"cold build (jobs=4, {cores} cores, ideal {ideal_speedup:.2f}x)",
-         round(cold_jobs4_s, 3),
-         f"{parallel_speedup:.2f}x" if measurable else parallel_speedup],
+        ["cold build", round(cold_build_s, 3), "1.00x"],
         ["retrain after updates (cold)", round(cold_retrain_s, 3), "1.00x"],
         ["retrain after updates (warm)", round(warm_s, 3),
          f"{warm_speedup:.2f}x"],
@@ -174,7 +150,7 @@ def test_training_pipeline(benchmark):
         "training_pipeline",
         format_table(
             ["path", "seconds", "speedup"], rows,
-            title=f"training pipeline on acl1/{size} "
+            title=f"RQ-RMI training on acl1/{size} "
                   f"(update churn {UPDATE_FRACTION:.0%})",
         ),
     )
@@ -184,12 +160,9 @@ def test_training_pipeline(benchmark):
         config={
             "ruleset": f"acl1/{size}",
             "update_fraction": UPDATE_FRACTION,
-            "host": {"cores": cores},
         },
         measured={
-            "cold_jobs1_s": cold_jobs1_s,
-            "cold_jobs4_s": cold_jobs4_s,
-            "iset_training_s": per_iset_s,
+            "cold_build_s": cold_build_s,
             "cold_retrain_s": cold_retrain_s,
             "warm_s": warm_s,
             "retrain_to_swap_cold_s": swap_cold_s,
@@ -199,8 +172,6 @@ def test_training_pipeline(benchmark):
             "warm_cold_fallbacks": warm_prov["cold_fallbacks"],
         },
         summary={
-            "parallel_speedup": parallel_speedup,
-            "parallel_ideal_speedup": ideal_speedup,
             "warm_speedup": warm_speedup,
             "retrain_to_swap_speedup": swap_speedup,
             "retrain_to_swap_warm_s": swap_warm_s,
@@ -208,8 +179,5 @@ def test_training_pipeline(benchmark):
     )
 
     # Asserted loosely enough for CI noise: a warm retrain at least 3x faster
-    # than a cold retrain of the same rules.  The fan-out ratio is reported,
-    # not asserted: jobs are per iSet, so it is bounded by ``ideal_speedup``
-    # (≈1.4x here) less the pool's start-up, and no floor for it has been
-    # measured on a host with the cores to show it.
+    # than a cold retrain of the same rules.
     assert warm_speedup >= 3.0, f"warm retrain only {warm_speedup:.2f}x"

@@ -36,13 +36,8 @@ def _fmt(value: float, digits: int = 2) -> str:
 def _rows_training_pipeline(data: dict) -> list[tuple[str, str, str]]:
     config = data.get("config", {})
     summary = data["summary"]
-    name = f"training pipeline ({config.get('ruleset', '?')})"
-    parallel = summary["parallel_speedup"]
-    cores = config.get("host", {}).get("cores", "?")
+    name = f"RQ-RMI training ({config.get('ruleset', '?')})"
     return [
-        (name, f"cold build, jobs=4 vs jobs=1 ({cores} cores)",
-         # Too few cores cannot show fan-out: the bench reports a string.
-         parallel if isinstance(parallel, str) else f"{_fmt(parallel)}x"),
         (name, "warm-start retrain vs cold retrain",
          f"{_fmt(summary['warm_speedup'])}x faster"),
         (name, "retrain-to-swap latency, warm vs cold",

@@ -32,9 +32,8 @@ Subsystems:
   across cores.
 * :mod:`repro.core` — the RQ-RMI learned range index, iSet partitioning and
   the end-to-end NuevoMatch classifier (the paper's contribution), plus the
-  parallel warm-start training pipeline (:mod:`repro.core.pipeline`):
-  stacked vectorized submodel training, per-iSet process fan-out, and
-  retrains seeded from the engine being replaced.
+  one staged trainer (:func:`repro.core.pipeline.train_rqrmi`), whose warm
+  start seeds a retrain from the engine being replaced.
 * :mod:`repro.rules` — rule model, ClassBench-like and Stanford-backbone-like
   rule-set generators, and the ClassBench text format parser.
 * :mod:`repro.classifiers` — the classifier registry plus baselines used both
@@ -68,10 +67,8 @@ from repro.classifiers import (
 from repro.core import (
     NuevoMatch,
     NuevoMatchConfig,
-    PipelineConfig,
     RQRMI,
     RQRMIConfig,
-    TrainingPipeline,
     partition_isets,
 )
 from repro.engine import ClassificationEngine
@@ -97,10 +94,8 @@ __all__ = [
     "resolve_classifier",
     "NuevoMatch",
     "NuevoMatchConfig",
-    "PipelineConfig",
     "RQRMI",
     "RQRMIConfig",
-    "TrainingPipeline",
     "partition_isets",
     "__version__",
 ]

@@ -139,11 +139,6 @@ class TreeStats:
     total_leaf_rule_slots: int = 0   # counts replication
     max_leaf_size: int = 0
 
-    @property
-    def replication_factor(self) -> float:
-        """Stored rule slots divided by distinct rules (>= 1 when replication)."""
-        return self.total_leaf_rule_slots
-
 
 def _rules_intersecting(rules: list[Rule], dim: int, lo: int, hi: int) -> list[Rule]:
     out = []

@@ -8,21 +8,21 @@ Commands:
   iSet coverage, estimated centrality).
 * ``build``    — build a classifier (NuevoMatch or a baseline) over a rule-set
   file and report its structure: footprint, coverage, error bounds.
-* ``train``    — build an engine through the parallel training pipeline
-  (``--jobs N`` fans iSet training across processes, ``--warm-start SNAPSHOT``
-  seeds submodels from a previous engine) and persist the snapshot with its
-  training provenance.
 * ``compare``  — build NuevoMatch and a baseline over the same rule-set and
   report the modelled latency/throughput speedups on a uniform trace.
 * ``engine``   — the serving API: ``engine save`` builds a
-  :class:`~repro.engine.ClassificationEngine` and persists it, ``engine load``
-  inspects a saved engine, ``engine serve`` runs batched classification over
-  a generated trace.
+  :class:`~repro.engine.ClassificationEngine` and persists it with its
+  training provenance (``--warm-start SNAPSHOT`` seeds the RQ-RMI submodels
+  from a previous engine), ``engine load`` inspects a saved engine,
+  ``engine serve`` runs batched classification over a generated trace.
 * ``serve``    — multi-core sharded serving: build a
   :class:`~repro.serving.ShardedEngine` over a rule-set (``--shards N``,
   ``--executor serial|workers``), run a generated trace through it, and
   report measured plus
-  modelled throughput; ``--save`` persists all shards to one snapshot.  With
+  modelled throughput; ``--save`` persists all shards to one snapshot and
+  ``--retrain-threshold`` sets the remainder fraction at which a shard
+  retrains in the background (a single engine behind ``--listen --shards 1``
+  never retrains, so the flag is rejected there).  With
   ``--listen HOST:PORT`` the engine is served over asyncio TCP instead
   (binary classify-batch frames for lookups, length-prefixed JSON for
   hello/insert/remove/stats), with a packet-weighted admission budget
@@ -117,28 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--packets", type=int, default=500)
     cmp_.add_argument("--error-threshold", type=int, default=64)
 
-    train = sub.add_parser(
-        "train",
-        help="build an engine through the parallel training pipeline and "
-             "persist it (supports warm-starting from a previous snapshot)",
-    )
-    train.add_argument("ruleset", help="ClassBench-format rule-set file")
-    train.add_argument("output", help="engine snapshot path (.json or .json.gz)")
-    train.add_argument("--classifier", default="nm", choices=available_classifiers())
-    train.add_argument("--remainder", default="tm", choices=_baseline_choices())
-    train.add_argument("--error-threshold", type=int, default=64)
-    train.add_argument("--jobs", type=int, default=1,
-                       help="process-pool width for independent iSet training "
-                            "jobs (results are identical for any job count)")
-    train.add_argument("--warm-start", metavar="SNAPSHOT",
-                       help="seed RQ-RMI training from this engine snapshot: "
-                            "unchanged submodels are reused, changed ones "
-                            "retrain from the old weights (cold fallback when "
-                            "the error bound regresses)")
-    train.add_argument("--warm-epochs", type=int, default=None,
-                       help="Adam epochs for warm-started submodels "
-                            "(default: a third of the cold budget)")
-
     engine = sub.add_parser("engine", help="build, persist and serve engines")
     engine_sub = engine.add_subparsers(dest="engine_command", required=True)
 
@@ -150,6 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     save.add_argument("--classifier", default="nm", choices=available_classifiers())
     save.add_argument("--remainder", default="tm", choices=_baseline_choices())
     save.add_argument("--error-threshold", type=int, default=64)
+    save.add_argument("--warm-start", metavar="SNAPSHOT",
+                      help="seed RQ-RMI training from this engine snapshot: "
+                           "unchanged submodels are reused, changed ones "
+                           "retrain from the old weights (cold fallback when "
+                           "the error bound regresses)")
 
     load = engine_sub.add_parser(
         "load", help="load a saved engine and print its structure"
@@ -180,8 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "persistent shared-memory shard-worker runtime) "
                               "when building with --shards > 1, else 'serial' "
                               "(in-process; also the default for snapshots)")
-    sharded.add_argument("--retrain-threshold", type=float,
-                         default=DEFAULT_RETRAIN_THRESHOLD)
+    sharded.add_argument("--retrain-threshold", type=float, default=None,
+                         help="remainder fraction at which a shard retrains "
+                              f"(default {DEFAULT_RETRAIN_THRESHOLD}); needs a "
+                              "sharded engine, i.e. not --listen with --shards 1")
     sharded.add_argument("--error-threshold", type=int, default=64)
     sharded.add_argument("--packets", type=int, default=2000)
     sharded.add_argument("--batch-size", type=int, default=128)
@@ -301,21 +286,20 @@ def _nm_config(error_threshold: int) -> NuevoMatchConfig:
     )
 
 
-def _build_classifier_from_args(args: argparse.Namespace):
-    ruleset = parse_classbench_file(args.ruleset)
-    if args.classifier == "nm":
-        classifier = NuevoMatch.build(
-            ruleset,
-            remainder_classifier=args.remainder,
-            config=_nm_config(args.error_threshold),
-        )
-    else:
-        classifier = build_classifier(args.classifier, ruleset)
-    return ruleset, classifier
+def _build_params(args: argparse.Namespace) -> dict:
+    """Classifier ``build`` parameters from ``--classifier``/``--remainder``/
+    ``--error-threshold`` (only NuevoMatch takes any)."""
+    if args.classifier != "nm":
+        return {}
+    return {
+        "remainder_classifier": args.remainder,
+        "config": _nm_config(args.error_threshold),
+    }
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    ruleset, classifier = _build_classifier_from_args(args)
+    ruleset = parse_classbench_file(args.ruleset)
+    classifier = build_classifier(args.classifier, ruleset, **_build_params(args))
     stats = classifier.statistics()
     printable = {
         key: (round(value, 4) if isinstance(value, float) else value)
@@ -360,65 +344,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.core.pipeline import TrainingPipeline
-
-    ruleset = parse_classbench_file(args.ruleset)
-    params = {}
-    pipeline = None
-    warm_from = None
-    if args.classifier == "nm":
-        params = {
-            "remainder_classifier": args.remainder,
-            "config": _nm_config(args.error_threshold),
-        }
-        pipeline = TrainingPipeline(jobs=args.jobs, warm_epochs=args.warm_epochs)
-        if args.warm_start:
-            warm_from = ClassificationEngine.load(args.warm_start)
-            if warm_from.classifier_name != "nm":
-                print(
-                    f"error: --warm-start snapshot holds a "
-                    f"{warm_from.classifier_name!r} classifier; warm starting "
-                    "applies to trained (nm) engines",
-                    file=sys.stderr,
-                )
-                return 2
-    elif args.warm_start or args.jobs != 1:
-        print(
-            f"error: classifier {args.classifier!r} has no trained state; "
-            "--jobs/--warm-start apply to nm",
-            file=sys.stderr,
-        )
-        return 2
-    start = time.perf_counter()
-    engine = ClassificationEngine.build(
-        ruleset,
-        classifier=args.classifier,
-        pipeline=pipeline,
-        warm_from=warm_from,
-        **params,
-    )
-    build_seconds = time.perf_counter() - start
-    engine.save(args.output)
-    summary = {
-        "rules": len(ruleset),
-        "build wall s": round(build_seconds, 3),
-    }
-    for key, value in engine.metadata.get("training", {}).items():
-        summary[f"training {key}"] = (
-            round(value, 4) if isinstance(value, float) else value
-        )
-    print(format_kv(
-        summary, title=f"trained engine[{engine.classifier_name}] over {ruleset.name}"
-    ))
-    print(args.output)
-    return 0
-
-
-def _print_engine_stats(engine: ClassificationEngine, title: str) -> None:
-    stats = engine.statistics()
+def _print_engine_stats(
+    engine: ClassificationEngine, title: str, extra: dict | None = None
+) -> None:
+    stats = {**engine.statistics(), **(extra or {})}
     printable = {
         key: (round(value, 4) if isinstance(value, float) else value)
         for key, value in stats.items()
@@ -428,11 +357,44 @@ def _print_engine_stats(engine: ClassificationEngine, title: str) -> None:
 
 
 def _cmd_engine_save(args: argparse.Namespace) -> int:
-    ruleset, classifier = _build_classifier_from_args(args)
-    engine = ClassificationEngine(classifier)
+    import time
+
+    warm_from = None
+    if args.warm_start:
+        if args.classifier != "nm":
+            print(
+                f"error: classifier {args.classifier!r} has no trained state; "
+                "--warm-start applies to nm",
+                file=sys.stderr,
+            )
+            return 2
+        warm_from = ClassificationEngine.load(args.warm_start)
+        if warm_from.classifier_name != "nm":
+            print(
+                f"error: --warm-start snapshot holds a "
+                f"{warm_from.classifier_name!r} classifier; warm starting "
+                "applies to trained (nm) engines",
+                file=sys.stderr,
+            )
+            return 2
+    ruleset = parse_classbench_file(args.ruleset)
+    start = time.perf_counter()
+    engine = ClassificationEngine.build(
+        ruleset,
+        classifier=args.classifier,
+        warm_from=warm_from,
+        **_build_params(args),
+    )
+    build_seconds = time.perf_counter() - start
     engine.save(args.output)
+    training = engine.metadata.get("training", {})
     _print_engine_stats(
-        engine, f"engine[{engine.classifier_name}] over {ruleset.name}"
+        engine,
+        f"engine[{engine.classifier_name}] over {ruleset.name}",
+        {
+            "build wall s": build_seconds,
+            **{f"training {key}": value for key, value in training.items()},
+        },
     )
     print(args.output)
     return 0
@@ -574,13 +536,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     else:
         ruleset = parse_classbench_file(args.ruleset)
-        params = {}
-        if args.classifier == "nm":
-            params = {
-                "remainder_classifier": args.remainder,
-                "config": _nm_config(args.error_threshold),
-            }
+        params = _build_params(args)
         if args.listen and args.shards <= 1:
+            if args.retrain_threshold is not None:
+                # A plain engine has no retrain lifecycle; dropping the flag
+                # silently would let the overlay grow for the server's life.
+                print(
+                    "error: --retrain-threshold needs a sharded engine; a "
+                    "single engine behind --listen never retrains (use "
+                    "--shards 2)",
+                    file=sys.stderr,
+                )
+                return 2
             # Network serving fronts any engine stack; one shard needs no
             # fan-out layer at all.
             return _cmd_serve_listen(
@@ -595,7 +562,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             classifier=args.classifier,
             partitioner=args.partitioner,
             executor=args.executor or auto_executor,
-            retrain_threshold=args.retrain_threshold,
+            retrain_threshold=(
+                DEFAULT_RETRAIN_THRESHOLD
+                if args.retrain_threshold is None
+                else args.retrain_threshold
+            ),
             **params,
         )
     if args.listen:
@@ -647,12 +618,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         ruleset = parse_classbench_file(args.ruleset)
     else:
         ruleset = generate_classbench(args.application, args.rules, seed=args.seed)
-    params = {}
-    if args.classifier == "nm":
-        params = {
-            "remainder_classifier": args.remainder,
-            "config": _nm_config(args.error_threshold),
-        }
     report = run_scenario(
         ruleset,
         trace_kind=args.trace,
@@ -664,7 +629,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         executor=args.executor,
         batch_size=args.batch_size,
         seed=args.seed,
-        **params,
+        **_build_params(args),
     )
     if args.json:
         print(json.dumps(report.as_dict(), sort_keys=True))
@@ -699,7 +664,6 @@ _COMMANDS = {
     "inspect": _cmd_inspect,
     "build": _cmd_build,
     "compare": _cmd_compare,
-    "train": _cmd_train,
     "serve": _cmd_serve,
     "replay": _cmd_replay,
 }

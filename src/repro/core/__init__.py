@@ -9,10 +9,8 @@ Public API:
 * :class:`~repro.core.nuevomatch.NuevoMatch` — the end-to-end classifier.
 * :class:`~repro.core.config.RQRMIConfig` /
   :class:`~repro.core.config.NuevoMatchConfig` — configuration (Table 4, §5.1).
-* :class:`~repro.core.pipeline.TrainingPipeline` /
-  :class:`~repro.core.pipeline.PipelineConfig` — the staged trainer every
-  build uses (:func:`~repro.core.pipeline.train_rqrmi`) with process fan-out
-  and warm start (submodel reuse under recomputed error bounds).
+* :func:`~repro.core.pipeline.train_rqrmi` — the staged trainer every build
+  uses, with warm start (submodel reuse under recomputed error bounds).
 * :mod:`~repro.core.updates` — the §3.9 closed-form update model (the update
   mechanism itself is :class:`repro.engine.ClassificationEngine`'s).
 * :mod:`~repro.core.metrics` — diversity and centrality (§3.7).
@@ -27,7 +25,7 @@ from repro.core.config import (
 from repro.core.submodel import Submodel
 from repro.core.training import TrainingDataset, sample_responsibility, train_submodel
 from repro.core.rqrmi import RQRMI, RangeSet, RQRMILookup, TrainingReport
-from repro.core.pipeline import PipelineConfig, TrainingPipeline, train_rqrmi
+from repro.core.pipeline import train_rqrmi
 from repro.core.isets import (
     ISet,
     PartitionResult,
@@ -62,8 +60,6 @@ __all__ = [
     "TrainingDataset",
     "sample_responsibility",
     "train_submodel",
-    "PipelineConfig",
-    "TrainingPipeline",
     "train_rqrmi",
     "ISet",
     "PartitionResult",

@@ -39,7 +39,7 @@ from repro.classifiers.base import (
 from repro.classifiers.registry import register, resolve_classifier
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.isets import ISet, PartitionResult, partition_isets
-from repro.core.pipeline import TrainingPipeline
+from repro.core.pipeline import train_rqrmi
 from repro.core.rqrmi import RQRMI, RangeSet
 from repro.rules.rule import Packet, Rule, RuleSet
 
@@ -228,9 +228,9 @@ class NuevoMatch(Classifier):
         self.partition = partition
         self.config = config
         self.build_seconds = build_seconds
-        #: How this instance was trained: job count, warm-start reuse
-        #: counters.  JSON-safe; persisted by :meth:`to_state` and surfaced by
-        #: :meth:`statistics`.
+        #: How this instance was trained: warm-start reuse / trained /
+        #: fallback counters.  JSON-safe; persisted by :meth:`to_state` and
+        #: surfaced by :meth:`statistics`.
         self.training_provenance: dict[str, object] = {}
 
     # ------------------------------------------------------------------ build
@@ -261,7 +261,6 @@ class NuevoMatch(Classifier):
         ruleset: RuleSet,
         remainder_classifier: Type[Classifier] | str = "tm",
         config: NuevoMatchConfig | None = None,
-        pipeline: TrainingPipeline | None = None,
         warm_from: "NuevoMatch | None" = None,
         **remainder_params,
     ) -> "NuevoMatch":
@@ -276,10 +275,6 @@ class NuevoMatch(Classifier):
                 against.
             config: NuevoMatch configuration; defaults follow the paper
                 (error threshold 64, iSet coverage cut-off 25%).
-            pipeline: A :class:`~repro.core.pipeline.TrainingPipeline` — the
-                iSet models' training jobs fan across ``pipeline.jobs``
-                processes.  ``None`` is ``TrainingPipeline()`` (inline); the
-                trained models are the same either way.
             warm_from: A previously built NuevoMatch over an earlier version
                 of the rules; matching iSets seed their RQ-RMI training from
                 the old weights and submodels whose responsibility content is
@@ -302,20 +297,17 @@ class NuevoMatch(Classifier):
             max_isets=config.max_isets,
             min_coverage=config.min_iset_coverage,
         )
-        pipeline = pipeline or TrainingPipeline()
         warm_models = cls._match_warm_isets(partition.isets, warm_from)
-        models = pipeline.train_many(
-            [
-                (
-                    RangeSet.from_integer_ranges(
-                        iset.ranges(), ruleset.schema[iset.dim].domain_size
-                    ),
-                    config.rqrmi,
-                    warm_model,
-                )
-                for iset, warm_model in zip(partition.isets, warm_models)
-            ]
-        )
+        models = [
+            train_rqrmi(
+                RangeSet.from_integer_ranges(
+                    iset.ranges(), ruleset.schema[iset.dim].domain_size
+                ),
+                config.rqrmi,
+                warm_from=warm_model,
+            )
+            for iset, warm_model in zip(partition.isets, warm_models)
+        ]
         isets = [
             ISetIndex(iset, model) for iset, model in zip(partition.isets, models)
         ]
@@ -326,7 +318,6 @@ class NuevoMatch(Classifier):
         build_seconds = time.perf_counter() - start
         instance = cls(ruleset, isets, remainder, partition, config, build_seconds)
         instance.training_provenance = {
-            **pipeline.describe(),
             "warm_started": any(m.report.warm_started for m in models),
             "submodels_trained": sum(m.report.submodels_trained for m in models),
             "submodels_reused": sum(m.report.submodels_reused for m in models),

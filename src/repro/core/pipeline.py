@@ -1,42 +1,41 @@
-"""The staged RQ-RMI trainer and the build orchestrator around it.
+"""The staged RQ-RMI trainer: one function, :func:`train_rqrmi`.
 
 Every build in the repository — ``RQRMI.train``, ``NuevoMatch.build``,
 ``ClassificationEngine.build``/``rebuild``, the sharded engine's background
-retrains and every CLI command — trains through this module, over the one
-optimiser in :mod:`repro.core.training`:
+retrains and every CLI command — trains through this function, over the one
+optimiser in :mod:`repro.core.training`.
 
-* :func:`train_rqrmi` — the staged RQ-RMI training procedure (§3.5, Figure 5):
-  stage by stage, sample each submodel's responsibility, fit it with
-  :func:`~repro.core.training.train_submodel`, derive the next stage's
-  responsibilities from the transition inputs, and on the last stage certify
-  the error bound analytically, retrying with doubled samples while it misses
-  the threshold.  Plus **warm-start retraining**: given the previously trained
-  model, the internal stages are reused verbatim (their transition inputs —
-  hence the last-stage responsibilities — are unchanged), and each last-stage
-  submodel is (a) reused together with its certified error bound when the
-  ranges inside its responsibility are identical, (b) reused with a freshly
-  *recomputed* analytic bound when they changed but the old weights still
-  meet the threshold, (c) refined with a short warm-started Adam run seeded
-  from the old weights, or (d) retrained cold when the warm bound regresses
-  past the threshold.  Every path ends in the same analytic error-bound
-  computation, so the certified lookup contract is independent of how the
-  weights were obtained.
-* :class:`TrainingPipeline` — the build orchestrator: fans independent
-  RQ-RMI training jobs (one per iSet) across a process pool.
+:func:`train_rqrmi` is the staged RQ-RMI training procedure (§3.5, Figure 5):
+stage by stage, sample each submodel's responsibility, fit it with
+:func:`~repro.core.training.train_submodel`, derive the next stage's
+responsibilities from the transition inputs, and on the last stage certify
+the error bound analytically, retrying with doubled samples while it misses
+the threshold.  Plus **warm-start retraining**: given the previously trained
+model, the internal stages are reused verbatim (their transition inputs —
+hence the last-stage responsibilities — are unchanged), and each last-stage
+submodel is (a) reused together with its certified error bound when the
+ranges inside its responsibility are identical, (b) reused with a freshly
+*recomputed* analytic bound when they changed but the old weights still
+meet the threshold, (c) refined with a short warm-started Adam run seeded
+from the old weights, or (d) retrained cold when the warm bound regresses
+past the threshold.  Every path ends in the same analytic error-bound
+computation, so the certified lookup contract is independent of how the
+weights were obtained.
+
+Training runs inline in the calling thread; the paper treats it as an
+offline/background step (§3.9 retrains in the background and swaps) and
+scales lookups, not training, across cores.
 
 Determinism: each (stage, slot, attempt) sampler is seeded from a
 :class:`numpy.random.SeedSequence` derived from the config seed and the
 optimiser draws no randomness, so a model depends only on its ranges and its
-:class:`~repro.core.config.RQRMIConfig` — not on the entry point, training
-order, job count or process placement.
+:class:`~repro.core.config.RQRMIConfig` — not on the entry point or the
+training order.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,55 +44,26 @@ from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport
 from repro.core.submodel import Submodel
 from repro.core.training import sample_responsibility, train_submodel
 
-__all__ = [
-    "PipelineConfig",
-    "TrainingPipeline",
-    "train_rqrmi",
-]
+__all__ = ["train_rqrmi"]
 
 #: Intervals are (lo, hi) pairs of scaled floats (as in repro.core.rqrmi).
 Interval = tuple[float, float]
 
 
-@dataclass
-class PipelineConfig:
-    """Knobs of the training pipeline.
-
-    Attributes:
-        jobs: Process-pool width for independent RQ-RMI training jobs
-            (one job per iSet); ``1`` trains inline.  Results are identical
-            for any job count.
-        warm_epochs: Adam epochs for warm-started submodels (seeded from the
-            previous weights, they need far fewer steps than a cold start);
-            ``None`` uses a third of the cold epoch budget, at least 20.
-    """
-
-    jobs: int = 1
-    warm_epochs: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.warm_epochs is not None and self.warm_epochs < 1:
-            raise ValueError("warm_epochs must be at least 1")
-
-    def resolve_warm_epochs(self, adam_epochs: int) -> int:
-        if self.warm_epochs is not None:
-            return self.warm_epochs
-        return max(20, adam_epochs // 3)
-
-
-# ---------------------------------------------------------------------------
-# Staged RQ-RMI training (+ warm start)
-# ---------------------------------------------------------------------------
+def _refinement_epochs(config: RQRMIConfig) -> int:
+    """Adam epochs of a warm-started attempt: seeded from the previous
+    weights it needs far fewer steps than a cold start — a third of the cold
+    budget, at least 20."""
+    return max(20, config.adam_epochs // 3)
 
 
 def _slot_rng(seed: int, stage_index: int, slot: int, attempt: int) -> np.random.Generator:
     """Deterministic per-(stage, slot, attempt) sampler.
 
     Each slot draws from its own :class:`~numpy.random.SeedSequence`, so
-    sampling is independent of training order and process placement — the
-    property that makes ``jobs=1`` and ``jobs=N`` builds identical.
+    sampling is independent of training order — one of the two properties
+    (with an optimiser that draws no randomness) that make every entry point
+    build the same model.
     """
     return np.random.default_rng(
         np.random.SeedSequence([seed & 0xFFFFFFFF, stage_index, slot, attempt])
@@ -159,7 +129,6 @@ def train_rqrmi(
     ranges: RangeSet,
     config: RQRMIConfig | None = None,
     warm_from: RQRMI | None = None,
-    pipeline_config: PipelineConfig | None = None,
 ) -> RQRMI:
     """Train an RQ-RMI for ``ranges`` following §3.5 / Figure 5.
 
@@ -171,7 +140,6 @@ def train_rqrmi(
     structure or key domain differs.
     """
     config = config or RQRMIConfig()
-    pipeline_config = pipeline_config or PipelineConfig()
     start = time.perf_counter()
     num_ranges = len(ranges)
     widths = config.widths_for(max(1, num_ranges))
@@ -195,8 +163,7 @@ def train_rqrmi(
     if warm is None:
         model = _train_cold(ranges, config, widths, report)
     else:
-        warm_epochs = pipeline_config.resolve_warm_epochs(config.adam_epochs)
-        model = _train_warm(ranges, config, widths, report, warm, warm_epochs)
+        model = _train_warm(ranges, config, widths, report, warm)
     model.report.training_seconds = time.perf_counter() - start
     return model
 
@@ -224,14 +191,13 @@ def _train_leaf(
     report: TrainingReport,
     slot: int,
     incumbent: tuple[Submodel, int] | None = None,
-    warm_epochs: int = 0,
 ) -> tuple[Submodel, int]:
     """Train one last-stage submodel, doubling samples while the analytic
     bound misses the threshold (Figure 5); returns ``(submodel, bound)``.
 
     ``incumbent`` — the previous model's leaf and its (failing) bound over the
-    new ranges — warm-starts the first attempt (``warm_epochs`` Adam epochs
-    from the old weights); retries are always cold with the full epoch
+    new ranges — warm-starts the first attempt (:func:`_refinement_epochs` Adam
+    epochs from the old weights); retries are always cold with the full epoch
     budget, which is the "fallback to cold start when error bounds regress"
     path.  The best attempt seen is kept; the bound is re-checked either way.
     """
@@ -242,7 +208,7 @@ def _train_leaf(
         warm = incumbent is not None and attempt == 0
         model = _fit_slot(
             intervals, ranges, config, stage_index, slot, attempt, samples,
-            epochs=warm_epochs if warm else config.adam_epochs,
+            epochs=_refinement_epochs(config) if warm else config.adam_epochs,
             init=incumbent[0].weights() if warm else None,
         )
         report.submodels_trained += 1
@@ -304,7 +270,6 @@ def _train_warm(
     widths: list[int],
     report: TrainingReport,
     warm: RQRMI,
-    warm_epochs: int,
 ) -> RQRMI:
     num_stages = len(widths)
     # Internal stages are reused verbatim: their transition inputs — and
@@ -344,114 +309,10 @@ def _train_warm(
                 # warm, retries fall back to cold full-budget training.
                 leaf, bound = _train_leaf(
                     stages, intervals, ranges, config, widths, report, slot,
-                    incumbent=(leaf, bound), warm_epochs=warm_epochs,
+                    incumbent=(leaf, bound),
                 )
         leaves.append(leaf)
         error_bounds[slot] = bound
 
     stages.append(leaves)
     return _finalise(ranges, widths, stages, error_bounds, report, config)
-
-
-# ---------------------------------------------------------------------------
-# Build orchestrator: per-iSet process fan-out
-# ---------------------------------------------------------------------------
-
-
-def _train_rqrmi_job(payload: dict) -> dict:
-    """Process-pool worker: train one RQ-RMI from serialized inputs.
-
-    Everything crosses the process boundary as JSON-compatible state dicts
-    (exact float round-trips), so a pooled job returns bit-identical weights
-    to the same job run inline.
-    """
-    ranges = RangeSet.from_state(payload["ranges"])
-    config = RQRMIConfig(**payload["config"])
-    warm = RQRMI.from_state(payload["warm"]) if payload.get("warm") else None
-    pipeline_config = PipelineConfig(**payload["pipeline"])
-    model = train_rqrmi(
-        ranges, config, warm_from=warm, pipeline_config=pipeline_config
-    )
-    return model.to_state()
-
-
-class TrainingPipeline:
-    """Build orchestrator: trains many RQ-RMIs, optionally across processes.
-
-    One pipeline instance carries the training policy (job count, warm-start
-    epoch budget) and is shared by everything that builds classifiers: :meth:`NuevoMatch.build
-    <repro.core.nuevomatch.NuevoMatch.build>`,
-    :meth:`ClassificationEngine.build
-    <repro.engine.engine.ClassificationEngine.build>`, the sharded engine's
-    background retrains, and the ``repro train`` CLI.
-    """
-
-    def __init__(self, config: PipelineConfig | None = None, **overrides):
-        if config is not None and overrides:
-            raise ValueError("pass either a PipelineConfig or keyword overrides")
-        self.config = config or PipelineConfig(**overrides)
-
-    @property
-    def jobs(self) -> int:
-        return self.config.jobs
-
-    def train_rqrmi(
-        self,
-        ranges: RangeSet,
-        config: RQRMIConfig | None = None,
-        warm_from: RQRMI | None = None,
-    ) -> RQRMI:
-        """Train a single RQ-RMI inline (no process fan-out)."""
-        return train_rqrmi(
-            ranges, config, warm_from=warm_from, pipeline_config=self.config
-        )
-
-    def train_many(
-        self,
-        specs: list[tuple[RangeSet, RQRMIConfig, RQRMI | None]],
-    ) -> list[RQRMI]:
-        """Train one RQ-RMI per ``(ranges, config, warm_from)`` spec.
-
-        Independent jobs fan out across a process pool when ``jobs > 1``;
-        per-job seeding is deterministic, so the results do not depend on the
-        pool width or scheduling order.
-        """
-        if not specs:
-            return []
-        # Forking a multithreaded process can deadlock the children (a worker
-        # forked while another thread holds an allocator/BLAS lock hangs
-        # forever) — exactly the situation when a sharded engine's background
-        # retrain fans out while serving threads are live.  The alternative
-        # start methods re-execute ``__main__`` in every worker, which is its
-        # own foot-gun for unguarded scripts, so with other threads alive the
-        # jobs simply run inline: the results are identical by construction
-        # (deterministic per-job seeding), only the fan-out is skipped.
-        if (
-            self.config.jobs <= 1
-            or len(specs) == 1
-            or threading.active_count() > 1
-        ):
-            return [
-                self.train_rqrmi(ranges, config, warm_from=warm)
-                for ranges, config, warm in specs
-            ]
-        payloads = [
-            {
-                "ranges": ranges.to_state(),
-                "config": asdict(config or RQRMIConfig()),
-                "warm": warm.to_state() if warm is not None else None,
-                "pipeline": asdict(self.config),
-            }
-            for ranges, config, warm in specs
-        ]
-        workers = min(self.config.jobs, len(specs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            states = list(pool.map(_train_rqrmi_job, payloads))
-        return [RQRMI.from_state(state) for state in states]
-
-    def describe(self) -> dict:
-        """JSON-safe provenance snapshot of the pipeline policy."""
-        return {
-            "jobs": self.config.jobs,
-            "warm_epochs": self.config.warm_epochs,
-        }

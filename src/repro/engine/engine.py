@@ -113,7 +113,6 @@ class ClassificationEngine(EngineStack):
         ruleset: RuleSet,
         classifier: str | type[Classifier] = "nm",
         metadata: dict | None = None,
-        pipeline=None,
         warm_from=None,
         **params,
     ) -> "ClassificationEngine":
@@ -124,19 +123,17 @@ class ClassificationEngine(EngineStack):
             classifier: Registry name/alias (``"nm"``, ``"tuplemerge"``, …) or
                 a :class:`Classifier` subclass.
             metadata: Free-form annotations persisted with :meth:`save`.
-            pipeline: A :class:`~repro.core.pipeline.TrainingPipeline` for
-                classifiers with trained state (NuevoMatch): the per-iSet
-                training jobs fan across ``pipeline.jobs`` processes.
             warm_from: A previous engine (or its classifier) over an earlier
                 version of the rules; trained submodels are seeded/reused
                 from it (see :meth:`NuevoMatch.build
-                <repro.core.nuevomatch.NuevoMatch.build>`).
+                <repro.core.nuevomatch.NuevoMatch.build>`).  Only classifiers
+                with trained state (NuevoMatch) take one.
             **params: Forwarded to the classifier's ``build`` (e.g. ``config``
                 for NuevoMatch, ``binth`` for the tree baselines).
 
-        A NuevoMatch build's training provenance (job count, warm-start reuse
-        counters) is recorded under the engine metadata's ``"training"`` key
-        and persisted by :meth:`save`.
+        A NuevoMatch build's training provenance (warm-start reuse / trained /
+        fallback counters) is recorded under the engine metadata's
+        ``"training"`` key and persisted by :meth:`save`.
         """
         classifier_cls = (
             resolve_classifier(classifier) if isinstance(classifier, str) else classifier
@@ -144,11 +141,11 @@ class ClassificationEngine(EngineStack):
         if issubclass(classifier_cls, NuevoMatch):
             if isinstance(warm_from, cls):
                 warm_from = warm_from.classifier
-            params.update(pipeline=pipeline, warm_from=warm_from)
-        elif pipeline is not None or warm_from is not None:
+            params.update(warm_from=warm_from)
+        elif warm_from is not None:
             raise ValueError(
                 f"classifier {classifier_cls.name!r} has no trained state; "
-                "pipeline/warm_from apply to NuevoMatch-style classifiers"
+                "warm_from applies to NuevoMatch-style classifiers"
             )
         built = classifier_cls.build(ruleset, **params)
         provenance = getattr(built, "training_provenance", None)
@@ -324,9 +321,16 @@ class ClassificationEngine(EngineStack):
         set (type iii): the stale copy is masked and the new version enters
         the overlay.  Raises ``ValueError``, changing nothing, when the rule
         does not fit the engine's schema (field count, every range inside its
-        field's domain).
+        field's domain) or its priority is negative: ``RuleSet`` rewrites a
+        negative priority to the rule's position, so such a rule would change
+        rank the moment a rebuild folds the overlay in.
         """
         self.schema.validate_ranges(rule.ranges)
+        if rule.priority < 0:
+            raise ValueError(
+                f"rule {rule.rule_id} has negative priority {rule.priority}; "
+                "online inserts need an explicit priority >= 0"
+            )
         with self._lock:
             self._update_seq += 1
             if rule.rule_id in self._inserted or rule.rule_id in self._base_ids:

@@ -67,10 +67,6 @@ class Rule:
         lo, hi = self.ranges[dim]
         return lo <= value <= hi
 
-    def field_range(self, dim: int) -> tuple[int, int]:
-        """The rule's inclusive range in field ``dim``."""
-        return self.ranges[dim]
-
     def field_span(self, dim: int) -> int:
         """Number of values matched in field ``dim``."""
         lo, hi = self.ranges[dim]

@@ -171,7 +171,6 @@ class ShardedEngine(EngineStack):
         executor: str = "serial",
         retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
         background_retraining: bool = True,
-        pipeline=None,
         metadata: dict | None = None,
         **params,
     ) -> "ShardedEngine":
@@ -188,16 +187,12 @@ class ShardedEngine(EngineStack):
             retrain_threshold: Remainder fraction triggering a shard retrain.
             background_retraining: Retrain in a worker thread (default) or
                 inline during the triggering update (deterministic).
-            pipeline: Optional :class:`~repro.core.pipeline.TrainingPipeline`
-                for the *initial* per-shard builds (NuevoMatch only).
             metadata: Free-form annotations persisted with :meth:`save`.
             **params: Forwarded to each shard's classifier ``build``.
         """
         shard_rulesets = partition_for_shards(ruleset, shards, partitioner)
         engines = [
-            ClassificationEngine.build(
-                shard_rules, classifier=classifier, pipeline=pipeline, **params
-            )
+            ClassificationEngine.build(shard_rules, classifier=classifier, **params)
             for shard_rules in shard_rulesets
         ]
         return cls(

@@ -15,8 +15,9 @@ policy around it:
   remainder plus overlay, over the live rules) crosses the threshold, its
   engine is rebuilt over a live snapshot in a worker thread and swapped in
   atomically; updates that arrive mid-retrain stay in the overlay until the
-  next cycle.  The rebuild is always ``engine.rebuild(warm=True)``
-  (:mod:`repro.core.pipeline`): new RQ-RMI submodels are seeded from the
+  next cycle.  The rebuild is always ``engine.rebuild(warm=True)``, trained
+  on that one thread by :func:`repro.core.pipeline.train_rqrmi` (training
+  starts no process of its own): new RQ-RMI submodels are seeded from the
   engine being replaced and only submodels whose responsibility content
   changed retrain (cold when the warm start cannot certify its bound),
   shrinking the retrain-to-swap latency — the queue records it per retrain

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from repro.classifiers.base import Classifier, LookupTrace, MemoryFootprint
 from repro.simulation.cache import CacheHierarchy
-from repro.simulation.vectorization import SUBMODEL_SCALAR_OPS
 
 __all__ = ["LatencyBreakdown", "CostModel"]
 
@@ -147,8 +146,3 @@ class CostModel:
             access_overhead_ns=self.access_overhead_ns,
             locality=locality,
         )
-
-    def inference_ns(self, hidden_units: int = 8, stages: int = 3) -> float:
-        """Modelled cost of one full RQ-RMI inference (all stages)."""
-        ops = SUBMODEL_SCALAR_OPS * stages * hidden_units / 8
-        return ops / self.vector_width * self.ns_per_scalar_op

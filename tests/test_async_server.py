@@ -729,6 +729,38 @@ class TestProtocol:
 
         run_scenario_coro(scenario())
 
+    def test_negative_priority_insert_is_a_bad_request(self, server_rules):
+        """A priority the next rebuild would rewrite is refused at the one
+        validation point; over the wire that is ``bad-request``, nothing is
+        applied and the connection goes on working."""
+
+        async def scenario():
+            full = [[0, spec.max_value] for spec in server_rules.schema]
+            with ShardedEngine.build(
+                server_rules, shards=2, classifier="tm", executor="serial"
+            ) as engine:
+                async with AsyncServer(engine) as server:
+                    await server.start("127.0.0.1", 0)
+                    async with await AsyncClient.connect(
+                        server.host, server.port
+                    ) as client:
+                        with pytest.raises(ServerError) as excinfo:
+                            await client.request(
+                                "insert", rule=[full, -1, "shadow", 610_000]
+                            )
+                        assert excinfo.value.code == "bad-request"
+                        assert "negative priority" in str(excinfo.value)
+                        stats = await client.stats()
+                        assert stats["engine"]["updates"]["inserts_applied"] == 0
+                        reply = await client.request(
+                            "insert", rule=[full, 0, "shadow", 610_000]
+                        )
+                        assert reply["ok"] is True
+                        stats = await client.stats()
+                        assert stats["engine"]["updates"]["inserts_applied"] == 1
+
+        run_scenario_coro(scenario())
+
     def test_stop_completes_with_idle_client_still_connected(self, server_rules):
         """An idle but connected client must not wedge shutdown (Python 3.12+
         makes Server.wait_closed wait for handlers, which only finish on

@@ -92,63 +92,87 @@ class TestCompare:
         assert "nm(tm)" in out
 
 
-class TestTrain:
-    def test_train_builds_and_persists_with_provenance(
-        self, ruleset_file, tmp_path, capsys
-    ):
+class TestEngineSave:
+    """``engine save`` is the one build-and-persist command (``train`` is gone)."""
+
+    def test_train_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "rules.txt", "out.json.gz"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["engine", "save", "rules.txt", "out.json.gz", "--jobs", "2"]
+            )
+
+    def test_builds_and_persists_with_provenance(self, ruleset_file, tmp_path, capsys):
         from repro.engine import ClassificationEngine
 
         out = tmp_path / "engine.json.gz"
-        assert main(["train", str(ruleset_file), str(out), "--jobs", "2"]) == 0
+        assert main(["engine", "save", str(ruleset_file), str(out)]) == 0
         printed = capsys.readouterr().out
         assert "training submodels_trained" in printed
+        assert re.search(r"build wall s\s*: \d", printed)
         engine = ClassificationEngine.load(out)
         training = engine.metadata["training"]
-        assert training["jobs"] == 2 and training["submodels_trained"] > 0
+        assert training["submodels_trained"] > 0
         assert training["warm_started"] is False
         assert training["submodels_reused"] == training["warm_trained"] == 0
         assert training["cold_fallbacks"] == 0
+        assert not {"jobs", "warm_epochs"} & set(training)
 
-    def test_train_and_engine_save_persist_the_same_model(self, ruleset_file, tmp_path):
+    def test_snapshot_is_the_library_build_and_verifies(self, ruleset_file, tmp_path):
+        from repro.cli import _nm_config
         from repro.engine import ClassificationEngine
 
-        def isets(path):
-            states = ClassificationEngine.load(path).classifier.to_state()["isets"]
+        def isets(engine):
+            states = engine.classifier.to_state()["isets"]
             for state in states:
                 state["model"]["report"]["training_seconds"] = None
             return states
 
-        saved, trained = tmp_path / "saved.json.gz", tmp_path / "trained.json.gz"
+        saved = tmp_path / "saved.json.gz"
         assert main(["engine", "save", str(ruleset_file), str(saved)]) == 0
-        assert main(["train", str(ruleset_file), str(trained), "--jobs", "2"]) == 0
-        assert isets(saved) == isets(trained)
+        rules = parse_classbench_file(ruleset_file)
+        built = ClassificationEngine.build(
+            rules, classifier="nm", remainder_classifier="tm", config=_nm_config(64)
+        )
+        restored = ClassificationEngine.load(saved)
+        assert isets(restored) == isets(built)
+        packets = rules.sample_packets(200, seed=5)
+        assert restored.verify(packets) == len(packets)
+        assert main(["engine", "load", str(saved)]) == 0
 
-    def test_train_warm_start_from_snapshot(self, ruleset_file, tmp_path, capsys):
+    def test_warm_start_from_snapshot(self, ruleset_file, tmp_path, capsys):
+        from repro.engine import ClassificationEngine
+
         cold = tmp_path / "cold.json.gz"
         warm = tmp_path / "warm.json.gz"
-        assert main(["train", str(ruleset_file), str(cold)]) == 0
-        assert main(["train", str(ruleset_file), str(warm),
+        assert main(["engine", "save", str(ruleset_file), str(cold)]) == 0
+        assert main(["engine", "save", str(ruleset_file), str(warm),
                      "--warm-start", str(cold)]) == 0
         printed = capsys.readouterr().out
         assert re.search(r"training warm_started\s*: True", printed)
+        training = ClassificationEngine.load(warm).metadata["training"]
+        assert training["submodels_trained"] == 0 and training["submodels_reused"] > 0
 
-    def test_train_rejects_warm_start_for_stateless_classifier(
+    def test_rejects_warm_start_for_stateless_classifier(
         self, ruleset_file, tmp_path, capsys
     ):
+        cold = tmp_path / "cold.json.gz"
+        assert main(["engine", "save", str(ruleset_file), str(cold)]) == 0
         out = tmp_path / "tm.json.gz"
-        code = main(["train", str(ruleset_file), str(out),
-                     "--classifier", "tm", "--jobs", "4"])
-        assert code == 2
+        code = main(["engine", "save", str(ruleset_file), str(out),
+                     "--classifier", "tm", "--warm-start", str(cold)])
+        assert code == 2 and not out.exists()
         assert "no trained state" in capsys.readouterr().err
 
-    def test_train_rejects_non_nm_warm_source(self, ruleset_file, tmp_path, capsys):
+    def test_rejects_non_nm_warm_source(self, ruleset_file, tmp_path, capsys):
         baseline = tmp_path / "tm.json.gz"
-        assert main(["train", str(ruleset_file), str(baseline),
+        assert main(["engine", "save", str(ruleset_file), str(baseline),
                      "--classifier", "tm"]) == 0
         out = tmp_path / "warm.json.gz"
-        code = main(["train", str(ruleset_file), str(out),
+        code = main(["engine", "save", str(ruleset_file), str(out),
                      "--warm-start", str(baseline)])
-        assert code == 2
+        assert code == 2 and not out.exists()
         assert "warm starting" in capsys.readouterr().err
 
 
@@ -207,6 +231,31 @@ class TestServeListen:
         assert args.listen is None
         assert args.max_queue == DEFAULT_MAX_QUEUE
         assert args.cache_size == 0
+
+    def test_retrain_threshold_needs_a_stack_that_retrains(self, ruleset_file, capsys):
+        """A single engine behind --listen has no retrain lifecycle: the flag
+        is refused loudly instead of dropped, before anything is built."""
+        assert build_parser().parse_args(["serve", "r.txt"]).retrain_threshold is None
+        for shards in ("1", "0"):
+            code = main(["serve", str(ruleset_file), "--listen", "127.0.0.1:0",
+                         "--shards", shards, "--retrain-threshold", "0.2"])
+            assert code == 2
+            assert "--shards 2" in capsys.readouterr().err
+
+    def test_retrain_threshold_reaches_the_sharded_engine(self, ruleset_file, tmp_path):
+        from repro.serving import ShardedEngine
+        from repro.serving.updates import DEFAULT_RETRAIN_THRESHOLD
+
+        for flags, expected in (
+            ([], DEFAULT_RETRAIN_THRESHOLD),
+            (["--retrain-threshold", "0.2"], 0.2),
+        ):
+            saved = tmp_path / "sharded.json.gz"
+            assert main(["serve", str(ruleset_file), "--classifier", "tm",
+                         "--executor", "serial", "--packets", "50",
+                         "--save", str(saved), *flags]) == 0
+            with ShardedEngine.load(saved) as restored:
+                assert restored.updates.retrain_threshold == expected
 
     def test_listen_address_parsing(self):
         from repro.cli import _listen_address

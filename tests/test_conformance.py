@@ -314,7 +314,7 @@ class TestColumnarConformance:
         assert (rescanned[3:] == built_ids[3:])[~np.isin(built_ids[3:], victims)].all()
         # An insert that beats every built rule, then the round trip with the
         # overlay still pending.
-        engine.insert(_wide_rule(acl_small, priority=-10, rule_id=900_000))
+        engine.insert(_wide_rule(acl_small, priority=0, rule_id=900_000))
         rule_ids, priorities = check()
         assert (rule_ids == 900_000).all()
         path = tmp_path / "pending.engine.json.gz"
@@ -346,7 +346,7 @@ class TestColumnarConformance:
             _assert_sharded_block(sharded, packets, clean=True)
             # Build a pending overlay: a full-range insert that beats every
             # base rule, plus removals of current winners.
-            sharded.insert(_wide_rule(acl_small, priority=-10, rule_id=900_001))
+            sharded.insert(_wide_rule(acl_small, priority=0, rule_id=900_001))
             for rule in list(acl_small)[:3]:
                 sharded.remove(rule.rule_id)
             rule_ids, _pris = _assert_sharded_block(sharded, packets, clean=False)
@@ -366,7 +366,7 @@ class TestColumnarConformance:
             retrain_threshold=1.0,
         ) as sharded:
             _assert_sharded_block(sharded, packets, clean=True)
-            sharded.insert(_wide_rule(acl_small, priority=-10, rule_id=900_002))
+            sharded.insert(_wide_rule(acl_small, priority=0, rule_id=900_002))
             for rule in list(acl_small)[:2]:
                 sharded.remove(rule.rule_id)
             _assert_sharded_block(sharded, packets, clean=False)
@@ -411,7 +411,7 @@ class TestColumnarConformance:
         with CachedEngine(base, capacity=capacity) as cached:
             check()
             # Interleaved updates invalidate; the cached block must track them.
-            cached.insert(_wide_rule(acl_small, priority=-5, rule_id=910_001))
+            cached.insert(_wide_rule(acl_small, priority=0, rule_id=910_001))
             check()
             cached.remove(910_001)
             cached.remove(list(acl_small)[0].rule_id)

@@ -147,7 +147,7 @@ class TestEngineFacade:
         assert before is not None
         wildcard = Rule(
             tuple(spec.full_range() for spec in acl_small.schema),
-            priority=-1,
+            priority=0,
             action="drop",
             rule_id=10_000,
         )

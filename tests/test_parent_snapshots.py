@@ -83,3 +83,22 @@ def test_unknown_training_report_fields_are_ignored():
     _assert_serves_as_recorded(engine, "engine_nm")
     report = engine.classifier.isets[0].model.report
     assert report.submodels_trained == 5 and not hasattr(report, "trainer")
+
+
+def test_training_metadata_of_the_removed_train_command_is_kept_verbatim():
+    """What the parent's ``repro train --jobs 4 --warm-epochs 20`` recorded
+    under ``metadata["training"]`` names two options this build no longer has.
+    Metadata is free-form: the document loads, keeps the keys and serves."""
+    training = {
+        "jobs": 4, "warm_epochs": 20, "warm_started": False,
+        "submodels_trained": 10, "submodels_reused": 0, "warm_trained": 0,
+        "cold_fallbacks": 0, "training_seconds": 0.13266638099594275,
+    }
+    document = read_document(DATA / "engine_nm.json.gz")
+    document["metadata"] = {"training": dict(training)}
+    document["classifier"]["training"] = dict(training)
+    engine = ClassificationEngine.from_document(document)
+    assert engine.metadata["training"] == training
+    assert engine.classifier.training_provenance == training
+    _assert_serves_as_recorded(engine, "engine_nm")
+    assert engine.built_document()["metadata"]["training"] == training

@@ -1,13 +1,14 @@
-"""Tests for the staged trainer and build orchestrator (repro.core.pipeline).
+"""Tests for the staged trainer, ``repro.core.pipeline.train_rqrmi``.
 
-The pipeline's contracts, in test form (the optimiser's own tests are in
+The trainer's contracts, in test form (the optimiser's own tests are in
 ``test_training.py``):
 
-* **one model from every entry point** — ``RQRMI.train``, ``train_rqrmi`` and
-  ``TrainingPipeline`` at any job count produce the same weights and bounds;
-* **determinism** — ``jobs=1`` and ``jobs=4`` builds produce identical
-  engines; warm-starting from the same source twice produces identical
-  weights;
+* **one model from every entry point** — ``RQRMI.train``, ``train_rqrmi``,
+  ``NuevoMatch.build``, ``ClassificationEngine.build``/``rebuild`` and a
+  shard's first build produce the same weights and bounds — and the same as
+  the parent commit's, pinned by digest;
+* **determinism** — warm-starting from the same source twice produces
+  identical weights;
 * **certification** — however a submodel was obtained (cold training,
   verbatim reuse, warm refinement, cold fallback), the per-leaf error bound
   holds analytically over sampled keys and the end-to-end classifier matches
@@ -18,14 +19,16 @@ The pipeline's contracts, in test form (the optimiser's own tests are in
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import repro.core.pipeline as pipeline_module
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
-from repro.core.pipeline import PipelineConfig, TrainingPipeline, train_rqrmi
+from repro.core.pipeline import train_rqrmi
 from repro.core.rqrmi import RQRMI, RangeSet
 from repro.core.submodel import Submodel
 from repro.engine import ClassificationEngine
@@ -83,10 +86,7 @@ def nm_config():
 
 @pytest.fixture(scope="module")
 def base_engine(acl_rules, nm_config):
-    return NuevoMatch.build(
-        acl_rules, remainder_classifier="tm", config=nm_config,
-        pipeline=TrainingPipeline(jobs=1),
-    )
+    return NuevoMatch.build(acl_rules, remainder_classifier="tm", config=nm_config)
 
 
 def _rqrmi_state_sans_timing(model: RQRMI) -> str:
@@ -100,19 +100,10 @@ class TestOneModelFromEveryEntryPoint:
         domain = 1 << 24
         ranges = RangeSet.from_integer_ranges(_disjoint_ranges(700, 3, domain), domain)
         config = RQRMIConfig(adam_epochs=60, error_threshold=32)
-        other = RangeSet.from_integer_ranges(_disjoint_ranges(300, 4, domain), domain)
         reference = _rqrmi_state_sans_timing(train_rqrmi(ranges, config))
         assert _rqrmi_state_sans_timing(RQRMI.train(ranges, config)) == reference
-        for jobs in (1, 2):
-            # Two specs, so jobs=2 really crosses the process boundary.
-            first, _second = TrainingPipeline(jobs=jobs).train_many(
-                [(ranges, config, None), (other, config, None)]
-            )
-            assert _rqrmi_state_sans_timing(first) == reference, jobs
 
-    def test_engine_build_without_a_pipeline_is_the_same_build(
-        self, acl_rules, nm_config, base_engine
-    ):
+    def test_engine_build_is_the_same_build(self, acl_rules, nm_config, base_engine):
         default = ClassificationEngine.build(
             acl_rules, classifier="nm", remainder_classifier="tm", config=nm_config
         )
@@ -120,8 +111,24 @@ class TestOneModelFromEveryEntryPoint:
             _model_states_sans_timing(base_engine)
         )
         training = default.metadata["training"]
-        assert training["jobs"] == 1 and training["warm_started"] is False
+        assert training["warm_started"] is False
         assert training["submodels_trained"] > 0
+        assert not {"jobs", "warm_epochs"} & set(training)
+
+    def test_engine_rebuild_is_the_same_build(self, acl_rules, nm_config, base_engine):
+        updated = _modify_rules(acl_rules, count=20)
+        engine = ClassificationEngine(base_engine)
+        for old, new in zip(acl_rules, updated):
+            if new.ranges != old.ranges:
+                engine.insert(new)
+        for warm in (False, True):
+            alone = NuevoMatch.build(
+                engine.live_ruleset(), remainder_classifier="tm", config=nm_config,
+                warm_from=base_engine if warm else None,
+            )
+            rebuilt = engine.rebuild(warm=warm).classifier
+            assert rebuilt.training_provenance["warm_started"] is warm
+            assert _model_states_sans_timing(rebuilt) == _model_states_sans_timing(alone)
 
     def test_a_shards_first_build_is_the_same_build(self, acl_rules, nm_config):
         with ShardedEngine.build(
@@ -137,34 +144,68 @@ class TestOneModelFromEveryEntryPoint:
                 )
 
 
-class TestPipelineConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(jobs=0)
-        with pytest.raises(ValueError):
-            PipelineConfig(warm_epochs=0)
-        with pytest.raises(ValueError):
-            TrainingPipeline(PipelineConfig(), jobs=2)
+class TestSameModelsAsTheParent:
+    """The parent commit (PR 15, ``2f1475e``) built these digests with its
+    ``NuevoMatch.build(..., pipeline=None)``: sha256 over every iSet model's
+    weights and certified error bounds, for a cold build and for a warm build
+    after a fixed 2 % rule churn that takes all four warm outcomes."""
 
-    def test_warm_epoch_resolution(self):
-        assert PipelineConfig(warm_epochs=17).resolve_warm_epochs(300) == 17
-        assert PipelineConfig().resolve_warm_epochs(300) == 100
-        assert PipelineConfig().resolve_warm_epochs(30) == 20
+    COLD = "b6c39ea17600a79c81505fe04d673d99545848fd7dad039c8475f5541082227b"
+    WARM = "8e2de87f202f964f085d92e8457de99fdca0e61abe65aec23659e4ac6ad02371"
+    CONFIG = NuevoMatchConfig(
+        max_isets=4,
+        min_iset_coverage=0.05,
+        rqrmi=RQRMIConfig(adam_epochs=80, initial_samples=256, error_threshold=6),
+    )
 
+    @staticmethod
+    def _digest(nm: NuevoMatch) -> str:
+        digest = hashlib.sha256()
+        for iset in nm.isets:
+            for stage in iset.model.stages:
+                for submodel in stage:
+                    for part in submodel.weights():
+                        digest.update(np.asarray(part, dtype=np.float64).tobytes())
+            digest.update(np.asarray(iset.model.error_bounds, dtype=np.int64).tobytes())
+        return digest.hexdigest()
 
-class TestParallelEquivalence:
-    def test_jobs_produce_identical_engines(self, acl_rules, nm_config):
-        one = NuevoMatch.build(
-            acl_rules, remainder_classifier="tm", config=nm_config,
-            pipeline=TrainingPipeline(jobs=1),
+    @staticmethod
+    def _churn(rules, fraction=0.02, seed=7):
+        """Replace ``fraction`` of the rules: half dropped, half new."""
+        rng = np.random.default_rng(seed)
+        count = int(len(rules.rules) * fraction) // 2
+        drop = set(rng.choice(len(rules.rules), size=count, replace=False).tolist())
+        kept = [rule for position, rule in enumerate(rules.rules) if position not in drop]
+        donors = generate_classbench("acl1", len(rules.rules), seed=seed).rules[:count]
+        next_id = max(rule.rule_id for rule in rules.rules) + 1
+        added = [
+            Rule(donor.ranges, priority=next_id + offset, action=donor.action,
+                 rule_id=next_id + offset)
+            for offset, donor in enumerate(donors)
+        ]
+        return rules.subset(kept + added, name="churned")
+
+    def test_cold_and_warm_builds_reproduce_the_parents_digests(self):
+        rules = generate_classbench("acl1", 400, seed=3)
+        cold = NuevoMatch.build(rules, remainder_classifier="tm", config=self.CONFIG)
+        assert self._digest(cold) == self.COLD
+        warm = NuevoMatch.build(
+            self._churn(rules), remainder_classifier="tm", config=self.CONFIG,
+            warm_from=cold,
         )
-        four = NuevoMatch.build(
-            acl_rules, remainder_classifier="tm", config=nm_config,
-            pipeline=TrainingPipeline(jobs=4),
-        )
-        assert _model_states_sans_timing(one) == _model_states_sans_timing(four)
+        assert self._digest(warm) == self.WARM
+        provenance = {
+            key: value for key, value in warm.training_provenance.items()
+            if key != "training_seconds"
+        }
+        assert provenance == {
+            "warm_started": True, "submodels_trained": 9, "submodels_reused": 8,
+            "warm_trained": 2, "cold_fallbacks": 2,
+        }
 
-    def test_pipeline_engine_is_conformant(self, base_engine, acl_rules):
+
+class TestBuiltEngine:
+    def test_engine_is_conformant(self, base_engine, acl_rules):
         base_engine.verify(acl_rules.sample_packets(300, seed=21))
 
     def test_error_bounds_certify_lookups(self, base_engine):
@@ -190,11 +231,10 @@ class TestParallelEquivalence:
 class TestWarmStart:
     def test_warm_is_deterministic(self, acl_rules, nm_config, base_engine):
         updated = _modify_rules(acl_rules, count=30)
-        pipe = TrainingPipeline(jobs=1)
         a = NuevoMatch.build(updated, remainder_classifier="tm", config=nm_config,
-                             pipeline=pipe, warm_from=base_engine)
+                             warm_from=base_engine)
         b = NuevoMatch.build(updated, remainder_classifier="tm", config=nm_config,
-                             pipeline=pipe, warm_from=base_engine)
+                             warm_from=base_engine)
         assert a.training_provenance["warm_started"] is True
         assert _model_states_sans_timing(a) == _model_states_sans_timing(b)
 
@@ -203,7 +243,7 @@ class TestWarmStart:
     ):
         updated = _modify_rules(acl_rules, count=30)
         warm = NuevoMatch.build(updated, remainder_classifier="tm", config=nm_config,
-                                pipeline=TrainingPipeline(jobs=1), warm_from=base_engine)
+                                warm_from=base_engine)
         warm.verify(updated.sample_packets(300, seed=23))
         threshold = nm_config.rqrmi.error_threshold
         for iset in warm.isets:
@@ -212,7 +252,7 @@ class TestWarmStart:
     def test_unchanged_rules_reuse_everything(self, acl_rules, nm_config, base_engine):
         rebuilt = NuevoMatch.build(
             acl_rules, remainder_classifier="tm", config=nm_config,
-            pipeline=TrainingPipeline(jobs=1), warm_from=base_engine,
+            warm_from=base_engine,
         )
         provenance = rebuilt.training_provenance
         assert provenance["submodels_trained"] == 0
@@ -220,6 +260,31 @@ class TestWarmStart:
         # Reused submodels carry their previous certified bounds verbatim.
         for old, new in zip(base_engine.isets, rebuilt.isets):
             assert old.model.error_bounds == new.model.error_bounds
+
+    @pytest.mark.parametrize("adam_epochs, expected", [(300, 100), (90, 30), (30, 20)])
+    def test_warm_refinement_budget_is_a_third_of_the_cold_one_at_least_20(
+        self, adam_epochs, expected, monkeypatch
+    ):
+        """The budget is worked out from the config, not chosen: every
+        warm-started fit runs ``max(20, adam_epochs // 3)`` epochs and every
+        cold one the full ``adam_epochs``."""
+        domain = 1 << 24
+        config = RQRMIConfig(adam_epochs=adam_epochs, error_threshold=4)
+        old = RangeSet.from_integer_ranges(_disjoint_ranges(600, 10, domain), domain)
+        new = RangeSet.from_integer_ranges(_disjoint_ranges(600, 11, domain), domain)
+        source = train_rqrmi(old, config)
+        budgets = {True: set(), False: set()}
+        real = pipeline_module.train_submodel
+
+        def recording(dataset, hidden_units, epochs, learning_rate, init):
+            budgets[init is not None].add(epochs)
+            return real(dataset, hidden_units, epochs, learning_rate, init)
+
+        monkeypatch.setattr(pipeline_module, "train_submodel", recording)
+        model = train_rqrmi(new, config, warm_from=source)
+        assert model.report.warm_started is True
+        assert budgets[True] == {expected}
+        assert budgets[False] <= {adam_epochs}
 
     def test_structure_mismatch_falls_back_to_cold(self):
         domain = 1 << 24
@@ -248,12 +313,10 @@ class TestWarmStart:
             error_bounds=[0] * len(trained.error_bounds),
             report=trained.report,
         )
-        # warm_epochs below the closed-form refit cadence: the corrupted
-        # weights cannot recover in the warm attempt, forcing the cold path.
-        model = train_rqrmi(
-            new_ranges, config, warm_from=corrupted,
-            pipeline_config=PipelineConfig(warm_epochs=5),
-        )
+        # The warm attempt's 20 epochs (a third of 60) end before the first
+        # closed-form refit: the corrupted weights cannot recover in it,
+        # forcing the cold path.
+        model = train_rqrmi(new_ranges, config, warm_from=corrupted)
         assert model.report.warm_started is True
         assert model.report.cold_fallbacks > 0
         assert model.max_error <= config.error_threshold
@@ -272,10 +335,10 @@ class TestEngineIntegration:
     def test_engine_build_records_provenance(self, acl_rules, nm_config, tmp_path):
         engine = ClassificationEngine.build(
             acl_rules, classifier="nm", remainder_classifier="tm",
-            config=nm_config, pipeline=TrainingPipeline(jobs=1),
+            config=nm_config,
         )
         training = engine.metadata["training"]
-        assert training["jobs"] == 1 and training["submodels_trained"] > 0
+        assert training["submodels_trained"] > 0
         assert training["warm_started"] is False
         assert training["submodels_reused"] == training["warm_trained"] == 0
         assert training["cold_fallbacks"] == 0
@@ -296,11 +359,9 @@ class TestEngineIntegration:
         )
         assert warm.metadata["training"]["warm_started"] is True
 
-    def test_pipeline_rejected_for_stateless_classifiers(self, acl_rules):
+    def test_warm_from_rejected_for_stateless_classifiers(self, acl_rules, base_engine):
         with pytest.raises(ValueError, match="no trained state"):
-            ClassificationEngine.build(
-                acl_rules, classifier="tm", pipeline=TrainingPipeline(jobs=2)
-            )
+            ClassificationEngine.build(acl_rules, classifier="tm", warm_from=base_engine)
 
 
 class TestShardedWarmRetrain:
@@ -326,7 +387,6 @@ class TestShardedWarmRetrain:
             for shard in retrained:
                 provenance = shard.engine.classifier.training_provenance
                 assert provenance["warm_started"] is True
-                assert provenance["jobs"] == 1
                 assert provenance["submodels_reused"] + provenance["warm_trained"] > 0
             engine.verify(engine.ruleset.sample_packets(200, seed=41))
         finally:

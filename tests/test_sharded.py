@@ -159,7 +159,7 @@ class TestUpdates:
 
     def test_insert_wins_immediately(self, engine, acl_small):
         packet = acl_small.sample_packets(1, seed=61)[0]
-        engine.insert(_wildcard(acl_small.schema, priority=-1, rule_id=70_000))
+        engine.insert(_wildcard(acl_small.schema, priority=0, rule_id=70_000))
         assert engine.classify(packet).rule_id == 70_000
 
     def test_remove_masks_immediately(self, engine, acl_small):
@@ -418,7 +418,7 @@ class TestPersistence:
             background_retraining=False,
             retrain_threshold=0.95,
         ) as engine:
-            engine.insert(_wildcard(acl_small.schema, priority=-1, rule_id=95_000))
+            engine.insert(_wildcard(acl_small.schema, priority=0, rule_id=95_000))
             victim = acl_small.rules[10]
             assert engine.remove(victim.rule_id)
             path = tmp_path / "sharded.json.gz"
@@ -446,7 +446,7 @@ class TestPersistence:
             background_retraining=False,
             retrain_threshold=0.95,
         ) as engine:
-            engine.insert(_wildcard(acl_small.schema, priority=-1, rule_id=95_100))
+            engine.insert(_wildcard(acl_small.schema, priority=0, rule_id=95_100))
             path = tmp_path / "old.json"
             engine.save(path)
         document = json.loads(path.read_text())

@@ -127,6 +127,33 @@ def test_materializer_follows_a_sharded_retrain_swap(executor, acl_small):
             assert result.action == pin.action
 
 
+@pytest.mark.parametrize("executor", ["serial", "workers"])
+def test_an_overlay_insert_keeps_its_rank_across_a_retrain(executor, acl_small):
+    """Priority 0 — the best an online insert may carry — means the same in
+    the overlay and in the rebuilt rule-set: the block's answers do not move
+    when the inline retrain folds the rule in and swaps."""
+    block = block_of(_beatable_packets(acl_small, 40, seed=19))
+    wide = Rule(
+        tuple(spec.full_range() for spec in acl_small.schema),
+        priority=0,
+        rule_id=750_000,
+    )
+    with _build(f"sharded-{executor}", acl_small) as sharded:
+        sharded.insert(wide)
+        before = sharded.classify_block(block)
+        assert (before[0] == wide.rule_id).all()
+        assert sharded.updates.retrains_completed == 0
+        # The same rule again: an update on its owning shard that changes no
+        # answer and, with the threshold at zero, retrains that shard inline.
+        sharded.updates.retrain_threshold = 0.0
+        sharded.insert(wide)
+        assert sharded.updates.retrains_completed == 1
+        owner = sharded._shards[sharded.updates.owner_of(wide.rule_id)]
+        assert owner.engine.update_statistics()["overlay_inserted"] == 0  # folded
+        np.testing.assert_array_equal(sharded.classify_block(block), before)
+        assert sharded.verify(block.tolist()) == len(block)
+
+
 def test_materialized_traces_are_the_block_trace_rows(acl_small):
     engine = ClassificationEngine.build(acl_small, classifier="tm")
     packets = acl_small.sample_packets(25, seed=11)
@@ -193,9 +220,11 @@ def test_every_stack_takes_updates_for_every_classifier(name, kind, acl_small):
 
 
 @pytest.mark.parametrize("kind", STACKS)
-def test_every_stack_rejects_a_rule_outside_its_schema(kind, acl_small):
-    """One validation point: the engine that owns the overlay.  (At the parent
-    commit the plain tm/tss engine accepted both of these.)"""
+def test_every_stack_rejects_a_rule_it_cannot_keep(kind, acl_small):
+    """One validation point: the engine that owns the overlay.  A rule
+    outside the schema is refused, and so is a negative priority — ``RuleSet``
+    rewrites it to the rule's position, so the rule would win every lookup
+    from the overlay and drop to last place when a rebuild folds it in."""
     packets = acl_small.sample_packets(20, seed=17)
     two_fields = Rule(((0, 10), (0, 10)), priority=0, rule_id=740_000)
     too_wide = Rule(
@@ -203,11 +232,21 @@ def test_every_stack_rejects_a_rule_outside_its_schema(kind, acl_small):
         priority=0,
         rule_id=740_001,
     )
+    negative = Rule(
+        tuple(spec.full_range() for spec in acl_small.schema),
+        priority=-10,
+        rule_id=740_002,
+    )
+    rejected = (
+        (two_fields, "expected 5 ranges"),
+        (too_wide, "outside"),
+        (negative, "negative priority"),
+    )
     block = block_of(packets)
     with _build(kind, acl_small) as stack:
         before = stack.classify_block(block)
         live = set(stack.rules_by_id())
-        for bad, message in ((two_fields, "expected 5 ranges"), (too_wide, "outside")):
+        for bad, message in rejected:
             with pytest.raises(ValueError, match=message):
                 stack.insert(bad)
         # Nothing changed: no rule, no overlay entry, no cache invalidation.

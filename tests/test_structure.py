@@ -1,5 +1,5 @@
 """Structural guard: one lookup path per stack, one update path, one RQ-RMI
-trainer and one data plane cannot grow back unnoticed.
+trainer, one data plane and one way to use N cores cannot grow back unnoticed.
 
 AST-based, so it reads what the source *defines*, not what an import happens
 to expose: among classifiers and engine stacks under ``src/repro`` only
@@ -9,8 +9,9 @@ engine keeps exactly two executors, the §3.9 update overlay lives in exactly
 one class (``ClassificationEngine``; ``_Shard`` is swap bookkeeping), the
 staged training loop lives in ``core/pipeline.py`` and the Adam update in
 ``core/training.py`` only, the server reaches the engine for a lookup from
-one call site behind one admission point, and none of the superseded names
-survives.  (The wire client's ``AsyncClient.classify_batch`` is a network
+one call site behind one admission point, only ``serving/workers.py`` starts
+a process, no ``build`` takes a ``pipeline``, and none of the superseded
+names survives.  (The wire client's ``AsyncClient.classify_batch`` is a network
 call, not a lookup implementation, and is exempt.)
 """
 
@@ -113,7 +114,9 @@ def test_superseded_names_are_gone():
         r"supports_training_pipeline|warm_retrain|retrain_jobs|"
         r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|"
         r"_op_classify|_process_batch|_packet_values|negotiate|max_delay_us|"
-        r"DEFAULT_MAX_DELAY_US|DEFAULT_MAX_BATCH|read_frame|MAX_FRAME_BYTES)\b|"
+        r"DEFAULT_MAX_DELAY_US|DEFAULT_MAX_BATCH|read_frame|MAX_FRAME_BYTES|"
+        r"TrainingPipeline|PipelineConfig|train_many|_train_rqrmi_job|"
+        r"resolve_warm_epochs|warm_epochs|pipeline_config)\b|"
         r"columnar="
     )
     offenders = [
@@ -125,19 +128,22 @@ def test_superseded_names_are_gone():
     assert offenders == []
 
 
-def test_nothing_shipped_still_describes_the_json_data_plane():
-    """ISSUE 15's acceptance grep, kept as a test: no source, example,
-    benchmark, script, doc or workflow names the deleted data plane or the
-    options that selected it (CHANGES.md is where the names are spelled)."""
+def test_nothing_shipped_still_describes_a_deleted_path():
+    """ISSUE 15's and ISSUE 16's acceptance greps, kept as a test: no source,
+    example, benchmark, script, doc or workflow names the deleted JSON data
+    plane, the deleted training orchestrator or the options that selected
+    them (CHANGES.md and ROADMAP.md are where the names are spelled)."""
     gone = re.compile(
         r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|_op_classify|"
         r"negotiate=|wire_v2=|protocol=\"json\"|max_delay_us|max-delay-us|"
-        r"--max-batch|DEFAULT_MAX_BATCH|MAX_FRAME_BYTES"
+        r"--max-batch|DEFAULT_MAX_BATCH|MAX_FRAME_BYTES|"
+        r"TrainingPipeline|PipelineConfig|ProcessPoolExecutor|train_many|"
+        r"warm_epochs|warm-epochs|pipeline_config|pipeline=|--jobs|repro train"
     )
     root = SRC.parent.parent
     shipped = [root / "README.md"] + [
         path
-        for top in ("src", "examples", "benchmarks", "scripts", "docs", ".github")
+        for top in ("src", "examples", "benchmarks", "scripts", "docs", ".github", ".claude")
         for path in sorted((root / top).rglob("*"))
         if path.is_file() and path.suffix in {".py", ".md", ".yml", ".yaml"}
     ]
@@ -185,6 +191,43 @@ def test_one_staged_loop_and_one_adam_update():
         and getattr(node.func, "id", getattr(node.func, "attr", "")) == "train_submodel"
     }
     assert callers == {"core/pipeline.py"}
+
+
+def _imports(tree: ast.AST, package: str) -> bool:
+    """True when ``tree`` imports ``package`` or one of its submodules."""
+    modules = [
+        module
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for module in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [node.module or ""]
+        )
+    ]
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
+def test_only_the_shard_workers_start_a_process():
+    """One way to use N cores: ``serving/workers.py`` is the only module that
+    imports ``multiprocessing``; the one ``concurrent.futures`` import is the
+    server's single engine-worker *thread* (the process pool's name is on the
+    shipped-names list above); and no ``build`` takes a ``pipeline`` to carry
+    a second fan-out."""
+    trees = {
+        str(path.relative_to(SRC)): ast.parse(path.read_text())
+        for path in SRC.rglob("*.py")
+    }
+    for package, only in (
+        ("multiprocessing", "serving/workers.py"),
+        ("concurrent", "serving/server.py"),
+    ):
+        assert {name for name, tree in trees.items() if _imports(tree, package)} == {only}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "build":
+                parameters = node.args.args + node.args.kwonlyargs
+                assert "pipeline" not in {arg.arg for arg in parameters}, name
 
 
 def _calls(path: Path, method: str) -> list[ast.Call]:

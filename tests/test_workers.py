@@ -306,13 +306,13 @@ class TestClassifyBlock:
         ) as engine:
             shadow = Rule(
                 tuple(spec.full_range() for spec in acl_small.schema),
-                priority=-10,
+                priority=0,
                 rule_id=71_000,
             )
             engine.insert(shadow)
             rule_ids, priorities = engine.classify_block(block)
             assert (rule_ids == 71_000).all()
-            assert (priorities == -10).all()
+            assert (priorities == 0).all()
 
     def test_plain_engine_block_matches_scalar_reference(self, acl_small):
         engine = ClassificationEngine.build(acl_small, classifier="linear")
