@@ -5,13 +5,19 @@ candidates for indexing its *remainder set*:
 
 * :class:`~repro.classifiers.linear.LinearSearchClassifier` — correctness oracle.
 * :class:`~repro.classifiers.tuplespace.TupleSpaceSearchClassifier` — Tuple
-  Space Search (hash-based, update-friendly).
+  Space Search (``tss``).
 * :class:`~repro.classifiers.tuplemerge.TupleMergeClassifier` — TupleMerge
   (``tm`` in the paper's figures).
 * :class:`~repro.classifiers.hicuts.HiCutsClassifier` — HiCuts decision tree.
 * :class:`~repro.classifiers.cutsplit.CutSplitClassifier` — CutSplit (``cs``).
 * :class:`~repro.classifiers.neurocuts.NeuroCutsClassifier` — NeuroCuts-style
   search-optimised tree (``nc``).
+
+The two hash baselines are placement policies over one
+:class:`~repro.classifiers.tuplespace.TupleHashClassifier`; the three tree
+baselines are grouping + node policies over one
+:class:`~repro.classifiers.dtree.ForestClassifier`.  A built baseline is
+immutable: online updates are the engine's overlay.
 
 All classifiers implement the :class:`~repro.classifiers.base.Classifier`
 interface: the scalar traced lookup, the columnar ``classify_block``, the
@@ -28,7 +34,6 @@ from repro.classifiers.base import (
     Classifier,
     LookupTrace,
     MemoryFootprint,
-    UpdatableClassifier,
 )
 from repro.classifiers.registry import (
     UnknownClassifierError,
@@ -48,7 +53,6 @@ from repro.classifiers.neurocuts import NeuroCutsClassifier
 
 __all__ = [
     "Classifier",
-    "UpdatableClassifier",
     "ClassificationResult",
     "LookupTrace",
     "MemoryFootprint",

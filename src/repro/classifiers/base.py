@@ -26,7 +26,6 @@ __all__ = [
     "MemoryFootprint",
     "ClassificationResult",
     "Classifier",
-    "UpdatableClassifier",
     "STATE_FORMAT_VERSION",
     "TRACE_FIELDS",
     "NO_FLOOR",
@@ -200,9 +199,16 @@ class Classifier(ABC):
     # -- construction --------------------------------------------------------
 
     @classmethod
-    @abstractmethod
     def build(cls, ruleset: RuleSet, **params) -> "Classifier":
-        """Construct the classifier's index structures from ``ruleset``."""
+        """Construct the classifier's index structures from ``ruleset``.
+
+        ``params`` are the constructor's keyword parameters and are recorded
+        as ``build_params``; one the constructor does not take raises
+        ``TypeError`` and nothing is built.
+        """
+        classifier = cls(ruleset, **params)
+        classifier.build_params = dict(params)
+        return classifier
 
     # -- persistence ----------------------------------------------------------
 
@@ -262,9 +268,10 @@ class Classifier(ABC):
         rows are *overwritten* with the per-packet lookup counters in
         :data:`TRACE_FIELDS` order.
 
-        Classifiers with vectorizable lookups (linear, TupleMerge, NuevoMatch)
-        override this with an allocation-free path; the generic implementation
-        is the unfloored :meth:`classify_block_with_floors` loop.
+        Linear search and NuevoMatch override this with an allocation-free
+        path; the generic implementation is the unfloored
+        :meth:`classify_block_with_floors` loop, which the hash family
+        overrides in turn.
         """
         if traces is not None:
             traces[: len(block)] = 0
@@ -360,18 +367,6 @@ class Classifier(ABC):
                     )
             count += 1
         return count
-
-
-class UpdatableClassifier(Classifier):
-    """A classifier that additionally supports online rule updates."""
-
-    @abstractmethod
-    def insert(self, rule: Rule) -> None:
-        """Add ``rule`` to the classifier."""
-
-    @abstractmethod
-    def remove(self, rule_id: int) -> bool:
-        """Remove the rule with ``rule_id``; returns True if it was present."""
 
 
 # Byte-size constants shared by the concrete classifiers' footprint models.

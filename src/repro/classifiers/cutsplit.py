@@ -21,24 +21,17 @@ can skip trees that cannot win.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-from repro.classifiers.base import (
-    ClassificationResult,
-    Classifier,
-    LookupTrace,
-    MemoryFootprint,
-)
 from repro.classifiers.dtree import (
     CutAction,
     DecisionTree,
+    ForestClassifier,
     LeafAction,
     Space,
     SplitAction,
     build_tree,
 )
 from repro.classifiers.registry import register
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import Rule, RuleSet
 
 __all__ = ["CutSplitClassifier"]
 
@@ -104,7 +97,7 @@ def _cutsplit_policy(cut_dims: list[int], ficuts_rule_threshold: int, num_cuts: 
 
 
 @register("cs", aliases=("cutsplit",))
-class CutSplitClassifier(Classifier):
+class CutSplitClassifier(ForestClassifier):
     """CutSplit: pre-partitioned FiCuts + HyperSplit-style trees, binth=8."""
 
     name = "cs"
@@ -118,7 +111,6 @@ class CutSplitClassifier(Classifier):
         num_cuts: int = 8,
         max_depth: int = 28,
     ):
-        super().__init__(ruleset)
         self.binth = binth
         self.small_prefix_threshold = small_prefix_threshold
         schema = ruleset.schema
@@ -137,85 +129,16 @@ class CutSplitClassifier(Classifier):
             groups.setdefault(key, []).append(rule)
 
         space = schema.full_ranges()
-        self._trees: list[DecisionTree] = []
-        self._group_keys: list[tuple[int, ...]] = []
+        #: The small IP dimensions of each group, in tree order.
+        self._group_keys = list(groups)
+        trees = []
         for key, rules in groups.items():
-            cut_dims = list(key)
-            policy = _cutsplit_policy(cut_dims, ficuts_rule_threshold, num_cuts)
+            policy = _cutsplit_policy(list(key), ficuts_rule_threshold, num_cuts)
             root = build_tree(rules, space, policy, binth=binth, max_depth=max_depth)
-            self._trees.append(DecisionTree(root))
-            self._group_keys.append(key)
-
-    @classmethod
-    def build(cls, ruleset: RuleSet, binth: int = 8, **params) -> "CutSplitClassifier":
-        classifier = cls(ruleset, binth=binth, **params)
-        classifier.build_params = {"binth": binth, **params}
-        return classifier
-
-    # -- lookup --------------------------------------------------------------------
-
-    def _ordered_trees(self) -> list[DecisionTree]:
-        return sorted(
-            self._trees,
-            key=lambda tree: tree.root.best_priority
-            if tree.root.best_priority is not None
-            else 1 << 60,
-        )
-
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self.classify_with_floor(packet, None)
-
-    def classify_with_floor(
-        self, packet: Packet | Sequence[int], priority_floor: Optional[int]
-    ) -> ClassificationResult:
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        best: Rule | None = None
-        best_priority = priority_floor
-        for tree in self._ordered_trees():
-            if (
-                best_priority is not None
-                and tree.root.best_priority is not None
-                and tree.root.best_priority >= best_priority
-            ):
-                break
-            rule = tree.lookup(values, trace, best_priority)
-            if rule is not None and (best_priority is None or rule.priority < best_priority):
-                best = rule
-                best_priority = rule.priority
-        return ClassificationResult(best, trace)
-
-    # -- introspection -----------------------------------------------------------------
-
-    def memory_footprint(self) -> MemoryFootprint:
-        footprint = MemoryFootprint()
-        for index, tree in enumerate(self._trees):
-            tree_fp = tree.footprint(0)
-            footprint = footprint.merge(
-                MemoryFootprint(
-                    index_bytes=tree_fp.index_bytes,
-                    breakdown={f"tree_{index}": tree_fp.index_bytes},
-                )
-            )
-        from repro.classifiers.base import RULE_ENTRY_BYTES
-
-        footprint.rule_bytes = len(self.ruleset) * RULE_ENTRY_BYTES
-        return footprint
+            trees.append(DecisionTree(root))
+        super().__init__(ruleset, trees)
 
     def statistics(self) -> dict[str, object]:
         stats = super().statistics()
-        tree_stats = [tree.stats() for tree in self._trees]
-        stats.update(
-            num_trees=len(self._trees),
-            group_keys=[list(key) for key in self._group_keys],
-            max_depth=max((t.max_depth for t in tree_stats), default=0),
-            num_nodes=sum(t.num_nodes for t in tree_stats),
-            leaf_rule_slots=sum(t.total_leaf_rule_slots for t in tree_stats),
-            replication=sum(t.total_leaf_rule_slots for t in tree_stats)
-            / max(1, len(self.ruleset)),
-        )
+        stats["group_keys"] = [list(key) for key in self._group_keys]
         return stats
-
-    @property
-    def num_trees(self) -> int:
-        return len(self._trees)

@@ -7,6 +7,13 @@ rules scanned linearly.  This module provides the node types, a generic
 recursive builder parameterised by a per-node policy, traced lookups, the
 early-termination bookkeeping (per-node best priority, §4 of the paper), and
 memory-footprint accounting that reflects rule replication.
+
+It also holds the one implementation of the tree family:
+:class:`ForestClassifier` owns a list of trees, the best-priority-first floored
+walk over them, the summed footprint and the common statistics; a named
+baseline is how it groups the rules into trees and the per-node policy it
+builds each tree with.  A built forest is immutable; online updates are the
+engine's overlay (:class:`repro.engine.ClassificationEngine`).
 """
 
 from __future__ import annotations
@@ -16,13 +23,14 @@ from typing import Callable, Optional, Sequence
 
 from repro.classifiers.base import (
     ClassificationResult,
+    Classifier,
     LookupTrace,
     MemoryFootprint,
     NODE_HEADER_BYTES,
     POINTER_BYTES,
     RULE_ENTRY_BYTES,
 )
-from repro.rules.rule import Packet, Rule
+from repro.rules.rule import Packet, Rule, RuleSet
 
 __all__ = [
     "Space",
@@ -34,6 +42,7 @@ __all__ = [
     "CutNode",
     "SplitNode",
     "DecisionTree",
+    "ForestClassifier",
     "build_tree",
     "TreeStats",
 ]
@@ -315,12 +324,6 @@ class DecisionTree:
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown node type {type(node)!r}")
 
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        rule = self.lookup(values, trace)
-        return ClassificationResult(rule, trace)
-
     # -- statistics -----------------------------------------------------------------
 
     def stats(self) -> TreeStats:
@@ -375,3 +378,82 @@ class DecisionTree:
                 "leaf_rule_pointers": stats.total_leaf_rule_slots * POINTER_BYTES,
             },
         )
+
+
+class ForestClassifier(Classifier):
+    """The tree family: one decision tree per rule group, best tree first.
+
+    A subclass groups the rules, builds one :class:`DecisionTree` per group
+    with its per-node policy and hands the trees over; everything a lookup or
+    a report does with them lives here.
+    """
+
+    def __init__(self, ruleset: RuleSet, trees: list[DecisionTree]):
+        super().__init__(ruleset)
+        #: In group order — the order footprints and statistics report in.
+        self._trees = trees
+        # Walk order, fixed here because nothing mutates a tree afterwards:
+        # best (numerically smallest) root priority first, so a lookup stops
+        # at the first tree that cannot win.
+        self._walk_order = sorted(
+            trees,
+            key=lambda tree: tree.root.best_priority
+            if tree.root.best_priority is not None
+            else 1 << 60,
+        )
+
+    # -- lookup --------------------------------------------------------------------
+
+    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
+        return self.classify_with_floor(packet, None)
+
+    def classify_with_floor(
+        self, packet: Packet | Sequence[int], priority_floor: Optional[int]
+    ) -> ClassificationResult:
+        values = packet.values if isinstance(packet, Packet) else tuple(packet)
+        trace = LookupTrace()
+        best: Rule | None = None
+        best_priority = priority_floor
+        for tree in self._walk_order:
+            if (
+                best_priority is not None
+                and tree.root.best_priority is not None
+                and tree.root.best_priority >= best_priority
+            ):
+                break
+            rule = tree.lookup(values, trace, best_priority)
+            if rule is not None and (best_priority is None or rule.priority < best_priority):
+                best = rule
+                best_priority = rule.priority
+        return ClassificationResult(best, trace)
+
+    # -- introspection -----------------------------------------------------------------
+
+    def memory_footprint(self) -> MemoryFootprint:
+        breakdown = {
+            f"tree_{index}": tree.footprint(0).index_bytes
+            for index, tree in enumerate(self._trees)
+        }
+        return MemoryFootprint(
+            index_bytes=sum(breakdown.values()),
+            rule_bytes=len(self.ruleset) * RULE_ENTRY_BYTES,
+            breakdown=breakdown,
+        )
+
+    def statistics(self) -> dict[str, object]:
+        stats = super().statistics()
+        tree_stats = [tree.stats() for tree in self._trees]
+        leaf_rule_slots = sum(t.total_leaf_rule_slots for t in tree_stats)
+        stats.update(
+            num_trees=len(self._trees),
+            max_depth=max((t.max_depth for t in tree_stats), default=0),
+            num_nodes=sum(t.num_nodes for t in tree_stats),
+            num_leaves=sum(t.num_leaves for t in tree_stats),
+            leaf_rule_slots=leaf_rule_slots,
+            replication=leaf_rule_slots / max(1, len(self.ruleset)),
+        )
+        return stats
+
+    @property
+    def num_trees(self) -> int:
+        return len(self._trees)

@@ -11,23 +11,17 @@ and as the starting point of the tree family.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
-from repro.classifiers.base import (
-    ClassificationResult,
-    Classifier,
-    LookupTrace,
-    MemoryFootprint,
-)
 from repro.classifiers.dtree import (
     CutAction,
     DecisionTree,
+    ForestClassifier,
     LeafAction,
     Space,
     build_tree,
 )
 from repro.classifiers.registry import register
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import Rule, RuleSet
 
 __all__ = ["HiCutsClassifier"]
 
@@ -68,8 +62,8 @@ def hicuts_policy(space_factor: float = 2.0, max_cuts: int = 16):
 
 
 @register("hicuts")
-class HiCutsClassifier(Classifier):
-    """Single-tree HiCuts classifier."""
+class HiCutsClassifier(ForestClassifier):
+    """Single-tree HiCuts classifier: a forest of one tree over all the rules."""
 
     name = "hicuts"
 
@@ -81,46 +75,12 @@ class HiCutsClassifier(Classifier):
         max_cuts: int = 16,
         max_depth: int = 24,
     ):
-        super().__init__(ruleset)
         self.binth = binth
-        space = ruleset.schema.full_ranges()
         root = build_tree(
             list(ruleset.rules),
-            space,
+            ruleset.schema.full_ranges(),
             hicuts_policy(space_factor, max_cuts),
             binth=binth,
             max_depth=max_depth,
         )
-        self._tree = DecisionTree(root)
-
-    @classmethod
-    def build(cls, ruleset: RuleSet, binth: int = 8, **params) -> "HiCutsClassifier":
-        classifier = cls(ruleset, binth=binth, **params)
-        classifier.build_params = {"binth": binth, **params}
-        return classifier
-
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self._tree.classify_traced(packet)
-
-    def classify_with_floor(
-        self, packet: Packet | Sequence[int], priority_floor: Optional[int]
-    ) -> ClassificationResult:
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        rule = self._tree.lookup(values, trace, priority_floor)
-        return ClassificationResult(rule, trace)
-
-    def memory_footprint(self) -> MemoryFootprint:
-        return self._tree.footprint(len(self.ruleset))
-
-    def statistics(self) -> dict[str, object]:
-        stats = super().statistics()
-        tree_stats = self._tree.stats()
-        stats.update(
-            num_nodes=tree_stats.num_nodes,
-            num_leaves=tree_stats.num_leaves,
-            max_depth=tree_stats.max_depth,
-            leaf_rule_slots=tree_stats.total_leaf_rule_slots,
-            replication=tree_stats.total_leaf_rule_slots / max(1, len(self.ruleset)),
-        )
-        return stats
+        super().__init__(ruleset, [DecisionTree(root)])

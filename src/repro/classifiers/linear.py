@@ -58,10 +58,6 @@ class LinearSearchClassifier(Classifier):
             [rule.rule_id for rule in self._ordered], dtype=np.int64
         )
 
-    @classmethod
-    def build(cls, ruleset: RuleSet, **params) -> "LinearSearchClassifier":
-        return cls(ruleset)
-
     def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
         values = packet.values if isinstance(packet, Packet) else tuple(packet)
         trace = LookupTrace()

@@ -19,24 +19,17 @@ family with comparable depth/footprint trade-offs at a tiny fraction of the
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
 
-from repro.classifiers.base import (
-    ClassificationResult,
-    Classifier,
-    LookupTrace,
-    MemoryFootprint,
-    RULE_ENTRY_BYTES,
-)
 from repro.classifiers.dtree import (
     CutAction,
     DecisionTree,
+    ForestClassifier,
     LeafAction,
     Space,
     build_tree,
 )
 from repro.classifiers.registry import register
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import Rule, RuleSet
 
 __all__ = ["NeuroCutsClassifier"]
 
@@ -98,7 +91,7 @@ def _partition_by_wildcards(ruleset: RuleSet, threshold: float) -> list[list[Rul
 
 
 @register("nc", aliases=("neurocuts",))
-class NeuroCutsClassifier(Classifier):
+class NeuroCutsClassifier(ForestClassifier):
     """Search-optimised decision-tree classifier (NeuroCuts stand-in)."""
 
     name = "nc"
@@ -114,7 +107,6 @@ class NeuroCutsClassifier(Classifier):
         max_depth: int = 24,
         seed: int = 0,
     ):
-        super().__init__(ruleset)
         if objective not in ("memory", "depth"):
             raise ValueError("objective must be 'memory' or 'depth'")
         self.binth = binth
@@ -127,7 +119,7 @@ class NeuroCutsClassifier(Classifier):
         else:
             groups = [list(ruleset.rules)]
 
-        self._trees: list[DecisionTree] = []
+        trees: list[DecisionTree] = []
         for group in groups:
             best_tree: DecisionTree | None = None
             best_score: float | None = None
@@ -147,76 +139,10 @@ class NeuroCutsClassifier(Classifier):
                     best_score = score
                     best_tree = tree
             assert best_tree is not None
-            self._trees.append(best_tree)
-
-    @classmethod
-    def build(cls, ruleset: RuleSet, binth: int = 8, **params) -> "NeuroCutsClassifier":
-        classifier = cls(ruleset, binth=binth, **params)
-        classifier.build_params = {"binth": binth, **params}
-        return classifier
-
-    # -- lookup ---------------------------------------------------------------------
-
-    def _ordered_trees(self) -> list[DecisionTree]:
-        return sorted(
-            self._trees,
-            key=lambda tree: tree.root.best_priority
-            if tree.root.best_priority is not None
-            else 1 << 60,
-        )
-
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self.classify_with_floor(packet, None)
-
-    def classify_with_floor(
-        self, packet: Packet | Sequence[int], priority_floor: Optional[int]
-    ) -> ClassificationResult:
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        best: Rule | None = None
-        best_priority = priority_floor
-        for tree in self._ordered_trees():
-            if (
-                best_priority is not None
-                and tree.root.best_priority is not None
-                and tree.root.best_priority >= best_priority
-            ):
-                break
-            rule = tree.lookup(values, trace, best_priority)
-            if rule is not None and (best_priority is None or rule.priority < best_priority):
-                best = rule
-                best_priority = rule.priority
-        return ClassificationResult(best, trace)
-
-    # -- introspection -----------------------------------------------------------------
-
-    def memory_footprint(self) -> MemoryFootprint:
-        footprint = MemoryFootprint()
-        for index, tree in enumerate(self._trees):
-            tree_fp = tree.footprint(0)
-            footprint = footprint.merge(
-                MemoryFootprint(
-                    index_bytes=tree_fp.index_bytes,
-                    breakdown={f"tree_{index}": tree_fp.index_bytes},
-                )
-            )
-        footprint.rule_bytes = len(self.ruleset) * RULE_ENTRY_BYTES
-        return footprint
+            trees.append(best_tree)
+        super().__init__(ruleset, trees)
 
     def statistics(self) -> dict[str, object]:
         stats = super().statistics()
-        tree_stats = [tree.stats() for tree in self._trees]
-        stats.update(
-            num_trees=len(self._trees),
-            objective=self.objective,
-            max_depth=max((t.max_depth for t in tree_stats), default=0),
-            num_nodes=sum(t.num_nodes for t in tree_stats),
-            leaf_rule_slots=sum(t.total_leaf_rule_slots for t in tree_stats),
-            replication=sum(t.total_leaf_rule_slots for t in tree_stats)
-            / max(1, len(self.ruleset)),
-        )
+        stats["objective"] = self.objective
         return stats
-
-    @property
-    def num_trees(self) -> int:
-        return len(self._trees)

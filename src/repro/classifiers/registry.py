@@ -4,7 +4,7 @@ Classifiers register themselves under a canonical short name (the one the
 paper's figures use, e.g. ``"tm"``) plus optional long-form aliases::
 
     @register("tm", aliases=("tuplemerge",))
-    class TupleMergeClassifier(UpdatableClassifier):
+    class TupleMergeClassifier(TupleHashClassifier):
         ...
 
 Consumers resolve names — canonical or alias — through :func:`resolve_classifier`

@@ -529,6 +529,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        except ValueError as error:
+            # Readable JSON of the wrong kind or format version — typically
+            # the single-engine file `repro engine save` writes.
+            print(
+                f"error: {path}: {error} (`repro serve` reads this build's "
+                "sharded snapshots; `repro engine load` and `repro engine "
+                "serve` read single-engine files)",
+                file=sys.stderr,
+            )
+            return 2
         print(
             "serving from snapshot: --shards/--classifier/--partitioner/"
             "--retrain-threshold come from the snapshot",

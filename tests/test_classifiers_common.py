@@ -59,6 +59,15 @@ class TestRegistry:
         clf = build_classifier("tuplemerge", acl_small, collision_limit=10)
         assert clf.name == "tm"
         assert clf.collision_limit == 10
+        assert clf.build_params == {"collision_limit": 10}
+
+    @pytest.mark.parametrize("name", available_classifiers())
+    def test_unknown_build_parameter_is_a_type_error(self, name, acl_small):
+        """No classifier swallows a parameter it does not take: a misspelled
+        one raises, naming it, instead of silently building with the default
+        (``nm`` hands what it does not take itself to its remainder)."""
+        with pytest.raises(TypeError, match="colision_limit"):
+            build_classifier(name, acl_small, colision_limit=3)
 
 
 class TestAgainstOracle:

@@ -420,6 +420,40 @@ class TestServe:
         out = capsys.readouterr().out
         assert "sharded[3]" in out
 
+    def test_serve_refuses_a_file_that_is_not_a_sharded_snapshot(
+        self, ruleset_file, tmp_path, capsys
+    ):
+        """One line on stderr and exit 2 — no traceback — for a `.json` file
+        that is not JSON, for the single-engine snapshot `repro engine save`
+        writes, and for a sharded snapshot of another format version."""
+        import gzip
+
+        not_json = tmp_path / "rules.json"
+        not_json.write_text("@1.2.3.4/32 ...")
+        engine_file = tmp_path / "engine.json.gz"
+        assert main(["engine", "save", str(ruleset_file), str(engine_file),
+                     "--classifier", "tm"]) == 0
+        sharded_file = tmp_path / "sharded.json.gz"
+        assert main(["serve", str(ruleset_file), "--shards", "2",
+                     "--classifier", "tm", "--executor", "serial",
+                     "--packets", "10", "--save", str(sharded_file)]) == 0
+        with gzip.open(sharded_file, "rt") as handle:
+            document = json.load(handle)
+        document["format"] += 1
+        future_file = tmp_path / "future.json.gz"
+        with gzip.open(future_file, "wt") as handle:
+            json.dump(document, handle)
+        capsys.readouterr()
+        for path, says in (
+            (not_json, "not a sharded-engine snapshot"),
+            (engine_file, "repro engine load"),
+            (future_file, "unsupported sharded-engine file format"),
+        ):
+            assert main(["serve", str(path), "--listen", "127.0.0.1:0"]) == 2
+            captured = capsys.readouterr()
+            assert says in captured.err and captured.err.count("\n") == 1
+            assert "Traceback" not in captured.err and "listening" not in captured.out
+
     def test_executor_flag_offers_only_serial_and_workers(self):
         parser = build_parser()
         for command in (["serve", "x.txt"], ["replay"]):

@@ -137,10 +137,17 @@ class TestEngineFacade:
         assert stats["engine_metadata"]["training"]["submodels_trained"] > 0
         assert stats["name"] == "nm"
 
+    def test_unknown_build_parameter_is_a_type_error(self, acl_small):
+        for params in (
+            {"classifier": "tm"},
+            {"classifier": "nm", "remainder_classifier": "tm", "config": fast_nm_config()},
+        ):
+            with pytest.raises(TypeError, match="colision_limit"):
+                ClassificationEngine.build(acl_small, colision_limit=3, **params)
+
     @pytest.mark.parametrize("name", ["tss", "hicuts"])
     def test_updates_go_to_the_overlay_not_the_classifier(self, name, acl_small):
-        # With or without UpdatableClassifier (tss has it, hicuts does not):
-        # the built classifier is never touched.
+        # Hash or tree baseline alike: the built classifier is never touched.
         engine = ClassificationEngine.build(acl_small, classifier=name)
         packet = acl_small.sample_packets(1, seed=25)[0]
         before = engine.classify(packet)

@@ -12,14 +12,6 @@ from repro.rules.fields import FIVE_TUPLE
 from repro.rules.rule import Rule, RuleSet
 
 
-def make_exact_rule(src, dst, sport, dport, proto, priority, rule_id):
-    return Rule(
-        ((src, src), (dst, dst), (sport, sport), (dport, dport), (proto, proto)),
-        priority=priority,
-        rule_id=rule_id,
-    )
-
-
 class TestTupleHelpers:
     def test_mask_value(self):
         assert mask_value(0xDEADBEEF, 0, 32) == 0
@@ -49,19 +41,6 @@ class TestTupleSpaceSearch:
         distinct_tuples = {rule_tuple(rule, bits) for rule in acl_small}
         assert tss.num_tables == len(distinct_tuples)
 
-    def test_insert_and_remove(self, acl_small):
-        tss = TupleSpaceSearchClassifier.build(acl_small)
-        new_rule = make_exact_rule(1, 2, 3, 4, 6, priority=-1, rule_id=10_000)
-        tss.insert(new_rule)
-        assert tss.classify((1, 2, 3, 4, 6)).rule_id == 10_000
-        assert tss.remove(10_000)
-        found = tss.classify((1, 2, 3, 4, 6))
-        assert found is None or found.rule_id != 10_000
-
-    def test_remove_missing_returns_false(self, acl_small):
-        tss = TupleSpaceSearchClassifier.build(acl_small)
-        assert not tss.remove(999_999)
-
 
 class TestTupleMerge:
     def test_fewer_tables_than_tss(self, acl_medium):
@@ -84,29 +63,6 @@ class TestTupleMerge:
         loose = TupleMergeClassifier.build(acl_medium, collision_limit=40)
         tight = TupleMergeClassifier.build(acl_medium, collision_limit=2)
         assert tight.num_tables >= loose.num_tables
-
-    def test_insert_and_remove(self, acl_small):
-        tm = TupleMergeClassifier.build(acl_small)
-        new_rule = make_exact_rule(9, 8, 7, 6, 17, priority=-1, rule_id=20_000)
-        tm.insert(new_rule)
-        assert tm.classify((9, 8, 7, 6, 17)).rule_id == 20_000
-        assert tm.remove(20_000)
-        found = tm.classify((9, 8, 7, 6, 17))
-        assert found is None or found.rule_id != 20_000
-
-    def test_updates_preserve_correctness(self, acl_small):
-        tm = TupleMergeClassifier.build(acl_small)
-        # Remove 50 rules, verify against the reduced oracle.
-        removed = [rule.rule_id for rule in list(acl_small)[:50]]
-        for rule_id in removed:
-            assert tm.remove(rule_id)
-        reduced = acl_small.without(removed)
-        for packet in reduced.sample_packets(100, seed=3):
-            expected = reduced.match(packet)
-            actual = tm.classify(packet)
-            assert (expected is None) == (actual is None)
-            if expected is not None:
-                assert actual.priority == expected.priority
 
     def test_empty_ruleset(self):
         empty = RuleSet([], FIVE_TUPLE)

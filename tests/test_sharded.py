@@ -133,6 +133,10 @@ class TestServing:
                 )
         with pytest.raises(ValueError, match="at least one shard"):
             ShardedEngine([])
+        # A parameter the classifier does not take is not dropped on the way
+        # to the shards.
+        with pytest.raises(TypeError, match="colision_limit"):
+            ShardedEngine.build(acl_small, shards=2, classifier="tm", colision_limit=3)
 
     def test_default_executor_is_serial(self, acl_small):
         with ShardedEngine.build(acl_small, shards=2, classifier="linear") as engine:

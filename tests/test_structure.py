@@ -1,5 +1,6 @@
 """Structural guard: one lookup path per stack, one update path, one RQ-RMI
-trainer, one data plane and one way to use N cores cannot grow back unnoticed.
+trainer, one data plane, one way to use N cores and one implementation per
+baseline family cannot grow back unnoticed.
 
 AST-based, so it reads what the source *defines*, not what an import happens
 to expose: among classifiers and engine stacks under ``src/repro`` only
@@ -10,8 +11,9 @@ one class (``ClassificationEngine``; ``_Shard`` is swap bookkeeping), the
 staged training loop lives in ``core/pipeline.py`` and the Adam update in
 ``core/training.py`` only, the server reaches the engine for a lookup from
 one call site behind one admission point, only ``serving/workers.py`` starts
-a process, no ``build`` takes a ``pipeline``, and none of the superseded
-names survives.  (The wire client's ``AsyncClient.classify_batch`` is a network
+a process, no ``build`` takes a ``pipeline``, the hash and tree baselines
+share one early-termination loop per family and one ``build``, and none of the
+superseded names survives.  (The wire client's ``AsyncClient.classify_batch`` is a network
 call, not a lookup implementation, and is exempt.)
 """
 
@@ -39,6 +41,15 @@ for _path in SRC.rglob("*.py"):
                 base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
                 for base in _node.bases
             }
+
+
+#: Classes defined under ``src/repro/classifiers``.
+CLASSIFIER_CLASSES = {
+    node.name
+    for path in (SRC / "classifiers").glob("*.py")
+    for node in ast.walk(ast.parse(path.read_text()))
+    if isinstance(node, ast.ClassDef)
+}
 
 
 def _defining(method: str) -> set[str]:
@@ -101,6 +112,53 @@ def test_the_engine_is_the_one_updatable_unit():
         "adjust_block",
         "remainder_fraction",
     }
+    # A built baseline is immutable: no classifier takes updates natively.
+    assert not {
+        name for name in CLASSIFIER_CLASSES if CLASS_METHODS[name] & {"insert", "remove"}
+    }
+
+
+def test_one_implementation_per_baseline_family():
+    """A baseline is a policy over its family's one implementation: the §4
+    early-termination loops, and ``build``, are not copied per classifier."""
+
+    def defining(method: str) -> set[str]:
+        return _defining(method) & CLASSIFIER_CLASSES
+
+    assert defining("build") == {"Classifier"}
+    assert defining("classify_with_floor") == {
+        "Classifier",
+        "LinearSearchClassifier",
+        "TupleHashClassifier",
+        "ForestClassifier",
+    }
+    assert defining("classify_block_with_floors") == {"Classifier", "TupleHashClassifier"}
+    for name, family in (
+        ("TupleSpaceSearchClassifier", "TupleHashClassifier"),
+        ("TupleMergeClassifier", "TupleHashClassifier"),
+        ("HiCutsClassifier", "ForestClassifier"),
+        ("CutSplitClassifier", "ForestClassifier"),
+        ("NeuroCutsClassifier", "ForestClassifier"),
+    ):
+        assert CLASS_BASES[name] == {family}, name
+    # The bucket probe appears in the scalar reference and the columnar loop
+    # only, the tree walk in the forest's one loop, and nothing sorts tables
+    # or trees inside a lookup.
+    probes, walks, sorts = [], [], []
+    for path in sorted((SRC / "classifiers").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            source = ast.unparse(node)
+            if "table.buckets.get(" in source:
+                probes.append(node.name)
+            if "tree.lookup(" in source:
+                walks.append(node.name)
+            if node.name.startswith("classify") and re.search(r"sorted\(|\.sort\(", source):
+                sorts.append(f"{path.name}:{node.name}")
+    assert sorted(probes) == ["classify_block_with_floors", "classify_with_floor"]
+    assert walks == ["classify_with_floor"]
+    assert sorts == []
 
 
 def test_superseded_names_are_gone():
@@ -116,7 +174,10 @@ def test_superseded_names_are_gone():
         r"_op_classify|_process_batch|_packet_values|negotiate|max_delay_us|"
         r"DEFAULT_MAX_DELAY_US|DEFAULT_MAX_BATCH|read_frame|MAX_FRAME_BYTES|"
         r"TrainingPipeline|PipelineConfig|train_many|_train_rqrmi_job|"
-        r"resolve_warm_epochs|warm_epochs|pipeline_config)\b|"
+        r"resolve_warm_epochs|warm_epochs|pipeline_config|"
+        r"UpdatableClassifier|_TupleTable|_MergedTable|_ordered_tables|"
+        r"_ordered_trees|_insert_into_tables|bucket_size_after_insert|"
+        r"_recompute_max_priority)\b|"
         r"columnar="
     )
     offenders = [
@@ -129,16 +190,20 @@ def test_superseded_names_are_gone():
 
 
 def test_nothing_shipped_still_describes_a_deleted_path():
-    """ISSUE 15's and ISSUE 16's acceptance greps, kept as a test: no source,
+    """The acceptance greps of ISSUEs 15, 16 and 20, kept as a test: no source,
     example, benchmark, script, doc or workflow names the deleted JSON data
-    plane, the deleted training orchestrator or the options that selected
-    them (CHANGES.md and ROADMAP.md are where the names are spelled)."""
+    plane, the deleted training orchestrator, the options that selected them
+    or the per-baseline table classes and native updates (CHANGES.md and
+    ROADMAP.md are where the names are spelled)."""
     gone = re.compile(
         r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|_op_classify|"
         r"negotiate=|wire_v2=|protocol=\"json\"|max_delay_us|max-delay-us|"
         r"--max-batch|DEFAULT_MAX_BATCH|MAX_FRAME_BYTES|"
         r"TrainingPipeline|PipelineConfig|ProcessPoolExecutor|train_many|"
-        r"warm_epochs|warm-epochs|pipeline_config|pipeline=|--jobs|repro train"
+        r"warm_epochs|warm-epochs|pipeline_config|pipeline=|--jobs|repro train|"
+        r"UpdatableClassifier|_TupleTable|_MergedTable|_ordered_tables|"
+        r"_ordered_trees|_insert_into_tables|bucket_size_after_insert|"
+        r"_recompute_max_priority"
     )
     root = SRC.parent.parent
     shipped = [root / "README.md"] + [
