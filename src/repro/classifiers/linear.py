@@ -42,31 +42,11 @@ class LinearSearchClassifier(Classifier):
 
     def __init__(self, ruleset: RuleSet):
         super().__init__(ruleset)
-        self._ordered = sorted(ruleset.rules, key=lambda rule: rule.priority)
-        if self._ordered:
-            ranges = np.array([rule.ranges for rule in self._ordered], dtype=np.int64)
-            self._lo = ranges[:, :, 0]
-            self._hi = ranges[:, :, 1]
-        else:
-            num_fields = len(ruleset.schema)
-            self._lo = np.empty((0, num_fields), dtype=np.int64)
-            self._hi = np.empty((0, num_fields), dtype=np.int64)
-        self._priorities = np.array(
-            [rule.priority for rule in self._ordered], dtype=np.int64
-        )
-        self._rule_ids = np.array(
-            [rule.rule_id for rule in self._ordered], dtype=np.int64
-        )
+        #: The rules best-priority first (equal priorities keep rule order).
+        self._ordered = ruleset.take(np.argsort(ruleset.priority, kind="stable"))
 
     def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        for rule in self._ordered:
-            trace.rule_accesses += 1
-            trace.compute_ops += len(values)
-            if rule.matches(values):
-                return ClassificationResult(rule, trace)
-        return ClassificationResult(None, trace)
+        return self.classify_with_floor(packet, None)
 
     def classify_block(
         self,
@@ -83,7 +63,7 @@ class LinearSearchClassifier(Classifier):
         block = np.asarray(block)
         n = block.shape[0]
         num_rules = len(self._ordered)
-        num_fields = self._lo.shape[1]
+        num_fields = self._ordered.lo.shape[1]
         rule_ids = np.full(n, -1, dtype=np.int64)
         priorities = np.zeros(n, dtype=np.int64)
         if num_rules == 0 or n == 0:
@@ -98,8 +78,8 @@ class LinearSearchClassifier(Classifier):
             alive = np.arange(size)
             for rule_start in range(0, num_rules, _RULE_CHUNK):
                 sub = chunk[alive]
-                lo = self._lo[rule_start : rule_start + _RULE_CHUNK]
-                hi = self._hi[rule_start : rule_start + _RULE_CHUNK]
+                lo = self._ordered.lo[rule_start : rule_start + _RULE_CHUNK]
+                hi = self._ordered.hi[rule_start : rule_start + _RULE_CHUNK]
                 matched = np.all(
                     (sub[:, None, :] >= lo[None, :, :])
                     & (sub[:, None, :] <= hi[None, :, :]),
@@ -117,8 +97,8 @@ class LinearSearchClassifier(Classifier):
             hits = first < num_rules
             winners = first[hits]
             out = slice(start, start + size)
-            rule_ids[out][hits] = self._rule_ids[winners]
-            priorities[out][hits] = self._priorities[winners]
+            rule_ids[out][hits] = self._ordered.rule_id[winners]
+            priorities[out][hits] = self._ordered.priority[winners]
             if traces is not None:
                 scanned = np.where(hits, first + 1, np.int64(num_rules))
                 trace_chunk = traces[out]
@@ -132,12 +112,10 @@ class LinearSearchClassifier(Classifier):
     def classify_with_floor(
         self, packet: Packet | Sequence[int], priority_floor: Optional[int]
     ) -> ClassificationResult:
-        if priority_floor is None:
-            return self.classify_traced(packet)
         values = packet.values if isinstance(packet, Packet) else tuple(packet)
         trace = LookupTrace()
         for rule in self._ordered:
-            if rule.priority >= priority_floor:
+            if priority_floor is not None and rule.priority >= priority_floor:
                 break  # rules are priority-ordered; nothing below can win
             trace.rule_accesses += 1
             trace.compute_ops += len(values)

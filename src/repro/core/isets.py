@@ -8,13 +8,19 @@ repeatedly finds the largest iSet over any field — using the classical
 interval-scheduling maximisation algorithm per field — removes its rules and
 continues; iSets that remain too small are merged into the *remainder set*
 handled by an external classifier.
+
+It all runs on the :class:`~repro.rules.rule.RuleSet` columns: an iSet is one
+stable ``argsort`` of a field's upper bounds plus one scan, and iSets, the
+remainder and the shard groups are rule-sets made from row indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.rules.rule import Rule, RuleSet
+import numpy as np
+
+from repro.rules.rule import RuleSet
 
 __all__ = [
     "ISet",
@@ -34,7 +40,7 @@ class ISet:
     """
 
     dim: int
-    rules: list[Rule]
+    rules: RuleSet
     total_rules: int
 
     @property
@@ -45,9 +51,11 @@ class ISet:
     def __len__(self) -> int:
         return len(self.rules)
 
-    def ranges(self) -> list[tuple[int, int]]:
-        """The (disjoint) ranges of the rules in field ``dim``, sorted."""
-        return [rule.ranges[self.dim] for rule in self.rules]
+    def ranges(self) -> np.ndarray:
+        """The (disjoint) ``(lo, hi)`` ranges of the rules in field ``dim``,
+        sorted: an ``(rules, 2)`` int64 array."""
+        lo, hi = self.rules.lo[:, self.dim], self.rules.hi[:, self.dim]
+        return np.stack((lo, hi), axis=1)
 
 
 @dataclass
@@ -55,7 +63,7 @@ class PartitionResult:
     """Outcome of iSet partitioning."""
 
     isets: list[ISet]
-    remainder: list[Rule]
+    remainder: RuleSet
     total_rules: int
 
     @property
@@ -74,23 +82,24 @@ class PartitionResult:
         return out
 
 
-def max_independent_set(rules: list[Rule], dim: int) -> list[Rule]:
-    """Largest subset of ``rules`` with pairwise non-overlapping ranges in ``dim``.
+def max_independent_set(ruleset: RuleSet, dim: int) -> np.ndarray:
+    """Rows of the largest subset of ``ruleset`` with pairwise non-overlapping
+    ranges in ``dim``, in ascending range order.
 
     Classical interval-scheduling maximisation: sort by the range upper bound
-    and greedily take every range that starts after the last accepted one ends.
-    The greedy solution is optimal for this one-dimensional problem.
+    (stably: equal bounds keep rule order) and greedily take every range that
+    starts after the last accepted one ends, which also leaves them sorted by
+    lower bound.  The greedy solution is optimal for this one-dimensional problem.
     """
-    ordered = sorted(rules, key=lambda rule: rule.ranges[dim][1])
-    chosen: list[Rule] = []
+    order = np.argsort(ruleset.hi[:, dim], kind="stable")
+    bounds = zip(ruleset.lo[order, dim].tolist(), ruleset.hi[order, dim].tolist())
+    chosen: list[int] = []
     last_hi = -1
-    for rule in ordered:
-        lo, hi = rule.ranges[dim]
+    for row, (lo, hi) in zip(order.tolist(), bounds):
         if lo > last_hi:
-            chosen.append(rule)
+            chosen.append(row)
             last_hi = hi
-    chosen.sort(key=lambda rule: rule.ranges[dim][0])
-    return chosen
+    return np.array(chosen, dtype=np.int64)
 
 
 def partition_isets(
@@ -117,29 +126,23 @@ def partition_isets(
         A :class:`PartitionResult` with iSets ordered largest-first.
     """
     total = len(ruleset)
-    remaining: list[Rule] = list(ruleset.rules)
+    remaining = np.arange(total)  # rows of ``ruleset`` not yet in an iSet
     isets: list[ISet] = []
-    num_fields = len(ruleset.schema)
 
-    while remaining:
+    while remaining.size:
         if max_isets is not None and len(isets) >= max_isets:
             break
-        best: list[Rule] | None = None
-        best_dim = -1
-        for dim in range(num_fields):
-            candidate = max_independent_set(remaining, dim)
-            if best is None or len(candidate) > len(best):
-                best = candidate
-                best_dim = dim
-        if not best:
+        candidates = ruleset.take(remaining)
+        found = [max_independent_set(candidates, dim) for dim in range(len(ruleset.schema))]
+        best_dim = max(range(len(found)), key=lambda dim: len(found[dim]))  # first largest
+        best = found[best_dim]
+        if len(best) / total < min_coverage:
             break
-        if total and len(best) / total < min_coverage:
-            break
-        isets.append(ISet(dim=best_dim, rules=best, total_rules=total))
-        chosen_ids = {rule.rule_id for rule in best}
-        remaining = [rule for rule in remaining if rule.rule_id not in chosen_ids]
+        isets.append(ISet(dim=best_dim, rules=candidates.take(best), total_rules=total))
+        remaining = np.delete(remaining, best)
 
-    return PartitionResult(isets=isets, remainder=remaining, total_rules=total)
+    remainder = ruleset.take(remaining, name=f"{ruleset.name}-remainder")
+    return PartitionResult(isets=isets, remainder=remainder, total_rules=total)
 
 
 def partition_shards(
@@ -147,7 +150,7 @@ def partition_shards(
     num_shards: int,
     min_coverage: float = 0.0,
     partition: PartitionResult | None = None,
-) -> list[list[Rule]]:
+) -> list[RuleSet]:
     """Split a rule-set into ``num_shards`` balanced, iSet-aware groups.
 
     The paper scales NuevoMatch by distributing iSets (and the remainder)
@@ -173,7 +176,7 @@ def partition_shards(
             strategy.  ``min_coverage`` is ignored in that case.
 
     Returns:
-        ``num_shards`` non-empty rule lists.
+        ``num_shards`` non-empty rule-sets named ``<name>-shard<index>``.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
@@ -182,27 +185,31 @@ def partition_shards(
             f"cannot split {len(ruleset)} rules into {num_shards} shards"
         )
     if num_shards == 1:
-        return [list(ruleset.rules)]
+        return [ruleset.take(np.arange(len(ruleset)), name=f"{ruleset.name}-shard0")]
 
     if partition is None:
         partition = partition_isets(ruleset, min_coverage=min_coverage)
-    shards: list[list[Rule]] = [[] for _ in range(num_shards)]
+    # Groups are rows of one pool: the iSets' rules, then the remainder.
+    pool = RuleSet.concat([iset.rules for iset in partition.isets] + [partition.remainder])
+    shards: list[list[int]] = [[] for _ in range(num_shards)]
     target = -(-len(ruleset) // num_shards)  # ceil division
 
-    chunks: list[list[Rule]] = []
+    chunks: list[range] = []
+    offset = 0
     for iset in partition.isets:
         num_chunks = -(-len(iset) // target)
         chunk_size = -(-len(iset) // num_chunks)
         for start in range(0, len(iset), chunk_size):
-            chunks.append(iset.rules[start : start + chunk_size])
+            chunks.append(range(offset + start, offset + min(start + chunk_size, len(iset))))
+        offset += len(iset)
 
-    def smallest() -> list[Rule]:
+    def smallest() -> list[int]:
         return min(shards, key=len)
 
     for chunk in sorted(chunks, key=len, reverse=True):
         smallest().extend(chunk)
-    for rule in partition.remainder:
-        smallest().append(rule)
+    for row in range(offset, len(pool)):
+        smallest().append(row)
 
     # Tiny inputs can leave a shard empty (e.g. one giant iSet and no
     # remainder); rebalance by stealing single rules from the largest shard.
@@ -212,4 +219,7 @@ def partition_shards(
             if len(donor) <= 1:
                 break
             shard.append(donor.pop())
-    return shards
+    return [
+        pool.take(np.array(rows, dtype=np.int64), name=f"{ruleset.name}-shard{index}")
+        for index, rows in enumerate(shards)
+    ]

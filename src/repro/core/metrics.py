@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import random
 
-from repro.rules.rule import Rule, RuleSet
+import numpy as np
+
+from repro.rules.rule import RuleSet
 
 __all__ = ["field_diversity", "ruleset_diversity", "ruleset_centrality", "partition_quality"]
 
@@ -29,8 +31,8 @@ def ruleset_diversity(ruleset: RuleSet) -> dict[str, float]:
     return ruleset.diversity()
 
 
-def _stabbing_count(ruleset: RuleSet, point: tuple[int, ...]) -> int:
-    return sum(1 for rule in ruleset if rule.matches(point))
+def _stabbing_count(ruleset: RuleSet, point: np.ndarray) -> int:
+    return int(((ruleset.lo <= point) & (point <= ruleset.hi)).all(axis=1).sum())
 
 
 def ruleset_centrality(ruleset: RuleSet, sample_points: int = 256, seed: int = 0) -> int:
@@ -46,16 +48,15 @@ def ruleset_centrality(ruleset: RuleSet, sample_points: int = 256, seed: int = 0
     if len(ruleset) == 0:
         return 0
     rng = random.Random(seed)
-    rules = list(ruleset.rules)
-    if len(rules) > sample_points:
-        rules = rng.sample(rules, sample_points)
-    best = 0
-    for rule in rules:
-        corner = tuple(lo for lo, _hi in rule.ranges)
-        best = max(best, _stabbing_count(ruleset, corner))
+    rows = range(len(ruleset))
+    if len(rows) > sample_points:
+        rows = rng.sample(rows, sample_points)
+    best = max(_stabbing_count(ruleset, ruleset.lo[row]) for row in rows)
     for _ in range(min(sample_points, 64)):
-        rule = rng.choice(list(ruleset.rules))
-        best = max(best, _stabbing_count(ruleset, tuple(rule.sample_packet(rng))))
+        row = rng.randrange(len(ruleset))
+        bounds = zip(ruleset.lo[row].tolist(), ruleset.hi[row].tolist())
+        packet = np.array([rng.randint(lo, hi) for lo, hi in bounds])
+        best = max(best, _stabbing_count(ruleset, packet))
     return best
 
 

@@ -74,13 +74,8 @@ class ISetIndex:
     def __init__(self, iset: ISet, model: RQRMI):
         self.iset = iset
         self.dim = iset.dim
-        self.rules = iset.rules  # already sorted by range lower bound
+        self.rules = iset.rules  # a RuleSet already sorted by range lower bound
         self.model = model
-        priorities = [rule.priority for rule in self.rules]
-        self.best_priority = min(priorities) if priorities else None
-        # Packed (lo, hi, priority, rule_id) arrays for the columnar block
-        # path, built on first use (iSet rules are immutable after training).
-        self._packed_rules: tuple[np.ndarray, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -116,17 +111,6 @@ class ISetIndex:
             return candidate
         return None
 
-    def _rule_arrays(self) -> tuple[np.ndarray, ...]:
-        if self._packed_rules is None:
-            ranges = np.array([rule.ranges for rule in self.rules], dtype=np.int64)
-            self._packed_rules = (
-                ranges[:, :, 0],
-                ranges[:, :, 1],
-                np.array([rule.priority for rule in self.rules], dtype=np.int64),
-                np.array([rule.rule_id for rule in self.rules], dtype=np.int64),
-            )
-        return self._packed_rules
-
     def lookup_block(
         self,
         values: np.ndarray,
@@ -158,22 +142,22 @@ class ISetIndex:
         rows = np.flatnonzero(indices >= 0)
         if rows.size == 0:
             return
-        lo, hi, priorities, ids = self._rule_arrays()
+        rules = self.rules
         candidates = indices[rows].astype(np.int64)
         if traces is not None:
             traces[rows, 1] += 1
             traces[rows, 3] += values.shape[1]
         sub = values[rows]
         matched = np.all(
-            (sub >= lo[candidates]) & (sub <= hi[candidates]), axis=1
+            (sub >= rules.lo[candidates]) & (sub <= rules.hi[candidates]), axis=1
         )
         matched_rows = rows[matched]
         matched_candidates = candidates[matched]
-        candidate_priorities = priorities[matched_candidates]
+        candidate_priorities = rules.priority[matched_candidates]
         better = candidate_priorities < best_priorities[matched_rows]
         updated = matched_rows[better]
         best_priorities[updated] = candidate_priorities[better]
-        rule_ids[updated] = ids[matched_candidates[better]]
+        rule_ids[updated] = rules.rule_id[matched_candidates[better]]
 
     def value_array_bytes(self) -> int:
         """Size of the packed per-field value array used by the secondary search."""
@@ -191,18 +175,16 @@ class ISetIndex:
         """Trained iSet state: field, ordered member rules, model weights."""
         return {
             "dim": self.dim,
-            "rule_ids": [rule.rule_id for rule in self.rules],
+            "rule_ids": self.rules.rule_id.tolist(),
             "model": self.model.to_state(),
         }
 
     @classmethod
-    def from_state(
-        cls, state: dict, rules_by_id: dict[int, Rule], total_rules: int
-    ) -> "ISetIndex":
+    def from_state(cls, state: dict, ruleset: RuleSet) -> "ISetIndex":
         iset = ISet(
             dim=int(state["dim"]),
-            rules=[rules_by_id[int(rule_id)] for rule_id in state["rule_ids"]],
-            total_rules=total_rules,
+            rules=ruleset.take([ruleset.row_of[int(i)] for i in state["rule_ids"]]),
+            total_rules=len(ruleset),
         )
         return cls(iset, RQRMI.from_state(state["model"]))
 
@@ -297,6 +279,11 @@ class NuevoMatch(Classifier):
             max_isets=config.max_isets,
             min_coverage=config.min_iset_coverage,
         )
+        # The remainder is built first: a parameter its classifier does not
+        # take raises before any training.
+        params = dict(config.remainder_params)
+        params.update(remainder_params)
+        remainder = remainder_cls.build(partition.remainder, **params)
         warm_models = cls._match_warm_isets(partition.isets, warm_from)
         models = [
             train_rqrmi(
@@ -311,10 +298,6 @@ class NuevoMatch(Classifier):
         isets = [
             ISetIndex(iset, model) for iset, model in zip(partition.isets, models)
         ]
-        params = dict(config.remainder_params)
-        params.update(remainder_params)
-        remainder_rules = ruleset.subset(partition.remainder, name=f"{ruleset.name}-remainder")
-        remainder = remainder_cls.build(remainder_rules, **params)
         build_seconds = time.perf_counter() - start
         instance = cls(ruleset, isets, remainder, partition, config, build_seconds)
         instance.training_provenance = {
@@ -477,7 +460,7 @@ class NuevoMatch(Classifier):
             "build_seconds": self.build_seconds,
             "training": dict(self.training_provenance),
             "isets": [iset.to_state() for iset in self.isets],
-            "remainder_rule_ids": [rule.rule_id for rule in self.partition.remainder],
+            "remainder_rule_ids": self.partition.remainder.rule_id.tolist(),
             "remainder": self.remainder.to_state(),
         }
 
@@ -487,14 +470,13 @@ class NuevoMatch(Classifier):
         config_state = dict(state["config"])
         config_state["rqrmi"] = RQRMIConfig(**config_state["rqrmi"])
         config = NuevoMatchConfig(**config_state)
-        rules_by_id = ruleset.by_id()
         isets = [
-            ISetIndex.from_state(iset_state, rules_by_id, len(ruleset))
-            for iset_state in state["isets"]
+            ISetIndex.from_state(iset_state, ruleset) for iset_state in state["isets"]
         ]
-        remainder_rules = [
-            rules_by_id[int(rule_id)] for rule_id in state["remainder_rule_ids"]
-        ]
+        remainder_rules = ruleset.take(
+            [ruleset.row_of[int(i)] for i in state["remainder_rule_ids"]],
+            name=f"{ruleset.name}-remainder",
+        )
         partition = PartitionResult(
             isets=[index.iset for index in isets],
             remainder=remainder_rules,
@@ -502,10 +484,7 @@ class NuevoMatch(Classifier):
         )
         remainder_state = state["remainder"]
         remainder_cls = resolve_classifier(remainder_state["kind"])
-        remainder_ruleset = ruleset.subset(
-            remainder_rules, name=f"{ruleset.name}-remainder"
-        )
-        remainder = remainder_cls.from_state(remainder_state, remainder_ruleset)
+        remainder = remainder_cls.from_state(remainder_state, remainder_rules)
         instance = cls(
             ruleset,
             isets,

@@ -47,21 +47,22 @@ class RangeSet:
     domain_size: int
 
     @classmethod
-    def from_integer_ranges(
-        cls, ranges: list[tuple[int, int]], domain_size: int
-    ) -> "RangeSet":
-        """Build a RangeSet from inclusive integer ranges (must be disjoint)."""
-        if not ranges:
-            return cls(np.empty(0), np.empty(0), domain_size)
-        ordered = sorted(ranges)
-        lo = np.array([r[0] for r in ordered], dtype=np.float64) / domain_size
-        hi = np.array([r[1] for r in ordered], dtype=np.float64) / domain_size
-        for index in range(1, len(ordered)):
-            if ordered[index][0] <= ordered[index - 1][1]:
-                raise ValueError(
-                    f"ranges overlap: {ordered[index - 1]} and {ordered[index]}"
-                )
-        return cls(lo, hi, domain_size)
+    def from_integer_ranges(cls, ranges, domain_size: int) -> "RangeSet":
+        """Build a RangeSet from inclusive integer ranges (must be disjoint):
+        the ``lo`` and ``hi`` columns side by side as an ``(n, 2)`` array, or
+        any sequence of ``(lo, hi)`` pairs, in any order."""
+        pairs = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        lo, hi = pairs[:, 0], pairs[:, 1]
+        overlapping = np.flatnonzero(lo[1:] <= hi[:-1])
+        if overlapping.size:
+            first, second = pairs[overlapping[0] : overlapping[0] + 2].tolist()
+            raise ValueError(f"ranges overlap: {tuple(first)} and {tuple(second)}")
+        return cls(
+            lo.astype(np.float64) / domain_size,
+            hi.astype(np.float64) / domain_size,
+            domain_size,
+        )
 
     def __len__(self) -> int:
         return int(self.lo.shape[0])

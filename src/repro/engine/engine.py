@@ -30,8 +30,9 @@ registered classifier:
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -54,25 +55,11 @@ from repro.rules.rule import Rule, RuleSet
 __all__ = ["ClassificationEngine"]
 
 
-def _rules_to_arrays(
-    rules: Sequence[Rule], num_fields: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(los, his, priorities, rule_ids)`` for ``rules``, best-first.
-
-    Rows are sorted by ``(priority, rule_id)`` so a first-containment scan
+def _best_first(rules: RuleSet) -> RuleSet:
+    """``rules`` sorted by ``(priority, rule_id)``, so a first-containment scan
     (``argmax`` over a boolean matrix) yields the best match directly — the
-    overlay/rescan passes lean on that ordering.
-    """
-    ordered = sorted(rules, key=lambda rule: (rule.priority, rule.rule_id))
-    ranges = np.array([rule.ranges for rule in ordered], dtype=np.int64).reshape(
-        len(ordered), num_fields, 2
-    )
-    return (
-        ranges[:, :, 0],
-        ranges[:, :, 1],
-        np.array([rule.priority for rule in ordered], dtype=np.int64),
-        np.array([rule.rule_id for rule in ordered], dtype=np.int64),
-    )
+    overlay/rescan passes lean on that ordering."""
+    return rules.take(np.lexsort((rules.rule_id, rules.priority)))
 
 
 class ClassificationEngine(EngineStack):
@@ -101,8 +88,6 @@ class ClassificationEngine(EngineStack):
         #: Update sequence of the engine this one was rebuilt from that the
         #: built structure already covers (0 for a fresh build).
         self._built_seq = 0
-        self._base_ids = frozenset(rule.rule_id for rule in classifier.ruleset)
-        self._base_arrays: tuple | None = None
         self._rules_by_id_cache: dict[int, Rule] | None = None
 
     # ------------------------------------------------------------------ build
@@ -225,24 +210,25 @@ class ClassificationEngine(EngineStack):
                 # built rules for the runner-up, vectorized over the (rare)
                 # affected rows (masked rules vanish for good at the next
                 # rebuild).
-                los, his, base_pris, base_ids = self._built_rule_arrays()
-                live = ~np.isin(base_ids, removed_ids)
+                built = self._built_best_first
+                live = ~np.isin(built.rule_id, removed_ids)
                 scanned = int(live.sum())
                 rows = values[affected]
                 contained = (
-                    (rows[:, None, :] >= los[None, :, :])
-                    & (rows[:, None, :] <= his[None, :, :])
+                    (rows[:, None, :] >= built.lo[None, :, :])
+                    & (rows[:, None, :] <= built.hi[None, :, :])
                 ).all(axis=2) & live[None, :]
                 hit = contained.any(axis=1)
                 first = np.where(hit, contained.argmax(axis=1), 0)
-                rule_ids[affected] = np.where(hit, base_ids[first], -1)
-                priorities[affected] = np.where(hit, base_pris[first], 0)
+                rule_ids[affected] = np.where(hit, built.rule_id[first], -1)
+                priorities[affected] = np.where(hit, built.priority[first], 0)
                 if traces is not None:
                     traces[affected, 1] += scanned
                     traces[affected, 3] += scanned * num_fields
         if overlay:
             count = len(overlay)
-            o_los, o_his, o_pris, o_ids = _rules_to_arrays(overlay, num_fields)
+            inserted = _best_first(RuleSet(overlay, self.schema))
+            o_pris, o_ids = inserted.priority, inserted.rule_id
             # Overlay rules are probed best-first until the current winner
             # strictly beats the next rule; with the overlay sorted ascending
             # that cutoff is the first "beaten" column.
@@ -256,8 +242,8 @@ class ClassificationEngine(EngineStack):
             )
             stop = np.where(beaten.any(axis=1), beaten.argmax(axis=1), count)
             match = (
-                (values[:, None, :] >= o_los[None, :, :])
-                & (values[:, None, :] <= o_his[None, :, :])
+                (values[:, None, :] >= inserted.lo[None, :, :])
+                & (values[:, None, :] <= inserted.hi[None, :, :])
             ).all(axis=2)
             eligible = match & (np.arange(count)[None, :] < stop[:, None])
             hit = eligible.any(axis=1)
@@ -269,15 +255,10 @@ class ClassificationEngine(EngineStack):
             rule_ids[hit] = o_ids[first[hit]]
             priorities[hit] = o_pris[first[hit]]
 
-    def _built_rule_arrays(self) -> tuple[np.ndarray, ...]:
-        """Best-first ``(los, his, priorities, rule_ids)`` over the built rules
-        (for the masked-winner rescan; built on first use)."""
-        with self._lock:
-            if self._base_arrays is None:
-                self._base_arrays = _rules_to_arrays(
-                    list(self.ruleset), len(self.schema)
-                )
-            return self._base_arrays
+    @cached_property
+    def _built_best_first(self) -> RuleSet:
+        """The built rules best-first (for the masked-winner rescan)."""
+        return _best_first(self.ruleset)
 
     def rules_by_id(self, refresh: bool = False) -> dict[int, Rule]:
         """Map ``rule_id`` → :class:`Rule` over the *live* rules.
@@ -321,19 +302,20 @@ class ClassificationEngine(EngineStack):
         set (type iii): the stale copy is masked and the new version enters
         the overlay.  Raises ``ValueError``, changing nothing, when the rule
         does not fit the engine's schema (field count, every range inside its
-        field's domain) or its priority is negative: ``RuleSet`` rewrites a
-        negative priority to the rule's position, so such a rule would change
-        rank the moment a rebuild folds the overlay in.
+        field's domain) or its priority or id is negative: ``RuleSet`` rewrites
+        both to the rule's position, so such a rule would change rank (or
+        name) the moment a rebuild folds the overlay in, and a negative id is
+        the columnar results' miss encoding.
         """
         self.schema.validate_ranges(rule.ranges)
-        if rule.priority < 0:
+        if rule.priority < 0 or rule.rule_id < 0:
             raise ValueError(
-                f"rule {rule.rule_id} has negative priority {rule.priority}; "
-                "online inserts need an explicit priority >= 0"
+                f"rule {rule.rule_id} has negative priority {rule.priority} or a "
+                "negative id; online inserts need an explicit priority and id >= 0"
             )
         with self._lock:
             self._update_seq += 1
-            if rule.rule_id in self._inserted or rule.rule_id in self._base_ids:
+            if rule.rule_id in self._inserted or rule.rule_id in self.ruleset.row_of:
                 self._removed[rule.rule_id] = self._update_seq
             self._inserted[rule.rule_id] = (self._update_seq, rule)
             self._rules_by_id_cache = None
@@ -342,7 +324,7 @@ class ClassificationEngine(EngineStack):
         """True when ``rule_id`` is live: in the overlay, or built and not masked."""
         with self._lock:
             return rule_id in self._inserted or (
-                rule_id in self._base_ids and rule_id not in self._removed
+                rule_id in self.ruleset.row_of and rule_id not in self._removed
             )
 
     def remove(self, rule_id: int) -> bool:
@@ -364,17 +346,14 @@ class ClassificationEngine(EngineStack):
     def live_size(self) -> int:
         """Number of live rules: built, minus masked, plus the overlay's."""
         with self._lock:
-            masked = sum(1 for rule_id in self._removed if rule_id in self._base_ids)
-            return len(self._base_ids) - masked + len(self._inserted)
+            masked = sum(1 for rule_id in self._removed if rule_id in self.ruleset.row_of)
+            return len(self.ruleset) - masked + len(self._inserted)
 
     def live_ruleset(self) -> RuleSet:
         """The live rules: the built rules minus masks plus the overlay."""
         with self._lock:
-            rules = [
-                rule for rule in self.ruleset if rule.rule_id not in self._removed
-            ]
-            rules.extend(rule for _seq, rule in self._inserted.values())
-            return self.ruleset.subset(rules)
+            overlay = RuleSet([rule for _seq, rule in self._inserted.values()], self.schema)
+            return RuleSet.concat([self.ruleset.without(self._removed), overlay])
 
     def remainder_fraction(self) -> float:
         """Fraction of live rules served by the slow path (§3.9).
@@ -440,7 +419,7 @@ class ClassificationEngine(EngineStack):
             self._removed = {
                 rule_id: seq
                 for rule_id, seq in old._removed.items()
-                if seq > self._built_seq and rule_id in self._base_ids
+                if seq > self._built_seq and rule_id in self.ruleset.row_of
             }
             self._update_seq = old._update_seq
             self._rules_by_id_cache = None
@@ -455,7 +434,7 @@ class ClassificationEngine(EngineStack):
         with self._lock:
             return {
                 "live_rules": self.live_size(),
-                "base_rules": len(self._base_ids),
+                "base_rules": len(self.ruleset),
                 "overlay_inserted": len(self._inserted),
                 "overlay_removed": len(self._removed),
                 "remainder_fraction": self.remainder_fraction(),

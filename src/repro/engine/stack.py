@@ -164,14 +164,12 @@ class EngineStack:
         <repro.classifiers.base.Classifier.verify>`.
         """
         packet_list = list(packets)
-        live = sorted(
-            self.rules_by_id(refresh=True).values(),
-            key=lambda rule: (rule.priority, rule.rule_id),
-        )
+        live = list(self.rules_by_id(refresh=True).values())
         for packet, result in zip(packet_list, self.classify_batch(packet_list)):
             values = packet.values if isinstance(packet, Packet) else tuple(packet)
-            expected = next((rule for rule in live if rule.matches(values)), None)
-            expected_priority = expected.priority if expected else None
+            expected_priority = min(
+                (rule.priority for rule in live if rule.matches(values)), default=None
+            )
             actual_priority = result.rule.priority if result.rule else None
             if expected_priority != actual_priority:
                 raise AssertionError(

@@ -9,9 +9,9 @@ cores; :func:`partition_for_shards` reproduces that split.  Strategies
   groups are balanced LPT-style by rule count), preserving the non-overlap
   property each shard's RQ-RMIs rely on;
 * ``"round-robin"`` — deal rules out cyclically, ignoring structure;
-* ``"auto"`` (default) — compute the iSet partition once and use it both to
-  choose the strategy and to feed the split, falling back to round-robin
-  when the rule-set yields no usable iSets.
+* ``"auto"`` (default) — the iSet-aware split, which is round-robin when the
+  rule-set yields no usable iSets (every rule is remainder, dealt out one by
+  one).
 
 Every rule lands on exactly one shard, so a sharded engine queries all
 shards and merges winners by ``(priority, rule_id)`` — exactly how
@@ -20,7 +20,7 @@ NuevoMatch's selector merges its iSets (see docs/ARCHITECTURE.md).
 
 from __future__ import annotations
 
-from repro.core.isets import partition_isets, partition_shards
+from repro.core.isets import PartitionResult, partition_shards
 from repro.rules.rule import RuleSet
 
 __all__ = ["PARTITIONERS", "partition_for_shards"]
@@ -28,13 +28,6 @@ __all__ = ["PARTITIONERS", "partition_for_shards"]
 #: Accepted strategy names: ``"auto"`` tries iSet-aware partitioning and falls
 #: back to round-robin; the other two force one strategy.
 PARTITIONERS = ("auto", "isets", "round-robin")
-
-
-def _round_robin(ruleset: RuleSet, num_shards: int) -> list[list]:
-    shards: list[list] = [[] for _ in range(num_shards)]
-    for position, rule in enumerate(ruleset):
-        shards[position % num_shards].append(rule)
-    return shards
 
 
 def partition_for_shards(
@@ -55,31 +48,10 @@ def partition_for_shards(
         raise ValueError(
             f"unknown partitioner {strategy!r}; expected one of {PARTITIONERS}"
         )
-    if num_shards < 1:
-        raise ValueError("num_shards must be at least 1")
-    if num_shards > len(ruleset):
-        raise ValueError(
-            f"cannot split {len(ruleset)} rules into {num_shards} shards"
-        )
-
-    if strategy == "round-robin" or num_shards == 1:
-        groups = (
-            [list(ruleset.rules)]
-            if num_shards == 1
-            else _round_robin(ruleset, num_shards)
-        )
-    elif strategy == "isets":
-        groups = partition_shards(ruleset, num_shards)
-    else:  # auto
-        # One iSet computation decides the strategy *and* feeds the split —
-        # partition_isets is the expensive step on large rule-sets.
-        partition = partition_isets(ruleset)
-        if partition.isets:
-            groups = partition_shards(ruleset, num_shards, partition=partition)
-        else:
-            groups = _round_robin(ruleset, num_shards)
-
-    return [
-        ruleset.subset(rules, name=f"{ruleset.name}-shard{index}")
-        for index, rules in enumerate(groups)
-    ]
+    # Round-robin is the split with no iSets: topping up the smallest shard rule
+    # by rule deals cyclically.  "auto" needs no choice for the same reason — a
+    # rule-set without usable iSets is all remainder.
+    everything = PartitionResult([], ruleset, len(ruleset))
+    return partition_shards(
+        ruleset, num_shards, partition=everything if strategy == "round-robin" else None
+    )

@@ -55,7 +55,7 @@ from repro.engine.serialization import (
     write_engine_file,
 )
 from repro.rules.fields import FieldSchema
-from repro.rules.rule import Rule, RuleSet
+from repro.rules.rule import Rule, RuleSet, first_duplicate
 from repro.serving.partitioning import PARTITIONERS, partition_for_shards
 from repro.serving.updates import DEFAULT_RETRAIN_THRESHOLD, UpdateQueue
 from repro.serving.workers import ShardWorkerRuntime, WorkerCrashed
@@ -133,16 +133,11 @@ class ShardedEngine(EngineStack):
                 f"unknown executor {executor!r}; expected one of {EXECUTORS}"
             )
         schema = engines[0].ruleset.schema
-        seen_ids: set[int] = set()
-        for engine in engines:
-            if engine.ruleset.schema != schema:
-                raise ValueError("all shards must share one field schema")
-            for rule in engine.ruleset:
-                if rule.rule_id in seen_ids:
-                    raise ValueError(
-                        f"rule id {rule.rule_id} appears in more than one shard"
-                    )
-                seen_ids.add(rule.rule_id)
+        if any(engine.ruleset.schema != schema for engine in engines):
+            raise ValueError("all shards must share one field schema")
+        built_ids = np.concatenate([engine.ruleset.rule_id for engine in engines])
+        if (duplicate := first_duplicate(built_ids)) is not None:
+            raise ValueError(f"rule id {duplicate} appears in more than one shard")
         self._schema = schema
         self._partitioner = partitioner
         self._executor_kind = executor
@@ -232,11 +227,10 @@ class ShardedEngine(EngineStack):
 
         Rebuilt and sorted on every read — for reports and oracles; a data
         path needs only :attr:`schema`."""
-        rules: list[Rule] = []
-        for shard in self._shards:
-            rules.extend(shard.engine.live_ruleset().rules)
-        rules.sort(key=lambda rule: (rule.priority, rule.rule_id))
-        return RuleSet(rules, self._schema, name="sharded")
+        live = RuleSet.concat(
+            [shard.engine.live_ruleset() for shard in self._shards], name="sharded"
+        )
+        return live.take(np.lexsort((live.rule_id, live.priority)))
 
     def classify_block_per_shard(
         self, block: np.ndarray, want_traces: bool = False

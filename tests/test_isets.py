@@ -1,8 +1,11 @@
 """Tests for iSet partitioning (§3.6)."""
 
+import hashlib
+
 import pytest
 
-from repro.core.isets import max_independent_set, partition_isets
+from repro.core.isets import max_independent_set, partition_isets, partition_shards
+from repro.rules import generate_classbench
 from repro.rules.fields import FIVE_TUPLE
 from repro.rules.rule import Rule, RuleSet
 
@@ -13,6 +16,12 @@ def rule_with_port_range(lo, hi, rule_id):
         priority=rule_id,
         rule_id=rule_id,
     )
+
+
+def independent(rules, dim):
+    """The largest independent set of ``rules`` in ``dim``, as a rule-set."""
+    ruleset = RuleSet(rules, FIVE_TUPLE)
+    return ruleset.take(max_independent_set(ruleset, dim))
 
 
 class TestMaxIndependentSet:
@@ -34,17 +43,17 @@ class TestMaxIndependentSet:
             r(0x0A0A0364, 0x0A0A0364, 19, 19, 4),   # R4
         ]
         ruleset = RuleSet(rules, schema)
-        by_port = max_independent_set(list(ruleset.rules), 1)
+        by_port = ruleset.take(max_independent_set(ruleset, 1))
         assert {rule.rule_id for rule in by_port} == {0, 2, 4}
 
     def test_non_overlapping_by_construction(self):
         rules = [rule_with_port_range(i * 10, i * 10 + 5, i) for i in range(50)]
-        chosen = max_independent_set(rules, 3)
+        chosen = independent(rules, 3)
         assert len(chosen) == 50
 
     def test_overlapping_rules_reduced(self):
         rules = [rule_with_port_range(0, 65535, i) for i in range(10)]
-        chosen = max_independent_set(rules, 3)
+        chosen = independent(rules, 3)
         assert len(chosen) == 1
 
     def test_greedy_is_optimal_on_known_instance(self):
@@ -55,12 +64,12 @@ class TestMaxIndependentSet:
             rule_with_port_range(4, 5, 2),
             rule_with_port_range(6, 7, 3),
         ]
-        chosen = max_independent_set(rules, 3)
+        chosen = independent(rules, 3)
         assert {r.rule_id for r in chosen} == {1, 2, 3}
 
     def test_result_sorted_by_lower_bound(self):
         rules = [rule_with_port_range(i * 100, i * 100 + 10, i) for i in (5, 1, 3, 2, 4)]
-        chosen = max_independent_set(rules, 3)
+        chosen = independent(rules, 3)
         los = [r.ranges[3][0] for r in chosen]
         assert los == sorted(los)
 
@@ -134,3 +143,119 @@ class TestPartition:
         assert result.coverage > 0.5
         for iset in result.isets:
             assert iset.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# Parent digests: recorded from the object implementation (``Rule`` lists,
+# ``sorted(rules, key=...)`` per field per round) at commit de8116d, before
+# partitioning moved to the rule-set columns.  ``(application, rules,
+# min_coverage) -> (iSets, remainder rules, sha256 of every iSet's (dim,
+# rule_id sequence), sha256 of the remainder's rule_id sequence)``; all
+# rule-sets are ``generate_classbench(application, rules, seed=1)``.
+
+PARENT_PARTITIONS = {
+    ("acl1", 8_000, 0.0): (7, 0,
+        "b78c093f4c14d7af5e703dc079d11316e0313151054e9ac6c98ea59da0ef8339",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("acl1", 8_000, 0.05): (2, 315,
+        "b0500e12349e06dca5a1eb08e3b5e99c4385fad558d2ac59b93bb66fc43e99de",
+        "bb53324bf2e7a39842dc484836bbb151b0bb4774db44facee97310303ca79eb6"),
+    ("acl1", 8_000, 0.25): (1, 1684,
+        "541da3412a0e2fd3c3f684d7b5e5232e138762305c98fa032fa077e83a1c6c94",
+        "b90adcd7e077f37e55592017ff20b7637ca4ea4033b135a79c53a152112e582a"),
+    ("fw1", 8_000, 0.0): (46, 0,
+        "24e4a66558964df28a3534a1c150711bc3c92f04eef65786b71456c72f83b4fc",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("fw1", 8_000, 0.05): (3, 1820,
+        "6850d42f8836e1b4ae59b1dcb1331838176f8ce00a6d163a480844f004828a5d",
+        "b4522e5950ac29f28294dc9e7ab5de7f04bf8a85c490127ef537c12d9dd66d41"),
+    ("fw1", 8_000, 0.25): (1, 4392,
+        "2d16768c27a5ccb937d718fb9002469b70828ac4772d0547de24af2e33853d3f",
+        "5141a5b89d792f409f7680df5007b63cfa711fb8eac64b1a9079e28360ce336b"),
+    ("ipc1", 8_000, 0.0): (18, 0,
+        "f8d8bfec49007e41cffd5a05f53e93e0194a55dd95c28dbafe635f9ab564bb30",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("ipc1", 8_000, 0.05): (2, 947,
+        "ecf8b6e90a11132459380fccdd2a463136e67398900eb056463aad8cadf8f06a",
+        "358ef1408ff0d139e8a1f0a8bdd489991efe0b2938e644c3958d4b4e8d8cc26f"),
+    ("ipc1", 8_000, 0.25): (1, 2734,
+        "efcdcf6371f6cb2edfe0c15b764134c74870873f4671fc4dedc468f78ecb13ed",
+        "d3ed9cd2116c46e0930dae59c957722b7677386997e24cf8a43ed73441a73de2"),
+    ("acl1", 100_000, 0.0): (14, 0,
+        "9ad2e0e025c0ffbae6d00c397b1e7f9ee272bd422d85aafee1d3fd5dcfb2a487",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    ("acl1", 100_000, 0.05): (2, 2134,
+        "b134e157badb420545e4e88c58d98e610e3c82f06b1a7bedec0a0bac9eed0af3",
+        "e6bb5a6f4919aaf45d8049e88e69873e137a2df461a3636d4bbfa359b7090ec5"),
+    ("acl1", 100_000, 0.25): (1, 13935,
+        "81a42d68a1aa0fdb83612840fad300b7645543523ff26a09a290a428cedad00c",
+        "7f9b5f03868f73b11b0fe97a5ccd738816efe6e911e8ac68cb8dffb3dc7554c7"),
+}
+
+#: ``(application, shards) -> (group sizes, sha256 of the groups' rule_id
+#: sequences)`` for ``partition_shards`` at 8000 rules, same provenance.
+PARENT_SHARD_GROUPS = {
+    ("acl1", 2): ([4527, 3473],
+        "af801bbc84e8d11862d8e171ed991d67e8ca3291d49f3d1541b0741d22340f7d"),
+    ("acl1", 4): ([2948, 1805, 1634, 1613],
+        "4fecbf393b1164aac22552cd4d1a06da85d3a374ba8405e4bf7953b134291d7c"),
+    ("fw1", 2): ([4000, 4000],
+        "6bb87d7f10b6528b372746781c574b18b1e123355b5df5d098c0da91872cd7f5"),
+    ("fw1", 4): ([2000, 2000, 2000, 2000],
+        "3c0e86f3561e6f900cc42cd86761975f37e2c25017cef37c7c33a7d212ec1df9"),
+    ("ipc1", 2): ([4420, 3580],
+        "ec06ce543e0e58f4fb79dac7c6c1b7315ef5fb24559017c96326a94a9c207f2d"),
+    ("ipc1", 4): ([1959, 1973, 1958, 2110],
+        "b277a1717e428d0f74bcd527c59713d13ac4133d24bb4a16ab8cb38afa61bef1"),
+}
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+class TestParentPartitions:
+    """The column implementation returns the parent's iSets, remainder and
+    shard groups: same rules, same order."""
+
+    @pytest.mark.parametrize(
+        "application, rules", sorted({key[:2] for key in PARENT_PARTITIONS})
+    )
+    def test_isets_and_remainder_match_the_parent(self, application, rules):
+        ruleset = generate_classbench(application, rules, seed=1)
+        for min_coverage in (0.0, 0.05, 0.25):
+            partition = partition_isets(ruleset, min_coverage=min_coverage)
+            isets = hashlib.sha256()
+            for iset in partition.isets:
+                isets.update(repr((iset.dim, iset.rules.rule_id.tolist())).encode())
+            assert (
+                len(partition.isets),
+                len(partition.remainder),
+                isets.hexdigest(),
+                _sha256(partition.remainder.rule_id.tolist()),
+            ) == PARENT_PARTITIONS[application, rules, min_coverage], min_coverage
+
+    @pytest.mark.parametrize("application", ["acl1", "fw1", "ipc1"])
+    def test_shard_groups_match_the_parent(self, application):
+        ruleset = generate_classbench(application, 8_000, seed=1)
+        for shards in (2, 4):
+            groups = partition_shards(ruleset, shards)
+            assert (
+                [len(group) for group in groups],
+                _sha256([group.rule_id.tolist() for group in groups]),
+            ) == PARENT_SHARD_GROUPS[application, shards], shards
+
+    def test_round_robin_deals_rules_out_cyclically(self, acl_small, fw_small):
+        # Round-robin is partition_shards with no iSets; it deals as the parent's
+        # ``position % shards`` loop did.
+        from repro.serving.partitioning import partition_for_shards
+
+        for ruleset in (acl_small, fw_small):
+            for shards in (1, 2, 3):
+                groups = partition_for_shards(ruleset, shards, "round-robin")
+                assert [group.rule_id.tolist() for group in groups] == [
+                    ruleset.rule_id[index::shards].tolist() for index in range(shards)
+                ]
+                assert [group.name for group in groups] == [
+                    f"{ruleset.name}-shard{index}" for index in range(shards)
+                ]

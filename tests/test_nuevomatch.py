@@ -52,6 +52,17 @@ class TestBuild:
         )
         assert nm.remainder.collision_limit == 10
 
+    def test_misspelled_remainder_parameter_raises_before_training(
+        self, acl_small, monkeypatch
+    ):
+        # The remainder classifier is built before the iSets are trained.
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started before the remainder was built")
+
+        monkeypatch.setattr("repro.core.nuevomatch.train_rqrmi", no_training)
+        with pytest.raises(TypeError, match="colision_limit"):
+            NuevoMatch.build(acl_small, remainder_classifier="tm", colision_limit=10)
+
 
 class TestCorrectness:
     def test_agrees_with_oracle_on_matching_packets(self, nm_acl_medium, acl_medium):

@@ -12,6 +12,8 @@ from repro.core.rqrmi import RQRMI, RangeSet
 from repro.core.submodel import Submodel
 from repro.rules.fields import (
     FIVE_TUPLE,
+    FieldSchema,
+    FieldSpec,
     int_to_ip,
     ip_to_int,
     merge_ranges,
@@ -194,6 +196,56 @@ class TestParserProperties:
 # ----------------------------------------------------------------- rule-set properties
 
 
+@st.composite
+def free_rules(draw, max_rules=12):
+    """Rules with drawn priorities, actions and unique non-negative ids."""
+    count = draw(st.integers(0, max_rules))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=count, max_size=count, unique=True))
+    rules = []
+    for rule_id in ids:
+        template = draw(random_rule())
+        rules.append(
+            Rule(template.ranges, draw(st.integers(0, 50)), draw(st.text(max_size=3)), rule_id)
+        )
+    return rules
+
+
+class TestRuleStoreProperties:
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
+    @given(free_rules())
+    def test_columns_round_trip_to_equal_rules(self, rules):
+        ruleset = RuleSet(rules, FIVE_TUPLE)
+        assert ruleset.rules == rules
+        assert ruleset.lo.shape == ruleset.hi.shape == (len(rules), len(FIVE_TUPLE))
+        assert ruleset.lo.dtype == ruleset.priority.dtype == ruleset.rule_id.dtype == np.int64
+        rebuilt = RuleSet.from_columns(
+            ruleset.lo, ruleset.hi, ruleset.priority, ruleset.rule_id, ruleset.actions
+        )
+        assert rebuilt.rules == rules
+
+    @settings(max_examples=50, suppress_health_check=[HealthCheck.too_slow])
+    @given(free_rules(), st.randoms(use_true_random=False))
+    def test_take_and_concat_preserve_rows_ids_and_schema(self, rules, rng):
+        ruleset = RuleSet(rules, FIVE_TUPLE, name="whole")
+        rows = list(range(len(rules)))
+        rng.shuffle(rows)
+        cut = len(rows) // 2
+        head = ruleset.take(np.array(rows[:cut], dtype=np.int64))
+        tail = ruleset.take(np.array(rows[cut:], dtype=np.int64), name="tail")
+        assert head.rules == [rules[row] for row in rows[:cut]]
+        assert (head.name, tail.name) == ("whole", "tail")
+        mask = np.zeros(len(rules), dtype=bool)
+        mask[rows[:cut]] = True
+        assert ruleset.take(mask).rules == [rule for rule, keep in zip(rules, mask) if keep]
+        joined = RuleSet.concat([head, tail], name="joined")
+        assert joined.rules == [rules[row] for row in rows]
+        assert joined.rule_id.tolist() == [rules[row].rule_id for row in rows]
+        assert joined.schema is head.schema is ruleset.schema
+        assert joined.row_of == {rules[row].rule_id: at for at, row in enumerate(rows)}
+        for part in (head, tail, joined):
+            assert not part.lo.flags.writeable and not part.rule_id.flags.writeable
+
+
 class TestRuleSetProperties:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
     @given(random_ruleset())
@@ -222,15 +274,52 @@ class TestRuleSetProperties:
 # ----------------------------------------------------------------- iSet properties
 
 
+def reference_max_independent_set(rules, dim):
+    """The object implementation ``max_independent_set`` replaced (the parent's,
+    verbatim): sort ``Rule`` objects by upper bound, scan, re-sort by lower."""
+    ordered = sorted(rules, key=lambda rule: rule.ranges[dim][1])
+    chosen = []
+    last_hi = -1
+    for rule in ordered:
+        lo, hi = rule.ranges[dim]
+        if lo > last_hi:
+            chosen.append(rule)
+            last_hi = hi
+    chosen.sort(key=lambda rule: rule.ranges[dim][0])
+    return chosen
+
+
+@st.composite
+def tied_ruleset(draw, max_rules=30):
+    """Two-field rules over a tiny domain, so upper bounds tie often."""
+    schema = FieldSchema([FieldSpec("a", 4), FieldSpec("b", 3)])
+    count = draw(st.integers(1, max_rules))
+    rules = []
+    for rule_id in range(count):
+        ranges = []
+        for spec in schema:
+            lo = draw(st.integers(0, spec.max_value))
+            ranges.append((lo, draw(st.integers(lo, spec.max_value))))
+        rules.append(Rule(tuple(ranges), priority=rule_id, rule_id=rule_id))
+    return RuleSet(rules, schema)
+
+
 class TestISetProperties:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
     @given(random_ruleset())
     def test_max_independent_set_is_independent(self, ruleset):
         for dim in range(len(FIVE_TUPLE)):
-            chosen = max_independent_set(list(ruleset.rules), dim)
+            chosen = ruleset.take(max_independent_set(ruleset, dim))
             ranges = sorted(rule.ranges[dim] for rule in chosen)
             for (alo, ahi), (blo, bhi) in zip(ranges[:-1], ranges[1:]):
                 assert ahi < blo
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    @given(tied_ruleset())
+    def test_max_independent_set_equals_the_object_implementation(self, ruleset):
+        for dim in range(len(ruleset.schema)):
+            chosen = ruleset.take(max_independent_set(ruleset, dim))
+            assert chosen.rules == reference_max_independent_set(ruleset.rules, dim)
 
     @settings(max_examples=20, suppress_health_check=[HealthCheck.too_slow])
     @given(random_ruleset(), st.integers(1, 4))

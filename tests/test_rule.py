@@ -2,10 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.rules.fields import FIVE_TUPLE, FORWARDING
+from repro.rules.fields import FIVE_TUPLE, FORWARDING, FieldSchema, FieldSpec
 from repro.rules.rule import Packet, Rule, RuleSet
+
+from _helpers import fast_nm_config
 
 
 def make_rule(src=(0, 0xFFFFFFFF), dst=(0, 0xFFFFFFFF), sport=(0, 65535),
@@ -150,3 +153,86 @@ class TestRuleSet:
         rs = RuleSet(rules, FORWARDING)
         assert rs.match((50,)).rule_id == 0
         assert rs.match((200,)) is None
+
+
+class TestRuleStore:
+    """``RuleSet`` is the one rule store: validated read-only columns."""
+
+    def test_duplicate_rule_id_is_refused(self):
+        # The second rule's id defaults to its position, 1, which the first took:
+        # partition_isets would otherwise drop a rule when it removes by id.
+        wide, narrow = make_rule().ranges, make_rule(src=(0, 10)).ranges
+        with pytest.raises(ValueError, match="rule id 1 appears more than once"):
+            RuleSet([Rule(wide, 0, "a", rule_id=1), Rule(narrow, 1, "b")], FIVE_TUPLE)
+        first = RuleSet([make_rule(rule_id=4)], FIVE_TUPLE)
+        with pytest.raises(ValueError, match="rule id 4"):
+            RuleSet.concat([first, first])
+
+    def test_field_wider_than_63_bits_is_refused(self):
+        schema = FieldSchema([FieldSpec("wide", 64)])
+        with pytest.raises(ValueError, match="wide.*63 bits"):
+            RuleSet([Rule(((0, 1),), 0, rule_id=0)], schema)
+        # 63 bits is the widest that fits; a bound past the domain is still a
+        # ValueError naming the field, not an OverflowError from a converter.
+        schema = FieldSchema([FieldSpec("edge", 63)])
+        assert len(RuleSet([Rule(((0, (1 << 63) - 1),), 0, rule_id=0)], schema)) == 1
+        with pytest.raises(ValueError, match="edge"):
+            RuleSet([Rule(((0, 1 << 63),), 0, rule_id=0)], schema)
+
+    def test_columns_are_read_only(self):
+        rs = RuleSet([make_rule(rule_id=i, priority=i) for i in range(3)], FIVE_TUPLE)
+        for column in (rs.lo, rs.hi, rs.priority, rs.rule_id, rs.actions):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+        assert rs.lo.shape == rs.hi.shape == (3, 5) and rs.priority.shape == (3,)
+
+    def test_from_columns_validates_like_the_constructor(self):
+        schema = FieldSchema([FieldSpec("a", 4), FieldSpec("b", 4)])
+        rs = RuleSet.from_columns([[0, 5]], [[9, 5]], [-1], [-1], ["x"], schema)
+        assert rs.rules == [Rule(((0, 9), (5, 5)), 0, "x", 0)]
+        with pytest.raises(ValueError, match="a: empty range"):
+            RuleSet.from_columns([[3, 0]], [[2, 0]], [0], [0], [""], schema)
+        with pytest.raises(ValueError, match="expected"):
+            RuleSet.from_columns([[0, 0]], [[1, 1]], [0], [0], [""])
+
+    def test_array_paths_construct_no_rule_objects(self, monkeypatch):
+        from repro.classifiers.linear import LinearSearchClassifier
+        from repro.core.isets import partition_isets
+        from repro.core.nuevomatch import NuevoMatch
+        from repro.engine import ClassificationEngine
+        from repro.rules import generate_classbench
+        from repro.serving import ShardedEngine
+        from repro.serving.partitioning import partition_for_shards
+
+        source = generate_classbench("acl1", 600, seed=2)
+        rules = RuleSet.from_columns(
+            source.lo, source.hi, source.priority, source.rule_id, source.actions
+        )
+        inserted = Rule(source[0].ranges, priority=0, action="new", rule_id=9_000)
+        block = source.lo[:64].astype(np.uint64)
+        built: list[Rule] = []
+        construct = Rule.__init__
+
+        def counting(rule, *args, **kwargs):
+            built.append(rule)
+            construct(rule, *args, **kwargs)
+
+        monkeypatch.setattr(Rule, "__init__", counting)
+        assert partition_isets(rules).isets
+        LinearSearchClassifier(rules).classify_block(block)
+        nm = NuevoMatch.build(rules, remainder_classifier="linear", config=fast_nm_config())
+        rule_ids = np.full(len(block), -1, dtype=np.int64)
+        best = np.full(len(block), np.iinfo(np.int64).max, dtype=np.int64)
+        nm.isets[0].lookup_block(block.astype(np.int64), rule_ids, best)
+        assert (rule_ids >= 0).any()
+        engine = ClassificationEngine(nm)
+        engine.insert(inserted)
+        assert engine.remove(int(rules.rule_id[3]))
+        assert len(engine.live_ruleset()) == len(rules)
+        groups = partition_for_shards(rules, 2)
+        sharded = ShardedEngine(
+            [ClassificationEngine.build(group, classifier="linear") for group in groups]
+        )
+        assert sharded.ruleset.rule_id.tolist() == sorted(rules.rule_id.tolist())
+        assert built == []
+        assert len(rules.rules) == len(built) == len(rules)  # the counter does count

@@ -12,9 +12,11 @@ staged training loop lives in ``core/pipeline.py`` and the Adam update in
 ``core/training.py`` only, the server reaches the engine for a lookup from
 one call site behind one admission point, only ``serving/workers.py`` starts
 a process, no ``build`` takes a ``pipeline``, the hash and tree baselines
-share one early-termination loop per family and one ``build``, and none of the
-superseded names survives.  (The wire client's ``AsyncClient.classify_batch`` is a network
-call, not a lookup implementation, and is exempt.)
+share one early-termination loop per family and one ``build``, rules become
+arrays in ``rules/rule.py`` alone (no per-site converter, no sort of ``Rule``
+objects by attribute), and none of the superseded names survives.  (The wire
+client's ``AsyncClient.classify_batch`` is a network call, not a lookup
+implementation, and is exempt.)
 """
 
 from __future__ import annotations
@@ -177,7 +179,8 @@ def test_superseded_names_are_gone():
         r"resolve_warm_epochs|warm_epochs|pipeline_config|"
         r"UpdatableClassifier|_TupleTable|_MergedTable|_ordered_tables|"
         r"_ordered_trees|_insert_into_tables|bucket_size_after_insert|"
-        r"_recompute_max_priority)\b|"
+        r"_recompute_max_priority|_rules_to_arrays|_rule_arrays|_packed_rules|"
+        r"_base_ids|_round_robin)\b|"
         r"columnar="
     )
     offenders = [
@@ -190,11 +193,12 @@ def test_superseded_names_are_gone():
 
 
 def test_nothing_shipped_still_describes_a_deleted_path():
-    """The acceptance greps of ISSUEs 15, 16 and 20, kept as a test: no source,
-    example, benchmark, script, doc or workflow names the deleted JSON data
-    plane, the deleted training orchestrator, the options that selected them
-    or the per-baseline table classes and native updates (CHANGES.md and
-    ROADMAP.md are where the names are spelled)."""
+    """The acceptance greps of ISSUEs 15, 16, 20 and 23, kept as a test: no
+    source, example, benchmark, script, doc or workflow names the deleted JSON
+    data plane, the deleted training orchestrator, the options that selected
+    them, the per-baseline table classes and native updates or the per-site
+    rule converters (CHANGES.md and ROADMAP.md are where the names are
+    spelled)."""
     gone = re.compile(
         r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|_op_classify|"
         r"negotiate=|wire_v2=|protocol=\"json\"|max_delay_us|max-delay-us|"
@@ -203,7 +207,8 @@ def test_nothing_shipped_still_describes_a_deleted_path():
         r"warm_epochs|warm-epochs|pipeline_config|pipeline=|--jobs|repro train|"
         r"UpdatableClassifier|_TupleTable|_MergedTable|_ordered_tables|"
         r"_ordered_trees|_insert_into_tables|bucket_size_after_insert|"
-        r"_recompute_max_priority"
+        r"_recompute_max_priority|_rules_to_arrays|_rule_arrays|_packed_rules|"
+        r"_base_ids|_round_robin"
     )
     root = SRC.parent.parent
     shipped = [root / "README.md"] + [
@@ -359,3 +364,57 @@ def test_flowcache_holds_no_rule_objects():
         and node.value.id == "self"
     }
     assert "_rules" not in attributes
+
+
+#: The attributes of a :class:`~repro.rules.rule.Rule`.
+RULE_ATTRIBUTES = {"ranges", "priority", "rule_id", "action"}
+
+
+def _reads_a_rule(tree: ast.AST) -> bool:
+    return any(
+        isinstance(node, ast.Attribute) and node.attr in RULE_ATTRIBUTES
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_rule_representation():
+    """``RuleSet`` holds the rules as arrays and every layer slices it: outside
+    ``rules/rule.py`` no comprehension over rules feeds ``np.array`` /
+    ``np.asarray`` (``FlowCache.invalidate_insert`` converts the one inserted
+    ``Rule`` an update hands it), and nothing under ``core/``, ``engine/``,
+    ``serving/`` or in ``classifiers/linear.py`` sorts by a ``Rule`` attribute."""
+    converters, sorts = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        sorted_here = name.split("/")[0] in {"core", "engine", "serving"} or (
+            name == "classifiers/linear.py"
+        )
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                if (
+                    called in {"array", "asarray"}
+                    and name != "rules/rule.py"
+                    and (name, function.name) != ("serving/flowcache.py", "invalidate_insert")
+                    and any(
+                        isinstance(inner, (ast.ListComp, ast.GeneratorExp))
+                        and _reads_a_rule(inner)
+                        for argument in node.args
+                        for inner in ast.walk(argument)
+                    )
+                ):
+                    converters.append(f"{name}:{node.lineno}")
+                if sorted_here and called in {"sorted", "sort"} and any(
+                    keyword.arg == "key" and _reads_a_rule(keyword.value)
+                    for keyword in node.keywords
+                ):
+                    sorts.append(f"{name}:{node.lineno}")
+    assert sorted(set(converters)) == []
+    assert sorted(set(sorts)) == []
+    assert {"lo", "hi", "priority", "rule_id", "take", "concat"} <= (
+        CLASS_METHODS["RuleSet"] | _names(ast.parse((SRC / "rules" / "rule.py").read_text()))
+    )
