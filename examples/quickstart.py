@@ -19,6 +19,7 @@ import time
 from repro import ClassificationEngine, NuevoMatchConfig, generate_classbench
 from repro.core.config import RQRMIConfig
 from repro.traffic import generate_uniform_trace
+from repro.workloads import replay_trace
 
 
 def main() -> None:
@@ -48,10 +49,10 @@ def main() -> None:
 
     print("\nServing a uniform packet trace in 128-packet batches...")
     trace = generate_uniform_trace(rules, 1_000, seed=7)
-    matched = 0
-    for report in engine.serve(trace, batch_size=128):
-        matched += report.matched
-    print(f"  {len(trace)} packets served, {matched} matched")
+    report = replay_trace(engine, trace, batch_size=128)
+    print(f"  {report.packets} packets served, {report.matched} matched "
+          f"({report.throughput_pps / 1e3:.0f} kpps measured, "
+          f"{report.modelled_latency_ns:.0f} ns/packet modelled)")
 
     print("Verifying against the linear-search oracle...")
     checked = engine.verify(trace)

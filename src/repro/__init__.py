@@ -44,8 +44,8 @@ Subsystems:
   trace through any engine (cached/uncached, 1..N shards) and report hit
   rate, throughput and latency percentiles (``repro replay`` on the CLI).
 * :mod:`repro.simulation` — cache-hierarchy and memory-access cost model used
-  to reproduce the paper's throughput/latency-shaped experiments, including
-  batch-level accounting (:func:`repro.simulation.evaluate_classifier_batched`).
+  to reproduce the paper's throughput/latency-shaped experiments
+  (:func:`repro.simulation.evaluate_classifier`, the one priced lookup loop).
 * :mod:`repro.analysis` — memory-footprint accounting, coverage analysis and
   reporting helpers used by the benchmark harness.
 """

@@ -13,29 +13,28 @@ Commands:
 * ``engine``   — the serving API: ``engine save`` builds a
   :class:`~repro.engine.ClassificationEngine` and persists it with its
   training provenance (``--warm-start SNAPSHOT`` seeds the RQ-RMI submodels
-  from a previous engine), ``engine load`` inspects a saved engine,
-  ``engine serve`` runs batched classification over a generated trace.
-* ``serve``    — multi-core sharded serving: build a
-  :class:`~repro.serving.ShardedEngine` over a rule-set (``--shards N``,
-  ``--executor serial|workers``), run a generated trace through it, and
-  report measured plus
-  modelled throughput; ``--save`` persists all shards to one snapshot and
-  ``--retrain-threshold`` sets the remainder fraction at which a shard
-  retrains in the background (a single engine behind ``--listen --shards 1``
-  never retrains, so the flag is rejected there).  With
-  ``--listen HOST:PORT`` the engine is served over asyncio TCP instead
-  (binary classify-batch frames for lookups, length-prefixed JSON for
-  hello/insert/remove/stats), with a packet-weighted admission budget
-  (``--max-queue``) for backpressure and an optional exact-match flow cache
-  (``--cache-size``).  ``--adaptive`` (implied by ``--slo-p99-us``) runs
-  the overload controller: the budget — and the cache, when one is
-  configured — retunes each window against the p99 SLO.
-* ``replay``   — end-to-end scenario replay: drive a §5.1.1 trace
+  from a previous engine), ``engine load`` inspects a saved engine.
+* ``serve``    — the network server: build the stack a rule-set file and
+  ``--shards N`` / ``--executor serial|workers`` / ``--cache-size K`` name
+  (one shard is a plain engine, more a
+  :class:`~repro.serving.ShardedEngine`), or restore one from a
+  ``.json``/``.json.gz`` snapshot of either kind; ``--save`` persists it,
+  ``--listen HOST:PORT`` serves it over asyncio TCP (binary classify-batch
+  frames for lookups, length-prefixed JSON for hello/insert/remove/stats)
+  with a packet-weighted admission budget (``--max-queue``) for
+  backpressure, and one of the two is required.  ``--retrain-threshold``
+  sets the remainder fraction at which a shard retrains in the background
+  (a single engine never retrains, so the flag is rejected with
+  ``--shards 1``).  ``--adaptive`` (implied by ``--slo-p99-us``) runs the
+  overload controller: the budget — and the cache, when one is configured —
+  retunes each window against the p99 SLO.
+* ``replay``   — the one local trace run: drive a §5.1.1 trace
   (``--trace {uniform,zipf,caida}``, ``--skew`` for the Figure-12 Zipf
   settings) through any engine configuration (``--shards N``,
   ``--cache-size K`` for the exact-match flow cache) and report hit rate,
   measured throughput, p50/p99 latency and the cache-aware modelled latency.
-  Without ``--ruleset`` a synthetic ClassBench rule-set is generated.
+  ``--ruleset`` takes a rule-set file or a snapshot of either kind; without
+  it a synthetic ClassBench rule-set is generated.
 
 Classifier choice lists are generated from the registry
 (:func:`repro.classifiers.available_classifiers`), so newly registered
@@ -60,24 +59,23 @@ from repro.rules import (
     parse_classbench_file,
     write_classbench_file,
 )
-from repro.serving import (
-    DEFAULT_MAX_QUEUE,
-    EXECUTORS,
-    PARTITIONERS,
-    CachedEngine,
-    ShardedEngine,
-    run_server,
-)
+from repro.serving import DEFAULT_MAX_QUEUE, EXECUTORS, run_server
 from repro.serving.updates import DEFAULT_RETRAIN_THRESHOLD
 from repro.simulation import (
     CostModel,
     evaluate_classifier,
     evaluate_nuevomatch,
-    evaluate_sharded,
     speedup,
 )
 from repro.traffic import ZIPF_ALPHAS, generate_uniform_trace
-from repro.workloads import TRACE_KINDS, run_scenario
+from repro.workloads import (
+    SNAPSHOT_SUFFIXES,
+    TRACE_KINDS,
+    build_scenario_engine,
+    load_stack,
+    make_trace,
+    replay_trace,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -117,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--packets", type=int, default=500)
     cmp_.add_argument("--error-threshold", type=int, default=64)
 
-    engine = sub.add_parser("engine", help="build, persist and serve engines")
+    engine = sub.add_parser("engine", help="build, persist and inspect engines")
     engine_sub = engine.add_subparsers(dest="engine_command", required=True)
 
     save = engine_sub.add_parser(
@@ -139,25 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     load.add_argument("engine", help="engine snapshot path")
 
-    serve = engine_sub.add_parser(
-        "serve", help="load an engine and run batched classification"
-    )
-    serve.add_argument("engine", help="engine snapshot path")
-    serve.add_argument("--packets", type=int, default=1000)
-    serve.add_argument("--batch-size", type=int, default=128)
-    serve.add_argument("--seed", type=int, default=1)
-
     sharded = sub.add_parser(
-        "serve", help="serve a rule-set through a multi-core ShardedEngine"
+        "serve", help="serve an engine stack over TCP (--listen) and/or "
+                      "persist it (--save)"
     )
     sharded.add_argument(
-        "ruleset", help="ClassBench-format rule-set file or .json/.json.gz "
-                        "sharded snapshot saved with --save"
+        "ruleset", help="ClassBench-format rule-set file, or a .json/.json.gz "
+                        "snapshot (`repro serve --save`, `repro engine save`)"
     )
     sharded.add_argument("--shards", type=int, default=2)
     sharded.add_argument("--classifier", default="nm", choices=available_classifiers())
     sharded.add_argument("--remainder", default="tm", choices=_baseline_choices())
-    sharded.add_argument("--partitioner", default="auto", choices=list(PARTITIONERS))
     sharded.add_argument("--executor", default=None, choices=list(EXECUTORS),
                          help="fan-out strategy; default: 'workers' (the "
                               "persistent shared-memory shard-worker runtime) "
@@ -166,23 +156,20 @@ def build_parser() -> argparse.ArgumentParser:
     sharded.add_argument("--retrain-threshold", type=float, default=None,
                          help="remainder fraction at which a shard retrains "
                               f"(default {DEFAULT_RETRAIN_THRESHOLD}); needs a "
-                              "sharded engine, i.e. not --listen with --shards 1")
+                              "sharded engine, i.e. not --shards 1")
     sharded.add_argument("--error-threshold", type=int, default=64)
-    sharded.add_argument("--packets", type=int, default=2000)
-    sharded.add_argument("--batch-size", type=int, default=128)
-    sharded.add_argument("--seed", type=int, default=1)
-    sharded.add_argument("--save", help="persist the sharded engine to this path")
+    sharded.add_argument("--save", help="persist the engine (not its flow "
+                                        "cache) to this snapshot path")
     sharded.add_argument("--listen", metavar="HOST:PORT",
                          help="serve binary classify-batch frames and JSON "
-                              "insert/remove/stats over asyncio TCP instead "
-                              "of replaying a local trace; PORT 0 picks an "
-                              "ephemeral port")
+                              "insert/remove/stats over asyncio TCP; PORT 0 "
+                              "picks an ephemeral port")
     sharded.add_argument("--max-queue", type=int, default=DEFAULT_MAX_QUEUE,
                          help="admission budget in packets; frames beyond it "
                               "are shed with status 'overloaded'")
     sharded.add_argument("--cache-size", type=int, default=0,
                          help="front the engine with an exact-match flow "
-                              "cache of this many entries (--listen only)")
+                              "cache of this many entries")
     sharded.add_argument("--slo-p99-us", type=float, default=None,
                          help="p99 service-time objective (microseconds) for "
                               "the overload controller; implies --adaptive "
@@ -197,8 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
         "replay", help="replay a generated trace through the serving stack"
     )
     replay.add_argument("--ruleset",
-                        help="ClassBench-format rule-set file (default: generate "
-                             "a synthetic one, see --application/--rules)")
+                        help="ClassBench-format rule-set file, or a .json/"
+                             ".json.gz snapshot of either kind, whose shards "
+                             "and classifier then apply (default: generate a "
+                             "synthetic rule-set, see --application/--rules)")
     replay.add_argument("--application", default="acl1",
                         choices=list(CLASSBENCH_APPLICATIONS))
     replay.add_argument("--rules", type=int, default=2000,
@@ -410,37 +399,6 @@ def _cmd_engine_load(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_engine_serve(args: argparse.Namespace) -> int:
-    engine = ClassificationEngine.load(args.engine)
-    trace = generate_uniform_trace(engine.ruleset, args.packets, seed=args.seed)
-    cost_model = CostModel()
-    matched = 0
-    num_batches = 0
-    total_ns = 0.0
-    # Each BatchReport carries its batch's aggregated LookupTrace; pricing it
-    # directly avoids classifying the trace a second time just for the model.
-    for report in engine.serve(trace, batch_size=args.batch_size):
-        matched += report.matched
-        num_batches += 1
-        total_ns += cost_model.classifier_lookup_latency(
-            engine.classifier, report.trace
-        ).total_ns
-    avg_latency = total_ns / len(trace) if len(trace) else 0.0
-    throughput = 1.0 / (avg_latency * 1e-9) if avg_latency > 0 else 0.0
-    print(format_kv(
-        {
-            "packets": len(trace),
-            "batches": num_batches,
-            "batch size": args.batch_size,
-            "matched": matched,
-            "modelled latency ns/pkt": round(avg_latency, 1),
-            "modelled throughput Mpps": round(throughput / 1e6, 3),
-        },
-        title=f"engine[{engine.classifier_name}] serving {engine.ruleset.name}",
-    ))
-    return 0
-
-
 def _listen_address(listen: str) -> tuple[str, int]:
     """Parse a ``HOST:PORT`` --listen argument (empty host = 127.0.0.1)."""
     host, sep, port = listen.rpartition(":")
@@ -452,8 +410,6 @@ def _listen_address(listen: str) -> tuple[str, int]:
 def _cmd_serve_listen(args: argparse.Namespace, engine) -> int:
     """Network-serving mode: front ``engine`` with an AsyncServer."""
     host, port = _listen_address(args.listen)
-    if args.cache_size > 0:
-        engine = CachedEngine(engine, capacity=args.cache_size)
     # Naming an SLO implies wanting it enforced; --no-adaptive still wins.
     adaptive = (
         args.adaptive
@@ -508,139 +464,113 @@ def _cmd_serve_listen(args: argparse.Namespace, engine) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import time
+def _is_snapshot(path) -> bool:
+    """Whether ``serve`` / ``replay`` read ``path`` as a snapshot rather than
+    a rule-set file."""
+    return str(path or "").endswith(SNAPSHOT_SUFFIXES)
 
-    # Multi-shard builds default to the shared-memory worker runtime — the
-    # one executor that uses more than one core; a single shard has nothing
-    # to fan out and stays in-process.  The executor is not snapshot state: a
-    # restore without --executor serves in-process.
-    auto_executor = "workers" if args.shards > 1 else "serial"
-    path = str(args.ruleset)
-    if path.endswith((".json", ".json.gz")):
-        import json
 
-        try:
-            sharded = ShardedEngine.load(path, executor=args.executor or "serial")
-        except json.JSONDecodeError:
-            print(
-                f"error: {path} is not a sharded-engine snapshot (rule-set "
-                "files must not use a .json/.json.gz extension)",
-                file=sys.stderr,
-            )
-            return 2
-        except ValueError as error:
-            # Readable JSON of the wrong kind or format version — typically
-            # the single-engine file `repro engine save` writes.
-            print(
-                f"error: {path}: {error} (`repro serve` reads this build's "
-                "sharded snapshots; `repro engine load` and `repro engine "
-                "serve` read single-engine files)",
-                file=sys.stderr,
-            )
-            return 2
+def _load_stack(args: argparse.Namespace, executor: str):
+    """The stack the snapshot ``args.ruleset`` holds — ``None``, after one
+    line on stderr, when it is no snapshot this build reads."""
+    try:
+        stack = load_stack(args.ruleset, executor=executor, cache_size=args.cache_size)
+    except ValueError as error:
+        # Not JSON, no snapshot, or another format version.
         print(
-            "serving from snapshot: --shards/--classifier/--partitioner/"
-            "--retrain-threshold come from the snapshot",
+            f"error: {args.ruleset} is not an engine snapshot this build "
+            f"reads: {error} (rule-set files must not use a .json/.json.gz "
+            "extension)",
             file=sys.stderr,
         )
+        return None
+    print(
+        "restored from snapshot: --shards/--classifier/--remainder/"
+        "--retrain-threshold come from the snapshot",
+        file=sys.stderr,
+    )
+    return stack
+
+
+def _build_stack(args: argparse.Namespace, ruleset, executor: str, **build):
+    """The stack ``serve`` / ``replay`` flags name, built over ``ruleset``."""
+    return build_scenario_engine(
+        ruleset,
+        shards=args.shards,
+        cache_size=args.cache_size,
+        classifier=args.classifier,
+        executor=executor,
+        **build,
+        **_build_params(args),
+    )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    if not (args.listen or args.save):
+        print(
+            "error: `repro serve` is the network server: give --listen "
+            "HOST:PORT and/or --save PATH (`repro replay` runs a local trace)",
+            file=sys.stderr,
+        )
+        return 2
+    if _is_snapshot(args.ruleset):
+        # The executor is not snapshot state: a restore without --executor
+        # serves in-process.
+        stack = _load_stack(args, args.executor or "serial")
+        if stack is None:
+            return 2
+    elif args.shards <= 1 and args.retrain_threshold is not None:
+        # A plain engine has no retrain lifecycle; dropping the flag silently
+        # would let the overlay grow for the server's life.
+        print(
+            "error: --retrain-threshold needs a sharded engine; a single "
+            "engine never retrains (use --shards 2)",
+            file=sys.stderr,
+        )
+        return 2
     else:
-        ruleset = parse_classbench_file(args.ruleset)
-        params = _build_params(args)
-        if args.listen and args.shards <= 1:
-            if args.retrain_threshold is not None:
-                # A plain engine has no retrain lifecycle; dropping the flag
-                # silently would let the overlay grow for the server's life.
-                print(
-                    "error: --retrain-threshold needs a sharded engine; a "
-                    "single engine behind --listen never retrains (use "
-                    "--shards 2)",
-                    file=sys.stderr,
-                )
-                return 2
-            # Network serving fronts any engine stack; one shard needs no
-            # fan-out layer at all.
-            return _cmd_serve_listen(
-                args,
-                ClassificationEngine.build(
-                    ruleset, classifier=args.classifier, **params
-                ),
-            )
-        sharded = ShardedEngine.build(
-            ruleset,
-            shards=args.shards,
-            classifier=args.classifier,
-            partitioner=args.partitioner,
-            executor=args.executor or auto_executor,
+        # Multi-shard builds default to the shared-memory worker runtime —
+        # the one executor that uses more than one core; a single shard is a
+        # plain engine with nothing to fan out.
+        stack = _build_stack(
+            args,
+            parse_classbench_file(args.ruleset),
+            args.executor or ("workers" if args.shards > 1 else "serial"),
             retrain_threshold=(
                 DEFAULT_RETRAIN_THRESHOLD
                 if args.retrain_threshold is None
                 else args.retrain_threshold
             ),
-            **params,
         )
+    if args.save:
+        # The flow cache is not snapshot state: persist the engine behind it.
+        (stack.engine if args.cache_size > 0 else stack).save(args.save)
+        print(args.save)
     if args.listen:
-        return _cmd_serve_listen(args, sharded)
-    with sharded:
-        trace = generate_uniform_trace(
-            sharded.ruleset, args.packets, seed=args.seed
-        )
-        start = time.perf_counter()
-        matched = 0
-        num_batches = 0
-        for report in sharded.serve(trace, batch_size=args.batch_size):
-            matched += report.matched
-            num_batches += 1
-        elapsed = time.perf_counter() - start
-        modelled = evaluate_sharded(
-            sharded, trace, CostModel(), batch_size=args.batch_size
-        )
-        print(format_kv(
-            {
-                "shards": sharded.num_shards,
-                "shard sizes": "/".join(str(s) for s in sharded.shard_sizes()),
-                "executor": sharded.executor,
-                "partitioner": sharded.partitioner,
-                "packets": len(trace),
-                "batches": num_batches,
-                "matched": matched,
-                "measured wall s": round(elapsed, 3),
-                "measured kpps": round(len(trace) / elapsed / 1e3, 1)
-                if elapsed > 0 else 0.0,
-                "modelled latency ns/pkt": round(modelled.avg_latency_ns, 1),
-                "modelled throughput Mpps": round(
-                    modelled.throughput_pps / 1e6, 3
-                ),
-            },
-            title=f"sharded[{sharded.num_shards}] serving "
-                  f"{sum(sharded.shard_sizes())} rules",
-        ))
-        if args.save:
-            sharded.save(args.save)
-            print(args.save)
+        return _cmd_serve_listen(args, stack)
+    stack.close()
     return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     import json
 
-    if args.ruleset:
-        ruleset = parse_classbench_file(args.ruleset)
+    if _is_snapshot(args.ruleset):
+        stack = _load_stack(args, args.executor)
+        if stack is None:
+            return 2
+        ruleset = stack.ruleset
     else:
-        ruleset = generate_classbench(args.application, args.rules, seed=args.seed)
-    report = run_scenario(
-        ruleset,
-        trace_kind=args.trace,
-        num_packets=args.packets,
-        skew=args.skew,
-        shards=args.shards,
-        cache_size=args.cache_size,
-        classifier=args.classifier,
-        executor=args.executor,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        **_build_params(args),
-    )
+        if args.ruleset:
+            ruleset = parse_classbench_file(args.ruleset)
+        else:
+            ruleset = generate_classbench(args.application, args.rules, seed=args.seed)
+        stack = _build_stack(args, ruleset, args.executor)
+    with stack:
+        trace = make_trace(
+            args.trace, ruleset, args.packets, seed=args.seed, skew=args.skew
+        )
+        report = replay_trace(stack, trace, batch_size=args.batch_size)
     if args.json:
         print(json.dumps(report.as_dict(), sort_keys=True))
         return 0
@@ -681,7 +611,6 @@ _COMMANDS = {
 _ENGINE_COMMANDS = {
     "save": _cmd_engine_save,
     "load": _cmd_engine_load,
-    "serve": _cmd_engine_serve,
 }
 
 

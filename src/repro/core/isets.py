@@ -172,8 +172,8 @@ def partition_shards(
         min_coverage: Forwarded to :func:`partition_isets`.
         partition: A precomputed :func:`partition_isets` result over
             ``ruleset``; passing one skips the (expensive) recomputation when
-            the caller already partitioned the rules, e.g. to choose a
-            strategy.  ``min_coverage`` is ignored in that case.
+            the caller already partitioned the rules.  ``min_coverage`` is
+            ignored in that case.
 
     Returns:
         ``num_shards`` non-empty rule-sets named ``<name>-shard<index>``.

@@ -17,7 +17,7 @@ and :mod:`repro.engine.serialization` for the on-disk format.
 """
 
 from repro.engine.engine import ClassificationEngine
-from repro.engine.stack import BatchReport, EngineStack, validate_block
+from repro.engine.stack import EngineStack, validate_block
 from repro.engine.serialization import (
     ENGINE_FILE_VERSION,
     SHARDED_FILE_VERSION,
@@ -33,7 +33,6 @@ from repro.engine.serialization import (
 __all__ = [
     "ClassificationEngine",
     "EngineStack",
-    "BatchReport",
     "validate_block",
     "ENGINE_FILE_VERSION",
     "SHARDED_FILE_VERSION",

@@ -8,8 +8,8 @@ registered classifier:
 * **serve** — :meth:`ClassificationEngine.classify_block` is the lookup (the
   paper's throughput comes from batched, vectorized RQ-RMI inference); the
   object results (``classify_batch``, ``classify_traced``, ``classify``,
-  ``serve``, ``verify``) are the :class:`~repro.engine.stack.EngineStack`
-  mixin's views over it, shared with the sharded and cached stacks.
+  ``verify``) are the :class:`~repro.engine.stack.EngineStack` mixin's views
+  over it, shared with the sharded and cached stacks.
 * **update** — the engine is the one updatable unit of the paper's §3.9
   story, for every registered classifier: :meth:`insert` (a new id adds a
   rule, an existing id changes its action or matching set) and :meth:`remove`

@@ -6,10 +6,10 @@ the sharded :class:`~repro.serving.ShardedEngine`, and either wrapped in a
 columnar ``classify_block``.  Everything else a caller can ask of a stack is
 derived from it here, once: the object materializer :meth:`~EngineStack.
 classify_batch`, the single-packet :meth:`~EngineStack.classify_traced` /
-:meth:`~EngineStack.classify`, batch :meth:`~EngineStack.serve`,
-:meth:`~EngineStack.verify` against linear search over the live rules, and
-the context-manager protocol.  The scalar, paper-faithful reference lives one
-layer down, in :meth:`Classifier.classify_traced
+:meth:`~EngineStack.classify`, :meth:`~EngineStack.verify` against linear
+search over the live rules, and the context-manager protocol.  The scalar,
+paper-faithful reference lives one layer down, in
+:meth:`Classifier.classify_traced
 <repro.classifiers.base.Classifier.classify_traced>`.
 """
 
@@ -22,12 +22,11 @@ import numpy as np
 from repro.classifiers.base import (
     TRACE_FIELDS,
     ClassificationResult,
-    LookupTrace,
     trace_from_row,
 )
 from repro.rules.rule import Packet, Rule
 
-__all__ = ["EngineStack", "BatchReport", "validate_block"]
+__all__ = ["EngineStack", "validate_block"]
 
 
 def validate_block(block) -> np.ndarray:
@@ -54,28 +53,6 @@ def validate_block(block) -> np.ndarray:
         if int(array.min()) < 0:
             raise ValueError("packet field values must be non-negative")
     return np.ascontiguousarray(array, dtype=np.uint64)
-
-
-class BatchReport:
-    """Outcome of one served batch: per-packet results + aggregate trace."""
-
-    def __init__(self, results: list[ClassificationResult]):
-        self.results = results
-        self.trace = LookupTrace.aggregate(result.trace for result in results)
-        # Counted once here rather than re-scanning the results on every
-        # property access — serve loops read `matched` per batch.
-        self._matched = sum(1 for result in results if result.matched)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    @property
-    def matched(self) -> int:
-        """Number of packets that matched some rule."""
-        return self._matched
 
 
 class EngineStack:
@@ -131,29 +108,6 @@ class EngineStack:
     def classify(self, packet: Packet | Sequence[int]) -> Optional[Rule]:
         """Single-packet lookup; prefer :meth:`classify_batch` when serving."""
         return self.classify_traced(packet).rule
-
-    def serve(
-        self, packets: Iterable[Packet | Sequence[int]], batch_size: int = 128
-    ) -> Iterable[BatchReport]:
-        """Serve a packet stream in fixed-size batches, yielding batch reports.
-
-        The ``batch_size`` validation fires at the call site, not on first
-        iteration.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-
-        def _batches() -> Iterable[BatchReport]:
-            batch: list = []
-            for packet in packets:
-                batch.append(packet)
-                if len(batch) >= batch_size:
-                    yield BatchReport(self.classify_batch(batch))
-                    batch = []
-            if batch:
-                yield BatchReport(self.classify_batch(batch))
-
-        return _batches()
 
     def verify(self, packets: Iterable[Packet | Sequence[int]]) -> int:
         """Check the stack against linear search over its live rules.

@@ -15,7 +15,7 @@ NuevoMatch — by splitting the rule-set across cores::
     rule_ids, priorities = cached.classify_block(block)   # probe → miss → fill
 
 See :mod:`repro.serving.sharded` for the engine,
-:mod:`repro.serving.partitioning` for the iSet-aware rule split,
+:func:`repro.core.isets.partition_shards` for the iSet-aware rule split,
 :mod:`repro.serving.updates` for the online-update / background-retraining
 policy, :mod:`repro.serving.flowcache` for the exact-match flow cache that
 exploits the skewed traffic of the paper's §5.1.1 evaluation, and
@@ -40,7 +40,6 @@ from repro.serving.flowcache import (
     CacheStats,
     FlowCache,
 )
-from repro.serving.partitioning import PARTITIONERS, partition_for_shards
 from repro.serving.server import (
     DEFAULT_MAX_QUEUE,
     AsyncClient,
@@ -72,8 +71,6 @@ __all__ = [
     "CacheTuner",
     "ServerError",
     "run_server",
-    "partition_for_shards",
-    "PARTITIONERS",
     "EXECUTORS",
     "DEFAULT_RETRAIN_THRESHOLD",
     "DEFAULT_CACHE_CAPACITY",

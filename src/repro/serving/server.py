@@ -139,6 +139,7 @@ class AsyncServer:
         controller: OverloadController | None = None,
     ):
         self.engine = engine
+        self._num_fields = len(engine.schema)
         self._binary_batches = 0
         #: Packet-weighted admission budget of the classify path.
         self.budget = PacketBudget(max_queue)
@@ -400,15 +401,10 @@ class AsyncServer:
         response: bytes
         try:
             request_id, block = wire.decode_classify_request(payload)
-            # Known cost, kept as at PR 11: a sharded stack rebuilds and sorts
-            # its live rules on every ``ruleset`` read.  ``engine.schema`` is
-            # the fix; it moves ``update_churn`` pps ~20x, which a PR that
-            # claims no benchmark gain cannot carry (see CHANGES.md, PR 12).
-            num_fields = len(self.engine.ruleset.schema)
-            if block.shape[1] != num_fields:
+            if block.shape[1] != self._num_fields:
                 raise ValueError(
                     f"packets have {block.shape[1]} fields, engine expects "
-                    f"{num_fields}"
+                    f"{self._num_fields}"
                 )
             shed_packets = len(block)
             self.budget.try_acquire(len(block))

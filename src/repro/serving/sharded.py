@@ -3,8 +3,8 @@
 The paper's evaluation scales NuevoMatch by splitting the rule-set across
 cores and merging per-core matches by priority (§5).  :class:`ShardedEngine`
 reproduces that layer in software: the rule-set is partitioned across ``N``
-per-shard :class:`~repro.engine.ClassificationEngine` instances (iSet-aware by
-default, see :mod:`repro.serving.partitioning`), ``classify_block`` fans the
+per-shard :class:`~repro.engine.ClassificationEngine` instances (iSet-aware,
+see :func:`repro.core.isets.partition_shards`), ``classify_block`` fans the
 block out to every shard and merges the per-shard winners exactly like
 NuevoMatch's selector merges its iSets — lowest numeric priority wins, ties
 broken by ``rule_id``.  That is the only lookup implemented here; object
@@ -47,6 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.classifiers.base import TRACE_FIELDS, MemoryFootprint
+from repro.core.isets import partition_shards
 from repro.engine.engine import ClassificationEngine
 from repro.engine.stack import EngineStack, validate_block
 from repro.engine.serialization import (
@@ -56,7 +57,6 @@ from repro.engine.serialization import (
 )
 from repro.rules.fields import FieldSchema
 from repro.rules.rule import Rule, RuleSet, first_duplicate
-from repro.serving.partitioning import PARTITIONERS, partition_for_shards
 from repro.serving.updates import DEFAULT_RETRAIN_THRESHOLD, UpdateQueue
 from repro.serving.workers import ShardWorkerRuntime, WorkerCrashed
 
@@ -120,7 +120,6 @@ class ShardedEngine(EngineStack):
     def __init__(
         self,
         engines: Sequence[ClassificationEngine],
-        partitioner: str = "auto",
         executor: str = "serial",
         retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
         background_retraining: bool = True,
@@ -139,7 +138,6 @@ class ShardedEngine(EngineStack):
         if (duplicate := first_duplicate(built_ids)) is not None:
             raise ValueError(f"rule id {duplicate} appears in more than one shard")
         self._schema = schema
-        self._partitioner = partitioner
         self._executor_kind = executor
         self.metadata = dict(metadata or {})
         self._shards = [_Shard(index, engine) for index, engine in enumerate(engines)]
@@ -162,7 +160,6 @@ class ShardedEngine(EngineStack):
         ruleset: RuleSet,
         shards: int = 2,
         classifier: str | type = "nm",
-        partitioner: str = "auto",
         executor: str = "serial",
         retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
         background_retraining: bool = True,
@@ -177,7 +174,6 @@ class ShardedEngine(EngineStack):
             classifier: Registry name/alias or class, as in
                 :meth:`ClassificationEngine.build`; every shard uses the same
                 classifier and parameters.
-            partitioner: One of :data:`~repro.serving.partitioning.PARTITIONERS`.
             executor: One of :data:`EXECUTORS`.
             retrain_threshold: Remainder fraction triggering a shard retrain.
             background_retraining: Retrain in a worker thread (default) or
@@ -185,14 +181,12 @@ class ShardedEngine(EngineStack):
             metadata: Free-form annotations persisted with :meth:`save`.
             **params: Forwarded to each shard's classifier ``build``.
         """
-        shard_rulesets = partition_for_shards(ruleset, shards, partitioner)
         engines = [
             ClassificationEngine.build(shard_rules, classifier=classifier, **params)
-            for shard_rules in shard_rulesets
+            for shard_rules in partition_shards(ruleset, shards)
         ]
         return cls(
             engines,
-            partitioner=partitioner,
             executor=executor,
             retrain_threshold=retrain_threshold,
             background_retraining=background_retraining,
@@ -208,10 +202,6 @@ class ShardedEngine(EngineStack):
     @property
     def executor(self) -> str:
         return self._executor_kind
-
-    @property
-    def partitioner(self) -> str:
-        return self._partitioner
 
     def shard_sizes(self) -> list[int]:
         """Live rule count per shard."""
@@ -396,7 +386,6 @@ class ShardedEngine(EngineStack):
             "name": "sharded",
             "num_shards": self.num_shards,
             "executor": self._executor_kind,
-            "partitioner": self._partitioner,
             "num_rules": sum(self.shard_sizes()),
             "shards": [shard.statistics() for shard in self._shards],
             "updates": self.updates.statistics(),
@@ -427,7 +416,6 @@ class ShardedEngine(EngineStack):
                 "format": SHARDED_FILE_VERSION,
                 "kind": _SHARDED_KIND,
                 "repro_version": __version__,
-                "partitioner": self._partitioner,
                 "retrain_threshold": self.updates.retrain_threshold,
                 "metadata": self.metadata,
                 "shards": shards_state,
@@ -441,14 +429,24 @@ class ShardedEngine(EngineStack):
         executor: str = "serial",
         background_retraining: bool = True,
     ) -> "ShardedEngine":
-        """Restore a sharded engine saved with :meth:`save`.
+        """Restore a sharded engine saved with :meth:`save`."""
+        return cls.from_document(read_document(path), executor, background_retraining)
+
+    @classmethod
+    def from_document(
+        cls,
+        document: dict,
+        executor: str = "serial",
+        background_retraining: bool = True,
+    ) -> "ShardedEngine":
+        """The sharded engine a :meth:`save` document holds.
 
         ``executor`` is a deployment choice, not snapshot state: an
         ``"executor"`` key written by an older build is ignored, so those
-        snapshots keep loading whatever it names — as are the retrain-policy
-        keys older builds wrote (a retrain is always a warm rebuild).
+        snapshots keep loading whatever it names — as are the ``"partitioner"``
+        and retrain-policy keys older builds wrote (the split is always
+        iSet-aware, a retrain always a warm rebuild).
         """
-        document = read_document(path)
         kind = document.get("kind")
         if kind != _SHARDED_KIND:
             raise ValueError(
@@ -467,7 +465,6 @@ class ShardedEngine(EngineStack):
         ]
         sharded = cls(
             engines,
-            partitioner=document.get("partitioner", "auto"),
             executor=executor,
             retrain_threshold=document.get(
                 "retrain_threshold", DEFAULT_RETRAIN_THRESHOLD

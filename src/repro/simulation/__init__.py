@@ -5,7 +5,6 @@ from repro.simulation.cost_model import CostModel, LatencyBreakdown
 from repro.simulation.perf import (
     PerfReport,
     evaluate_classifier,
-    evaluate_classifier_batched,
     evaluate_nuevomatch,
     evaluate_sharded,
     speedup,
@@ -25,7 +24,6 @@ __all__ = [
     "LatencyBreakdown",
     "PerfReport",
     "evaluate_classifier",
-    "evaluate_classifier_batched",
     "evaluate_nuevomatch",
     "evaluate_sharded",
     "speedup",

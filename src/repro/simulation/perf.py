@@ -19,6 +19,7 @@ packets per second, for single-core and two-core execution models:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -31,7 +32,6 @@ from repro.traffic.packet import Trace
 __all__ = [
     "PerfReport",
     "evaluate_classifier",
-    "evaluate_classifier_batched",
     "evaluate_nuevomatch",
     "evaluate_sharded",
     "speedup",
@@ -74,6 +74,28 @@ def _average_breakdown(parts: list[LatencyBreakdown]) -> LatencyBreakdown:
     return total.scaled(1.0 / len(parts))
 
 
+#: Rows per ``classify_block`` call of a modelled run; bounds the trace
+#: out-array and — the cost model being linear in the counters — changes no
+#: number.
+_CHUNK_ROWS = 1024
+
+
+def _trace_block(trace: Trace | Iterable, max_packets: int | None) -> np.ndarray:
+    """The first ``max_packets`` packets of ``trace`` as the ``(n, fields)``
+    uint64 block ``classify_block`` takes (zero-length for an empty trace)."""
+    packets = [tuple(packet) for packet in islice(trace, max_packets or None)]
+    return np.array(packets, dtype=np.uint64)
+
+
+def _price(
+    cost_model: CostModel, classifier: Classifier, counters: np.ndarray
+) -> LatencyBreakdown:
+    """Latency of the lookups whose trace rows sum to ``counters``, priced in
+    one call against ``classifier``'s own footprint — where every block-path
+    run meets the :class:`CostModel`."""
+    return cost_model.classifier_lookup_latency(classifier, trace_from_row(counters))
+
+
 def evaluate_classifier(
     classifier: Classifier,
     trace: Trace | Iterable,
@@ -83,81 +105,34 @@ def evaluate_classifier(
 ) -> PerfReport:
     """Evaluate a (baseline) classifier on a trace.
 
+    The trace runs through ``classify_block`` and the summed trace counters
+    are priced once — the cost model is linear in them, so this is the
+    average of the per-packet latencies with no per-packet objects built.
     With ``cores > 1`` the standard replication model applies: throughput
     scales linearly, per-packet latency does not change (§5.1,
     "Multi-core implementation").
     """
     cost_model = cost_model or CostModel()
-    packets = list(trace)[: max_packets or None]
-    latencies: list[LatencyBreakdown] = []
-    for packet in packets:
-        result = classifier.classify_traced(packet)
-        latencies.append(cost_model.classifier_lookup_latency(classifier, result.trace))
-    breakdown = _average_breakdown(latencies)
-    avg_latency = breakdown.total_ns if latencies else 0.0
-    throughput = cores / (avg_latency * 1e-9) if avg_latency > 0 else 0.0
-    return PerfReport(
-        classifier=classifier.name,
-        trace=getattr(trace, "name", "trace"),
-        cores=cores,
-        packets=len(packets),
-        avg_latency_ns=avg_latency,
-        throughput_pps=throughput,
-        breakdown=breakdown,
-    )
-
-
-def _block(packets: list) -> np.ndarray:
-    """A non-empty packet chunk as the ``(n, fields)`` uint64 block
-    ``classify_block`` takes."""
-    return np.array([tuple(packet) for packet in packets], dtype=np.uint64)
-
-
-def evaluate_classifier_batched(
-    classifier: Classifier,
-    trace: Trace | Iterable,
-    cost_model: CostModel | None = None,
-    batch_size: int = 128,
-    cores: int = 1,
-    max_packets: int | None = None,
-) -> PerfReport:
-    """Evaluate a classifier in batch-serving mode.
-
-    Packets are classified through ``classify_block`` in fixed-size chunks
-    and each chunk is priced in one :class:`CostModel` call on the column sums
-    of its trace out-array — the batch-level accounting the vectorized serving
-    path (and the paper's Table-1 batching) makes meaningful, with no
-    per-packet objects in the modelled run.  The reported latency is the
-    average per-packet share of its batch's latency.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    cost_model = cost_model or CostModel()
-    packets = list(trace)[: max_packets or None]
-    total = LatencyBreakdown()
-    num_batches = 0
-    for start in range(0, len(packets), batch_size):
-        chunk = _block(packets[start : start + batch_size])
+    block = _trace_block(trace, max_packets)
+    counters = np.zeros(len(TRACE_FIELDS), dtype=np.int64)
+    for start in range(0, len(block), _CHUNK_ROWS):
+        chunk = block[start : start + _CHUNK_ROWS]
         traces = np.zeros((len(chunk), len(TRACE_FIELDS)), dtype=np.int64)
         classifier.classify_block(chunk, traces=traces)
-        total = total.merge(
-            cost_model.classifier_lookup_latency(
-                classifier, trace_from_row(traces.sum(axis=0))
-            )
-        )
-        num_batches += 1
-    breakdown = total.scaled(1.0 / len(packets)) if packets else LatencyBreakdown()
-    avg_latency = breakdown.total_ns if packets else 0.0
+        counters += traces.sum(axis=0)
+    breakdown = _price(cost_model, classifier, counters).scaled(
+        1.0 / max(len(block), 1)
+    )
+    avg_latency = breakdown.total_ns
     throughput = cores / (avg_latency * 1e-9) if avg_latency > 0 else 0.0
     return PerfReport(
         classifier=classifier.name,
         trace=getattr(trace, "name", "trace"),
         cores=cores,
-        packets=len(packets),
+        packets=len(block),
         avg_latency_ns=avg_latency,
         throughput_pps=throughput,
         breakdown=breakdown,
-        extra={"batch_size": batch_size, "num_batches": num_batches},
     )
 
 
@@ -273,36 +248,36 @@ def evaluate_sharded(
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     cost_model = cost_model or CostModel()
-    packets = list(trace)[: max_packets or None]
+    block = _trace_block(trace, max_packets)
     shard_classifiers = [
         shard.engine.classifier for shard in sharded._shards
     ]
     total = LatencyBreakdown()
     num_batches = 0
-    for start in range(0, len(packets), batch_size):
-        chunk = _block(packets[start : start + batch_size])
+    for start in range(0, len(block), batch_size):
+        chunk = block[start : start + batch_size]
         per_shard = sharded.classify_block_per_shard(chunk, want_traces=True)
-        slowest = LatencyBreakdown()
-        for classifier, (_ids, _priorities, traces) in zip(
-            shard_classifiers, per_shard
-        ):
-            latency = cost_model.classifier_lookup_latency(
-                classifier, trace_from_row(traces.sum(axis=0))
-            )
-            if latency.total_ns > slowest.total_ns:
-                slowest = latency
+        slowest = max(
+            (
+                _price(cost_model, classifier, traces.sum(axis=0))
+                for classifier, (_ids, _priorities, traces) in zip(
+                    shard_classifiers, per_shard
+                )
+            ),
+            key=lambda latency: latency.total_ns,
+        )
         total = total.merge(slowest).merge(
             LatencyBreakdown(hash_ns=SYNC_OVERHEAD_NS * len(chunk))
         )
         num_batches += 1
-    breakdown = total.scaled(1.0 / len(packets)) if packets else LatencyBreakdown()
-    avg_latency = breakdown.total_ns if packets else 0.0
+    breakdown = total.scaled(1.0 / max(len(block), 1))
+    avg_latency = breakdown.total_ns
     throughput = 1.0 / (avg_latency * 1e-9) if avg_latency > 0 else 0.0
     return PerfReport(
         classifier=f"sharded[{sharded.num_shards}]",
         trace=getattr(trace, "name", "trace"),
         cores=sharded.num_shards,
-        packets=len(packets),
+        packets=len(block),
         avg_latency_ns=avg_latency,
         throughput_pps=throughput,
         breakdown=breakdown,

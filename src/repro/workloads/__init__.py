@@ -23,21 +23,25 @@ from repro.workloads.loadgen import (
     run_load,
 )
 from repro.workloads.replay import (
+    SNAPSHOT_SUFFIXES,
     TRACE_KINDS,
     ReplayReport,
     build_scenario_engine,
+    load_stack,
     make_trace,
     replay_trace,
     run_scenario,
 )
 
 __all__ = [
+    "SNAPSHOT_SUFFIXES",
     "TRACE_KINDS",
     "BurstProfile",
     "LoadReport",
     "RampProfile",
     "ReplayReport",
     "build_scenario_engine",
+    "load_stack",
     "make_trace",
     "open_loop_load",
     "replay_trace",

@@ -1,5 +1,8 @@
-"""Trace replay: one harness from generator trace to serving-stack report.
+"""Trace replay: the one home of "build or load a stack, play a trace, report".
 
+``build_scenario_engine`` builds the stack a scenario names (shards × optional
+flow cache) and ``load_stack`` restores one from a snapshot of either kind;
+every stack the CLI serves or replays comes from one of the two.
 ``replay_trace`` plays a :class:`~repro.traffic.Trace` through any engine
 stack's ``classify_block`` — a bare
 :class:`~repro.engine.ClassificationEngine`, a multi-core
@@ -18,26 +21,23 @@ stack's ``classify_block`` — a bare
 ``uniform``, ``zipf`` (with the four top-3%-share skew settings 80/85/90/95 of
 Figure 12) and ``caida`` (heavy-tailed flows with bursty arrivals).
 
-The CLI front-end is ``repro replay``; the scenario-matrix regression suite
-(``tests/test_replay_scenarios.py``) uses the same entry points.
+The CLI front-end is ``repro replay`` — the only local trace run; ``repro
+serve`` is the network server over the same two stack factories.  The
+scenario-matrix regression suite (``tests/test_replay_scenarios.py``) uses the
+same entry points.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
-from repro.engine import ClassificationEngine
+from repro.engine import ClassificationEngine, read_document
 from repro.rules.rule import RuleSet
-from repro.serving import CachedEngine, ShardedEngine
-from repro.simulation import (
-    CostModel,
-    evaluate_classifier_batched,
-    evaluate_sharded,
-)
+from repro.serving import DEFAULT_RETRAIN_THRESHOLD, CachedEngine, ShardedEngine
+from repro.simulation import CostModel, evaluate_classifier, evaluate_sharded
 from repro.traffic import (
     Trace,
     generate_caida_like_trace,
@@ -46,9 +46,11 @@ from repro.traffic import (
 )
 
 __all__ = [
+    "SNAPSHOT_SUFFIXES",
     "TRACE_KINDS",
     "ReplayReport",
     "build_scenario_engine",
+    "load_stack",
     "make_trace",
     "replay_trace",
     "run_scenario",
@@ -56,6 +58,10 @@ __all__ = [
 
 #: Trace regimes of §5.1.1, in CLI spelling.
 TRACE_KINDS = ("uniform", "zipf", "caida")
+
+#: A path ending in one of these names a snapshot, anything else a rule-set
+#: file (the convention ``repro serve`` and ``repro replay`` share).
+SNAPSHOT_SUFFIXES = (".json", ".json.gz")
 
 
 def make_trace(
@@ -89,13 +95,15 @@ def build_scenario_engine(
     classifier: str | type = "tm",
     executor: str = "serial",
     background_retraining: bool = True,
+    retrain_threshold: float = DEFAULT_RETRAIN_THRESHOLD,
     **params,
 ):
     """Build the engine a scenario names: ``shards`` × optional flow cache.
 
-    ``shards <= 1`` builds a plain :class:`ClassificationEngine`; more builds
-    a :class:`ShardedEngine`.  ``cache_size > 0`` wraps the result in a
-    :class:`CachedEngine` (with its invalidation listener wired into the
+    ``shards <= 1`` builds a plain :class:`ClassificationEngine` (which never
+    retrains, so ``executor`` and the retrain arguments do not apply); more
+    builds a :class:`ShardedEngine`.  ``cache_size > 0`` wraps the result in
+    a :class:`CachedEngine` (with its invalidation listener wired into the
     sharded engine's update queue).  ``params`` go to the classifier build.
     """
     if shards <= 1:
@@ -106,12 +114,37 @@ def build_scenario_engine(
             shards=shards,
             classifier=classifier,
             executor=executor,
+            retrain_threshold=retrain_threshold,
             background_retraining=background_retraining,
             **params,
         )
-    if cache_size > 0:
-        return CachedEngine(engine, capacity=cache_size)
-    return engine
+    return _with_cache(engine, cache_size)
+
+
+def load_stack(path, executor: str = "serial", cache_size: int = 0):
+    """Restore the stack a snapshot holds, whichever kind wrote it.
+
+    Dispatches on the document's ``kind``: a ``ShardedEngine.save`` file
+    restores sharded (on ``executor`` — a deployment choice, not snapshot
+    state), anything else goes to :meth:`ClassificationEngine.from_document`,
+    which raises ``ValueError`` for a file that is no engine snapshot (as
+    ``read_document`` does for one that is not JSON).  ``cache_size > 0``
+    fronts the restored stack with a flow cache, as in
+    :func:`build_scenario_engine`.
+    """
+    document = read_document(path)
+    if not isinstance(document, dict):
+        raise ValueError("not an engine snapshot (the document is no JSON object)")
+    if document.get("kind") == "sharded-engine":
+        engine = ShardedEngine.from_document(document, executor=executor)
+    else:
+        engine = ClassificationEngine.from_document(document)
+    return _with_cache(engine, cache_size)
+
+
+def _with_cache(engine, cache_size: int):
+    """``engine`` behind a ``cache_size``-entry flow cache (``0``: as it is)."""
+    return CachedEngine(engine, capacity=cache_size) if cache_size > 0 else engine
 
 
 @dataclass
@@ -155,46 +188,6 @@ class ReplayReport:
         }
 
 
-def _unwrap(engine) -> tuple[object, Optional[CachedEngine]]:
-    """(underlying engine, cache wrapper or None)."""
-    if isinstance(engine, CachedEngine):
-        return engine.engine, engine
-    return engine, None
-
-
-def _engine_label(engine) -> str:
-    base, cached = _unwrap(engine)
-    if isinstance(base, ShardedEngine):
-        label = f"sharded[{base.num_shards}]"
-    else:
-        label = f"engine[{base.classifier_name}]"
-    return f"cached({label})" if cached is not None else label
-
-
-def _num_shards(engine) -> int:
-    base, _cached = _unwrap(engine)
-    return base.num_shards if isinstance(base, ShardedEngine) else 1
-
-
-def _modelled_miss_latency_ns(
-    base, trace: Trace, cost_model: CostModel, batch_size: int, max_packets: int
-) -> float:
-    """Cost-model latency of the slow path (the engine without the cache)."""
-    if isinstance(base, ShardedEngine):
-        report = evaluate_sharded(
-            base, trace, cost_model, batch_size=batch_size, max_packets=max_packets
-        )
-    else:
-        report = evaluate_classifier_batched(
-            base.classifier,
-            trace,
-            cost_model,
-            batch_size=batch_size,
-            max_packets=max_packets,
-        )
-    return report.avg_latency_ns
-
-
 def replay_trace(
     engine,
     trace: Trace,
@@ -217,7 +210,9 @@ def replay_trace(
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     cost_model = cost_model or CostModel()
-    base, cached = _unwrap(engine)
+    cached = engine if isinstance(engine, CachedEngine) else None
+    base = cached.engine if cached else engine
+    sharded = isinstance(base, ShardedEngine)
     stats_before = replace(cached.cache.stats) if cached else None
 
     packets = list(trace)
@@ -262,9 +257,16 @@ def replay_trace(
         hit_rate = 0.0
         cache_stats = {}
 
-    miss_ns = _modelled_miss_latency_ns(
-        base, trace, cost_model, batch_size, max_packets=model_packets
-    )
+    # The slow path (the engine without the cache), priced per shard when sharded.
+    if sharded:
+        miss = evaluate_sharded(
+            base, trace, cost_model, batch_size=batch_size, max_packets=model_packets
+        )
+    else:
+        miss = evaluate_classifier(
+            base.classifier, trace, cost_model, max_packets=model_packets
+        )
+    miss_ns = miss.avg_latency_ns
     if cached is not None:
         assert cost_model.cache is not None
         hit_ns = (
@@ -276,10 +278,13 @@ def replay_trace(
         modelled_ns = miss_ns
 
     latencies = np.repeat(np.asarray(per_packet_ns), np.asarray(batch_sizes))
+    label = (
+        f"sharded[{base.num_shards}]" if sharded else f"engine[{base.classifier_name}]"
+    )
     return ReplayReport(
         trace=trace.name,
-        engine=_engine_label(engine),
-        shards=_num_shards(engine),
+        engine=f"cached({label})" if cached else label,
+        shards=base.num_shards if sharded else 1,
         cache_size=cached.cache.capacity if cached else 0,
         batch_size=batch_size,
         packets=len(packets),

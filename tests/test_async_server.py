@@ -493,20 +493,12 @@ class TestExactlyOnce:
 
 
 class TestDataPathReadsNoRuleset:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="open bug, fix held back: `_serve_binary` still reads "
-        "`engine.ruleset` per frame (one-line fix: `len(engine.schema)` at "
-        "construction); it moves update_churn pps ~20x, so it needs a PR that "
-        "claims the gain -- CHANGES.md, PR 12",
-    )
     @pytest.mark.parametrize("cache_size", [0, 256])
     def test_binary_frames_never_read_sharded_ruleset(
         self, server_rules, cache_size, monkeypatch
     ):
         """``ShardedEngine.ruleset`` rebuilds and sorts the live rules on every
-        read (tens of ms at 8k rules) and the server reads it per binary frame,
-        on the event-loop thread.  The target: constructing the server and
+        read (milliseconds at 8k rules), so constructing the server and
         serving frames read it zero times — the field count comes from the
         stack's ``schema``, once."""
         reads = []

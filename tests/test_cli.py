@@ -232,15 +232,19 @@ class TestServeListen:
         assert args.max_queue == DEFAULT_MAX_QUEUE
         assert args.cache_size == 0
 
-    def test_retrain_threshold_needs_a_stack_that_retrains(self, ruleset_file, capsys):
-        """A single engine behind --listen has no retrain lifecycle: the flag
+    def test_retrain_threshold_needs_a_stack_that_retrains(
+        self, ruleset_file, tmp_path, capsys
+    ):
+        """A single engine has no retrain lifecycle, served or saved: the flag
         is refused loudly instead of dropped, before anything is built."""
         assert build_parser().parse_args(["serve", "r.txt"]).retrain_threshold is None
+        saved = tmp_path / "engine.json.gz"
         for shards in ("1", "0"):
-            code = main(["serve", str(ruleset_file), "--listen", "127.0.0.1:0",
-                         "--shards", shards, "--retrain-threshold", "0.2"])
-            assert code == 2
-            assert "--shards 2" in capsys.readouterr().err
+            for how in (["--listen", "127.0.0.1:0"], ["--save", str(saved)]):
+                code = main(["serve", str(ruleset_file), *how,
+                             "--shards", shards, "--retrain-threshold", "0.2"])
+                assert code == 2 and not saved.exists()
+                assert "--shards 2" in capsys.readouterr().err
 
     def test_retrain_threshold_reaches_the_sharded_engine(self, ruleset_file, tmp_path):
         from repro.serving import ShardedEngine
@@ -252,8 +256,7 @@ class TestServeListen:
         ):
             saved = tmp_path / "sharded.json.gz"
             assert main(["serve", str(ruleset_file), "--classifier", "tm",
-                         "--executor", "serial", "--packets", "50",
-                         "--save", str(saved), *flags]) == 0
+                         "--executor", "serial", "--save", str(saved), *flags]) == 0
             with ShardedEngine.load(saved) as restored:
                 assert restored.updates.retrain_threshold == expected
 
@@ -399,44 +402,111 @@ class TestServeListen:
             assert set(glob.glob("/dev/shm/rqw*")) <= segments_before
 
 
+def _replay_json(capsys, *argv) -> dict:
+    """``repro replay ARGV --json`` parsed; the measured fields are the run's
+    own, ``matched`` and the modelled latency are the stack's."""
+    capsys.readouterr()
+    assert main(["replay", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestServe:
-    def test_serve_builds_and_reports_throughput(self, ruleset_file, capsys):
-        assert main(["serve", str(ruleset_file), "--shards", "2",
-                     "--classifier", "tm", "--executor", "serial",
-                     "--packets", "100", "--batch-size", "32"]) == 0
-        out = capsys.readouterr().out
-        assert "sharded[2]" in out
-        assert "modelled throughput Mpps" in out
+    def test_serve_without_listen_or_save_names_replay(self, ruleset_file, capsys):
+        """``repro serve`` is the network server; the local trace run it used
+        to fall back to is ``repro replay``, and one line says so."""
+        assert main(["serve", str(ruleset_file), "--classifier", "tm"]) == 2
+        captured = capsys.readouterr()
+        assert "repro replay" in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["engine", "serve", "e.json.gz"],
+            ["serve", "r.txt", "--packets", "10"],
+            ["serve", "r.txt", "--batch-size", "32"],
+            ["serve", "r.txt", "--seed", "2"],
+            ["serve", "r.txt", "--partitioner", "auto"],
+        ],
+    )
+    def test_local_run_flags_are_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
+    def test_serve_saves_without_classifying(self, ruleset_file, tmp_path, capsys, monkeypatch):
+        from repro.serving import ShardedEngine
+
+        monkeypatch.setattr(
+            ShardedEngine, "classify_block",
+            lambda *a, **k: pytest.fail("`serve --save` ran a lookup"),
+        )
+        snapshot = tmp_path / "sharded.json.gz"
+        assert main(["serve", str(ruleset_file), "--shards", "3",
+                     "--classifier", "tm", "--save", str(snapshot)]) == 0
+        assert capsys.readouterr().out.strip() == str(snapshot)
+        with ShardedEngine.load(snapshot) as restored:
+            assert restored.num_shards == 3
+            assert "partitioner" not in restored.statistics()
 
     def test_serve_saves_and_reloads_snapshot(self, ruleset_file, tmp_path, capsys):
+        """save → reload → identical answers, through ``--save`` + ``replay``
+        (the fresh stack and the restored one see the same trace)."""
         snapshot = tmp_path / "sharded.json.gz"
         assert main(["serve", str(ruleset_file), "--shards", "3",
                      "--classifier", "tm", "--executor", "serial",
-                     "--packets", "50", "--save", str(snapshot)]) == 0
-        assert snapshot.exists()
-        capsys.readouterr()
-        assert main(["serve", str(snapshot), "--executor", "serial",
-                     "--packets", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "sharded[3]" in out
+                     "--save", str(snapshot)]) == 0
+        trace = ["--trace", "uniform", "--packets", "600"]
+        fresh = _replay_json(capsys, "--ruleset", str(ruleset_file),
+                             "--shards", "3", "--classifier", "tm", *trace)
+        restored = _replay_json(capsys, "--ruleset", str(snapshot), *trace)
+        assert restored["engine"] == fresh["engine"] == "sharded[3]"
+        assert restored["matched"] == restored["packets"] == 600
+        assert restored["modelled_latency_ns"] == fresh["modelled_latency_ns"]
 
-    def test_serve_refuses_a_file_that_is_not_a_sharded_snapshot(
-        self, ruleset_file, tmp_path, capsys
-    ):
-        """One line on stderr and exit 2 — no traceback — for a `.json` file
-        that is not JSON, for the single-engine snapshot `repro engine save`
-        writes, and for a sharded snapshot of another format version."""
+    def test_replay_reads_a_single_engine_snapshot(self, ruleset_file, tmp_path, capsys):
+        engine_file = tmp_path / "engine.json.gz"
+        assert main(["engine", "save", str(ruleset_file), str(engine_file)]) == 0
+        trace = ["--trace", "zipf", "--packets", "600", "--cache-size", "64"]
+        fresh = _replay_json(capsys, "--ruleset", str(ruleset_file),
+                             "--classifier", "nm", *trace)
+        restored = _replay_json(capsys, "--ruleset", str(engine_file), *trace)
+        assert restored["engine"] == fresh["engine"] == "cached(engine[nm])"
+        assert restored["matched"] == restored["packets"] == 600
+        assert restored["modelled_latency_ns"] == fresh["modelled_latency_ns"]
+
+    def test_serve_listens_on_a_single_engine_snapshot(self, ruleset_file, tmp_path):
+        """One loader for both kinds: the file ``repro engine save`` writes
+        simply serves."""
+        from repro.workloads import run_load
+
+        engine_file = tmp_path / "engine.json.gz"
+        assert main(["engine", "save", str(ruleset_file), str(engine_file),
+                     "--classifier", "tm"]) == 0
+        with listening_server(engine_file) as (proc, announce):
+            host, port = announce.split()[2].rsplit(":", 1)
+            packets = [
+                tuple(p)
+                for p in parse_classbench_file(ruleset_file).sample_packets(16, seed=5)
+            ]
+            report = run_load(host, int(port), packets, connections=1, batch=16)
+            assert report.completed == 16 and report.errors == 0
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=15) == 0
+
+    def test_refuses_a_file_that_is_not_a_snapshot(self, ruleset_file, tmp_path, capsys):
+        """One line on stderr and exit 2 — no traceback — from ``serve`` and
+        ``replay`` alike, for a `.json` file that is not JSON, for JSON that
+        is no snapshot, and for a sharded snapshot of another format version."""
         import gzip
 
         not_json = tmp_path / "rules.json"
         not_json.write_text("@1.2.3.4/32 ...")
-        engine_file = tmp_path / "engine.json.gz"
-        assert main(["engine", "save", str(ruleset_file), str(engine_file),
-                     "--classifier", "tm"]) == 0
+        no_snapshot = tmp_path / "other.json"
+        no_snapshot.write_text('{"rules": []}')
         sharded_file = tmp_path / "sharded.json.gz"
         assert main(["serve", str(ruleset_file), "--shards", "2",
                      "--classifier", "tm", "--executor", "serial",
-                     "--packets", "10", "--save", str(sharded_file)]) == 0
+                     "--save", str(sharded_file)]) == 0
         with gzip.open(sharded_file, "rt") as handle:
             document = json.load(handle)
         document["format"] += 1
@@ -445,14 +515,17 @@ class TestServe:
             json.dump(document, handle)
         capsys.readouterr()
         for path, says in (
-            (not_json, "not a sharded-engine snapshot"),
-            (engine_file, "repro engine load"),
+            (not_json, "Expecting value"),
+            (no_snapshot, "unsupported engine file format None"),
             (future_file, "unsupported sharded-engine file format"),
         ):
-            assert main(["serve", str(path), "--listen", "127.0.0.1:0"]) == 2
-            captured = capsys.readouterr()
-            assert says in captured.err and captured.err.count("\n") == 1
-            assert "Traceback" not in captured.err and "listening" not in captured.out
+            for argv in (["serve", str(path), "--listen", "127.0.0.1:0"],
+                         ["replay", "--ruleset", str(path)]):
+                assert main(argv) == 2
+                captured = capsys.readouterr()
+                assert says in captured.err and captured.err.count("\n") == 1
+                assert "not an engine snapshot" in captured.err
+                assert "Traceback" not in captured.err and captured.out == ""
 
     def test_executor_flag_offers_only_serial_and_workers(self):
         parser = build_parser()
@@ -463,17 +536,6 @@ class TestServe:
             for removed in ("gpu", "thread", "process"):
                 with pytest.raises(SystemExit):
                     parser.parse_args([*command, "--executor", removed])
-
-    def test_executor_defaults(self, ruleset_file, capsys):
-        parser = build_parser()
-        assert parser.parse_args(["replay"]).executor == "serial"
-        # `serve` resolves its default at run time: a single shard has nothing
-        # to fan out and stays in-process; a snapshot restores in-process too.
-        assert parser.parse_args(["serve", "x.txt"]).executor is None
-        assert main(["serve", str(ruleset_file), "--shards", "1",
-                     "--classifier", "tm", "--packets", "50"]) == 0
-        out = capsys.readouterr().out
-        assert "executor" in out and "serial" in out and "workers" not in out
 
 
 class TestReplay:
@@ -486,6 +548,31 @@ class TestReplay:
         assert "cache hit rate" in out
         assert "latency p99 ns/pkt" in out
         assert "cached(sharded[2])" in out
+
+    def test_replay_builds_and_reports_throughput(self, ruleset_file, capsys):
+        assert main(["replay", "--ruleset", str(ruleset_file), "--shards", "2",
+                     "--classifier", "tm", "--executor", "serial", "--trace",
+                     "uniform", "--packets", "100", "--batch-size", "32"]) == 0
+        out = capsys.readouterr().out
+        assert "sharded[2]" in out
+        assert "modelled throughput Mpps" in out
+
+    def test_executor_defaults(self, ruleset_file, capsys, tmp_path):
+        from repro.engine import ClassificationEngine
+
+        parser = build_parser()
+        assert parser.parse_args(["replay"]).executor == "serial"
+        # `serve` resolves its default at run time: a single shard has nothing
+        # to fan out and is a plain engine, --listen or not; a snapshot
+        # restores in-process too.
+        assert parser.parse_args(["serve", "x.txt"]).executor is None
+        saved = tmp_path / "one.json.gz"
+        assert main(["serve", str(ruleset_file), "--shards", "1",
+                     "--classifier", "tm", "--save", str(saved)]) == 0
+        assert ClassificationEngine.load(saved).classifier_name == "tm"
+        assert main(["replay", "--ruleset", str(saved), "--trace", "uniform",
+                     "--packets", "50"]) == 0
+        assert "engine[tm]" in capsys.readouterr().out
 
     def test_replay_generates_synthetic_ruleset_by_default(self, capsys):
         assert main(["replay", "--trace", "uniform", "--rules", "200",

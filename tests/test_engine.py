@@ -106,29 +106,29 @@ class TestEngineFacade:
     def test_classify_matches_oracle(self, engine, acl_small):
         assert engine.verify(acl_small.sample_packets(100, seed=23)) == 100
 
-    def test_serve_batches_cover_all_packets(self, engine, acl_small):
+    def test_replay_batches_cover_all_packets(self, engine, acl_small):
+        from repro.traffic import Trace
+        from repro.workloads import replay_trace
+
         packets = acl_small.sample_packets(100, seed=24)
-        reports = list(engine.serve(packets, batch_size=32))
-        assert [len(report) for report in reports] == [32, 32, 32, 4]
-        assert sum(report.matched for report in reports) == 100
-        aggregate = reports[0].trace
-        assert aggregate.total_accesses > 0
+        report = replay_trace(engine, Trace(packets), batch_size=32)
+        assert report.packets == report.matched == 100
+        assert report.modelled_latency_ns > 0
 
-    def test_serve_rejects_bad_batch_size_eagerly(self, engine):
-        # The validation must fire at the call site, not on first iteration.
+    def test_replay_rejects_bad_batch_size(self, engine):
+        from repro.workloads import replay_trace
+
         with pytest.raises(ValueError):
-            engine.serve([], batch_size=0)
+            replay_trace(engine, [], batch_size=0)
 
-    def test_batch_report_counts_matches_once(self, engine, acl_small):
-        from repro.engine import BatchReport
+    def test_classify_batch_matches_every_sampled_packet(self, engine, acl_small):
+        from repro.classifiers.base import LookupTrace
 
         packets = acl_small.sample_packets(20, seed=29)
-        report = BatchReport(engine.classify_batch(packets))
-        assert report.matched == 20
-        # The count is computed at construction, not by re-scanning the
-        # results on every access: mutating the list must not change it.
-        report.results.clear()
-        assert report.matched == 20
+        results = engine.classify_batch(packets)
+        assert sum(result.matched for result in results) == 20
+        aggregate = LookupTrace.aggregate(result.trace for result in results)
+        assert aggregate.total_accesses > 0
 
     def test_statistics_carry_metadata(self, engine):
         stats = engine.statistics()

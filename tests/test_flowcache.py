@@ -273,11 +273,12 @@ class TestCachedEngine:
         assert second.trace.hash_ops == 1 and second.trace.index_accesses == 1
         assert second.trace is not first.trace
 
-    def test_serve_batches_and_statistics(self, acl_small, engine):
+    def test_replay_batches_and_statistics(self, acl_small, engine):
+        from repro.workloads import replay_trace
+
         cached = CachedEngine(engine, capacity=128)
         trace = generate_zipf_trace(acl_small, 600, top3_share=95, seed=8)
-        matched = sum(report.matched for report in cached.serve(trace, batch_size=50))
-        assert matched > 0
+        assert replay_trace(cached, trace, batch_size=50).matched > 0
         stats = cached.statistics()
         assert stats["name"] == "cached"
         assert stats["cache"]["capacity"] == 128
@@ -286,7 +287,9 @@ class TestCachedEngine:
     def test_capacity_bound_holds_under_serving(self, acl_small, engine):
         cached = CachedEngine(engine, capacity=32)
         trace = generate_zipf_trace(acl_small, 800, top3_share=80, seed=2)
-        for report in cached.serve(trace, batch_size=64):
+        packets = list(trace)
+        for start in range(0, len(packets), 64):
+            cached.classify_batch(packets[start : start + 64])
             assert len(cached.cache) <= 32
 
     def test_sharded_updates_invalidate_through_queue(self, acl_small):

@@ -4,7 +4,12 @@ import hashlib
 
 import pytest
 
-from repro.core.isets import max_independent_set, partition_isets, partition_shards
+from repro.core.isets import (
+    PartitionResult,
+    max_independent_set,
+    partition_isets,
+    partition_shards,
+)
 from repro.rules import generate_classbench
 from repro.rules.fields import FIVE_TUPLE
 from repro.rules.rule import Rule, RuleSet
@@ -245,14 +250,13 @@ class TestParentPartitions:
                 _sha256([group.rule_id.tolist() for group in groups]),
             ) == PARENT_SHARD_GROUPS[application, shards], shards
 
-    def test_round_robin_deals_rules_out_cyclically(self, acl_small, fw_small):
-        # Round-robin is partition_shards with no iSets; it deals as the parent's
-        # ``position % shards`` loop did.
-        from repro.serving.partitioning import partition_for_shards
-
+    def test_no_isets_deals_rules_out_cyclically(self, acl_small, fw_small):
+        # With no iSets every rule is remainder, and the remainder top-up deals
+        # as the round-robin ``position % shards`` loop once did.
         for ruleset in (acl_small, fw_small):
+            everything = PartitionResult([], ruleset, len(ruleset))
             for shards in (1, 2, 3):
-                groups = partition_for_shards(ruleset, shards, "round-robin")
+                groups = partition_shards(ruleset, shards, partition=everything)
                 assert [group.rule_id.tolist() for group in groups] == [
                     ruleset.rule_id[index::shards].tolist() for index in range(shards)
                 ]

@@ -77,8 +77,8 @@ def test_scenario_matrix_matches_linear_search(
     try:
         packets = list(trace)
         results = []
-        for report in engine.serve(packets, batch_size=BATCH):
-            results.extend(report.results)
+        for start in range(0, len(packets), BATCH):
+            results.extend(engine.classify_batch(packets[start : start + BATCH]))
         assert len(results) == len(packets)
         assert_matches_ground_truth(matrix_rules.rules, packets, results)
     finally:

@@ -197,12 +197,11 @@ class TestRuleStore:
 
     def test_array_paths_construct_no_rule_objects(self, monkeypatch):
         from repro.classifiers.linear import LinearSearchClassifier
-        from repro.core.isets import partition_isets
+        from repro.core.isets import partition_isets, partition_shards
         from repro.core.nuevomatch import NuevoMatch
         from repro.engine import ClassificationEngine
         from repro.rules import generate_classbench
         from repro.serving import ShardedEngine
-        from repro.serving.partitioning import partition_for_shards
 
         source = generate_classbench("acl1", 600, seed=2)
         rules = RuleSet.from_columns(
@@ -229,7 +228,7 @@ class TestRuleStore:
         engine.insert(inserted)
         assert engine.remove(int(rules.rule_id[3]))
         assert len(engine.live_ruleset()) == len(rules)
-        groups = partition_for_shards(rules, 2)
+        groups = partition_shards(rules, 2)
         sharded = ShardedEngine(
             [ClassificationEngine.build(group, classifier="linear") for group in groups]
         )

@@ -10,11 +10,7 @@ import pytest
 from repro.core.isets import partition_shards
 from repro.engine import ClassificationEngine
 from repro.rules.rule import Rule
-from repro.serving import (
-    DEFAULT_RETRAIN_THRESHOLD,
-    ShardedEngine,
-    partition_for_shards,
-)
+from repro.serving import DEFAULT_RETRAIN_THRESHOLD, ShardedEngine
 
 from _helpers import block_keys, block_of, fast_nm_config, linear_keys, scalar_arrays
 
@@ -37,10 +33,9 @@ def _wildcard(schema, priority, rule_id):
 
 
 class TestPartitioning:
-    @pytest.mark.parametrize("strategy", ["auto", "isets", "round-robin"])
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_disjoint_cover(self, acl_small, strategy, shards):
-        parts = partition_for_shards(acl_small, shards, strategy)
+    def test_disjoint_cover(self, acl_small, shards):
+        parts = partition_shards(acl_small, shards)
         assert len(parts) == shards
         ids = [rule.rule_id for part in parts for rule in part]
         assert sorted(ids) == sorted(rule.rule_id for rule in acl_small)
@@ -53,12 +48,13 @@ class TestPartitioning:
         assert max(sizes) <= 2 * target
 
     def test_rejects_bad_inputs(self, acl_small):
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            partition_for_shards(acl_small, 2, "bogus")
         with pytest.raises(ValueError):
-            partition_for_shards(acl_small, 0)
+            partition_shards(acl_small, 0)
         with pytest.raises(ValueError, match="cannot split"):
-            partition_for_shards(acl_small, len(acl_small) + 1)
+            partition_shards(acl_small, len(acl_small) + 1)
+        # The knob is gone from every layer that carried it.
+        with pytest.raises(TypeError):
+            ShardedEngine.build(acl_small, shards=2, classifier="tm", partitioner="auto")
 
 
 class TestServing:
@@ -103,13 +99,15 @@ class TestServing:
             merged[0, :3].sum()
         )
 
-    def test_serve_batches_cover_all_packets(self, sharded, acl_small):
+    def test_replay_batches_cover_all_packets(self, sharded, acl_small):
+        from repro.traffic import Trace
+        from repro.workloads import replay_trace
+
         packets = acl_small.sample_packets(70, seed=54)
-        reports = list(sharded.serve(packets, batch_size=32))
-        assert [len(report) for report in reports] == [32, 32, 6]
-        assert sum(report.matched for report in reports) == 70
+        report = replay_trace(sharded, Trace(packets), batch_size=32)
+        assert report.packets == report.matched == 70 and report.shards == 3
         with pytest.raises(ValueError):
-            sharded.serve([], batch_size=0)
+            replay_trace(sharded, [], batch_size=0)
 
     def test_verify_against_linear(self, sharded, acl_small):
         assert sharded.verify(acl_small.sample_packets(50, seed=55)) == 50

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.classifiers import CutSplitClassifier, TupleMergeClassifier
+from repro.classifiers import TupleMergeClassifier, build_classifier
 from repro.classifiers.base import LookupTrace
 from repro.core.nuevomatch import NuevoMatch
+from repro.rules import generate_classbench
 from repro.simulation import (
     CacheHierarchy,
     CostModel,
     evaluate_classifier,
-    evaluate_classifier_batched,
     evaluate_nuevomatch,
+    evaluate_sharded,
     inference_time_ns,
     measure_inference_ns,
     speedup,
@@ -124,20 +125,6 @@ class TestPerfHarness:
         assert report.throughput_pps > 0
         assert report.as_row()["classifier"] == "tm"
 
-    def test_batched_report_matches_per_packet_costs(self, acl_medium):
-        # The per-batch latency of an aggregated trace equals the sum of the
-        # per-packet latencies (the cost model is linear in the trace counts),
-        # so batch-mode and per-packet evaluation agree on the average.
-        tm = TupleMergeClassifier.build(acl_medium)
-        trace = generate_uniform_trace(acl_medium, 60, seed=4)
-        per_packet = evaluate_classifier(tm, trace, CostModel())
-        batched = evaluate_classifier_batched(tm, trace, CostModel(), batch_size=16)
-        assert batched.packets == 60
-        assert batched.extra["num_batches"] == 4
-        assert batched.avg_latency_ns == pytest.approx(
-            per_packet.avg_latency_ns, rel=1e-9
-        )
-
     def test_sharded_report_prices_per_shard_trace_columns(self, acl_small, monkeypatch):
         """``evaluate_sharded`` prices each batch at its slowest shard, from
         the column sums of that shard's trace block — equal to aggregating the
@@ -145,7 +132,6 @@ class TestPerfHarness:
         built in the modelled run."""
         from repro.classifiers.base import ClassificationResult, LookupTrace
         from repro.serving import ShardedEngine
-        from repro.simulation import evaluate_sharded
         from repro.simulation.perf import SYNC_OVERHEAD_NS
 
         trace = generate_uniform_trace(acl_small, 48, seed=6)
@@ -179,10 +165,15 @@ class TestPerfHarness:
             expected_ns / len(packets), rel=1e-9
         )
 
-    def test_batched_rejects_bad_batch_size(self, acl_medium):
-        tm = TupleMergeClassifier.build(acl_medium)
-        with pytest.raises(ValueError):
-            evaluate_classifier_batched(tm, [], batch_size=0)
+    def test_empty_trace_reports_zero(self, acl_small):
+        from repro.serving import ShardedEngine
+
+        tm = TupleMergeClassifier.build(acl_small)
+        report = evaluate_classifier(tm, [])
+        assert (report.packets, report.avg_latency_ns, report.throughput_pps) == (0, 0, 0)
+        with ShardedEngine.build(acl_small, shards=2, classifier="tm") as sharded:
+            report = evaluate_sharded(sharded, [])
+        assert (report.packets, report.avg_latency_ns, report.throughput_pps) == (0, 0, 0)
 
     def test_two_cores_double_throughput(self, acl_medium):
         tm = TupleMergeClassifier.build(acl_medium)
@@ -226,3 +217,106 @@ class TestPerfHarness:
         )["throughput"]
         # Figure 12: locality narrows NuevoMatch's advantage.
         assert skew_speedup <= uniform_speedup + 0.15
+
+
+# Modelled latencies (ns/packet) recorded at the parent commit (20b7336),
+# before ``evaluate_classifier`` became the block path and the per-packet
+# scalar loop and ``evaluate_classifier_batched`` were deleted: acl1/2000
+# (seed 1) x 1500-packet uniform and zipf-95 traces (seed 1), ``CostModel()``.
+#: ``evaluate_classifier(c, trace, CostModel(), cores=2).avg_latency_ns``.
+PARENT_CLASSIFIER_NS = {
+    "linear/uniform": 5851.435583333333,
+    "linear/zipf": 5211.334736111131,
+    "tss/uniform": 986.7180416666731,
+    "tss/zipf": 975.1105138888978,
+    "tm/uniform": 185.45405555555573,
+    "tm/zipf": 187.55629166666682,
+    "hicuts/uniform": 75.53084722222233,
+    "hicuts/zipf": 74.35912500000023,
+    "cs/uniform": 149.44586309523856,
+    "cs/zipf": 152.4655992063502,
+    "nc/uniform": 504.65187499999934,
+    "nc/zipf": 510.5485972222217,
+    "nm/uniform": 93.80419047619031,
+    "nm/zipf": 91.88820039682535,
+}
+#: ``evaluate_sharded`` on the uniform trace, keyed ``shards/batch_size`` (tm).
+PARENT_SHARDED_NS = {
+    "2/16": 181.78436111111114,
+    "2/128": 181.7843611111111,
+    "4/16": 125.38367063492063,
+    "4/128": 125.38367063492063,
+}
+#: ``replay_trace(stack, zipf).modelled_latency_ns`` per tm stack (cache: 256).
+PARENT_REPLAY_NS = {
+    "plain": 187.55629166666665,
+    "cached": 53.73360419444443,
+    "sharded": 181.40449999999998,
+    "cached-sharded": 52.08902522222221,
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_rules():
+    return generate_classbench("acl1", 2000, seed=1)
+
+
+@pytest.fixture(scope="module")
+def pinned_traces(pinned_rules):
+    return {
+        "uniform": generate_uniform_trace(pinned_rules, 1500, seed=1),
+        "zipf": generate_zipf_trace(pinned_rules, 1500, top3_share=95, seed=1),
+    }
+
+
+class TestParentPins:
+    """The one priced lookup loop reproduces what the parent's loops said."""
+
+    @pytest.mark.parametrize(
+        "name", ["linear", "tss", "tm", "hicuts", "cs", "nc", "nm"]
+    )
+    def test_evaluate_classifier(self, name, pinned_rules, pinned_traces):
+        params = (
+            {"remainder_classifier": "tm", "config": fast_nm_config()}
+            if name == "nm"
+            else {}
+        )
+        classifier = build_classifier(name, pinned_rules, **params)
+        for kind, trace in pinned_traces.items():
+            report = evaluate_classifier(classifier, trace, CostModel(), cores=2)
+            assert report.packets == 1500 and report.extra == {}
+            assert report.avg_latency_ns == pytest.approx(
+                PARENT_CLASSIFIER_NS[f"{name}/{kind}"], rel=1e-9
+            )
+            assert report.breakdown.total_ns == report.avg_latency_ns
+
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_evaluate_sharded(self, shards, pinned_rules, pinned_traces):
+        from repro.serving import ShardedEngine
+
+        with ShardedEngine.build(pinned_rules, shards=shards, classifier="tm") as sharded:
+            for batch_size in (16, 128):
+                report = evaluate_sharded(
+                    sharded, pinned_traces["uniform"], CostModel(), batch_size=batch_size
+                )
+                assert report.avg_latency_ns == pytest.approx(
+                    PARENT_SHARDED_NS[f"{shards}/{batch_size}"], rel=1e-9
+                )
+        with pytest.raises(ValueError):
+            evaluate_sharded(sharded, [], batch_size=0)
+
+    @pytest.mark.parametrize("label", list(PARENT_REPLAY_NS))
+    def test_replay_trace(self, label, pinned_rules, pinned_traces):
+        from repro.workloads import build_scenario_engine, replay_trace
+
+        stack = build_scenario_engine(
+            pinned_rules,
+            shards=2 if "sharded" in label else 1,
+            cache_size=256 if "cached" in label else 0,
+            classifier="tm",
+        )
+        with stack:
+            report = replay_trace(stack, pinned_traces["zipf"])
+        assert report.modelled_latency_ns == pytest.approx(
+            PARENT_REPLAY_NS[label], rel=1e-9
+        )

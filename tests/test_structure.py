@@ -1,20 +1,24 @@
 """Structural guard: one lookup path per stack, one update path, one RQ-RMI
-trainer, one data plane, one way to use N cores and one implementation per
-baseline family cannot grow back unnoticed.
+trainer, one data plane, one way to use N cores, one implementation per
+baseline family and one way to run a trace through a stack cannot grow back
+unnoticed.
 
 AST-based, so it reads what the source *defines*, not what an import happens
 to expose: among classifiers and engine stacks under ``src/repro`` only
 ``Classifier`` and ``EngineStack`` define ``classify_batch``, only
-``EngineStack`` defines ``serve``/``verify`` for engine stacks, the sharded
-engine keeps exactly two executors, the §3.9 update overlay lives in exactly
-one class (``ClassificationEngine``; ``_Shard`` is swap bookkeeping), the
+``EngineStack`` defines ``verify`` for engine stacks (nothing defines
+``serve``), the sharded engine keeps exactly two executors, the §3.9 update
+overlay lives in exactly one class (``ClassificationEngine``; ``_Shard`` is
+swap bookkeeping), the
 staged training loop lives in ``core/pipeline.py`` and the Adam update in
 ``core/training.py`` only, the server reaches the engine for a lookup from
 one call site behind one admission point, only ``serving/workers.py`` starts
 a process, no ``build`` takes a ``pipeline``, the hash and tree baselines
 share one early-termination loop per family and one ``build``, rules become
 arrays in ``rules/rule.py`` alone (no per-site converter, no sort of ``Rule``
-objects by attribute), and none of the superseded names survives.  (The wire
+objects by attribute), only ``workloads/replay.py`` times a lookup loop, only
+``simulation/`` prices one and the CLI builds its stacks through the replay
+module's two factories, and none of the superseded names survives.  (The wire
 client's ``AsyncClient.classify_batch`` is a network call, not a lookup
 implementation, and is exempt.)
 """
@@ -73,11 +77,13 @@ def test_classify_batch_has_two_definitions():
     }
 
 
-def test_only_the_mixin_defines_serve_and_verify_for_stacks():
+def test_only_the_mixin_defines_verify_for_stacks():
     stacks = {name for name in CLASS_METHODS if _descends_from(name, "EngineStack")}
     assert {"ClassificationEngine", "ShardedEngine", "CachedEngine"} <= stacks
-    for method in ("serve", "verify", "classify_traced", "classify"):
+    for method in ("verify", "classify_traced", "classify"):
         assert _defining(method) & stacks == {"EngineStack"}, method
+    # The batch-serving view is gone: a trace runs through `replay_trace`.
+    assert _defining("serve") == set()
     # Each stack implements the one lookup itself.
     for stack in stacks - {"EngineStack"}:
         assert "classify_block" in CLASS_METHODS[stack], stack
@@ -180,7 +186,8 @@ def test_superseded_names_are_gone():
         r"UpdatableClassifier|_TupleTable|_MergedTable|_ordered_tables|"
         r"_ordered_trees|_insert_into_tables|bucket_size_after_insert|"
         r"_recompute_max_priority|_rules_to_arrays|_rule_arrays|_packed_rules|"
-        r"_base_ids|_round_robin)\b|"
+        r"_base_ids|_round_robin|evaluate_classifier_batched|BatchReport|"
+        r"_cmd_engine_serve|partition_for_shards|PARTITIONERS)\b|"
         r"columnar="
     )
     offenders = [
@@ -193,12 +200,12 @@ def test_superseded_names_are_gone():
 
 
 def test_nothing_shipped_still_describes_a_deleted_path():
-    """The acceptance greps of ISSUEs 15, 16, 20 and 23, kept as a test: no
-    source, example, benchmark, script, doc or workflow names the deleted JSON
-    data plane, the deleted training orchestrator, the options that selected
-    them, the per-baseline table classes and native updates or the per-site
-    rule converters (CHANGES.md and ROADMAP.md are where the names are
-    spelled)."""
+    """The acceptance greps of ISSUEs 15, 16, 20, 23 and 24, kept as a test:
+    no source, example, benchmark, script, doc or workflow names the deleted
+    JSON data plane, the deleted training orchestrator, the options that
+    selected them, the per-baseline table classes and native updates, the
+    per-site rule converters or the second trace runs and the partitioner knob
+    (CHANGES.md and ROADMAP.md are where the names are spelled)."""
     gone = re.compile(
         r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|_op_classify|"
         r"negotiate=|wire_v2=|protocol=\"json\"|max_delay_us|max-delay-us|"
@@ -208,7 +215,9 @@ def test_nothing_shipped_still_describes_a_deleted_path():
         r"UpdatableClassifier|_TupleTable|_MergedTable|_ordered_tables|"
         r"_ordered_trees|_insert_into_tables|bucket_size_after_insert|"
         r"_recompute_max_priority|_rules_to_arrays|_rule_arrays|_packed_rules|"
-        r"_base_ids|_round_robin"
+        r"_base_ids|_round_robin|evaluate_classifier_batched|BatchReport|"
+        r"_cmd_engine_serve|partition_for_shards|PARTITIONERS|engine serve\b|"
+        r"--partitioner"
     )
     root = SRC.parent.parent
     shipped = [root / "README.md"] + [
@@ -418,3 +427,50 @@ def test_one_rule_representation():
     assert {"lo", "hi", "priority", "rule_id", "take", "concat"} <= (
         CLASS_METHODS["RuleSet"] | _names(ast.parse((SRC / "rules" / "rule.py").read_text()))
     )
+
+
+def _called(node: ast.Call) -> str:
+    return getattr(node.func, "attr", getattr(node.func, "id", ""))
+
+
+def test_one_trace_run():
+    """One way to run a trace through a stack.  In ``src/``: only
+    ``workloads/replay.py`` has a function that both loops over a lookup
+    (``classify_block`` / ``classify_batch`` / ``serve``) and reads
+    ``perf_counter``; only ``simulation/`` calls a ``CostModel``
+    ``*lookup_latency``; and ``cli.py`` constructs an engine stack itself only
+    where a command is about one engine or classifier (``build``, ``compare``,
+    ``engine save``) — ``serve`` and ``replay`` go through
+    ``build_scenario_engine`` / ``load_stack``."""
+    lookups = {"classify_block", "classify_batch", "serve"}
+    constructors = {"ClassificationEngine.build", "ShardedEngine.build", "CachedEngine"}
+    builders = {"_cmd_build", "_cmd_compare", "_cmd_engine_save"}
+    timed, priced, built = set(), set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = [n for n in ast.walk(function) if isinstance(n, ast.Call)]
+            loops_over_a_lookup = any(
+                isinstance(inner, ast.Call) and _called(inner) in lookups
+                for loop in ast.walk(function)
+                if isinstance(loop, (ast.For, ast.While))
+                for inner in ast.walk(loop)
+            )
+            if loops_over_a_lookup and any(
+                _called(call).startswith("perf_counter") for call in calls
+            ):
+                timed.add(f"{name}:{function.name}")
+            for call in calls:
+                if _called(call).endswith("lookup_latency"):
+                    priced.add(name)
+                if (
+                    name == "cli.py"
+                    and function.name not in builders
+                    and ast.unparse(call.func) in constructors
+                ):
+                    built.add(f"{function.name}:{ast.unparse(call.func)}")
+    assert timed == {"workloads/replay.py:replay_trace"}
+    assert priced == {"simulation/perf.py", "simulation/cost_model.py"}
+    assert built == set()

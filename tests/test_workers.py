@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from repro.classifiers.linear import LinearSearchClassifier
+from repro.core.isets import partition_shards
 from repro.engine import ClassificationEngine
 from repro.rules.rule import Rule, RuleSet
 from repro.serving import ShardedEngine, ShardWorkerRuntime, WorkerCrashed
-from repro.serving.partitioning import partition_for_shards
 
 from _helpers import block_keys, linear_keys, scalar_arrays
 
@@ -59,7 +59,7 @@ def _shard_engines(ruleset, shards):
         ClassificationEngine.build(
             RuleSet(list(part), schema=ruleset.schema), classifier="linear"
         )
-        for part in partition_for_shards(ruleset, shards)
+        for part in partition_shards(ruleset, shards)
     ]
 
 
