@@ -93,9 +93,8 @@ def main() -> None:
     for packet in live.sample_packets(300, seed=11):
         expected = live.match(packet)
         actual = engine.classify(packet)
-        if (expected is None) != (actual is None) or (
-            expected is not None and actual.priority != expected.priority
-        ):
+        expected_id = expected.rule_id if expected else None
+        if expected_id != (actual.rule_id if actual else None):
             mismatches += 1
     print(f"  {mismatches} mismatches out of 300 packets")
 

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import NO_FLOOR, Packet, Rule, RuleSet
 
 __all__ = [
     "LookupTrace",
@@ -29,6 +29,7 @@ __all__ = [
     "STATE_FORMAT_VERSION",
     "TRACE_FIELDS",
     "NO_FLOOR",
+    "check_results",
     "check_state_header",
     "trace_from_row",
 ]
@@ -43,11 +44,6 @@ TRACE_FIELDS = (
     "compute_ops",
     "hash_ops",
 )
-
-#: "No floor" sentinel for the per-row floors of
-#: :meth:`Classifier.classify_block_with_floors`.  Numerically above every real
-#: rule priority, so ``priority < NO_FLOOR`` always holds.
-NO_FLOOR = int(np.iinfo(np.int64).max)
 
 #: Version of the serializable classifier state produced by ``to_state`` and
 #: consumed by ``from_state``.  Bump when the layout changes incompatibly.
@@ -178,6 +174,24 @@ def trace_from_row(row: Sequence[int]) -> LookupTrace:
     return LookupTrace(*(int(value) for value in row))
 
 
+def check_results(
+    name: str, oracle: RuleSet, packets: list, results: list[ClassificationResult]
+) -> int:
+    """The ``verify`` oracle: raise ``AssertionError`` at the first packet
+    whose result's rule (or miss) is not ``oracle.match``'s, else return the
+    number of packets checked."""
+    for packet, result in zip(packets, results):
+        expected = oracle.match(packet)
+        expected_id = expected.rule_id if expected else None
+        actual_id = result.rule.rule_id if result.rule else None
+        if expected_id != actual_id:
+            raise AssertionError(
+                f"{name}: mismatch for packet {tuple(packet)}: "
+                f"expected rule {expected_id}, got {actual_id}"
+            )
+    return len(packets)
+
+
 class Classifier(ABC):
     """Abstract multi-field packet classifier.
 
@@ -286,9 +300,10 @@ class Classifier(ABC):
         """Floored columnar lookup — the remainder half of NuevoMatch's
         early-termination contract (§4), one floor per row.
 
-        ``floors`` is an int64 array of per-row priority floors
-        (:data:`NO_FLOOR` disables the floor for a row; ``None`` disables it
-        everywhere).  ``traces`` rows are *accumulated into*, not overwritten:
+        ``floors`` is an int64 array of per-row order-key floors: a row
+        reports only a match whose key is below its floor (:data:`NO_FLOOR`,
+        re-exported here, disables it for a row; ``None`` everywhere).
+        ``traces`` rows are *accumulated into*, not overwritten:
         NuevoMatch adds the remainder's counters on top of the iSet ones.  The
         generic implementation loops :meth:`classify_with_floor`, so any
         classifier can index a NuevoMatch remainder that serves blocks.
@@ -310,15 +325,15 @@ class Classifier(ABC):
         return rule_ids, priorities
 
     def classify_with_floor(
-        self, packet: Packet | Sequence[int], priority_floor: Optional[int]
+        self, packet: Packet | Sequence[int], floor: Optional[int]
     ) -> ClassificationResult:
-        """Lookup that may terminate early if no rule can beat ``priority_floor``.
+        """Lookup that may terminate early if no rule can beat ``floor``.
 
-        ``priority_floor`` is the numeric priority of the best match found so
-        far elsewhere (lower is better); a classifier supporting the paper's
-        *early termination* optimisation (§4) prunes work that cannot return a
-        strictly better (numerically lower) priority.  The default simply
-        performs a full lookup.
+        ``floor`` is the order key (:func:`~repro.rules.rule.order_key`) of
+        the best match found so far elsewhere, or ``None``.  A classifier
+        supporting the paper's *early termination* optimisation (§4) reports
+        only a match whose key is below it and prunes work that cannot return
+        one.  The default simply performs a full lookup.
         """
         return self.classify_traced(packet)
 
@@ -344,29 +359,13 @@ class Classifier(ABC):
         """Check the classifier against linear search on ``packets``.
 
         Returns the number of packets checked; raises ``AssertionError`` on the
-        first disagreement.  Used by tests and by the benchmark harness to
-        ensure the structures being timed are actually correct.
+        first packet whose rule (or miss) differs (:func:`check_results`).
+        Used by tests and by the benchmark harness to ensure the structures
+        being timed are actually correct.
         """
-        oracle = oracle or self.ruleset
-        count = 0
-        for packet in packets:
-            expected = oracle.match(packet)
-            actual = self.classify(packet)
-            expected_id = expected.rule_id if expected else None
-            actual_id = actual.rule_id if actual else None
-            if expected_id != actual_id:
-                expected_priority = expected.priority if expected else None
-                actual_priority = actual.priority if actual else None
-                # Distinct rules with equal priority and identical match sets
-                # are acceptable ties; anything else is a real bug.
-                if expected_priority != actual_priority:
-                    raise AssertionError(
-                        f"{self.name}: mismatch for packet {tuple(packet)}: "
-                        f"expected rule {expected_id} (prio {expected_priority}), "
-                        f"got {actual_id} (prio {actual_priority})"
-                    )
-            count += 1
-        return count
+        packets = list(packets)
+        results = self.classify_batch(packets)
+        return check_results(self.name, oracle or self.ruleset, packets, results)
 
 
 # Byte-size constants shared by the concrete classifiers' footprint models.

@@ -5,11 +5,14 @@ multi-dimensional rule space: internal nodes *cut* one dimension into equal
 sub-ranges or *split* it at a chosen point, and leaves hold at most ``binth``
 rules scanned linearly.  This module provides the node types, a generic
 recursive builder parameterised by a per-node policy, traced lookups, the
-early-termination bookkeeping (per-node best priority, §4 of the paper), and
-memory-footprint accounting that reflects rule replication.
+early-termination bookkeeping (per-node best order key, §4 of the paper), and
+memory-footprint accounting that reflects rule replication.  Leaves, node
+bounds and the walk order all use the rule order key
+(:func:`~repro.rules.rule.order_key`); an empty subtree's key is
+:data:`~repro.rules.rule.NO_FLOOR`.
 
 It also holds the one implementation of the tree family:
-:class:`ForestClassifier` owns a list of trees, the best-priority-first floored
+:class:`ForestClassifier` owns a list of trees, the best-key-first floored
 walk over them, the summed footprint and the common statistics; a named
 baseline is how it groups the rules into trees and the per-node policy it
 builds each tree with.  A built forest is immutable; online updates are the
@@ -30,7 +33,7 @@ from repro.classifiers.base import (
     POINTER_BYTES,
     RULE_ENTRY_BYTES,
 )
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import NO_FLOOR, Packet, Rule, RuleSet
 
 __all__ = [
     "Space",
@@ -77,35 +80,33 @@ Policy = Callable[[Space, list[Rule], int], CutAction | SplitAction | LeafAction
 
 
 class TreeNode:
-    """Base class for tree nodes; tracks the best priority in the subtree."""
+    """Base class for tree nodes; tracks the smallest order key in the
+    subtree (:data:`NO_FLOOR` when it holds no rule)."""
 
-    __slots__ = ("best_priority",)
+    __slots__ = ("best_key",)
 
-    def __init__(self) -> None:
-        self.best_priority: Optional[int] = None
+    def __init__(self, best_key: int = NO_FLOOR) -> None:
+        self.best_key = best_key
 
 
 class LeafNode(TreeNode):
     __slots__ = ("rules",)
 
     def __init__(self, rules: list[Rule]):
-        super().__init__()
-        self.rules = sorted(rules, key=lambda rule: rule.priority)
-        self.best_priority = self.rules[0].priority if self.rules else None
+        self.rules = sorted(rules, key=lambda rule: rule.key)
+        super().__init__(self.rules[0].key if self.rules else NO_FLOOR)
 
 
 class CutNode(TreeNode):
     __slots__ = ("dim", "num_cuts", "lo", "hi", "children")
 
     def __init__(self, dim: int, num_cuts: int, lo: int, hi: int, children: list[TreeNode]):
-        super().__init__()
+        super().__init__(min((child.best_key for child in children), default=NO_FLOOR))
         self.dim = dim
         self.num_cuts = num_cuts
         self.lo = lo
         self.hi = hi
         self.children = children
-        priorities = [c.best_priority for c in children if c.best_priority is not None]
-        self.best_priority = min(priorities) if priorities else None
 
     def child_index(self, value: int) -> int:
         span = self.hi - self.lo + 1
@@ -123,17 +124,11 @@ class SplitNode(TreeNode):
     __slots__ = ("dim", "threshold", "left", "right")
 
     def __init__(self, dim: int, threshold: int, left: TreeNode, right: TreeNode):
-        super().__init__()
+        super().__init__(min(left.best_key, right.best_key))
         self.dim = dim
         self.threshold = threshold
         self.left = left
         self.right = right
-        priorities = [
-            child.best_priority
-            for child in (left, right)
-            if child.best_priority is not None
-        ]
-        self.best_priority = min(priorities) if priorities else None
 
 
 @dataclass
@@ -292,26 +287,23 @@ class DecisionTree:
         self,
         values: Sequence[int],
         trace: LookupTrace,
-        priority_floor: Optional[int] = None,
+        floor: int = NO_FLOOR,
     ) -> Optional[Rule]:
-        """Walk the tree for ``values``; returns the best matching rule.
+        """Walk the tree for ``values``; returns the best matching rule whose
+        order key is below ``floor``.
 
-        ``priority_floor`` enables the paper's early-termination optimisation:
-        subtrees whose best priority cannot beat the floor are not entered.
+        ``floor`` enables the paper's early-termination optimisation: subtrees
+        whose best key cannot beat the floor are not entered.
         """
         node = self.root
         while True:
             trace.index_accesses += 1
-            if (
-                priority_floor is not None
-                and node.best_priority is not None
-                and node.best_priority >= priority_floor
-            ):
+            if node.best_key >= floor:
                 return None
             if isinstance(node, LeafNode):
                 for rule in node.rules:
-                    if priority_floor is not None and rule.priority >= priority_floor:
-                        return None  # leaf rules are priority-sorted
+                    if rule.key >= floor:
+                        return None  # leaf rules are key-sorted
                     trace.rule_accesses += 1
                     trace.compute_ops += len(values)
                     if rule.matches(values):
@@ -393,14 +385,9 @@ class ForestClassifier(Classifier):
         #: In group order — the order footprints and statistics report in.
         self._trees = trees
         # Walk order, fixed here because nothing mutates a tree afterwards:
-        # best (numerically smallest) root priority first, so a lookup stops
-        # at the first tree that cannot win.
-        self._walk_order = sorted(
-            trees,
-            key=lambda tree: tree.root.best_priority
-            if tree.root.best_priority is not None
-            else 1 << 60,
-        )
+        # smallest root key first, so a lookup stops at the first tree that
+        # cannot win.
+        self._walk_order = sorted(trees, key=lambda tree: tree.root.best_key)
 
     # -- lookup --------------------------------------------------------------------
 
@@ -408,23 +395,18 @@ class ForestClassifier(Classifier):
         return self.classify_with_floor(packet, None)
 
     def classify_with_floor(
-        self, packet: Packet | Sequence[int], priority_floor: Optional[int]
+        self, packet: Packet | Sequence[int], floor: Optional[int]
     ) -> ClassificationResult:
         values = packet.values if isinstance(packet, Packet) else tuple(packet)
         trace = LookupTrace()
         best: Rule | None = None
-        best_priority = priority_floor
+        best_key = NO_FLOOR if floor is None else floor
         for tree in self._walk_order:
-            if (
-                best_priority is not None
-                and tree.root.best_priority is not None
-                and tree.root.best_priority >= best_priority
-            ):
+            if tree.root.best_key >= best_key:
                 break
-            rule = tree.lookup(values, trace, best_priority)
-            if rule is not None and (best_priority is None or rule.priority < best_priority):
-                best = rule
-                best_priority = rule.priority
+            rule = tree.lookup(values, trace, best_key)
+            if rule is not None:  # the walk only returns a key below best_key
+                best, best_key = rule, rule.key
         return ClassificationResult(best, trace)
 
     # -- introspection -----------------------------------------------------------------

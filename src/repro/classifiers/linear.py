@@ -1,9 +1,11 @@
 """Linear-search classifier.
 
-The simplest possible classifier: scan every rule in priority order and return
-the first match.  It is used as the correctness oracle in tests and as the
-degenerate baseline in benchmarks; its lookup cost grows linearly with the
-rule-set, which is exactly why the paper's algorithms exist.
+The simplest possible classifier: scan every rule in the one rule order
+(:meth:`RuleSet.best_first <repro.rules.rule.RuleSet.best_first>`, smallest
+order key first) and return the first match.  It is used as the correctness
+oracle in tests and as the degenerate baseline in benchmarks; its lookup cost
+grows linearly with the rule-set, which is exactly why the paper's algorithms
+exist.
 """
 
 from __future__ import annotations
@@ -36,14 +38,13 @@ _RULE_CHUNK = 512
 
 @register("linear", aliases=("linear-search",))
 class LinearSearchClassifier(Classifier):
-    """Priority-ordered linear scan over the rule array."""
+    """Key-ordered linear scan over the rule array."""
 
     name = "linear"
 
     def __init__(self, ruleset: RuleSet):
         super().__init__(ruleset)
-        #: The rules best-priority first (equal priorities keep rule order).
-        self._ordered = ruleset.take(np.argsort(ruleset.priority, kind="stable"))
+        self._ordered = ruleset.best_first()
 
     def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
         return self.classify_with_floor(packet, None)
@@ -110,13 +111,13 @@ class LinearSearchClassifier(Classifier):
         return rule_ids, priorities
 
     def classify_with_floor(
-        self, packet: Packet | Sequence[int], priority_floor: Optional[int]
+        self, packet: Packet | Sequence[int], floor: Optional[int]
     ) -> ClassificationResult:
         values = packet.values if isinstance(packet, Packet) else tuple(packet)
         trace = LookupTrace()
         for rule in self._ordered:
-            if priority_floor is not None and rule.priority >= priority_floor:
-                break  # rules are priority-ordered; nothing below can win
+            if floor is not None and rule.key >= floor:
+                break  # rules are key-ordered; nothing below can win
             trace.rule_accesses += 1
             trace.compute_ops += len(values)
             if rule.matches(values):

@@ -4,8 +4,8 @@ Srinivasan, Suri and Varghese's Tuple Space Search [SIGCOMM 1999] partitions
 the rule-set by the *tuple* of prefix lengths used in each field; all rules of
 one tuple can be stored in a single hash table keyed by the masked field
 values.  A lookup masks the packet with every tuple's lengths and probes every
-table; a secondary check eliminates false positives and priority decides among
-the survivors.
+table; a secondary check eliminates false positives and the rule order decides
+among the survivors.
 
 Range handling: exact values and prefix ranges map to their natural prefix
 length; arbitrary (non-prefix) ranges are treated as a wildcard in the tuple
@@ -14,12 +14,14 @@ length; arbitrary (non-prefix) ranges are treated as a wildcard in the tuple
 (including Open vSwitch) and avoids rule replication.
 
 This module also holds the one implementation of the hash family:
-:class:`TupleHashClassifier` owns the tables, their best-priority-first probe
-order and the §4 early-termination lookup, and a named baseline is the
+:class:`TupleHashClassifier` owns the tables, their best-key-first probe order
+and the §4 early-termination lookup, and a named baseline is the
 ``_place`` policy that decides which table a rule goes into — here "the table
 of its exact tuple", in :mod:`repro.classifiers.tuplemerge` "the first
-compatible table with room".  A built classifier is immutable; online updates
-are the engine's overlay (:class:`repro.engine.ClassificationEngine`).
+compatible table with room".  Buckets and tables are ordered by rule order key
+(:func:`~repro.rules.rule.order_key`) and every prune compares keys, so ties
+in priority go to the lower rule id.  A built classifier is immutable; online
+updates are the engine's overlay (:class:`repro.engine.ClassificationEngine`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from repro.classifiers.base import (
 )
 from repro.classifiers.registry import register
 from repro.rules.fields import prefix_length_of_range
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import Packet, Rule, RuleSet, split_keys
 
 __all__ = ["TupleHashClassifier", "TupleSpaceSearchClassifier", "rule_tuple", "mask_value"]
 
@@ -76,9 +78,9 @@ class _HashTable:
         self.lengths = lengths
         self.field_bits = tuple(field_bits)
         self.buckets: dict[tuple[int, ...], list[Rule]] = defaultdict(list)
-        #: Numerically smallest priority stored; set by the first :meth:`add`
-        #: (a placement policy never leaves a table empty).
-        self.max_priority: int | None = None
+        #: Smallest order key stored (a placement policy never leaves a table
+        #: empty, so this is a real key once built).
+        self.best_key = NO_FLOOR
 
     def key_for_values(self, values: Sequence[int]) -> tuple[int, ...]:
         return tuple(
@@ -95,10 +97,9 @@ class _HashTable:
     def add(self, rule: Rule) -> None:
         bucket = self.buckets[self.key_for_rule(rule)]
         bucket.append(rule)
-        # Priority-ordered buckets let a lookup stop at the first match.
-        bucket.sort(key=lambda r: r.priority)
-        if self.max_priority is None or rule.priority < self.max_priority:
-            self.max_priority = rule.priority
+        # Key-ordered buckets let a lookup stop at the first match.
+        bucket.sort(key=lambda r: r.key)
+        self.best_key = min(self.best_key, rule.key)
 
     @property
     def num_rules(self) -> int:
@@ -132,9 +133,9 @@ class TupleHashClassifier(Classifier):
         for rule in rules:
             self._place(rule, tables)
         # Probe order, fixed here because nothing mutates a table afterwards:
-        # best (numerically smallest) priority first, so a lookup stops at the
-        # first table that cannot win.
-        self._tables = sorted(tables.values(), key=lambda table: table.max_priority)
+        # smallest best key first, so a lookup stops at the first table that
+        # cannot win.
+        self._tables = sorted(tables.values(), key=lambda table: table.best_key)
 
     # -- lookup ------------------------------------------------------------------
 
@@ -142,30 +143,28 @@ class TupleHashClassifier(Classifier):
         return self.classify_with_floor(packet, None)
 
     def classify_with_floor(
-        self, packet: Packet | Sequence[int], priority_floor: Optional[int]
+        self, packet: Packet | Sequence[int], floor: Optional[int]
     ) -> ClassificationResult:
         """The scalar, paper-faithful reference the columnar loop is tested against."""
         values = packet.values if isinstance(packet, Packet) else tuple(packet)
         trace = LookupTrace()
         best: Rule | None = None
-        best_priority = priority_floor
+        best_key = NO_FLOOR if floor is None else floor
         for table in self._tables:
-            if best_priority is not None and table.max_priority >= best_priority:
-                # Tables are sorted by best priority; nothing further can win.
-                break
+            if table.best_key >= best_key:
+                break  # tables are sorted by best key; nothing further can win
             trace.hash_ops += 1
             trace.index_accesses += 1
             bucket = table.buckets.get(table.key_for_values(values))
             if not bucket:
                 continue
             for rule in bucket:
-                if best_priority is not None and rule.priority >= best_priority:
-                    break  # bucket is priority-sorted; nothing better remains
+                if rule.key >= best_key:
+                    break  # bucket is key-sorted; nothing better remains
                 trace.rule_accesses += 1
                 trace.compute_ops += len(values)
                 if rule.matches(values):
-                    best = rule
-                    best_priority = rule.priority
+                    best, best_key = rule, rule.key
                     break
         return ClassificationResult(best, trace)
 
@@ -178,23 +177,21 @@ class TupleHashClassifier(Classifier):
         """Floored columnar lookup without per-row result objects (contract:
         :meth:`Classifier.classify_block_with_floors
         <repro.classifiers.base.Classifier.classify_block_with_floors>`); a
-        row only reports a match strictly better than its floor.
+        row only reports a match whose key is below its floor.
 
         Row-for-row identical to :meth:`classify_with_floor` (same table
         order, same early breaks, same counters) but allocation-free: no
         :class:`ClassificationResult`/:class:`LookupTrace` objects are built.
         """
         n = len(block)
-        rule_ids = np.full(n, -1, dtype=np.int64)
-        priorities = np.zeros(n, dtype=np.int64)
+        keys = np.full(n, NO_FLOOR, dtype=np.int64)
+        row_floors = [NO_FLOOR] * n if floors is None else floors.tolist()
         tables = self._tables
-        for row in range(n):
-            values = tuple(int(v) for v in block[row])
-            best_priority = NO_FLOOR if floors is None else int(floors[row])
-            best_id = -1
+        for row, values in enumerate(block.tolist()):
+            floor = best_key = row_floors[row]
             index_accesses = rule_accesses = compute_ops = hash_ops = 0
             for table in tables:
-                if table.max_priority >= best_priority:
+                if table.best_key >= best_key:
                     break
                 hash_ops += 1
                 index_accesses += 1
@@ -202,23 +199,21 @@ class TupleHashClassifier(Classifier):
                 if not bucket:
                     continue
                 for rule in bucket:
-                    if rule.priority >= best_priority:
-                        break  # bucket is priority-sorted; nothing better remains
+                    if rule.key >= best_key:
+                        break  # bucket is key-sorted; nothing better remains
                     rule_accesses += 1
                     compute_ops += len(values)
                     if rule.matches(values):
-                        best_id = rule.rule_id
-                        best_priority = rule.priority
+                        best_key = rule.key
                         break
-            if best_id >= 0:
-                rule_ids[row] = best_id
-                priorities[row] = best_priority
+            if best_key < floor:
+                keys[row] = best_key
             if traces is not None:
                 traces[row, 0] += index_accesses
                 traces[row, 1] += rule_accesses
                 traces[row, 3] += compute_ops
                 traces[row, 4] += hash_ops
-        return rule_ids, priorities
+        return split_keys(keys)
 
     # -- introspection -------------------------------------------------------------
 

@@ -82,7 +82,7 @@ class NuevoMatchConfig:
             must cover to be kept (0.25 when the remainder is a decision tree,
             0.05 for TupleMerge — §5.1).
         rqrmi: Configuration of the per-iSet RQ-RMI models.
-        early_termination: Query the remainder with a priority floor taken
+        early_termination: Query the remainder with an order-key floor taken
             from the iSet results (single-core mode, §4).
         remainder_params: Extra keyword arguments for the remainder
             classifier's ``build``.

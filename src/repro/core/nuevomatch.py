@@ -12,9 +12,14 @@ Lookup:
 1. Query every iSet: RQ-RMI inference → bounded secondary search → multi-field
    validation of the candidate rule.
 2. Query the remainder classifier — with the *early termination* optimisation
-   the remainder search is given the best priority found by the iSets as a
+   the remainder search is given the order key of the iSets' best match as a
    floor and can stop early (§4).
-3. The selector returns the highest-priority match.
+3. The selector returns the match with the smallest order key
+   (:func:`~repro.rules.rule.order_key`: highest priority, then lowest id).
+
+The block lookup tracks one best key per packet
+(:data:`~repro.rules.rule.NO_FLOOR` for "nothing yet") and splits it back
+into ``(rule_id, priority)`` once.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from repro.classifiers.base import (
     Classifier,
     LookupTrace,
     MemoryFootprint,
-    NO_FLOOR,
     RULE_ENTRY_BYTES,
     check_state_header,
 )
@@ -41,7 +45,7 @@ from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.isets import ISet, PartitionResult, partition_isets
 from repro.core.pipeline import train_rqrmi
 from repro.core.rqrmi import RQRMI, RangeSet
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import NO_FLOOR, Packet, Rule, RuleSet, result_keys, split_keys
 
 __all__ = ["ISetIndex", "NuevoMatch", "LookupBreakdown"]
 
@@ -114,16 +118,15 @@ class ISetIndex:
     def lookup_block(
         self,
         values: np.ndarray,
-        rule_ids: np.ndarray,
-        best_priorities: np.ndarray,
+        best_keys: np.ndarray,
         traces: Optional[np.ndarray] = None,
     ) -> None:
-        """Columnar iSet lookup: update per-row winners in place.
+        """Columnar iSet lookup: lower per-row best order keys in place.
 
         The allocation-free counterpart of :meth:`lookup`: inference (the
         paper's Table-1 vectorization) and candidate validation run across all
-        rows at once, winners (strictly better priority) are written into
-        ``rule_ids``/``best_priorities``, and ``traces`` rows — ``(n, 5)``
+        rows at once, a validated candidate with a smaller key replaces the
+        row's ``best_keys`` entry, and ``traces`` rows — ``(n, 5)``
         int64, :data:`~repro.classifiers.base.TRACE_FIELDS` order — accumulate
         exactly the counters the per-packet path records.
         """
@@ -152,12 +155,9 @@ class ISetIndex:
             (sub >= rules.lo[candidates]) & (sub <= rules.hi[candidates]), axis=1
         )
         matched_rows = rows[matched]
-        matched_candidates = candidates[matched]
-        candidate_priorities = rules.priority[matched_candidates]
-        better = candidate_priorities < best_priorities[matched_rows]
-        updated = matched_rows[better]
-        best_priorities[updated] = candidate_priorities[better]
-        rule_ids[updated] = rules.rule_id[matched_candidates[better]]
+        best_keys[matched_rows] = np.minimum(
+            best_keys[matched_rows], rules.key[candidates[matched]]
+        )
 
     def value_array_bytes(self) -> int:
         """Size of the packed per-field value array used by the secondary search."""
@@ -323,23 +323,28 @@ class NuevoMatch(Classifier):
         values = packet.values if isinstance(packet, Packet) else tuple(packet)
         trace = LookupTrace()
         breakdown = LookupBreakdown()
-        best: Rule | None = None
-        for iset in self.isets:
-            candidate = iset.lookup(values, trace, breakdown)
-            if candidate is not None and (best is None or candidate.priority < best.priority):
-                best = candidate
-
-        floor = best.priority if (best is not None and self.config.early_termination) else None
+        best = self._best_iset_match(values, trace, breakdown)
+        floor = best.key if (best is not None and self.config.early_termination) else None
         remainder_result = self.remainder.classify_with_floor(values, floor)
         trace = trace.merge(remainder_result.trace)
         breakdown.remainder_accesses += (
             remainder_result.trace.index_accesses + remainder_result.trace.rule_accesses
         )
-        if remainder_result.rule is not None and (
-            best is None or remainder_result.rule.priority < best.priority
-        ):
-            best = remainder_result.rule
+        found = remainder_result.rule
+        if found is not None and (best is None or found.key < best.key):
+            best = found
         return ClassificationResult(best, trace), breakdown
+
+    def _best_iset_match(
+        self, values: Sequence[int], trace: LookupTrace, breakdown: LookupBreakdown
+    ) -> Optional[Rule]:
+        """The iSets' validated candidate with the smallest key, or None."""
+        candidates = [iset.lookup(values, trace, breakdown) for iset in self.isets]
+        return min(
+            (rule for rule in candidates if rule is not None),
+            key=lambda rule: rule.key,
+            default=None,
+        )
 
     def classify_block(
         self,
@@ -357,22 +362,19 @@ class NuevoMatch(Classifier):
         block = np.asarray(block)
         n = block.shape[0]
         values = block.astype(np.int64, copy=False)
-        rule_ids = np.full(n, -1, dtype=np.int64)
-        best_priorities = np.full(n, NO_FLOOR, dtype=np.int64)
+        best_keys = np.full(n, NO_FLOOR, dtype=np.int64)
         if traces is not None:
             traces[:n] = 0
         for iset in self.isets:
-            iset.lookup_block(values, rule_ids, best_priorities, traces=traces)
-        floors = best_priorities if self.config.early_termination else None
+            iset.lookup_block(values, best_keys, traces=traces)
+        floors = best_keys if self.config.early_termination else None
         remainder_ids, remainder_priorities = (
             self.remainder.classify_block_with_floors(values, floors, traces=traces)
         )
-        # Strictly-better merge, mirroring the scalar path's `<` comparison
-        # (with floors the remainder already guarantees it; without, not).
-        wins = (remainder_ids >= 0) & (remainder_priorities < best_priorities)
-        rule_ids[wins] = remainder_ids[wins]
-        best_priorities[wins] = remainder_priorities[wins]
-        return rule_ids, np.where(rule_ids >= 0, best_priorities, 0)
+        # With floors the remainder only reports smaller keys; without, the
+        # minimum is the merge the scalar path makes.
+        best_keys = np.minimum(best_keys, result_keys(remainder_ids, remainder_priorities))
+        return split_keys(best_keys)
 
     def classify_isets_only(
         self, packet: Packet | Sequence[int]
@@ -380,13 +382,7 @@ class NuevoMatch(Classifier):
         """Query only the iSets (used by the two-core execution model)."""
         values = packet.values if isinstance(packet, Packet) else tuple(packet)
         trace = LookupTrace()
-        breakdown = LookupBreakdown()
-        best: Rule | None = None
-        for iset in self.isets:
-            candidate = iset.lookup(values, trace, breakdown)
-            if candidate is not None and (best is None or candidate.priority < best.priority):
-                best = candidate
-        return best, trace
+        return self._best_iset_match(values, trace, LookupBreakdown()), trace
 
     # --------------------------------------------------------------- statistics
 

@@ -52,7 +52,7 @@ class RangeSet:
         the ``lo`` and ``hi`` columns side by side as an ``(n, 2)`` array, or
         any sequence of ``(lo, hi)`` pairs, in any order."""
         pairs = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
         lo, hi = pairs[:, 0], pairs[:, 1]
         overlapping = np.flatnonzero(lo[1:] <= hi[:-1])
         if overlapping.size:

@@ -30,7 +30,6 @@ registered classifier:
 from __future__ import annotations
 
 import threading
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -50,16 +49,9 @@ from repro.engine.serialization import (
 )
 from repro.engine.stack import EngineStack, validate_block
 from repro.rules.fields import FieldSchema
-from repro.rules.rule import Rule, RuleSet
+from repro.rules.rule import Rule, RuleSet, check_order_inputs, result_keys
 
 __all__ = ["ClassificationEngine"]
-
-
-def _best_first(rules: RuleSet) -> RuleSet:
-    """``rules`` sorted by ``(priority, rule_id)``, so a first-containment scan
-    (``argmax`` over a boolean matrix) yields the best match directly — the
-    overlay/rescan passes lean on that ordering."""
-    return rules.take(np.lexsort((rules.rule_id, rules.priority)))
 
 
 class ClassificationEngine(EngineStack):
@@ -192,8 +184,11 @@ class ClassificationEngine(EngineStack):
         worker that holds a snapshot of the built structure only.  A masked
         winner costs a rescan of every live built rule (one rule access +
         ``num_fields`` compute ops each); overlay rules are then probed
-        best-first, one access each, until one matches or the current winner
-        strictly beats the next.  With an empty overlay this is one check.
+        best-first, one access each, until one matches or the current winner's
+        order key is below the next one's.  Both scans run over
+        :meth:`RuleSet.best_first <repro.rules.rule.RuleSet.best_first>`, so a
+        first containment is the best match.  With an empty overlay this is
+        one check.
         """
         if not self._inserted and not self._removed:
             return
@@ -210,7 +205,7 @@ class ClassificationEngine(EngineStack):
                 # built rules for the runner-up, vectorized over the (rare)
                 # affected rows (masked rules vanish for good at the next
                 # rebuild).
-                built = self._built_best_first
+                built = self.ruleset.best_first()
                 live = ~np.isin(built.rule_id, removed_ids)
                 scanned = int(live.sum())
                 rows = values[affected]
@@ -227,20 +222,14 @@ class ClassificationEngine(EngineStack):
                     traces[affected, 3] += scanned * num_fields
         if overlay:
             count = len(overlay)
-            inserted = _best_first(RuleSet(overlay, self.schema))
+            inserted = RuleSet(overlay, self.schema).best_first()
             o_pris, o_ids = inserted.priority, inserted.rule_id
-            # Overlay rules are probed best-first until the current winner
-            # strictly beats the next rule; with the overlay sorted ascending
-            # that cutoff is the first "beaten" column.
-            has_winner = rule_ids >= 0
-            beaten = has_winner[:, None] & (
-                (priorities[:, None] < o_pris[None, :])
-                | (
-                    (priorities[:, None] == o_pris[None, :])
-                    & (rule_ids[:, None] < o_ids[None, :])
-                )
+            # Overlay rules are probed best-first until the current winner's
+            # key is below the next rule's: the cutoff is how many overlay
+            # keys the winner's key (NO_FLOOR on a miss) does not beat.
+            stop = np.searchsorted(
+                inserted.key, result_keys(rule_ids, priorities), side="right"
             )
-            stop = np.where(beaten.any(axis=1), beaten.argmax(axis=1), count)
             match = (
                 (values[:, None, :] >= inserted.lo[None, :, :])
                 & (values[:, None, :] <= inserted.hi[None, :, :])
@@ -254,11 +243,6 @@ class ClassificationEngine(EngineStack):
                 traces[: len(values), 3] += probed * num_fields
             rule_ids[hit] = o_ids[first[hit]]
             priorities[hit] = o_pris[first[hit]]
-
-    @cached_property
-    def _built_best_first(self) -> RuleSet:
-        """The built rules best-first (for the masked-winner rescan)."""
-        return _best_first(self.ruleset)
 
     def rules_by_id(self, refresh: bool = False) -> dict[int, Rule]:
         """Map ``rule_id`` → :class:`Rule` over the *live* rules.
@@ -302,17 +286,15 @@ class ClassificationEngine(EngineStack):
         set (type iii): the stale copy is masked and the new version enters
         the overlay.  Raises ``ValueError``, changing nothing, when the rule
         does not fit the engine's schema (field count, every range inside its
-        field's domain) or its priority or id is negative: ``RuleSet`` rewrites
-        both to the rule's position, so such a rule would change rank (or
-        name) the moment a rebuild folds the overlay in, and a negative id is
-        the columnar results' miss encoding.
+        field's domain) or its priority or id falls outside the order key's
+        inputs (:func:`~repro.rules.rule.check_order_inputs`): ``RuleSet``
+        rewrites a negative one to the rule's position, so such a rule would
+        change rank (or name) the moment a rebuild folds the overlay in, a
+        negative id is the columnar results' miss encoding, and a key must
+        stay below ``NO_FLOOR``.
         """
         self.schema.validate_ranges(rule.ranges)
-        if rule.priority < 0 or rule.rule_id < 0:
-            raise ValueError(
-                f"rule {rule.rule_id} has negative priority {rule.priority} or a "
-                "negative id; online inserts need an explicit priority and id >= 0"
-            )
+        check_order_inputs(rule.priority, rule.rule_id)
         with self._lock:
             self._update_seq += 1
             if rule.rule_id in self._inserted or rule.rule_id in self.ruleset.row_of:

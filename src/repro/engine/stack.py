@@ -22,9 +22,10 @@ import numpy as np
 from repro.classifiers.base import (
     TRACE_FIELDS,
     ClassificationResult,
+    check_results,
     trace_from_row,
 )
-from repro.rules.rule import Packet, Rule
+from repro.rules.rule import Packet, Rule, RuleSet
 
 __all__ = ["EngineStack", "validate_block"]
 
@@ -113,24 +114,14 @@ class EngineStack:
         """Check the stack against linear search over its live rules.
 
         Returns the number of packets checked; raises ``AssertionError`` on
-        the first disagreement.  Distinct rules with equal priority are
-        acceptable ties, as in :meth:`Classifier.verify
-        <repro.classifiers.base.Classifier.verify>`.
+        the first packet whose rule (or miss) differs from
+        :meth:`RuleSet.match <repro.rules.rule.RuleSet.match>` over them
+        (:func:`~repro.classifiers.base.check_results`).
         """
-        packet_list = list(packets)
-        live = list(self.rules_by_id(refresh=True).values())
-        for packet, result in zip(packet_list, self.classify_batch(packet_list)):
-            values = packet.values if isinstance(packet, Packet) else tuple(packet)
-            expected_priority = min(
-                (rule.priority for rule in live if rule.matches(values)), default=None
-            )
-            actual_priority = result.rule.priority if result.rule else None
-            if expected_priority != actual_priority:
-                raise AssertionError(
-                    f"{type(self).__name__}: mismatch for packet {values}: "
-                    f"expected priority {expected_priority}, got {actual_priority}"
-                )
-        return len(packet_list)
+        packets = list(packets)
+        live = RuleSet(self.rules_by_id(refresh=True).values(), self.schema)
+        results = self.classify_batch(packets)
+        return check_results(type(self).__name__, live, packets, results)
 
     def __enter__(self):
         return self

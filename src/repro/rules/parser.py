@@ -101,8 +101,8 @@ def _format_ip_prefix(lo: int, hi: int) -> str:
 def write_classbench_file(ruleset: RuleSet, destination: str | Path | TextIO) -> None:
     """Write a 5-tuple rule-set in ClassBench filter format.
 
-    The rules are written in priority order so a round-trip preserves match
-    semantics.  IP fields must be prefix ranges (which is how the generators
+    The rules are written best first, so a round-trip keeps every packet's
+    winner.  IP fields must be prefix ranges (which is how the generators
     produce them); ports may be arbitrary ranges; the protocol must be exact
     or a full wildcard.
     """
@@ -110,7 +110,7 @@ def write_classbench_file(ruleset: RuleSet, destination: str | Path | TextIO) ->
         raise ValueError("ClassBench format requires the 5-tuple schema")
 
     def _write(handle: TextIO) -> None:
-        for rule in sorted(ruleset.rules, key=lambda r: r.priority):
+        for rule in ruleset.best_first():
             src = _format_ip_prefix(*rule.ranges[0])
             dst = _format_ip_prefix(*rule.ranges[1])
             sp_lo, sp_hi = rule.ranges[2]

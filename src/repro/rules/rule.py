@@ -1,9 +1,14 @@
-"""Rule, Packet and RuleSet data model.
+"""Rule, Packet and RuleSet data model, and the one rule order.
 
 A :class:`Rule` matches a packet when every packet field value falls inside
 the rule's inclusive range for that field.  When several rules match, the one
 with the *highest priority* wins; following the paper (Figure 2) lower
 numeric priority values denote higher priority (priority 1 beats priority 5).
+Equal priorities go to the lower ``rule_id``.  This module alone knows that
+order: :func:`order_key` packs it into one int64 (smaller wins, below
+:data:`NO_FLOOR`), and every other layer sorts by and compares those keys —
+:attr:`Rule.key`, :attr:`RuleSet.key`, :meth:`RuleSet.best_first`, and
+:func:`result_keys` / :func:`split_keys` for columnar results.
 
 A :class:`RuleSet` is an ordered collection of rules sharing one
 :class:`~repro.rules.fields.FieldSchema`, and the library's one rule store:
@@ -17,7 +22,7 @@ objects are materialised on first use, for the scalar reference paths.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -25,7 +30,49 @@ import numpy as np
 
 from repro.rules.fields import FIVE_TUPLE, FieldSchema
 
-__all__ = ["Packet", "Rule", "RuleSet", "first_duplicate"]
+__all__ = ["NO_FLOOR", "Packet", "Rule", "RuleSet", "check_order_inputs",
+           "first_duplicate", "order_key", "result_keys", "split_keys"]
+
+#: The "no match / no floor" key, int64 max: above every :func:`order_key`.
+#: A floored lookup (``classify_with_floor``, ``classify_block_with_floors``)
+#: reports only a match whose key is below its floor; this one prunes nothing.
+NO_FLOOR = int(np.iinfo(np.int64).max)
+
+
+def order_key(priority, rule_id):
+    """The one rule order as one integer, ``priority << 32 | rule_id``: the
+    smaller key wins (lower priority, then lower id).  Ints or int64 arrays."""
+    return priority << 32 | rule_id
+
+
+def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columnar ``(rule_ids, priorities)`` of int64 ``keys``; a
+    :data:`NO_FLOOR` key is the miss ``(-1, 0)``."""
+    hit = keys < NO_FLOOR
+    return np.where(hit, keys & 0xFFFFFFFF, -1), np.where(hit, keys >> 32, 0)
+
+
+def result_keys(rule_ids: np.ndarray, priorities: np.ndarray) -> np.ndarray:
+    """The keys of columnar results (inverse of :func:`split_keys`)."""
+    return np.where(rule_ids >= 0, order_key(priorities, rule_ids), NO_FLOOR)
+
+
+def check_order_inputs(priority, rule_id) -> None:
+    """Raise ``ValueError`` unless ``0 <= priority < 2**31 - 1`` and
+    ``0 <= rule_id < 2**32`` (ints, or arrays row by row): then every
+    :func:`order_key` is below :data:`NO_FLOOR`."""
+    priority, rule_id = np.atleast_1d(priority), np.atleast_1d(rule_id)
+    negative = (priority < 0) | (rule_id < 0)
+    bad = negative | (priority >= 2**31 - 1) | (rule_id >= 2**32)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(
+            f"rule {rule_id[row]} has negative priority {priority[row]} or a negative "
+            "id; online inserts need an explicit priority and id >= 0"
+            if negative[row]
+            else f"rule {rule_id[row]} has priority {priority[row]}: an order key "
+            "needs priority < 2**31 - 1 and rule id < 2**32"
+        )
 
 
 @dataclass(frozen=True)
@@ -53,12 +100,18 @@ class Rule:
         priority: Lower values win (priority 1 beats priority 2).
         action: Opaque action identifier returned to the caller on a match.
         rule_id: Stable identifier, unique within a rule-set.
+        key: ``order_key(priority, rule_id)``, stored at construction for the
+            scalar lookup loops (not compared, hashed or shown).
     """
 
     ranges: tuple[tuple[int, int], ...]
     priority: int
     action: str = ""
     rule_id: int = -1
+    key: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", order_key(self.priority, self.rule_id))
 
     def matches(self, packet: Packet | Sequence[int]) -> bool:
         """Return True if every packet field lies inside the rule's range."""
@@ -127,8 +180,9 @@ class RuleSet:
     Rules keep the order given; ``rule_id`` is assigned to the position in the
     set when not already set, and priorities default to the position as well
     (earlier rules win), matching ClassBench convention.  Construction checks
-    that every range fits the schema, that rule ids are unique and that no
-    field is wider than 63 bits (the columns are int64).
+    that every range fits the schema, that rule ids are unique, that no
+    field is wider than 63 bits (the columns are int64) and that every
+    priority and id fits an order key (:func:`check_order_inputs`).
 
     Attributes:
         lo, hi: Inclusive range bounds, read-only int64 ``(rules, fields)``.
@@ -189,6 +243,7 @@ class RuleSet:
         if (duplicate := first_duplicate(rule_id)) is not None:
             raise ValueError(f"rule id {duplicate} appears more than once in the rule-set")
         priority = np.where(priority >= 0, priority, positions)
+        check_order_inputs(priority, rule_id)
         actions = np.array(actions, dtype=object).reshape(len(lo))
         return self._freeze((lo, hi, priority, rule_id, actions), schema, name)
 
@@ -226,6 +281,22 @@ class RuleSet:
         """``rule_id -> row``, made on first use."""
         return {rule_id: row for row, rule_id in enumerate(self.rule_id.tolist())}
 
+    @cached_property
+    def key(self) -> np.ndarray:
+        """The rows' :func:`order_key` column, read-only int64, made on first use."""
+        key = order_key(self.priority, self.rule_id)
+        key.setflags(write=False)
+        return key
+
+    def best_first(self) -> "RuleSet":
+        """The rows in the one rule order, best first: ``take(argsort(key))``,
+        made once per rule-set (its rows never change)."""
+        return self._ranked
+
+    @cached_property
+    def _ranked(self) -> "RuleSet":
+        return self.take(np.argsort(self.key))
+
     # -- basic container protocol -------------------------------------------------
 
     def __len__(self) -> int:
@@ -255,19 +326,13 @@ class RuleSet:
     # -- ground truth --------------------------------------------------------------
 
     def match(self, packet: Packet | Sequence[int]) -> Rule | None:
-        """Linear-search ground truth: highest-priority matching rule or None."""
-        best: Rule | None = None
-        for rule in self.rules:
-            if rule.matches(packet):
-                if best is None or rule.priority < best.priority:
-                    best = rule
-        return best
+        """Linear-search ground truth: the matching rule with the smallest
+        :attr:`~Rule.key` (highest priority, then lowest id), or None."""
+        return next((rule for rule in self.best_first() if rule.matches(packet)), None)
 
     def all_matches(self, packet: Packet | Sequence[int]) -> list[Rule]:
-        """Every rule matching the packet, sorted by priority (best first)."""
-        hits = [rule for rule in self.rules if rule.matches(packet)]
-        hits.sort(key=lambda rule: rule.priority)
-        return hits
+        """Every rule matching the packet, best key first."""
+        return [rule for rule in self.best_first() if rule.matches(packet)]
 
     # -- derived sets --------------------------------------------------------------
 

@@ -6,10 +6,10 @@ reproduces that layer in software: the rule-set is partitioned across ``N``
 per-shard :class:`~repro.engine.ClassificationEngine` instances (iSet-aware,
 see :func:`repro.core.isets.partition_shards`), ``classify_block`` fans the
 block out to every shard and merges the per-shard winners exactly like
-NuevoMatch's selector merges its iSets — lowest numeric priority wins, ties
-broken by ``rule_id``.  That is the only lookup implemented here; object
-results come from the shared :class:`~repro.engine.stack.EngineStack`
-materializer.
+NuevoMatch's selector merges its iSets — the smallest rule order key wins
+(:func:`~repro.rules.rule.order_key`).  That is the only lookup implemented
+here; object results come from the shared
+:class:`~repro.engine.stack.EngineStack` materializer.
 
 Executors — two, each with a benchmark workload (``bench/``) measuring it:
 
@@ -56,7 +56,7 @@ from repro.engine.serialization import (
     write_engine_file,
 )
 from repro.rules.fields import FieldSchema
-from repro.rules.rule import Rule, RuleSet, first_duplicate
+from repro.rules.rule import Rule, RuleSet, first_duplicate, result_keys, split_keys
 from repro.serving.updates import DEFAULT_RETRAIN_THRESHOLD, UpdateQueue
 from repro.serving.workers import ShardWorkerRuntime, WorkerCrashed
 
@@ -112,9 +112,9 @@ class ShardedEngine(EngineStack):
     :class:`~repro.engine.ClassificationEngine` per shard) or restore with
     :meth:`load`.  ``classify_block`` output is identical to an unsharded
     engine over the same rules: every shard classifies the block against its
-    subset and the per-packet winners merge by ``(priority, rule_id)``; the
-    merged trace is the element-wise sum of the shard traces (the total work
-    performed across cores).
+    subset and the per-packet winners merge by order key; the merged trace is
+    the element-wise sum of the shard traces (the total work performed
+    across cores).
     """
 
     def __init__(
@@ -213,14 +213,13 @@ class ShardedEngine(EngineStack):
 
     @property
     def ruleset(self) -> RuleSet:
-        """The live rules across all shards, best-priority first.
+        """The live rules across all shards, best first.
 
         Rebuilt and sorted on every read — for reports and oracles; a data
         path needs only :attr:`schema`."""
-        live = RuleSet.concat(
+        return RuleSet.concat(
             [shard.engine.live_ruleset() for shard in self._shards], name="sharded"
-        )
-        return live.take(np.lexsort((live.rule_id, live.priority)))
+        ).best_first()
 
     def classify_block_per_shard(
         self, block: np.ndarray, want_traces: bool = False
@@ -265,36 +264,24 @@ class ShardedEngine(EngineStack):
         otherwise), each shard engine's update overlay applies vectorized
         (:meth:`ClassificationEngine.adjust_block
         <repro.engine.ClassificationEngine.adjust_block>`), and the per-shard
-        winners merge rule-id-aware — no per-packet Python objects on either executor, with
-        or without pending updates.  Misses carry ``rule_id == -1`` and
-        ``priority == 0``; ``traces`` (optional ``(n, 5)`` int64,
-        :data:`~repro.classifiers.base.TRACE_FIELDS` order) is overwritten
-        with the element-wise sum of the shard traces.
+        winners merge as the smallest order key — no per-packet Python objects
+        on either executor, with or without pending updates.  Misses carry
+        ``rule_id == -1`` and ``priority == 0``; ``traces`` (optional
+        ``(n, 5)`` int64, :data:`~repro.classifiers.base.TRACE_FIELDS` order)
+        is overwritten with the element-wise sum of the shard traces.
         """
         block = validate_block(block)
         n = block.shape[0]
-        rule_ids = np.full(n, -1, dtype=np.int64)
-        priorities = np.zeros(n, dtype=np.int64)
         if traces is not None:
             traces[:n] = 0
         if n == 0:
-            return rule_ids, priorities
+            return np.full(0, -1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         outputs = self.classify_block_per_shard(block, traces is not None)
-        for index, (ids, pris, shard_traces) in enumerate(outputs):
-            if traces is not None:
+        if traces is not None:
+            for _ids, _pris, shard_traces in outputs:
                 traces[:n] += shard_traces
-            if index == 0:
-                rule_ids[:] = ids
-                priorities[:] = pris
-            else:
-                better = (ids >= 0) & (
-                    (rule_ids < 0)
-                    | (pris < priorities)
-                    | ((pris == priorities) & (ids < rule_ids))
-                )
-                np.copyto(rule_ids, ids, where=better)
-                np.copyto(priorities, pris, where=better)
-        return rule_ids, priorities
+        keys = np.minimum.reduce([result_keys(ids, pris) for ids, pris, _ in outputs])
+        return split_keys(keys)
 
     def rules_by_id(self, refresh: bool = False) -> dict[int, Rule]:
         """``rule_id -> Rule`` over the live rules of every shard.

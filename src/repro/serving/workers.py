@@ -19,8 +19,8 @@ runtime is a data plane that moves bytes, not objects:
   objects and no pickling cross the process boundary.
 * **Columnar result rings** — workers answer with fixed-width records
   (``rule_id``, ``priority``, five :class:`~repro.classifiers.base.LookupTrace`
-  counters) in a result ring; the parent merges winners by
-  ``(priority, rule_id)`` exactly like the in-process ``serial`` executor.
+  counters) in a result ring; the parent merges winners by order key
+  exactly like the in-process ``serial`` executor.
 * **Semaphore doorbells** — a request/result semaphore pair per shard wakes
   the other side without polling loops on the data path (the control loop —
   generation checks, shutdown — runs only between batches, keeping the data

@@ -753,6 +753,35 @@ class TestProtocol:
 
         run_scenario_coro(scenario())
 
+    def test_insert_outside_the_order_key_range_is_a_bad_request(self, server_rules):
+        """A priority of 2**31 - 1 or more, or an id of 2**32 or more, has no
+        order key below ``NO_FLOOR``: ``bad-request``, and the engine answers
+        exactly as before."""
+
+        async def scenario():
+            full = [[0, spec.max_value] for spec in server_rules.schema]
+            engine = ClassificationEngine.build(server_rules, classifier="tm")
+            packets = server_rules.sample_packets(32, seed=71)
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                async with await AsyncClient.connect(
+                    server.host, server.port
+                ) as client:
+                    before = await client.classify_batch(packets)
+                    for priority, rule_id in ((2**31 - 1, 620_000), (0, 2**32)):
+                        with pytest.raises(ServerError) as excinfo:
+                            await client.request(
+                                "insert", rule=[full, priority, "wide", rule_id]
+                            )
+                        assert excinfo.value.code == "bad-request"
+                        assert "order key" in str(excinfo.value)
+                    stats = await client.stats()
+                    assert stats["engine"]["overlay_inserted"] == 0
+                    assert stats["engine"]["live_rules"] == len(server_rules)
+                    assert await client.classify_batch(packets) == before
+
+        run_scenario_coro(scenario())
+
     def test_stop_completes_with_idle_client_still_connected(self, server_rules):
         """An idle but connected client must not wedge shutdown (Python 3.12+
         makes Server.wait_closed wait for handlers, which only finish on

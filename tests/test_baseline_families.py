@@ -20,6 +20,7 @@ import pytest
 from repro.classifiers import build_classifier
 from repro.classifiers.base import NO_FLOOR, TRACE_FIELDS
 from repro.rules import generate_classbench
+from repro.rules.rule import order_key
 from repro.traffic import generate_uniform_trace
 
 from _helpers import block_of, fast_nm_config
@@ -159,7 +160,7 @@ class TestSameNumbersAsTheParent:
         rule_ids, priorities = classifier.classify_block(block, traces=traces)
         assert _digest(rule_ids, priorities, traces) == expected["block"]
 
-        floors = np.where(np.arange(len(block)) % 2 == 0, NO_FLOOR, 300)
+        floors = np.where(np.arange(len(block)) % 2 == 0, NO_FLOOR, order_key(300, 0))
         traces = np.zeros((len(block), len(TRACE_FIELDS)), dtype=np.int64)
         rule_ids, priorities = classifier.classify_block_with_floors(
             block, floors.astype(np.int64), traces=traces
@@ -182,11 +183,11 @@ class TestSameNumbersAsTheParent:
 def test_columnar_floored_lookup_equals_the_scalar_reference(name, rules, block):
     """``classify_block_with_floors`` equals ``classify_with_floor`` row for
     row, counters included — for no floors at all, ``NO_FLOOR``, a floor
-    nothing can beat (0) and a mid priority."""
+    nothing can beat (priority 0) and "strictly better than priority 300"."""
     classifier = build_classifier(name, rules)
     block = block[:400]
     n = len(block)
-    for floor in (None, NO_FLOOR, 0, 300):
+    for floor in (None, NO_FLOOR, order_key(0, 0), order_key(300, 0)):
         floors = None if floor is None else np.full(n, floor, dtype=np.int64)
         traces = np.zeros((n, len(TRACE_FIELDS)), dtype=np.int64)
         rule_ids, priorities = classifier.classify_block_with_floors(

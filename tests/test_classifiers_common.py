@@ -88,7 +88,7 @@ class TestAgainstOracle:
             actual = built_classifier.classify(packet)
             assert (expected is None) == (actual is None)
             if expected is not None:
-                assert actual.priority == expected.priority
+                assert actual.rule_id == expected.rule_id
 
     @pytest.mark.parametrize("cls", ALL_CLASSIFIERS, ids=lambda c: c.name)
     def test_firewall_ruleset(self, cls, fw_small):
@@ -125,26 +125,26 @@ class TestEarlyTermination:
             floored = built_classifier.classify_with_floor(packet, None).rule
             assert (plain is None) == (floored is None)
             if plain is not None:
-                assert plain.priority == floored.priority
+                assert plain.rule_id == floored.rule_id
 
     def test_floor_prunes_but_never_returns_worse(self, built_classifier, acl_small):
         for packet in acl_small.sample_packets(50, seed=10):
             best = acl_small.match(packet)
             if best is None:
                 continue
-            floor = best.priority  # nothing strictly better exists
+            floor = best.key  # nothing with a smaller key exists
             result = built_classifier.classify_with_floor(packet, floor)
             if result.rule is not None:
-                assert result.rule.priority < floor
+                assert result.rule.key < floor
 
     def test_floor_allows_finding_better_rules(self, built_classifier, acl_small):
         for packet in acl_small.sample_packets(50, seed=11):
             best = acl_small.match(packet)
             if best is None:
                 continue
-            result = built_classifier.classify_with_floor(packet, best.priority + 1)
+            result = built_classifier.classify_with_floor(packet, best.key + 1)
             assert result.rule is not None
-            assert result.rule.priority <= best.priority
+            assert result.rule.rule_id == best.rule_id
 
 
 class TestFootprint:

@@ -59,7 +59,7 @@ class TestBatchEquivalence:
             expected = acl_small.match(packet)
             assert (expected is None) == (batched.rule is None)
             if expected is not None:
-                assert batched.rule.priority == expected.priority
+                assert batched.rule.rule_id == expected.rule_id
 
     def test_empty_batch(self, named_classifier):
         assert named_classifier.classify_batch([]) == []

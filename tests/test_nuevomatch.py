@@ -78,7 +78,7 @@ class TestCorrectness:
             actual = nm_acl_medium.classify(packet)
             assert (expected is None) == (actual is None)
             if expected is not None:
-                assert actual.priority == expected.priority
+                assert actual.rule_id == expected.rule_id
 
     def test_firewall_ruleset(self, fw_small):
         nm = NuevoMatch.build(fw_small, remainder_classifier="tm", config=fast_nm_config())
@@ -103,7 +103,7 @@ class TestCorrectness:
             b = without_et.classify(packet)
             assert (a is None) == (b is None)
             if a is not None:
-                assert a.priority == b.priority
+                assert a.rule_id == b.rule_id
 
 
 class TestLookupDetails:

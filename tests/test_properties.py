@@ -255,7 +255,7 @@ class TestRuleSetProperties:
         hits = ruleset.all_matches(packet)
         assert (best is None) == (not hits)
         if best is not None:
-            assert hits[0].priority == best.priority
+            assert hits[0] == best
 
     @settings(max_examples=30, suppress_health_check=[HealthCheck.too_slow])
     @given(random_ruleset())

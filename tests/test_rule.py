@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.rules.fields import FIVE_TUPLE, FORWARDING, FieldSchema, FieldSpec
-from repro.rules.rule import Packet, Rule, RuleSet
+from repro.rules.rule import NO_FLOOR, Packet, Rule, RuleSet, order_key, split_keys
 
 from _helpers import fast_nm_config
 
@@ -195,6 +195,49 @@ class TestRuleStore:
         with pytest.raises(ValueError, match="expected"):
             RuleSet.from_columns([[0, 0]], [[1, 1]], [0], [0], [""])
 
+    def test_one_order_key_priority_then_id(self):
+        rules = [
+            make_rule(priority=2, rule_id=0),
+            make_rule(priority=1, rule_id=9),
+            make_rule(priority=1, rule_id=3),
+        ]
+        rs = RuleSet(rules, FIVE_TUPLE)
+        assert rs.key.tolist() == [order_key(2, 0), order_key(1, 9), order_key(1, 3)]
+        assert [rule.key for rule in rs] == rs.key.tolist()
+        assert not rs.key.flags.writeable
+        assert rs.best_first().rule_id.tolist() == [3, 9, 0]
+        assert rs.best_first() is rs.best_first()
+        assert rs.match((0, 0, 0, 0, 0)).rule_id == 3
+        assert [rule.rule_id for rule in rs.all_matches((0, 0, 0, 0, 0))] == [3, 9, 0]
+        ids, priorities = split_keys(np.array([order_key(1, 9), NO_FLOOR]))
+        assert (ids.tolist(), priorities.tolist()) == ([9, -1], [1, 0])
+
+    def test_order_key_inputs_are_bounded(self):
+        """``0 <= priority < 2**31 - 1`` and ``0 <= rule_id < 2**32``, checked
+        once after the negative -> position rewrite, so every key is below
+        ``NO_FLOOR``; an engine insert runs the same check and changes nothing
+        when it fails."""
+        from repro.engine import ClassificationEngine
+
+        wide = make_rule().ranges
+        largest = RuleSet([Rule(wide, 2**31 - 2, rule_id=2**32 - 1)], FIVE_TUPLE)
+        assert 0 < largest.key[0] < NO_FLOOR
+        engine = ClassificationEngine.build(
+            RuleSet([make_rule(rule_id=i, priority=i) for i in range(4)], FIVE_TUPLE),
+            classifier="linear",
+        )
+        for priority, rule_id in ((2**31 - 1, 0), (0, 2**32)):
+            with pytest.raises(ValueError, match="order key"):
+                RuleSet([Rule(wide, priority, rule_id=rule_id)], FIVE_TUPLE)
+            with pytest.raises(ValueError, match="order key"):
+                RuleSet.from_columns([[0] * 5], [[0] * 5], [priority], [rule_id], ["x"])
+            with pytest.raises(ValueError, match="order key"):
+                engine.insert(Rule(wide, priority, rule_id=rule_id))
+        with pytest.raises(ValueError, match="negative priority"):
+            engine.insert(Rule(wide, -1, rule_id=7))
+        assert engine.update_statistics()["overlay_inserted"] == 0
+        assert engine.live_size() == 4
+
     def test_array_paths_construct_no_rule_objects(self, monkeypatch):
         from repro.classifiers.linear import LinearSearchClassifier
         from repro.core.isets import partition_isets, partition_shards
@@ -220,10 +263,9 @@ class TestRuleStore:
         assert partition_isets(rules).isets
         LinearSearchClassifier(rules).classify_block(block)
         nm = NuevoMatch.build(rules, remainder_classifier="linear", config=fast_nm_config())
-        rule_ids = np.full(len(block), -1, dtype=np.int64)
-        best = np.full(len(block), np.iinfo(np.int64).max, dtype=np.int64)
-        nm.isets[0].lookup_block(block.astype(np.int64), rule_ids, best)
-        assert (rule_ids >= 0).any()
+        best = np.full(len(block), NO_FLOOR, dtype=np.int64)
+        nm.isets[0].lookup_block(block.astype(np.int64), best)
+        assert (best < NO_FLOOR).any()
         engine = ClassificationEngine(nm)
         engine.insert(inserted)
         assert engine.remove(int(rules.rule_id[3]))

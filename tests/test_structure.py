@@ -18,7 +18,9 @@ share one early-termination loop per family and one ``build``, rules become
 arrays in ``rules/rule.py`` alone (no per-site converter, no sort of ``Rule``
 objects by attribute), only ``workloads/replay.py`` times a lookup loop, only
 ``simulation/`` prices one and the CLI builds its stacks through the replay
-module's two factories, and none of the superseded names survives.  (The wire
+module's two factories, only ``rules/rule.py`` knows how rules are ordered
+(everything else compares order keys), and none of the superseded names
+survives.  (The wire
 client's ``AsyncClient.classify_batch`` is a network call, not a lookup
 implementation, and is exempt.)
 """
@@ -187,7 +189,8 @@ def test_superseded_names_are_gone():
         r"_ordered_trees|_insert_into_tables|bucket_size_after_insert|"
         r"_recompute_max_priority|_rules_to_arrays|_rule_arrays|_packed_rules|"
         r"_base_ids|_round_robin|evaluate_classifier_batched|BatchReport|"
-        r"_cmd_engine_serve|partition_for_shards|PARTITIONERS)\b|"
+        r"_cmd_engine_serve|partition_for_shards|PARTITIONERS|"
+        r"_best_first|_built_best_first|best_priority|max_priority|priority_floor)\b|"
         r"columnar="
     )
     offenders = [
@@ -200,12 +203,13 @@ def test_superseded_names_are_gone():
 
 
 def test_nothing_shipped_still_describes_a_deleted_path():
-    """The acceptance greps of ISSUEs 15, 16, 20, 23 and 24, kept as a test:
-    no source, example, benchmark, script, doc or workflow names the deleted
-    JSON data plane, the deleted training orchestrator, the options that
-    selected them, the per-baseline table classes and native updates, the
-    per-site rule converters or the second trace runs and the partitioner knob
-    (CHANGES.md and ROADMAP.md are where the names are spelled)."""
+    """The acceptance greps of the earlier clean-ups, kept as a test: no
+    source, example, benchmark, script, doc or workflow names the
+    deleted JSON data plane, the deleted training orchestrator, the options
+    that selected them, the per-baseline table classes and native updates, the
+    per-site rule converters, the second trace runs and the partitioner knob,
+    or the per-module priority orders (CHANGES.md and ROADMAP.md are where the
+    names are spelled)."""
     gone = re.compile(
         r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|_op_classify|"
         r"negotiate=|wire_v2=|protocol=\"json\"|max_delay_us|max-delay-us|"
@@ -217,7 +221,8 @@ def test_nothing_shipped_still_describes_a_deleted_path():
         r"_recompute_max_priority|_rules_to_arrays|_rule_arrays|_packed_rules|"
         r"_base_ids|_round_robin|evaluate_classifier_batched|BatchReport|"
         r"_cmd_engine_serve|partition_for_shards|PARTITIONERS|engine serve\b|"
-        r"--partitioner"
+        r"--partitioner|_best_first|_built_best_first|best_priority|max_priority|"
+        r"priority_floor"
     )
     root = SRC.parent.parent
     shipped = [root / "README.md"] + [
@@ -474,3 +479,41 @@ def test_one_trace_run():
     assert timed == {"workloads/replay.py:replay_trace"}
     assert priced == {"simulation/perf.py", "simulation/cost_model.py"}
     assert built == set()
+
+
+def _mentions_priority(tree: ast.AST) -> bool:
+    return any(
+        (isinstance(node, ast.Name) and "priorit" in node.id)
+        or (isinstance(node, ast.Attribute) and "priorit" in node.attr)
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_rule_order():
+    """``(priority, rule_id)`` is one order key made in ``rules/rule.py``
+    alone.  Elsewhere under ``src/`` nothing calls ``lexsort``, no
+    ``argsort`` of a priority and no ``sorted``/``.sort`` keyed on one, and no
+    ``<``/``<=``/``>``/``>=`` with a priority on either side: every sort,
+    floor and merge compares order keys."""
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = str(path.relative_to(SRC))
+        if name == "rules/rule.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called = _called(node)
+                keys = [keyword.value for keyword in node.keywords if keyword.arg == "key"]
+                if (
+                    called == "lexsort"
+                    or (called == "argsort" and _mentions_priority(node))
+                    or (called in {"sorted", "sort"} and any(map(_mentions_priority, keys)))
+                ):
+                    offenders.append(f"{name}:{node.lineno}: {called}")
+            elif isinstance(node, ast.Compare) and any(
+                isinstance(op, ordering) for op in node.ops
+            ):
+                if any(map(_mentions_priority, [node.left, *node.comparators])):
+                    offenders.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert offenders == []

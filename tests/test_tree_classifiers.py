@@ -17,7 +17,7 @@ from repro.classifiers.hicuts import HiCutsClassifier
 from repro.classifiers.neurocuts import NeuroCutsClassifier
 from repro.classifiers.base import LookupTrace
 from repro.rules.fields import FIVE_TUPLE
-from repro.rules.rule import Rule, RuleSet
+from repro.rules.rule import Rule, RuleSet, order_key
 
 
 def simple_rules(count=20):
@@ -71,10 +71,10 @@ class TestTreeBuilder:
         stats = DecisionTree(root).stats()
         assert stats.max_depth <= 3
 
-    def test_best_priority_propagates(self):
+    def test_best_key_propagates(self):
         rules = simple_rules(40)
         root = build_tree(rules, FIVE_TUPLE.full_ranges(), lambda s, r, d: CutAction(0, 8), binth=4)
-        assert root.best_priority == 0
+        assert root.best_key == order_key(0, 0)
 
     def test_lookup_finds_best_priority_match(self):
         rules = simple_rules(40)
@@ -87,7 +87,7 @@ class TestTreeBuilder:
             found = tree.lookup(tuple(packet), trace)
             expected = ruleset.match(packet)
             assert found is not None and expected is not None
-            assert found.priority == expected.priority
+            assert found.rule_id == expected.rule_id
             assert trace.index_accesses >= 1
 
     def test_lookup_with_floor_prunes(self):
@@ -97,7 +97,7 @@ class TestTreeBuilder:
         )
         packet = (105, 0, 0, 0, 0)  # matches rule 1
         trace = LookupTrace()
-        assert tree.lookup(packet, trace, priority_floor=1) is None
+        assert tree.lookup(packet, trace, floor=order_key(1, 0)) is None
 
     def test_stats_and_footprint(self):
         rules = simple_rules(60)
