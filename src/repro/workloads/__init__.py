@@ -9,19 +9,10 @@ many — and reports what an operator would measure: cache hit rate, wall-clock
 throughput and per-packet latency percentiles, next to the cost-model's
 cache-placement estimate.
 
-:mod:`repro.workloads.loadgen` is the open-loop counterpart for network
-serving: the same §5.1.1 traces offered as pipelined classify-batch frames
-to an :class:`~repro.serving.server.AsyncServer`, measuring client-observed
-throughput, latency and shedding.
+Network serving is measured over the wire by the benchmark in ``bench/``
+(see ``bench/README.md``), with its own load generator.
 """
 
-from repro.workloads.loadgen import (
-    BurstProfile,
-    LoadReport,
-    RampProfile,
-    open_loop_load,
-    run_load,
-)
 from repro.workloads.replay import (
     SNAPSHOT_SUFFIXES,
     TRACE_KINDS,
@@ -36,15 +27,10 @@ from repro.workloads.replay import (
 __all__ = [
     "SNAPSHOT_SUFFIXES",
     "TRACE_KINDS",
-    "BurstProfile",
-    "LoadReport",
-    "RampProfile",
     "ReplayReport",
     "build_scenario_engine",
     "load_stack",
     "make_trace",
-    "open_loop_load",
     "replay_trace",
-    "run_load",
     "run_scenario",
 ]

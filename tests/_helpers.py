@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.classifiers.base import TRACE_FIELDS
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
-from repro.serving import wire
+from repro.serving import AsyncClient, wire
 
 #: Fast RQ-RMI settings used across tests (fewer Adam epochs, small widths).
 FAST_RQRMI = RQRMIConfig(adam_epochs=80, initial_samples=256)
@@ -70,6 +70,22 @@ def linear_keys(rules, packets) -> list:
         match = next((rule for rule in ordered if rule.matches(values)), None)
         keys.append(None if match is None else (match.priority, match.rule_id))
     return keys
+
+
+def serve_packets(host: str, port: int, packets, batch: int = 1) -> int:
+    """Send ``packets`` to a server as ``batch``-row classify-batch frames,
+    one frame at a time over one connection; the number of answers.  A
+    rejected frame raises :class:`~repro.serving.ServerError`."""
+
+    async def _send() -> int:
+        block = block_of(packets)
+        answered = 0
+        async with await AsyncClient.connect(host, port) as client:
+            for start in range(0, len(block), batch):
+                answered += len(await client.classify_batch(block[start : start + batch]))
+        return answered
+
+    return asyncio.run(_send())
 
 
 class RawPeer:

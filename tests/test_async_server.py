@@ -28,11 +28,11 @@ from repro.serving import (
     ServerError,
     ShardedEngine,
 )
-from repro.workloads import build_scenario_engine, make_trace, open_loop_load
+from repro.workloads import build_scenario_engine, make_trace
 
 from repro.serving import wire
 
-from _helpers import RawPeer, fast_nm_config, linear_keys
+from _helpers import RawPeer, fast_nm_config, linear_keys, serve_packets
 
 SCENARIO_DEADLINE = 120.0
 
@@ -831,6 +831,73 @@ class TestProtocol:
         run_scenario_coro(scenario())
 
 
+class TestFrameAccounting:
+    """The server counts one binary batch per frame and admits every row of
+    it, whatever the frame width, a short tail frame or a frame wider than
+    the whole trace; concurrent connections add up frame by frame, and every
+    row still carries linear search."""
+
+    @pytest.mark.parametrize(
+        "shards,cache_size,connections,per_connection,batch",
+        [
+            (1, 0, 1, 60, 1),
+            (1, 0, 1, 100, 8),
+            (1, 0, 1, 128, 64),
+            (1, 0, 1, 100, 100),
+            (1, 0, 1, 100, 128),
+            (1, 0, 2, 50, 8),
+            (1, 0, 3, 200, 16),
+            (1, 256, 1, 90, 1),
+            (1, 256, 2, 37, 5),
+            (2, 0, 2, 64, 7),
+            (2, 256, 3, 16, 1),
+            (2, 256, 1, 300, 128),
+        ],
+    )
+    def test_every_frame_is_one_batch_and_every_row_is_answered(
+        self, server_rules, shards, cache_size, connections, per_connection, batch
+    ):
+        async def send(host, port, packets):
+            async with await AsyncClient.connect(host, port) as client:
+                responses = []
+                for start in range(0, len(packets), batch):
+                    responses += await client.classify_batch(
+                        packets[start : start + batch]
+                    )
+                return responses
+
+        async def scenario():
+            engine = build_stack(server_rules, shards, cache_size)
+            trace = make_trace(
+                "zipf", server_rules, connections * per_connection, seed=43, skew=95
+            )
+            packets = [tuple(int(v) for v in p) for p in trace]
+            streams = [
+                packets[i * per_connection : (i + 1) * per_connection]
+                for i in range(connections)
+            ]
+            try:
+                async with AsyncServer(engine) as server:
+                    await server.start("127.0.0.1", 0)
+                    answered = await asyncio.gather(
+                        *(send(server.host, server.port, s) for s in streams)
+                    )
+                    stats = server.statistics()["server"]
+            finally:
+                engine.close()
+            for stream, responses in zip(streams, answered):
+                assert [response_key(r) for r in responses] == linear_keys(
+                    server_rules, stream
+                )
+            frames = -(-per_connection // batch)
+            assert stats["binary_batches"] == connections * frames
+            assert stats["requests_served"] == connections * frames
+            assert stats["budget"]["admitted_packets"] == len(packets)
+            assert stats["budget"]["rejected_packets"] == 0
+
+        run_scenario_coro(scenario())
+
+
 class TestRunServer:
     def test_blocking_front_end_serves_until_shutdown(self, server_rules):
         """The CLI's engine room: run_server blocks a worker thread, serves
@@ -848,7 +915,6 @@ class TestRunServer:
             ready_event.set()
 
         from repro.serving import run_server
-        from repro.workloads import run_load
 
         thread = threading.Thread(
             target=lambda: holder.__setitem__(
@@ -867,91 +933,13 @@ class TestRunServer:
         assert ready_event.wait(timeout=15), "server never became ready"
         host, port = holder["address"]
         packets = [tuple(p) for p in server_rules.sample_packets(120, seed=53)]
-        report = run_load(host, port, packets, connections=2, window=16)
+        answered = serve_packets(host, port, packets)
         holder["loop"].call_soon_threadsafe(shutdown.set)
         thread.join(timeout=30)
         assert not thread.is_alive(), "run_server did not shut down"
-        assert report.completed == 120 and report.errors == 0
+        assert answered == 120
         stats = holder["stats"]["server"]
         assert stats["requests_served"] >= 120
-        assert stats["binary_batches"] == 120   # window=16, 1-row frames
+        assert stats["binary_batches"] == 120   # 1-row frames
         assert stats["budget"]["admitted_packets"] == 120
         engine.close()
-
-
-class TestOpenLoopLoadGenerator:
-    def test_open_loop_load_reports(self, server_rules):
-        async def scenario():
-            engine = ClassificationEngine.build(server_rules, classifier="tm")
-            trace = make_trace("zipf", server_rules, 600, seed=43, skew=95)
-            async with AsyncServer(engine) as server:
-                await server.start("127.0.0.1", 0)
-                report = await open_loop_load(
-                    server.host,
-                    server.port,
-                    list(trace),
-                    connections=3,
-                    window=16,
-                )
-            assert report.packets == 600
-            assert report.completed == 600
-            assert report.errors == 0 and report.overloaded == 0
-            assert report.throughput_rps > 0
-            assert report.latency_p99_us >= report.latency_p50_us > 0
-            # batch=1: every packet is its own 1-row frame.
-            assert report.server["server"]["binary_batches"] == 600
-            payload = report.as_dict()
-            assert payload["batch"] == 1
-            assert "protocol" not in payload and "mean_batch_size" not in payload
-
-        run_scenario_coro(scenario())
-
-    def test_batched_load_sends_one_frame_per_batch(self, server_rules):
-        async def scenario():
-            engine = ClassificationEngine.build(server_rules, classifier="tm")
-            async with AsyncServer(engine) as server:
-                await server.start("127.0.0.1", 0)
-                packets = [
-                    tuple(p) for p in server_rules.sample_packets(100, seed=48)
-                ]
-                batched = await open_loop_load(
-                    server.host, server.port, packets, connections=2, batch=8
-                )
-                single = await open_loop_load(
-                    server.host, server.port, packets, connections=2
-                )
-            assert batched.batch == 8 and single.batch == 1
-            for report in (batched, single):
-                assert report.completed == 100
-                assert report.errors == 0
-                assert report.matched == batched.matched
-            # Two connections x 50 packets: six full frames and a 2-row tail.
-            assert batched.server["server"]["binary_batches"] == 2 * 7
-            assert single.server["server"]["binary_batches"] == 2 * 7 + 100
-            with pytest.raises(ValueError, match="batch"):
-                await open_loop_load(server.host, server.port, packets, batch=0)
-
-        run_scenario_coro(scenario())
-
-    def test_rate_limited_load_respects_offered_rate(self, server_rules):
-        async def scenario():
-            engine = ClassificationEngine.build(server_rules, classifier="tm")
-            async with AsyncServer(engine) as server:
-                await server.start("127.0.0.1", 0)
-                packets = [
-                    tuple(p) for p in server_rules.sample_packets(200, seed=47)
-                ]
-                report = await open_loop_load(
-                    server.host,
-                    server.port,
-                    packets,
-                    connections=2,
-                    window=8,
-                    rate_pps=4000,
-                )
-            assert report.completed == 200
-            # Open-loop pacing: the run cannot finish faster than the offered
-            # rate allows (allowing generous scheduler slack).
-            assert report.throughput_rps <= 4000 * 1.5
-
-        run_scenario_coro(scenario())

@@ -18,6 +18,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.rules import generate_classbench, parse_classbench_file, write_classbench_file
 
+from _helpers import serve_packets
+
 
 @pytest.fixture()
 def ruleset_file(tmp_path):
@@ -335,8 +337,6 @@ class TestServeListen:
     def test_adaptive_summary_reports_the_controller(self, ruleset_file):
         """With an SLO the summary also says what the controller did: its
         objective, windows, breaches and the limit it left the budget at."""
-        from repro.workloads import run_load
-
         with listening_server(
             ruleset_file, "--slo-p99-us", "20000", "--max-queue", "512"
         ) as (proc, announce):
@@ -346,8 +346,7 @@ class TestServeListen:
                 tuple(p)
                 for p in parse_classbench_file(ruleset_file).sample_packets(64, seed=5)
             ]
-            report = run_load(host, int(port), packets, connections=1, batch=16)
-            assert report.completed == 64
+            assert serve_packets(host, int(port), packets, batch=16) == 64
             time.sleep(0.6)  # two control windows
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=15) == 0
@@ -363,8 +362,6 @@ class TestServeListen:
         """``SIGTERM`` (systemd, Docker, Kubernetes) and ``SIGINT`` both stop
         ``repro serve`` through ``engine.close()``: exit code 0, no shard
         worker left running, no shared-memory segment left behind."""
-        from repro.workloads import run_load
-
         def children_of(pid):
             found = []
             for stat in glob.glob("/proc/[0-9]*/stat"):
@@ -385,10 +382,7 @@ class TestServeListen:
                 tuple(p)
                 for p in parse_classbench_file(ruleset_file).sample_packets(8, seed=5)
             ]
-            report = run_load(
-                address[1], int(address[2]), packets, connections=1, window=8
-            )
-            assert report.completed == 8 and report.errors == 0
+            assert serve_packets(address[1], int(address[2]), packets) == 8
             workers = children_of(proc.pid)
             assert len(workers) >= 2, "the shard workers should be running"
             assert set(glob.glob("/dev/shm/rqw*")) - segments_before
@@ -477,8 +471,6 @@ class TestServe:
     def test_serve_listens_on_a_single_engine_snapshot(self, ruleset_file, tmp_path):
         """One loader for both kinds: the file ``repro engine save`` writes
         simply serves."""
-        from repro.workloads import run_load
-
         engine_file = tmp_path / "engine.json.gz"
         assert main(["engine", "save", str(ruleset_file), str(engine_file),
                      "--classifier", "tm"]) == 0
@@ -488,8 +480,7 @@ class TestServe:
                 tuple(p)
                 for p in parse_classbench_file(ruleset_file).sample_packets(16, seed=5)
             ]
-            report = run_load(host, int(port), packets, connections=1, batch=16)
-            assert report.completed == 16 and report.errors == 0
+            assert serve_packets(host, int(port), packets, batch=16) == 16
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=15) == 0
 

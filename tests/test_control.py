@@ -6,13 +6,23 @@ injectable clock, so every decision here is exact: budgets reject at
 breach shrinks the admission limit by *exactly* ``backoff``, and a steady
 in-deadband load produces *zero* limit changes (no oscillation).
 The asyncio loop that applies these decisions is covered end-to-end in
-``tests/test_async_server.py``.
+``tests/test_async_server.py``; the last test here (``perf``-marked) drives
+a paced engine over the wire through a 2x-capacity burst and holds the
+adaptive server to its SLO.
 """
 
 from __future__ import annotations
 
+import asyncio
+import time
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
+from repro.engine import ClassificationEngine
+from repro.rules import generate_classbench
+from repro.serving import AsyncClient, AsyncServer, ServerError
 from repro.serving.control import (
     CacheTuner,
     ControllerConfig,
@@ -20,6 +30,8 @@ from repro.serving.control import (
     PacketBudget,
     QueueFullError,
 )
+
+from _helpers import block_of
 
 
 class FakeClock:
@@ -410,3 +422,130 @@ class TestCacheTuner:
     def test_rejects_invalid_configuration(self, kwargs):
         with pytest.raises(ValueError):
             CacheTuner(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# End to end: adaptive admission holds the p99 SLO through a burst
+
+#: Engine pacing: 200 us of service per packet fixes capacity at 5000 pps on
+#: any host, so both servers below saturate at the same offered rate.
+PACKET_COST_US = 200.0
+CAPACITY_PPS = 1e6 / PACKET_COST_US
+SLO_P99_US = 50_000.0
+PHASE_SECONDS = 1.2
+#: (phase, offered load as a multiple of capacity, packet seed).
+PHASES = (("steady", 0.6, 101), ("burst", 2.0, 103), ("recovery", 0.6, 107))
+FRAME_ROWS = 8
+#: The static server's budget is effectively unbounded.  The adaptive one
+#: starts where its worst-case backlog (96 x 200 us ~ 19 ms) sits under the
+#: SLO and lets the controller walk it from there.
+STATIC_QUEUE = 200_000
+ADAPTIVE_QUEUE = 96
+
+
+class PacedEngine:
+    """Delegating engine whose columnar path costs a fixed time per packet."""
+
+    def __init__(self, inner, packet_cost_us: float):
+        self._inner = inner
+        self._packet_cost_s = packet_cost_us * 1e-6
+
+    def classify_block(self, block):
+        time.sleep(len(block) * self._packet_cost_s)
+        return self._inner.classify_block(block)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@dataclass
+class Phase:
+    packets: int
+    shed: int
+    p99_us: float
+
+    @property
+    def shed_fraction(self) -> float:
+        return self.shed / self.packets
+
+
+async def paced_phase(host: str, port: int, packets, rate_pps: float) -> Phase:
+    """Offer ``packets`` as ``FRAME_ROWS``-row frames at a constant rate.
+
+    Each frame leaves at its scheduled time whether or not earlier ones were
+    answered, and its latency runs from that schedule, so queueing is charged
+    to the server.  Percentiles cover admitted packets only; shed ones are
+    counted, and any other error fails the test.
+    """
+    block = block_of(packets)
+    latencies_us: list[float] = []
+    shed = 0
+
+    async def send(client, rows, due):
+        nonlocal shed
+        try:
+            await client.classify_batch(rows)
+        except ServerError as exc:
+            if exc.code != "overloaded":
+                raise
+            shed += len(rows)
+        else:
+            latencies_us.extend([(time.monotonic() - due) * 1e6] * len(rows))
+
+    async with await AsyncClient.connect(host, port) as client:
+        start = time.monotonic()
+        sends = []
+        for first in range(0, len(block), FRAME_ROWS):
+            due = start + first / rate_pps
+            await asyncio.sleep(max(0.0, due - time.monotonic()))
+            frame = block[first : first + FRAME_ROWS]
+            sends.append(asyncio.ensure_future(send(client, frame, due)))
+        await asyncio.gather(*sends)
+    p99_us = float(np.percentile(latencies_us, 99)) if latencies_us else 0.0
+    return Phase(len(block), shed, p99_us)
+
+
+@pytest.mark.perf
+@pytest.mark.timeout(120)
+def test_adaptive_admission_holds_the_slo_through_a_burst():
+    """Steady 0.6x capacity, a 2x burst, then 0.6x again, offered to a
+    static server (huge fixed budget, no controller) and an adaptive one.
+    The static server queues the burst far past the SLO; the adaptive one
+    sheds the excess, keeps admitted p99 under the SLO and recovers."""
+    rules = generate_classbench("acl1", 1000, seed=0)
+    inner = ClassificationEngine.build(rules, classifier="tm")
+    engine = PacedEngine(inner, PACKET_COST_US)
+
+    async def run(server):
+        async with server:
+            await server.start("127.0.0.1", 0)
+            phases = {}
+            for name, load, seed in PHASES:
+                rate = load * CAPACITY_PPS
+                packets = rules.sample_packets(int(PHASE_SECONDS * rate), seed=seed)
+                phases[name] = await paced_phase(
+                    server.host, server.port, packets, rate
+                )
+            return phases, server.statistics()["server"]
+
+    static, _ = asyncio.run(run(AsyncServer(engine, max_queue=STATIC_QUEUE)))
+    controller = OverloadController(
+        # headroom 0.5: growth stops once admitted p99 passes half the SLO,
+        # so one more grow step still lands well under the objective.
+        ControllerConfig(slo_p99_us=SLO_P99_US, window_s=0.1, headroom=0.5),
+        ADAPTIVE_QUEUE,
+    )
+    adaptive, stats = asyncio.run(
+        run(AsyncServer(engine, max_queue=ADAPTIVE_QUEUE, controller=controller))
+    )
+    inner.close()
+
+    assert static["steady"].shed == 0
+    assert adaptive["steady"].shed_fraction <= 0.02
+    assert adaptive["steady"].p99_us <= SLO_P99_US
+    assert static["burst"].p99_us > SLO_P99_US, "the burst did not overload"
+    assert adaptive["burst"].p99_us <= SLO_P99_US
+    assert adaptive["burst"].shed > 0
+    assert adaptive["recovery"].p99_us <= SLO_P99_US
+    assert adaptive["recovery"].shed_fraction <= 0.05
+    assert stats["controller"]["windows"] >= 3

@@ -1,18 +1,26 @@
-"""Performance smoke test: flow-cached replay of a skewed trace.
+"""Performance smoke tests: flow-cached replay and wire frame batching.
 
 Marked ``perf`` and deselected from the default (tier-1) run via
 ``addopts = -m "not perf"`` in ``pyproject.toml``; the dedicated CI perf job
 runs ``pytest -m perf``.  The assertions are deliberately loose — they pin
 that the cached hot path works at all under the paper's highest-skew setting
-(zipf-95, §5.1.1), not a specific machine's numbers.
+(zipf-95, §5.1.1) and that batching rows per frame pays, not a specific
+machine's numbers.
 """
 
 from __future__ import annotations
 
+import asyncio
+import time
+
 import pytest
 
+from repro.engine import ClassificationEngine
 from repro.rules import generate_classbench
+from repro.serving import AsyncClient, AsyncServer
 from repro.workloads import run_scenario
+
+from _helpers import block_of, fast_nm_config
 
 pytestmark = pytest.mark.perf
 
@@ -50,3 +58,42 @@ def test_cached_sharded_replay_beats_uncached_in_the_model():
     )
     assert cached.modelled_latency_ns < uncached.modelled_latency_ns
     assert cached.matched == uncached.matched
+
+
+async def _windowed_pps(engine, block, rows: int, window: int = 8) -> float:
+    """Packets/s of ``block`` sent as ``rows``-row frames over one
+    connection with at most ``window`` frames in flight."""
+    slots = asyncio.Semaphore(window)
+
+    async def send(client, frame):
+        try:
+            await client.classify_batch(frame)
+        finally:
+            slots.release()
+
+    async with AsyncServer(engine) as server:
+        await server.start("127.0.0.1", 0)
+        async with await AsyncClient.connect(server.host, server.port) as client:
+            start = time.perf_counter()
+            sends = []
+            for first in range(0, len(block), rows):
+                await slots.acquire()
+                frame = block[first : first + rows]
+                sends.append(asyncio.ensure_future(send(client, frame)))
+            await asyncio.gather(*sends)
+            return len(block) / (time.perf_counter() - start)
+
+
+def test_wide_frames_amortize_per_frame_serving_cost():
+    """One frame is one ``classify_block`` call, so rows per frame is the
+    client's batching dial: on the uncached ``nm/tm`` engine, 64-row frames
+    must move at least 3x the packets/s of 1-row frames."""
+    rules = generate_classbench("acl1", 2000, seed=7)
+    engine = ClassificationEngine.build(
+        rules, classifier="nm", remainder_classifier="tm", config=fast_nm_config()
+    )
+    block = block_of(rules.sample_packets(2048, seed=59))
+    single = asyncio.run(_windowed_pps(engine, block, rows=1))
+    wide = asyncio.run(_windowed_pps(engine, block, rows=64))
+    engine.close()
+    assert wide >= 3.0 * single, f"64-row {wide:.0f} vs 1-row {single:.0f} pkt/s"

@@ -18,7 +18,8 @@ import pytest
 from repro.engine import ClassificationEngine
 from repro.rules.rule import Rule
 from repro.serving import CachedEngine, ShardedEngine
-from repro.workloads import build_scenario_engine, make_trace, replay_trace
+from repro.traffic import ZIPF_ALPHAS
+from repro.workloads import build_scenario_engine, make_trace, replay_trace, run_scenario
 
 #: {trace kind} × {uncached, cached} × {1 shard, 4 shards}.
 MATRIX = list(itertools.product(["uniform", "zipf", "caida"], [0, 256], [1, 4]))
@@ -159,8 +160,6 @@ def test_replay_always_drives_blocks_and_defaults_to_serial(matrix_rules, monkey
     executor to the in-process one."""
     import inspect
 
-    from repro.workloads import run_scenario
-
     assert "columnar" not in inspect.signature(replay_trace).parameters
     assert "columnar" not in inspect.signature(run_scenario).parameters
     for builder in (build_scenario_engine, run_scenario):
@@ -192,6 +191,47 @@ def test_replay_cache_stats_are_windowed_per_replay(matrix_rules):
     assert second.cache["hit_rate"] == pytest.approx(second.hit_rate)
     # The cache is warm on the second pass, so it hits strictly more.
     assert second.hit_rate > first.hit_rate
+
+
+@pytest.fixture(scope="module")
+def locality_rules():
+    from repro.rules import generate_classbench
+
+    return generate_classbench("acl1", 1000, seed=0)
+
+
+def locality_hit_rate(rules, trace_kind, skew=95, shards=1):
+    return run_scenario(
+        rules,
+        trace_kind=trace_kind,
+        num_packets=4000,
+        skew=skew,
+        shards=shards,
+        cache_size=2048,
+        seed=41,
+    ).hit_rate
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("cooler,hotter", list(itertools.pairwise(sorted(ZIPF_ALPHAS))))
+def test_hit_rate_rises_with_skew(locality_rules, cooler, hotter, shards):
+    """Figure 12's four Zipf settings through one cached engine, plain or
+    sharded: a trace whose top flows carry a larger share hits the flow
+    cache at least as often."""
+    assert locality_hit_rate(
+        locality_rules, "zipf", cooler, shards
+    ) <= locality_hit_rate(locality_rules, "zipf", hotter, shards)
+
+
+@pytest.mark.parametrize(
+    "trace_kind,skew", [("zipf", s) for s in sorted(ZIPF_ALPHAS)] + [("caida", 95)]
+)
+def test_skewed_traces_hit_more_than_uniform(locality_rules, trace_kind, skew):
+    """Locality is what the flow cache sells: every skewed trace hits it
+    more often than uniform traffic over the same rules."""
+    assert locality_hit_rate(locality_rules, trace_kind, skew) > locality_hit_rate(
+        locality_rules, "uniform"
+    )
 
 
 class TestEvictionBeforeAck:

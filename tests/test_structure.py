@@ -19,8 +19,9 @@ arrays in ``rules/rule.py`` alone (no per-site converter, no sort of ``Rule``
 objects by attribute), only ``workloads/replay.py`` times a lookup loop, only
 ``simulation/`` prices one and the CLI builds its stacks through the replay
 module's two factories, only ``rules/rule.py`` knows how rules are ordered
-(everything else compares order keys), and none of the superseded names
-survives.  (The wire
+(everything else compares order keys), ``workloads/`` holds the trace
+replay alone and nothing under ``benchmarks/`` drives the serving stack, and
+none of the superseded names survives.  (The wire
 client's ``AsyncClient.classify_batch`` is a network call, not a lookup
 implementation, and is exempt.)
 """
@@ -516,4 +517,32 @@ def test_one_rule_order():
             ):
                 if any(map(_mentions_priority, [node.left, *node.comparators])):
                     offenders.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert offenders == []
+
+
+def test_one_load_generator():
+    """Network serving is measured by ``bench/`` and its own load generator
+    alone: ``workloads/`` holds only the trace replay, and ``benchmarks/`` is
+    the paper-figure reproductions only, so no file there imports the wire
+    server or client, the flow cache or ``repro.workloads``."""
+    assert {path.name for path in (SRC / "workloads").glob("*.py")} == {
+        "__init__.py",
+        "replay.py",
+    }
+    serving = {"AsyncServer", "AsyncClient", "CachedEngine"}
+    offenders = []
+    for path in sorted((SRC.parent.parent / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+                names = []
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if serving & set(names) or any(
+                module.startswith("repro.workloads") for module in modules
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
