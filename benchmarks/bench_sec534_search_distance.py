@@ -41,15 +41,15 @@ def test_sec534_search_distance(benchmark):
     model = RQRMI.train(range_set, bench_rqrmi_config(error_threshold=128))
 
     rng = np.random.default_rng(3)
-    distances = []
     ranges = iset.ranges()
-    for index in rng.choice(len(ranges), size=min(2000, len(ranges)), replace=False):
+    indices = rng.choice(len(ranges), size=min(2000, len(ranges)), replace=False)
+    keys = []
+    for index in indices:
         lo, hi = ranges[int(index)]
-        key = int(rng.integers(lo, hi + 1))
-        lookup = model.query(key)
-        assert lookup.index == int(index)
-        distances.append(abs(lookup.predicted_index - int(index)))
-    distances = np.array(distances)
+        keys.append(int(rng.integers(lo, hi + 1)))
+    found, predicted, _bounds = model.query_batch_detailed(np.array(keys))
+    np.testing.assert_array_equal(found, indices)
+    distances = np.abs(predicted - indices)
 
     fraction_rows = []
     for limit in (8, 16, 32, 64, 128):
@@ -99,4 +99,5 @@ def test_sec534_search_distance(benchmark):
     assert cost_rows[-1][2] < cost_rows[1][2] * 3
 
     key = int(rng.integers(0, domain))
-    benchmark(lambda: model.query(key))
+    one_key = np.array([key])
+    benchmark(lambda: model.query_batch(one_key))

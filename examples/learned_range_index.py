@@ -48,14 +48,17 @@ def main() -> None:
     }, title="Trained RQ-RMI"))
 
     print("\nSample queries (key -> predicted index, bound, found range):")
-    rows = []
+    samples = []
     for _ in range(8):
         idx = int(rng.integers(0, args.ranges))
         lo, hi = sorted(ranges)[idx]
-        key = int(rng.integers(lo, hi + 1))
-        lookup = model.query(key)
-        rows.append([key, lookup.predicted_index, lookup.error_bound, lookup.index,
-                     f"[{lo}, {hi}]"])
+        samples.append((int(rng.integers(lo, hi + 1)), f"[{lo}, {hi}]"))
+    keys = np.array([key for key, _true_range in samples])
+    found, predicted, bounds = model.query_batch_detailed(keys)
+    rows = [
+        [key, int(p), int(b), int(f) if f >= 0 else None, true_range]
+        for (key, true_range), f, p, b in zip(samples, found, predicted, bounds)
+    ]
     print(format_table(["key", "predicted idx", "bound", "found idx", "true range"], rows))
 
     print("\nExhaustive correctness check on a small 16-bit instance...")
@@ -66,10 +69,11 @@ def main() -> None:
     small_ranges = [(int(small_points[2 * i]), int(small_points[2 * i + 1])) for i in range(100)]
     small_set = RangeSet.from_integer_ranges(small_ranges, small_domain)
     small_model = RQRMI.train(small_set, RQRMIConfig(stage_widths=[1, 4], error_threshold=16))
+    found = small_model.query_batch(np.arange(small_domain))
     wrong = 0
     for key in range(small_domain):
         expected = small_set.locate(small_set.scale_key(key))
-        if small_model.query(key).index != expected:
+        if found[key] != (-1 if expected is None else expected):
             wrong += 1
     print(f"  checked {small_domain} keys, {wrong} incorrect answers "
           f"(the analytical error bound guarantees 0)")

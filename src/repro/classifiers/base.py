@@ -262,9 +262,9 @@ class Classifier(ABC):
     ) -> list[ClassificationResult]:
         """One traced result per packet: a loop over :meth:`classify_traced`.
 
-        The scalar path is the paper-faithful reference the columnar
-        :meth:`classify_block` implementations are tested against; no
-        classifier overrides this.
+        A baseline's scalar path is the paper-faithful reference its
+        columnar :meth:`classify_block` is tested against (NuevoMatch's
+        ``classify_traced`` is a 1-row block); no classifier overrides this.
         """
         return [self.classify_traced(packet) for packet in packets]
 

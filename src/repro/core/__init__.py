@@ -24,7 +24,7 @@ from repro.core.config import (
 )
 from repro.core.submodel import Submodel
 from repro.core.training import TrainingDataset, sample_responsibility, train_submodel
-from repro.core.rqrmi import RQRMI, RangeSet, RQRMILookup, TrainingReport
+from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport
 from repro.core.pipeline import train_rqrmi
 from repro.core.isets import (
     ISet,
@@ -39,7 +39,7 @@ from repro.core.metrics import (
     ruleset_centrality,
     ruleset_diversity,
 )
-from repro.core.nuevomatch import ISetIndex, LookupBreakdown, NuevoMatch
+from repro.core.nuevomatch import ISetIndex, NuevoMatch
 from repro.core.updates import (
     expected_unmodified_rules,
     sustained_update_rate,
@@ -50,7 +50,6 @@ from repro.core.updates import (
 __all__ = [
     "RQRMI",
     "RangeSet",
-    "RQRMILookup",
     "TrainingReport",
     "RQRMIConfig",
     "NuevoMatchConfig",
@@ -67,7 +66,6 @@ __all__ = [
     "partition_isets",
     "partition_shards",
     "ISetIndex",
-    "LookupBreakdown",
     "NuevoMatch",
     "expected_unmodified_rules",
     "throughput_with_updates",

@@ -24,48 +24,29 @@ into ``(rule_id, priority)`` once.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Type
 
 import numpy as np
 
 from repro.classifiers.base import (
     STATE_FORMAT_VERSION,
+    TRACE_FIELDS,
     ClassificationResult,
     Classifier,
-    LookupTrace,
     MemoryFootprint,
     RULE_ENTRY_BYTES,
     check_state_header,
+    trace_from_row,
 )
 from repro.classifiers.registry import register, resolve_classifier
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.isets import ISet, PartitionResult, partition_isets
 from repro.core.pipeline import train_rqrmi
 from repro.core.rqrmi import RQRMI, RangeSet
-from repro.rules.rule import NO_FLOOR, Packet, Rule, RuleSet, result_keys, split_keys
+from repro.rules.rule import NO_FLOOR, Packet, RuleSet, result_keys, split_keys
 
-__all__ = ["ISetIndex", "NuevoMatch", "LookupBreakdown"]
-
-
-@dataclass
-class LookupBreakdown:
-    """Per-component cost of one NuevoMatch lookup (Figure 14's breakdown)."""
-
-    inference_ops: int = 0
-    search_accesses: int = 0
-    validation_accesses: int = 0
-    remainder_accesses: int = 0
-
-    def merge(self, other: "LookupBreakdown") -> "LookupBreakdown":
-        return LookupBreakdown(
-            self.inference_ops + other.inference_ops,
-            self.search_accesses + other.search_accesses,
-            self.validation_accesses + other.validation_accesses,
-            self.remainder_accesses + other.remainder_accesses,
-        )
+__all__ = ["ISetIndex", "NuevoMatch"]
 
 
 class ISetIndex:
@@ -88,33 +69,6 @@ class ISetIndex:
     def coverage(self) -> float:
         return self.iset.coverage
 
-    def lookup(
-        self, values: Sequence[int], trace: LookupTrace, breakdown: LookupBreakdown
-    ) -> Optional[Rule]:
-        """Query the RQ-RMI and validate the candidate rule across all fields."""
-        result = self.model.query(values[self.dim])
-        trace.model_accesses += result.model_accesses
-        # One vectorised inference per stage (8-neuron hidden layer).
-        inference_ops = result.model_accesses * self.model.stages[0][0].hidden_units
-        trace.compute_ops += inference_ops
-        breakdown.inference_ops += inference_ops
-        # Secondary search over the packed value array (§4: multiple 4-byte
-        # field values per cache line, 16 per 64-byte line), binary search over
-        # the error window: the search touches index (not rule) storage.
-        window = 2 * result.error_bound + 1
-        search_lines = max(1, math.ceil(math.log2(window / 16 + 1)))
-        trace.index_accesses += search_lines
-        breakdown.search_accesses += search_lines
-        if result.index is None:
-            return None
-        candidate = self.rules[result.index]
-        trace.rule_accesses += 1
-        trace.compute_ops += len(values)
-        breakdown.validation_accesses += 1
-        if candidate.matches(values):
-            return candidate
-        return None
-
     def lookup_block(
         self,
         values: np.ndarray,
@@ -123,16 +77,20 @@ class ISetIndex:
     ) -> None:
         """Columnar iSet lookup: lower per-row best order keys in place.
 
-        The allocation-free counterpart of :meth:`lookup`: inference (the
-        paper's Table-1 vectorization) and candidate validation run across all
-        rows at once, a validated candidate with a smaller key replaces the
-        row's ``best_keys`` entry, and ``traces`` rows — ``(n, 5)``
-        int64, :data:`~repro.classifiers.base.TRACE_FIELDS` order — accumulate
-        exactly the counters the per-packet path records.
+        RQ-RMI inference (the paper's Table-1 vectorization), the bounded
+        search and multi-field validation of the candidate rule run across all
+        rows at once; a validated candidate with a smaller key replaces the
+        row's ``best_keys`` entry, and ``traces`` rows — ``(n, 5)`` int64,
+        :data:`~repro.classifiers.base.TRACE_FIELDS` order — accumulate the
+        per-packet counters.
         """
         keys = values[:, self.dim]
         indices, _predicted, bounds = self.model.query_batch_detailed(keys)
         if traces is not None:
+            # One vectorised inference per stage (8-neuron hidden layer), then
+            # a binary search over the error window of the packed value array
+            # (§4: 16 four-byte field values per 64-byte line) — index, not
+            # rule, storage.
             model_accesses = len(self.model.stages)
             inference_ops = model_accesses * self.model.stages[0][0].hidden_units
             window = 2 * bounds.astype(np.int64) + 1
@@ -313,38 +271,15 @@ class NuevoMatch(Classifier):
     # ------------------------------------------------------------------ lookup
 
     def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        result, _breakdown = self.classify_detailed(packet)
-        return result
-
-    def classify_detailed(
-        self, packet: Packet | Sequence[int]
-    ) -> tuple[ClassificationResult, LookupBreakdown]:
-        """Traced lookup that also reports the per-component breakdown."""
+        """One packet through :meth:`classify_block` (a 1-row block)."""
         values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        breakdown = LookupBreakdown()
-        best = self._best_iset_match(values, trace, breakdown)
-        floor = best.key if (best is not None and self.config.early_termination) else None
-        remainder_result = self.remainder.classify_with_floor(values, floor)
-        trace = trace.merge(remainder_result.trace)
-        breakdown.remainder_accesses += (
-            remainder_result.trace.index_accesses + remainder_result.trace.rule_accesses
+        traces = np.zeros((1, len(TRACE_FIELDS)), dtype=np.int64)
+        rule_ids, _priorities = self.classify_block(
+            np.array([values], dtype=np.uint64), traces=traces
         )
-        found = remainder_result.rule
-        if found is not None and (best is None or found.key < best.key):
-            best = found
-        return ClassificationResult(best, trace), breakdown
-
-    def _best_iset_match(
-        self, values: Sequence[int], trace: LookupTrace, breakdown: LookupBreakdown
-    ) -> Optional[Rule]:
-        """The iSets' validated candidate with the smallest key, or None."""
-        candidates = [iset.lookup(values, trace, breakdown) for iset in self.isets]
-        return min(
-            (rule for rule in candidates if rule is not None),
-            key=lambda rule: rule.key,
-            default=None,
-        )
+        rule_id = int(rule_ids[0])
+        rule = None if rule_id < 0 else self.ruleset[self.ruleset.row_of[rule_id]]
+        return ClassificationResult(rule, trace_from_row(traces[0]))
 
     def classify_block(
         self,
@@ -353,11 +288,10 @@ class NuevoMatch(Classifier):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Columnar lookup: vectorized iSet queries, floored remainder scan.
 
-        Bit-identical to the scalar :meth:`classify_traced` (matches and
-        traces) but allocation-free: iSet inference, candidate validation and
-        winner selection run as array operations, and the remainder is queried
-        through its ``classify_block_with_floors`` hook with the iSet winners
-        as per-row early-termination floors (§4).
+        NuevoMatch's one lookup, allocation-free: iSet inference, candidate
+        validation and winner selection run as array operations, and the
+        remainder is queried through its ``classify_block_with_floors`` hook
+        with the iSet winners as per-row early-termination floors (§4).
         """
         block = np.asarray(block)
         n = block.shape[0]
@@ -372,17 +306,9 @@ class NuevoMatch(Classifier):
             self.remainder.classify_block_with_floors(values, floors, traces=traces)
         )
         # With floors the remainder only reports smaller keys; without, the
-        # minimum is the merge the scalar path makes.
+        # minimum picks the better of the two winners.
         best_keys = np.minimum(best_keys, result_keys(remainder_ids, remainder_priorities))
         return split_keys(best_keys)
-
-    def classify_isets_only(
-        self, packet: Packet | Sequence[int]
-    ) -> tuple[Optional[Rule], LookupTrace]:
-        """Query only the iSets (used by the two-core execution model)."""
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        return self._best_iset_match(values, trace, LookupBreakdown()), trace
 
     # --------------------------------------------------------------- statistics
 

@@ -18,7 +18,6 @@ responsibility and error-bound analysis it calls, lookup and persistence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from repro.core.config import RQRMIConfig
 from repro.core.submodel import Submodel
 
-__all__ = ["RangeSet", "RQRMI", "RQRMILookup", "TrainingReport"]
+__all__ = ["RangeSet", "RQRMI", "TrainingReport"]
 
 #: Intervals are (lo, hi) pairs of scaled floats.
 Interval = tuple[float, float]
@@ -97,17 +96,6 @@ class RangeSet:
             hi=np.asarray(state["hi"], dtype=np.float64),
             domain_size=int(state["domain_size"]),
         )
-
-
-@dataclass
-class RQRMILookup:
-    """Result of a single RQ-RMI range query."""
-
-    index: int | None
-    predicted_index: int
-    error_bound: int
-    search_accesses: int
-    model_accesses: int
 
 
 @dataclass
@@ -334,59 +322,6 @@ class RQRMI:
     def max_error(self) -> int:
         return max(self.error_bounds) if self.error_bounds else 0
 
-    def _route(self, x: float) -> tuple[int, float]:
-        """Full traversal: returns (leaf slot, leaf output)."""
-        slot = 0
-        output = 0.0
-        widths = self.stage_widths
-        for stage_index, stage in enumerate(self.stages):
-            submodel = stage[slot]
-            output = submodel(x)
-            if stage_index + 1 < len(widths):
-                next_width = widths[stage_index + 1]
-                slot = min(int(output * next_width), next_width - 1)
-        return slot, output
-
-    def predict(self, key: int) -> tuple[int, int]:
-        """Predicted range index and the applicable error bound for ``key``."""
-        x = self.ranges.scale_key(key)
-        slot, output = self._route(x)
-        num_ranges = max(1, len(self.ranges))
-        predicted = min(int(output * num_ranges), num_ranges - 1)
-        return predicted, self.error_bounds[slot] if self.error_bounds else 0
-
-    def query(self, key: int) -> RQRMILookup:
-        """Range query: find the range containing ``key`` (§3.8 lookup).
-
-        Performs inference, then a bounded binary search within
-        ``[predicted - error, predicted + error]`` over the sorted ranges.
-        """
-        num_ranges = len(self.ranges)
-        if num_ranges == 0:
-            return RQRMILookup(None, 0, 0, 0, len(self.stages))
-        x = self.ranges.scale_key(key)
-        slot, output = self._route(x)
-        predicted = min(int(output * num_ranges), num_ranges - 1)
-        bound = self.error_bounds[slot] if self.error_bounds else 0
-        lo = max(0, predicted - bound)
-        hi = min(num_ranges - 1, predicted + bound)
-        window = hi - lo + 1
-        search_accesses = max(1, int(math.ceil(math.log2(window + 1))))
-        # Binary search for the candidate range within the window.
-        position = int(np.searchsorted(self.ranges.lo[lo : hi + 1], x, side="right")) - 1
-        index: int | None = None
-        if position >= 0:
-            candidate = lo + position
-            if self.ranges.lo[candidate] <= x <= self.ranges.hi[candidate]:
-                index = candidate
-        return RQRMILookup(
-            index=index,
-            predicted_index=predicted,
-            error_bound=bound,
-            search_accesses=search_accesses,
-            model_accesses=len(self.stages),
-        )
-
     def _route_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized stage traversal: (leaf slots, leaf outputs) for ``xs``."""
         slots = np.zeros(len(xs), dtype=np.int64)
@@ -408,12 +343,11 @@ class RQRMI:
     def query_batch_detailed(
         self, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized equivalent of per-key :meth:`query` over many keys.
+        """Range queries (§3.8 lookup): the range containing each key.
 
-        The inference (the dominant cost, Table 1) runs batched across all
-        keys; the bounded secondary search is evaluated with the same windowed
-        semantics as the scalar path, so the returned indices are exactly what
-        per-key ``query`` calls would produce.
+        Inference (the dominant cost, Table 1) runs batched across all keys,
+        then a bounded search within ``[predicted - error, predicted + error]``
+        over the sorted ranges.
 
         Returns:
             ``(indices, predicted, bounds)`` arrays — the matched range index
@@ -437,9 +371,9 @@ class RQRMI:
             bounds = np.zeros(num_keys, dtype=np.int64)
         window_lo = np.maximum(predicted - bounds, 0)
         window_hi = np.minimum(predicted + bounds, num_ranges - 1)
-        # Windowed binary search, vectorized: the position the scalar path's
-        # searchsorted over ranges.lo[window] finds equals the global position
-        # clipped to the window top, valid only when it reaches the window.
+        # Windowed binary search, vectorized: the position a searchsorted over
+        # ranges.lo[window] finds equals the global position clipped to the
+        # window top, valid only when it reaches the window.
         positions = np.searchsorted(self.ranges.lo, xs, side="right") - 1
         candidates = np.minimum(positions, window_hi)
         in_window = positions >= window_lo

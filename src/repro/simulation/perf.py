@@ -24,8 +24,14 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.classifiers.base import TRACE_FIELDS, Classifier, trace_from_row
-from repro.core.nuevomatch import LookupBreakdown, NuevoMatch
+from repro.classifiers.base import (
+    NO_FLOOR,
+    TRACE_FIELDS,
+    Classifier,
+    LookupTrace,
+    trace_from_row,
+)
+from repro.core.nuevomatch import NuevoMatch
 from repro.simulation.cost_model import CostModel, LatencyBreakdown
 from repro.traffic.packet import Trace
 
@@ -65,15 +71,6 @@ class PerfReport:
         }
 
 
-def _average_breakdown(parts: list[LatencyBreakdown]) -> LatencyBreakdown:
-    if not parts:
-        return LatencyBreakdown()
-    total = LatencyBreakdown()
-    for part in parts:
-        total = total.merge(part)
-    return total.scaled(1.0 / len(parts))
-
-
 #: Rows per ``classify_block`` call of a modelled run; bounds the trace
 #: out-array and — the cost model being linear in the counters — changes no
 #: number.
@@ -83,7 +80,7 @@ _CHUNK_ROWS = 1024
 def _trace_block(trace: Trace | Iterable, max_packets: int | None) -> np.ndarray:
     """The first ``max_packets`` packets of ``trace`` as the ``(n, fields)``
     uint64 block ``classify_block`` takes (zero-length for an empty trace)."""
-    packets = [tuple(packet) for packet in islice(trace, max_packets or None)]
+    packets = [tuple(packet) for packet in islice(trace, max_packets)]
     return np.array(packets, dtype=np.uint64)
 
 
@@ -145,62 +142,68 @@ def evaluate_nuevomatch(
 ) -> PerfReport:
     """Evaluate NuevoMatch in the paper's two execution modes.
 
+    The trace runs through the block path in ``_CHUNK_ROWS`` chunks: one
+    ``lookup_block`` pass over the iSets gives the iSet core's trace rows
+    and, in single mode, the Figure-14 ``avg_breakdown``.
+
     Args:
         nm: A built NuevoMatch classifier.
         trace: Input packets.
         cost_model: Latency model (defaults to the Xeon Silver hierarchy).
         mode: ``"parallel"`` — iSets and remainder on separate cores (2-core,
-            Figure 8); ``"single"`` — both on one core with early termination
-            (Figure 9).
+            Figure 8), each packet priced at the slower of its two rows;
+            ``"single"`` — both on one core with early termination (Figure 9).
         max_packets: Optionally cap the number of evaluated packets.
     """
     if mode not in ("parallel", "single"):
         raise ValueError("mode must be 'parallel' or 'single'")
     cost_model = cost_model or CostModel()
-    packets = list(trace)[: max_packets or None]
+    block = _trace_block(trace, max_packets)
 
     rqrmi_bytes = nm.rqrmi_size_bytes()
     value_array_bytes = nm.value_array_bytes()
     remainder_fp = nm.remainder.memory_footprint()
     rule_bytes = nm.memory_footprint().rule_bytes
 
-    latencies: list[LatencyBreakdown] = []
-    breakdown_totals = LookupBreakdown()
-
-    for packet in packets:
+    total = LatencyBreakdown()
+    counters = np.zeros(len(TRACE_FIELDS), dtype=np.int64)
+    iset_counters = np.zeros(len(TRACE_FIELDS), dtype=np.int64)
+    for start in range(0, len(block), _CHUNK_ROWS):
+        chunk = block[start : start + _CHUNK_ROWS]
+        values = chunk.astype(np.int64)
+        best_keys = np.full(len(chunk), NO_FLOOR, dtype=np.int64)
+        iset_traces = np.zeros((len(chunk), len(TRACE_FIELDS)), dtype=np.int64)
+        for iset in nm.isets:
+            iset.lookup_block(values, best_keys, traces=iset_traces)
+        traces = np.zeros_like(iset_traces)
         if mode == "parallel":
-            _best, iset_trace = nm.classify_isets_only(packet)
-            remainder_result = nm.remainder.classify_traced(packet)
-            iset_latency = cost_model.lookup_latency(
-                iset_trace, value_array_bytes, rule_bytes, model_bytes=rqrmi_bytes
+            nm.remainder.classify_block(chunk, traces=traces)
+            # Priced row by row (the max is not linear in the counters):
+            # ``lookup_latency`` is elementwise, so trace columns price the
+            # whole chunk in one call.
+            iset_rows = cost_model.lookup_latency(
+                LookupTrace(*iset_traces.T), value_array_bytes, rule_bytes,
+                model_bytes=rqrmi_bytes,
             )
-            remainder_latency = cost_model.lookup_latency(
-                remainder_result.trace,
-                remainder_fp.index_bytes,
-                remainder_fp.rule_bytes,
+            remainder_rows = cost_model.lookup_latency(
+                LookupTrace(*traces.T), remainder_fp.index_bytes, remainder_fp.rule_bytes
             )
-            if iset_latency.total_ns >= remainder_latency.total_ns:
-                packet_latency = iset_latency
-            else:
-                packet_latency = remainder_latency
-            packet_latency = packet_latency.merge(
-                LatencyBreakdown(hash_ns=SYNC_OVERHEAD_NS)
-            )
-            latencies.append(packet_latency)
+            slower = iset_rows.total_ns >= remainder_rows.total_ns
+            total = total.merge(LatencyBreakdown(**{
+                name: float(np.where(slower, rows, getattr(remainder_rows, name)).sum())
+                for name, rows in vars(iset_rows).items()
+            }))
+            total = total.merge(LatencyBreakdown(hash_ns=SYNC_OVERHEAD_NS * len(chunk)))
         else:
-            result, lookup_breakdown = nm.classify_detailed(packet)
-            breakdown_totals = breakdown_totals.merge(lookup_breakdown)
-            latencies.append(
-                cost_model.lookup_latency(
-                    result.trace,
-                    remainder_fp.index_bytes,
-                    rule_bytes,
-                    model_bytes=rqrmi_bytes,
-                )
-            )
-
-    breakdown = _average_breakdown(latencies)
-    avg_latency = breakdown.total_ns if latencies else 0.0
+            # Linear in the counters: priced once on the sums, as in
+            # ``evaluate_classifier``.
+            nm.classify_block(chunk, traces=traces)
+            counters += traces.sum(axis=0)
+            iset_counters += iset_traces.sum(axis=0)
+    if mode == "single":
+        total = _price(cost_model, nm, counters)
+    breakdown = total.scaled(1.0 / max(len(block), 1))
+    avg_latency = breakdown.total_ns
     throughput = 1.0 / (avg_latency * 1e-9) if avg_latency > 0 else 0.0
     extra = {
         "coverage": nm.coverage,
@@ -209,18 +212,20 @@ def evaluate_nuevomatch(
         "remainder_index_bytes": remainder_fp.index_bytes,
         "mode": mode,
     }
-    if mode == "single" and packets:
+    if mode == "single" and len(block):
+        index, rule, _model, compute, _hash = iset_counters
+        remainder_index, remainder_rule = (counters - iset_counters)[:2]
         extra["avg_breakdown"] = {
-            "inference_ops": breakdown_totals.inference_ops / len(packets),
-            "search_accesses": breakdown_totals.search_accesses / len(packets),
-            "validation_accesses": breakdown_totals.validation_accesses / len(packets),
-            "remainder_accesses": breakdown_totals.remainder_accesses / len(packets),
+            "inference_ops": (compute - block.shape[1] * rule) / len(block),
+            "search_accesses": index / len(block),
+            "validation_accesses": rule / len(block),
+            "remainder_accesses": (remainder_index + remainder_rule) / len(block),
         }
     return PerfReport(
         classifier=f"nm({nm.remainder.name})",
         trace=getattr(trace, "name", "trace"),
         cores=2 if mode == "parallel" else 1,
-        packets=len(packets),
+        packets=len(block),
         avg_latency_ns=avg_latency,
         throughput_pps=throughput,
         breakdown=breakdown,

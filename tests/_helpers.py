@@ -15,7 +15,10 @@ import numpy as np
 
 from repro.classifiers.base import TRACE_FIELDS
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
+from repro.core.nuevomatch import NuevoMatch
 from repro.serving import AsyncClient, wire
+
+from _nm_reference import ReferenceWalk
 
 #: Fast RQ-RMI settings used across tests (fewer Adam epochs, small widths).
 FAST_RQRMI = RQRMIConfig(adam_epochs=80, initial_samples=256)
@@ -46,7 +49,11 @@ def block_keys(rule_ids, priorities) -> list:
 def scalar_arrays(classifier, packets):
     """``(rule_ids, priorities, traces)`` from the scalar ``classify_traced``
     reference path of ``classifier`` — what every ``classify_block`` must equal
-    row for row (misses encode as ``-1``/``0``)."""
+    row for row (misses encode as ``-1``/``0``).  NuevoMatch's
+    ``classify_traced`` is a 1-row view of its block path, so its reference
+    is the frozen per-packet walk in ``_nm_reference``."""
+    if isinstance(classifier, NuevoMatch):
+        classifier = ReferenceWalk(classifier)
     n = len(packets)
     rule_ids = np.full(n, -1, dtype=np.int64)
     priorities = np.zeros(n, dtype=np.int64)

@@ -70,7 +70,8 @@ def _build(name, ruleset):
 
 def _assert_block_equals_scalar(stack, classifier, packets):
     """``stack.classify_block`` (ids, priorities, trace rows) equals the scalar
-    ``classify_traced`` reference of ``classifier`` on ``packets``."""
+    reference of ``classifier`` on ``packets`` (``scalar_arrays``: its
+    ``classify_traced``, or for NuevoMatch the frozen per-packet walk)."""
     traces = np.full((len(packets), 5), -7, dtype=np.int64)  # must be overwritten
     rule_ids, priorities = stack.classify_block(block_of(packets), traces=traces)
     expected_ids, expected_pris, expected_traces = scalar_arrays(classifier, packets)
@@ -98,19 +99,21 @@ class TestRegisteredClassifiers:
     @pytest.mark.parametrize("name", available_classifiers())
     def test_block_equals_scalar_reference(self, name, conformance_ruleset):
         """Every classifier's ``classify_block`` — vectorized override or the
-        base-class loop — equals its scalar ``classify_traced`` row for row:
-        ids, priorities *and* trace counters."""
+        base-class loop — equals its scalar reference row for row: ids,
+        priorities *and* trace counters (NuevoMatch's is the frozen walk in
+        ``_nm_reference``)."""
         classifier = _build(name, conformance_ruleset)
         packets = _packets_for(conformance_ruleset)
         _assert_block_equals_scalar(classifier, classifier, packets)
 
     @pytest.mark.parametrize("early_termination", [True, False])
-    @pytest.mark.parametrize("remainder", ["cs", "nc", "tss", "linear"])
+    @pytest.mark.parametrize("remainder", ["tm", "cs", "nc", "tss", "linear"])
     def test_nuevomatch_over_unvectorized_remainder(
         self, remainder, early_termination, acl_small
     ):
-        """A remainder without its own floored block hook serves NuevoMatch
-        blocks through ``Classifier.classify_block_with_floors``."""
+        """NuevoMatch blocks equal the frozen per-packet walk over every
+        remainder; one without its own floored block hook serves through
+        ``Classifier.classify_block_with_floors``."""
         from dataclasses import replace
 
         nm = NuevoMatch.build(

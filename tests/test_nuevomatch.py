@@ -1,11 +1,17 @@
 """End-to-end tests for the NuevoMatch classifier."""
 
+import numpy as np
 import pytest
 
 from repro.classifiers import CutSplitClassifier, TupleMergeClassifier
+from repro.classifiers.base import TRACE_FIELDS
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
-from _helpers import fast_nm_config
+from repro.rules.rule import NO_FLOOR, split_keys
+from repro.simulation import evaluate_nuevomatch
+from _helpers import block_of, fast_nm_config
+
+MODEL_ACCESSES = TRACE_FIELDS.index("model_accesses")
 
 
 class TestBuild:
@@ -108,22 +114,30 @@ class TestCorrectness:
 
 class TestLookupDetails:
     def test_detailed_breakdown_populated(self, nm_acl_medium, acl_medium):
-        packet = acl_medium.sample_packets(1, seed=7)[0]
-        result, breakdown = nm_acl_medium.classify_detailed(packet)
-        assert breakdown.inference_ops > 0
-        assert breakdown.search_accesses >= nm_acl_medium.num_isets
-        assert result.trace.model_accesses >= nm_acl_medium.num_isets
+        packets = acl_medium.sample_packets(1, seed=7)
+        report = evaluate_nuevomatch(nm_acl_medium, packets, mode="single")
+        breakdown = report.extra["avg_breakdown"]
+        assert breakdown["inference_ops"] > 0
+        assert breakdown["search_accesses"] >= nm_acl_medium.num_isets
+        traces = np.zeros((1, len(TRACE_FIELDS)), dtype=np.int64)
+        nm_acl_medium.classify_block(block_of(packets), traces=traces)
+        assert traces[0, MODEL_ACCESSES] >= nm_acl_medium.num_isets
 
     def test_isets_only_lookup(self, nm_acl_medium, acl_medium):
-        hits = 0
-        for packet in acl_medium.sample_packets(100, seed=8):
-            rule, trace = nm_acl_medium.classify_isets_only(packet)
-            assert trace.model_accesses > 0
-            if rule is not None:
-                assert rule.matches(packet)
-                hits += 1
+        packets = acl_medium.sample_packets(100, seed=8)
+        best_keys = np.full(len(packets), NO_FLOOR, dtype=np.int64)
+        traces = np.zeros((len(packets), len(TRACE_FIELDS)), dtype=np.int64)
+        values = block_of(packets).astype(np.int64)
+        for iset in nm_acl_medium.isets:
+            iset.lookup_block(values, best_keys, traces=traces)
+        assert (traces[:, MODEL_ACCESSES] > 0).all()
+        rule_ids, _priorities = split_keys(best_keys)
+        ruleset = nm_acl_medium.ruleset
+        for packet, rule_id in zip(packets, rule_ids):
+            if rule_id >= 0:
+                assert ruleset[ruleset.row_of[int(rule_id)]].matches(packet)
         # Coverage is high, so most packets should be answered by the iSets.
-        assert hits > 50
+        assert (rule_ids >= 0).sum() > 50
 
 
 class TestFootprintAndStats:

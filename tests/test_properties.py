@@ -24,6 +24,7 @@ from repro.rules.fields import (
 )
 from repro.rules.parser import parse_classbench_lines, write_classbench_file
 from repro.rules.rule import Rule, RuleSet
+from _nm_reference import checked_index
 
 # ----------------------------------------------------------------- strategies
 
@@ -392,7 +393,7 @@ class TestRQRMIProperties:
         )
         for idx, (lo, hi) in enumerate(sorted(ranges)):
             for key in {lo, hi, (lo + hi) // 2}:
-                assert model.query(key).index == idx
+                assert checked_index(model, key) == idx
 
     @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(disjoint_ranges(max_count=25, domain_bits=16), st.integers(0, (1 << 16) - 1))
@@ -403,6 +404,6 @@ class TestRQRMIProperties:
             range_set,
             RQRMIConfig(stage_widths=[1, 4], adam_epochs=40, initial_samples=128),
         )
-        result = model.query(key).index
+        result = checked_index(model, key)
         expected = range_set.locate(range_set.scale_key(key))
         assert result == expected

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.config import RQRMIConfig
 from repro.core.rqrmi import RQRMI, RangeSet
+from _nm_reference import checked_index, query
 
 FAST = RQRMIConfig(adam_epochs=80, initial_samples=256)
 
@@ -69,13 +70,13 @@ class TestTraining:
 
     def test_empty_rangeset_trains_trivially(self):
         model = RQRMI.train(RangeSet.from_integer_ranges([], 1 << 16), FAST)
-        assert model.query(100).index is None
+        assert checked_index(model, 100) is None
 
     def test_single_range(self):
         model = RQRMI.train(RangeSet.from_integer_ranges([(10, 20)], 1 << 16), FAST)
-        assert model.query(15).index == 0
-        assert model.query(9).index is None
-        assert model.query(21).index is None
+        assert checked_index(model, 15) == 0
+        assert checked_index(model, 9) is None
+        assert checked_index(model, 21) is None
 
 
 class TestLookupCorrectness:
@@ -93,7 +94,7 @@ class TestLookupCorrectness:
         model = RQRMI.train(rs, RQRMIConfig(stage_widths=widths, adam_epochs=80))
         for idx, (lo, hi) in enumerate(sorted(ranges)):
             for key in {lo, hi, (lo + hi) // 2}:
-                assert model.query(key).index == idx
+                assert checked_index(model, key) == idx
 
     def test_exhaustive_small_domain(self):
         # Small enough to check literally every key in the domain.
@@ -103,7 +104,7 @@ class TestLookupCorrectness:
         model = RQRMI.train(rs, RQRMIConfig(stage_widths=[1, 4], adam_epochs=80))
         for key in range(domain):
             expected = rs.locate(rs.scale_key(key))
-            assert model.query(key).index == expected
+            assert checked_index(model, key) == expected
 
     def test_non_matching_keys_return_none(self):
         domain = 1 << 20
@@ -113,17 +114,17 @@ class TestLookupCorrectness:
         rng = np.random.default_rng(10)
         for key in rng.integers(0, domain, size=300):
             expected = rs.locate(rs.scale_key(int(key)))
-            assert model.query(int(key)).index == expected
+            assert checked_index(model, int(key)) == expected
 
     def test_error_bound_is_respected(self):
         domain = 1 << 24
         ranges = random_disjoint_ranges(500, domain, seed=11)
         rs = RangeSet.from_integer_ranges(ranges, domain)
         model = RQRMI.train(rs, FAST)
-        for idx, (lo, hi) in enumerate(sorted(ranges)):
-            for key in (lo, hi):
-                lookup = model.query(key)
-                assert abs(lookup.predicted_index - idx) <= lookup.error_bound
+        keys = np.array(sorted(ranges)).ravel()  # lo, hi of each range in order
+        _indices, predicted, bounds = model.query_batch_detailed(keys)
+        true_indices = np.arange(len(keys)) // 2
+        assert (np.abs(predicted - true_indices) <= bounds).all()
 
     def test_query_batch_matches_scalar(self):
         domain = 1 << 20
@@ -131,11 +132,14 @@ class TestLookupCorrectness:
         rs = RangeSet.from_integer_ranges(ranges, domain)
         model = RQRMI.train(rs, FAST)
         keys = np.random.default_rng(13).integers(0, domain, size=200)
-        batch = model.query_batch(keys)
-        for key, predicted in zip(keys, batch):
-            scalar = model.query(int(key)).index
-            expected = -1 if scalar is None else scalar
-            assert predicted == expected
+        indices, predicted, bounds = model.query_batch_detailed(keys)
+        np.testing.assert_array_equal(model.query_batch(keys), indices)
+        for key, index, prediction, bound in zip(keys, indices, predicted, bounds):
+            scalar = query(model, int(key))
+            expected = -1 if scalar.index is None else scalar.index
+            assert (index, prediction, bound) == (
+                expected, scalar.predicted_index, scalar.error_bound
+            )
 
 
 class TestErrorBoundAndRetraining:

@@ -175,6 +175,15 @@ class TestPerfHarness:
             report = evaluate_sharded(sharded, [])
         assert (report.packets, report.avg_latency_ns, report.throughput_pps) == (0, 0, 0)
 
+    @pytest.mark.parametrize("evaluate", ["classifier", "nuevomatch"])
+    def test_max_packets_zero_prices_nothing(self, evaluate, nm_acl_medium, acl_medium):
+        trace = generate_uniform_trace(acl_medium, 20, seed=7)
+        if evaluate == "classifier":
+            report = evaluate_classifier(nm_acl_medium, trace, max_packets=0)
+        else:
+            report = evaluate_nuevomatch(nm_acl_medium, trace, max_packets=0)
+        assert (report.packets, report.avg_latency_ns, report.throughput_pps) == (0, 0, 0)
+
     def test_two_cores_double_throughput(self, acl_medium):
         tm = TupleMergeClassifier.build(acl_medium)
         trace = generate_uniform_trace(acl_medium, 50, seed=2)
@@ -254,6 +263,42 @@ PARENT_REPLAY_NS = {
     "sharded": 181.40449999999998,
     "cached-sharded": 52.08902522222221,
 }
+# Recorded at d5761a5, before ``evaluate_nuevomatch`` became a block-path run:
+# ``evaluate_nuevomatch(nm, trace, CostModel(), mode=mode)`` for nm over tm
+# (``fast_nm_config()``), keyed ``mode/trace`` →
+# (avg_latency_ns, breakdown fields, ``extra["avg_breakdown"]`` or None).
+PARENT_NM_MODES = {
+    "parallel/uniform": (
+        75.54822817460331,
+        {"model_ns": 0.025396825396825397, "index_ns": 37.3034920634923,
+         "rule_ns": 4.241714285714182, "compute_ns": 0.345625, "hash_ns": 33.632},
+        None,
+    ),
+    "parallel/zipf": (
+        70.78000793650813,
+        {"model_ns": 0.0, "index_ns": 34.70031746031777,
+         "rule_ns": 4.092190476190361, "compute_ns": 0.3275, "hash_ns": 31.66},
+        None,
+    ),
+    "single/uniform": (
+        93.80419047619031,
+        {"model_ns": 9.5238095238093, "index_ns": 44.100380952381,
+         "rule_ns": 14.976000000000003, "compute_ns": 3.04,
+         "hash_ns": 22.163999999999998},
+        {"inference_ops": 40.0, "search_accesses": 3.906,
+         "validation_accesses": 1.0473333333333332,
+         "remainder_accesses": 8.068666666666667},
+    ),
+    "single/zipf": (
+        91.88820039682535,
+        {"model_ns": 9.5238095238093, "index_ns": 43.236126984127196,
+         "rule_ns": 14.866222222222206, "compute_ns": 3.0360416666666667,
+         "hash_ns": 21.226},
+        {"inference_ops": 40.0, "search_accesses": 3.997333333333333,
+         "validation_accesses": 1.0333333333333334,
+         "remainder_accesses": 7.757333333333333},
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +334,23 @@ class TestParentPins:
                 PARENT_CLASSIFIER_NS[f"{name}/{kind}"], rel=1e-9
             )
             assert report.breakdown.total_ns == report.avg_latency_ns
+
+    @pytest.mark.parametrize("mode", ["parallel", "single"])
+    def test_evaluate_nuevomatch(self, mode, pinned_rules, pinned_traces):
+        from dataclasses import asdict
+
+        nm = build_classifier(
+            "nm", pinned_rules, remainder_classifier="tm", config=fast_nm_config()
+        )
+        for kind, trace in pinned_traces.items():
+            latency, breakdown, avg_breakdown = PARENT_NM_MODES[f"{mode}/{kind}"]
+            report = evaluate_nuevomatch(nm, trace, CostModel(), mode=mode)
+            assert report.packets == 1500
+            assert report.avg_latency_ns == pytest.approx(latency, rel=1e-9)
+            assert asdict(report.breakdown) == pytest.approx(breakdown, rel=1e-9)
+            assert report.extra.get("avg_breakdown") == (
+                None if avg_breakdown is None else pytest.approx(avg_breakdown, rel=1e-9)
+            )
 
     @pytest.mark.parametrize("shards", [2, 4])
     def test_evaluate_sharded(self, shards, pinned_rules, pinned_traces):

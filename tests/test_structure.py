@@ -20,8 +20,9 @@ objects by attribute), only ``workloads/replay.py`` times a lookup loop, only
 ``simulation/`` prices one and the CLI builds its stacks through the replay
 module's two factories, only ``rules/rule.py`` knows how rules are ordered
 (everything else compares order keys), ``workloads/`` holds the trace
-replay alone and nothing under ``benchmarks/`` drives the serving stack, and
-none of the superseded names survives.  (The wire
+replay alone and nothing under ``benchmarks/`` drives the serving stack,
+NuevoMatch's iSets have one (block) lookup, and none of the superseded names
+survives.  (The wire
 client's ``AsyncClient.classify_batch`` is a network call, not a lookup
 implementation, and is exempt.)
 """
@@ -191,7 +192,9 @@ def test_superseded_names_are_gone():
         r"_recompute_max_priority|_rules_to_arrays|_rule_arrays|_packed_rules|"
         r"_base_ids|_round_robin|evaluate_classifier_batched|BatchReport|"
         r"_cmd_engine_serve|partition_for_shards|PARTITIONERS|"
-        r"_best_first|_built_best_first|best_priority|max_priority|priority_floor)\b|"
+        r"_best_first|_built_best_first|best_priority|max_priority|priority_floor|"
+        r"classify_detailed|classify_isets_only|LookupBreakdown|RQRMILookup|"
+        r"_best_iset_match|_route)\b|"
         r"columnar="
     )
     offenders = [
@@ -203,14 +206,22 @@ def test_superseded_names_are_gone():
     assert offenders == []
 
 
+def test_one_nuevomatch_lookup():
+    """NuevoMatch's iSets answer through ``ISetIndex.lookup_block`` →
+    ``RQRMI.query_batch_detailed`` only: no per-packet iSet lookup or RQ-RMI
+    query sits beside them (the frozen walk lives in ``tests/_nm_reference``)."""
+    for name in ("ISetIndex", "RQRMI"):
+        assert not CLASS_METHODS[name] & {"lookup", "query", "predict"}, name
+
+
 def test_nothing_shipped_still_describes_a_deleted_path():
     """The acceptance greps of the earlier clean-ups, kept as a test: no
     source, example, benchmark, script, doc or workflow names the
     deleted JSON data plane, the deleted training orchestrator, the options
     that selected them, the per-baseline table classes and native updates, the
     per-site rule converters, the second trace runs and the partitioner knob,
-    or the per-module priority orders (CHANGES.md and ROADMAP.md are where the
-    names are spelled)."""
+    the per-module priority orders, or NuevoMatch's per-packet lookup
+    (CHANGES.md and ROADMAP.md are where the names are spelled)."""
     gone = re.compile(
         r"RequestBatcher|BatcherStats|PendingRequest|ControlSettings|_op_classify|"
         r"negotiate=|wire_v2=|protocol=\"json\"|max_delay_us|max-delay-us|"
@@ -223,7 +234,8 @@ def test_nothing_shipped_still_describes_a_deleted_path():
         r"_base_ids|_round_robin|evaluate_classifier_batched|BatchReport|"
         r"_cmd_engine_serve|partition_for_shards|PARTITIONERS|engine serve\b|"
         r"--partitioner|_best_first|_built_best_first|best_priority|max_priority|"
-        r"priority_floor"
+        r"priority_floor|classify_detailed|classify_isets_only|LookupBreakdown|"
+        r"RQRMILookup|_best_iset_match"
     )
     root = SRC.parent.parent
     shipped = [root / "README.md"] + [
