@@ -282,10 +282,9 @@ class Classifier(ABC):
         rows are *overwritten* with the per-packet lookup counters in
         :data:`TRACE_FIELDS` order.
 
-        Linear search and NuevoMatch override this with an allocation-free
-        path; the generic implementation is the unfloored
-        :meth:`classify_block_with_floors` loop, which the hash family
-        overrides in turn.
+        NuevoMatch overrides this; for every other classifier it is the
+        unfloored view of :meth:`classify_block_with_floors`, which linear
+        search and the hash family implement as array kernels.
         """
         if traces is not None:
             traces[: len(block)] = 0
@@ -306,7 +305,9 @@ class Classifier(ABC):
         ``traces`` rows are *accumulated into*, not overwritten:
         NuevoMatch adds the remainder's counters on top of the iSet ones.  The
         generic implementation loops :meth:`classify_with_floor`, so any
-        classifier can index a NuevoMatch remainder that serves blocks.
+        classifier can index a NuevoMatch remainder that serves blocks; it is
+        also the scalar reference the linear and hash-family kernels are
+        tested against.
         """
         n = len(block)
         rule_ids = np.full(n, -1, dtype=np.int64)

@@ -26,14 +26,10 @@ from repro.rules.rule import Packet, RuleSet
 
 __all__ = ["LinearSearchClassifier"]
 
-#: Packets per chunk in the columnar block path; bounds the (chunk × rules ×
-#: fields) boolean intermediate to a few MB.
-_BATCH_CHUNK = 512
-
-#: Rules per chunk in the columnar block path: packets whose first match lands
-#: in an early chunk drop out of the scan, so the common (skewed-traffic) case
-#: never touches the tail of the rule array.
-_RULE_CHUNK = 512
+#: ``(rows × rules × fields)`` cells one compare of the block path may touch:
+#: the rule array is scanned in slices this wide for the block at hand, which
+#: bounds the boolean intermediates to a few MB at any block size.
+_CHUNK_CELLS = 1 << 20
 
 
 @register("linear", aliases=("linear-search",))
@@ -45,69 +41,62 @@ class LinearSearchClassifier(Classifier):
     def __init__(self, ruleset: RuleSet):
         super().__init__(ruleset)
         self._ordered = ruleset.best_first()
+        # Fields-first copies of the bounds for the block scan.
+        self._lo = np.ascontiguousarray(self._ordered.lo.T)
+        self._hi = np.ascontiguousarray(self._ordered.hi.T)
 
     def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
         return self.classify_with_floor(packet, None)
 
-    def classify_block(
+    def classify_block_with_floors(
         self,
         block: np.ndarray,
+        floors: Optional[np.ndarray],
         traces: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar scan: allocation-free, bit-identical to :meth:`classify_traced`.
+        """Floored columnar scan (contract:
+        :meth:`Classifier.classify_block_with_floors
+        <repro.classifiers.base.Classifier.classify_block_with_floors>`), row
+        for row what :meth:`classify_with_floor` gives, counters included.
 
-        Rules are scanned in :data:`_RULE_CHUNK` slices; packets resolved by an
-        early chunk drop out of later ones, so trace semantics stay those of
-        the sequential first-match scan (``rule_accesses`` is the 1-based
-        position of the winning rule, or the full rule count on a miss).
+        A row scans the rules whose key is below its floor —
+        ``searchsorted(key, floor)`` of them, its limit — in order, slice by
+        slice, and leaves the scan at its first match; a first match at or
+        past the limit is a miss.  ``rule_accesses`` is the 1-based position
+        of a hit, or the limit on a miss.
         """
-        block = np.asarray(block)
-        n = block.shape[0]
-        num_rules = len(self._ordered)
-        num_fields = self._ordered.lo.shape[1]
+        ordered = self._ordered
+        values = np.asarray(block).astype(np.int64, copy=False)
+        n, fields = values.shape
+        limit = (
+            np.full(n, len(ordered), dtype=np.int64) if floors is None
+            else np.searchsorted(ordered.key, floors)
+        )
+        first = limit.copy()  # the first match, or the limit on a miss
+        alive = np.arange(n)
+        width = max(1, _CHUNK_CELLS // max(1, n * fields))
+        columns = values.T[:, :, None]  # fields first: rules are the inner axis
+        for start in range(0, len(ordered), width):
+            alive = alive[limit[alive] > start]
+            if alive.size == 0:
+                break
+            packets = columns[:, alive]
+            matched = (
+                (packets >= self._lo[:, None, start : start + width])
+                & (packets <= self._hi[:, None, start : start + width])
+            ).all(axis=0)
+            hit = matched.any(axis=1)
+            first[alive[hit]] = start + matched[hit].argmax(axis=1)
+            alive = alive[~hit]
+        hits = first < limit
         rule_ids = np.full(n, -1, dtype=np.int64)
         priorities = np.zeros(n, dtype=np.int64)
-        if num_rules == 0 or n == 0:
-            if traces is not None:
-                traces[:n] = 0
-            return rule_ids, priorities
-        values = block.astype(np.int64, copy=False)
-        for start in range(0, n, _BATCH_CHUNK):
-            chunk = values[start : start + _BATCH_CHUNK]
-            size = len(chunk)
-            first = np.full(size, num_rules, dtype=np.int64)
-            alive = np.arange(size)
-            for rule_start in range(0, num_rules, _RULE_CHUNK):
-                sub = chunk[alive]
-                lo = self._ordered.lo[rule_start : rule_start + _RULE_CHUNK]
-                hi = self._ordered.hi[rule_start : rule_start + _RULE_CHUNK]
-                matched = np.all(
-                    (sub[:, None, :] >= lo[None, :, :])
-                    & (sub[:, None, :] <= hi[None, :, :]),
-                    axis=2,
-                )
-                any_match = matched.any(axis=1)
-                if any_match.any():
-                    resolved = alive[any_match]
-                    first[resolved] = rule_start + np.argmax(
-                        matched[any_match], axis=1
-                    )
-                    alive = alive[~any_match]
-                    if alive.size == 0:
-                        break
-            hits = first < num_rules
-            winners = first[hits]
-            out = slice(start, start + size)
-            rule_ids[out][hits] = self._ordered.rule_id[winners]
-            priorities[out][hits] = self._ordered.priority[winners]
-            if traces is not None:
-                scanned = np.where(hits, first + 1, np.int64(num_rules))
-                trace_chunk = traces[out]
-                trace_chunk[:, 0] = 0
-                trace_chunk[:, 1] = scanned
-                trace_chunk[:, 2] = 0
-                trace_chunk[:, 3] = scanned * num_fields
-                trace_chunk[:, 4] = 0
+        rule_ids[hits] = ordered.rule_id[first[hits]]
+        priorities[hits] = ordered.priority[first[hits]]
+        if traces is not None:
+            scanned = np.where(hits, first + 1, limit)
+            traces[:n, 1] += scanned
+            traces[:n, 3] += scanned * fields
         return rule_ids, priorities
 
     def classify_with_floor(

@@ -22,6 +22,22 @@ compatible table with room".  Buckets and tables are ordered by rule order key
 (:func:`~repro.rules.rule.order_key`) and every prune compares keys, so ties
 in priority go to the lower rule id.  A built classifier is immutable; online
 updates are the engine's overlay (:class:`repro.engine.ClassificationEngine`).
+
+The block lookup is one kernel over every table at once, built on a flat
+probe index made once after placement (:class:`_ProbeIndex`): the buckets of
+all tables sorted by a 64-bit hash of ``(table, masked key)``, each with its
+stored masked key and its rule rows padded to the widest bucket.  A block is
+masked to every table's lengths, hashed and probed with one ``searchsorted``;
+comparing the stored key makes the probe exact, and one padded range compare
+gives each bucket's first match ``fm[row, table]``.  The scalar walk's early
+breaks (§4) then become counters: the running best key before table *t* is
+the cumulative minimum of the row's floor and ``fm[row, :t]``, and because
+tables are sorted by best key and that running minimum only falls, "table
+*t* is probed" is exactly ``best_key[t] < running[t]`` — the row would have
+broken out of the walk at the first table where it fails.  Within a probed
+bucket the walk touches the rules below the running key up to the first
+match.  A table that cannot win never lowers the minimum, so the answer is
+``min(floor, fm.min())`` whichever tables were probed.
 """
 
 from __future__ import annotations
@@ -64,11 +80,41 @@ def rule_tuple(rule: Rule, field_bits: Sequence[int]) -> tuple[int, ...]:
 
 def mask_value(value: int, prefix_len: int, bits: int) -> int:
     """Keep the ``prefix_len`` most significant bits of ``value``."""
+    return value & _field_mask(prefix_len, bits)
+
+
+def _field_mask(prefix_len: int, bits: int) -> int:
+    """The mask keeping the ``prefix_len`` most significant of ``bits`` bits
+    (``-1``, all ones, for a full-length prefix)."""
     if prefix_len <= 0:
         return 0
     if prefix_len >= bits:
-        return value
-    return value & (((1 << prefix_len) - 1) << (bits - prefix_len))
+        return -1
+    return ((1 << prefix_len) - 1) << (bits - prefix_len)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer, in place on a uint64 array."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _hash(masked: np.ndarray, multipliers: np.ndarray, salts: np.ndarray) -> np.ndarray:
+    """64-bit hash of masked keys laid out fields first: each field times its
+    table's random odd multiplier, summed, plus the table's salt, mixed."""
+    hashed = (masked.view(np.uint64) * multipliers).sum(axis=0, dtype=np.uint64)
+    hashed += salts
+    return _mix(hashed)
+
+
+def _constants(count: int, seed: int) -> np.ndarray:
+    """``count`` fixed pseudo-random odd 64-bit constants (splitmix64)."""
+    weyl = np.arange(seed, seed + count, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return _mix(weyl) | np.uint64(1)
 
 
 class _HashTable:
@@ -109,6 +155,58 @@ class _HashTable:
         return max((len(bucket) for bucket in self.buckets.values()), default=0)
 
 
+class _ProbeIndex:
+    """Every table's buckets as one flat, sorted probe index (built once).
+
+    Per table (fields first, so a block's rows are the contiguous axis):
+    ``masks`` ``(fields, tables, 1)``, the hash's ``multipliers`` and
+    ``salts`` and ``best_key`` ``(tables, 1)``.  Per bucket, sorted by
+    ``hashes``: the ``owner`` table, the stored masked ``keys``
+    ``(fields, buckets)`` and the key-sorted rule ``rows``, padded to the
+    widest bucket plus one.  Rows index ``lo``/``hi``/``key``: the rule-set's
+    columns plus one padding row that matches every packet with key
+    ``NO_FLOOR``, so it is never counted and never wins.  A last guard bucket
+    (maximal hash, owner ``-1``) keeps every ``searchsorted`` slot in range.
+    """
+
+    def __init__(self, tables: Sequence[_HashTable], ruleset: RuleSet):
+        count, fields = len(tables), ruleset.num_fields
+        self.masks = np.array(
+            [[_field_mask(*pair) for pair in zip(t.lengths, t.field_bits)] for t in tables],
+            dtype=np.int64,
+        ).reshape(count, fields).T[:, :, None]
+        self.multipliers = _constants(fields * count, 1).reshape(fields, count, 1)
+        self.salts = _constants(count, fields * count + 1)[:, None]
+        self.best_key = np.array([t.best_key for t in tables], dtype=np.int64)[:, None]
+        owners, keys, buckets = [], [], []
+        for number, table in enumerate(tables):
+            for key, bucket in table.buckets.items():
+                if bucket:  # a placement probe can leave an empty bucket behind
+                    owners.append(number)
+                    keys.append(key)
+                    buckets.append([ruleset.row_of[rule.rule_id] for rule in bucket])
+        owners = np.array(owners, dtype=np.int64)
+        keys = np.array(keys, dtype=np.int64).reshape(len(buckets), fields).T
+        hashes = _hash(keys, self.multipliers[:, owners, 0], self.salts[owners, 0])
+        order = np.argsort(hashes)
+        hashes = hashes[order]
+        if (hashes[1:] == hashes[:-1]).any():
+            raise ValueError(f"{ruleset.name}: two buckets share a probe hash")
+        self.rows = np.full(
+            (len(buckets) + 1, max(map(len, buckets), default=0) + 1),
+            len(ruleset),
+            dtype=np.int64,
+        )
+        for slot, bucket in zip(np.argsort(order), buckets):
+            self.rows[slot, : len(bucket)] = bucket
+        self.hashes = np.append(hashes, np.uint64(np.iinfo(np.uint64).max))
+        self.owner = np.append(owners[order], -1)
+        self.keys = np.hstack((keys[:, order], np.zeros((fields, 1), dtype=np.int64)))
+        self.lo = np.vstack((ruleset.lo, np.zeros((1, fields), dtype=np.int64)))
+        self.hi = np.vstack((ruleset.hi, np.full((1, fields), NO_FLOOR, dtype=np.int64)))
+        self.key = np.append(ruleset.key, NO_FLOOR)
+
+
 class TupleHashClassifier(Classifier):
     """The hash family: rules in masked-key hash tables, probed best table first.
 
@@ -136,6 +234,7 @@ class TupleHashClassifier(Classifier):
         # smallest best key first, so a lookup stops at the first table that
         # cannot win.
         self._tables = sorted(tables.values(), key=lambda table: table.best_key)
+        self._index = _ProbeIndex(self._tables, self.ruleset)
 
     # -- lookup ------------------------------------------------------------------
 
@@ -174,46 +273,61 @@ class TupleHashClassifier(Classifier):
         floors: Optional[np.ndarray],
         traces: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Floored columnar lookup without per-row result objects (contract:
+        """Floored columnar lookup (contract:
         :meth:`Classifier.classify_block_with_floors
         <repro.classifiers.base.Classifier.classify_block_with_floors>`); a
         row only reports a match whose key is below its floor.
 
-        Row-for-row identical to :meth:`classify_with_floor` (same table
-        order, same early breaks, same counters) but allocation-free: no
-        :class:`ClassificationResult`/:class:`LookupTrace` objects are built.
+        One probe of the flat index for every ``(row, table)`` pair, then §4's
+        early breaks replayed as counters (module docstring): ids, priorities
+        and all five trace counters equal :meth:`classify_with_floor`'s row
+        for row, with a fixed number of array operations per block.
         """
-        n = len(block)
-        keys = np.full(n, NO_FLOOR, dtype=np.int64)
-        row_floors = [NO_FLOOR] * n if floors is None else floors.tolist()
-        tables = self._tables
-        for row, values in enumerate(block.tolist()):
-            floor = best_key = row_floors[row]
-            index_accesses = rule_accesses = compute_ops = hash_ops = 0
-            for table in tables:
-                if table.best_key >= best_key:
-                    break
-                hash_ops += 1
-                index_accesses += 1
-                bucket = table.buckets.get(table.key_for_values(values))
-                if not bucket:
-                    continue
-                for rule in bucket:
-                    if rule.key >= best_key:
-                        break  # bucket is key-sorted; nothing better remains
-                    rule_accesses += 1
-                    compute_ops += len(values)
-                    if rule.matches(values):
-                        best_key = rule.key
-                        break
-            if best_key < floor:
-                keys[row] = best_key
-            if traces is not None:
-                traces[row, 0] += index_accesses
-                traces[row, 1] += rule_accesses
-                traces[row, 3] += compute_ops
-                traces[row, 4] += hash_ops
-        return split_keys(keys)
+        index = self._index
+        values = np.asarray(block).astype(np.int64, copy=False)
+        n, fields = values.shape
+        floor = (
+            np.full(n, NO_FLOOR, dtype=np.int64) if floors is None
+            else np.asarray(floors, dtype=np.int64)
+        )
+        # Every (table, row) key, hashed and looked up; equal hashes are then
+        # confirmed field by field, so the probe is exact.
+        masked = index.masks & values.T[:, None, :]  # (fields, tables, rows)
+        hashed = _hash(masked, index.multipliers, index.salts)
+        slots = np.searchsorted(index.hashes, hashed)
+        tables, rows = np.nonzero(index.hashes[slots] == hashed)
+        slots = slots[tables, rows]
+        exact = (index.owner[slots] == tables) & (
+            index.keys[:, slots] == masked[:, tables, rows]
+        ).all(axis=0)
+        tables, rows, slots = tables[exact], rows[exact], slots[exact]
+        # Each bucket hit's padded rule rows against its packet in one compare;
+        # the padding row matches everything, so argmax is the first match.
+        entries = index.rows[slots]
+        probe = values[rows, None, :]
+        first = (
+            (probe >= index.lo[entries]) & (probe <= index.hi[entries])
+        ).all(axis=2).argmax(axis=1)
+        first_key = np.full(hashed.shape, NO_FLOOR, dtype=np.int64)
+        first_key[tables, rows] = index.key[entries[np.arange(len(first)), first]]
+        # running[t] is each row's best key before table t; running[-1] is
+        # the answer.
+        running = np.minimum.accumulate(np.vstack((floor, first_key)), axis=0)
+        best = running[-1]
+        if traces is not None:
+            probed = index.best_key < running[:-1]
+            probes = probed.sum(axis=0)
+            scanned = np.zeros(hashed.shape, dtype=np.int64)
+            scanned[tables, rows] = (
+                (index.key[entries] < running[tables, rows][:, None])
+                & (np.arange(entries.shape[1]) <= first[:, None])
+            ).sum(axis=1)
+            rule_accesses = (scanned * probed).sum(axis=0)
+            traces[:n, 0] += probes
+            traces[:n, 1] += rule_accesses
+            traces[:n, 3] += rule_accesses * fields
+            traces[:n, 4] += probes
+        return split_keys(np.where(best < floor, best, NO_FLOOR))
 
     # -- introspection -------------------------------------------------------------
 

@@ -16,6 +16,8 @@ import numpy as np
 from repro.classifiers.base import TRACE_FIELDS
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
+from repro.rules import generate_classbench
+from repro.rules.rule import RuleSet
 from repro.serving import AsyncClient, wire
 
 from _nm_reference import ReferenceWalk
@@ -30,6 +32,18 @@ def fast_nm_config(max_isets: int = 4, min_coverage: float = 0.05) -> NuevoMatch
         max_isets=max_isets,
         min_iset_coverage=min_coverage,
         rqrmi=FAST_RQRMI,
+    )
+
+
+def tied_ruleset() -> RuleSet:
+    """fw1/400 (seed 1) with ten rules per priority level (priority =
+    position // 40) and ids running opposite to position, so the lower id of
+    two tied rules is always the later one."""
+    source = generate_classbench("fw1", 400, seed=1)
+    positions = np.arange(len(source))
+    return RuleSet.from_columns(
+        source.lo, source.hi, positions // 40, positions[::-1], source.actions,
+        source.schema, name="fw1-ties",
     )
 
 

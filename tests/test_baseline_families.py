@@ -10,20 +10,28 @@ acl1/1000 (seed 1) and a 1500-packet uniform trace (seed 2), the sha256 over
 of ``classify_block_with_floors`` with floors alternating ``NO_FLOOR``/300,
 plus each baseline's ``statistics()`` and ``memory_footprint()``.  This build
 must reproduce every digest and number; ``statistics()`` may gain keys.
+
+The columnar floored kernels (linear search's scan, the hash family's flat
+probe) are checked row for row against the scalar ``classify_with_floor``
+loop: ids, priorities and all five counters, on mixed iSet floors, edge
+cases, the ten-way-tie set and random small rule-sets.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.classifiers import build_classifier
-from repro.classifiers.base import NO_FLOOR, TRACE_FIELDS
+from repro.classifiers.base import NO_FLOOR, TRACE_FIELDS, Classifier
 from repro.rules import generate_classbench
-from repro.rules.rule import order_key
+from repro.rules.fields import FIVE_TUPLE, prefix_to_range
+from repro.rules.rule import Rule, RuleSet, order_key
 from repro.traffic import generate_uniform_trace
 
-from _helpers import block_of, fast_nm_config
+from _helpers import block_of, fast_nm_config, tied_ruleset
 
 BASELINES = ("tss", "tm", "hicuts", "cs", "nc")
 
@@ -179,30 +187,139 @@ class TestSameNumbersAsTheParent:
         )
 
 
-@pytest.mark.parametrize("name", BASELINES)
-def test_columnar_floored_lookup_equals_the_scalar_reference(name, rules, block):
-    """``classify_block_with_floors`` equals ``classify_with_floor`` row for
-    row, counters included — for no floors at all, ``NO_FLOOR``, a floor
-    nothing can beat (priority 0) and "strictly better than priority 300"."""
-    classifier = build_classifier(name, rules)
-    block = block[:400]
+#: What the floored kernels are checked on: linear search, every baseline, and
+#: TupleMerge with a collision limit low enough to force multi-rule buckets.
+FLOORED = {name: (name, {}) for name in ("linear", *BASELINES)}
+FLOORED["tm(collision_limit=2)"] = ("tm", {"collision_limit": 2})
+
+#: The classifiers with a columnar kernel of their own (the rest run the
+#: base class's loop, which is the reference).
+KERNELS = ("linear", "tss", "tm", "tm(collision_limit=2)")
+
+
+def _floored(key, rules):
+    name, params = FLOORED[key]
+    return build_classifier(name, rules, **params)
+
+
+def _assert_kernel_equals_the_reference(classifier, block, floors, start=None):
+    """``classify_block_with_floors`` against the scalar reference — the base
+    class's loop over ``classify_with_floor`` — on ids, priorities and all
+    five counters, both accumulating into the same starting ``traces``."""
     n = len(block)
+    start = np.zeros((n, len(TRACE_FIELDS)), dtype=np.int64) if start is None else start
+    traces, expected_traces = start.copy(), start.copy()
+    rule_ids, priorities = classifier.classify_block_with_floors(block, floors, traces=traces)
+    expected_ids, expected_priorities = Classifier.classify_block_with_floors(
+        classifier, block, floors, traces=expected_traces
+    )
+    np.testing.assert_array_equal(rule_ids, expected_ids)
+    np.testing.assert_array_equal(priorities, expected_priorities)
+    np.testing.assert_array_equal(traces, expected_traces)
+    return rule_ids, traces
+
+
+@pytest.fixture(scope="module")
+def iset_floors(rules, block):
+    """Per-row floors from a real NuevoMatch iSet pass: the iSet winner's
+    key where an iSet matched, ``NO_FLOOR`` where none did."""
+    nm = _build("nm/tm", rules)
+    floors = np.full(len(block), NO_FLOOR, dtype=np.int64)
+    for iset in nm.isets:
+        iset.lookup_block(block.astype(np.int64), floors)
+    return floors
+
+
+@pytest.mark.parametrize("key", list(FLOORED))
+def test_columnar_floored_lookup_equals_the_scalar_reference(key, rules, block, iset_floors):
+    """Row for row, counters included — for no floors at all, ``NO_FLOOR``, a
+    floor nothing can beat (priority 0), "strictly better than priority 300"
+    and the mixed per-row floors an iSet pass hands the remainder."""
+    assert (iset_floors == NO_FLOOR).any() and (iset_floors < NO_FLOOR).any()
+    classifier = _floored(key, rules)
+    block, n = block[:400], 400
     for floor in (None, NO_FLOOR, order_key(0, 0), order_key(300, 0)):
         floors = None if floor is None else np.full(n, floor, dtype=np.int64)
-        traces = np.zeros((n, len(TRACE_FIELDS)), dtype=np.int64)
-        rule_ids, priorities = classifier.classify_block_with_floors(
-            block, floors, traces=traces
+        _assert_kernel_equals_the_reference(classifier, block, floors)
+    _assert_kernel_equals_the_reference(classifier, block, iset_floors[:n])
+
+
+@pytest.mark.parametrize("key", KERNELS)
+def test_floored_kernel_edge_cases(key, rules, block):
+    """A 0-row and a 1-row block, an empty rule-set (zero tables, zero
+    rules), and a floor of ``order_key(0, 0)`` on every row: nothing probed,
+    nothing scanned, every row a miss."""
+    classifier = _floored(key, rules)
+    for rows in (block[:0], block[:1]):
+        _assert_kernel_equals_the_reference(classifier, rows, None)
+        _assert_kernel_equals_the_reference(
+            classifier, rows, np.full(len(rows), order_key(300, 0), dtype=np.int64)
         )
-        scalar_floor = None if floor in (None, NO_FLOOR) else floor
-        for row in range(n):
-            result = classifier.classify_with_floor(
-                tuple(int(value) for value in block[row]), scalar_floor
+    empty = _floored(key, rules.take(np.arange(0)))
+    assert len(empty.ruleset) == 0 and getattr(empty, "num_tables", 0) == 0
+    rule_ids, traces = _assert_kernel_equals_the_reference(empty, block[:50], None)
+    assert (rule_ids == -1).all() and not traces.any()
+    floored_out = np.full(len(block), order_key(0, 0), dtype=np.int64)
+    rule_ids, traces = _assert_kernel_equals_the_reference(classifier, block, floored_out)
+    assert (rule_ids == -1).all() and not traces.any()
+
+
+@pytest.mark.parametrize("key", KERNELS)
+def test_floored_kernel_under_ten_way_ties(key):
+    """The fw1/400 ten-way-tie set (``test_rule_order.py``): floors that are
+    the exact keys of tied rules, so "below the floor" is decided by rule id."""
+    tied = tied_ruleset()
+    classifier = _floored(key, tied)
+    block = block_of(generate_uniform_trace(tied, 1500, seed=2).packets)
+    rng = np.random.default_rng(3)
+    floors = np.where(
+        rng.random(len(block)) < 0.2, NO_FLOOR, tied.key[rng.integers(0, len(tied), len(block))]
+    )
+    for row_floors in (None, floors):
+        _assert_kernel_equals_the_reference(classifier, block, row_floors)
+
+
+@st.composite
+def small_rulesets(draw):
+    """Up to 30 rules over few distinct prefixes, ports and protocols, so
+    tables share buckets, packets hit, and priorities tie."""
+    count = draw(st.integers(1, 30))
+    ids = draw(st.permutations(range(count)))
+    rules = []
+    for index in range(count):
+        ranges = [
+            prefix_to_range(
+                draw(st.sampled_from((0, 0x0A000000, 0x0A0A0000, 0x0A0A0A00))),
+                draw(st.sampled_from((0, 8, 16, 24, 32))),
             )
-            expected = (
-                (-1, 0) if result.rule is None
-                else (result.rule.rule_id, result.rule.priority)
-            )
-            assert (rule_ids[row], priorities[row]) == expected
-            assert list(traces[row]) == [
-                getattr(result.trace, field) for field in TRACE_FIELDS
-            ]
+            for _ in range(2)
+        ]
+        ranges += [
+            draw(st.sampled_from(((0, 65535), (53, 53), (80, 80), (1024, 65535))))
+            for _ in range(2)
+        ]
+        ranges.append(draw(st.sampled_from(((0, 255), (6, 6), (17, 17)))))
+        rules.append(Rule(tuple(ranges), draw(st.integers(0, 4)), "", ids[index]))
+    return RuleSet(rules, FIVE_TUPLE)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(small_rulesets(), st.sampled_from(KERNELS), st.integers(0, 2**16))
+def test_floored_kernel_equals_the_reference_on_random_rulesets(ruleset, key, seed):
+    """Random small rule-sets, packets drawn from their rules plus uniform
+    ones, random per-row floors (``NO_FLOOR``, or a rule's exact key, or
+    that key + 1) and non-zero starting counters."""
+    classifier = _floored(key, ruleset)
+    rng = np.random.default_rng(seed)
+    sampled = block_of(ruleset.sample_packets(24, seed=seed))
+    uniform = block_of(generate_uniform_trace(ruleset, 8, seed=seed).packets)
+    block = np.vstack((sampled, uniform))
+    n = len(block)
+    floors = np.where(
+        rng.random(n) < 0.3,
+        NO_FLOOR,
+        ruleset.key[rng.integers(0, len(ruleset), n)] + rng.integers(0, 2, n),
+    )
+    start = rng.integers(0, 5, (n, len(TRACE_FIELDS)))
+    _assert_kernel_equals_the_reference(classifier, block, floors, start)
+    _assert_kernel_equals_the_reference(classifier, block, None, start)

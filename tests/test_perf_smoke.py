@@ -1,23 +1,31 @@
-"""Performance smoke tests: flow-cached replay and wire frame batching.
+"""Performance smoke tests: flow-cached replay, the hash-family kernel and
+wire frame batching.
 
 Marked ``perf`` and deselected from the default (tier-1) run via
 ``addopts = -m "not perf"`` in ``pyproject.toml``; the dedicated CI perf job
 runs ``pytest -m perf``.  The assertions are deliberately loose — they pin
 that the cached hot path works at all under the paper's highest-skew setting
-(zipf-95, §5.1.1) and that batching rows per frame pays, not a specific
-machine's numbers.
+(zipf-95, §5.1.1), that the columnar remainder beats the per-row loop it
+replaced, and that batching rows per frame pays, not a specific machine's
+numbers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from functools import partial
 
+import numpy as np
 import pytest
 
+from repro.classifiers.base import NO_FLOOR, Classifier
+from repro.cli import _nm_config
+from repro.core.nuevomatch import NuevoMatch
 from repro.engine import ClassificationEngine
 from repro.rules import generate_classbench
 from repro.serving import AsyncClient, AsyncServer
+from repro.traffic import generate_uniform_trace
 from repro.workloads import run_scenario
 
 from _helpers import block_of, fast_nm_config
@@ -82,6 +90,44 @@ async def _windowed_pps(engine, block, rows: int, window: int = 8) -> float:
                 sends.append(asyncio.ensure_future(send(client, frame)))
             await asyncio.gather(*sends)
             return len(block) / (time.perf_counter() - start)
+
+
+def _best_ns(lookup, blocks, floors, repeats: int = 3) -> int:
+    """Best-of-``repeats`` ns for one pass of ``lookup`` over the blocks."""
+    best = None
+    for _ in range(repeats):
+        start = time.perf_counter_ns()
+        for block, row_floors in zip(blocks, floors):
+            lookup(block, row_floors, traces=np.zeros((len(block), 5), dtype=np.int64))
+        elapsed = time.perf_counter_ns() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
+def test_hash_family_kernel_beats_the_scalar_loop():
+    """The server's engine (acl1/8000, ``nm/tm``, ``_nm_config(64)``): its
+    ``tm`` remainder's columnar ``classify_block_with_floors`` must run at
+    least 3x the base class's per-row loop over ``classify_with_floor`` at
+    128 rows and 1.2x at 16, both given the engine's own iSet floors."""
+    rules = generate_classbench("acl1", 8000, seed=1)
+    nm = NuevoMatch.build(rules, remainder_classifier="tm", config=_nm_config(64))
+    remainder = nm.remainder
+    values = block_of(generate_uniform_trace(rules, 2048, seed=2).packets).astype(np.int64)
+    for rows, speedup in ((128, 3.0), (16, 1.2)):
+        blocks = [values[start : start + rows] for start in range(0, 16 * rows, rows)]
+        floors = []
+        for block in blocks:
+            best = np.full(rows, NO_FLOOR, dtype=np.int64)
+            for iset in nm.isets:
+                iset.lookup_block(block, best)
+            floors.append(best)
+        kernel = _best_ns(remainder.classify_block_with_floors, blocks, floors)
+        loop = _best_ns(
+            partial(Classifier.classify_block_with_floors, remainder), blocks, floors
+        )
+        assert loop >= speedup * kernel, (
+            f"{rows} rows: kernel {kernel / 1e3:.0f} us vs loop {loop / 1e3:.0f} us"
+        )
 
 
 def test_wide_frames_amortize_per_frame_serving_cost():

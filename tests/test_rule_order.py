@@ -15,12 +15,17 @@ import pytest
 from repro.classifiers import build_classifier
 from repro.classifiers.base import TRACE_FIELDS
 from repro.engine import ClassificationEngine
-from repro.rules import generate_classbench
-from repro.rules.rule import RuleSet
 from repro.serving import CachedEngine, ShardedEngine
 from repro.traffic import generate_uniform_trace
 
-from _helpers import block_keys, block_of, fast_nm_config, linear_keys, scalar_arrays
+from _helpers import (
+    block_keys,
+    block_of,
+    fast_nm_config,
+    linear_keys,
+    scalar_arrays,
+    tied_ruleset,
+)
 
 CLASSIFIERS = ("linear", "tss", "tm", "hicuts", "cs", "nc", "nm/tm", "nm/cs")
 
@@ -44,12 +49,7 @@ def _rows_off(actual: list, expected: list) -> int:
 
 @pytest.fixture(scope="module")
 def tied():
-    source = generate_classbench("fw1", 400, seed=1)
-    positions = np.arange(len(source))
-    return RuleSet.from_columns(
-        source.lo, source.hi, positions // 40, positions[::-1], source.actions,
-        source.schema, name="fw1-ties",
-    )
+    return tied_ruleset()
 
 
 @pytest.fixture(scope="module")

@@ -144,7 +144,14 @@ def test_one_implementation_per_baseline_family():
         "TupleHashClassifier",
         "ForestClassifier",
     }
-    assert defining("classify_block_with_floors") == {"Classifier", "TupleHashClassifier"}
+    assert defining("classify_block_with_floors") == {
+        "Classifier",
+        "LinearSearchClassifier",
+        "TupleHashClassifier",
+    }
+    # Linear search's one block entry point is its floored scan: the base
+    # class's classify_block is the unfloored view of it.
+    assert "classify_block" not in CLASS_METHODS["LinearSearchClassifier"]
     for name, family in (
         ("TupleSpaceSearchClassifier", "TupleHashClassifier"),
         ("TupleMergeClassifier", "TupleHashClassifier"),
@@ -153,9 +160,9 @@ def test_one_implementation_per_baseline_family():
         ("NeuroCutsClassifier", "ForestClassifier"),
     ):
         assert CLASS_BASES[name] == {family}, name
-    # The bucket probe appears in the scalar reference and the columnar loop
-    # only, the tree walk in the forest's one loop, and nothing sorts tables
-    # or trees inside a lookup.
+    # The per-bucket dict probe appears in the scalar reference only (the
+    # block path probes the flat index), the tree walk in the forest's one
+    # loop, and nothing sorts tables or trees inside a lookup.
     probes, walks, sorts = [], [], []
     for path in sorted((SRC / "classifiers").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -166,11 +173,85 @@ def test_one_implementation_per_baseline_family():
                 probes.append(node.name)
             if "tree.lookup(" in source:
                 walks.append(node.name)
-            if node.name.startswith("classify") and re.search(r"sorted\(|\.sort\(", source):
+            if node.name.startswith("classify") and re.search(r"\bsorted\(|\.sort\(", source):
                 sorts.append(f"{path.name}:{node.name}")
-    assert sorted(probes) == ["classify_block_with_floors", "classify_with_floor"]
+    assert probes == ["classify_with_floor"]
     assert walks == ["classify_with_floor"]
     assert sorts == []
+
+
+def _row_loops(function: ast.FunctionDef) -> list[str]:
+    """Where ``function`` steps through a block's rows one at a time: every
+    ``while``, every ``for`` or comprehension whose extent is the block — its
+    iterable (a ``range``'s stop) reads a parameter or a name computed from
+    one — and every ``.tolist()``."""
+    derived = {arg.arg for arg in function.args.args} - {"self"}
+    assignments = [
+        node for node in ast.walk(function)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value
+    ]
+    grown = True
+    while grown:  # to a fixed point: names computed from names computed from …
+        grown = False
+        for node in assignments:
+            if _names(node.value) & derived:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                new = set().union(*map(_names, targets)) - derived
+                grown |= bool(new)
+                derived |= new
+
+    def extent(iterable: ast.expr) -> ast.expr:
+        if isinstance(iterable, ast.Call) and _called(iterable) == "range":
+            return iterable.args[1] if len(iterable.args) > 1 else iterable.args[0]
+        return iterable
+
+    loops = []
+    for node in ast.walk(function):
+        iterables = (
+            [node.iter] if isinstance(node, ast.For)
+            else [g.iter for g in node.generators]
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+            else []
+        )
+        if isinstance(node, ast.While) or any(
+            _names(extent(iterable)) & derived for iterable in iterables
+        ):
+            loops.append(f"{function.name}:{node.lineno}: {type(node).__name__}")
+        elif isinstance(node, ast.Call) and _called(node) == "tolist":
+            loops.append(f"{function.name}:{node.lineno}: tolist")
+    return loops
+
+
+def test_the_floored_kernels_have_no_row_loop():
+    """The hash family's and linear search's ``classify_block_with_floors``
+    are array kernels: no Python loop over a block's rows and no
+    ``.tolist()`` (linear search may step through its rule array in slices).
+    The guard itself flags the per-row loop it replaced."""
+    kernels = {
+        node.name: item
+        for path in (SRC / "classifiers").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "classify_block_with_floors"
+    }
+    assert set(kernels) == {"Classifier", "TupleHashClassifier", "LinearSearchClassifier"}
+    # The base class's loop is the scalar reference the kernels are tested
+    # against, and the guard sees it for what it is.
+    assert _row_loops(kernels.pop("Classifier"))
+    for name, function in kernels.items():
+        assert _row_loops(function) == [], name
+    loop = ast.parse(
+        "def classify_block_with_floors(self, block, floors, traces=None):\n"
+        "    n = len(block)\n"
+        "    for row in range(n):\n"
+        "        pass\n"
+        "    for row, values in enumerate(block):\n"
+        "        pass\n"
+        "    rows = [floor for floor in floors]\n"
+        "    values = block.tolist()\n"
+    ).body[0]
+    assert len(_row_loops(loop)) == 4
 
 
 def test_superseded_names_are_gone():
