@@ -20,9 +20,12 @@ baselines are grouping + node policies over one
 immutable: online updates are the engine's overlay.
 
 All classifiers implement the :class:`~repro.classifiers.base.Classifier`
-interface: the scalar traced lookup, the columnar ``classify_block``, the
-``classify_with_floor`` early-termination hook, and the versioned ``to_state``/``from_state``
-persistence protocol.  Each class registers itself with the decorator-based
+interface: one columnar lookup — a baseline's floored
+``classify_block_with_floors``, the §4 early-termination hook NuevoMatch
+hands its iSet winners to, or NuevoMatch's own ``classify_block`` — from
+which the base class derives ``classify_block``, ``classify_batch``,
+``classify_traced`` and ``classify``, plus the versioned
+``to_state``/``from_state`` persistence protocol.  Each class registers itself with the decorator-based
 registry (:mod:`repro.classifiers.registry`); resolve names with
 :func:`build_classifier` / :func:`resolve_classifier` and enumerate them with
 :func:`available_classifiers`.

@@ -1,8 +1,11 @@
 """Common classifier interface, lookup tracing and memory accounting.
 
 Every packet classifier in the library (the baselines and NuevoMatch itself)
-implements :class:`Classifier`.  Besides returning the matching rule, a
-classifier can report a :class:`LookupTrace` describing the *memory behaviour*
+implements :class:`Classifier` through one columnar lookup — a baseline its
+``classify_block_with_floors``, NuevoMatch its ``classify_block`` — and the
+base class derives the object views from it (:func:`materialize`).  Besides
+the matching rule, a lookup reports per-packet counters (:data:`TRACE_FIELDS`,
+a :class:`LookupTrace` per object result) describing the *memory behaviour*
 of the lookup — how many dependent accesses it made to its index structure,
 how many rule entries it touched, and how much pure compute it performed.
 The :mod:`repro.simulation` cost model turns those traces plus the
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
     "NO_FLOOR",
     "check_results",
     "check_state_header",
+    "materialize",
     "trace_from_row",
 ]
 
@@ -88,33 +92,6 @@ class LookupTrace:
     model_accesses: int = 0
     compute_ops: int = 0
     hash_ops: int = 0
-
-    def merge(self, other: "LookupTrace") -> "LookupTrace":
-        """Element-wise sum of two traces (e.g. iSets + remainder)."""
-        return LookupTrace(
-            index_accesses=self.index_accesses + other.index_accesses,
-            rule_accesses=self.rule_accesses + other.rule_accesses,
-            model_accesses=self.model_accesses + other.model_accesses,
-            compute_ops=self.compute_ops + other.compute_ops,
-            hash_ops=self.hash_ops + other.hash_ops,
-        )
-
-    @classmethod
-    def aggregate(cls, traces: Iterable["LookupTrace"]) -> "LookupTrace":
-        """Element-wise sum over many traces (the cost of a whole batch).
-
-        The simulation layer uses the aggregate to price a batched lookup in
-        one :meth:`~repro.simulation.cost_model.CostModel.lookup_latency` call
-        instead of one call per packet.
-        """
-        total = cls()
-        for trace in traces:
-            total.index_accesses += trace.index_accesses
-            total.rule_accesses += trace.rule_accesses
-            total.model_accesses += trace.model_accesses
-            total.compute_ops += trace.compute_ops
-            total.hash_ops += trace.hash_ops
-        return total
 
     @property
     def total_accesses(self) -> int:
@@ -174,6 +151,34 @@ def trace_from_row(row: Sequence[int]) -> LookupTrace:
     return LookupTrace(*(int(value) for value in row))
 
 
+def materialize(
+    classify_block: Callable[..., tuple[np.ndarray, np.ndarray]],
+    packets: Sequence[Packet | Sequence[int]] | np.ndarray,
+    rule_of: Callable[[int], Optional[Rule]],
+) -> list[ClassificationResult]:
+    """The one object view of a columnar lookup, shared by classifiers and
+    engine stacks: ``packets`` (packets/tuples, or a 2-d integer block whose
+    rows are packets) go through ``classify_block`` once with a trace
+    out-array, and each row becomes a :class:`ClassificationResult` — its id
+    resolved by ``rule_of``, its trace row a :class:`LookupTrace`.  No
+    packets, no results."""
+    if isinstance(packets, np.ndarray) and packets.ndim == 2:
+        block = packets
+    else:
+        block = np.array(
+            [packet.values if isinstance(packet, Packet) else tuple(packet) for packet in packets],
+            dtype=np.int64,
+        )
+    if len(block) == 0:
+        return []
+    traces = np.zeros((len(block), len(TRACE_FIELDS)), dtype=np.int64)
+    rule_ids, _priorities = classify_block(block, traces=traces)
+    return [
+        ClassificationResult(None if rule_id < 0 else rule_of(rule_id), trace_from_row(row))
+        for rule_id, row in zip(rule_ids.tolist(), traces.tolist())
+    ]
+
+
 def check_results(
     name: str, oracle: RuleSet, packets: list, results: list[ClassificationResult]
 ) -> int:
@@ -196,9 +201,12 @@ class Classifier(ABC):
     """Abstract multi-field packet classifier.
 
     Concrete classifiers are constructed from a :class:`RuleSet` via
-    :meth:`build` and answer point queries with the highest-priority matching
-    rule.  ``classify`` is the plain interface; ``classify_traced`` also
-    reports the lookup's memory/compute profile.
+    :meth:`build` and answer with the highest-priority matching rule.  A
+    baseline implements one lookup, :meth:`classify_block_with_floors`
+    (NuevoMatch implements :meth:`classify_block`); everything else is a view
+    of it — :meth:`classify_block` unfloored, :meth:`classify_batch` the
+    N-row object view, :meth:`classify_traced` the 1-row one and
+    :meth:`classify` its rule.
     """
 
     #: Short name used in reports (e.g. ``"cs"`` for CutSplit).
@@ -249,24 +257,27 @@ class Classifier(ABC):
 
     # -- lookup ---------------------------------------------------------------
 
-    @abstractmethod
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        """Return the best matching rule together with the lookup trace."""
+    def classify_block_with_floors(
+        self,
+        block: np.ndarray,
+        floors: Optional[np.ndarray],
+        traces: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Floored columnar lookup — the one lookup a baseline implements, and
+        the remainder half of NuevoMatch's early-termination contract (§4),
+        one floor per row.
 
-    def classify(self, packet: Packet | Sequence[int]) -> Optional[Rule]:
-        """Return the highest-priority rule matching ``packet`` (or ``None``)."""
-        return self.classify_traced(packet).rule
+        ``(n, fields)`` block → ``(rule_ids, priorities)``, misses as
+        ``(-1, 0)``.  ``floors`` is an int64 array of per-row order-key
+        floors: a row reports only a match whose key is below its floor
+        (:data:`NO_FLOOR`, re-exported here, disables it for a row; ``None``
+        everywhere).  ``traces`` rows are *accumulated into*, not overwritten:
+        NuevoMatch adds the remainder's counters on top of the iSet ones.
 
-    def classify_batch(
-        self, packets: Sequence[Packet | Sequence[int]]
-    ) -> list[ClassificationResult]:
-        """One traced result per packet: a loop over :meth:`classify_traced`.
-
-        A baseline's scalar path is the paper-faithful reference its
-        columnar :meth:`classify_block` is tested against (NuevoMatch's
-        ``classify_traced`` is a 1-row block); no classifier overrides this.
+        NuevoMatch implements :meth:`classify_block` instead; nothing indexes
+        a remainder with it, so it has no floored lookup.
         """
-        return [self.classify_traced(packet) for packet in packets]
+        raise NotImplementedError(f"{self.name} has no floored lookup")
 
     def classify_block(
         self,
@@ -283,60 +294,31 @@ class Classifier(ABC):
         :data:`TRACE_FIELDS` order.
 
         NuevoMatch overrides this; for every other classifier it is the
-        unfloored view of :meth:`classify_block_with_floors`, which linear
-        search and the hash family implement as array kernels.
+        unfloored view of :meth:`classify_block_with_floors`.
         """
         if traces is not None:
             traces[: len(block)] = 0
         return self.classify_block_with_floors(block, None, traces=traces)
 
-    def classify_block_with_floors(
-        self,
-        block: np.ndarray,
-        floors: Optional[np.ndarray],
-        traces: Optional[np.ndarray] = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Floored columnar lookup — the remainder half of NuevoMatch's
-        early-termination contract (§4), one floor per row.
+    def classify_batch(
+        self, packets: Sequence[Packet | Sequence[int]] | np.ndarray
+    ) -> list[ClassificationResult]:
+        """One traced result per packet: the N-row object view of
+        :meth:`classify_block` (:func:`materialize`).  ``packets`` is a
+        sequence of packets/tuples or a 2-d integer block."""
+        ruleset = self.ruleset
+        return materialize(
+            self.classify_block, packets, lambda rule_id: ruleset[ruleset.row_of[rule_id]]
+        )
 
-        ``floors`` is an int64 array of per-row order-key floors: a row
-        reports only a match whose key is below its floor (:data:`NO_FLOOR`,
-        re-exported here, disables it for a row; ``None`` everywhere).
-        ``traces`` rows are *accumulated into*, not overwritten:
-        NuevoMatch adds the remainder's counters on top of the iSet ones.  The
-        generic implementation loops :meth:`classify_with_floor`, so any
-        classifier can index a NuevoMatch remainder that serves blocks; it is
-        also the scalar reference the linear and hash-family kernels are
-        tested against.
-        """
-        n = len(block)
-        rule_ids = np.full(n, -1, dtype=np.int64)
-        priorities = np.zeros(n, dtype=np.int64)
-        for row in range(n):
-            floor = None if floors is None or floors[row] == NO_FLOOR else int(floors[row])
-            result = self.classify_with_floor(
-                tuple(int(value) for value in block[row]), floor
-            )
-            if result.rule is not None:
-                rule_ids[row] = result.rule.rule_id
-                priorities[row] = result.rule.priority
-            if traces is not None:
-                for column, name in enumerate(TRACE_FIELDS):
-                    traces[row, column] += getattr(result.trace, name)
-        return rule_ids, priorities
+    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
+        """Single-packet traced lookup (a one-row :meth:`classify_batch`)."""
+        return self.classify_batch([packet])[0]
 
-    def classify_with_floor(
-        self, packet: Packet | Sequence[int], floor: Optional[int]
-    ) -> ClassificationResult:
-        """Lookup that may terminate early if no rule can beat ``floor``.
-
-        ``floor`` is the order key (:func:`~repro.rules.rule.order_key`) of
-        the best match found so far elsewhere, or ``None``.  A classifier
-        supporting the paper's *early termination* optimisation (§4) reports
-        only a match whose key is below it and prunes work that cannot return
-        one.  The default simply performs a full lookup.
-        """
-        return self.classify_traced(packet)
+    def classify(self, packet: Packet | Sequence[int]) -> Optional[Rule]:
+        """Return the highest-priority rule matching ``packet`` (or ``None``);
+        prefer :meth:`classify_block` for many packets."""
+        return self.classify_traced(packet).rule
 
     # -- introspection --------------------------------------------------------
 

@@ -4,7 +4,7 @@ HiCuts, CutSplit and the NeuroCuts-style classifier all build trees over the
 multi-dimensional rule space: internal nodes *cut* one dimension into equal
 sub-ranges or *split* it at a chosen point, and leaves hold at most ``binth``
 rules scanned linearly.  This module provides the node types, a generic
-recursive builder parameterised by a per-node policy, traced lookups, the
+recursive builder parameterised by a per-node policy, the traced tree walk, the
 early-termination bookkeeping (per-node best order key, §4 of the paper), and
 memory-footprint accounting that reflects rule replication.  Leaves, node
 bounds and the walk order all use the rule order key
@@ -24,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.classifiers.base import (
-    ClassificationResult,
+    TRACE_FIELDS,
     Classifier,
     LookupTrace,
     MemoryFootprint,
@@ -33,7 +35,7 @@ from repro.classifiers.base import (
     POINTER_BYTES,
     RULE_ENTRY_BYTES,
 )
-from repro.rules.rule import NO_FLOOR, Packet, Rule, RuleSet
+from repro.rules.rule import NO_FLOOR, Rule, RuleSet, split_keys
 
 __all__ = [
     "Space",
@@ -391,23 +393,36 @@ class ForestClassifier(Classifier):
 
     # -- lookup --------------------------------------------------------------------
 
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self.classify_with_floor(packet, None)
-
-    def classify_with_floor(
-        self, packet: Packet | Sequence[int], floor: Optional[int]
-    ) -> ClassificationResult:
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        best: Rule | None = None
-        best_key = NO_FLOOR if floor is None else floor
-        for tree in self._walk_order:
-            if tree.root.best_key >= best_key:
-                break
-            rule = tree.lookup(values, trace, best_key)
-            if rule is not None:  # the walk only returns a key below best_key
-                best, best_key = rule, rule.key
-        return ClassificationResult(best, trace)
+    def classify_block_with_floors(
+        self,
+        block: np.ndarray,
+        floors: Optional[np.ndarray],
+        traces: Optional[np.ndarray] = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Floored lookup (contract: :meth:`Classifier.classify_block_with_floors
+        <repro.classifiers.base.Classifier.classify_block_with_floors>`): a row
+        walks the trees smallest root key first, each walk floored by the
+        row's best key so far, and stops at the first tree that cannot beat
+        it (§4)."""
+        floor = (
+            np.full(len(block), NO_FLOOR, dtype=np.int64) if floors is None
+            else np.asarray(floors, dtype=np.int64)
+        )
+        best = floor.copy()
+        # One row at a time: the trees are node objects until they are
+        # flattened for a level-synchronous block walk (ROADMAP 5(c)).
+        for row, values in enumerate(np.asarray(block).tolist()):
+            trace, best_key = LookupTrace(), int(best[row])
+            for tree in self._walk_order:
+                if tree.root.best_key >= best_key:
+                    break
+                rule = tree.lookup(values, trace, best_key)
+                if rule is not None:  # the walk only returns a key below best_key
+                    best_key = rule.key
+            best[row] = best_key
+            if traces is not None:
+                traces[row] += [getattr(trace, name) for name in TRACE_FIELDS]
+        return split_keys(np.where(best < floor, best, NO_FLOOR))
 
     # -- introspection -----------------------------------------------------------------
 

@@ -10,19 +10,13 @@ exist.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.classifiers.base import (
-    ClassificationResult,
-    Classifier,
-    LookupTrace,
-    MemoryFootprint,
-    RULE_ENTRY_BYTES,
-)
+from repro.classifiers.base import Classifier, MemoryFootprint, RULE_ENTRY_BYTES
 from repro.classifiers.registry import register
-from repro.rules.rule import Packet, RuleSet
+from repro.rules.rule import RuleSet
 
 __all__ = ["LinearSearchClassifier"]
 
@@ -45,9 +39,6 @@ class LinearSearchClassifier(Classifier):
         self._lo = np.ascontiguousarray(self._ordered.lo.T)
         self._hi = np.ascontiguousarray(self._ordered.hi.T)
 
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self.classify_with_floor(packet, None)
-
     def classify_block_with_floors(
         self,
         block: np.ndarray,
@@ -56,8 +47,7 @@ class LinearSearchClassifier(Classifier):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Floored columnar scan (contract:
         :meth:`Classifier.classify_block_with_floors
-        <repro.classifiers.base.Classifier.classify_block_with_floors>`), row
-        for row what :meth:`classify_with_floor` gives, counters included.
+        <repro.classifiers.base.Classifier.classify_block_with_floors>`).
 
         A row scans the rules whose key is below its floor —
         ``searchsorted(key, floor)`` of them, its limit — in order, slice by
@@ -98,20 +88,6 @@ class LinearSearchClassifier(Classifier):
             traces[:n, 1] += scanned
             traces[:n, 3] += scanned * fields
         return rule_ids, priorities
-
-    def classify_with_floor(
-        self, packet: Packet | Sequence[int], floor: Optional[int]
-    ) -> ClassificationResult:
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        for rule in self._ordered:
-            if floor is not None and rule.key >= floor:
-                break  # rules are key-ordered; nothing below can win
-            trace.rule_accesses += 1
-            trace.compute_ops += len(values)
-            if rule.matches(values):
-                return ClassificationResult(rule, trace)
-        return ClassificationResult(None, trace)
 
     def memory_footprint(self) -> MemoryFootprint:
         rule_bytes = len(self._ordered) * RULE_ENTRY_BYTES

@@ -15,7 +15,7 @@ length; arbitrary (non-prefix) ranges are treated as a wildcard in the tuple
 
 This module also holds the one implementation of the hash family:
 :class:`TupleHashClassifier` owns the tables, their best-key-first probe order
-and the §4 early-termination lookup, and a named baseline is the
+and the one lookup, and a named baseline is the
 ``_place`` policy that decides which table a rule goes into — here "the table
 of its exact tuple", in :mod:`repro.classifiers.tuplemerge` "the first
 compatible table with room".  Buckets and tables are ordered by rule order key
@@ -23,21 +23,23 @@ compatible table with room".  Buckets and tables are ordered by rule order key
 in priority go to the lower rule id.  A built classifier is immutable; online
 updates are the engine's overlay (:class:`repro.engine.ClassificationEngine`).
 
-The block lookup is one kernel over every table at once, built on a flat
-probe index made once after placement (:class:`_ProbeIndex`): the buckets of
-all tables sorted by a 64-bit hash of ``(table, masked key)``, each with its
+The lookup is one kernel over every table at once, built on a flat probe
+index made once after placement (:class:`_ProbeIndex`): the buckets of all
+tables sorted by a 64-bit hash of ``(table, masked key)``, each with its
 stored masked key and its rule rows padded to the widest bucket.  A block is
 masked to every table's lengths, hashed and probed with one ``searchsorted``;
 comparing the stored key makes the probe exact, and one padded range compare
-gives each bucket's first match ``fm[row, table]``.  The scalar walk's early
-breaks (§4) then become counters: the running best key before table *t* is
-the cumulative minimum of the row's floor and ``fm[row, :t]``, and because
-tables are sorted by best key and that running minimum only falls, "table
-*t* is probed" is exactly ``best_key[t] < running[t]`` — the row would have
-broken out of the walk at the first table where it fails.  Within a probed
-bucket the walk touches the rules below the running key up to the first
-match.  A table that cannot win never lowers the minimum, so the answer is
-``min(floor, fm.min())`` whichever tables were probed.
+gives each bucket's first match ``fm[row, table]``.  §4's early termination —
+probe the tables best key first, stop at the first table that cannot beat
+the row's best key so far, and stop inside a bucket at the first match or
+the first rule that cannot win — then becomes counters: the running best key
+before table *t* is the cumulative minimum of the row's floor and
+``fm[row, :t]``, and because tables are sorted by best key and that running
+minimum only falls, "table *t* is probed" is exactly ``best_key[t] <
+running[t]``.  Within a probed bucket the lookup touches the rules below the
+running key up to the first match.  A table that cannot win never lowers the
+minimum, so the answer is ``min(floor, fm.min())`` whichever tables were
+probed.
 """
 
 from __future__ import annotations
@@ -49,18 +51,16 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from repro.classifiers.base import (
-    ClassificationResult,
     Classifier,
     HASH_ENTRY_BYTES,
     HASH_TABLE_OVERHEAD,
-    LookupTrace,
     MemoryFootprint,
     NO_FLOOR,
     RULE_ENTRY_BYTES,
 )
 from repro.classifiers.registry import register
 from repro.rules.fields import prefix_length_of_range
-from repro.rules.rule import Packet, Rule, RuleSet, split_keys
+from repro.rules.rule import Rule, RuleSet, split_keys
 
 __all__ = ["TupleHashClassifier", "TupleSpaceSearchClassifier", "rule_tuple", "mask_value"]
 
@@ -127,12 +127,6 @@ class _HashTable:
         #: Smallest order key stored (a placement policy never leaves a table
         #: empty, so this is a real key once built).
         self.best_key = NO_FLOOR
-
-    def key_for_values(self, values: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            mask_value(value, length, bits)
-            for value, length, bits in zip(values, self.lengths, self.field_bits)
-        )
 
     def key_for_rule(self, rule: Rule) -> tuple[int, ...]:
         return tuple(
@@ -238,35 +232,6 @@ class TupleHashClassifier(Classifier):
 
     # -- lookup ------------------------------------------------------------------
 
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        return self.classify_with_floor(packet, None)
-
-    def classify_with_floor(
-        self, packet: Packet | Sequence[int], floor: Optional[int]
-    ) -> ClassificationResult:
-        """The scalar, paper-faithful reference the columnar loop is tested against."""
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        trace = LookupTrace()
-        best: Rule | None = None
-        best_key = NO_FLOOR if floor is None else floor
-        for table in self._tables:
-            if table.best_key >= best_key:
-                break  # tables are sorted by best key; nothing further can win
-            trace.hash_ops += 1
-            trace.index_accesses += 1
-            bucket = table.buckets.get(table.key_for_values(values))
-            if not bucket:
-                continue
-            for rule in bucket:
-                if rule.key >= best_key:
-                    break  # bucket is key-sorted; nothing better remains
-                trace.rule_accesses += 1
-                trace.compute_ops += len(values)
-                if rule.matches(values):
-                    best, best_key = rule, rule.key
-                    break
-        return ClassificationResult(best, trace)
-
     def classify_block_with_floors(
         self,
         block: np.ndarray,
@@ -279,9 +244,8 @@ class TupleHashClassifier(Classifier):
         row only reports a match whose key is below its floor.
 
         One probe of the flat index for every ``(row, table)`` pair, then §4's
-        early breaks replayed as counters (module docstring): ids, priorities
-        and all five trace counters equal :meth:`classify_with_floor`'s row
-        for row, with a fixed number of array operations per block.
+        early breaks replayed as counters (module docstring), with a fixed
+        number of array operations per block.
         """
         index = self._index
         values = np.asarray(block).astype(np.int64, copy=False)

@@ -25,26 +25,23 @@ into ``(rule_id, priority)`` once.
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Type
+from typing import Optional, Type
 
 import numpy as np
 
 from repro.classifiers.base import (
     STATE_FORMAT_VERSION,
-    TRACE_FIELDS,
-    ClassificationResult,
     Classifier,
     MemoryFootprint,
     RULE_ENTRY_BYTES,
     check_state_header,
-    trace_from_row,
 )
 from repro.classifiers.registry import register, resolve_classifier
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.isets import ISet, PartitionResult, partition_isets
 from repro.core.pipeline import train_rqrmi
 from repro.core.rqrmi import RQRMI, RangeSet
-from repro.rules.rule import NO_FLOOR, Packet, RuleSet, result_keys, split_keys
+from repro.rules.rule import NO_FLOOR, RuleSet, result_keys, split_keys
 
 __all__ = ["ISetIndex", "NuevoMatch"]
 
@@ -270,17 +267,6 @@ class NuevoMatch(Classifier):
 
     # ------------------------------------------------------------------ lookup
 
-    def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
-        """One packet through :meth:`classify_block` (a 1-row block)."""
-        values = packet.values if isinstance(packet, Packet) else tuple(packet)
-        traces = np.zeros((1, len(TRACE_FIELDS)), dtype=np.int64)
-        rule_ids, _priorities = self.classify_block(
-            np.array([values], dtype=np.uint64), traces=traces
-        )
-        rule_id = int(rule_ids[0])
-        rule = None if rule_id < 0 else self.ruleset[self.ruleset.row_of[rule_id]]
-        return ClassificationResult(rule, trace_from_row(traces[0]))
-
     def classify_block(
         self,
         block: np.ndarray,
@@ -290,8 +276,10 @@ class NuevoMatch(Classifier):
 
         NuevoMatch's one lookup, allocation-free: iSet inference, candidate
         validation and winner selection run as array operations, and the
-        remainder is queried through its ``classify_block_with_floors`` hook
-        with the iSet winners as per-row early-termination floors (§4).
+        remainder is queried through its one lookup,
+        ``classify_block_with_floors``, with the iSet winners as per-row
+        early-termination floors (§4).  The base class derives
+        ``classify_batch``, ``classify_traced`` and ``classify`` from it.
         """
         block = np.asarray(block)
         n = block.shape[0]

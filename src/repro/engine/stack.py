@@ -4,13 +4,13 @@ Every engine stack — the plain :class:`~repro.engine.ClassificationEngine`,
 the sharded :class:`~repro.serving.ShardedEngine`, and either wrapped in a
 :class:`~repro.serving.CachedEngine` — *implements* exactly one lookup, the
 columnar ``classify_block``.  Everything else a caller can ask of a stack is
-derived from it here, once: the object materializer :meth:`~EngineStack.
-classify_batch`, the single-packet :meth:`~EngineStack.classify_traced` /
-:meth:`~EngineStack.classify`, :meth:`~EngineStack.verify` against linear
-search over the live rules, and the context-manager protocol.  The scalar,
-paper-faithful reference lives one layer down, in
-:meth:`Classifier.classify_traced
-<repro.classifiers.base.Classifier.classify_traced>`.
+derived from it here, once: the object view :meth:`~EngineStack.
+classify_batch` (through :func:`~repro.classifiers.base.materialize`, the
+one function classifiers use for theirs too), the single-packet
+:meth:`~EngineStack.classify_traced` / :meth:`~EngineStack.classify`,
+:meth:`~EngineStack.verify` against linear search over the live rules, and
+the context-manager protocol.  A classifier's views are derived the same way
+in :class:`~repro.classifiers.base.Classifier`.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.classifiers.base import (
-    TRACE_FIELDS,
-    ClassificationResult,
-    check_results,
-    trace_from_row,
-)
+from repro.classifiers.base import ClassificationResult, check_results, materialize
 from repro.rules.rule import Packet, Rule, RuleSet
 
 __all__ = ["EngineStack", "validate_block"]
@@ -74,33 +69,15 @@ class EngineStack:
         only here, because this caller asked for them.  ``packets`` is a
         sequence of packets/tuples or a 2-d integer block (rows are packets).
         """
-        if isinstance(packets, np.ndarray) and packets.ndim == 2:
-            block = packets
-        else:
-            block = np.array(
-                [
-                    packet.values if isinstance(packet, Packet) else tuple(packet)
-                    for packet in packets
-                ],
-                dtype=np.int64,
-            )
-        n = len(block)
-        if n == 0:
-            return []
-        traces = np.zeros((n, len(TRACE_FIELDS)), dtype=np.int64)
-        rule_ids, _priorities = self.classify_block(block, traces=traces)
         by_id = self.rules_by_id()
-        results: list[ClassificationResult] = []
-        for row in range(n):
-            rule_id = int(rule_ids[row])
-            rule = None
-            if rule_id >= 0:
-                rule = by_id.get(rule_id)
-                if rule is None:  # map went stale under a direct classifier update
-                    by_id = self.rules_by_id(refresh=True)
-                    rule = by_id.get(rule_id)
-            results.append(ClassificationResult(rule, trace_from_row(traces[row])))
-        return results
+
+        def rule_of(rule_id: int) -> Optional[Rule]:
+            nonlocal by_id
+            if rule_id not in by_id:  # map went stale under a direct classifier update
+                by_id = self.rules_by_id(refresh=True)
+            return by_id.get(rule_id)
+
+        return materialize(self.classify_block, packets, rule_of)
 
     def classify_traced(self, packet: Packet | Sequence[int]) -> ClassificationResult:
         """Single-packet traced lookup (a one-row :meth:`classify_batch`)."""

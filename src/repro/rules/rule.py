@@ -16,7 +16,8 @@ the rules *are* read-only int64 columns (``lo``/``hi`` of shape ``(rules,
 fields)``, ``priority`` and ``rule_id`` of shape ``(rules,)``) plus the action
 strings.  Every layer that needs arrays slices them, and sub-rule-sets are made
 by :meth:`RuleSet.take` and joined by :meth:`RuleSet.concat`.  :class:`Rule`
-objects are materialised on first use, for the scalar reference paths.
+objects are materialised on first use, for the object views of a lookup,
+the tree and hash builders and the decision-tree walk.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ __all__ = ["NO_FLOOR", "Packet", "Rule", "RuleSet", "check_order_inputs",
            "first_duplicate", "order_key", "result_keys", "split_keys"]
 
 #: The "no match / no floor" key, int64 max: above every :func:`order_key`.
-#: A floored lookup (``classify_with_floor``, ``classify_block_with_floors``)
-#: reports only a match whose key is below its floor; this one prunes nothing.
+#: A floored lookup (``classify_block_with_floors``) reports only a match
+#: whose key is below its row's floor; this one prunes nothing.
 NO_FLOOR = int(np.iinfo(np.int64).max)
 
 

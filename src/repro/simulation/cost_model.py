@@ -15,9 +15,9 @@ combines those counts with the structure footprints and a
 This is deliberately a *placement* model, not a cycle-accurate simulator: the
 paper's speedups come from which cache level each structure occupies and how
 many dependent accesses a lookup performs, and those are exactly the inputs
-here.  Batched serving prices a whole batch with one call by aggregating the
-per-packet traces first (:meth:`LookupTrace.aggregate
-<repro.classifiers.base.LookupTrace.aggregate>`); the trace-replay harness
+here.  Batched serving prices a whole batch with one call on the column sums
+of its ``classify_block`` trace block (:func:`~repro.classifiers.base.
+trace_from_row`); the trace-replay harness
 additionally mixes in the flow-cache hit cost at the cache footprint's
 hierarchy level (:mod:`repro.workloads.replay`).  See docs/ARCHITECTURE.md
 for where the model sits in the stack.

@@ -13,14 +13,15 @@ import asyncio
 
 import numpy as np
 
-from repro.classifiers.base import TRACE_FIELDS
+from repro.classifiers.base import TRACE_FIELDS, Classifier
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
 from repro.rules import generate_classbench
 from repro.rules.rule import RuleSet
 from repro.serving import AsyncClient, wire
 
-from _nm_reference import ReferenceWalk
+from _nm_reference import classify_detailed
+from _scalar_reference import classify_with_floor
 
 #: Fast RQ-RMI settings used across tests (fewer Adam epochs, small widths).
 FAST_RQRMI = RQRMIConfig(adam_epochs=80, initial_samples=256)
@@ -61,19 +62,27 @@ def block_keys(rule_ids, priorities) -> list:
 
 
 def scalar_arrays(classifier, packets):
-    """``(rule_ids, priorities, traces)`` from the scalar ``classify_traced``
-    reference path of ``classifier`` — what every ``classify_block`` must equal
-    row for row (misses encode as ``-1``/``0``).  NuevoMatch's
-    ``classify_traced`` is a 1-row view of its block path, so its reference
-    is the frozen per-packet walk in ``_nm_reference``."""
-    if isinstance(classifier, NuevoMatch):
-        classifier = ReferenceWalk(classifier)
+    """``(rule_ids, priorities, traces)`` from the per-packet reference of
+    ``classifier`` — what every ``classify_block`` must equal row for row
+    (misses encode as ``-1``/``0``).  A classifier's ``classify_traced`` is a
+    1-row view of its block path, so its reference is the frozen walk:
+    ``_nm_reference`` for NuevoMatch, ``_scalar_reference`` for a baseline.
+    An engine stack (overlay included) answers through its own 1-row
+    ``classify_traced``."""
+
+    def lookup(packet):
+        if isinstance(classifier, NuevoMatch):
+            return classify_detailed(classifier, packet)[0]
+        if isinstance(classifier, Classifier):
+            return classify_with_floor(classifier, packet, None)
+        return classifier.classify_traced(packet)
+
     n = len(packets)
     rule_ids = np.full(n, -1, dtype=np.int64)
     priorities = np.zeros(n, dtype=np.int64)
     traces = np.zeros((n, len(TRACE_FIELDS)), dtype=np.int64)
     for row, packet in enumerate(packets):
-        result = classifier.classify_traced(tuple(int(v) for v in packet))
+        result = lookup(tuple(int(v) for v in packet))
         if result.rule is not None:
             rule_ids[row] = result.rule.rule_id
             priorities[row] = result.rule.priority

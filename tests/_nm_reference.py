@@ -4,7 +4,8 @@ NuevoMatch serves every lookup through ``NuevoMatch.classify_block``
 (``ISetIndex.lookup_block`` → ``RQRMI.query_batch_detailed``).  This module is
 the scalar walk that path replaced — RQ-RMI stage routing, the bounded range
 query, per-iSet validation and the floored remainder merge — moved here
-unedited apart from methods becoming free functions, so the block path can be
+unedited apart from methods becoming free functions (the remainder answers
+through its own frozen walk in ``_scalar_reference``), so the block path can be
 checked against it row for row: matched rule, priority and every
 :data:`~repro.classifiers.base.TRACE_FIELDS` counter.  It is not shipped and
 nothing under ``src/`` imports it.
@@ -18,8 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.classifiers.base import ClassificationResult, LookupTrace
+from repro.classifiers.base import TRACE_FIELDS, ClassificationResult, LookupTrace
 from repro.rules.rule import Packet, Rule
+
+from _scalar_reference import classify_with_floor
 
 
 @dataclass
@@ -139,8 +142,9 @@ def classify_detailed(
     breakdown = LookupBreakdown()
     best = best_iset_match(nm, values, trace, breakdown)
     floor = best.key if (best is not None and nm.config.early_termination) else None
-    remainder_result = nm.remainder.classify_with_floor(values, floor)
-    trace = trace.merge(remainder_result.trace)
+    remainder_result = classify_with_floor(nm.remainder, values, floor)
+    for name in TRACE_FIELDS:
+        setattr(trace, name, getattr(trace, name) + getattr(remainder_result.trace, name))
     breakdown.remainder_accesses += (
         remainder_result.trace.index_accesses + remainder_result.trace.rule_accesses
     )
@@ -148,17 +152,6 @@ def classify_detailed(
     if found is not None and (best is None or found.key < best.key):
         best = found
     return ClassificationResult(best, trace), breakdown
-
-
-class ReferenceWalk:
-    """NuevoMatch ``nm`` answered by the frozen walk, for
-    ``_helpers.scalar_arrays``."""
-
-    def __init__(self, nm):
-        self.nm = nm
-
-    def classify_traced(self, packet) -> ClassificationResult:
-        return classify_detailed(self.nm, packet)[0]
 
 
 def checked_index(model, key: int) -> int | None:

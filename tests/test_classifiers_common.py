@@ -1,10 +1,12 @@
 """Cross-classifier behaviour tests.
 
 Every classifier must agree with the linear-search oracle on packets sampled
-from the rule-set, report a sensible memory footprint, and honour the
-early-termination contract of ``classify_with_floor``.
+from the rule-set, report a sensible memory footprint, honour the
+early-termination contract of ``classify_block_with_floors`` and serve the
+object views the base class derives from its one lookup.
 """
 
+import numpy as np
 import pytest
 
 from repro.classifiers import (
@@ -20,6 +22,9 @@ from repro.classifiers import (
     classifier_aliases,
     resolve_classifier,
 )
+from repro.rules.rule import NO_FLOOR
+
+from _helpers import block_of, fast_nm_config
 
 ALL_CLASSIFIERS = [
     LinearSearchClassifier,
@@ -83,12 +88,7 @@ class TestAgainstOracle:
             tuple(rng.randint(0, spec.max_value) for spec in acl_small.schema)
             for _ in range(100)
         ]
-        for packet in packets:
-            expected = acl_small.match(packet)
-            actual = built_classifier.classify(packet)
-            assert (expected is None) == (actual is None)
-            if expected is not None:
-                assert actual.rule_id == expected.rule_id
+        assert built_classifier.verify(packets) == 100
 
     @pytest.mark.parametrize("cls", ALL_CLASSIFIERS, ids=lambda c: c.name)
     def test_firewall_ruleset(self, cls, fw_small):
@@ -119,32 +119,51 @@ class TestTraces:
 
 
 class TestEarlyTermination:
-    def test_floor_none_equals_plain_lookup(self, built_classifier, acl_small):
-        for packet in acl_small.sample_packets(50, seed=9):
-            plain = built_classifier.classify(packet)
-            floored = built_classifier.classify_with_floor(packet, None).rule
-            assert (plain is None) == (floored is None)
-            if plain is not None:
-                assert plain.rule_id == floored.rule_id
+    """``classify_block_with_floors`` on sampled packets, each row's floor a
+    key: ``NO_FLOOR`` or ``None``, the best match's own key, one above it."""
+
+    def _floored(self, classifier, packets, floors):
+        return classifier.classify_block_with_floors(
+            block_of(packets), None if floors is None else np.array(floors, dtype=np.int64)
+        )
+
+    def test_no_floor_equals_plain_lookup(self, built_classifier, acl_small):
+        packets = acl_small.sample_packets(50, seed=9)
+        plain_ids, plain_priorities = built_classifier.classify_block(block_of(packets))
+        for floors in (None, [NO_FLOOR] * len(packets)):
+            ids, priorities = self._floored(built_classifier, packets, floors)
+            np.testing.assert_array_equal(ids, plain_ids)
+            np.testing.assert_array_equal(priorities, plain_priorities)
 
     def test_floor_prunes_but_never_returns_worse(self, built_classifier, acl_small):
-        for packet in acl_small.sample_packets(50, seed=10):
-            best = acl_small.match(packet)
-            if best is None:
-                continue
-            floor = best.key  # nothing with a smaller key exists
-            result = built_classifier.classify_with_floor(packet, floor)
-            if result.rule is not None:
-                assert result.rule.key < floor
+        packets = acl_small.sample_packets(50, seed=10)
+        best = [acl_small.match(packet) for packet in packets]
+        floors = [NO_FLOOR if rule is None else rule.key for rule in best]
+        # Nothing with a smaller key than the best match exists.
+        ids, _priorities = self._floored(built_classifier, packets, floors)
+        assert (ids == -1).all()
 
     def test_floor_allows_finding_better_rules(self, built_classifier, acl_small):
-        for packet in acl_small.sample_packets(50, seed=11):
-            best = acl_small.match(packet)
-            if best is None:
-                continue
-            result = built_classifier.classify_with_floor(packet, best.key + 1)
-            assert result.rule is not None
-            assert result.rule.rule_id == best.rule_id
+        packets = acl_small.sample_packets(50, seed=11)
+        best = [acl_small.match(packet) for packet in packets]
+        floors = [NO_FLOOR if rule is None else rule.key + 1 for rule in best]
+        ids, _priorities = self._floored(built_classifier, packets, floors)
+        assert ids.tolist() == [-1 if rule is None else rule.rule_id for rule in best]
+
+
+@pytest.mark.parametrize("name", available_classifiers())
+def test_object_views_take_no_packets_and_blocks(name, acl_small):
+    """``classify_batch`` of no packets is ``[]``, and a 2-d ndarray block is
+    a batch whose rows are packets: the same results as the tuples."""
+    params = {"config": fast_nm_config()} if name == "nm" else {}
+    classifier = build_classifier(name, acl_small, **params)
+    assert classifier.classify_batch([]) == []
+    packets = acl_small.sample_packets(20, seed=12)
+    from_block = classifier.classify_batch(block_of(packets))
+    assert from_block == classifier.classify_batch(packets)
+    assert [result.rule for result in from_block] == [
+        acl_small.match(packet) for packet in packets
+    ]
 
 
 class TestFootprint:

@@ -70,8 +70,8 @@ def _build(name, ruleset):
 
 def _assert_block_equals_scalar(stack, classifier, packets):
     """``stack.classify_block`` (ids, priorities, trace rows) equals the scalar
-    reference of ``classifier`` on ``packets`` (``scalar_arrays``: its
-    ``classify_traced``, or for NuevoMatch the frozen per-packet walk)."""
+    reference of ``classifier`` on ``packets`` (``scalar_arrays``: the frozen
+    per-packet walk of its family, or of NuevoMatch)."""
     traces = np.full((len(packets), 5), -7, dtype=np.int64)  # must be overwritten
     rule_ids, priorities = stack.classify_block(block_of(packets), traces=traces)
     expected_ids, expected_pris, expected_traces = scalar_arrays(classifier, packets)
@@ -98,10 +98,10 @@ class TestRegisteredClassifiers:
 
     @pytest.mark.parametrize("name", available_classifiers())
     def test_block_equals_scalar_reference(self, name, conformance_ruleset):
-        """Every classifier's ``classify_block`` — vectorized override or the
-        base-class loop — equals its scalar reference row for row: ids,
-        priorities *and* trace counters (NuevoMatch's is the frozen walk in
-        ``_nm_reference``)."""
+        """Every classifier's ``classify_block`` — NuevoMatch's own, or the
+        unfloored view of a baseline's one lookup — equals its frozen scalar
+        walk row for row: ids, priorities *and* trace counters
+        (``_scalar_reference``, and ``_nm_reference`` for NuevoMatch)."""
         classifier = _build(name, conformance_ruleset)
         packets = _packets_for(conformance_ruleset)
         _assert_block_equals_scalar(classifier, classifier, packets)
@@ -112,8 +112,8 @@ class TestRegisteredClassifiers:
         self, remainder, early_termination, acl_small
     ):
         """NuevoMatch blocks equal the frozen per-packet walk over every
-        remainder; one without its own floored block hook serves through
-        ``Classifier.classify_block_with_floors``."""
+        remainder, each answering through its one lookup,
+        ``classify_block_with_floors``."""
         from dataclasses import replace
 
         nm = NuevoMatch.build(
@@ -265,8 +265,8 @@ def _assert_sharded_block(sharded, packets, clean):
 class TestColumnarConformance:
     """``classify_block`` is the one lookup; its references are external.
 
-    For every serving stack the columnar outputs must equal the scalar
-    ``classify_traced`` path of the underlying classifiers (ids, priorities
+    For every serving stack the columnar outputs must equal the frozen
+    per-packet walks of the underlying classifiers (ids, priorities
     and trace rows) and linear search over the live rules — both with a clean
     ruleset and with a pending update overlay (interleaved inserts and
     removes, including the removed-winner rescan).  Overlay trace accounting

@@ -5,7 +5,7 @@ Marked ``perf`` and deselected from the default (tier-1) run via
 ``addopts = -m "not perf"`` in ``pyproject.toml``; the dedicated CI perf job
 runs ``pytest -m perf``.  The assertions are deliberately loose — they pin
 that the cached hot path works at all under the paper's highest-skew setting
-(zipf-95, §5.1.1), that the columnar remainder beats the per-row loop it
+(zipf-95, §5.1.1), that the columnar remainder beats the per-row walk it
 replaced, and that batching rows per frame pays, not a specific machine's
 numbers.
 """
@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.classifiers.base import NO_FLOOR, Classifier
+from repro.classifiers.base import NO_FLOOR
 from repro.cli import _nm_config
 from repro.core.nuevomatch import NuevoMatch
 from repro.engine import ClassificationEngine
@@ -28,6 +28,7 @@ from repro.serving import AsyncClient, AsyncServer
 from repro.traffic import generate_uniform_trace
 from repro.workloads import run_scenario
 
+import _scalar_reference as reference
 from _helpers import block_of, fast_nm_config
 
 pytestmark = pytest.mark.perf
@@ -107,8 +108,9 @@ def _best_ns(lookup, blocks, floors, repeats: int = 3) -> int:
 def test_hash_family_kernel_beats_the_scalar_loop():
     """The server's engine (acl1/8000, ``nm/tm``, ``_nm_config(64)``): its
     ``tm`` remainder's columnar ``classify_block_with_floors`` must run at
-    least 3x the base class's per-row loop over ``classify_with_floor`` at
-    128 rows and 1.2x at 16, both given the engine's own iSet floors."""
+    least 3x the frozen per-row loop over the scalar hash walk
+    (``_scalar_reference``) at 128 rows and 1.2x at 16, both given the
+    engine's own iSet floors."""
     rules = generate_classbench("acl1", 8000, seed=1)
     nm = NuevoMatch.build(rules, remainder_classifier="tm", config=_nm_config(64))
     remainder = nm.remainder
@@ -123,7 +125,7 @@ def test_hash_family_kernel_beats_the_scalar_loop():
             floors.append(best)
         kernel = _best_ns(remainder.classify_block_with_floors, blocks, floors)
         loop = _best_ns(
-            partial(Classifier.classify_block_with_floors, remainder), blocks, floors
+            partial(reference.classify_block_with_floors, remainder), blocks, floors
         )
         assert loop >= speedup * kernel, (
             f"{rows} rows: kernel {kernel / 1e3:.0f} us vs loop {loop / 1e3:.0f} us"

@@ -18,7 +18,7 @@ from repro.simulation import (
     table1_model,
 )
 from repro.traffic import generate_uniform_trace, generate_zipf_trace
-from _helpers import fast_nm_config
+from _helpers import fast_nm_config, scalar_arrays
 
 
 class TestCacheHierarchy:
@@ -130,7 +130,7 @@ class TestPerfHarness:
         the column sums of that shard's trace block — equal to aggregating the
         shard classifier's scalar traces, with no per-packet result objects
         built in the modelled run."""
-        from repro.classifiers.base import ClassificationResult, LookupTrace
+        from repro.classifiers.base import ClassificationResult, trace_from_row
         from repro.serving import ShardedEngine
         from repro.simulation.perf import SYNC_OVERHEAD_NS
 
@@ -145,9 +145,7 @@ class TestPerfHarness:
                 expected_ns += max(
                     cost_model.classifier_lookup_latency(
                         classifier,
-                        LookupTrace.aggregate(
-                            classifier.classify_traced(p).trace for p in chunk
-                        ),
+                        trace_from_row(scalar_arrays(classifier, chunk)[2].sum(axis=0)),
                     ).total_ns
                     for classifier in classifiers
                 ) + SYNC_OVERHEAD_NS * len(chunk)

@@ -5,7 +5,10 @@ unnoticed.
 
 AST-based, so it reads what the source *defines*, not what an import happens
 to expose: among classifiers and engine stacks under ``src/repro`` only
-``Classifier`` and ``EngineStack`` define ``classify_batch``, only
+``Classifier`` and ``EngineStack`` define ``classify_batch`` /
+``classify_traced`` / ``classify``, every classifier implements one lookup
+(a baseline ``classify_block_with_floors``, NuevoMatch ``classify_block``)
+and only the forest's loops over rows, only
 ``EngineStack`` defines ``verify`` for engine stacks (nothing defines
 ``serve``), the sharded engine keeps exactly two executors, the §3.9 update
 overlay lives in exactly one class (``ClassificationEngine``; ``_Shard`` is
@@ -74,18 +77,17 @@ def _descends_from(name: str, root: str) -> bool:
     )
 
 
-def test_classify_batch_has_two_definitions():
-    assert _defining("classify_batch") - {"AsyncClient"} == {
-        "Classifier",
-        "EngineStack",
-    }
+def test_the_object_views_have_two_definitions():
+    """``classify_batch``, ``classify_traced`` and ``classify`` are views of
+    one columnar lookup, derived once for classifiers and once for stacks."""
+    for method in ("classify_batch", "classify_traced", "classify"):
+        assert _defining(method) - {"AsyncClient"} == {"Classifier", "EngineStack"}, method
 
 
 def test_only_the_mixin_defines_verify_for_stacks():
     stacks = {name for name in CLASS_METHODS if _descends_from(name, "EngineStack")}
     assert {"ClassificationEngine", "ShardedEngine", "CachedEngine"} <= stacks
-    for method in ("verify", "classify_traced", "classify"):
-        assert _defining(method) & stacks == {"EngineStack"}, method
+    assert _defining("verify") & stacks == {"EngineStack"}
     # The batch-serving view is gone: a trace runs through `replay_trace`.
     assert _defining("serve") == set()
     # Each stack implements the one lookup itself.
@@ -138,20 +140,6 @@ def test_one_implementation_per_baseline_family():
         return _defining(method) & CLASSIFIER_CLASSES
 
     assert defining("build") == {"Classifier"}
-    assert defining("classify_with_floor") == {
-        "Classifier",
-        "LinearSearchClassifier",
-        "TupleHashClassifier",
-        "ForestClassifier",
-    }
-    assert defining("classify_block_with_floors") == {
-        "Classifier",
-        "LinearSearchClassifier",
-        "TupleHashClassifier",
-    }
-    # Linear search's one block entry point is its floored scan: the base
-    # class's classify_block is the unfloored view of it.
-    assert "classify_block" not in CLASS_METHODS["LinearSearchClassifier"]
     for name, family in (
         ("TupleSpaceSearchClassifier", "TupleHashClassifier"),
         ("TupleMergeClassifier", "TupleHashClassifier"),
@@ -160,24 +148,53 @@ def test_one_implementation_per_baseline_family():
         ("NeuroCutsClassifier", "ForestClassifier"),
     ):
         assert CLASS_BASES[name] == {family}, name
-    # The per-bucket dict probe appears in the scalar reference only (the
-    # block path probes the flat index), the tree walk in the forest's one
-    # loop, and nothing sorts tables or trees inside a lookup.
-    probes, walks, sorts = [], [], []
+    # The tree walk appears in the forest's one lookup, and nothing sorts
+    # tables or trees inside a lookup.
+    walks, sorts = [], []
     for path in sorted((SRC / "classifiers").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.FunctionDef):
                 continue
             source = ast.unparse(node)
-            if "table.buckets.get(" in source:
-                probes.append(node.name)
             if "tree.lookup(" in source:
                 walks.append(node.name)
             if node.name.startswith("classify") and re.search(r"\bsorted\(|\.sort\(", source):
                 sorts.append(f"{path.name}:{node.name}")
-    assert probes == ["classify_with_floor"]
-    assert walks == ["classify_with_floor"]
+    assert walks == ["classify_block_with_floors"]
     assert sorts == []
+
+
+def test_one_lookup_per_classifier():
+    """A baseline implements ``classify_block_with_floors`` and NuevoMatch
+    ``classify_block``, and nothing else: ``Classifier`` declares the floored
+    lookup (its body only raises) and derives ``classify_block`` from it, and
+    no scalar ``classify_with_floor`` is defined anywhere (nor the hash
+    walk's per-table bucket-dict probe: the family probes its flat index)."""
+    classifiers = {name for name in CLASS_METHODS if _descends_from(name, "Classifier")}
+    assert {"NuevoMatch", "ForestClassifier", "TupleMergeClassifier"} <= classifiers
+    assert _defining("classify_with_floor") == set()
+    assert _defining("classify_block_with_floors") == {
+        "Classifier",
+        "LinearSearchClassifier",
+        "TupleHashClassifier",
+        "ForestClassifier",
+    }
+    assert _defining("classify_block") & classifiers == {"Classifier", "NuevoMatch"}
+    declared = next(
+        item
+        for node in ast.walk(ast.parse((SRC / "classifiers" / "base.py").read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "Classifier"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "classify_block_with_floors"
+    )
+    body = [stmt for stmt in declared.body if not isinstance(stmt, ast.Expr)]  # docstring
+    assert len(body) == 1 and isinstance(body[0], ast.Raise), ast.unparse(declared)
+    assert "NotImplementedError" in ast.unparse(body[0])
+    # Traces are summed as trace columns, not object by object.
+    assert not CLASS_METHODS["LookupTrace"] & {"merge", "aggregate"}
+    assert [
+        path.name for path in SRC.rglob("*.py") if "table.buckets.get(" in path.read_text()
+    ] == []
 
 
 def _row_loops(function: ast.FunctionDef) -> list[str]:
@@ -222,25 +239,27 @@ def _row_loops(function: ast.FunctionDef) -> list[str]:
     return loops
 
 
-def test_the_floored_kernels_have_no_row_loop():
-    """The hash family's and linear search's ``classify_block_with_floors``
-    are array kernels: no Python loop over a block's rows and no
-    ``.tolist()`` (linear search may step through its rule array in slices).
-    The guard itself flags the per-row loop it replaced."""
-    kernels = {
-        node.name: item
-        for path in (SRC / "classifiers").glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ClassDef)
-        for item in node.body
-        if isinstance(item, ast.FunctionDef) and item.name == "classify_block_with_floors"
-    }
-    assert set(kernels) == {"Classifier", "TupleHashClassifier", "LinearSearchClassifier"}
-    # The base class's loop is the scalar reference the kernels are tested
-    # against, and the guard sees it for what it is.
-    assert _row_loops(kernels.pop("Classifier"))
-    for name, function in kernels.items():
-        assert _row_loops(function) == [], name
+def test_only_the_forest_loops_over_rows():
+    """No classifier's lookup is a Python loop over a block's rows or a
+    ``.tolist()``, with one exception: the forest's per-row tree walk, which
+    waits on flattened trees and says so (ROADMAP 5(c)).  The linear scan may
+    step through its rule array in slices.  The guard itself flags a per-row
+    loop."""
+    looping = {}
+    for path in [*(SRC / "classifiers").glob("*.py"), SRC / "core" / "nuevomatch.py"]:
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and item.name.startswith("classify")
+                    and _row_loops(item)
+                ):
+                    looping[f"{node.name}.{item.name}"] = ast.get_source_segment(text, item)
+    assert set(looping) == {"ForestClassifier.classify_block_with_floors"}
+    assert "ROADMAP 5(c)" in looping["ForestClassifier.classify_block_with_floors"]
     loop = ast.parse(
         "def classify_block_with_floors(self, block, floors, traces=None):\n"
         "    n = len(block)\n"
@@ -275,7 +294,7 @@ def test_superseded_names_are_gone():
         r"_cmd_engine_serve|partition_for_shards|PARTITIONERS|"
         r"_best_first|_built_best_first|best_priority|max_priority|priority_floor|"
         r"classify_detailed|classify_isets_only|LookupBreakdown|RQRMILookup|"
-        r"_best_iset_match|_route)\b|"
+        r"_best_iset_match|_route|classify_with_floor|key_for_values)\b|"
         r"columnar="
     )
     offenders = [
@@ -316,7 +335,7 @@ def test_nothing_shipped_still_describes_a_deleted_path():
         r"_cmd_engine_serve|partition_for_shards|PARTITIONERS|engine serve\b|"
         r"--partitioner|_best_first|_built_best_first|best_priority|max_priority|"
         r"priority_floor|classify_detailed|classify_isets_only|LookupBreakdown|"
-        r"RQRMILookup|_best_iset_match"
+        r"RQRMILookup|_best_iset_match|classify_with_floor|LookupTrace\.aggregate"
     )
     root = SRC.parent.parent
     shipped = [root / "README.md"] + [
