@@ -13,11 +13,12 @@ registered classifier:
 * **update** — the engine is the one updatable unit of the paper's §3.9
   story, for every registered classifier: :meth:`insert` (a new id adds a
   rule, an existing id changes its action or matching set) and :meth:`remove`
-  go to the engine's *overlay* — inserted rules probed best-first after the
-  built classifier, removed ids masked (a masked winner is rescanned among
-  the live built rules) — which :meth:`classify_block` applies to every
-  block.  The overlay is the slow path that grows; :meth:`remainder_fraction`
-  measures it and :meth:`rebuild` folds it into a freshly built engine.
+  go to the engine's *overlay*, a remainder that :meth:`classify_block`
+  serves on every block: the floored linear-search kernel over the overlay,
+  with the built answer as the floor (a masked winner is answered by the
+  same kernel over the live built rules).  The overlay is the slow path that
+  grows; :meth:`remainder_fraction` measures it and :meth:`rebuild` folds it
+  into a freshly built engine.
   *When* to rebuild is the caller's policy: a plain engine's owner calls
   :meth:`rebuild` itself, sharded serving schedules it per shard
   (:class:`~repro.serving.updates.UpdateQueue`).
@@ -30,12 +31,14 @@ registered classifier:
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from repro.classifiers.base import Classifier, MemoryFootprint
+from repro.classifiers.linear import LinearSearchClassifier
 from repro.classifiers.registry import resolve_classifier
 from repro.core.nuevomatch import NuevoMatch
 from repro.engine.serialization import (
@@ -52,6 +55,25 @@ from repro.rules.fields import FieldSchema
 from repro.rules.rule import Rule, RuleSet, check_order_inputs, result_keys
 
 __all__ = ["ClassificationEngine"]
+
+
+class _Overlay:
+    """The overlay as it serves: the inserted rules' linear search (its
+    ``ruleset`` in insertion order), the removed ids, and the live built
+    rules' linear search, made on the first masked winner after the removed
+    ids differ from ``stale``'s (the overlay this one replaces)."""
+
+    def __init__(self, built: RuleSet, inserted: RuleSet, removed: list[int], stale=None):
+        self.inserted = LinearSearchClassifier(inserted)
+        self.removed = np.array(removed, dtype=np.int64)
+        self._built = built
+        if stale is not None and "rescan" in vars(stale):
+            if np.array_equal(stale.removed, self.removed):
+                self.rescan = stale.rescan
+
+    @cached_property
+    def rescan(self) -> LinearSearchClassifier:
+        return LinearSearchClassifier(self._built.best_first().without(self.removed))
 
 
 class ClassificationEngine(EngineStack):
@@ -81,6 +103,8 @@ class ClassificationEngine(EngineStack):
         #: built structure already covers (0 for a fresh build).
         self._built_seq = 0
         self._rules_by_id_cache: dict[int, Rule] | None = None
+        self._overlay_cache: _Overlay | None = None
+        self._overlay_current = False
 
     # ------------------------------------------------------------------ build
 
@@ -161,9 +185,7 @@ class ClassificationEngine(EngineStack):
         is an optional ``(n, 5)`` int64 out-array filled with per-packet
         lookup counters (:data:`~repro.classifiers.base.TRACE_FIELDS` order).
         Input validation is shared across all engine stacks via
-        :func:`~repro.engine.stack.validate_block`.  Classifiers without a
-        vectorized path serve blocks through the scalar loop in
-        :meth:`Classifier.classify_block <repro.classifiers.base.Classifier.classify_block>`.
+        :func:`~repro.engine.stack.validate_block`.
         """
         block = validate_block(block)
         rule_ids, priorities = self.classifier.classify_block(block, traces=traces)
@@ -181,68 +203,43 @@ class ClassificationEngine(EngineStack):
 
         ``rule_ids``/``priorities`` are the built structure's columnar results
         for ``block`` — computed here by :meth:`classify_block`, or by a shard
-        worker that holds a snapshot of the built structure only.  A masked
-        winner costs a rescan of every live built rule (one rule access +
-        ``num_fields`` compute ops each); overlay rules are then probed
-        best-first, one access each, until one matches or the current winner's
-        order key is below the next one's.  Both scans run over
-        :meth:`RuleSet.best_first <repro.rules.rule.RuleSet.best_first>`, so a
-        first containment is the best match.  With an empty overlay this is
-        one check.
+        worker that holds a snapshot of the built structure only.  The overlay
+        is a remainder (§3.9) served by
+        :meth:`LinearSearchClassifier.classify_block_with_floors
+        <repro.classifiers.linear.LinearSearchClassifier.classify_block_with_floors>`:
+        a row whose winner is masked takes that kernel over the live built
+        rules, with no floor; then every row takes it over the inserted rules,
+        with the built answer as the floor, and keeps any hit.  Traces are
+        the kernel's.  With an empty overlay this is one check.
         """
         if not self._inserted and not self._removed:
             return
+        overlay = self._overlay()
+        masked = np.flatnonzero(np.isin(rule_ids, overlay.removed))
+        if masked.size:
+            rows = None if traces is None else traces[masked]
+            found = overlay.rescan.classify_block_with_floors(block[masked], None, rows)
+            rule_ids[masked], priorities[masked] = found
+            if rows is not None:
+                traces[masked] = rows
+        ids, pris = overlay.inserted.classify_block_with_floors(
+            block, result_keys(rule_ids, priorities), traces
+        )
+        hit = ids >= 0
+        rule_ids[hit], priorities[hit] = ids[hit], pris[hit]
+
+    def _overlay(self) -> _Overlay:
+        """The overlay's serving form, made on first use after an update."""
         with self._lock:
-            overlay = [rule for _seq, rule in self._inserted.values()]
-            removed = list(self._removed)
-        values = block.astype(np.int64, copy=False)
-        num_fields = values.shape[1]
-        if removed:
-            removed_ids = np.array(removed, dtype=np.int64)
-            affected = np.flatnonzero(np.isin(rule_ids, removed_ids))
-            if affected.size:
-                # The built structure returned masked rules: rescan the live
-                # built rules for the runner-up, vectorized over the (rare)
-                # affected rows (masked rules vanish for good at the next
-                # rebuild).
-                built = self.ruleset.best_first()
-                live = ~np.isin(built.rule_id, removed_ids)
-                scanned = int(live.sum())
-                rows = values[affected]
-                contained = (
-                    (rows[:, None, :] >= built.lo[None, :, :])
-                    & (rows[:, None, :] <= built.hi[None, :, :])
-                ).all(axis=2) & live[None, :]
-                hit = contained.any(axis=1)
-                first = np.where(hit, contained.argmax(axis=1), 0)
-                rule_ids[affected] = np.where(hit, built.rule_id[first], -1)
-                priorities[affected] = np.where(hit, built.priority[first], 0)
-                if traces is not None:
-                    traces[affected, 1] += scanned
-                    traces[affected, 3] += scanned * num_fields
-        if overlay:
-            count = len(overlay)
-            inserted = RuleSet(overlay, self.schema).best_first()
-            o_pris, o_ids = inserted.priority, inserted.rule_id
-            # Overlay rules are probed best-first until the current winner's
-            # key is below the next rule's: the cutoff is how many overlay
-            # keys the winner's key (NO_FLOOR on a miss) does not beat.
-            stop = np.searchsorted(
-                inserted.key, result_keys(rule_ids, priorities), side="right"
-            )
-            match = (
-                (values[:, None, :] >= inserted.lo[None, :, :])
-                & (values[:, None, :] <= inserted.hi[None, :, :])
-            ).all(axis=2)
-            eligible = match & (np.arange(count)[None, :] < stop[:, None])
-            hit = eligible.any(axis=1)
-            first = np.where(hit, eligible.argmax(axis=1), 0)
-            if traces is not None:
-                probed = np.where(hit, first + 1, stop)
-                traces[: len(values), 1] += probed
-                traces[: len(values), 3] += probed * num_fields
-            rule_ids[hit] = o_ids[first[hit]]
-            priorities[hit] = o_pris[first[hit]]
+            if not self._overlay_current:
+                self._overlay_cache = _Overlay(
+                    self.ruleset,
+                    RuleSet([rule for _seq, rule in self._inserted.values()], self.schema),
+                    list(self._removed),
+                    self._overlay_cache,
+                )
+                self._overlay_current = True
+            return self._overlay_cache
 
     def rules_by_id(self, refresh: bool = False) -> dict[int, Rule]:
         """Map ``rule_id`` → :class:`Rule` over the *live* rules.
@@ -300,7 +297,7 @@ class ClassificationEngine(EngineStack):
             if rule.rule_id in self._inserted or rule.rule_id in self.ruleset.row_of:
                 self._removed[rule.rule_id] = self._update_seq
             self._inserted[rule.rule_id] = (self._update_seq, rule)
-            self._rules_by_id_cache = None
+            self._rules_by_id_cache, self._overlay_current = None, False
 
     def has_rule(self, rule_id: int) -> bool:
         """True when ``rule_id`` is live: in the overlay, or built and not masked."""
@@ -322,7 +319,7 @@ class ClassificationEngine(EngineStack):
             self._update_seq += 1
             self._inserted.pop(rule_id, None)
             self._removed[rule_id] = self._update_seq
-            self._rules_by_id_cache = None
+            self._rules_by_id_cache, self._overlay_current = None, False
             return True
 
     def live_size(self) -> int:
@@ -334,7 +331,7 @@ class ClassificationEngine(EngineStack):
     def live_ruleset(self) -> RuleSet:
         """The live rules: the built rules minus masks plus the overlay."""
         with self._lock:
-            overlay = RuleSet([rule for _seq, rule in self._inserted.values()], self.schema)
+            overlay = self._overlay().inserted.ruleset  # insertion order
             return RuleSet.concat([self.ruleset.without(self._removed), overlay])
 
     def remainder_fraction(self) -> float:
@@ -404,7 +401,7 @@ class ClassificationEngine(EngineStack):
                 if seq > self._built_seq and rule_id in self.ruleset.row_of
             }
             self._update_seq = old._update_seq
-            self._rules_by_id_cache = None
+            self._rules_by_id_cache, self._overlay_current = None, False
 
     # ----------------------------------------------------------- introspection
 
@@ -473,7 +470,7 @@ class ClassificationEngine(EngineStack):
                 rule = rule_from_state(rule_state)
                 self._update_seq += 1
                 self._inserted[rule.rule_id] = (self._update_seq, rule)
-            self._rules_by_id_cache = None
+            self._rules_by_id_cache, self._overlay_current = None, False
 
     def to_document(self) -> dict:
         """The engine's snapshot document (the JSON payload :meth:`save`

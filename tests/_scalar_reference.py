@@ -9,7 +9,11 @@ family's best-table-first bucket probe — and the forest's walk over
 functions that take the classifier, plus the per-row loop that joined them
 into a block lookup.  The block paths are checked against it row for row:
 matched rule, priority and every :data:`~repro.classifiers.base.TRACE_FIELDS`
-counter.  It is not shipped and nothing under ``src/`` imports it.
+counter.  It also holds the engine's update-overlay pass as it was before the
+overlay became a linear-search remainder (:func:`adjust_block`, its two
+broadcasting containment scans unedited apart from the method becoming a free
+function that takes the engine).  It is not shipped and nothing under
+``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.classifiers.base import (
 from repro.classifiers.dtree import ForestClassifier
 from repro.classifiers.linear import LinearSearchClassifier
 from repro.classifiers.tuplespace import TupleHashClassifier, mask_value
-from repro.rules.rule import Packet, Rule
+from repro.rules.rule import Packet, Rule, RuleSet, result_keys
 
 
 def linear_walk(
@@ -133,3 +137,78 @@ def classify_block_with_floors(
             for column, name in enumerate(TRACE_FIELDS):
                 traces[row, column] += getattr(result.trace, name)
     return rule_ids, priorities
+
+
+def adjust_block(
+    engine,
+    block: np.ndarray,
+    rule_ids: np.ndarray,
+    priorities: np.ndarray,
+    traces: np.ndarray | None = None,
+) -> None:
+    """Apply the update overlay to the built classifier's results, in place.
+
+    ``rule_ids``/``priorities`` are the built structure's columnar results
+    for ``block`` — computed here by :meth:`classify_block`, or by a shard
+    worker that holds a snapshot of the built structure only.  A masked
+    winner costs a rescan of every live built rule (one rule access +
+    ``num_fields`` compute ops each); overlay rules are then probed
+    best-first, one access each, until one matches or the current winner's
+    order key is below the next one's.  Both scans run over
+    :meth:`RuleSet.best_first <repro.rules.rule.RuleSet.best_first>`, so a
+    first containment is the best match.  With an empty overlay this is
+    one check.
+    """
+    if not engine._inserted and not engine._removed:
+        return
+    with engine._lock:
+        overlay = [rule for _seq, rule in engine._inserted.values()]
+        removed = list(engine._removed)
+    values = block.astype(np.int64, copy=False)
+    num_fields = values.shape[1]
+    if removed:
+        removed_ids = np.array(removed, dtype=np.int64)
+        affected = np.flatnonzero(np.isin(rule_ids, removed_ids))
+        if affected.size:
+            # The built structure returned masked rules: rescan the live
+            # built rules for the runner-up, vectorized over the (rare)
+            # affected rows (masked rules vanish for good at the next
+            # rebuild).
+            built = engine.ruleset.best_first()
+            live = ~np.isin(built.rule_id, removed_ids)
+            scanned = int(live.sum())
+            rows = values[affected]
+            contained = (
+                (rows[:, None, :] >= built.lo[None, :, :])
+                & (rows[:, None, :] <= built.hi[None, :, :])
+            ).all(axis=2) & live[None, :]
+            hit = contained.any(axis=1)
+            first = np.where(hit, contained.argmax(axis=1), 0)
+            rule_ids[affected] = np.where(hit, built.rule_id[first], -1)
+            priorities[affected] = np.where(hit, built.priority[first], 0)
+            if traces is not None:
+                traces[affected, 1] += scanned
+                traces[affected, 3] += scanned * num_fields
+    if overlay:
+        count = len(overlay)
+        inserted = RuleSet(overlay, engine.schema).best_first()
+        o_pris, o_ids = inserted.priority, inserted.rule_id
+        # Overlay rules are probed best-first until the current winner's
+        # key is below the next rule's: the cutoff is how many overlay
+        # keys the winner's key (NO_FLOOR on a miss) does not beat.
+        stop = np.searchsorted(
+            inserted.key, result_keys(rule_ids, priorities), side="right"
+        )
+        match = (
+            (values[:, None, :] >= inserted.lo[None, :, :])
+            & (values[:, None, :] <= inserted.hi[None, :, :])
+        ).all(axis=2)
+        eligible = match & (np.arange(count)[None, :] < stop[:, None])
+        hit = eligible.any(axis=1)
+        first = np.where(hit, eligible.argmax(axis=1), 0)
+        if traces is not None:
+            probed = np.where(hit, first + 1, stop)
+            traces[: len(values), 1] += probed
+            traces[: len(values), 3] += probed * num_fields
+        rule_ids[hit] = o_ids[first[hit]]
+        priorities[hit] = o_pris[first[hit]]

@@ -353,7 +353,8 @@ class TestRetraining:
 
 class TestOverlayTraceAccounting:
     """Explicit values for what the overlay pass adds to a shard's trace rows
-    (hand-computed; the scalar reference covers only the built structure)."""
+    (hand-computed; ``test_overlay_reference.py`` checks the overlay pass
+    against its frozen reference on random update sequences)."""
 
     def test_three_rule_overlay_and_one_masked_winner(self):
         from repro.rules.fields import FieldSchema, FieldSpec
@@ -386,8 +387,9 @@ class TestOverlayTraceAccounting:
             sharded.insert(Rule(((250, 255), (9, 9)), priority=5, rule_id=100))
             sharded.insert(Rule(((40, 60), (0, 255)), priority=15, rule_id=101))
             sharded.insert(Rule(((0, 255), (0, 255)), priority=25, rule_id=102))
-            # ... and mask row 0's winner: the rescan visits both live base
-            # rules (2 accesses, 4 ops) and finds rule 1.
+            # ... and mask row 0's winner: the rescan is a linear search over
+            # the live base rules, best first, so it stops at rule 1, the
+            # first live position (1 access, 2 ops).
             assert sharded.remove(0)
 
             traces = np.zeros((3, 5), dtype=np.int64)
@@ -398,10 +400,10 @@ class TestOverlayTraceAccounting:
             # 100, then 101 matches: 2.  Row 2 (winner prio 30) probes all
             # three, the last matches: 3.
             np.testing.assert_array_equal(
-                traces[:, 1] - clean[:, 1], [2 + 2, 2, 3]
+                traces[:, 1] - clean[:, 1], [1 + 2, 2, 3]
             )
             np.testing.assert_array_equal(
-                traces[:, 3] - clean[:, 3], [(2 + 2) * 2, 2 * 2, 3 * 2]
+                traces[:, 3] - clean[:, 3], [(1 + 2) * 2, 2 * 2, 3 * 2]
             )
             # The other counters are untouched by the overlay pass.
             np.testing.assert_array_equal(traces[:, [0, 2, 4]], clean[:, [0, 2, 4]])

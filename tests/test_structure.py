@@ -130,6 +130,28 @@ def test_the_engine_is_the_one_updatable_unit():
     assert not {
         name for name in CLASSIFIER_CLASSES if CLASS_METHODS[name] & {"insert", "remove"}
     }
+    # The overlay is a remainder: linear search's floored kernel answers it,
+    # and the engine writes no containment compare of its own.
+    engine = ast.parse((SRC / "engine" / "engine.py").read_text())
+    containment = [
+        ast.unparse(node)
+        for node in ast.walk(engine)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.GtE, ast.LtE)) for op in node.ops)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr in {"lo", "hi"}
+            for operand in [node.left, *node.comparators]
+            for side in ast.walk(operand)
+        )
+    ]
+    assert containment == []
+    adjust = next(
+        node for node in ast.walk(engine)
+        if isinstance(node, ast.FunctionDef) and node.name == "adjust_block"
+    )
+    assert "classify_block_with_floors" in {
+        _called(node) for node in ast.walk(adjust) if isinstance(node, ast.Call)
+    }
 
 
 def test_one_implementation_per_baseline_family():
