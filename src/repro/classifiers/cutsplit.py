@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from repro.classifiers.dtree import (
     CutAction,
-    DecisionTree,
     ForestClassifier,
     LeafAction,
     Space,
-    SplitAction,
     build_tree,
 )
 from repro.classifiers.registry import register
@@ -48,40 +46,6 @@ def _is_small(rule: Rule, dim: int, bits: int, threshold: int) -> bool:
 def _cutsplit_policy(cut_dims: list[int], ficuts_rule_threshold: int, num_cuts: int):
     """Per-node policy implementing the FiCuts-then-split strategy."""
 
-    def _split_choice(space: Space, rules: list[Rule]):
-        # Large nodes are evaluated on a rule sample: the median endpoint of a
-        # sample is a good split point and keeps construction near-linear.
-        sample = rules if len(rules) <= 256 else rules[:: len(rules) // 256]
-        best_dim, best_threshold, best_score = None, None, None
-        for dim, (lo, hi) in enumerate(space):
-            if hi <= lo:
-                continue
-            endpoints = sorted(
-                {
-                    min(max(rule.ranges[dim][1], lo), hi - 1)
-                    for rule in sample
-                    if lo <= rule.ranges[dim][1] < hi
-                }
-            )
-            if not endpoints:
-                continue
-            threshold = endpoints[len(endpoints) // 2]
-            left = sum(1 for rule in sample if rule.ranges[dim][0] <= threshold)
-            right = sum(1 for rule in sample if rule.ranges[dim][1] > threshold)
-            if max(left, right) >= len(sample):
-                continue  # no progress in this dimension
-            # Prefer splits that replicate the fewest rules, then balance.
-            score = (left + right, max(left, right))
-            if best_score is None or score < best_score:
-                best_dim, best_threshold, best_score = dim, threshold, score
-        # Rules that overlap too heavily would be replicated down the whole
-        # subtree; storing them in one (larger) leaf keeps both the footprint
-        # and the build time bounded, mirroring CutSplit's tolerance for
-        # oversized leaves on pathological subsets.
-        if best_dim is None or best_score is None or best_score[0] > 1.3 * len(sample):
-            return LeafAction()
-        return SplitAction(best_dim, best_threshold)
-
     def policy(space: Space, rules: list[Rule], depth: int):
         # FiCuts phase: equal cuts on the group's small dimensions while the
         # node is still large.
@@ -90,8 +54,11 @@ def _cutsplit_policy(cut_dims: list[int], ficuts_rule_threshold: int, num_cuts: 
             lo, hi = space[dim]
             if hi - lo + 1 >= num_cuts:
                 return CutAction(dim, num_cuts)
-        # Split phase.
-        return _split_choice(space, rules)
+        # Split phase: the builder's median endpoint split (HyperSplit-style,
+        # on a rule sample), which keeps one oversized leaf where the rules
+        # overlap too heavily to split without replicating them down the
+        # subtree — CutSplit's tolerance for pathological subsets.
+        return LeafAction()
 
     return policy
 
@@ -134,8 +101,7 @@ class CutSplitClassifier(ForestClassifier):
         trees = []
         for key, rules in groups.items():
             policy = _cutsplit_policy(list(key), ficuts_rule_threshold, num_cuts)
-            root = build_tree(rules, space, policy, binth=binth, max_depth=max_depth)
-            trees.append(DecisionTree(root))
+            trees.append(build_tree(rules, space, policy, binth=binth, max_depth=max_depth))
         super().__init__(ruleset, trees)
 
     def statistics(self) -> dict[str, object]:

@@ -1,19 +1,28 @@
-"""Shared decision-tree machinery for the cutting-based classifiers.
+"""The tree family: a decision-tree builder and one flat forest walk.
 
 HiCuts, CutSplit and the NeuroCuts-style classifier all build trees over the
-multi-dimensional rule space: internal nodes *cut* one dimension into equal
-sub-ranges or *split* it at a chosen point, and leaves hold at most ``binth``
-rules scanned linearly.  This module provides the node types, a generic
-recursive builder parameterised by a per-node policy, the traced tree walk, the
-early-termination bookkeeping (per-node best order key, §4 of the paper), and
-memory-footprint accounting that reflects rule replication.  Leaves, node
-bounds and the walk order all use the rule order key
-(:func:`~repro.rules.rule.order_key`); an empty subtree's key is
-:data:`~repro.rules.rule.NO_FLOOR`.
+multi-dimensional rule space.  An internal node partitions one dimension into
+consecutive ranges — a *cut* into equal sub-ranges, a *split* at a chosen
+point — and a leaf holds the rules that meet its box, at most ``binth`` of
+them unless nothing separates them.  Every node records the smallest rule
+order key (:func:`~repro.rules.rule.order_key`) below it, the bound §4's
+early termination prunes with (:data:`~repro.rules.rule.NO_FLOOR` when it
+holds no rule).
 
-It also holds the one implementation of the tree family:
-:class:`ForestClassifier` owns a list of trees, the best-key-first floored
-walk over them, the summed footprint and the common statistics; a named
+:func:`build_tree` recurses with a per-node policy and writes each node
+straight into the arrays of a :class:`DecisionTree`: its dimension, best key,
+first child and child count, its lower bound on its parent's dimension, and
+for a leaf a slice of a key-sorted array of rule ids.  A node's children are
+consecutive, and their lower bounds — computed once, by the builder — are the
+only definition of the partition: a value goes to the last child whose lower
+bound it reaches.  Statistics and the memory footprint, which counts rule
+replication, are reductions over those arrays.
+
+:class:`ForestClassifier` is the one implementation of the family.  It
+concatenates its trees into one node array and answers a block with one
+level-synchronous walk: tree by tree, smallest root key first, every row
+still below the tree's root key steps down one level per iteration until it
+leaves at a node that cannot beat its best key or scans its leaf.  A
 baseline is how it groups the rules into trees and the per-node policy it
 builds each tree with.  A built forest is immutable; online updates are the
 engine's overlay (:class:`repro.engine.ClassificationEngine`).
@@ -22,14 +31,12 @@ engine's overlay (:class:`repro.engine.ClassificationEngine`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.classifiers.base import (
-    TRACE_FIELDS,
     Classifier,
-    LookupTrace,
     MemoryFootprint,
     NODE_HEADER_BYTES,
     POINTER_BYTES,
@@ -42,10 +49,6 @@ __all__ = [
     "CutAction",
     "SplitAction",
     "LeafAction",
-    "TreeNode",
-    "LeafNode",
-    "CutNode",
-    "SplitNode",
     "DecisionTree",
     "ForestClassifier",
     "build_tree",
@@ -63,6 +66,14 @@ class CutAction:
     dim: int
     num_cuts: int
 
+    def partition(self, space: Space) -> tuple[int, list[int]]:
+        """The cut dimension and its parts' lower bounds.  Python ints:
+        ``span * index`` overflows int64 on a 63-bit field."""
+        lo, hi = space[self.dim]
+        span = hi - lo + 1
+        num_cuts = max(2, min(self.num_cuts, span))
+        return self.dim, [lo + span * index // num_cuts for index in range(num_cuts)]
+
 
 @dataclass(frozen=True)
 class SplitAction:
@@ -71,66 +82,23 @@ class SplitAction:
     dim: int
     threshold: int
 
+    def partition(self, space: Space) -> tuple[int, list[int]]:
+        """The split dimension and its two sides' lower bounds."""
+        lo, hi = space[self.dim]
+        return self.dim, [lo, min(max(self.threshold, lo), hi - 1) + 1]
+
 
 @dataclass(frozen=True)
 class LeafAction:
-    """Stop partitioning and store the node's rules in a leaf."""
+    """No partition of the policy's own: the builder tries its median
+    endpoint split and keeps a leaf when that cannot separate the rules."""
+
+    def partition(self, space: Space) -> tuple[int, list[int]]:
+        return 0, []
 
 
 #: A policy maps (space, rules, depth) to the action to take at that node.
 Policy = Callable[[Space, list[Rule], int], CutAction | SplitAction | LeafAction]
-
-
-class TreeNode:
-    """Base class for tree nodes; tracks the smallest order key in the
-    subtree (:data:`NO_FLOOR` when it holds no rule)."""
-
-    __slots__ = ("best_key",)
-
-    def __init__(self, best_key: int = NO_FLOOR) -> None:
-        self.best_key = best_key
-
-
-class LeafNode(TreeNode):
-    __slots__ = ("rules",)
-
-    def __init__(self, rules: list[Rule]):
-        self.rules = sorted(rules, key=lambda rule: rule.key)
-        super().__init__(self.rules[0].key if self.rules else NO_FLOOR)
-
-
-class CutNode(TreeNode):
-    __slots__ = ("dim", "num_cuts", "lo", "hi", "children")
-
-    def __init__(self, dim: int, num_cuts: int, lo: int, hi: int, children: list[TreeNode]):
-        super().__init__(min((child.best_key for child in children), default=NO_FLOOR))
-        self.dim = dim
-        self.num_cuts = num_cuts
-        self.lo = lo
-        self.hi = hi
-        self.children = children
-
-    def child_index(self, value: int) -> int:
-        span = self.hi - self.lo + 1
-        index = (value - self.lo) * self.num_cuts // span
-        return min(max(index, 0), self.num_cuts - 1)
-
-    def child_space(self, index: int) -> tuple[int, int]:
-        span = self.hi - self.lo + 1
-        lo = self.lo + (span * index) // self.num_cuts
-        hi = self.lo + (span * (index + 1)) // self.num_cuts - 1
-        return lo, hi
-
-
-class SplitNode(TreeNode):
-    __slots__ = ("dim", "threshold", "left", "right")
-
-    def __init__(self, dim: int, threshold: int, left: TreeNode, right: TreeNode):
-        super().__init__(min(left.best_key, right.best_key))
-        self.dim = dim
-        self.threshold = threshold
-        self.left = left
-        self.right = right
 
 
 @dataclass
@@ -139,11 +107,59 @@ class TreeStats:
 
     num_nodes: int = 0
     num_leaves: int = 0
-    num_cut_nodes: int = 0
-    num_split_nodes: int = 0
     max_depth: int = 0
     total_leaf_rule_slots: int = 0   # counts replication
     max_leaf_size: int = 0
+
+
+@dataclass(frozen=True)
+class DecisionTree:
+    """A built tree as node arrays (int64, one entry per node; node 0 is the
+    root, a node's children are consecutive)."""
+
+    #: The dimension an internal node partitions; -1 at a leaf.
+    dim: np.ndarray
+    #: The smallest order key in the node's subtree.
+    best_key: np.ndarray
+    #: An internal node's first child; a leaf's first slot in ``rules``.
+    first: np.ndarray
+    #: An internal node's children; a leaf's rules.
+    count: np.ndarray
+    #: The node's lower bound on its parent's dimension (the root's is 0).
+    lower: np.ndarray
+    #: Leaf slots: rule ids, key-sorted within each leaf.
+    rules: np.ndarray
+    #: Depth of the deepest node (the root is at 0).
+    depth: int
+
+    def stats(self) -> TreeStats:
+        leaf = self.dim < 0
+        sizes = self.count[leaf]
+        return TreeStats(
+            num_nodes=len(self.dim),
+            num_leaves=int(leaf.sum()),
+            max_depth=self.depth,
+            total_leaf_rule_slots=int(sizes.sum()),
+            max_leaf_size=int(sizes.max(initial=0)),
+        )
+
+    def footprint(self) -> MemoryFootprint:
+        """Index bytes: a header per node, a pointer per child and per leaf
+        rule slot (so replication costs memory)."""
+        leaf = self.dim < 0
+        internal = int((~leaf).sum()) * NODE_HEADER_BYTES + int(
+            self.count[~leaf].sum()
+        ) * POINTER_BYTES
+        leaves = int(leaf.sum()) * NODE_HEADER_BYTES
+        pointers = int(self.count[leaf].sum()) * POINTER_BYTES
+        return MemoryFootprint(
+            index_bytes=internal + leaves + pointers,
+            breakdown={
+                "internal_nodes": internal,
+                "leaves": leaves,
+                "leaf_rule_pointers": pointers,
+            },
+        )
 
 
 def _rules_intersecting(rules: list[Rule], dim: int, lo: int, hi: int) -> list[Rule]:
@@ -161,17 +177,23 @@ def build_tree(
     policy: Policy,
     binth: int = 8,
     max_depth: int = 32,
-) -> TreeNode:
+) -> DecisionTree:
     """Recursively build a decision tree using ``policy`` at every node.
 
-    The builder guards against non-progress: if a cut fails to reduce the rule
-    count in every child (pure replication), it falls back to a median
-    endpoint split on the most discriminating dimension, and only becomes a
-    leaf if that split cannot separate the rules either.
+    The builder guards against non-progress: a partition makes progress when
+    some child holds fewer rules than the node and the children hold at most
+    twice as many in total.  A policy action that makes none (a
+    :class:`LeafAction` partitions nothing) falls back to a median endpoint
+    split on the most discriminating dimension, and the node becomes a leaf
+    only if that split makes no progress either.
     """
+    # One entry per node, the root's first; _build fills a node's entries.
+    dims, best_keys, firsts, counts, lowers = [0], [0], [0], [0], [0]
+    slots: list[int] = []
+    depth_reached = 0
 
     def _fallback_split(node_space: Space, node_rules: list[Rule]):
-        """Median endpoint split used when an equal cut makes no progress.
+        """Median endpoint split used when the policy's action makes no progress.
 
         Large nodes are evaluated on a sample of their rules: the split point
         only needs to be a reasonable median, and sampling keeps construction
@@ -206,172 +228,56 @@ def build_tree(
             return None  # heavy replication: let the caller keep a leaf
         return best
 
-    def _build(node_rules: list[Rule], node_space: Space, depth: int) -> TreeNode:
+    def _children(action, node_space: Space, node_rules: list[Rule]):
+        """``action``'s dimension and its children's ``(lo, hi)`` ranges and
+        rules, or ``None`` when the partition makes no progress."""
+        dim, bounds = action.partition(node_space)
+        ranges = list(zip(bounds, [bound - 1 for bound in bounds[1:]] + [node_space[dim][1]]))
+        children = [(lo, hi, _rules_intersecting(node_rules, dim, lo, hi)) for lo, hi in ranges]
+        sizes = [len(child_rules) for _lo, _hi, child_rules in children]
+        if min(sizes, default=len(node_rules)) >= len(node_rules):
+            return None  # no child is smaller: pure replication
+        if sum(sizes) > 2 * len(node_rules):
+            # Replicating the rules more than 2x (wildcard-heavy inputs)
+            # explodes both memory and build time: prefer a split.
+            return None
+        return dim, children
+
+    def _leaf(node: int, node_rules: list[Rule]) -> None:
+        ordered = sorted(node_rules, key=lambda rule: rule.key)
+        dims[node], firsts[node], counts[node] = -1, len(slots), len(ordered)
+        best_keys[node] = ordered[0].key if ordered else NO_FLOOR
+        slots.extend(rule.rule_id for rule in ordered)
+
+    def _build(node: int, node_rules: list[Rule], node_space: Space, depth: int) -> None:
+        nonlocal depth_reached
+        depth_reached = max(depth_reached, depth)
         if len(node_rules) <= binth or depth >= max_depth:
-            return LeafNode(node_rules)
-        action = policy(node_space, node_rules, depth)
-        if isinstance(action, LeafAction):
+            return _leaf(node, node_rules)
+        partition = _children(policy(node_space, node_rules, depth), node_space, node_rules)
+        if partition is None:
             fallback = _fallback_split(node_space, node_rules)
-            if fallback is None:
-                return LeafNode(node_rules)
-            action = fallback
-
-        if isinstance(action, CutAction):
-            dim, num_cuts = action.dim, action.num_cuts
-            lo, hi = node_space[dim]
-            span = hi - lo + 1
-            num_cuts = max(2, min(num_cuts, span))
-            probe = CutNode(dim, num_cuts, lo, hi, [])
-            child_rule_lists: list[tuple[tuple[int, int], list[Rule]]] = []
-            progress = False
-            total_child_slots = 0
-            for index in range(num_cuts):
-                child_lo, child_hi = probe.child_space(index)
-                child_rules = _rules_intersecting(node_rules, dim, child_lo, child_hi)
-                child_rule_lists.append(((child_lo, child_hi), child_rules))
-                total_child_slots += len(child_rules)
-                if len(child_rules) < len(node_rules):
-                    progress = True
-            # A cut that replicates the node's rules more than 2x (wildcard-heavy
-            # inputs) explodes both memory and build time: prefer a split.
-            excessive_replication = total_child_slots > 2 * len(node_rules)
-            if not progress or excessive_replication:
-                # The cut only replicated the rules: try a split instead, and
-                # keep a (larger) leaf when no split helps either.
-                fallback = _fallback_split(node_space, node_rules)
-                if fallback is None:
-                    return LeafNode(node_rules)
-                action = fallback
-            if isinstance(action, CutAction):
-                children = []
-                for (child_lo, child_hi), child_rules in child_rule_lists:
-                    child_space = tuple(
-                        (child_lo, child_hi) if d == dim else node_space[d]
-                        for d in range(len(node_space))
-                    )
-                    children.append(_build(child_rules, child_space, depth + 1))
-                return CutNode(dim, num_cuts, lo, hi, children)
-
-        if isinstance(action, SplitAction):
-            dim, threshold = action.dim, action.threshold
-            lo, hi = node_space[dim]
-            threshold = min(max(threshold, lo), hi - 1)
-            left_rules = _rules_intersecting(node_rules, dim, lo, threshold)
-            right_rules = _rules_intersecting(node_rules, dim, threshold + 1, hi)
-            if len(left_rules) == len(node_rules) and len(right_rules) == len(node_rules):
-                return LeafNode(node_rules)
-            left_space = tuple(
-                (lo, threshold) if d == dim else node_space[d]
-                for d in range(len(node_space))
+            partition = fallback and _children(fallback, node_space, node_rules)
+            if partition is None:
+                return _leaf(node, node_rules)
+        dim, children = partition
+        first = len(dims)
+        dims[node], firsts[node], counts[node] = dim, first, len(children)
+        for column in (dims, best_keys, firsts, counts):
+            column.extend([0] * len(children))
+        lowers.extend(lo for lo, _hi, _rules in children)
+        for index, (lo, hi, child_rules) in enumerate(children):
+            child_space = tuple(
+                (lo, hi) if d == dim else node_space[d] for d in range(len(node_space))
             )
-            right_space = tuple(
-                (threshold + 1, hi) if d == dim else node_space[d]
-                for d in range(len(node_space))
-            )
-            left = _build(left_rules, left_space, depth + 1)
-            right = _build(right_rules, right_space, depth + 1)
-            return SplitNode(dim, threshold, left, right)
+            _build(first + index, child_rules, child_space, depth + 1)
+        best_keys[node] = min(best_keys[first : first + len(children)])
 
-        raise TypeError(f"unknown policy action: {action!r}")
-
-    return _build(list(rules), space, 0)
-
-
-class DecisionTree:
-    """A built tree plus traced lookup, statistics and footprint accounting."""
-
-    def __init__(self, root: TreeNode):
-        self.root = root
-
-    # -- lookup ------------------------------------------------------------------
-
-    def lookup(
-        self,
-        values: Sequence[int],
-        trace: LookupTrace,
-        floor: int = NO_FLOOR,
-    ) -> Optional[Rule]:
-        """Walk the tree for ``values``; returns the best matching rule whose
-        order key is below ``floor``.
-
-        ``floor`` enables the paper's early-termination optimisation: subtrees
-        whose best key cannot beat the floor are not entered.
-        """
-        node = self.root
-        while True:
-            trace.index_accesses += 1
-            if node.best_key >= floor:
-                return None
-            if isinstance(node, LeafNode):
-                for rule in node.rules:
-                    if rule.key >= floor:
-                        return None  # leaf rules are key-sorted
-                    trace.rule_accesses += 1
-                    trace.compute_ops += len(values)
-                    if rule.matches(values):
-                        return rule
-                return None
-            if isinstance(node, CutNode):
-                node = node.children[node.child_index(values[node.dim])]
-            elif isinstance(node, SplitNode):
-                node = node.left if values[node.dim] <= node.threshold else node.right
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown node type {type(node)!r}")
-
-    # -- statistics -----------------------------------------------------------------
-
-    def stats(self) -> TreeStats:
-        stats = TreeStats()
-
-        def _walk(node: TreeNode, depth: int) -> None:
-            stats.num_nodes += 1
-            stats.max_depth = max(stats.max_depth, depth)
-            if isinstance(node, LeafNode):
-                stats.num_leaves += 1
-                stats.total_leaf_rule_slots += len(node.rules)
-                stats.max_leaf_size = max(stats.max_leaf_size, len(node.rules))
-            elif isinstance(node, CutNode):
-                stats.num_cut_nodes += 1
-                for child in node.children:
-                    _walk(child, depth + 1)
-            elif isinstance(node, SplitNode):
-                stats.num_split_nodes += 1
-                _walk(node.left, depth + 1)
-                _walk(node.right, depth + 1)
-
-        _walk(self.root, 0)
-        return stats
-
-    def footprint(self, num_distinct_rules: int) -> MemoryFootprint:
-        stats = self.stats()
-        index_bytes = 0
-        index_bytes += stats.num_leaves * NODE_HEADER_BYTES
-        index_bytes += stats.total_leaf_rule_slots * POINTER_BYTES
-
-        def _walk(node: TreeNode) -> int:
-            if isinstance(node, LeafNode):
-                return 0
-            if isinstance(node, CutNode):
-                size = NODE_HEADER_BYTES + node.num_cuts * POINTER_BYTES
-                return size + sum(_walk(child) for child in node.children)
-            if isinstance(node, SplitNode):
-                size = NODE_HEADER_BYTES + 2 * POINTER_BYTES
-                return size + _walk(node.left) + _walk(node.right)
-            return 0
-
-        index_bytes += _walk(self.root)
-        rule_bytes = num_distinct_rules * RULE_ENTRY_BYTES
-        return MemoryFootprint(
-            index_bytes=index_bytes,
-            rule_bytes=rule_bytes,
-            breakdown={
-                "internal_nodes": index_bytes
-                - stats.num_leaves * NODE_HEADER_BYTES
-                - stats.total_leaf_rule_slots * POINTER_BYTES,
-                "leaves": stats.num_leaves * NODE_HEADER_BYTES,
-                "leaf_rule_pointers": stats.total_leaf_rule_slots * POINTER_BYTES,
-            },
-        )
+    _build(0, list(rules), space, 0)
+    columns = (dims, best_keys, firsts, counts, lowers, slots)
+    return DecisionTree(
+        *(np.array(column, dtype=np.int64) for column in columns), depth=depth_reached
+    )
 
 
 class ForestClassifier(Classifier):
@@ -384,12 +290,40 @@ class ForestClassifier(Classifier):
 
     def __init__(self, ruleset: RuleSet, trees: list[DecisionTree]):
         super().__init__(ruleset)
-        #: In group order — the order footprints and statistics report in.
-        self._trees = trees
+        #: Index bytes per tree, in group order — the order footprints report in.
+        self._tree_bytes = [tree.footprint().index_bytes for tree in trees]
         # Walk order, fixed here because nothing mutates a tree afterwards:
         # smallest root key first, so a lookup stops at the first tree that
-        # cannot win.
-        self._walk_order = sorted(trees, key=lambda tree: tree.root.best_key)
+        # cannot win.  The trees are concatenated in that order, each one's
+        # node and slot indices shifted past the trees before it.
+        walk = sorted(trees, key=lambda tree: int(tree.best_key[0]))
+        roots = np.cumsum([0] + [len(tree.dim) for tree in walk]).tolist()
+        slots = np.cumsum([0] + [len(tree.rules) for tree in walk]).tolist()
+
+        def joined(columns) -> np.ndarray:
+            return np.concatenate([np.zeros(0, dtype=np.int64), *columns])
+
+        self._forest = forest = DecisionTree(
+            dim=joined(tree.dim for tree in walk),
+            best_key=joined(tree.best_key for tree in walk),
+            first=joined(
+                tree.first + np.where(tree.dim < 0, slot, root)
+                for tree, root, slot in zip(walk, roots, slots)
+            ),
+            count=joined(tree.count for tree in walk),
+            lower=joined(tree.lower for tree in walk),
+            rules=joined(tree.rules for tree in walk),
+            depth=max((tree.depth for tree in walk), default=0),
+        )
+        #: ``(root node, levels)`` per tree, in walk order.
+        self._walk_order = [(root, tree.depth + 1) for tree, root in zip(walk, roots)]
+        #: The widest node's children past its first.
+        self._later = np.arange(1, int(forest.count[forest.dim >= 0].max(initial=2)))
+        # The leaf slots' rules, as the block compare reads them.
+        rows = np.argsort(ruleset.rule_id)
+        rows = rows[np.searchsorted(ruleset.rule_id, forest.rules, sorter=rows)]
+        self._slot_lo, self._slot_hi = ruleset.lo[rows], ruleset.hi[rows]
+        self._slot_key = ruleset.key[rows]
 
     # -- lookup --------------------------------------------------------------------
 
@@ -400,37 +334,95 @@ class ForestClassifier(Classifier):
         traces: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Floored lookup (contract: :meth:`Classifier.classify_block_with_floors
-        <repro.classifiers.base.Classifier.classify_block_with_floors>`): a row
-        walks the trees smallest root key first, each walk floored by the
-        row's best key so far, and stops at the first tree that cannot beat
-        it (§4)."""
+        <repro.classifiers.base.Classifier.classify_block_with_floors>`): the
+        trees are walked smallest root key first, each floored by the row's
+        best key so far; a row skips a tree whose root key it already beats
+        (§4), so it stops at the first tree that cannot win.
+
+        Inside a tree the frontier of rows steps down one level at a time.
+        Every row on it visits its node (one index access) and leaves if the
+        node's best key does not beat its own; at an internal node it takes
+        the last child whose lower bound its value reaches, and at a leaf it
+        scans the key-sorted rules below its best key in one compare and
+        keeps the first match — one rule access and one compute op per field
+        for each rule scanned, exactly as a per-packet walk would.
+        """
+        forest = self._forest
+        values = np.asarray(block).astype(np.int64, copy=False)
+        n, fields = values.shape
         floor = (
-            np.full(len(block), NO_FLOOR, dtype=np.int64) if floors is None
+            np.full(n, NO_FLOOR, dtype=np.int64) if floors is None
             else np.asarray(floors, dtype=np.int64)
         )
         best = floor.copy()
-        # One row at a time: the trees are node objects until they are
-        # flattened for a level-synchronous block walk (ROADMAP 5(c)).
-        for row, values in enumerate(np.asarray(block).tolist()):
-            trace, best_key = LookupTrace(), int(best[row])
-            for tree in self._walk_order:
-                if tree.root.best_key >= best_key:
+        visited = np.zeros(n, dtype=np.int64)
+        scanned = np.zeros(n, dtype=np.int64)
+        for root, levels in self._walk_order:
+            rows = np.flatnonzero(best > forest.best_key[root])
+            if not rows.size:
+                continue
+            nodes = np.full(rows.size, root)
+            at_leaf: list[np.ndarray] = []
+            leaves: list[np.ndarray] = []
+            for _level in range(levels):
+                visited[rows] += 1
+                dim = forest.dim[nodes]
+                live = forest.best_key[nodes] < best[rows]
+                leaf, inner = live & (dim < 0), live & (dim >= 0)
+                at_leaf.append(rows[leaf])
+                leaves.append(nodes[leaf])
+                rows, nodes, dim = rows[inner], nodes[inner], dim[inner]
+                if not rows.size:
                     break
-                rule = tree.lookup(values, trace, best_key)
-                if rule is not None:  # the walk only returns a key below best_key
-                    best_key = rule.key
-            best[row] = best_key
-            if traces is not None:
-                traces[row] += [getattr(trace, name) for name in TRACE_FIELDS]
+                # One step down: the last child whose lower bound is reached.
+                first = forest.first[nodes]
+                reached = (self._later < forest.count[nodes][:, None]) & (
+                    forest.lower.take(first[:, None] + self._later, mode="clip")
+                    <= values[rows, dim][:, None]
+                )
+                nodes = first + reached.sum(axis=1)
+            # The tree's floor does not move until it is done: scan its
+            # reached leaves once.
+            self._scan_leaves(
+                values, np.concatenate(at_leaf), np.concatenate(leaves), best, scanned
+            )
+        if traces is not None:
+            traces[:n, 0] += visited
+            traces[:n, 1] += scanned
+            traces[:n, 3] += scanned * fields
         return split_keys(np.where(best < floor, best, NO_FLOOR))
+
+    def _scan_leaves(
+        self,
+        values: np.ndarray,
+        rows: np.ndarray,
+        leaves: np.ndarray,
+        best: np.ndarray,
+        scanned: np.ndarray,
+    ) -> None:
+        """Scan each row's leaf in one compare over every (row, slot) pair:
+        a row's first match with a key below ``best`` becomes its best key,
+        and ``scanned`` counts the rules it touched — up to that match, or
+        every rule below ``best`` on a miss (leaf slots are key-sorted)."""
+        forest = self._forest
+        sizes = forest.count[leaves]
+        starts = np.cumsum(sizes) - sizes
+        pair = np.repeat(np.arange(rows.size), sizes)
+        slot = np.arange(pair.size) - starts[pair] + forest.first[leaves][pair]
+        below = self._slot_key[slot] < best[rows][pair]
+        packets = values[rows][pair]
+        hit = below & (
+            (packets >= self._slot_lo[slot]) & (packets <= self._slot_hi[slot])
+        ).all(axis=1)
+        first_hit = np.minimum.reduceat(np.where(hit, np.arange(pair.size), pair.size), starts)
+        found = first_hit < pair.size
+        scanned[rows] += np.where(found, first_hit - starts + 1, np.add.reduceat(below, starts))
+        best[rows[found]] = self._slot_key[slot[first_hit[found]]]
 
     # -- introspection -----------------------------------------------------------------
 
     def memory_footprint(self) -> MemoryFootprint:
-        breakdown = {
-            f"tree_{index}": tree.footprint(0).index_bytes
-            for index, tree in enumerate(self._trees)
-        }
+        breakdown = {f"tree_{index}": size for index, size in enumerate(self._tree_bytes)}
         return MemoryFootprint(
             index_bytes=sum(breakdown.values()),
             rule_bytes=len(self.ruleset) * RULE_ENTRY_BYTES,
@@ -439,18 +431,17 @@ class ForestClassifier(Classifier):
 
     def statistics(self) -> dict[str, object]:
         stats = super().statistics()
-        tree_stats = [tree.stats() for tree in self._trees]
-        leaf_rule_slots = sum(t.total_leaf_rule_slots for t in tree_stats)
+        forest = self._forest.stats()
         stats.update(
-            num_trees=len(self._trees),
-            max_depth=max((t.max_depth for t in tree_stats), default=0),
-            num_nodes=sum(t.num_nodes for t in tree_stats),
-            num_leaves=sum(t.num_leaves for t in tree_stats),
-            leaf_rule_slots=leaf_rule_slots,
-            replication=leaf_rule_slots / max(1, len(self.ruleset)),
+            num_trees=self.num_trees,
+            max_depth=forest.max_depth,
+            num_nodes=forest.num_nodes,
+            num_leaves=forest.num_leaves,
+            leaf_rule_slots=forest.total_leaf_rule_slots,
+            replication=forest.total_leaf_rule_slots / max(1, len(self.ruleset)),
         )
         return stats
 
     @property
     def num_trees(self) -> int:
-        return len(self._trees)
+        return len(self._walk_order)

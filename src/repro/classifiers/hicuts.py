@@ -14,7 +14,6 @@ import math
 
 from repro.classifiers.dtree import (
     CutAction,
-    DecisionTree,
     ForestClassifier,
     LeafAction,
     Space,
@@ -76,11 +75,11 @@ class HiCutsClassifier(ForestClassifier):
         max_depth: int = 24,
     ):
         self.binth = binth
-        root = build_tree(
+        tree = build_tree(
             list(ruleset.rules),
             ruleset.schema.full_ranges(),
             hicuts_policy(space_factor, max_cuts),
             binth=binth,
             max_depth=max_depth,
         )
-        super().__init__(ruleset, [DecisionTree(root)])
+        super().__init__(ruleset, [tree])

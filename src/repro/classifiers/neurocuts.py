@@ -128,13 +128,12 @@ class NeuroCutsClassifier(ForestClassifier):
                 policy = _sampled_policy(
                     random.Random(rng.randrange(1 << 30)), depth_penalty
                 )
-                root = build_tree(group, space, policy, binth=binth, max_depth=max_depth)
-                tree = DecisionTree(root)
-                stats = tree.stats()
+                tree = build_tree(group, space, policy, binth=binth, max_depth=max_depth)
+                index_bytes = tree.footprint().index_bytes
                 if objective == "memory":
-                    score = tree.footprint(0).index_bytes + stats.max_depth
+                    score = index_bytes + tree.depth
                 else:
-                    score = stats.max_depth * 1_000_000 + tree.footprint(0).index_bytes
+                    score = tree.depth * 1_000_000 + index_bytes
                 if best_score is None or score < best_score:
                     best_score = score
                     best_tree = tree

@@ -16,8 +16,8 @@ the rules *are* read-only int64 columns (``lo``/``hi`` of shape ``(rules,
 fields)``, ``priority`` and ``rule_id`` of shape ``(rules,)``) plus the action
 strings.  Every layer that needs arrays slices them, and sub-rule-sets are made
 by :meth:`RuleSet.take` and joined by :meth:`RuleSet.concat`.  :class:`Rule`
-objects are materialised on first use, for the object views of a lookup,
-the tree and hash builders and the decision-tree walk.
+objects are materialised on first use, for the object views of a lookup
+and the tree and hash builders.
 """
 
 from __future__ import annotations

@@ -2,14 +2,24 @@
 
 Every baseline serves through its one lookup, ``classify_block_with_floors``:
 linear search's floored columnar scan, the hash family's flat-index probe
-and the forest's per-row tree walk.  This module holds the scalar walks the
-first two replaced — linear search's key-ordered rule scan and the hash
-family's best-table-first bucket probe — and the forest's walk over
-``DecisionTree.lookup``, moved here unedited apart from methods becoming free
-functions that take the classifier, plus the per-row loop that joined them
-into a block lookup.  The block paths are checked against it row for row:
-matched rule, priority and every :data:`~repro.classifiers.base.TRACE_FIELDS`
-counter.  It also holds the engine's update-overlay pass as it was before the
+and the forest's level-synchronous walk over its node arrays.  This module
+holds the scalar walks they replaced — linear search's key-ordered rule
+scan, the hash family's best-table-first bucket probe and the forest's
+best-tree-first walk over ``DecisionTree.lookup`` — plus the per-row loop
+that joined them into a block lookup.  The block paths are checked against
+it row for row: matched rule, priority and every
+:data:`~repro.classifiers.base.TRACE_FIELDS` counter.
+
+The tree walk reads node objects, so the node classes it read moved here
+too, with :func:`nodes_from_flat` rebuilding them from the forest's own
+node arrays: :func:`forest_walk` walks exactly the structure the block
+lookup walks.  Both moved unedited apart from methods becoming free
+functions, and one documented change: a cut's child is the one whose
+``child_space`` holds the value (``CutNode.child_index`` used to compute
+``(value - lo) * num_cuts // span``, which sends a value that starts a
+child to the child before it whenever ``span % num_cuts != 0``).
+
+It also holds the engine's update-overlay pass as it was before the
 overlay became a linear-search remainder (:func:`adjust_block`, its two
 broadcasting containment scans unedited apart from the method becoming a free
 function that takes the engine).  It is not shipped and nothing under
@@ -18,6 +28,7 @@ function that takes the engine).  It is not shipped and nothing under
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +39,7 @@ from repro.classifiers.base import (
     ClassificationResult,
     LookupTrace,
 )
-from repro.classifiers.dtree import ForestClassifier
+from repro.classifiers.dtree import DecisionTree, ForestClassifier, Space
 from repro.classifiers.linear import LinearSearchClassifier
 from repro.classifiers.tuplespace import TupleHashClassifier, mask_value
 from repro.rules.rule import Packet, Rule, RuleSet, result_keys
@@ -83,6 +94,147 @@ def hash_walk(
     return ClassificationResult(best, trace)
 
 
+class TreeNode:
+    """Base class for tree nodes; tracks the smallest order key in the
+    subtree (:data:`NO_FLOOR` when it holds no rule)."""
+
+    __slots__ = ("best_key",)
+
+    def __init__(self, best_key: int = NO_FLOOR) -> None:
+        self.best_key = best_key
+
+
+class LeafNode(TreeNode):
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: list[Rule]):
+        self.rules = sorted(rules, key=lambda rule: rule.key)
+        super().__init__(self.rules[0].key if self.rules else NO_FLOOR)
+
+
+class CutNode(TreeNode):
+    __slots__ = ("dim", "num_cuts", "lo", "hi", "children")
+
+    def __init__(self, dim: int, num_cuts: int, lo: int, hi: int, children: list[TreeNode]):
+        super().__init__(min((child.best_key for child in children), default=NO_FLOOR))
+        self.dim = dim
+        self.num_cuts = num_cuts
+        self.lo = lo
+        self.hi = hi
+        self.children = children
+
+    def child_index(self, value: int) -> int:
+        # The one change: the child whose ``child_space`` holds ``value``
+        # (clamped to the first or last child outside ``[lo, hi]``).
+        for index in range(self.num_cuts):
+            if value <= self.child_space(index)[1]:
+                return index
+        return self.num_cuts - 1
+
+    def child_space(self, index: int) -> tuple[int, int]:
+        span = self.hi - self.lo + 1
+        lo = self.lo + (span * index) // self.num_cuts
+        hi = self.lo + (span * (index + 1)) // self.num_cuts - 1
+        return lo, hi
+
+
+class SplitNode(TreeNode):
+    __slots__ = ("dim", "threshold", "left", "right")
+
+    def __init__(self, dim: int, threshold: int, left: TreeNode, right: TreeNode):
+        super().__init__(min(left.best_key, right.best_key))
+        self.dim = dim
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+
+
+def lookup(
+    root: TreeNode,
+    values: Sequence[int],
+    trace: LookupTrace,
+    floor: int = NO_FLOOR,
+) -> Optional[Rule]:
+    """Walk the tree for ``values``; returns the best matching rule whose
+    order key is below ``floor``.
+
+    ``floor`` enables the paper's early-termination optimisation: subtrees
+    whose best key cannot beat the floor are not entered.
+    """
+    node = root
+    while True:
+        trace.index_accesses += 1
+        if node.best_key >= floor:
+            return None
+        if isinstance(node, LeafNode):
+            for rule in node.rules:
+                if rule.key >= floor:
+                    return None  # leaf rules are key-sorted
+                trace.rule_accesses += 1
+                trace.compute_ops += len(values)
+                if rule.matches(values):
+                    return rule
+            return None
+        if isinstance(node, CutNode):
+            node = node.children[node.child_index(values[node.dim])]
+        elif isinstance(node, SplitNode):
+            node = node.left if values[node.dim] <= node.threshold else node.right
+        else:  # pragma: no cover - defensive
+            raise TypeError(f"unknown node type {type(node)!r}")
+
+
+def nodes_from_flat(tree: DecisionTree, node: int, space: Space, rule_of) -> TreeNode:
+    """The node objects of ``tree``'s subtree at ``node``, whose box is
+    ``space`` (``rule_of``: rule id -> :class:`Rule`).  A two-child node is
+    a :class:`SplitNode` at its second child's lower bound minus one, a
+    wider one a :class:`CutNode` over the node's range — and its
+    ``child_space`` must reproduce the stored children's ranges, as every
+    rebuilt node's best key must equal the stored one."""
+    first, count, dim = int(tree.first[node]), int(tree.count[node]), int(tree.dim[node])
+    if dim < 0:
+        rebuilt = LeafNode([rule_of(int(rule_id)) for rule_id in tree.rules[first : first + count]])
+    else:
+        lo, hi = space[dim]
+        bounds = [int(bound) for bound in tree.lower[first : first + count]]
+        ranges = list(zip(bounds, [bound - 1 for bound in bounds[1:]] + [hi]))
+        assert bounds[0] == lo, (node, bounds, lo)
+        children = [
+            nodes_from_flat(
+                tree,
+                first + index,
+                tuple(ranges[index] if d == dim else space[d] for d in range(len(space))),
+                rule_of,
+            )
+            for index in range(count)
+        ]
+        if count == 2:
+            rebuilt = SplitNode(dim, bounds[1] - 1, *children)
+        else:
+            rebuilt = CutNode(dim, count, lo, hi, children)
+            assert [rebuilt.child_space(index) for index in range(count)] == ranges
+    assert rebuilt.best_key == int(tree.best_key[node]), node
+    return rebuilt
+
+
+#: classifier -> its trees' rebuilt roots, in walk order.
+_ROOTS: "weakref.WeakKeyDictionary[ForestClassifier, list[TreeNode]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def forest_roots(classifier: ForestClassifier) -> list[TreeNode]:
+    """The node objects of ``classifier``'s forest, one root per tree in its
+    walk order (rebuilt once per classifier)."""
+    if classifier not in _ROOTS:
+        by_id = classifier.ruleset.by_id()
+        space = classifier.ruleset.schema.full_ranges()
+        _ROOTS[classifier] = [
+            nodes_from_flat(classifier._forest, root, space, by_id.__getitem__)
+            for root, _levels in classifier._walk_order
+        ]
+    return _ROOTS[classifier]
+
+
 def forest_walk(
     classifier, packet: Packet | Sequence[int], floor: Optional[int]
 ) -> ClassificationResult:
@@ -90,10 +242,10 @@ def forest_walk(
     trace = LookupTrace()
     best: Rule | None = None
     best_key = NO_FLOOR if floor is None else floor
-    for tree in classifier._walk_order:
-        if tree.root.best_key >= best_key:
+    for root in forest_roots(classifier):
+        if root.best_key >= best_key:
             break
-        rule = tree.lookup(values, trace, best_key)
+        rule = lookup(root, values, trace, best_key)
         if rule is not None:  # the walk only returns a key below best_key
             best, best_key = rule, rule.key
     return ClassificationResult(best, trace)

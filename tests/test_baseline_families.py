@@ -12,7 +12,7 @@ plus each baseline's ``statistics()`` and ``memory_footprint()``.  This build
 must reproduce every digest and number; ``statistics()`` may gain keys.
 
 Every family's one lookup, ``classify_block_with_floors`` (linear search's
-scan, the hash family's flat probe, the forest's tree walk), is checked row
+scan, the hash family's flat probe, the forest's level walk), is checked row
 for row against the frozen per-packet walks in ``_scalar_reference``: ids,
 priorities and all five counters, on mixed iSet floors, edge cases, the
 ten-way-tie set and random small rule-sets.
@@ -199,10 +199,6 @@ class TestSameNumbersAsTheParent:
 FLOORED = {name: (name, {}) for name in ("linear", *BASELINES)}
 FLOORED["tm(collision_limit=2)"] = ("tm", {"collision_limit": 2})
 
-#: The classifiers whose lookup is a columnar kernel (the forest's is a
-#: per-row walk over the trees).
-KERNELS = ("linear", "tss", "tm", "tm(collision_limit=2)")
-
 
 def _floored(key, rules):
     name, params = FLOORED[key]
@@ -251,7 +247,7 @@ def test_columnar_floored_lookup_equals_the_scalar_reference(key, rules, block, 
     _assert_kernel_equals_the_reference(classifier, block, iset_floors[:n])
 
 
-@pytest.mark.parametrize("key", KERNELS)
+@pytest.mark.parametrize("key", list(FLOORED))
 def test_floored_kernel_edge_cases(key, rules, block):
     """A 0-row and a 1-row block, an empty rule-set (zero tables, zero
     rules), and a floor of ``order_key(0, 0)`` on every row: nothing probed,
@@ -271,7 +267,7 @@ def test_floored_kernel_edge_cases(key, rules, block):
     assert (rule_ids == -1).all() and not traces.any()
 
 
-@pytest.mark.parametrize("key", KERNELS)
+@pytest.mark.parametrize("key", list(FLOORED))
 def test_floored_kernel_under_ten_way_ties(key):
     """The fw1/400 ten-way-tie set (``test_rule_order.py``): floors that are
     the exact keys of tied rules, so "below the floor" is decided by rule id."""
@@ -311,7 +307,7 @@ def small_rulesets(draw):
 
 
 @settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
-@given(small_rulesets(), st.sampled_from(KERNELS), st.integers(0, 2**16))
+@given(small_rulesets(), st.sampled_from(list(FLOORED)), st.integers(0, 2**16))
 def test_floored_kernel_equals_the_reference_on_random_rulesets(ruleset, key, seed):
     """Random small rule-sets, packets drawn from their rules plus uniform
     ones, random per-row floors (``NO_FLOOR``, or a rule's exact key, or

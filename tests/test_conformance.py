@@ -37,13 +37,22 @@ CACHE_CAPACITIES = (64, 1024)
 
 
 def _packets_for(ruleset, matching=100, uniform=50, seed=33):
-    """Rule-matching samples plus uniform-random packets (likely misses)."""
-    packets = list(ruleset.sample_packets(matching, seed=seed))
+    """Rule-matching samples, uniform-random packets (likely misses), then
+    the lower corner of each sampled rule.  Every family partitions on rule
+    bounds, and an interior sample almost never lands on one; a corner
+    always does."""
+    rng = random.Random(seed)  # the draws of ``ruleset.sample_packets``
+    sampled, packets = [], []
+    for _ in range(matching):
+        rule = rng.choice(ruleset.rules)
+        sampled.append(rule)
+        packets.append(rule.sample_packet(rng))
     rng = random.Random(seed + 1)
     packets.extend(
         tuple(rng.randint(0, spec.max_value) for spec in ruleset.schema)
         for _ in range(uniform)
     )
+    packets.extend(tuple(lo for lo, _hi in rule.ranges) for rule in sampled)
     return packets
 
 

@@ -1,11 +1,11 @@
-"""Performance smoke tests: flow-cached replay, the hash-family kernel and
-wire frame batching.
+"""Performance smoke tests: flow-cached replay, the hash-family and forest
+kernels and wire frame batching.
 
 Marked ``perf`` and deselected from the default (tier-1) run via
 ``addopts = -m "not perf"`` in ``pyproject.toml``; the dedicated CI perf job
 runs ``pytest -m perf``.  The assertions are deliberately loose — they pin
 that the cached hot path works at all under the paper's highest-skew setting
-(zipf-95, §5.1.1), that the columnar remainder beats the per-row walk it
+(zipf-95, §5.1.1), that the columnar kernels beat the per-row walks they
 replaced, and that batching rows per frame pays, not a specific machine's
 numbers.
 """
@@ -19,6 +19,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from repro.classifiers import build_classifier
 from repro.classifiers.base import NO_FLOOR
 from repro.cli import _nm_config
 from repro.core.nuevomatch import NuevoMatch
@@ -127,6 +128,25 @@ def test_hash_family_kernel_beats_the_scalar_loop():
         loop = _best_ns(
             partial(reference.classify_block_with_floors, remainder), blocks, floors
         )
+        assert loop >= speedup * kernel, (
+            f"{rows} rows: kernel {kernel / 1e3:.0f} us vs loop {loop / 1e3:.0f} us"
+        )
+
+
+def test_forest_kernel_beats_the_scalar_walk():
+    """``cs`` on acl1/8000 (seed 1), uniform blocks (seed 2): the forest's
+    level-synchronous ``classify_block_with_floors`` must run at least 1.5x
+    the frozen per-row tree walk (``_scalar_reference``, over node objects
+    rebuilt from the same arrays) at 128 rows and 3x at 1024."""
+    rules = generate_classbench("acl1", 8000, seed=1)
+    cs = build_classifier("cs", rules)
+    reference.forest_roots(cs)  # rebuild the node objects outside the timing
+    values = block_of(generate_uniform_trace(rules, 4096, seed=2).packets).astype(np.int64)
+    for rows, speedup in ((128, 1.5), (1024, 3.0)):
+        blocks = [values[start : start + rows] for start in range(0, 4096, rows)][:8]
+        floors = [None] * len(blocks)
+        kernel = _best_ns(cs.classify_block_with_floors, blocks, floors)
+        loop = _best_ns(partial(reference.classify_block_with_floors, cs), blocks, floors)
         assert loop >= speedup * kernel, (
             f"{rows} rows: kernel {kernel / 1e3:.0f} us vs loop {loop / 1e3:.0f} us"
         )

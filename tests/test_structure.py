@@ -8,7 +8,7 @@ to expose: among classifiers and engine stacks under ``src/repro`` only
 ``Classifier`` and ``EngineStack`` define ``classify_batch`` /
 ``classify_traced`` / ``classify``, every classifier implements one lookup
 (a baseline ``classify_block_with_floors``, NuevoMatch ``classify_block``)
-and only the forest's loops over rows, only
+and none loops over rows, only
 ``EngineStack`` defines ``verify`` for engine stacks (nothing defines
 ``serve``), the sharded engine keeps exactly two executors, the §3.9 update
 overlay lives in exactly one class (``ClassificationEngine``; ``_Shard`` is
@@ -170,19 +170,25 @@ def test_one_implementation_per_baseline_family():
         ("NeuroCutsClassifier", "ForestClassifier"),
     ):
         assert CLASS_BASES[name] == {family}, name
-    # The tree walk appears in the forest's one lookup, and nothing sorts
-    # tables or trees inside a lookup.
-    walks, sorts = [], []
+    # The forest is node arrays: no node classes, no per-tree lookup, no
+    # dispatch on a node's type.  Nothing sorts tables or trees inside a
+    # lookup.
+    dtree = ast.parse((SRC / "classifiers" / "dtree.py").read_text())
+    assert "lookup" not in {
+        node.name for node in ast.walk(dtree) if isinstance(node, ast.FunctionDef)
+    }
+    assert not {name for name in CLASSIFIER_CLASSES if name.endswith("Node")}
+    assert "isinstance" not in {
+        _called(node) for node in ast.walk(dtree) if isinstance(node, ast.Call)
+    }
+    sorts = []
     for path in sorted((SRC / "classifiers").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.FunctionDef):
                 continue
             source = ast.unparse(node)
-            if "tree.lookup(" in source:
-                walks.append(node.name)
             if node.name.startswith("classify") and re.search(r"\bsorted\(|\.sort\(", source):
                 sorts.append(f"{path.name}:{node.name}")
-    assert walks == ["classify_block_with_floors"]
     assert sorts == []
 
 
@@ -261,27 +267,43 @@ def _row_loops(function: ast.FunctionDef) -> list[str]:
     return loops
 
 
-def test_only_the_forest_loops_over_rows():
+def test_no_classifier_loops_over_rows():
     """No classifier's lookup is a Python loop over a block's rows or a
-    ``.tolist()``, with one exception: the forest's per-row tree walk, which
-    waits on flattened trees and says so (ROADMAP 5(c)).  The linear scan may
-    step through its rule array in slices.  The guard itself flags a per-row
-    loop."""
-    looping = {}
+    ``.tolist()`` — not in a ``classify*`` method, and not in a module
+    function or a method of the same class it calls, where a loop could
+    otherwise hide.  The linear scan may step through its rule array in
+    slices, and the forest through its trees and their levels.  The one
+    exception is ``materialize``, the object view ``classify_batch`` is: it
+    makes one result object per row by definition.  The guard itself flags a
+    per-row loop."""
+    looping, scanned = {}, set()
     for path in [*(SRC / "classifiers").glob("*.py"), SRC / "core" / "nuevomatch.py"]:
-        text = path.read_text()
-        for node in ast.walk(ast.parse(text)):
+        module = ast.parse(path.read_text())
+        functions = {
+            node.name: node for node in module.body if isinstance(node, ast.FunctionDef)
+        }
+        for node in module.body:
             if not isinstance(node, ast.ClassDef):
                 continue
-            for item in node.body:
-                if (
-                    isinstance(item, ast.FunctionDef)
-                    and item.name.startswith("classify")
-                    and _row_loops(item)
-                ):
-                    looping[f"{node.name}.{item.name}"] = ast.get_source_segment(text, item)
-    assert set(looping) == {"ForestClassifier.classify_block_with_floors"}
-    assert "ROADMAP 5(c)" in looping["ForestClassifier.classify_block_with_floors"]
+            methods = {
+                item.name: item for item in node.body if isinstance(item, ast.FunctionDef)
+            }
+            for name, method in methods.items():
+                if not name.startswith("classify"):
+                    continue
+                called = {
+                    _called(call) for call in ast.walk(method) if isinstance(call, ast.Call)
+                }
+                callees = [
+                    *(functions[callee] for callee in called & set(functions)),
+                    *(methods[callee] for callee in called & set(methods) - {name}),
+                ]
+                for function in [method, *callees]:
+                    scanned.add(f"{path.name}:{function.name}")
+                    if _row_loops(function):
+                        looping[f"{path.name}:{function.name}"] = _row_loops(function)
+    assert set(looping) == {"base.py:materialize"}
+    assert {"dtree.py:classify_block_with_floors", "dtree.py:_scan_leaves"} <= scanned
     loop = ast.parse(
         "def classify_block_with_floors(self, block, floors, traces=None):\n"
         "    n = len(block)\n"
