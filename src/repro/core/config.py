@@ -82,8 +82,6 @@ class NuevoMatchConfig:
             must cover to be kept (0.25 when the remainder is a decision tree,
             0.05 for TupleMerge — §5.1).
         rqrmi: Configuration of the per-iSet RQ-RMI models.
-        early_termination: Query the remainder with an order-key floor taken
-            from the iSet results (single-core mode, §4).
         remainder_params: Extra keyword arguments for the remainder
             classifier's ``build``.
     """
@@ -91,5 +89,4 @@ class NuevoMatchConfig:
     max_isets: int | None = None
     min_iset_coverage: float = 0.25
     rqrmi: RQRMIConfig = field(default_factory=RQRMIConfig)
-    early_termination: bool = True
     remainder_params: dict = field(default_factory=dict)

@@ -109,7 +109,8 @@ def partition_isets(
 ) -> PartitionResult:
     """Greedy iSet construction (§3.6.1).
 
-    Repeatedly builds the largest iSet over every field, keeps the largest
+    Repeatedly builds the largest iSet over every field at most 53 bits
+    wide (the widest whose keys an RQ-RMI indexes exactly), keeps the largest
     among them, removes its rules and continues until the input is exhausted,
     ``max_isets`` iSets have been produced, or the next iSet would fall below
     ``min_coverage`` (as a fraction of the *original* rule-set).  Rules not
@@ -128,13 +129,16 @@ def partition_isets(
     total = len(ruleset)
     remaining = np.arange(total)  # rows of ``ruleset`` not yet in an iSet
     isets: list[ISet] = []
+    # An RQ-RMI scales keys to float64, which holds every key of a field at
+    # most 53 bits wide exactly; wider fields' adjacent ranges would collapse.
+    dims = [dim for dim, spec in enumerate(ruleset.schema) if spec.bits <= 53]
 
-    while remaining.size:
+    while remaining.size and dims:
         if max_isets is not None and len(isets) >= max_isets:
             break
         candidates = ruleset.take(remaining)
-        found = [max_independent_set(candidates, dim) for dim in range(len(ruleset.schema))]
-        best_dim = max(range(len(found)), key=lambda dim: len(found[dim]))  # first largest
+        found = {dim: max_independent_set(candidates, dim) for dim in dims}
+        best_dim = max(dims, key=lambda dim: len(found[dim]))  # first largest
         best = found[best_dim]
         if len(best) / total < min_coverage:
             break

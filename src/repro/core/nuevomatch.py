@@ -289,12 +289,10 @@ class NuevoMatch(Classifier):
             traces[:n] = 0
         for iset in self.isets:
             iset.lookup_block(values, best_keys, traces=traces)
-        floors = best_keys if self.config.early_termination else None
         remainder_ids, remainder_priorities = (
-            self.remainder.classify_block_with_floors(values, floors, traces=traces)
+            self.remainder.classify_block_with_floors(values, best_keys, traces=traces)
         )
-        # With floors the remainder only reports smaller keys; without, the
-        # minimum picks the better of the two winners.
+        # The remainder reports only keys below its floor (no match otherwise).
         best_keys = np.minimum(best_keys, result_keys(remainder_ids, remainder_priorities))
         return split_keys(best_keys)
 
@@ -378,6 +376,8 @@ class NuevoMatch(Classifier):
     def from_state(cls, state: dict, ruleset: RuleSet) -> "NuevoMatch":
         check_state_header(state, cls.name)
         config_state = dict(state["config"])
+        # Snapshots from before early termination became unconditional.
+        config_state.pop("early_termination", None)
         config_state["rqrmi"] = RQRMIConfig(**config_state["rqrmi"])
         config = NuevoMatchConfig(**config_state)
         isets = [

@@ -183,7 +183,6 @@ def _initial_responsibilities(widths: list[int]) -> list[list[list[Interval]]]:
 
 
 def _train_leaf(
-    stages: list[list[Submodel]],
     intervals: list[Interval],
     ranges: RangeSet,
     config: RQRMIConfig,
@@ -212,7 +211,7 @@ def _train_leaf(
             init=incumbent[0].weights() if warm else None,
         )
         report.submodels_trained += 1
-        bound = RQRMI._error_bound_for(stages, model, intervals, ranges, widths)
+        bound = RQRMI._error_bound_for(model, intervals, ranges)
         if best_model is None or bound <= best_bound:
             best_model, best_bound = model, bound
         if best_bound <= config.error_threshold:
@@ -246,7 +245,7 @@ def _train_cold(
                 stage_models.append(Submodel.identity(config.hidden_units))
             elif is_last:
                 model, error_bounds[slot] = _train_leaf(
-                    stages, intervals, ranges, config, widths, report, slot
+                    intervals, ranges, config, widths, report, slot
                 )
                 stage_models.append(model)
             else:
@@ -299,7 +298,7 @@ def _train_warm(
             bound = warm.error_bounds[slot]
             report.submodels_reused += 1
         else:
-            bound = RQRMI._error_bound_for(stages, leaf, intervals, ranges, widths)
+            bound = RQRMI._error_bound_for(leaf, intervals, ranges)
             if bound <= config.error_threshold:
                 # Changed content, but the old weights still certify: reuse
                 # them under the freshly computed bound — no training at all.
@@ -308,7 +307,7 @@ def _train_warm(
                 # Seed from the old weights; the first (short) attempt is
                 # warm, retries fall back to cold full-budget training.
                 leaf, bound = _train_leaf(
-                    stages, intervals, ranges, config, widths, report, slot,
+                    intervals, ranges, config, widths, report, slot,
                     incumbent=(leaf, bound),
                 )
         leaves.append(leaf)

@@ -9,11 +9,14 @@ bound does not require enumerating the keys inside the ranges — only the
 submodels' transition inputs and the range boundaries are evaluated.
 
 The model is trained stage by stage.  Responsibilities of stage ``i+1`` are
-derived from the transition inputs of stage ``i`` (Theorem A.1); last-stage
-submodels are retrained with doubled sample counts until the error bound meets
-the configured threshold (Figure 5).  That staged loop lives in
-:func:`repro.core.pipeline.train_rqrmi`; this module holds the model, the
-responsibility and error-bound analysis it calls, lookup and persistence.
+derived from the transition inputs of stage ``i`` (Theorem A.1), by routing
+the midpoints between them through :func:`route` — the one walk over the
+stages, which the lookup runs too, so a leaf is certified for exactly the keys
+the lookup sends it.  Last-stage submodels are retrained with doubled sample
+counts until the error bound meets the configured threshold (Figure 5).  That
+staged loop lives in :func:`repro.core.pipeline.train_rqrmi`; this module
+holds the model, the responsibility and error-bound analysis it calls, lookup
+and persistence.
 """
 
 from __future__ import annotations
@@ -122,6 +125,31 @@ class TrainingReport:
     cold_fallbacks: int = 0
 
 
+def route(
+    stages: list[list[Submodel]], widths: list[int], xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk ``xs`` through ``stages``: ``(slots, outputs)``, batched per slot.
+
+    ``outputs`` are the last walked stage's M(x); ``slots`` index the
+    submodel each key reaches in the stage after it (``floor(M(x) *
+    widths[next])``) or, past the last stage, the leaf it was answered by.
+    Training routes responsibilities through a prefix of the stages and the
+    lookup through all of them, so both see one function.
+    """
+    slots = np.zeros(len(xs), dtype=np.int64)
+    outputs = np.zeros(len(xs), dtype=np.float64)
+    for stage_index, stage in enumerate(stages):
+        new_outputs = np.zeros_like(outputs)
+        for slot in np.unique(slots):
+            mask = slots == slot
+            new_outputs[mask] = stage[slot].predict_batch(xs[mask])
+        outputs = new_outputs
+        if stage_index + 1 < len(widths):
+            next_width = widths[stage_index + 1]
+            slots = np.minimum((outputs * next_width).astype(np.int64), next_width - 1)
+    return slots, outputs
+
+
 class RQRMI:
     """A trained Range-Query RMI over one :class:`RangeSet`."""
 
@@ -153,29 +181,7 @@ class RQRMI:
     # ----------------------------------------------------------- responsibility
 
     @staticmethod
-    def _route_partial(
-        stages: list[list[Submodel]], widths: list[int], x: float
-    ) -> tuple[int, float]:
-        """Traverse the trained stages; return (next submodel slot, last output).
-
-        Uses the stages trained so far: after stage ``i`` the returned slot is
-        the stage ``i+1`` submodel index ``floor(M(x) * widths[i+1])``.
-        """
-        slot = 0
-        output = 0.0
-        for stage_index, stage in enumerate(stages):
-            submodel = stage[slot]
-            output = submodel(x)
-            next_width = (
-                widths[stage_index + 1] if stage_index + 1 < len(widths) else None
-            )
-            if next_width is not None:
-                slot = min(int(output * next_width), next_width - 1)
-        return slot, output
-
-    @classmethod
     def _assign_responsibilities(
-        cls,
         stages: list[list[Submodel]],
         responsibilities: list[list[list[Interval]]],
         widths: list[int],
@@ -196,12 +202,10 @@ class RQRMI:
                     if a <= t <= b:
                         transition_set.add(t)
         ordered = sorted(transition_set)
+        edges = np.asarray(ordered)
+        slots, _ = route(stages, widths, (edges[:-1] + edges[1:]) / 2.0)
         buckets: list[list[Interval]] = [[] for _ in range(next_width)]
-        for a, b in zip(ordered[:-1], ordered[1:]):
-            if b <= a:
-                continue
-            midpoint = (a + b) / 2.0
-            slot, _ = cls._route_partial(stages, widths, midpoint)
+        for a, b, slot in zip(ordered[:-1], ordered[1:], slots.tolist()):
             bucket = buckets[slot]
             if bucket and bucket[-1][1] >= a:
                 bucket[-1] = (bucket[-1][0], b)
@@ -212,20 +216,15 @@ class RQRMI:
 
     # ----------------------------------------------------------------- error bound
 
-    @classmethod
+    @staticmethod
     def _error_bound_for(
-        cls,
-        trained_stages: list[list[Submodel]],
-        candidate: Submodel,
-        intervals: list[Interval],
-        ranges: RangeSet,
-        widths: list[int],
+        candidate: Submodel, intervals: list[Interval], ranges: RangeSet
     ) -> int:
         """Worst-case |predicted - true| index error over the responsibility.
 
-        Evaluates the *full* inference function (previous stages + the
-        candidate submodel) at the analytically sufficient points: range
-        boundaries clipped to the responsibility and the candidate's
+        Evaluates the candidate leaf alone — the earlier stages route exactly
+        the responsibility's keys to it — on points inside its (padded)
+        responsibility: range boundaries clipped to it and the candidate's
         transition inputs (snapped to the adjacent integer keys to absorb
         floating-point jitter), per Theorem A.13.
         """
@@ -273,40 +272,9 @@ class RQRMI:
                     index_parts.append(pos)
         if not points_parts:
             return 0
-        points = np.concatenate(points_parts)
-        if not len(points):
-            return 0
-        true_indices = np.concatenate(index_parts)
-        predicted = cls._predict_index_static(
-            trained_stages, candidate, widths, points, num_ranges
+        return candidate.max_error_on_points(
+            np.concatenate(points_parts), np.concatenate(index_parts), num_ranges
         )
-        return int(np.max(np.abs(predicted - true_indices)))
-
-    @staticmethod
-    def _predict_index_static(
-        trained_stages: list[list[Submodel]],
-        candidate: Submodel,
-        widths: list[int],
-        xs: np.ndarray,
-        num_ranges: int,
-    ) -> np.ndarray:
-        """Predicted indices for ``xs`` using trained stages + a candidate leaf."""
-        slots = np.zeros(len(xs), dtype=np.int64)
-        outputs = np.zeros(len(xs), dtype=np.float64)
-        for stage_index, stage in enumerate(trained_stages):
-            next_width = widths[stage_index + 1]
-            new_outputs = np.zeros_like(outputs)
-            for slot in np.unique(slots):
-                mask = slots == slot
-                new_outputs[mask] = stage[slot].predict_batch(xs[mask])
-            outputs = new_outputs
-            slots = np.minimum((outputs * next_width).astype(np.int64), next_width - 1)
-        # The candidate leaf handles every point (they lie in its responsibility).
-        leaf_outputs = candidate.predict_batch(xs)
-        predicted = np.minimum(
-            (leaf_outputs * num_ranges).astype(np.int64), num_ranges - 1
-        )
-        return predicted
 
     # ----------------------------------------------------------------------- lookup
 
@@ -322,32 +290,16 @@ class RQRMI:
     def max_error(self) -> int:
         return max(self.error_bounds) if self.error_bounds else 0
 
-    def _route_batch(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized stage traversal: (leaf slots, leaf outputs) for ``xs``."""
-        slots = np.zeros(len(xs), dtype=np.int64)
-        outputs = np.zeros(len(xs), dtype=np.float64)
-        widths = self.stage_widths
-        for stage_index, stage in enumerate(self.stages):
-            new_outputs = np.zeros_like(outputs)
-            for slot in np.unique(slots):
-                mask = slots == slot
-                new_outputs[mask] = stage[slot].predict_batch(xs[mask])
-            outputs = new_outputs
-            if stage_index + 1 < len(widths):
-                next_width = widths[stage_index + 1]
-                slots = np.minimum(
-                    (outputs * next_width).astype(np.int64), next_width - 1
-                )
-        return slots, outputs
-
     def query_batch_detailed(
         self, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Range queries (§3.8 lookup): the range containing each key.
 
-        Inference (the dominant cost, Table 1) runs batched across all keys,
-        then a bounded search within ``[predicted - error, predicted + error]``
-        over the sorted ranges.
+        Inference (the dominant cost, Table 1) runs batched across all keys
+        through :func:`route`.  The secondary search is one global
+        ``searchsorted`` over the sorted ranges, whose position counts only
+        inside ``[predicted - error, predicted + error]`` — the answer a
+        search bounded to that window gives, not its cost.
 
         Returns:
             ``(indices, predicted, bounds)`` arrays — the matched range index
@@ -361,7 +313,7 @@ class RQRMI:
             zeros = np.zeros(num_keys, dtype=np.int64)
             return empty, zeros.copy(), zeros
         xs = np.asarray(keys, dtype=np.float64) / self.ranges.domain_size
-        slots, outputs = self._route_batch(xs)
+        slots, outputs = route(self.stages, self.stage_widths, xs)
         predicted = np.minimum(
             (outputs * num_ranges).astype(np.int64), num_ranges - 1
         )

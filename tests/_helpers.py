@@ -36,6 +36,37 @@ def fast_nm_config(max_isets: int = 4, min_coverage: float = 0.05) -> NuevoMatch
     )
 
 
+#: The 3-stage models the parent pins and the route test share:
+#: ``(application, rules, RQRMIConfig overrides)``.  Cold builds use seed-1
+#: rules, warm builds seed-2 rules warm-started from the cold build.
+THREE_STAGE_CASES = {
+    "acl1-8000": ("acl1", 8000, {}),
+    "fw1-4000": ("fw1", 4000, {"stage_widths": [1, 4, 128]}),
+    "ipc1-3000": ("ipc1", 3000, {"stage_widths": [1, 8, 32], "hidden_units": 16}),
+    "acl1-3000": ("acl1", 3000, {"stage_widths": [1, 4, 16], "hidden_units": 4}),
+}
+
+
+def three_stage_builds(case: str) -> tuple[NuevoMatch, NuevoMatch]:
+    """The ``(cold, warm)`` NuevoMatch builds of one :data:`THREE_STAGE_CASES`
+    entry (``max_isets=4``, ``min_iset_coverage=0.05``, ``error_threshold=16``)."""
+    application, count, overrides = THREE_STAGE_CASES[case]
+    config = NuevoMatchConfig(
+        max_isets=4,
+        min_iset_coverage=0.05,
+        rqrmi=RQRMIConfig(error_threshold=16, **overrides),
+    )
+    cold = NuevoMatch.build(
+        generate_classbench(application, count, seed=1),
+        remainder_classifier="tm", config=config,
+    )
+    warm = NuevoMatch.build(
+        generate_classbench(application, count, seed=2),
+        remainder_classifier="tm", config=config, warm_from=cold,
+    )
+    return cold, warm
+
+
 def tied_ruleset() -> RuleSet:
     """fw1/400 (seed 1) with ten rules per priority level (priority =
     position // 40) and ids running opposite to position, so the lower id of

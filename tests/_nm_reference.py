@@ -5,9 +5,10 @@ NuevoMatch serves every lookup through ``NuevoMatch.classify_block``
 the scalar walk that path replaced — RQ-RMI stage routing, the bounded range
 query, per-iSet validation and the floored remainder merge — moved here
 unedited apart from methods becoming free functions (the remainder answers
-through its own frozen walk in ``_scalar_reference``), so the block path can be
-checked against it row for row: matched rule, priority and every
-:data:`~repro.classifiers.base.TRACE_FIELDS` counter.  It is not shipped and
+through its own frozen walk in ``_scalar_reference``) and one edit: the
+remainder is always floored by the iSet winner, since early termination is no
+longer optional.  The block path is checked against it row for row: matched
+rule, priority and every :data:`~repro.classifiers.base.TRACE_FIELDS` counter.  It is not shipped and
 nothing under ``src/`` imports it.
 """
 
@@ -141,7 +142,7 @@ def classify_detailed(
     trace = LookupTrace()
     breakdown = LookupBreakdown()
     best = best_iset_match(nm, values, trace, breakdown)
-    floor = best.key if (best is not None and nm.config.early_termination) else None
+    floor = best.key if best is not None else None
     remainder_result = classify_with_floor(nm.remainder, values, floor)
     for name in TRACE_FIELDS:
         setattr(trace, name, getattr(trace, name) + getattr(remainder_result.trace, name))

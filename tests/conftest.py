@@ -14,7 +14,7 @@ from hypothesis import settings
 from repro.core.nuevomatch import NuevoMatch
 from repro.rules import generate_classbench, generate_stanford_backbone
 
-from _helpers import fast_nm_config
+from _helpers import THREE_STAGE_CASES, fast_nm_config, three_stage_builds
 
 # CI runners are noisy: hypothesis's default 200 ms per-example deadline turns
 # scheduler hiccups into spurious failures (assertions still fail loudly).
@@ -58,3 +58,9 @@ def nm_acl_medium(acl_medium):
     return NuevoMatch.build(
         acl_medium, remainder_classifier="tm", config=fast_nm_config()
     )
+
+
+@pytest.fixture(scope="session", params=sorted(THREE_STAGE_CASES))
+def three_stage(request):
+    """``(case, cold, warm)`` for each 3-stage case in ``_helpers``."""
+    return (request.param, *three_stage_builds(request.param))

@@ -44,7 +44,6 @@ class TestNuevoMatchConfig:
     def test_defaults(self):
         config = NuevoMatchConfig()
         assert config.min_iset_coverage == 0.25
-        assert config.early_termination is True
         assert isinstance(config.rqrmi, RQRMIConfig)
 
     def test_independent_rqrmi_instances(self):

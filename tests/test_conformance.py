@@ -115,20 +115,13 @@ class TestRegisteredClassifiers:
         packets = _packets_for(conformance_ruleset)
         _assert_block_equals_scalar(classifier, classifier, packets)
 
-    @pytest.mark.parametrize("early_termination", [True, False])
     @pytest.mark.parametrize("remainder", ["tm", "cs", "nc", "tss", "linear"])
-    def test_nuevomatch_over_unvectorized_remainder(
-        self, remainder, early_termination, acl_small
-    ):
+    def test_nuevomatch_over_unvectorized_remainder(self, remainder, acl_small):
         """NuevoMatch blocks equal the frozen per-packet walk over every
         remainder, each answering through its one lookup,
         ``classify_block_with_floors``."""
-        from dataclasses import replace
-
         nm = NuevoMatch.build(
-            acl_small,
-            remainder_classifier=remainder,
-            config=replace(fast_nm_config(), early_termination=early_termination),
+            acl_small, remainder_classifier=remainder, config=fast_nm_config()
         )
         packets = _packets_for(acl_small)
         _assert_block_equals_scalar(nm, nm, packets)

@@ -149,6 +149,20 @@ class TestPartition:
         for iset in result.isets:
             assert iset.dim == 0
 
+    def test_no_iset_on_a_field_wider_than_53_bits(self):
+        """float64 cannot tell adjacent keys above 2**53 apart, so such a
+        field's ranges are never an RQ-RMI's: its rules go to a narrower
+        field's iSet or to the remainder."""
+        from repro.rules.fields import FieldSpec
+
+        schema = [FieldSpec("wide", 63), FieldSpec("exact", 53), FieldSpec("narrow", 8)]
+        rules = [
+            Rule(((2**62 + i, 2**62 + i), (i, i), (0, 255)), priority=i, rule_id=i)
+            for i in range(50)
+        ]
+        result = partition_isets(RuleSet(rules, schema))
+        assert [(iset.dim, len(iset)) for iset in result.isets] == [(1, 50)]
+
 
 # ---------------------------------------------------------------------------
 # Parent digests: recorded from the object implementation (``Rule`` lists,

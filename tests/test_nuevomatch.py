@@ -97,19 +97,35 @@ class TestCorrectness:
         nm.verify(forwarding_small.sample_packets(150, seed=5))
         assert nm.coverage > 0.5
 
-    def test_early_termination_does_not_change_results(self, acl_medium):
-        with_et = NuevoMatch.build(
-            acl_medium, remainder_classifier="tm", config=fast_nm_config()
+
+class TestWideFields:
+    def test_a_63_bit_field_answers_like_linear_search(self):
+        """Adjacent 63-bit ranges scale to one float64; an iSet over them
+        answered the catch-all for 199 of these 200 packets."""
+        from repro.classifiers import LinearSearchClassifier
+        from repro.rules.fields import FieldSpec
+        from repro.rules.rule import Rule, RuleSet
+
+        schema = [FieldSpec("wide", 63), FieldSpec("narrow", 8)]
+        rules = [
+            Rule(((2**62 + i, 2**62 + i), (0, 255)), priority=i + 1, rule_id=i)
+            for i in range(200)
+        ] + [Rule(((0, 2**63 - 1), (0, 255)), priority=1000, rule_id=999)]
+        ruleset = RuleSet(rules, schema)
+        nm = NuevoMatch.build(
+            ruleset,
+            remainder_classifier="tm",
+            config=NuevoMatchConfig(
+                max_isets=1,
+                min_iset_coverage=0.05,
+                rqrmi=RQRMIConfig(stage_widths=[1, 4]),
+            ),
         )
-        config = fast_nm_config()
-        config.early_termination = False
-        without_et = NuevoMatch.build(acl_medium, remainder_classifier="tm", config=config)
-        for packet in acl_medium.sample_packets(150, seed=6):
-            a = with_et.classify(packet)
-            b = without_et.classify(packet)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.rule_id == b.rule_id
+        block = np.array([(2**62 + i, 7) for i in range(200)], dtype=np.uint64)
+        rule_ids, _ = nm.classify_block(block)
+        assert rule_ids.tolist() == list(range(200))
+        expected, _ = LinearSearchClassifier.build(ruleset).classify_block(block)
+        assert rule_ids.tolist() == expected.tolist()
 
 
 class TestLookupDetails:

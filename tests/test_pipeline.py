@@ -204,6 +204,38 @@ class TestSameModelsAsTheParent:
         }
 
 
+class TestSameThreeStageModelsAsTheParent:
+    """3-stage pins, recorded at the parent of the single batched RQ-RMI
+    route (``83b3884``): the 400-rule digests above pin only 2-stage models,
+    so they never route stage-1 midpoints into stage-2 responsibilities.
+    Same digest; ``(cold, warm)`` per ``_helpers.THREE_STAGE_CASES`` entry."""
+
+    PINS = {
+        "acl1-8000": (
+            "42bddee5d8fc8025a13c4af4e6590f48fe5ce35701ed442d86b6df6c9cd41ba4",
+            "c6598f83eef05b08be1291a054e6dc123bf0330b439f56402331242fb534c048",
+        ),
+        "fw1-4000": (
+            "9c3c93e9426f0803e86742c60ecdcac3364eb9fb300afd6a3375109b447ae36c",
+            "ca80b8288df0342ec95932b3797d12a254a005816cb5f2dfa8855913230724e0",
+        ),
+        "ipc1-3000": (
+            "440e6b09f2521f58e813ab615b98cab9606b9370abd1dfce84d46a842961e604",
+            "fdaebe06bedbd87fedfbc81daa7f6d300c4e0e4ad6526d0f905a8d5bd60b06ba",
+        ),
+        "acl1-3000": (
+            "6a29afdd88f250768858b71f8883ba7dbaa23a121504d53a059489d460bbb610",
+            "e0376ed2cea734c03bcaeed093c48b9b9cfbbaaa11af61f4f7dcd8e66175774f",
+        ),
+    }
+
+    def test_cold_and_warm_builds_reproduce_the_parents_digests(self, three_stage):
+        case, cold, warm = three_stage
+        assert all(len(iset.model.stages) == 3 for iset in cold.isets + warm.isets)
+        digest = TestSameModelsAsTheParent._digest
+        assert (digest(cold), digest(warm)) == self.PINS[case]
+
+
 class TestBuiltEngine:
     def test_engine_is_conformant(self, base_engine, acl_rules):
         base_engine.verify(acl_rules.sample_packets(300, seed=21))

@@ -5,12 +5,15 @@ falls inside an indexed range must be found by the bounded secondary search —
 the analytically computed error bound is a true worst-case bound.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core.config import RQRMIConfig
-from repro.core.rqrmi import RQRMI, RangeSet
+from repro.core.rqrmi import RQRMI, RangeSet, route
 from _nm_reference import checked_index, query
+from _nm_reference import route as scalar_route
 
 FAST = RQRMIConfig(adam_epochs=80, initial_samples=256)
 
@@ -77,6 +80,35 @@ class TestTraining:
         assert checked_index(model, 15) == 0
         assert checked_index(model, 9) is None
         assert checked_index(model, 21) is None
+
+
+class TestOneRoute:
+    """Training routes responsibility midpoints through :func:`route` in one
+    batch where it once walked them one at a time; that is exact only because
+    the batched walk equals the frozen scalar walk bit for bit — pinned here
+    on the 3-stage models, over random keys and every stage-0/1 transition
+    input (where a last-ulp difference would flip a slot)."""
+
+    def test_route_is_the_frozen_scalar_walk_bit_for_bit(self, three_stage):
+        _case, cold, warm = three_stage
+        rng = np.random.default_rng(5)
+        for iset in cold.isets + warm.isets:
+            model = iset.model
+            widths = model.stage_widths
+            xs = np.concatenate([rng.random(256)] + [
+                submodel.transition_inputs(widths[stage_index + 1])
+                for stage_index in (0, 1)
+                for submodel in model.stages[stage_index]
+            ])
+            # Every prefix, as training walks it, and the whole model, as the
+            # lookup does; the reference with a prefix of the stages returns
+            # the next stage's slot, like the deleted per-midpoint walk.
+            for depth in range(1, len(model.stages) + 1):
+                prefix = SimpleNamespace(stages=model.stages[:depth], stage_widths=widths)
+                expected = [scalar_route(prefix, float(x)) for x in xs]
+                slots, outputs = route(model.stages[:depth], widths, xs)
+                assert np.array_equal(slots, [slot for slot, _ in expected])
+                assert np.array_equal(outputs, [output for _, output in expected])
 
 
 class TestLookupCorrectness:

@@ -24,7 +24,8 @@ objects by attribute), only ``workloads/replay.py`` times a lookup loop, only
 module's two factories, only ``rules/rule.py`` knows how rules are ordered
 (everything else compares order keys), ``workloads/`` holds the trace
 replay alone and nothing under ``benchmarks/`` drives the serving stack,
-NuevoMatch's iSets have one (block) lookup, and none of the superseded names
+NuevoMatch's iSets have one (block) lookup, one function walks the RQ-RMI
+stages for lookup and training alike, and none of the superseded names
 survives.  (The wire
 client's ``AsyncClient.classify_batch`` is a network call, not a lookup
 implementation, and is exempt.)
@@ -338,7 +339,8 @@ def test_superseded_names_are_gone():
         r"_cmd_engine_serve|partition_for_shards|PARTITIONERS|"
         r"_best_first|_built_best_first|best_priority|max_priority|priority_floor|"
         r"classify_detailed|classify_isets_only|LookupBreakdown|RQRMILookup|"
-        r"_best_iset_match|_route|classify_with_floor|key_for_values)\b|"
+        r"_best_iset_match|_route|classify_with_floor|key_for_values|"
+        r"_route_partial|_predict_index_static|_route_batch)\b|"
         r"columnar="
     )
     offenders = [
@@ -356,6 +358,29 @@ def test_one_nuevomatch_lookup():
     query sits beside them (the frozen walk lives in ``tests/_nm_reference``)."""
     for name in ("ISetIndex", "RQRMI"):
         assert not CLASS_METHODS[name] & {"lookup", "query", "predict"}, name
+
+
+def test_one_rqrmi_route():
+    """One function walks the RQ-RMI stages — ``route``, which both the
+    lookup and the training-time responsibility split call — so exactly one
+    function in ``core/rqrmi.py`` evaluates a submodel batch."""
+    tree = ast.parse((SRC / "core" / "rqrmi.py").read_text())
+    functions = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+    def calls(function, name):
+        return any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", "")) == name
+            for node in ast.walk(function)
+        )
+
+    assert [f.name for f in functions if calls(f, "predict_batch")] == ["route"]
+    assert {f.name for f in functions if calls(f, "route")} == {
+        "_assign_responsibilities", "query_batch_detailed",
+    }
 
 
 def test_nothing_shipped_still_describes_a_deleted_path():
