@@ -40,7 +40,7 @@ import time
 import numpy as np
 
 from repro.core.config import RQRMIConfig
-from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport
+from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport, padded_spans
 from repro.core.submodel import Submodel
 from repro.core.training import sample_responsibility, train_submodel
 
@@ -100,29 +100,20 @@ def _fit_slot(
 
 
 def _slot_signature(intervals: list[Interval], ranges: RangeSet) -> tuple:
-    """Exact content of ``ranges`` inside a responsibility (padded as the
-    error-bound computation pads it).
+    """Exact content of ``ranges`` inside a responsibility, padded by
+    :func:`~repro.core.rqrmi.padded_spans` as the error bound pads it.
 
     Two RangeSets with equal signatures for a slot present *identical* inputs
     to that slot's training and error-bound computation: same intersecting
     range boundaries, same global indices (targets), same index scale and
     key-domain size.  A reused submodel therefore certifies the same bound.
     """
-    domain = ranges.domain_size
-    pad = 1.0 / domain if domain else 0.0
-    parts: list[tuple] = []
-    for a, b in intervals:
-        a_pad, b_pad = a - pad, b + pad
-        first = int(np.searchsorted(ranges.hi, a_pad, side="left"))
-        last = int(np.searchsorted(ranges.lo, b_pad, side="right"))
-        parts.append(
-            (
-                first,
-                ranges.lo[first:last].tobytes(),
-                ranges.hi[first:last].tobytes(),
-            )
-        )
-    return (len(ranges), domain, tuple(parts))
+    _, _, first, last = padded_spans(intervals, ranges)
+    parts = tuple(
+        (start, ranges.lo[start:end].tobytes(), ranges.hi[start:end].tobytes())
+        for start, end in zip(first.tolist(), last.tolist())
+    )
+    return (len(ranges), ranges.domain_size, parts)
 
 
 def train_rqrmi(
@@ -273,7 +264,8 @@ def _train_warm(
     num_stages = len(widths)
     # Internal stages are reused verbatim: their transition inputs — and
     # therefore the last-stage responsibilities derived from them — are
-    # exactly the previous model's.
+    # exactly the previous model's, re-derived below (a submodel keeps
+    # nothing but its weights).
     stages: list[list[Submodel]] = [
         [submodel.copy() for submodel in stage] for stage in warm.stages[:-1]
     ]

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from repro.core.config import RQRMIConfig
-from repro.core.submodel import Submodel
+from repro.core.submodel import Submodel, flat_spans
 
 __all__ = ["RangeSet", "RQRMI", "TrainingReport"]
 
@@ -150,6 +150,24 @@ def route(
     return slots, outputs
 
 
+def padded_spans(
+    intervals: list[Interval], ranges: RangeSet
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A responsibility's intervals padded by one key on each side, and the
+    rows of ``ranges`` each padded interval intersects, for every interval
+    in one call: ``(a_pad, b_pad, first, last)`` arrays, rows
+    ``first[i]:last[i]`` (empty where ``first[i] >= last[i]``).
+
+    The error bound evaluates exactly these rows, and the warm-start
+    signature compares exactly these rows, so both pad the same way."""
+    bounds = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    pad = 1.0 / ranges.domain_size if ranges.domain_size else 0.0
+    a_pad, b_pad = bounds[:, 0] - pad, bounds[:, 1] + pad
+    first = np.searchsorted(ranges.hi, a_pad, side="left")
+    last = np.searchsorted(ranges.lo, b_pad, side="right")
+    return a_pad, b_pad, first, last
+
+
 class RQRMI:
     """A trained Range-Query RMI over one :class:`RangeSet`."""
 
@@ -196,23 +214,22 @@ class RQRMI:
                 continue
             transitions = submodel.transition_inputs(next_width)
             for a, b in intervals:
-                transition_set.add(a)
-                transition_set.add(b)
-                for t in transitions:
-                    if a <= t <= b:
-                        transition_set.add(t)
-        ordered = sorted(transition_set)
-        edges = np.asarray(ordered)
+                transition_set.update((a, b))
+                transition_set.update(transitions[
+                    np.searchsorted(transitions, a, side="left"):
+                    np.searchsorted(transitions, b, side="right")
+                ].tolist())
+        edges = np.array(sorted(transition_set))
         slots, _ = route(stages, widths, (edges[:-1] + edges[1:]) / 2.0)
-        buckets: list[list[Interval]] = [[] for _ in range(next_width)]
-        for a, b, slot in zip(ordered[:-1], ordered[1:], slots.tolist()):
-            bucket = buckets[slot]
-            if bucket and bucket[-1][1] >= a:
-                bucket[-1] = (bucket[-1][0], b)
-            else:
-                bucket.append((a, b))
-        for slot in range(next_width):
-            responsibilities[stage_index + 1][slot] = buckets[slot]
+        # Adjacent pieces routed to one slot merge: a run of equal slots is
+        # one interval.  A stable sort by slot keeps each slot's ascending.
+        runs = np.flatnonzero(np.diff(slots, prepend=-1))
+        run_ends = np.append(runs[1:], len(slots))
+        order = np.argsort(slots[runs], kind="stable")
+        pieces = list(zip(edges[runs[order]].tolist(), edges[run_ends[order]].tolist()))
+        ends = np.cumsum(np.bincount(slots[runs], minlength=next_width)).tolist()
+        for slot, (start, end) in enumerate(zip([0, *ends], ends)):
+            responsibilities[stage_index + 1][slot] = pieces[start:end]
 
     # ----------------------------------------------------------------- error bound
 
@@ -226,52 +243,46 @@ class RQRMI:
         the responsibility's keys to it — on points inside its (padded)
         responsibility: range boundaries clipped to it and the candidate's
         transition inputs (snapped to the adjacent integer keys to absorb
-        floating-point jitter), per Theorem A.13.
+        floating-point jitter), per Theorem A.13.  Every interval is
+        evaluated in one pass; the bound is a maximum, so the order and
+        repetition of points do not matter.
         """
         num_ranges = len(ranges)
         if num_ranges == 0:
             return 0
         domain = ranges.domain_size
-        pad = 1.0 / domain
-        transitions = np.array(candidate.transition_inputs(num_ranges), dtype=np.float64)
-        points_parts: list[np.ndarray] = []
-        index_parts: list[np.ndarray] = []
-        for a, b in intervals:
-            a_pad, b_pad = a - pad, b + pad
-            first = int(np.searchsorted(ranges.hi, a_pad, side="left"))
-            last = int(np.searchsorted(ranges.lo, b_pad, side="right"))
-            if first >= last:
-                continue
-            # Boundary evaluation points: every intersecting range's bounds,
-            # clipped to the padded responsibility.
-            lo_clip = np.maximum(ranges.lo[first:last], a_pad)
-            hi_clip = np.minimum(ranges.hi[first:last], b_pad)
-            valid = lo_clip <= hi_clip
-            idx = np.arange(first, last, dtype=np.int64)[valid]
-            points_parts += [lo_clip[valid], hi_clip[valid]]
-            index_parts += [idx, idx]
-            if len(transitions):
-                mask = (transitions >= a_pad) & (transitions <= b_pad)
-                ts = transitions[mask]
-                if len(ts):
-                    # Ranges are disjoint and sorted, so each transition
-                    # belongs to at most the range searchsorted lands it in.
-                    pos = np.searchsorted(ranges.lo, ts, side="right") - 1
-                    safe = np.clip(pos, 0, num_ranges - 1)
-                    inside = (pos >= first) & (pos < last) & (ts <= ranges.hi[safe])
-                    ts, pos = ts[inside], pos[inside]
-                if len(ts):
-                    t_lo = np.maximum(ranges.lo[pos], a_pad)
-                    t_hi = np.minimum(ranges.hi[pos], b_pad)
-                    keys = np.floor(ts * domain)
-                    for snapped in (keys / domain, (keys + 1.0) / domain):
-                        good = (snapped >= t_lo) & (snapped <= t_hi)
-                        points_parts.append(snapped[good])
-                        index_parts.append(pos[good])
-                    points_parts.append(ts)
-                    index_parts.append(pos)
-        if not points_parts:
-            return 0
+        a_pad, b_pad, first, last = padded_spans(intervals, ranges)
+        # Boundary evaluation points: every intersecting range's bounds,
+        # clipped to the padded responsibility.
+        owner, rows = flat_spans(first, last)
+        lo_clip = np.maximum(ranges.lo[rows], a_pad[owner])
+        hi_clip = np.minimum(ranges.hi[rows], b_pad[owner])
+        valid = lo_clip <= hi_clip
+        rows = rows[valid]
+        points_parts = [lo_clip[valid], hi_clip[valid]]
+        index_parts = [rows, rows]
+        # Transition inputs inside each padded interval, kept where they fall
+        # inside one of the interval's ranges: ranges are disjoint and sorted,
+        # so that is at most the range searchsorted lands it in.
+        transitions = candidate.transition_inputs(num_ranges)
+        owner, at = flat_spans(
+            np.searchsorted(transitions, a_pad, side="left"),
+            np.searchsorted(transitions, b_pad, side="right"),
+        )
+        ts = transitions[at]
+        pos = np.searchsorted(ranges.lo, ts, side="right") - 1
+        safe = np.clip(pos, 0, num_ranges - 1)
+        inside = (pos >= first[owner]) & (pos < last[owner]) & (ts <= ranges.hi[safe])
+        ts, pos, owner = ts[inside], pos[inside], owner[inside]
+        t_lo = np.maximum(ranges.lo[pos], a_pad[owner])
+        t_hi = np.minimum(ranges.hi[pos], b_pad[owner])
+        keys = np.floor(ts * domain)
+        for snapped in (keys / domain, (keys + 1.0) / domain):
+            good = (snapped >= t_lo) & (snapped <= t_hi)
+            points_parts.append(snapped[good])
+            index_parts.append(pos[good])
+        points_parts.append(ts)
+        index_parts.append(pos)
         return candidate.max_error_on_points(
             np.concatenate(points_parts), np.concatenate(index_parts), num_ranges
         )

@@ -13,20 +13,33 @@ analytically, which makes the responsibility computation and the worst-case
 error bound computation exact without enumerating keys (Appendix A).
 
 This module implements the submodel forward pass (scalar and vectorised), the
-trigger/transition-input computations, and (de)serialisation of the weights.
+trigger/transition-input computations and (de)serialisation of the weights.
+The analysis is array code over all hidden units and segments at once; it
+returns float64 arrays and keeps nothing, so a submodel holds only its
+weights.  The scalar ``raw`` / ``__call__`` / ``bucket`` are the reference the
+batched forms equal bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Submodel", "OUTPUT_EPSILON"]
+__all__ = ["Submodel", "OUTPUT_EPSILON", "flat_spans"]
 
 #: M(x) is trimmed to [0, 1 - OUTPUT_EPSILON] so floor(M(x) * W) < W always.
 OUTPUT_EPSILON = 1e-9
+
+
+def flat_spans(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer spans ``[first[i], last[i])`` laid end to end: ``(owner,
+    values)``, where ``owner`` is the span each value came from.  Spans keep
+    their order and their values ascend; an empty span contributes nothing."""
+    counts = np.maximum(np.asarray(last) - first, 0)
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) + np.repeat(first - starts, counts)
 
 
 @dataclass
@@ -52,10 +65,6 @@ class Submodel:
         self.b2 = float(self.b2)
         if not (self.w1.shape == self.b1.shape == self.w2.shape):
             raise ValueError("w1, b1 and w2 must have the same length")
-        # Transition inputs are a pure function of the (frozen-by-convention)
-        # weights; memoising them makes re-certifying a *reused* submodel
-        # against changed ranges cheap — the hot step of warm-start retraining.
-        self._transition_cache: dict = {}
 
     # -- forward pass ------------------------------------------------------------
 
@@ -101,75 +110,63 @@ class Submodel:
 
     # -- piece-wise linear analysis --------------------------------------------------
 
-    def trigger_inputs(self, domain: tuple[float, float] = (0.0, 1.0)) -> list[float]:
-        """Inputs where M changes slope, plus the domain boundaries (Def. A.5).
+    def trigger_inputs(self, domain: tuple[float, float] = (0.0, 1.0)) -> np.ndarray:
+        """Inputs where M changes slope, plus the domain boundaries (Def. A.5),
+        as a sorted float64 array.
 
         Slope changes happen where a ReLU unit switches on/off
         (``w1[k] * x + b1[k] = 0``) and where the output trim H starts or stops
         clipping (``N(x) = 0`` or ``N(x) = 1``).
         """
         lo, hi = domain
-        candidates: set[float] = {lo, hi}
-        # ReLU kinks.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for k in range(self.hidden_units):
-                if self.w1[k] != 0.0:
-                    kink = -self.b1[k] / self.w1[k]
-                    if np.isfinite(kink) and lo < kink < hi:
-                        candidates.add(float(kink))
-        # Clipping kinks: solve N(x) = level on each linear piece of N.
-        kinks = sorted(candidates)
-        extra: set[float] = set()
-        for a, b in zip(kinks[:-1], kinks[1:]):
-            na, nb = self.raw(a), self.raw(b)
-            if na == nb:
-                continue
+            # ReLU kinks.
+            on = self.w1 != 0.0
+            kinks = -self.b1[on] / self.w1[on]
+            kinks = np.unique(np.concatenate(
+                [[lo, hi], kinks[np.isfinite(kinks) & (lo < kinks) & (kinks < hi)]]
+            ))
+            # Clipping kinks: solve N(x) = level on each linear piece of N.
+            a, b = kinks[:-1], kinks[1:]
+            outputs = self.raw_batch(kinks)
+            na, nb = outputs[:-1], outputs[1:]
+            parts = [kinks]
             for level in (0.0, 1.0 - OUTPUT_EPSILON):
-                if (na - level) * (nb - level) < 0.0:
-                    x = a + (level - na) * (b - a) / (nb - na)
-                    if lo < x < hi:
-                        extra.add(float(x))
-        candidates |= extra
-        return sorted(candidates)
+                xs = a + (level - na) * (b - a) / (nb - na)
+                crossed = (na - level) * (nb - level) < 0.0
+                parts.append(xs[crossed & (lo < xs) & (xs < hi)])
+        return np.unique(np.concatenate(parts))
 
     def transition_inputs(
         self, width: int, domain: tuple[float, float] = (0.0, 1.0)
-    ) -> list[float]:
-        """Inputs where ``floor(M(x) * width)`` changes value (Def. A.6).
+    ) -> np.ndarray:
+        """Inputs where ``floor(M(x) * width)`` changes value (Def. A.6), as a
+        sorted float64 array computed afresh on each call.
 
-        Computed per linear segment between adjacent trigger inputs by
-        intersecting the segment with the quantisation levels ``y = k / width``
-        (Lemma A.8).  Results are memoised per ``(width, domain)``; callers
-        must treat the returned list as read-only.
+        M is linear between adjacent trigger inputs, so every segment is
+        intersected with the quantisation levels ``y = k / width`` it crosses
+        in closed form (Lemma A.8), all segments in one pass.
         """
         if width < 1:
             raise ValueError("width must be at least 1")
-        cache_key = (width, domain)
-        cached = self._transition_cache.get(cache_key)
-        if cached is not None:
-            return cached
         triggers = self.trigger_inputs(domain)
+        outputs = self.predict_batch(triggers)
+        buckets = (outputs * width).astype(np.int64)
+        # Segment i crosses the levels k / width for k in (min bucket, max
+        # bucket] of its ends; solve M(x) = k / width on it.
+        owner, levels = flat_spans(
+            np.minimum(buckets[:-1], buckets[1:]) + 1,
+            np.maximum(buckets[:-1], buckets[1:]) + 1,
+        )
+        a, b = triggers[owner], triggers[owner + 1]
+        ma, mb = outputs[owner], outputs[owner + 1]
+        xs = a + (levels / width - ma) * (b - a) / (mb - ma)
         # Trigger inputs themselves may be transition inputs (slope change
         # with a bucket change across them); including them is harmless and
         # keeps the evaluation-point set conservative.
-        parts: list[np.ndarray] = [np.asarray(triggers, dtype=np.float64)]
-        for a, b in zip(triggers[:-1], triggers[1:]):
-            ma, mb = self(a), self(b)
-            qa, qb = int(ma * width), int(mb * width)
-            if qa == qb:
-                continue
-            if ma == mb:
-                continue
-            lo_q, hi_q = min(qa, qb), max(qa, qb)
-            # M is linear on [a, b]; solve M(x) = k / width for every crossed
-            # quantisation level at once (same expression evaluation order as
-            # a scalar loop, so the solutions are bitwise identical).
-            levels = np.arange(lo_q + 1, hi_q + 1, dtype=np.float64) / width
-            xs = a + (levels - ma) * (b - a) / (mb - ma)
-            parts.append(xs[(xs >= domain[0]) & (xs <= domain[1])])
-        result = [float(x) for x in np.unique(np.concatenate(parts))]
-        self._transition_cache[cache_key] = result
-        return result
+        return np.unique(
+            np.concatenate([triggers, xs[(xs >= domain[0]) & (xs <= domain[1])]])
+        )
 
     def max_error_on_points(
         self, points: np.ndarray, true_indices: np.ndarray, width: int
@@ -191,14 +188,8 @@ class Submodel:
         return self.w1, self.b1, self.w2, self.b2
 
     def copy(self) -> "Submodel":
-        """An independent copy (fresh weight arrays).
-
-        The transition-input memo is shared: both copies hold the same
-        weights, so their transition inputs are identical by construction.
-        """
-        duplicate = Submodel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2)
-        duplicate._transition_cache = self._transition_cache
-        return duplicate
+        """An independent copy (fresh weight arrays)."""
+        return Submodel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2)
 
     # -- serialisation / size --------------------------------------------------------
 

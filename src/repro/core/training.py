@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.submodel import Submodel
+from repro.core.submodel import Submodel, flat_spans
 
 __all__ = [
     "TrainingDataset",
@@ -43,6 +43,10 @@ STALL_TOLERANCE = 1e-3
 
 #: Closed-form output refit cadence.
 REFIT_EPOCHS = 50
+
+#: Most range-boundary points added to one responsibility's samples (even:
+#: boundaries come in pairs).
+BOUNDARY_CAP = 4096
 
 
 @dataclass
@@ -71,8 +75,6 @@ def sample_responsibility(
     num_samples: int,
     num_ranges: int,
     rng: np.random.Generator,
-    include_boundaries: bool = True,
-    boundary_cap: int = 4096,
 ) -> TrainingDataset:
     """Generate a training dataset for a submodel (§3.5.4).
 
@@ -83,11 +85,11 @@ def sample_responsibility(
         num_ranges: Total number of ranges indexed by the RQ-RMI (the target
             scale factor).
         rng: Source of randomness.
-        include_boundaries: Also add the (clipped) boundaries of every range
-            intersecting the responsibility, capped at ``boundary_cap`` points.
-            This keeps tiny responsibilities trainable; the paper's correctness
-            never relies on it (the error bound is analytic either way).
-        boundary_cap: Maximum number of boundary points added.
+
+    The (clipped) boundaries of the ranges intersecting the responsibility
+    are added too, in order and at most :data:`BOUNDARY_CAP` of them.  This
+    keeps tiny responsibilities trainable; the paper's correctness never
+    relies on it (the error bound is analytic either way).
 
     Returns:
         A :class:`TrainingDataset`; possibly empty if the responsibility does
@@ -104,23 +106,19 @@ def sample_responsibility(
         for (a, b), count in zip(intervals, counts):
             if count > 0 and b > a:
                 xs_parts.append(rng.uniform(a, b, size=count))
-    if include_boundaries and len(range_lo) > 0:
-        boundary_points: list[float] = []
-        for a, b in intervals:
-            first = int(np.searchsorted(range_hi, a, side="left"))
-            last = int(np.searchsorted(range_lo, b, side="right"))
-            for index in range(first, last):
-                lo = max(range_lo[index], a)
-                hi = min(range_hi[index], b)
-                if lo <= hi:
-                    boundary_points.append(lo)
-                    boundary_points.append(hi)
-                if len(boundary_points) >= boundary_cap:
-                    break
-            if len(boundary_points) >= boundary_cap:
-                break
-        if boundary_points:
-            xs_parts.append(np.array(boundary_points, dtype=np.float64))
+    bounds = np.asarray(intervals, dtype=np.float64).reshape(-1, 2)
+    owner, rows = flat_spans(
+        np.searchsorted(range_hi, bounds[:, 0], side="left"),
+        np.searchsorted(range_lo, bounds[:, 1], side="right"),
+    )
+    lo = np.maximum(range_lo[rows], bounds[owner, 0])
+    hi = np.minimum(range_hi[rows], bounds[owner, 1])
+    valid = lo <= hi
+    # Points come in (lo, hi) pairs and the cap is even, so the cap never
+    # splits a pair.
+    boundary_points = np.column_stack([lo[valid], hi[valid]]).reshape(-1)[:BOUNDARY_CAP]
+    if boundary_points.size:
+        xs_parts.append(boundary_points)
 
     if not xs_parts:
         return TrainingDataset(np.empty(0), np.empty(0))

@@ -47,6 +47,17 @@ THREE_STAGE_CASES = {
 }
 
 
+def key_errors(model, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(|predicted - true|, leaf bound)`` for every in-range key of the
+    model's (small) domain: the check below the answer level, where a bound
+    one too small shows even when the answer comes out right."""
+    keys = np.arange(model.ranges.domain_size)
+    _, predicted, bounds = model.query_batch_detailed(keys)
+    true = np.searchsorted(pairs[:, 0], keys, side="right") - 1
+    inside = (true >= 0) & (keys <= pairs[np.maximum(true, 0), 1])
+    return np.abs(predicted - true)[inside], bounds[inside]
+
+
 def three_stage_builds(case: str) -> tuple[NuevoMatch, NuevoMatch]:
     """The ``(cold, warm)`` NuevoMatch builds of one :data:`THREE_STAGE_CASES`
     entry (``max_isets=4``, ``min_iset_coverage=0.05``, ``error_threshold=16``)."""

@@ -14,13 +14,17 @@ The trainer's contracts, in test form (the optimiser's own tests are in
   holds analytically over sampled keys and the end-to-end classifier matches
   linear-search ground truth;
 * **fallback** — a warm source whose weights cannot certify the new ranges
-  falls back to cold training instead of shipping a regressed bound.
+  falls back to cold training instead of shipping a regressed bound;
+* **nothing outlives a generation** — a model warm-started through a chain
+  of retrains holds no more than a cold build over the same rows.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +365,51 @@ class TestWarmStart:
             if true is not None:
                 assert index == true
                 assert abs(pred - true) <= bound
+
+
+class TestRetrainsHoldNothingOld:
+    """A long-running server retrains in the background without end, each
+    retrain warm-started from the last.  What a generation computes to
+    certify its leaves must die with it: the last model of a chain holds
+    what a cold build over the same rows holds."""
+
+    @staticmethod
+    def _held_bytes(build) -> int:
+        """Bytes still allocated, after ``gc``, while the built model lives."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = build()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del model
+        return held
+
+    def test_a_chain_of_warm_rebuilds_holds_what_a_cold_build_holds(self, nm_config):
+        rules = generate_classbench("acl1", 2000, seed=3)
+        rng = np.random.default_rng(5)
+        kept = [np.arange(len(rules))]
+        for _ in range(4):
+            kept.append(np.sort(rng.choice(kept[-1], len(kept[-1]) - 20, replace=False)))
+
+        def build(rows, warm_from=None):
+            return NuevoMatch.build(
+                rules.take(rows), remainder_classifier="tm", config=nm_config,
+                warm_from=warm_from,
+            )
+
+        def chain():
+            model = build(kept[0])
+            for rows in kept[1:]:
+                model = build(rows, warm_from=model)
+            return model
+
+        build(kept[1], warm_from=build(kept[0]))  # untraced: lazy imports
+        warm = self._held_bytes(chain)
+        cold = self._held_bytes(lambda: build(kept[-1]))
+        assert warm <= 1.1 * cold, (warm, cold)
 
 
 class TestEngineIntegration:

@@ -24,6 +24,7 @@ from repro.rules.fields import (
 )
 from repro.rules.parser import parse_classbench_lines, write_classbench_file
 from repro.rules.rule import Rule, RuleSet
+from _helpers import key_errors
 from _nm_reference import checked_index
 
 # ----------------------------------------------------------------- strategies
@@ -368,7 +369,7 @@ class TestSubmodelProperties:
         w2 = np.array(params[16:24])
         model = Submodel(w1, b1, w2, params[24] if len(params) > 24 else 0.0)
         transitions = model.transition_inputs(width)
-        points = [0.0] + transitions + [1.0]
+        points = [0.0, *transitions.tolist(), 1.0]
         for a, b in zip(points[:-1], points[1:]):
             if b - a < 1e-7:
                 continue
@@ -407,3 +408,15 @@ class TestRQRMIProperties:
         result = checked_index(model, key)
         expected = range_set.locate(range_set.scale_key(key))
         assert result == expected
+
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(disjoint_ranges(max_count=200, domain_bits=16))
+    def test_certified_bound_holds_on_every_key(self, ranges):
+        domain = 1 << 16
+        pairs = np.array(ranges, dtype=np.int64)
+        model = RQRMI.train(
+            RangeSet.from_integer_ranges(pairs, domain),
+            RQRMIConfig(stage_widths=[1, 4], adam_epochs=40, initial_samples=128),
+        )
+        errors, bounds = key_errors(model, pairs)
+        assert np.all(errors <= bounds)

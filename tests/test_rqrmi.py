@@ -10,8 +10,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import _analysis_reference as reference
 from repro.core.config import RQRMIConfig
-from repro.core.rqrmi import RQRMI, RangeSet, route
+from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport, route
+from repro.core.submodel import Submodel
+from repro.core.training import sample_responsibility
+from _helpers import key_errors
 from _nm_reference import checked_index, query
 from _nm_reference import route as scalar_route
 
@@ -109,6 +113,114 @@ class TestOneRoute:
                 slots, outputs = route(model.stages[:depth], widths, xs)
                 assert np.array_equal(slots, [slot for slot, _ in expected])
                 assert np.array_equal(outputs, [output for _, output in expected])
+
+
+class TestCertifiedBoundOnEveryKey:
+    """The analytic per-leaf bound (Theorem A.13), checked against
+    enumeration where enumeration is cheap: on a 16-bit domain every key
+    inside a range is predicted within its leaf's bound, and every model
+    attains its bound (one less would miss a key), so it is tight, not just
+    safe."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("count,widths", [
+        (300, [1, 4]),
+        (2000, [1, 4, 16]),
+        (8000, [1, 8, 64]),
+    ])
+    def test_every_key_within_its_leaf_bound_and_the_bound_attained(
+        self, count, widths, seed
+    ):
+        domain = 1 << 16
+        pairs = np.sort(
+            np.random.default_rng(seed).choice(domain, size=2 * count, replace=False)
+        ).reshape(-1, 2)
+        model = RQRMI.train(
+            RangeSet.from_integer_ranges(pairs, domain), RQRMIConfig(stage_widths=widths)
+        )
+        assert model.stage_widths == widths
+        errors, bounds = key_errors(model, pairs)
+        assert errors.size == int((pairs[:, 1] - pairs[:, 0] + 1).sum())
+        assert np.all(errors <= bounds)
+        assert np.any(errors == bounds)
+
+    def test_a_bound_reached_inside_a_range(self):
+        """A trained leaf is monotone where it matters, so its worst key sits
+        at a range end; this hand-built leaf bumps up by 0.2 in the middle of
+        range 5, where only its transition inputs see the error."""
+        domain = 1 << 16
+        pairs = np.array([(i * 6553, (i + 1) * 6553 - 1) for i in range(10)])
+        ranges = RangeSet.from_integer_ranges(pairs, domain)
+        leaf = Submodel(np.ones(4), [0.0, -0.5, -0.55, -0.6], [1.0, 4.0, -8.0, 4.0], 0.0)
+        bound = RQRMI._error_bound_for(leaf, [(0.0, 1.0)], ranges)
+        model = RQRMI([[leaf]], ranges, [bound], TrainingReport())
+        errors, bounds = key_errors(model, pairs)
+        assert np.all(errors <= bounds)
+        assert np.any(errors == bound)
+        # The ranges tile keys 0..65529, so errors[key] is that key's error.
+        assert errors[np.isin(np.arange(errors.size), pairs)].max() < bound
+
+
+def assert_analysis_is_the_frozen_loop(submodel: Submodel, width: int) -> None:
+    triggers = submodel.trigger_inputs()
+    transitions = submodel.transition_inputs(width)
+    assert triggers.dtype == transitions.dtype == np.float64
+    assert triggers.tobytes() == np.array(reference.trigger_inputs(submodel)).tobytes()
+    assert transitions.tobytes() == np.array(
+        reference.transition_inputs(submodel, width)
+    ).tobytes()
+
+
+class TestArrayAnalysisIsTheFrozenLoop:
+    """Trigger and transition inputs, responsibilities, error bounds and
+    boundary samples are array code.  The loops they replaced are frozen in
+    ``_analysis_reference``, and each array version must equal its loop bit
+    for bit: the certified bound covers only the function it was computed
+    on, and the parent pins cover only the models they pin."""
+
+    def test_random_submodels_at_many_widths(self):
+        rng = np.random.default_rng(7)
+        for trial in range(300):
+            hidden = int(rng.choice([1, 4, 8, 16]))
+            w1 = rng.normal(size=hidden) * rng.choice([0.5, 3.0, 30.0])
+            w2 = rng.normal(size=hidden)
+            if trial % 3 == 0:
+                w1[rng.random(hidden) < 0.4] = 0.0
+                w2[rng.random(hidden) < 0.4] = 0.0
+            submodel = Submodel(w1, rng.normal(size=hidden), w2, rng.uniform(-0.5, 0.5))
+            for width in (1, 2, 7, 64, int(rng.integers(100, 1001))):
+                assert_analysis_is_the_frozen_loop(submodel, width)
+
+    def test_every_submodel_responsibility_bound_and_sample(self, three_stage):
+        _case, cold, warm = three_stage
+        for iset in cold.isets + warm.isets:
+            model, ranges = iset.model, iset.model.ranges
+            widths = model.stage_widths
+            for stage, width in zip(model.stages, widths[1:] + [len(ranges)]):
+                for submodel in stage:
+                    assert_analysis_is_the_frozen_loop(submodel, width)
+            ours = [[[(0.0, 1.0)]]] + [[[] for _ in range(w)] for w in widths[1:]]
+            theirs = [[list(slot) for slot in stage] for stage in ours]
+            for stage_index in range(len(widths) - 1):
+                prefix = model.stages[: stage_index + 1]
+                RQRMI._assign_responsibilities(prefix, ours, widths, stage_index)
+                reference.assign_responsibilities(prefix, theirs, widths, stage_index)
+                assert repr(ours) == repr(theirs)
+            for stage_index, stage in enumerate(ours):
+                for slot, intervals in enumerate(stage):
+                    if not intervals:
+                        continue
+                    if stage_index == len(widths) - 1:
+                        leaf = model.stages[-1][slot]
+                        assert RQRMI._error_bound_for(leaf, intervals, ranges) == (
+                            reference.error_bound_for(leaf, intervals, ranges)
+                        )
+                    samples = sample_responsibility(
+                        intervals, ranges.lo, ranges.hi, 0, len(ranges),
+                        np.random.default_rng(0),
+                    )
+                    expected = reference.boundary_points(intervals, ranges.lo, ranges.hi)
+                    assert samples.xs.tobytes() == np.sort(expected).tobytes()
 
 
 class TestLookupCorrectness:

@@ -340,7 +340,8 @@ def test_superseded_names_are_gone():
         r"_best_first|_built_best_first|best_priority|max_priority|priority_floor|"
         r"classify_detailed|classify_isets_only|LookupBreakdown|RQRMILookup|"
         r"_best_iset_match|_route|classify_with_floor|key_for_values|"
-        r"_route_partial|_predict_index_static|_route_batch)\b|"
+        r"_route_partial|_predict_index_static|_route_batch|"
+        r"_transition_cache|include_boundaries|boundary_cap)\b|"
         r"columnar="
     )
     offenders = [

@@ -79,7 +79,7 @@ class TestTriggerInputs:
         rng = np.random.default_rng(3)
         model = Submodel(rng.normal(size=8) * 3, rng.normal(size=8), rng.normal(size=8), 0.1)
         triggers = model.trigger_inputs()
-        assert triggers == sorted(triggers)
+        assert np.array_equal(triggers, np.sort(triggers))
         assert all(0.0 <= t <= 1.0 for t in triggers)
 
 
@@ -95,7 +95,7 @@ class TestTransitionInputs:
         model = Submodel(rng.normal(size=8) * 2, rng.normal(size=8), rng.normal(size=8), 0.2)
         width = 16
         transitions = model.transition_inputs(width)
-        points = [0.0] + transitions + [1.0]
+        points = [0.0, *transitions.tolist(), 1.0]
         for a, b in zip(points[:-1], points[1:]):
             if b - a < 1e-9:
                 continue

@@ -55,7 +55,7 @@ class TestSampling:
         ranges = [(5_000_000, 5_000_001)]  # tiny range, unlikely to be hit
         lo, hi = scaled_ranges(ranges, domain)
         rng = np.random.default_rng(3)
-        ds = sample_responsibility([(0.0, 1.0)], lo, hi, 10, 1, rng, include_boundaries=True)
+        ds = sample_responsibility([(0.0, 1.0)], lo, hi, 10, 1, rng)
         assert len(ds) >= 2  # the two boundary points
 
     def test_empty_when_no_ranges(self):
