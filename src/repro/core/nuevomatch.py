@@ -88,8 +88,9 @@ class ISetIndex:
             # a binary search over the error window of the packed value array
             # (§4: 16 four-byte field values per 64-byte line) — index, not
             # rule, storage.
-            model_accesses = len(self.model.stages)
-            inference_ops = model_accesses * self.model.stages[0][0].hidden_units
+            stacked = self.model.stacked
+            model_accesses = len(stacked)
+            inference_ops = model_accesses * stacked[0].hidden_units
             window = 2 * bounds.astype(np.int64) + 1
             search_lines = np.maximum(
                 1, np.ceil(np.log2(window / 16 + 1)).astype(np.int64)

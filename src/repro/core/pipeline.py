@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.config import RQRMIConfig
 from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport, padded_spans
-from repro.core.submodel import Submodel
+from repro.core.submodel import Stage, Submodel
 from repro.core.training import sample_responsibility, train_submodel
 
 __all__ = ["train_rqrmi"]
@@ -128,7 +128,7 @@ def train_rqrmi(
     only last-stage submodels whose responsibility content actually changed
     are re-certified / re-trained; see the module docstring for the four
     per-submodel outcomes.  Falls back to a cold start when the stage
-    structure or key domain differs.
+    structure, hidden width or key domain differs.
     """
     config = config or RQRMIConfig()
     start = time.perf_counter()
@@ -141,8 +141,7 @@ def train_rqrmi(
     if warm is not None and (
         warm.stage_widths != widths
         or warm.ranges.domain_size != ranges.domain_size
-        or len(warm.stages) != len(widths)
-        or not warm.error_bounds
+        or warm.stacked[-1].hidden_units != config.hidden_units
     ):
         warm = None
 
@@ -160,10 +159,12 @@ def train_rqrmi(
 
 
 def _finalise(ranges, widths, stages, error_bounds, report, config) -> RQRMI:
-    report.error_bounds = list(error_bounds)
-    report.max_error_bound = max(error_bounds) if error_bounds else 0
+    """Stack the trained submodels into the model's weight arrays."""
+    error_bounds = [int(bound) for bound in error_bounds]
+    report.error_bounds = error_bounds
+    report.max_error_bound = max(error_bounds)
     report.converged = report.max_error_bound <= config.error_threshold
-    return RQRMI(stages, ranges, [int(b) for b in error_bounds], report)
+    return RQRMI([Stage.stack(stage) for stage in stages], ranges, error_bounds, report)
 
 
 def _initial_responsibilities(widths: list[int]) -> list[list[list[Interval]]]:
@@ -265,10 +266,8 @@ def _train_warm(
     # Internal stages are reused verbatim: their transition inputs — and
     # therefore the last-stage responsibilities derived from them — are
     # exactly the previous model's, re-derived below (a submodel keeps
-    # nothing but its weights).
-    stages: list[list[Submodel]] = [
-        [submodel.copy() for submodel in stage] for stage in warm.stages[:-1]
-    ]
+    # nothing but its weights).  The views are stacked afresh at the end.
+    *stages, warm_leaves = warm.stages
     responsibilities = _initial_responsibilities(widths)
     for stage_index in range(num_stages - 1):
         # _assign_responsibilities routes through exactly the stages trained
@@ -283,11 +282,11 @@ def _train_warm(
         if not intervals:
             leaves.append(Submodel.identity(config.hidden_units))
             continue
-        leaf = warm.stages[-1][slot].copy()
+        leaf = warm_leaves[slot]
         if _slot_signature(intervals, warm.ranges) == _slot_signature(intervals, ranges):
             # Identical range content inside the responsibility: the old
             # weights *and* the old certified bound carry over unchanged.
-            bound = warm.error_bounds[slot]
+            bound = int(warm.error_bounds[slot])
             report.submodels_reused += 1
         else:
             bound = RQRMI._error_bound_for(leaf, intervals, ranges)

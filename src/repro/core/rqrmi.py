@@ -17,6 +17,14 @@ counts until the error bound meets the configured threshold (Figure 5).  That
 staged loop lives in :func:`repro.core.pipeline.train_rqrmi`; this module
 holds the model, the responsibility and error-bound analysis it calls, lookup
 and persistence.
+
+The weights are stored stage by stage as :class:`~repro.core.submodel.Stage`
+arrays — ``w1``/``b1``/``w2`` of shape ``(slots, hidden)`` and ``b2`` of shape
+``(slots,)`` — and nowhere else.  :func:`route` gathers the rows each key's
+slot selects, so a block costs the same few array operations per stage
+whichever submodels it reaches.  :class:`~repro.core.submodel.Submodel`
+objects are row views of those arrays, made on demand for the per-leaf
+analysis and for warm-start.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from repro.core.config import RQRMIConfig
-from repro.core.submodel import Submodel, flat_spans
+from repro.core.submodel import OUTPUT_EPSILON, Stage, Submodel, flat_spans
 
 __all__ = ["RangeSet", "RQRMI", "TrainingReport"]
 
@@ -126,24 +134,31 @@ class TrainingReport:
 
 
 def route(
-    stages: list[list[Submodel]], widths: list[int], xs: np.ndarray
+    stages: list[Stage], widths: list[int], xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Walk ``xs`` through ``stages``: ``(slots, outputs)``, batched per slot.
+    """Walk ``xs`` through ``stages``: ``(slots, outputs)``.
 
     ``outputs`` are the last walked stage's M(x); ``slots`` index the
     submodel each key reaches in the stage after it (``floor(M(x) *
     widths[next])``) or, past the last stage, the leaf it was answered by.
     Training routes responsibilities through a prefix of the stages and the
     lookup through all of them, so both see one function.
+
+    Each stage gathers every key's submodel row and evaluates all keys at
+    once.  The gathered ``(keys, hidden)`` products are C-contiguous and
+    reduced with ``sum(axis=1)`` — the order :meth:`Submodel.raw_batch` and
+    :meth:`Submodel.raw` reduce in — so each key's output is bit for bit the
+    output of its submodel alone, the function the error bound certifies.
+    The trim to ``[0, 1 - OUTPUT_EPSILON]`` is ``maximum`` then ``minimum``,
+    as in :meth:`Submodel.__call__`.
     """
-    slots = np.zeros(len(xs), dtype=np.int64)
-    outputs = np.zeros(len(xs), dtype=np.float64)
-    for stage_index, stage in enumerate(stages):
-        new_outputs = np.zeros_like(outputs)
-        for slot in np.unique(slots):
-            mask = slots == slot
-            new_outputs[mask] = stage[slot].predict_batch(xs[mask])
-        outputs = new_outputs
+    xs = np.asarray(xs, dtype=np.float64)[:, None]
+    slots = np.zeros(xs.shape[0], dtype=np.int64)
+    outputs = np.zeros(xs.shape[0], dtype=np.float64)
+    for stage_index, (w1, b1, w2, b2) in enumerate(stages):
+        hidden = np.maximum(xs * w1[slots] + b1[slots], 0.0)
+        raw = (hidden * w2[slots]).sum(axis=1) + b2[slots]
+        outputs = np.minimum(np.maximum(raw, 0.0), 1.0 - OUTPUT_EPSILON)
         if stage_index + 1 < len(widths):
             next_width = widths[stage_index + 1]
             slots = np.minimum((outputs * next_width).astype(np.int64), next_width - 1)
@@ -169,18 +184,24 @@ def padded_spans(
 
 
 class RQRMI:
-    """A trained Range-Query RMI over one :class:`RangeSet`."""
+    """A trained Range-Query RMI over one :class:`RangeSet`.
+
+    ``stacked`` holds the weights, one :class:`~repro.core.submodel.Stage`
+    per stage, and ``error_bounds`` the certified bound of each leaf as an
+    int64 array.
+    """
 
     def __init__(
         self,
-        stages: list[list[Submodel]],
+        stacked: list[Stage],
         ranges: RangeSet,
-        error_bounds: list[int],
+        error_bounds: np.ndarray | list[int],
         report: TrainingReport,
     ):
-        self.stages = stages
+        self.stacked = list(stacked)
+        self.stage_widths = [stage.width for stage in self.stacked]
         self.ranges = ranges
-        self.error_bounds = error_bounds
+        self.error_bounds = np.asarray(error_bounds, dtype=np.int64)
         self.report = report
 
     # ------------------------------------------------------------------ training
@@ -220,7 +241,8 @@ class RQRMI:
                     np.searchsorted(transitions, b, side="right")
                 ].tolist())
         edges = np.array(sorted(transition_set))
-        slots, _ = route(stages, widths, (edges[:-1] + edges[1:]) / 2.0)
+        midpoints = (edges[:-1] + edges[1:]) / 2.0
+        slots, _ = route([Stage.stack(stage) for stage in stages], widths, midpoints)
         # Adjacent pieces routed to one slot merge: a run of equal slots is
         # one interval.  A stable sort by slot keeps each slot's ascending.
         runs = np.flatnonzero(np.diff(slots, prepend=-1))
@@ -290,16 +312,18 @@ class RQRMI:
     # ----------------------------------------------------------------------- lookup
 
     @property
-    def num_stages(self) -> int:
-        return len(self.stages)
+    def stages(self) -> list[list[Submodel]]:
+        """Every stage's submodels, as row views of :attr:`stacked` made on
+        each access (for the per-leaf analysis and warm-start, not lookup)."""
+        return [stage.submodels() for stage in self.stacked]
 
     @property
-    def stage_widths(self) -> list[int]:
-        return [len(stage) for stage in self.stages]
+    def num_stages(self) -> int:
+        return len(self.stacked)
 
     @property
     def max_error(self) -> int:
-        return max(self.error_bounds) if self.error_bounds else 0
+        return int(self.error_bounds.max(initial=0))
 
     def query_batch_detailed(
         self, keys: np.ndarray
@@ -324,25 +348,22 @@ class RQRMI:
             zeros = np.zeros(num_keys, dtype=np.int64)
             return empty, zeros.copy(), zeros
         xs = np.asarray(keys, dtype=np.float64) / self.ranges.domain_size
-        slots, outputs = route(self.stages, self.stage_widths, xs)
+        slots, outputs = route(self.stacked, self.stage_widths, xs)
         predicted = np.minimum(
             (outputs * num_ranges).astype(np.int64), num_ranges - 1
         )
-        if self.error_bounds:
-            bounds = np.asarray(self.error_bounds, dtype=np.int64)[slots]
-        else:
-            bounds = np.zeros(num_keys, dtype=np.int64)
+        bounds = self.error_bounds[slots]
         window_lo = np.maximum(predicted - bounds, 0)
         window_hi = np.minimum(predicted + bounds, num_ranges - 1)
         # Windowed binary search, vectorized: the position a searchsorted over
         # ranges.lo[window] finds equals the global position clipped to the
         # window top, valid only when it reaches the window.
-        positions = np.searchsorted(self.ranges.lo, xs, side="right") - 1
+        positions = self.ranges.lo.searchsorted(xs, side="right") - 1
         candidates = np.minimum(positions, window_hi)
         in_window = positions >= window_lo
-        safe = np.clip(candidates, 0, num_ranges - 1)
+        safe = np.maximum(candidates, 0)
         inside = (self.ranges.lo[safe] <= xs) & (xs <= self.ranges.hi[safe])
-        indices = np.where(in_window & inside, candidates, -1).astype(np.int64)
+        indices = np.where(in_window & inside, candidates, -1)
         return indices, predicted, bounds
 
     def query_batch(self, keys: np.ndarray) -> np.ndarray:
@@ -353,18 +374,15 @@ class RQRMI:
 
     def size_bytes(self, float_bytes: int = 4) -> int:
         """Model storage: submodel weights plus per-leaf error bounds (§5.2.1)."""
-        total = sum(
-            submodel.size_bytes(float_bytes)
-            for stage in self.stages
-            for submodel in stage
+        weights = sum(
+            stage.width * (3 * stage.hidden_units + 1) for stage in self.stacked
         )
-        total += len(self.error_bounds) * 4
-        return total
+        return weights * float_bytes + self.error_bounds.size * 4
 
     def statistics(self) -> dict[str, object]:
         return {
             "num_ranges": len(self.ranges),
-            "stage_widths": self.stage_widths,
+            "stage_widths": list(self.stage_widths),
             "max_error": self.max_error,
             "size_bytes": self.size_bytes(),
             "training_seconds": self.report.training_seconds,
@@ -387,23 +405,23 @@ class RQRMI:
                 [submodel.to_dict() for submodel in stage] for stage in self.stages
             ],
             "ranges": self.ranges.to_state(),
-            "error_bounds": list(self.error_bounds),
+            "error_bounds": self.error_bounds.tolist(),
             "report": asdict(self.report),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "RQRMI":
-        stages = [
-            [Submodel.from_dict(data) for data in stage] for stage in state["stages"]
-        ]
         # Snapshots outlive this dataclass's field list: keep what it knows.
         known = {spec.name for spec in fields(TrainingReport)}
         report = TrainingReport(
             **{key: value for key, value in state["report"].items() if key in known}
         )
         return cls(
-            stages=stages,
+            stacked=[
+                Stage.stack([Submodel.from_dict(data) for data in stage])
+                for stage in state["stages"]
+            ],
             ranges=RangeSet.from_state(state["ranges"]),
-            error_bounds=[int(b) for b in state["error_bounds"]],
+            error_bounds=state["error_bounds"],
             report=report,
         )

@@ -12,21 +12,29 @@ on: the *trigger inputs* (where the slope changes) and the *transition inputs*
 analytically, which makes the responsibility computation and the worst-case
 error bound computation exact without enumerating keys (Appendix A).
 
+A trained model keeps its weights in one :class:`Stage` per RQ-RMI stage:
+``w1``/``b1``/``w2`` stacked into ``(slots, hidden)`` arrays and ``b2`` into a
+``(slots,)`` array.  Those arrays are the only weight storage; the lookup
+gathers rows of them by slot (:func:`repro.core.rqrmi.route`), and a
+:class:`Submodel` is a view of one row, kept for the per-leaf analysis and for
+warm-start.  Training builds free-standing submodels and stacks them once.
+
 This module implements the submodel forward pass (scalar and vectorised), the
-trigger/transition-input computations and (de)serialisation of the weights.
-The analysis is array code over all hidden units and segments at once; it
-returns float64 arrays and keeps nothing, so a submodel holds only its
-weights.  The scalar ``raw`` / ``__call__`` / ``bucket`` are the reference the
-batched forms equal bit for bit.
+trigger/transition-input computations, (de)serialisation of the weights and
+the stacked stage.  The analysis is array code over all hidden units and
+segments at once; it returns float64 arrays and keeps nothing, so a submodel
+holds only its weights.  The scalar ``raw`` / ``__call__`` / ``bucket`` are
+the reference the batched forms equal bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Submodel", "OUTPUT_EPSILON", "flat_spans"]
+__all__ = ["Submodel", "Stage", "OUTPUT_EPSILON", "flat_spans"]
 
 #: M(x) is trimmed to [0, 1 - OUTPUT_EPSILON] so floor(M(x) * W) < W always.
 OUTPUT_EPSILON = 1e-9
@@ -187,10 +195,6 @@ class Submodel:
         """
         return self.w1, self.b1, self.w2, self.b2
 
-    def copy(self) -> "Submodel":
-        """An independent copy (fresh weight arrays)."""
-        return Submodel(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2)
-
     # -- serialisation / size --------------------------------------------------------
 
     def size_bytes(self, float_bytes: int = 4) -> int:
@@ -225,3 +229,39 @@ class Submodel:
         w2 = np.zeros(hidden_units)
         w2[0] = 1.0
         return cls(w1, b1, w2, 0.0)
+
+
+class Stage(NamedTuple):
+    """One RQ-RMI stage's weights, stacked slot by slot: row ``s`` of ``w1``,
+    ``b1`` and ``w2`` (``(slots, hidden)``, C-contiguous float64) and
+    ``b2[s]`` (``(slots,)``) are the weights of the stage's submodel ``s``."""
+
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+
+    @classmethod
+    def stack(cls, submodels: Sequence[Submodel]) -> "Stage":
+        """Stack one stage's submodels (all of one hidden width) by slot."""
+        return cls(
+            np.stack([submodel.w1 for submodel in submodels]),
+            np.stack([submodel.b1 for submodel in submodels]),
+            np.stack([submodel.w2 for submodel in submodels]),
+            np.array([submodel.b2 for submodel in submodels], dtype=np.float64),
+        )
+
+    @property
+    def width(self) -> int:
+        return int(self.b2.shape[0])
+
+    @property
+    def hidden_units(self) -> int:
+        return int(self.w1.shape[1])
+
+    def submodels(self) -> list[Submodel]:
+        """Every slot's submodel, its weight arrays views of this stage's rows."""
+        return [
+            Submodel(w1, b1, w2, b2)
+            for w1, b1, w2, b2 in zip(self.w1, self.b1, self.w2, self.b2.tolist())
+        ]

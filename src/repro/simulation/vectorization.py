@@ -7,7 +7,8 @@ per instruction) and 49 ns with AVX (8 floats).  This module provides:
 
 * an analytic model calibrated to those measurements (a fixed per-inference
   overhead plus a per-scalar-operation cost divided by the vector width), and
-* a wall-clock measurement helper that times the pure-numpy implementation at
+* a wall-clock measurement helper that times the lookup's own inference —
+  :func:`repro.core.rqrmi.route` over a trained model's stacked stages — at
   different effective widths, to show the same trend on the host running the
   benchmarks.
 """
@@ -18,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro.core.submodel import Submodel
+from repro.core.rqrmi import RQRMI, route
 
 __all__ = [
     "SUBMODEL_SCALAR_OPS",
@@ -59,27 +60,24 @@ def table1_model() -> dict[str, float]:
 
 
 def measure_inference_ns(
-    submodel: Submodel | None = None,
+    model: RQRMI,
     lanes: int = 1,
     iterations: int = 2000,
     seed: int = 0,
 ) -> float:
-    """Measure wall-clock numpy inference time with ``lanes`` keys per call.
+    """Wall-clock inference time of ``model``, in ns per key per stage.
 
-    Evaluating ``lanes`` independent keys in one vectorised numpy call mimics
-    packing more floats per instruction; the per-key time dropping with
-    ``lanes`` is the Python-level analogue of Table 1's SIMD trend.
+    Times :func:`~repro.core.rqrmi.route` — the lookup's walk over the
+    stacked stages — on ``lanes`` random keys per call.  Evaluating ``lanes``
+    independent keys in one vectorised numpy call mimics packing more floats
+    per instruction; the per-key time dropping with ``lanes`` is the
+    Python-level analogue of Table 1's SIMD trend.
     """
-    if submodel is None:
-        rng = np.random.default_rng(seed)
-        submodel = Submodel(
-            rng.normal(size=8), rng.normal(size=8), rng.normal(size=8), 0.0
-        )
     keys = np.random.default_rng(seed).random(lanes)
-    # Warm up.
-    submodel.predict_batch(keys)
+    stages, widths = model.stacked, model.stage_widths
+    route(stages, widths, keys)  # warm up
     start = time.perf_counter()
     for _ in range(iterations):
-        submodel.predict_batch(keys)
+        route(stages, widths, keys)
     elapsed = time.perf_counter() - start
-    return elapsed / iterations / lanes * 1e9
+    return elapsed / iterations / lanes / model.num_stages * 1e9

@@ -5,7 +5,9 @@ responsibilities, error bounds and boundary samples as array code
 (``core/submodel.py``, ``core/rqrmi.py``, ``core/training.py``).  This module
 is the per-unit, per-segment, per-interval and per-row Python those array
 versions replaced, moved here unedited apart from methods becoming free
-functions and the transition memo being dropped.  The arithmetic is the same
+functions, the transition memo being dropped and midpoints being routed by
+the frozen scalar walk (``_nm_reference.route``) instead of the stacked
+``route`` they are checked against.  The arithmetic is the same
 expression per element, so the array versions must equal it bit for bit
 (``tests/test_rqrmi.py::TestArrayAnalysisIsTheFrozenLoop``).  It is not
 shipped and nothing under ``src/`` imports it.
@@ -13,10 +15,13 @@ shipped and nothing under ``src/`` imports it.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from repro.core.rqrmi import route
 from repro.core.submodel import OUTPUT_EPSILON
+
+from _nm_reference import route
 
 
 def trigger_inputs(submodel, domain=(0.0, 1.0)) -> list[float]:
@@ -78,9 +83,10 @@ def assign_responsibilities(stages, responsibilities, widths, stage_index) -> No
                     transition_set.add(t)
     ordered = sorted(transition_set)
     edges = np.asarray(ordered)
-    slots, _ = route(stages, widths, (edges[:-1] + edges[1:]) / 2.0)
+    prefix = SimpleNamespace(stages=stages, stage_widths=widths)
+    slots = [route(prefix, float(x))[0] for x in (edges[:-1] + edges[1:]) / 2.0]
     buckets: list[list[tuple[float, float]]] = [[] for _ in range(next_width)]
-    for a, b, slot in zip(ordered[:-1], ordered[1:], slots.tolist()):
+    for a, b, slot in zip(ordered[:-1], ordered[1:], slots):
         bucket = buckets[slot]
         if bucket and bucket[-1][1] >= a:
             bucket[-1] = (bucket[-1][0], b)

@@ -10,6 +10,7 @@ conftest was imported first.
 from __future__ import annotations
 
 import asyncio
+import sys
 
 import numpy as np
 
@@ -45,6 +46,27 @@ THREE_STAGE_CASES = {
     "ipc1-3000": ("ipc1", 3000, {"stage_widths": [1, 8, 32], "hidden_units": 16}),
     "acl1-3000": ("acl1", 3000, {"stage_widths": [1, 4, 16], "hidden_units": 4}),
 }
+
+
+def dispatch_count(function, *args) -> int:
+    """Interpreter-level calls one ``function(*args)`` makes: the ``call``
+    (Python function) and ``c_call`` (builtin) events ``sys.setprofile``
+    sees.  Work inside numpy's C code is invisible to it, so the count is a
+    floor on dispatches, not a total — but it is deterministic, which is what
+    a budget needs."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(previous)
+    return count
 
 
 def key_errors(model, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -73,7 +73,7 @@ def query(model, key: int) -> RQRMILookup:
     x = model.ranges.scale_key(key)
     slot, output = route(model, x)
     predicted = min(int(output * num_ranges), num_ranges - 1)
-    bound = model.error_bounds[slot] if model.error_bounds else 0
+    bound = int(model.error_bounds[slot]) if len(model.error_bounds) else 0
     lo = max(0, predicted - bound)
     hi = min(num_ranges - 1, predicted + bound)
     window = hi - lo + 1

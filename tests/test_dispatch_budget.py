@@ -1,0 +1,59 @@
+"""Dispatch budget: interpreter-level calls per lookup block (ROADMAP 12).
+
+Per-call overhead, not arithmetic, is what a block costs in this process, so
+the number of Python-to-C dispatches a lookup makes is gated like a metric.
+``_helpers.dispatch_count`` counts them with ``sys.setprofile``.  The RQ-RMI
+query walks the stacked stages in a fixed sequence of array operations, so its
+count does not depend on the block size (or on the leaves a block reaches);
+the NuevoMatch block lookup stays within a committed budget, which a change
+may lower but not raise.  Rules are ClassBench acl1/8000 (seed 1) under the
+serving benchmark's NuevoMatch configuration; traffic is uniform (seed 2).
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.config import NuevoMatchConfig, RQRMIConfig
+from repro.core.nuevomatch import NuevoMatch
+from repro.rules import generate_classbench
+from repro.traffic.generators import generate_uniform_trace
+
+from _helpers import dispatch_count
+
+ROWS = (1, 128, 2048)
+
+#: Calls one ``NuevoMatch.classify_block`` (``nm/tm``) makes on acl1/8000 at
+#: any of :data:`ROWS`.
+CLASSIFY_BLOCK_BUDGET = 170
+
+
+@pytest.fixture(scope="module")
+def acl8000():
+    rules = generate_classbench("acl1", 8000, seed=1)
+    nm = NuevoMatch.build(
+        rules, remainder_classifier="tm",
+        config=NuevoMatchConfig(
+            max_isets=4, min_iset_coverage=0.05,
+            rqrmi=RQRMIConfig(error_threshold=64),
+        ),
+    )
+    trace = generate_uniform_trace(rules, max(ROWS), seed=2)
+    return nm, np.array([packet.values for packet in trace.packets], dtype=np.uint64)
+
+
+def test_rqrmi_query_makes_the_same_calls_at_every_block_size(acl8000):
+    nm, packets = acl8000
+    assert nm.isets
+    for iset in nm.isets:
+        keys = packets[:, iset.dim]
+        counts = {
+            rows: dispatch_count(iset.model.query_batch_detailed, keys[:rows])
+            for rows in ROWS
+        }
+        assert len(set(counts.values())) == 1, counts
+
+
+def test_nuevomatch_block_lookup_stays_within_its_budget(acl8000):
+    nm, packets = acl8000
+    counts = {rows: dispatch_count(nm.classify_block, packets[:rows]) for rows in ROWS}
+    assert max(counts.values()) <= CLASSIFY_BLOCK_BUDGET, counts

@@ -1,5 +1,6 @@
 """Tests for the ClassificationEngine serving API, registry and batch lookups."""
 
+import numpy as np
 import pytest
 
 from repro.classifiers import (
@@ -201,7 +202,9 @@ class TestPersistence:
         for original_iset, loaded_iset in zip(
             engine.classifier.isets, restored.classifier.isets
         ):
-            assert original_iset.model.error_bounds == loaded_iset.model.error_bounds
+            assert np.array_equal(
+                original_iset.model.error_bounds, loaded_iset.model.error_bounds
+            )
             for stage_a, stage_b in zip(
                 original_iset.model.stages, loaded_iset.model.stages
             ):

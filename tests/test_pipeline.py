@@ -34,7 +34,7 @@ from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
 from repro.core.pipeline import train_rqrmi
 from repro.core.rqrmi import RQRMI, RangeSet
-from repro.core.submodel import Submodel
+from repro.core.submodel import Stage
 from repro.engine import ClassificationEngine
 from repro.rules import generate_classbench
 from repro.rules.rule import Rule
@@ -295,7 +295,7 @@ class TestWarmStart:
         assert provenance["submodels_reused"] > 0
         # Reused submodels carry their previous certified bounds verbatim.
         for old, new in zip(base_engine.isets, rebuilt.isets):
-            assert old.model.error_bounds == new.model.error_bounds
+            assert np.array_equal(old.model.error_bounds, new.model.error_bounds)
 
     @pytest.mark.parametrize("adam_epochs, expected", [(300, 100), (90, 30), (30, 20)])
     def test_warm_refinement_budget_is_a_third_of_the_cold_one_at_least_20(
@@ -340,11 +340,10 @@ class TestWarmStart:
         trained = train_rqrmi(old_ranges, config)
         # Corrupt every leaf: constant-zero predictions cannot certify any
         # non-trivial range set.
-        hidden = trained.stages[-1][0].hidden_units
+        zeros = np.zeros_like(trained.stacked[-1].w1)
         corrupted = RQRMI(
-            stages=trained.stages[:-1]
-            + [[Submodel(np.zeros(hidden), np.zeros(hidden), np.zeros(hidden), 0.0)
-                for _ in trained.stages[-1]]],
+            stacked=trained.stacked[:-1]
+            + [Stage(zeros, zeros, zeros, np.zeros(len(zeros)))],
             ranges=old_ranges,
             error_bounds=[0] * len(trained.error_bounds),
             report=trained.report,

@@ -5,17 +5,21 @@ falls inside an indexed range must be found by the bounded secondary search —
 the analytically computed error bound is a true worst-case bound.
 """
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import _analysis_reference as reference
+import test_pipeline
 from repro.core.config import RQRMIConfig
+from repro.core.nuevomatch import NuevoMatch
 from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport, route
-from repro.core.submodel import Submodel
+from repro.core.submodel import Stage, Submodel
 from repro.core.training import sample_responsibility
-from _helpers import key_errors
+from repro.rules import generate_classbench
+from _helpers import fast_nm_config, key_errors
 from _nm_reference import checked_index, query
 from _nm_reference import route as scalar_route
 
@@ -86,33 +90,88 @@ class TestTraining:
         assert checked_index(model, 21) is None
 
 
+#: The exhaustive bound check's models: ``(ranges, stage widths)`` on a
+#: 16-bit domain, each trained for seeds 0-2.
+CERTIFIED_CASES = [(300, (1, 4)), (2000, (1, 4, 16)), (8000, (1, 8, 64))]
+
+
+@functools.cache
+def certified_model(count, widths, seed):
+    """``(pairs, model)``: ``count`` random disjoint ranges of a 16-bit domain
+    and the RQ-RMI trained over them with ``widths``."""
+    domain = 1 << 16
+    pairs = np.sort(
+        np.random.default_rng(seed).choice(domain, size=2 * count, replace=False)
+    ).reshape(-1, 2)
+    model = RQRMI.train(
+        RangeSet.from_integer_ranges(pairs, domain),
+        RQRMIConfig(stage_widths=list(widths)),
+    )
+    return pairs, model
+
+
+def assert_route_is_the_scalar_walk(model, seed=5):
+    """``route`` over every prefix of ``model``'s stacked stages equals the
+    frozen scalar walk bit for bit, on random keys and on every internal
+    submodel's transition inputs (where a last-ulp difference flips a slot)."""
+    widths = model.stage_widths
+    stages = model.stages
+    xs = np.concatenate([np.random.default_rng(seed).random(256)] + [
+        submodel.transition_inputs(widths[stage_index + 1])
+        for stage_index in range(len(stages) - 1)
+        for submodel in stages[stage_index]
+    ])
+    # Every prefix, as training walks it, and the whole model, as the lookup
+    # does; the reference with a prefix of the stages returns the next
+    # stage's slot, like the deleted per-midpoint walk.
+    for depth in range(1, len(stages) + 1):
+        prefix = SimpleNamespace(stages=stages[:depth], stage_widths=widths)
+        expected = [scalar_route(prefix, float(x)) for x in xs]
+        slots, outputs = route(model.stacked[:depth], widths, xs)
+        assert np.array_equal(slots, [slot for slot, _ in expected])
+        assert np.array_equal(outputs, [output for _, output in expected])
+
+
 class TestOneRoute:
-    """Training routes responsibility midpoints through :func:`route` in one
-    batch where it once walked them one at a time; that is exact only because
-    the batched walk equals the frozen scalar walk bit for bit — pinned here
-    on the 3-stage models, over random keys and every stage-0/1 transition
-    input (where a last-ulp difference would flip a slot)."""
+    """Training and lookup walk the stages through :func:`route`, which
+    gathers each key's submodel row from the stacked weights and evaluates a
+    whole batch at once.  That is exact only because the gathered walk equals
+    the frozen scalar walk bit for bit — pinned here on every trained model
+    of the suite: the 3-stage pins and their warm rebuilds, the 400-rule
+    parent pins (cold and warm), the acl/fw/ipc fixtures' iSets and the
+    exhaustive bound check's nine models."""
 
     def test_route_is_the_frozen_scalar_walk_bit_for_bit(self, three_stage):
         _case, cold, warm = three_stage
-        rng = np.random.default_rng(5)
         for iset in cold.isets + warm.isets:
-            model = iset.model
-            widths = model.stage_widths
-            xs = np.concatenate([rng.random(256)] + [
-                submodel.transition_inputs(widths[stage_index + 1])
-                for stage_index in (0, 1)
-                for submodel in model.stages[stage_index]
-            ])
-            # Every prefix, as training walks it, and the whole model, as the
-            # lookup does; the reference with a prefix of the stages returns
-            # the next stage's slot, like the deleted per-midpoint walk.
-            for depth in range(1, len(model.stages) + 1):
-                prefix = SimpleNamespace(stages=model.stages[:depth], stage_widths=widths)
-                expected = [scalar_route(prefix, float(x)) for x in xs]
-                slots, outputs = route(model.stages[:depth], widths, xs)
-                assert np.array_equal(slots, [slot for slot, _ in expected])
-                assert np.array_equal(outputs, [output for _, output in expected])
+            assert_route_is_the_scalar_walk(iset.model)
+
+    def test_two_stage_parent_pins_cold_and_warm(self):
+        pins = test_pipeline.TestSameModelsAsTheParent
+        rules = generate_classbench("acl1", 400, seed=3)
+        cold = NuevoMatch.build(rules, remainder_classifier="tm", config=pins.CONFIG)
+        warm = NuevoMatch.build(
+            pins._churn(rules), remainder_classifier="tm", config=pins.CONFIG,
+            warm_from=cold,
+        )
+        assert warm.training_provenance["warm_started"]
+        for iset in cold.isets + warm.isets:
+            assert_route_is_the_scalar_walk(iset.model)
+
+    @pytest.mark.parametrize("fixture", ["acl_small", "fw_small", "ipc_small", "acl_medium"])
+    def test_fixture_isets(self, fixture, request):
+        nm = NuevoMatch.build(
+            request.getfixturevalue(fixture), remainder_classifier="tm",
+            config=fast_nm_config(),
+        )
+        assert nm.isets
+        for iset in nm.isets:
+            assert_route_is_the_scalar_walk(iset.model)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("count,widths", CERTIFIED_CASES)
+    def test_certified_bound_models(self, count, widths, seed):
+        assert_route_is_the_scalar_walk(certified_model(count, widths, seed)[1])
 
 
 class TestCertifiedBoundOnEveryKey:
@@ -123,22 +182,12 @@ class TestCertifiedBoundOnEveryKey:
     safe."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("count,widths", [
-        (300, [1, 4]),
-        (2000, [1, 4, 16]),
-        (8000, [1, 8, 64]),
-    ])
+    @pytest.mark.parametrize("count,widths", CERTIFIED_CASES)
     def test_every_key_within_its_leaf_bound_and_the_bound_attained(
         self, count, widths, seed
     ):
-        domain = 1 << 16
-        pairs = np.sort(
-            np.random.default_rng(seed).choice(domain, size=2 * count, replace=False)
-        ).reshape(-1, 2)
-        model = RQRMI.train(
-            RangeSet.from_integer_ranges(pairs, domain), RQRMIConfig(stage_widths=widths)
-        )
-        assert model.stage_widths == widths
+        pairs, model = certified_model(count, widths, seed)
+        assert model.stage_widths == list(widths)
         errors, bounds = key_errors(model, pairs)
         assert errors.size == int((pairs[:, 1] - pairs[:, 0] + 1).sum())
         assert np.all(errors <= bounds)
@@ -153,7 +202,7 @@ class TestCertifiedBoundOnEveryKey:
         ranges = RangeSet.from_integer_ranges(pairs, domain)
         leaf = Submodel(np.ones(4), [0.0, -0.5, -0.55, -0.6], [1.0, 4.0, -8.0, 4.0], 0.0)
         bound = RQRMI._error_bound_for(leaf, [(0.0, 1.0)], ranges)
-        model = RQRMI([[leaf]], ranges, [bound], TrainingReport())
+        model = RQRMI([Stage.stack([leaf])], ranges, [bound], TrainingReport())
         errors, bounds = key_errors(model, pairs)
         assert np.all(errors <= bounds)
         assert np.any(errors == bound)

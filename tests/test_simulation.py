@@ -4,7 +4,9 @@ import pytest
 
 from repro.classifiers import TupleMergeClassifier, build_classifier
 from repro.classifiers.base import LookupTrace
+from repro.core.config import RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
+from repro.core.rqrmi import RQRMI, RangeSet
 from repro.rules import generate_classbench
 from repro.simulation import (
     CacheHierarchy,
@@ -111,7 +113,11 @@ class TestVectorizationModel:
             inference_time_ns(0)
 
     def test_measured_inference_positive(self):
-        assert measure_inference_ns(lanes=4, iterations=50) > 0
+        ranges = RangeSet.from_integer_ranges(
+            [(10 * i, 10 * i + 4) for i in range(64)], 1 << 16
+        )
+        model = RQRMI.train(ranges, RQRMIConfig(stage_widths=[1, 4], adam_epochs=40))
+        assert measure_inference_ns(model, lanes=4, iterations=50) > 0
 
 
 class TestPerfHarness:

@@ -363,8 +363,10 @@ def test_one_nuevomatch_lookup():
 
 def test_one_rqrmi_route():
     """One function walks the RQ-RMI stages — ``route``, which both the
-    lookup and the training-time responsibility split call — so exactly one
-    function in ``core/rqrmi.py`` evaluates a submodel batch."""
+    lookup and the training-time responsibility split call — and it walks
+    the stacked weights: one loop, over stages, gathering each key's row.
+    No per-slot loop is left (no ``np.unique`` of the slots a block hits),
+    and no function in ``core/rqrmi.py`` evaluates a ``Submodel`` batch."""
     tree = ast.parse((SRC / "core" / "rqrmi.py").read_text())
     functions = [
         node for node in ast.walk(tree)
@@ -378,10 +380,17 @@ def test_one_rqrmi_route():
             for node in ast.walk(function)
         )
 
-    assert [f.name for f in functions if calls(f, "predict_batch")] == ["route"]
+    assert not [f.name for f in functions if calls(f, "predict_batch")]
     assert {f.name for f in functions if calls(f, "route")} == {
         "_assign_responsibilities", "query_batch_detailed",
     }
+    (route,) = [f for f in functions if f.name == "route"]
+    loops = [
+        node for node in ast.walk(route)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+    assert len(loops) == 1 and ast.unparse(loops[0].iter) == "enumerate(stages)"
+    assert not calls(route, "unique")
 
 
 def test_nothing_shipped_still_describes_a_deleted_path():
