@@ -8,13 +8,14 @@ columnar block:
   stack (plain :class:`~repro.engine.ClassificationEngine`,
   :class:`~repro.serving.ShardedEngine`, or either wrapped in a
   :class:`~repro.serving.CachedEngine`).  Classify traffic arrives as wire-v2
-  binary classify-batch frames (:mod:`repro.serving.wire`); each admitted
-  frame is one ``engine.classify_block`` call.  ``hello``/``insert``/
-  ``remove``/``stats`` are length-prefixed JSON.  Lookups and updates are
-  serialized through one single-threaded engine executor, so the
-  :class:`~repro.serving.updates.UpdateQueue` eviction-before-ack contract
-  holds over the wire: a classify *sent after* an update's response was
-  received can never observe pre-update state.
+  binary classify-batch frames (:mod:`repro.serving.wire`); the admitted
+  frames queued for the engine when it frees up run as one
+  ``engine.classify_block`` call over their concatenated rows.
+  ``hello``/``insert``/``remove``/``stats`` are length-prefixed JSON.
+  Lookups and updates are serialized through one single-threaded engine
+  executor, so the :class:`~repro.serving.updates.UpdateQueue`
+  eviction-before-ack contract holds over the wire: a classify *sent after*
+  an update's response was received can never observe pre-update state.
 * :class:`AsyncClient` — a pipelining client: many requests may be in flight
   on one connection, matched to responses by id.  Batching is the client's
   job: :meth:`AsyncClient.classify_batch` sends one frame per batch.
@@ -100,18 +101,42 @@ class ServerError(RuntimeError):
 # Server
 
 
+def _resolve_frames(outcomes: list[tuple[asyncio.Future, object]]) -> None:
+    """Hand a :meth:`AsyncServer._run_queued` job's outcomes to the frames
+    awaiting them (a frame whose handler went away is skipped)."""
+    for answer, outcome in outcomes:
+        if answer.done():
+            continue
+        if isinstance(outcome, Exception):
+            answer.set_exception(outcome)
+        else:
+            answer.set_result(outcome)
+
+
 class AsyncServer:
     """An asyncio TCP front-end over any engine stack.
 
     A lookup reaches the engine one way: a wire-v2 classify-batch frame is
-    decoded, admitted against ``self.budget``, and run as *one*
-    ``engine.classify_block`` call on a dedicated single-threaded executor.
-    ``insert``/``remove``/``stats`` run on the same executor, so all engine
-    operations serialize in submission order: by the time an update's
-    response reaches the client, the engine (and any flow cache listening on
-    its :class:`~repro.serving.updates.UpdateQueue`) has applied it, and
-    every frame served afterwards observes the new state — the
-    eviction-before-ack contract, extended over the wire.
+    decoded, admitted against ``self.budget`` and queued for a dedicated
+    single-threaded executor.  When that executor frees up it takes *every*
+    frame queued by then and runs them as one ``engine.classify_block`` call
+    over their concatenated rows, then splits the answers back by row
+    offsets — fixed per-block costs are paid once per queue, not once per
+    frame.  Nothing waits for a block to fill: a lone frame runs at once.
+    If the coalesced call raises, each of its frames is re-run alone, so
+    only a faulty frame is answered ``STATUS_ERROR``.
+    ``statistics()["server"]["engine_blocks"]`` counts the calls made, so
+    frames per block is ``binary_batches / engine_blocks``.
+
+    ``insert``/``remove``/``stats`` run on the same executor, between
+    blocks, so all engine operations serialize in submission order: by the
+    time an update's response reaches the client, the engine (and any flow
+    cache listening on its :class:`~repro.serving.updates.UpdateQueue`) has
+    applied it, and every frame sent afterwards observes the new state — the
+    eviction-before-ack contract, extended over the wire.  A frame that
+    arrives before the ack may still be answered in the pre-update state,
+    like any lookup that raced the update (see
+    :mod:`repro.serving.flowcache`).
 
     The server does not own the engine: :meth:`stop` shuts down the network
     side but leaves the engine to its caller (close it via its own
@@ -141,6 +166,11 @@ class AsyncServer:
         self.engine = engine
         self._num_fields = len(engine.schema)
         self._binary_batches = 0
+        self._engine_blocks = 0
+        # Admitted frames waiting for the engine worker, with the futures
+        # their handlers await; swapped out whole by ``_run_queued``.
+        self._queue_lock = threading.Lock()
+        self._queued: list[tuple[np.ndarray, asyncio.Future]] = []
         #: Packet-weighted admission budget of the classify path.
         self.budget = PacketBudget(max_queue)
         if controller is None and adaptive:
@@ -236,6 +266,66 @@ class AsyncServer:
         return await asyncio.get_running_loop().run_in_executor(
             self._worker, fn, *args
         )
+
+    def _queue_frame(self, block: np.ndarray) -> asyncio.Future:
+        """Queue an admitted frame for the engine worker; resolves to its
+        ``(rule_ids, priorities)``.
+
+        The frame that lands on an empty queue schedules one
+        :meth:`_run_queued` job; frames that arrive before that job starts
+        ride along with it.  Nothing waits for company, so a lone frame runs
+        as soon as the worker is free.
+        """
+        assert self._worker is not None, "server not started"
+        loop = asyncio.get_running_loop()
+        answer = loop.create_future()
+        with self._queue_lock:
+            self._queued.append((block, answer))
+            first = len(self._queued) == 1
+        if first:
+            self._worker.submit(self._run_queued, loop)
+        return answer
+
+    def _run_queued(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Engine worker: classify every queued frame as one block.
+
+        The answers are split back by row offsets.  If the coalesced call
+        raises, each frame is re-run alone, so only a faulty frame carries
+        the exception.  The ``(answer, result or exception)`` pairs go back
+        to ``loop`` in one hand-off.
+        """
+        with self._queue_lock:
+            queued, self._queued = self._queued, []
+        blocks = [block for block, _ in queued]
+        try:
+            if len(blocks) == 1:
+                outcomes = [self._classify(blocks[0])]
+            else:
+                columns = self._classify(np.concatenate(blocks))
+                offsets = np.cumsum([len(block) for block in blocks[:-1]])
+                outcomes = list(
+                    zip(*(np.split(column, offsets) for column in columns))
+                )
+        except Exception as exc:  # noqa: BLE001 - handed to the frame(s)
+            outcomes = (
+                [exc]
+                if len(blocks) == 1
+                else [self._classify_alone(block) for block in blocks]
+            )
+        loop.call_soon_threadsafe(
+            _resolve_frames,
+            [(answer, outcome) for (_, answer), outcome in zip(queued, outcomes)],
+        )
+
+    def _classify_alone(self, block: np.ndarray) -> object:
+        try:
+            return self._classify(block)
+        except Exception as exc:  # noqa: BLE001 - handed to its frame
+            return exc
+
+    def _classify(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self._engine_blocks += 1
+        return self.engine.classify_block(block)
 
     # --------------------------------------------------------------- control
 
@@ -391,10 +481,12 @@ class AsyncServer:
         dispatch and frees it when the response is computed, so an
         overloaded server answers ``STATUS_OVERLOADED`` instead of queueing
         without bound; admission is all-or-nothing per frame.  An admitted
-        frame runs as one ``classify_block`` call on the single-threaded
-        engine executor all other ops serialize through — the
-        eviction-before-ack ordering holds (an acknowledged update already
-        ran on that executor before this frame does).
+        frame is queued for the single-threaded engine executor all other ops
+        serialize through, and runs in one ``classify_block`` call with every
+        other frame queued when that executor frees up (:meth:`_queue_frame`).
+        The eviction-before-ack ordering holds: an acknowledged update
+        already ran on that executor before any block this frame joins.
+        Latency is sampled and the response written per frame.
         """
         request_id = 0
         shed_packets = 1
@@ -412,9 +504,7 @@ class AsyncServer:
                 if self._controller is not None:
                     self._controller.observe_queue(self.budget.in_flight)
                 start = self._clock()
-                rule_ids, priorities = await self._in_worker(
-                    self.engine.classify_block, block
-                )
+                rule_ids, priorities = await self._queue_frame(block)
                 latency_us = (self._clock() - start) * 1e6
             finally:
                 self.budget.release(len(block))
@@ -466,6 +556,7 @@ class AsyncServer:
                 "connections": self._connections,
                 "requests_served": self._requests_served,
                 "binary_batches": self._binary_batches,
+                "engine_blocks": self._engine_blocks,
                 "max_queue": self.budget.limit,
                 "budget": self.budget.as_dict(),
                 "adaptive": self._controller is not None,

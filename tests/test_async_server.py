@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import sys
+import threading
+import time
 
 import pytest
 
@@ -32,7 +35,14 @@ from repro.workloads import build_scenario_engine, make_trace
 
 from repro.serving import wire
 
-from _helpers import RawPeer, fast_nm_config, linear_keys, serve_packets
+from _helpers import (
+    RawPeer,
+    block_keys,
+    block_of,
+    fast_nm_config,
+    linear_keys,
+    serve_packets,
+)
 
 SCENARIO_DEADLINE = 120.0
 
@@ -241,19 +251,33 @@ class _SlowBlockEngine:
 
     Slowing only the columnar path keeps control traffic (stats, updates)
     fast while binary classify batches pile up against the packet budget.
-    ``fail_on`` makes any block whose first value equals it raise instead.
+    ``fail_on`` makes any block with a row whose first value equals it raise
+    instead — wherever that row sits in a coalesced block.  ``gate``, when
+    given, holds every call until it is set.  ``blocks`` records the row
+    count of each call.
     """
 
-    def __init__(self, inner, delay_s: float, fail_on: int | None = None):
+    def __init__(
+        self,
+        inner,
+        delay_s: float,
+        fail_on: int | None = None,
+        gate: threading.Event | None = None,
+    ):
         self._inner = inner
         self.delay_s = delay_s
         self.fail_on = fail_on
+        self.gate = gate
+        self.blocks: list[int] = []
 
     def classify_block(self, block):
-        import time
-
+        self.blocks.append(len(block))
+        if self.gate is not None:
+            assert self.gate.wait(timeout=SCENARIO_DEADLINE), "gate never opened"
         time.sleep(self.delay_s)
-        if self.fail_on is not None and int(block[0, 0]) == self.fail_on:
+        if self.fail_on is not None and any(
+            int(row[0]) == self.fail_on for row in block
+        ):
             raise RuntimeError("engine exploded")
         return self._inner.classify_block(block)
 
@@ -487,6 +511,280 @@ class TestExactlyOnce:
             assert all(status == wire.STATUS_OK for _, status, _ in responses)
             assert await peer.recv() is None  # then a clean EOF, not a reset
             await peer.close()
+            inner.close()
+
+        run_scenario_coro(scenario())
+
+
+async def send_rows(peer: RawPeer, request_id: int, block) -> None:
+    """Put an ``(n, fields)`` block on the wire as one frame (``n`` may be 0,
+    which ``RawPeer.send_block``'s list of packets cannot express)."""
+    wire.write_binary_frame(
+        peer.writer, wire.encode_classify_request(request_id, block)
+    )
+    await peer.writer.drain()
+
+
+async def read_answers(peer: RawPeer, expected: int) -> dict:
+    """The next ``expected`` binary responses: ``{request_id: (status,
+    keys)}`` with ``keys`` as :func:`block_keys` gives them."""
+    answers = {}
+    while len(answers) < expected:
+        kind, (request_id, status, rule_ids, priorities) = await peer.recv()
+        assert kind == "binary" and request_id not in answers
+        answers[request_id] = (status, block_keys(rule_ids, priorities))
+    return answers
+
+
+async def wait_until(condition) -> None:
+    while not condition():
+        await asyncio.sleep(0.002)
+
+
+class TestCoalescedBlocks:
+    """Frames queued while the engine worker is busy run as one
+    ``classify_block`` over their concatenated rows (ROADMAP 1c), and the
+    answers are split back per frame.  A gated engine holds the first block
+    so the rest are certainly queued behind it."""
+
+    def test_queued_frames_share_one_block_and_split_back(self, server_rules):
+        async def scenario():
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            gate = threading.Event()
+            engine = _SlowBlockEngine(inner, delay_s=0.0, gate=gate)
+            block = block_of(server_rules.sample_packets(16, seed=97))
+            # (request_id, first row, rows) per connection.  The 0-row frame
+            # is refused by admission and must not disturb its neighbours.
+            plans = [
+                [(0, 0, 3), (1, 3, 0), (2, 3, 7), (3, 10, 1), (4, 11, 5)],
+                [(10, 1, 6), (11, 7, 2), (12, 0, 16), (13, 9, 4)],
+            ]
+            frames = {
+                request_id: block[first : first + rows]
+                for plan in plans
+                for request_id, first, rows in plan
+            }
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                peers = [
+                    await RawPeer.open(server.host, server.port) for _ in plans
+                ]
+                try:
+                    await send_rows(peers[0], 0, frames[0])
+                    await wait_until(lambda: engine.blocks)  # held at the gate
+                    for peer, plan in zip(peers, plans):
+                        for request_id, _, _ in plan:
+                            if request_id != 0:
+                                await send_rows(peer, request_id, frames[request_id])
+                    admitted = sum(len(rows) > 0 for rows in frames.values())
+                    await wait_until(
+                        lambda: server.budget.stats.admitted == admitted
+                    )
+                finally:
+                    gate.set()
+                answers = [
+                    await read_answers(peer, len(plan))
+                    for peer, plan in zip(peers, plans)
+                ]
+                # Frame 0 alone, then every frame queued behind it as one.
+                assert engine.blocks == [
+                    3,
+                    sum(len(rows) for rows in frames.values()) - 3,
+                ]
+                for by_id, plan in zip(answers, plans):
+                    assert sorted(by_id) == [request_id for request_id, _, _ in plan]
+                    for request_id, _, rows in plan:
+                        if rows == 0:
+                            expected = (wire.STATUS_BAD_REQUEST, [])
+                        else:
+                            expected = (
+                                wire.STATUS_OK,
+                                block_keys(*inner.classify_block(frames[request_id])),
+                            )
+                        assert by_id[request_id] == expected, request_id
+                stats = server.statistics()["server"]
+                assert stats["engine_blocks"] == 2
+                assert stats["binary_batches"] == admitted
+                assert server.budget.in_flight == 0
+                for peer in peers:
+                    await peer.close()
+            inner.close()
+
+        run_scenario_coro(scenario())
+
+    def test_a_poisoned_frame_mid_block_fails_alone(self, server_rules):
+        async def scenario():
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            packets = [tuple(p) for p in server_rules.sample_packets(6, seed=93)]
+            poison = (2**40 + 7,) + packets[0][1:]
+            gate = threading.Event()
+            engine = _SlowBlockEngine(
+                inner, delay_s=0.0, fail_on=poison[0], gate=gate
+            )
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                peer = await RawPeer.open(server.host, server.port)
+                try:
+                    await peer.send_block(0, packets)
+                    await wait_until(lambda: engine.blocks)  # held at the gate
+                    for request_id in range(1, 10):
+                        poisoned = packets[:3] + [poison] + packets[3:]
+                        await peer.send_block(
+                            request_id, poisoned if request_id == 5 else packets
+                        )
+                    await wait_until(lambda: server.budget.stats.admitted == 10)
+                finally:
+                    gate.set()
+                responses = await drain_responses(peer, 10)
+                assert sorted(responses) == [
+                    (request_id, wire.STATUS_ERROR, 0)
+                    if request_id == 5
+                    else (request_id, wire.STATUS_OK, len(packets))
+                    for request_id in range(10)
+                ]
+                # Frames 1-9 shared a block with the poisoned row in its
+                # middle; it raised, so each of them re-ran alone.
+                assert engine.blocks == [6, 9 * 6 + 1] + [6] * 4 + [7] + [6] * 4
+                assert server.statistics()["server"]["engine_blocks"] == 11
+                assert server.budget.in_flight == 0
+                assert server.budget.stats.admitted == 10
+                assert server._binary_batches == 9
+                await peer.close()
+            inner.close()
+
+        run_scenario_coro(scenario())
+
+    def test_hand_off_under_contention(self, server_rules):
+        """More connections than cores pipeline frames of 1-9 rows while the
+        interpreter switches threads every microsecond, so the event loop's
+        appends and the worker's swaps of the queue interleave as finely as
+        they can.  Every row is classified exactly once (a lost or doubled
+        frame breaks the row count) and every frame gets its own answer."""
+
+        async def scenario():
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            engine = _SlowBlockEngine(inner, delay_s=0.0005)
+            block = block_of(server_rules.sample_packets(16, seed=103))
+            expected = block_keys(*inner.classify_block(block))
+            connections, frames = 6, 40
+            plans = [
+                [(n * frames + i, (n + i) % 7, 1 + (n * 5 + i) % 9) for i in range(frames)]
+                for n in range(connections)
+            ]
+
+            async def drive(peer: RawPeer, plan):
+                for request_id, first, rows in plan:
+                    await send_rows(peer, request_id, block[first : first + rows])
+                return await read_answers(peer, len(plan))
+
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                peers = [
+                    await RawPeer.open(server.host, server.port)
+                    for _ in range(connections)
+                ]
+                answers = await asyncio.gather(
+                    *(drive(peer, plan) for peer, plan in zip(peers, plans))
+                )
+                stats = server.statistics()["server"]
+                assert server.budget.in_flight == 0
+                for peer in peers:
+                    await peer.close()
+            inner.close()
+            for by_id, plan in zip(answers, plans):
+                for request_id, first, rows in plan:
+                    assert by_id[request_id] == (
+                        wire.STATUS_OK,
+                        expected[first : first + rows],
+                    ), request_id
+            total_frames = connections * frames
+            assert sum(engine.blocks) == sum(
+                rows for plan in plans for _, _, rows in plan
+            )
+            assert stats["binary_batches"] == total_frames
+            assert stats["engine_blocks"] == len(engine.blocks) < total_frames
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_scenario_coro(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_frames_sent_after_an_ack_see_the_update(self, server_rules):
+        """Eviction before ack across coalesced blocks.  A flow cache sits
+        behind a gated engine; connection A has frames queued for the engine
+        (their block not started yet) when connection B's update arrives.
+        Every frame A sends after B's ack answers linear search over the
+        updated rules, though frames sent before it may still be waiting.
+        Were the ack sent before the update ran, those later frames would
+        join the queued block that runs ahead of the update."""
+
+        async def scenario():
+            inner = ClassificationEngine.build(server_rules, classifier="tm")
+            gate = threading.Event()
+            gate.set()
+            engine = _SlowBlockEngine(
+                CachedEngine(inner, 256), delay_s=0.0, gate=gate
+            )
+            packets = [
+                tuple(int(v) for v in p)
+                for p in server_rules.sample_packets(8, seed=101)
+            ]
+            pin = Rule(tuple((v, v) for v in packets[0]), priority=0, rule_id=800_000)
+            unpinned = linear_keys(server_rules.rules, packets)
+            pinned = linear_keys(list(server_rules.rules) + [pin], packets)
+            assert pinned != unpinned
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                peer = await RawPeer.open(server.host, server.port)
+                updater = await AsyncClient.connect(server.host, server.port)
+                try:
+                    await peer.send_block(0, packets)  # fills the cache
+                    assert await read_answers(peer, 1) == {
+                        0: (wire.STATUS_OK, unpinned)
+                    }
+                    old, first = unpinned, 1
+                    for update, new in (
+                        (lambda: updater.insert(pin), pinned),
+                        (lambda: updater.remove(pin.rule_id), unpinned),
+                    ):
+                        gate.clear()
+                        held = len(engine.blocks) + 1
+                        await peer.send_block(first, packets)
+                        await wait_until(lambda: len(engine.blocks) == held)
+                        for request_id in (first + 1, first + 2):
+                            await peer.send_block(request_id, packets)
+                        await wait_until(
+                            lambda: server.budget.stats.admitted == first + 3
+                        )
+                        acked = asyncio.ensure_future(update())
+                        # The ack can only come once the update ran, and the
+                        # update runs behind the gate.
+                        done, _ = await asyncio.wait({acked}, timeout=0.2)
+                        if not done:
+                            gate.set()
+                            await acked
+                        after_ack = range(first + 3, first + 6)
+                        for request_id in after_ack:
+                            await peer.send_block(request_id, packets)
+                        await wait_until(
+                            lambda: server.budget.stats.admitted == first + 6
+                        )
+                        gate.set()
+                        answers = await read_answers(peer, 6)
+                        for request_id, (status, keys) in answers.items():
+                            assert status == wire.STATUS_OK
+                            if request_id in after_ack:
+                                assert keys == new, request_id
+                            else:
+                                assert keys in (old, new), request_id
+                        old, first = new, first + 6
+                finally:
+                    gate.set()
+                assert max(engine.blocks) > len(packets), "no frames coalesced"
+                await updater.close()
+                await peer.close()
             inner.close()
 
         run_scenario_coro(scenario())
@@ -902,8 +1200,6 @@ class TestRunServer:
     def test_blocking_front_end_serves_until_shutdown(self, server_rules):
         """The CLI's engine room: run_server blocks a worker thread, serves
         real clients, and returns final statistics on shutdown."""
-        import threading
-
         engine = ClassificationEngine.build(server_rules, classifier="tm")
         holder: dict = {}
         ready_event = threading.Event()

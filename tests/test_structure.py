@@ -15,7 +15,8 @@ overlay lives in exactly one class (``ClassificationEngine``; ``_Shard`` is
 swap bookkeeping), the
 staged training loop lives in ``core/pipeline.py`` and the Adam update in
 ``core/training.py`` only, the server reaches the engine for a lookup from
-one call site behind one admission point, only ``serving/workers.py`` starts
+one call site behind one admission point and coalesces queued frames with no
+knob and no sleep, only ``serving/workers.py`` starts
 a process, no ``build`` takes a ``pipeline``, the hash and tree baselines
 share one early-termination loop per family and one ``build``, rules become
 arrays in ``rules/rule.py`` alone (no per-site converter, no sort of ``Rule``
@@ -545,6 +546,45 @@ def test_the_server_has_one_data_plane():
         if _calls(path, "try_acquire")
     }
     assert admissions == {"serving/server.py": 1}
+
+
+def test_coalescing_has_no_knob():
+    """Queued classify frames share one engine block with no setting behind
+    it (ROADMAP 1c): ``AsyncServer.__init__`` takes the parameters it took
+    before coalescing, and nothing in ``serving/server.py`` sleeps except
+    the overload controller's window loop — no frame ever waits for a
+    block to fill."""
+    tree = ast.parse((SRC / "serving" / "server.py").read_text())
+    server = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "AsyncServer"
+    )
+    init = next(
+        node
+        for node in server.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    assert [arg.arg for arg in init.args.args + init.args.kwonlyargs] == [
+        "self",
+        "engine",
+        "max_queue",
+        "clock",
+        "slo_p99_us",
+        "adaptive",
+        "tune_cache",
+        "controller",
+    ]
+    assert init.args.vararg is None and init.args.kwarg is None
+    sleepers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", "")) == "sleep"
+    }
+    assert sleepers == {"_control_loop"}
 
 
 def test_flowcache_holds_no_rule_objects():
