@@ -26,9 +26,12 @@ updates are the engine's overlay (:class:`repro.engine.ClassificationEngine`).
 The lookup is one kernel over every table at once, built on a flat probe
 index made once after placement (:class:`_ProbeIndex`): the buckets of all
 tables sorted by a 64-bit hash of ``(table, masked key)``, each with its
-stored masked key and its rule rows padded to the widest bucket.  A block is
-masked to every table's lengths, hashed and probed with one ``searchsorted``;
-comparing the stored key makes the probe exact, and one padded range compare
+stored masked key and its rule rows padded to the widest bucket, plus a
+prefix table that maps a hash's top bits to the first bucket that could hold
+it.  A block is masked to every table's lengths and hashed; each hash's
+prefix entry, then a fixed ``depth - 1`` steps over the buckets that share
+its prefix, find its bucket without a search.  Comparing the stored key makes
+the probe exact, and one padded range compare
 gives each bucket's first match ``fm[row, table]``.  §4's early termination —
 probe the tables best key first, stop at the first table that cannot beat
 the row's best key so far, and stop inside a bucket at the first match or
@@ -105,8 +108,12 @@ def _mix(x: np.ndarray) -> np.ndarray:
 
 def _hash(masked: np.ndarray, multipliers: np.ndarray, salts: np.ndarray) -> np.ndarray:
     """64-bit hash of masked keys laid out fields first: each field times its
-    table's random odd multiplier, summed, plus the table's salt, mixed."""
-    hashed = (masked.view(np.uint64) * multipliers).sum(axis=0, dtype=np.uint64)
+    table's random odd multiplier, summed, plus the table's salt, mixed.
+    ``masked`` is overwritten with the products: a block's keys are the
+    kernel's largest array, and a second one costs more than the multiply."""
+    products = masked.view(np.uint64)
+    products *= multipliers
+    hashed = products.sum(axis=0, dtype=np.uint64)
     hashed += salts
     return _mix(hashed)
 
@@ -160,7 +167,9 @@ class _ProbeIndex:
     widest bucket plus one.  Rows index ``lo``/``hi``/``key``: the rule-set's
     columns plus one padding row that matches every packet with key
     ``NO_FLOOR``, so it is never counted and never wins.  A last guard bucket
-    (maximal hash, owner ``-1``) keeps every ``searchsorted`` slot in range.
+    (maximal hash, owner ``-1``) keeps every probe slot in range.
+    ``start[hash >> shift]`` is the first bucket at or above a hash's prefix
+    (8-16 prefixes per bucket); its bucket, if any, is ``< depth`` past it.
     """
 
     def __init__(self, tables: Sequence[_HashTable], ruleset: RuleSet):
@@ -181,7 +190,7 @@ class _ProbeIndex:
                     buckets.append([ruleset.row_of[rule.rule_id] for rule in bucket])
         owners = np.array(owners, dtype=np.int64)
         keys = np.array(keys, dtype=np.int64).reshape(len(buckets), fields).T
-        hashes = _hash(keys, self.multipliers[:, owners, 0], self.salts[owners, 0])
+        hashes = _hash(keys.copy(), self.multipliers[:, owners, 0], self.salts[owners, 0])
         order = np.argsort(hashes)
         hashes = hashes[order]
         if (hashes[1:] == hashes[:-1]).any():
@@ -194,6 +203,11 @@ class _ProbeIndex:
         for slot, bucket in zip(np.argsort(order), buckets):
             self.rows[slot, : len(bucket)] = bucket
         self.hashes = np.append(hashes, np.uint64(np.iinfo(np.uint64).max))
+        bits = (8 * len(self.hashes)).bit_length()
+        self.shift = np.uint64(64 - bits)
+        prefixes = np.arange(2**bits, dtype=np.uint64) << self.shift
+        self.start = np.searchsorted(self.hashes, prefixes)
+        self.depth = int(np.bincount(self.hashes >> self.shift).max())
         self.owner = np.append(owners[order], -1)
         self.keys = np.hstack((keys[:, order], np.zeros((fields, 1), dtype=np.int64)))
         self.lo = np.vstack((ruleset.lo, np.zeros((1, fields), dtype=np.int64)))
@@ -245,7 +259,8 @@ class TupleHashClassifier(Classifier):
 
         One probe of the flat index for every ``(row, table)`` pair, then §4's
         early breaks replayed as counters (module docstring), with a fixed
-        number of array operations per block.
+        number of array operations per block: the probe's ``depth - 1``
+        steps depend on the index, never on the rows.
         """
         index = self._index
         values = np.asarray(block).astype(np.int64, copy=False)
@@ -256,13 +271,17 @@ class TupleHashClassifier(Classifier):
         )
         # Every (table, row) key, hashed and looked up; equal hashes are then
         # confirmed field by field, so the probe is exact.
-        masked = index.masks & values.T[:, None, :]  # (fields, tables, rows)
-        hashed = _hash(masked, index.multipliers, index.salts)
-        slots = np.searchsorted(index.hashes, hashed)
+        columns = np.ascontiguousarray(values.T)
+        hashed = _hash(index.masks & columns[:, None, :], index.multipliers, index.salts)
+        home = slots = index.start[(hashed >> index.shift).view(np.int64)]
+        last = len(index.hashes) - 1
+        for step in range(1, index.depth):
+            later = np.minimum(home + step, last)
+            slots = np.where(index.hashes[later] == hashed, later, slots)
         tables, rows = np.nonzero(index.hashes[slots] == hashed)
         slots = slots[tables, rows]
         exact = (index.owner[slots] == tables) & (
-            index.keys[:, slots] == masked[:, tables, rows]
+            index.keys[:, slots] == (index.masks[:, tables, 0] & columns[:, rows])
         ).all(axis=0)
         tables, rows, slots = tables[exact], rows[exact], slots[exact]
         # Each bucket hit's padded rule rows against its packet in one compare;
@@ -274,11 +293,10 @@ class TupleHashClassifier(Classifier):
         ).all(axis=2).argmax(axis=1)
         first_key = np.full(hashed.shape, NO_FLOOR, dtype=np.int64)
         first_key[tables, rows] = index.key[entries[np.arange(len(first)), first]]
-        # running[t] is each row's best key before table t; running[-1] is
-        # the answer.
-        running = np.minimum.accumulate(np.vstack((floor, first_key)), axis=0)
-        best = running[-1]
+        best = first_key.min(axis=0, initial=NO_FLOOR)
         if traces is not None:
+            # running[t] is each row's best key before table t.
+            running = np.minimum.accumulate(np.vstack((floor, first_key)), axis=0)
             probed = index.best_key < running[:-1]
             probes = probed.sum(axis=0)
             scanned = np.zeros(hashed.shape, dtype=np.int64)
@@ -314,6 +332,8 @@ class TupleHashClassifier(Classifier):
         stats.update(
             num_tables=len(self._tables),
             max_bucket=max((t.max_bucket_size() for t in self._tables), default=0),
+            probe_table_entries=len(self._index.start),
+            probe_depth=self._index.depth,
         )
         return stats
 

@@ -486,7 +486,8 @@ class AsyncServer:
         other frame queued when that executor frees up (:meth:`_queue_frame`).
         The eviction-before-ack ordering holds: an acknowledged update
         already ran on that executor before any block this frame joins.
-        Latency is sampled and the response written per frame.
+        Latency is sampled and the response written per frame.  A 0-row
+        frame is answered ``ok`` with no rows, without admission or a block.
         """
         request_id = 0
         shed_packets = 1
@@ -499,23 +500,26 @@ class AsyncServer:
                     f"{self._num_fields}"
                 )
             shed_packets = len(block)
-            self.budget.try_acquire(len(block))
-            try:
+            if not len(block):  # nothing to classify: no admission, no block
+                rule_ids = priorities = np.empty(0, dtype=np.int64)
+            else:
+                self.budget.try_acquire(len(block))
+                try:
+                    if self._controller is not None:
+                        self._controller.observe_queue(self.budget.in_flight)
+                    start = self._clock()
+                    rule_ids, priorities = await self._queue_frame(block)
+                    latency_us = (self._clock() - start) * 1e6
+                finally:
+                    self.budget.release(len(block))
+                self._latencies_us.append(latency_us)
                 if self._controller is not None:
-                    self._controller.observe_queue(self.budget.in_flight)
-                start = self._clock()
-                rule_ids, priorities = await self._queue_frame(block)
-                latency_us = (self._clock() - start) * 1e6
-            finally:
-                self.budget.release(len(block))
-            self._latencies_us.append(latency_us)
-            if self._controller is not None:
-                self._controller.observe_completion(latency_us, len(block))
+                    self._controller.observe_completion(latency_us, len(block))
+                self._binary_batches += 1
             response = wire.encode_classify_response(
                 request_id, rule_ids, priorities
             )
             self._requests_served += 1
-            self._binary_batches += 1
         except QueueFullError:
             if self._controller is not None:
                 self._controller.observe_shed(shed_packets)
@@ -700,8 +704,11 @@ class AsyncClient:
         per packet (``rule_id``/``priority`` are ``None`` on a miss).
 
         The whole batch travels as one binary frame (several, pipelined, when
-        it exceeds the frame cap).  Binary responses carry no action strings.
+        it exceeds the frame cap); an empty batch is ``[]`` and sends none.
+        Binary responses carry no action strings.
         """
+        if not len(packets):
+            return []
         status, rule_ids, priorities = await self._classify_block(
             wire.packet_block(packets)
         )

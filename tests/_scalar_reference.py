@@ -19,6 +19,14 @@ functions, and one documented change: a cut's child is the one whose
 ``(value - lo) * num_cuts // span``, which sends a value that starts a
 child to the child before it whenever ``span % num_cuts != 0``).
 
+:func:`searchsorted_block_with_floors` is the hash family's columnar kernel
+as it was while it found each ``(row, table)`` bucket with one
+``np.searchsorted`` over the sorted bucket hashes, with the key hash
+(:func:`_hash`) it called then, which left its input intact; both are
+unedited apart from the method becoming a free function that takes the
+classifier.  The direct-addressed probe that replaced it must give the same
+answers and counters, and run faster.
+
 It also holds the engine's update-overlay pass as it was before the
 overlay became a linear-search remainder (:func:`adjust_block`, its two
 broadcasting containment scans unedited apart from the method becoming a free
@@ -41,8 +49,8 @@ from repro.classifiers.base import (
 )
 from repro.classifiers.dtree import DecisionTree, ForestClassifier, Space
 from repro.classifiers.linear import LinearSearchClassifier
-from repro.classifiers.tuplespace import TupleHashClassifier, mask_value
-from repro.rules.rule import Packet, Rule, RuleSet, result_keys
+from repro.classifiers.tuplespace import TupleHashClassifier, _mix, mask_value
+from repro.rules.rule import Packet, Rule, RuleSet, result_keys, split_keys
 
 
 def linear_walk(
@@ -289,6 +297,68 @@ def classify_block_with_floors(
             for column, name in enumerate(TRACE_FIELDS):
                 traces[row, column] += getattr(result.trace, name)
     return rule_ids, priorities
+
+
+def _hash(masked: np.ndarray, multipliers: np.ndarray, salts: np.ndarray) -> np.ndarray:
+    """64-bit hash of masked keys laid out fields first: each field times its
+    table's random odd multiplier, summed, plus the table's salt, mixed."""
+    hashed = (masked.view(np.uint64) * multipliers).sum(axis=0, dtype=np.uint64)
+    hashed += salts
+    return _mix(hashed)
+
+
+def searchsorted_block_with_floors(
+    classifier: TupleHashClassifier,
+    block: np.ndarray,
+    floors: Optional[np.ndarray],
+    traces: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hash family's block lookup with its ``searchsorted`` probe."""
+    index = classifier._index
+    values = np.asarray(block).astype(np.int64, copy=False)
+    n, fields = values.shape
+    floor = (
+        np.full(n, NO_FLOOR, dtype=np.int64) if floors is None
+        else np.asarray(floors, dtype=np.int64)
+    )
+    # Every (table, row) key, hashed and looked up; equal hashes are then
+    # confirmed field by field, so the probe is exact.
+    masked = index.masks & values.T[:, None, :]  # (fields, tables, rows)
+    hashed = _hash(masked, index.multipliers, index.salts)
+    slots = np.searchsorted(index.hashes, hashed)
+    tables, rows = np.nonzero(index.hashes[slots] == hashed)
+    slots = slots[tables, rows]
+    exact = (index.owner[slots] == tables) & (
+        index.keys[:, slots] == masked[:, tables, rows]
+    ).all(axis=0)
+    tables, rows, slots = tables[exact], rows[exact], slots[exact]
+    # Each bucket hit's padded rule rows against its packet in one compare;
+    # the padding row matches everything, so argmax is the first match.
+    entries = index.rows[slots]
+    probe = values[rows, None, :]
+    first = (
+        (probe >= index.lo[entries]) & (probe <= index.hi[entries])
+    ).all(axis=2).argmax(axis=1)
+    first_key = np.full(hashed.shape, NO_FLOOR, dtype=np.int64)
+    first_key[tables, rows] = index.key[entries[np.arange(len(first)), first]]
+    # running[t] is each row's best key before table t; running[-1] is
+    # the answer.
+    running = np.minimum.accumulate(np.vstack((floor, first_key)), axis=0)
+    best = running[-1]
+    if traces is not None:
+        probed = index.best_key < running[:-1]
+        probes = probed.sum(axis=0)
+        scanned = np.zeros(hashed.shape, dtype=np.int64)
+        scanned[tables, rows] = (
+            (index.key[entries] < running[tables, rows][:, None])
+            & (np.arange(entries.shape[1]) <= first[:, None])
+        ).sum(axis=1)
+        rule_accesses = (scanned * probed).sum(axis=0)
+        traces[:n, 0] += probes
+        traces[:n, 1] += rule_accesses
+        traces[:n, 3] += rule_accesses * fields
+        traces[:n, 4] += probes
+    return split_keys(np.where(best < floor, best, NO_FLOOR))
 
 
 def adjust_block(

@@ -222,7 +222,8 @@ class TestConcurrentClients:
 
     def test_responses_bit_identical_to_direct_classify_batch(self, server_rules):
         """The served path returns exactly what engine.classify_batch returns
-        for the same packets (same rule identity per packet)."""
+        for the same packets (same rule identity per packet); an empty batch
+        is ``[]``, as it is in-process."""
 
         async def scenario():
             engine = ClassificationEngine.build(server_rules, classifier="tm")
@@ -239,6 +240,7 @@ class TestConcurrentClients:
                         *(client.classify(packet) for packet in packets)
                     )
                     one_frame = await client.classify_batch(packets)
+                    assert await client.classify_batch([]) == []
             expected = [result_key(result.rule) for result in direct]
             assert [response_key(r) for r in pipelined] == expected
             assert [response_key(r) for r in one_frame] == expected
@@ -554,7 +556,8 @@ class TestCoalescedBlocks:
             engine = _SlowBlockEngine(inner, delay_s=0.0, gate=gate)
             block = block_of(server_rules.sample_packets(16, seed=97))
             # (request_id, first row, rows) per connection.  The 0-row frame
-            # is refused by admission and must not disturb its neighbours.
+            # is answered ok with no rows, without admission or an engine
+            # block, and must not disturb its neighbours.
             plans = [
                 [(0, 0, 3), (1, 3, 0), (2, 3, 7), (3, 10, 1), (4, 11, 5)],
                 [(10, 1, 6), (11, 7, 2), (12, 0, 16), (13, 9, 4)],
@@ -594,17 +597,15 @@ class TestCoalescedBlocks:
                 for by_id, plan in zip(answers, plans):
                     assert sorted(by_id) == [request_id for request_id, _, _ in plan]
                     for request_id, _, rows in plan:
-                        if rows == 0:
-                            expected = (wire.STATUS_BAD_REQUEST, [])
-                        else:
-                            expected = (
-                                wire.STATUS_OK,
-                                block_keys(*inner.classify_block(frames[request_id])),
-                            )
+                        expected = (
+                            wire.STATUS_OK,
+                            block_keys(*inner.classify_block(frames[request_id])),
+                        )
                         assert by_id[request_id] == expected, request_id
                 stats = server.statistics()["server"]
                 assert stats["engine_blocks"] == 2
                 assert stats["binary_batches"] == admitted
+                assert stats["requests_served"] == len(frames)
                 assert server.budget.in_flight == 0
                 for peer in peers:
                     await peer.close()

@@ -5,14 +5,17 @@ the number of Python-to-C dispatches a lookup makes is gated like a metric.
 ``_helpers.dispatch_count`` counts them with ``sys.setprofile``.  The RQ-RMI
 query walks the stacked stages in a fixed sequence of array operations, so its
 count does not depend on the block size (or on the leaves a block reaches);
-the NuevoMatch block lookup stays within a committed budget, which a change
-may lower but not raise.  Rules are ClassBench acl1/8000 (seed 1) under the
-serving benchmark's NuevoMatch configuration; traffic is uniform (seed 2).
+neither does the hash-family kernel's, whose probe steps are fixed by its
+index.  The NuevoMatch block lookup and that kernel stay within committed
+budgets, which a change may lower but not raise.  Rules are ClassBench
+acl1/8000 (seed 1) under the serving benchmark's NuevoMatch configuration;
+traffic is uniform (seed 2).
 """
 
 import numpy as np
 import pytest
 
+from repro.classifiers.base import NO_FLOOR
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
 from repro.rules import generate_classbench
@@ -25,6 +28,11 @@ ROWS = (1, 128, 2048)
 #: Calls one ``NuevoMatch.classify_block`` (``nm/tm``) makes on acl1/8000 at
 #: any of :data:`ROWS`.
 CLASSIFY_BLOCK_BUDGET = 170
+
+#: Calls the ``nm/tm`` remainder's ``classify_block_with_floors`` (the
+#: hash-family kernel, no trace counters) makes at any of :data:`ROWS`,
+#: floored or not: what the kernel made with its ``searchsorted`` probe.
+HASH_KERNEL_BUDGET = 53
 
 
 @pytest.fixture(scope="module")
@@ -57,3 +65,21 @@ def test_nuevomatch_block_lookup_stays_within_its_budget(acl8000):
     nm, packets = acl8000
     counts = {rows: dispatch_count(nm.classify_block, packets[:rows]) for rows in ROWS}
     assert max(counts.values()) <= CLASSIFY_BLOCK_BUDGET, counts
+
+
+def test_hash_kernel_makes_the_same_calls_at_every_block_size(acl8000):
+    nm, packets = acl8000
+    for floored in (False, True):
+        counts = {}
+        for rows in ROWS:
+            block = packets[:rows].astype(np.int64)
+            floors = np.full(rows, NO_FLOOR, dtype=np.int64)
+            for iset in nm.isets:
+                iset.lookup_block(block, floors)
+            counts[rows] = dispatch_count(
+                nm.remainder.classify_block_with_floors,
+                block,
+                floors if floored else None,
+            )
+        assert len(set(counts.values())) == 1, (floored, counts)
+        assert max(counts.values()) <= HASH_KERNEL_BUDGET, (floored, counts)

@@ -1,5 +1,5 @@
 """Performance smoke tests: flow-cached replay, the hash-family and forest
-kernels and wire frame batching.
+kernels, the hash family's direct-addressed probe and wire frame batching.
 
 Marked ``perf`` and deselected from the default (tier-1) run via
 ``addopts = -m "not perf"`` in ``pyproject.toml``; the dedicated CI perf job
@@ -94,42 +94,77 @@ async def _windowed_pps(engine, block, rows: int, window: int = 8) -> float:
             return len(block) / (time.perf_counter() - start)
 
 
-def _best_ns(lookup, blocks, floors, repeats: int = 3) -> int:
-    """Best-of-``repeats`` ns for one pass of ``lookup`` over the blocks."""
+def _best_ns(lookup, blocks, floors, repeats: int = 3, traced: bool = True) -> int:
+    """Best-of-``repeats`` ns for one pass of ``lookup`` over the blocks
+    (with trace counters unless ``traced`` is false)."""
     best = None
     for _ in range(repeats):
         start = time.perf_counter_ns()
         for block, row_floors in zip(blocks, floors):
-            lookup(block, row_floors, traces=np.zeros((len(block), 5), dtype=np.int64))
+            traces = np.zeros((len(block), 5), dtype=np.int64) if traced else None
+            lookup(block, row_floors, traces=traces)
         elapsed = time.perf_counter_ns() - start
         best = elapsed if best is None else min(best, elapsed)
     return best
 
 
-def test_hash_family_kernel_beats_the_scalar_loop():
-    """The server's engine (acl1/8000, ``nm/tm``, ``_nm_config(64)``): its
-    ``tm`` remainder's columnar ``classify_block_with_floors`` must run at
-    least 3x the frozen per-row loop over the scalar hash walk
-    (``_scalar_reference``) at 128 rows and 1.2x at 16, both given the
-    engine's own iSet floors."""
+def _serving_remainder(packets: int):
+    """The server's engine (acl1/8000, ``nm/tm``, ``_nm_config(64)``) and
+    ``packets`` uniform rows (seed 2)."""
     rules = generate_classbench("acl1", 8000, seed=1)
     nm = NuevoMatch.build(rules, remainder_classifier="tm", config=_nm_config(64))
+    values = block_of(generate_uniform_trace(rules, packets, seed=2).packets)
+    return nm, values.astype(np.int64)
+
+
+def _blocks_and_floors(nm, values, rows: int, count: int):
+    """``count`` ``rows``-row blocks and the engine's own iSet floors."""
+    blocks = [values[start : start + rows] for start in range(0, count * rows, rows)]
+    floors = []
+    for block in blocks:
+        best = np.full(rows, NO_FLOOR, dtype=np.int64)
+        for iset in nm.isets:
+            iset.lookup_block(block, best)
+        floors.append(best)
+    return blocks, floors
+
+
+def test_hash_family_kernel_beats_the_scalar_loop():
+    """The server's engine: its ``tm`` remainder's columnar
+    ``classify_block_with_floors`` must run at least 3x the frozen per-row
+    loop over the scalar hash walk (``_scalar_reference``) at 128 rows and
+    1.2x at 16, both given the engine's own iSet floors."""
+    nm, values = _serving_remainder(2048)
     remainder = nm.remainder
-    values = block_of(generate_uniform_trace(rules, 2048, seed=2).packets).astype(np.int64)
     for rows, speedup in ((128, 3.0), (16, 1.2)):
-        blocks = [values[start : start + rows] for start in range(0, 16 * rows, rows)]
-        floors = []
-        for block in blocks:
-            best = np.full(rows, NO_FLOOR, dtype=np.int64)
-            for iset in nm.isets:
-                iset.lookup_block(block, best)
-            floors.append(best)
+        blocks, floors = _blocks_and_floors(nm, values, rows, 16)
         kernel = _best_ns(remainder.classify_block_with_floors, blocks, floors)
         loop = _best_ns(
             partial(reference.classify_block_with_floors, remainder), blocks, floors
         )
         assert loop >= speedup * kernel, (
             f"{rows} rows: kernel {kernel / 1e3:.0f} us vs loop {loop / 1e3:.0f} us"
+        )
+
+
+def test_direct_probe_beats_the_searchsorted_kernel():
+    """The same remainder under the same floors, without trace counters (as
+    the engine serves): the direct-addressed probe must run at least 1.2x
+    the frozen ``searchsorted`` kernel (``_scalar_reference``) at 128 rows
+    and 1.3x at 1024, best of 7 passes over 8 blocks."""
+    nm, values = _serving_remainder(8192)
+    remainder = nm.remainder
+    for rows, speedup in ((128, 1.2), (1024, 1.3)):
+        blocks, floors = _blocks_and_floors(nm, values, rows, 8)
+        probe = _best_ns(
+            remainder.classify_block_with_floors, blocks, floors, 7, traced=False
+        )
+        frozen = _best_ns(
+            partial(reference.searchsorted_block_with_floors, remainder),
+            blocks, floors, 7, traced=False,
+        )
+        assert frozen >= speedup * probe, (
+            f"{rows} rows: probe {probe / 1e3:.0f} us vs searchsorted {frozen / 1e3:.0f} us"
         )
 
 
