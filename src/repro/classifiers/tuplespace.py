@@ -207,7 +207,7 @@ class _ProbeIndex:
         self.shift = np.uint64(64 - bits)
         prefixes = np.arange(2**bits, dtype=np.uint64) << self.shift
         self.start = np.searchsorted(self.hashes, prefixes)
-        self.depth = int(np.bincount(self.hashes >> self.shift).max())
+        self.depth = int(np.bincount((self.hashes >> self.shift).view(np.int64)).max())
         self.owner = np.append(owners[order], -1)
         self.keys = np.hstack((keys[:, order], np.zeros((fields, 1), dtype=np.int64)))
         self.lo = np.vstack((ruleset.lo, np.zeros((1, fields), dtype=np.int64)))

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from repro.classifiers.base import TRACE_FIELDS, Classifier
+from repro.classifiers.base import NO_FLOOR, TRACE_FIELDS, Classifier
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
 from repro.rules import generate_classbench
@@ -115,6 +115,14 @@ def tied_ruleset() -> RuleSet:
 def block_of(packets) -> np.ndarray:
     """``packets`` as the ``(n, fields)`` uint64 block ``classify_block`` takes."""
     return np.array([tuple(packet) for packet in packets], dtype=np.uint64)
+
+
+def iset_floors(nm: NuevoMatch, block: np.ndarray) -> np.ndarray:
+    """The floors NuevoMatch hands its remainder: the iSets' best keys."""
+    best = np.full(len(block), NO_FLOOR, dtype=np.int64)
+    for iset in nm.isets:
+        iset.lookup_block(block, best)
+    return best
 
 
 def block_keys(rule_ids, priorities) -> list:

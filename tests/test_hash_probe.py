@@ -25,7 +25,7 @@ from repro.rules.rule import Rule, RuleSet
 from repro.traffic import generate_uniform_trace
 
 import _scalar_reference as reference
-from _helpers import block_of, fast_nm_config
+from _helpers import block_of, fast_nm_config, iset_floors
 
 ROWS = (1, 128, 2048)
 APPLICATIONS = ("acl1", "fw1", "ipc1")
@@ -46,14 +46,6 @@ def assert_same_as_searchsorted(classifier, block, floors) -> None:
         np.testing.assert_array_equal(got[column], want[column])
         np.testing.assert_array_equal(untraced[column], want[column])
     np.testing.assert_array_equal(traces, frozen)
-
-
-def iset_floors(nm: NuevoMatch, block: np.ndarray) -> np.ndarray:
-    """The floors NuevoMatch hands its remainder: the iSets' best keys."""
-    best = np.full(len(block), NO_FLOOR, dtype=np.int64)
-    for iset in nm.isets:
-        iset.lookup_block(block, best)
-    return best
 
 
 @pytest.fixture(scope="module", params=APPLICATIONS)

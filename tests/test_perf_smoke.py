@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.classifiers import build_classifier
-from repro.classifiers.base import NO_FLOOR
 from repro.cli import _nm_config
 from repro.core.nuevomatch import NuevoMatch
 from repro.engine import ClassificationEngine
@@ -30,7 +29,7 @@ from repro.traffic import generate_uniform_trace
 from repro.workloads import run_scenario
 
 import _scalar_reference as reference
-from _helpers import block_of, fast_nm_config
+from _helpers import block_of, fast_nm_config, iset_floors
 
 pytestmark = pytest.mark.perf
 
@@ -120,13 +119,7 @@ def _serving_remainder(packets: int):
 def _blocks_and_floors(nm, values, rows: int, count: int):
     """``count`` ``rows``-row blocks and the engine's own iSet floors."""
     blocks = [values[start : start + rows] for start in range(0, count * rows, rows)]
-    floors = []
-    for block in blocks:
-        best = np.full(rows, NO_FLOOR, dtype=np.int64)
-        for iset in nm.isets:
-            iset.lookup_block(block, best)
-        floors.append(best)
-    return blocks, floors
+    return blocks, [iset_floors(nm, block) for block in blocks]
 
 
 def test_hash_family_kernel_beats_the_scalar_loop():
