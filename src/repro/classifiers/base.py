@@ -35,6 +35,7 @@ __all__ = [
     "check_results",
     "check_state_header",
     "materialize",
+    "scan_candidates",
     "trace_from_row",
 ]
 
@@ -195,6 +196,37 @@ def check_results(
                 f"expected rule {expected_id}, got {actual_id}"
             )
     return len(packets)
+
+
+def scan_candidates(
+    values: np.ndarray, rows: np.ndarray, first: np.ndarray, count: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray, key: np.ndarray, bound: np.ndarray,
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """The one candidate scan: a hash bucket's or forest leaf's first match.
+
+    Pair ``i`` is row ``rows[i]`` and the ``count[i]`` key-sorted slots from
+    ``first[i]`` of ``lo``/``hi``/``key``.  Returns each pair's first match's
+    key below ``bound[i]`` (:data:`NO_FLOOR` if none) and ``scanned(limit)``,
+    the entries a per-packet walk bounded by ``limit <= bound`` touches.  No
+    list may be empty (the hash kernel's exact confirm drops its slotless
+    guard bucket; an empty leaf's best key ``NO_FLOOR`` is never live), so
+    every ``reduceat`` offset is in range; zero pairs give empty arrays.
+    """
+    starts = count.cumsum() - count
+    pair = np.arange(count.size).repeat(count)
+    slot = np.arange(pair.size) + (first - starts)[pair]
+    entry_key = key[slot]
+    packets = values[rows[pair]]
+    hit = (entry_key < bound[pair]) & np.logical_and.reduce(
+        (packets >= lo[slot]) & (packets <= hi[slot]), axis=1
+    )
+    # Lists are key-sorted, so the smallest matching key is the first match.
+    hit_key = np.minimum.reduceat(np.where(hit, entry_key, NO_FLOOR), starts)
+
+    def scanned(limit: np.ndarray) -> np.ndarray:
+        return np.add.reduceat((entry_key < limit[pair]) & (entry_key <= hit_key[pair]), starts)
+
+    return hit_key, scanned
 
 
 class Classifier(ABC):

@@ -22,10 +22,11 @@ replication, are reductions over those arrays.
 concatenates its trees into one node array and answers a block with one
 level-synchronous walk: tree by tree, smallest root key first, every row
 still below the tree's root key steps down one level per iteration until it
-leaves at a node that cannot beat its best key or scans its leaf.  A
-baseline is how it groups the rules into trees and the per-node policy it
-builds each tree with.  A built forest is immutable; online updates are the
-engine's overlay (:class:`repro.engine.ClassificationEngine`).
+leaves at a node that cannot beat its best key or scans its leaf (with
+:func:`~repro.classifiers.base.scan_candidates`, the hash family's bucket
+scan too).  A baseline is how it groups the rules into trees and the
+per-node policy it builds each tree with.  A built forest is immutable;
+online updates are the engine's overlay (:class:`repro.engine.ClassificationEngine`).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.classifiers.base import (
     NODE_HEADER_BYTES,
     POINTER_BYTES,
     RULE_ENTRY_BYTES,
+    scan_candidates,
 )
 from repro.rules.rule import NO_FLOOR, Rule, RuleSet, split_keys
 
@@ -383,41 +385,19 @@ class ForestClassifier(Classifier):
                 nodes = first + reached.sum(axis=1)
             # The tree's floor does not move until it is done: scan its
             # reached leaves once.
-            self._scan_leaves(
-                values, np.concatenate(at_leaf), np.concatenate(leaves), best, scanned
+            rows, leaves = np.concatenate(at_leaf), np.concatenate(leaves)
+            bound = best[rows]
+            hit_key, scanned_below = scan_candidates(
+                values, rows, forest.first[leaves], forest.count[leaves],
+                self._slot_lo, self._slot_hi, self._slot_key, bound,
             )
+            best[rows] = np.minimum(bound, hit_key)
+            scanned[rows] += scanned_below(bound)
         if traces is not None:
             traces[:n, 0] += visited
             traces[:n, 1] += scanned
             traces[:n, 3] += scanned * fields
         return split_keys(np.where(best < floor, best, NO_FLOOR))
-
-    def _scan_leaves(
-        self,
-        values: np.ndarray,
-        rows: np.ndarray,
-        leaves: np.ndarray,
-        best: np.ndarray,
-        scanned: np.ndarray,
-    ) -> None:
-        """Scan each row's leaf in one compare over every (row, slot) pair:
-        a row's first match with a key below ``best`` becomes its best key,
-        and ``scanned`` counts the rules it touched — up to that match, or
-        every rule below ``best`` on a miss (leaf slots are key-sorted)."""
-        forest = self._forest
-        sizes = forest.count[leaves]
-        starts = np.cumsum(sizes) - sizes
-        pair = np.repeat(np.arange(rows.size), sizes)
-        slot = np.arange(pair.size) - starts[pair] + forest.first[leaves][pair]
-        below = self._slot_key[slot] < best[rows][pair]
-        packets = values[rows][pair]
-        hit = below & (
-            (packets >= self._slot_lo[slot]) & (packets <= self._slot_hi[slot])
-        ).all(axis=1)
-        first_hit = np.minimum.reduceat(np.where(hit, np.arange(pair.size), pair.size), starts)
-        found = first_hit < pair.size
-        scanned[rows] += np.where(found, first_hit - starts + 1, np.add.reduceat(below, starts))
-        best[rows[found]] = self._slot_key[slot[first_hit[found]]]
 
     # -- introspection -----------------------------------------------------------------
 

@@ -26,17 +26,18 @@ updates are the engine's overlay (:class:`repro.engine.ClassificationEngine`).
 The lookup is one kernel over every table at once, built on a flat probe
 index made once after placement (:class:`_ProbeIndex`): the buckets of all
 tables sorted by a 64-bit hash of ``(table, masked key)``, each with its
-stored masked key and its rule rows padded to the widest bucket, plus a
-prefix table that maps a hash's top bits to the first bucket that could hold
-it.  A block is masked to every table's lengths and hashed; each hash's
-prefix entry, then a fixed ``depth - 1`` steps over the buckets that share
-its prefix, find its bucket without a search.  Comparing the stored key makes
-the probe exact, and one padded range compare
-gives each bucket's first match ``fm[row, table]``.  §4's early termination —
-probe the tables best key first, stop at the first table that cannot beat
-the row's best key so far, and stop inside a bucket at the first match or
-the first rule that cannot win — then becomes counters: the running best key
-before table *t* is the cumulative minimum of the row's floor and
+stored masked key and an offset list into one flat array of its key-sorted
+rules, plus a prefix table that maps a hash's top bits to the first bucket
+that could hold it.  A block is masked to every table's lengths and hashed;
+each hash's prefix entry, then a fixed ``depth - 1`` steps over the buckets
+that share its prefix, find its bucket without a search.  Comparing the
+stored key makes the probe exact, and the candidate scan the forest's
+leaves share (:func:`~repro.classifiers.base.scan_candidates`) gives each
+bucket's first match below the row's floor, ``fm[row, table]``.  §4's early
+termination — probe the tables best key first, stop at the first table that
+cannot beat the row's best key so far, and stop inside a bucket at the first
+match or the first rule that cannot win — then becomes counters: the running
+best key before table *t* is the cumulative minimum of the row's floor and
 ``fm[row, :t]``, and because tables are sorted by best key and that running
 minimum only falls, "table *t* is probed" is exactly ``best_key[t] <
 running[t]``.  Within a probed bucket the lookup touches the rules below the
@@ -60,6 +61,7 @@ from repro.classifiers.base import (
     MemoryFootprint,
     NO_FLOOR,
     RULE_ENTRY_BYTES,
+    scan_candidates,
 )
 from repro.classifiers.registry import register
 from repro.rules.fields import prefix_length_of_range
@@ -113,7 +115,7 @@ def _hash(masked: np.ndarray, multipliers: np.ndarray, salts: np.ndarray) -> np.
     kernel's largest array, and a second one costs more than the multiply."""
     products = masked.view(np.uint64)
     products *= multipliers
-    hashed = products.sum(axis=0, dtype=np.uint64)
+    hashed = np.add.reduce(products, axis=0, dtype=np.uint64)
     hashed += salts
     return _mix(hashed)
 
@@ -148,13 +150,6 @@ class _HashTable:
         bucket.sort(key=lambda r: r.key)
         self.best_key = min(self.best_key, rule.key)
 
-    @property
-    def num_rules(self) -> int:
-        return sum(len(bucket) for bucket in self.buckets.values())
-
-    def max_bucket_size(self) -> int:
-        return max((len(bucket) for bucket in self.buckets.values()), default=0)
-
 
 class _ProbeIndex:
     """Every table's buckets as one flat, sorted probe index (built once).
@@ -163,13 +158,13 @@ class _ProbeIndex:
     ``masks`` ``(fields, tables, 1)``, the hash's ``multipliers`` and
     ``salts`` and ``best_key`` ``(tables, 1)``.  Per bucket, sorted by
     ``hashes``: the ``owner`` table, the stored masked ``keys``
-    ``(fields, buckets)`` and the key-sorted rule ``rows``, padded to the
-    widest bucket plus one.  Rows index ``lo``/``hi``/``key``: the rule-set's
-    columns plus one padding row that matches every packet with key
-    ``NO_FLOOR``, so it is never counted and never wins.  A last guard bucket
-    (maximal hash, owner ``-1``) keeps every probe slot in range.
-    ``start[hash >> shift]`` is the first bucket at or above a hash's prefix
-    (8-16 prefixes per bucket); its bucket, if any, is ``< depth`` past it.
+    ``(fields, buckets)`` and its ``first`` slot and ``count`` (never 0) in
+    ``lo``/``hi``/``key``, the rule-set's columns gathered bucket by bucket,
+    key-sorted within each.  A last guard bucket (maximal hash, owner ``-1``,
+    no slots, at ``last``) keeps every probe slot in range until the exact
+    confirm drops it.  ``start[hash >> shift]`` is the first bucket at or
+    above a hash's prefix (8-16 prefixes per bucket); its bucket, if any, is
+    ``< depth`` past it.
     """
 
     def __init__(self, tables: Sequence[_HashTable], ruleset: RuleSet):
@@ -195,24 +190,20 @@ class _ProbeIndex:
         hashes = hashes[order]
         if (hashes[1:] == hashes[:-1]).any():
             raise ValueError(f"{ruleset.name}: two buckets share a probe hash")
-        self.rows = np.full(
-            (len(buckets) + 1, max(map(len, buckets), default=0) + 1),
-            len(ruleset),
-            dtype=np.int64,
-        )
-        for slot, bucket in zip(np.argsort(order), buckets):
-            self.rows[slot, : len(bucket)] = bucket
+        buckets = [buckets[slot] for slot in order.tolist()]
+        self.count = np.array([len(bucket) for bucket in buckets], dtype=np.int64)
+        self.first = self.count.cumsum() - self.count
+        entries = np.array([row for bucket in buckets for row in bucket], dtype=np.int64)
+        self.lo, self.hi, self.key = ruleset.lo[entries], ruleset.hi[entries], ruleset.key[entries]
         self.hashes = np.append(hashes, np.uint64(np.iinfo(np.uint64).max))
         bits = (8 * len(self.hashes)).bit_length()
         self.shift = np.uint64(64 - bits)
         prefixes = np.arange(2**bits, dtype=np.uint64) << self.shift
         self.start = np.searchsorted(self.hashes, prefixes)
+        self.last = len(self.hashes) - 1
         self.depth = int(np.bincount((self.hashes >> self.shift).view(np.int64)).max())
         self.owner = np.append(owners[order], -1)
         self.keys = np.hstack((keys[:, order], np.zeros((fields, 1), dtype=np.int64)))
-        self.lo = np.vstack((ruleset.lo, np.zeros((1, fields), dtype=np.int64)))
-        self.hi = np.vstack((ruleset.hi, np.full((1, fields), NO_FLOOR, dtype=np.int64)))
-        self.key = np.append(ruleset.key, NO_FLOOR)
 
 
 class TupleHashClassifier(Classifier):
@@ -257,13 +248,13 @@ class TupleHashClassifier(Classifier):
         <repro.classifiers.base.Classifier.classify_block_with_floors>`); a
         row only reports a match whose key is below its floor.
 
-        One probe of the flat index for every ``(row, table)`` pair, then §4's
-        early breaks replayed as counters (module docstring), with a fixed
-        number of array operations per block: the probe's ``depth - 1``
-        steps depend on the index, never on the rows.
+        One probe of the flat index for every ``(row, table)`` pair, one scan
+        of the buckets hit, then §4's early breaks replayed as counters
+        (module docstring), in a fixed number of array operations per block
+        (the probe's ``depth - 1`` steps depend on the index, not the rows).
         """
         index = self._index
-        values = np.asarray(block).astype(np.int64, copy=False)
+        values = np.asarray(block, dtype=np.int64)
         n, fields = values.shape
         floor = (
             np.full(n, NO_FLOOR, dtype=np.int64) if floors is None
@@ -274,36 +265,31 @@ class TupleHashClassifier(Classifier):
         columns = np.ascontiguousarray(values.T)
         hashed = _hash(index.masks & columns[:, None, :], index.multipliers, index.salts)
         home = slots = index.start[(hashed >> index.shift).view(np.int64)]
-        last = len(index.hashes) - 1
         for step in range(1, index.depth):
-            later = np.minimum(home + step, last)
+            later = np.minimum(home + step, index.last)
             slots = np.where(index.hashes[later] == hashed, later, slots)
-        tables, rows = np.nonzero(index.hashes[slots] == hashed)
+        tables, rows = (index.hashes[slots] == hashed).nonzero()
         slots = slots[tables, rows]
-        exact = (index.owner[slots] == tables) & (
-            index.keys[:, slots] == (index.masks[:, tables, 0] & columns[:, rows])
-        ).all(axis=0)
+        exact = (index.owner[slots] == tables) & np.logical_and.reduce(
+            index.keys[:, slots] == (index.masks[:, tables, 0] & columns[:, rows]), axis=0
+        )
         tables, rows, slots = tables[exact], rows[exact], slots[exact]
-        # Each bucket hit's padded rule rows against its packet in one compare;
-        # the padding row matches everything, so argmax is the first match.
-        entries = index.rows[slots]
-        probe = values[rows, None, :]
-        first = (
-            (probe >= index.lo[entries]) & (probe <= index.hi[entries])
-        ).all(axis=2).argmax(axis=1)
-        first_key = np.full(hashed.shape, NO_FLOOR, dtype=np.int64)
-        first_key[tables, rows] = index.key[entries[np.arange(len(first)), first]]
-        best = first_key.min(axis=0, initial=NO_FLOOR)
+        # Each hit bucket's first match below the row's floor; the best wins.
+        hit_key, scanned_below = scan_candidates(
+            values, rows, index.first[slots], index.count[slots],
+            index.lo, index.hi, index.key, floor[rows],
+        )
+        best = floor.copy()
+        np.minimum.at(best, rows, hit_key)
         if traces is not None:
             # running[t] is each row's best key before table t.
+            first_key = np.full(hashed.shape, NO_FLOOR, dtype=np.int64)
+            first_key[tables, rows] = hit_key
             running = np.minimum.accumulate(np.vstack((floor, first_key)), axis=0)
             probed = index.best_key < running[:-1]
             probes = probed.sum(axis=0)
             scanned = np.zeros(hashed.shape, dtype=np.int64)
-            scanned[tables, rows] = (
-                (index.key[entries] < running[tables, rows][:, None])
-                & (np.arange(entries.shape[1]) <= first[:, None])
-            ).sum(axis=1)
+            scanned[tables, rows] = scanned_below(running[tables, rows])
             rule_accesses = (scanned * probed).sum(axis=0)
             traces[:n, 0] += probes
             traces[:n, 1] += rule_accesses
@@ -314,7 +300,7 @@ class TupleHashClassifier(Classifier):
     # -- introspection -------------------------------------------------------------
 
     def memory_footprint(self) -> MemoryFootprint:
-        entries = sum(table.num_rules for table in self._tables)
+        entries = len(self._index.key)
         buckets = sum(len(table.buckets) for table in self._tables)
         breakdown = {
             "tables": len(self._tables) * HASH_TABLE_OVERHEAD,
@@ -331,7 +317,7 @@ class TupleHashClassifier(Classifier):
         stats = super().statistics()
         stats.update(
             num_tables=len(self._tables),
-            max_bucket=max((t.max_bucket_size() for t in self._tables), default=0),
+            max_bucket=int(self._index.count.max(initial=0)),
             probe_table_entries=len(self._index.start),
             probe_depth=self._index.depth,
         )

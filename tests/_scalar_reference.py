@@ -21,11 +21,13 @@ child to the child before it whenever ``span % num_cuts != 0``).
 
 :func:`searchsorted_block_with_floors` is the hash family's columnar kernel
 as it was while it found each ``(row, table)`` bucket with one
-``np.searchsorted`` over the sorted bucket hashes, with the key hash
-(:func:`_hash`) it called then, which left its input intact; both are
-unedited apart from the method becoming a free function that takes the
-classifier.  The direct-addressed probe that replaced it must give the same
-answers and counters, and run faster.
+``np.searchsorted`` over the sorted bucket hashes and compared each bucket's
+rule rows padded to the widest bucket, with the key hash (:func:`_hash`) it
+called then, which left its input intact; both are unedited apart from the
+method becoming a free function that takes the classifier and reading the
+padded rows, which the index no longer holds, from :func:`padded_buckets`.
+The direct-addressed probe and the offset-list bucket scan that replaced
+them must give the same answers and counters, and run faster.
 
 It also holds the engine's update-overlay pass as it was before the
 overlay became a linear-search remainder (:func:`adjust_block`, its two
@@ -307,14 +309,53 @@ def _hash(masked: np.ndarray, multipliers: np.ndarray, salts: np.ndarray) -> np.
     return _mix(hashed)
 
 
+_PADDED: "weakref.WeakKeyDictionary[TupleHashClassifier, tuple]" = weakref.WeakKeyDictionary()
+
+
+def padded_buckets(classifier: TupleHashClassifier) -> tuple[np.ndarray, ...]:
+    """``(rows, lo, hi, key)`` as the frozen kernel read them from its index:
+    each bucket's key-sorted rule rows, in the index's bucket order, padded to
+    the widest bucket plus one, and the rule-set's columns plus a padding
+    row that matches every packet with key ``NO_FLOOR``.  Built from the
+    classifier's tables and its index's ``owner``/``keys`` (not from the
+    bucket layout the lookup scans), once per classifier object."""
+    padded = _PADDED.get(classifier)
+    if padded is None:
+        index, ruleset = classifier._index, classifier.ruleset
+        slot_of = {
+            (owner, tuple(key)): slot
+            for slot, (owner, key) in enumerate(zip(index.owner.tolist(), index.keys.T.tolist()))
+        }
+        buckets = [
+            (slot_of[number, key], [ruleset.row_of[rule.rule_id] for rule in bucket])
+            for number, table in enumerate(classifier._tables)
+            for key, bucket in table.buckets.items()
+            if bucket
+        ]
+        width = max((len(bucket) for _, bucket in buckets), default=0) + 1
+        rows = np.full((len(index.hashes), width), len(ruleset), dtype=np.int64)
+        for slot, bucket in buckets:
+            rows[slot, : len(bucket)] = bucket
+        fields = ruleset.num_fields
+        padded = _PADDED[classifier] = (
+            rows,
+            np.vstack((ruleset.lo, np.zeros((1, fields), dtype=np.int64))),
+            np.vstack((ruleset.hi, np.full((1, fields), NO_FLOOR, dtype=np.int64))),
+            np.append(ruleset.key, NO_FLOOR),
+        )
+    return padded
+
+
 def searchsorted_block_with_floors(
     classifier: TupleHashClassifier,
     block: np.ndarray,
     floors: Optional[np.ndarray],
     traces: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The hash family's block lookup with its ``searchsorted`` probe."""
+    """The hash family's block lookup with its ``searchsorted`` probe and its
+    padded bucket compare (over :func:`padded_buckets`)."""
     index = classifier._index
+    padded_rows, padded_lo, padded_hi, padded_key = padded_buckets(classifier)
     values = np.asarray(block).astype(np.int64, copy=False)
     n, fields = values.shape
     floor = (
@@ -334,13 +375,13 @@ def searchsorted_block_with_floors(
     tables, rows, slots = tables[exact], rows[exact], slots[exact]
     # Each bucket hit's padded rule rows against its packet in one compare;
     # the padding row matches everything, so argmax is the first match.
-    entries = index.rows[slots]
+    entries = padded_rows[slots]
     probe = values[rows, None, :]
     first = (
-        (probe >= index.lo[entries]) & (probe <= index.hi[entries])
+        (probe >= padded_lo[entries]) & (probe <= padded_hi[entries])
     ).all(axis=2).argmax(axis=1)
     first_key = np.full(hashed.shape, NO_FLOOR, dtype=np.int64)
-    first_key[tables, rows] = index.key[entries[np.arange(len(first)), first]]
+    first_key[tables, rows] = padded_key[entries[np.arange(len(first)), first]]
     # running[t] is each row's best key before table t; running[-1] is
     # the answer.
     running = np.minimum.accumulate(np.vstack((floor, first_key)), axis=0)
@@ -350,7 +391,7 @@ def searchsorted_block_with_floors(
         probes = probed.sum(axis=0)
         scanned = np.zeros(hashed.shape, dtype=np.int64)
         scanned[tables, rows] = (
-            (index.key[entries] < running[tables, rows][:, None])
+            (padded_key[entries] < running[tables, rows][:, None])
             & (np.arange(entries.shape[1]) <= first[:, None])
         ).sum(axis=1)
         rule_accesses = (scanned * probed).sum(axis=0)

@@ -1,5 +1,6 @@
 """Performance smoke tests: flow-cached replay, the hash-family and forest
-kernels, the hash family's direct-addressed probe and wire frame batching.
+kernels, the hash family's direct-addressed probe and offset-list bucket
+scan, and wire frame batching.
 
 Marked ``perf`` and deselected from the default (tier-1) run via
 ``addopts = -m "not perf"`` in ``pyproject.toml``; the dedicated CI perf job
@@ -158,6 +159,29 @@ def test_direct_probe_beats_the_searchsorted_kernel():
         )
         assert frozen >= speedup * probe, (
             f"{rows} rows: probe {probe / 1e3:.0f} us vs searchsorted {frozen / 1e3:.0f} us"
+        )
+
+
+def test_offset_list_scan_beats_the_padded_compare_on_wide_buckets():
+    """``tm`` alone on fw1/8000 (seed 1), whose buckets run far past the
+    collision limit, uniform blocks (seed 2), no floors or trace counters:
+    scanning each bucket's real entries must run at least 1.3x the frozen
+    kernel's compare padded to the widest bucket (``_scalar_reference``) at
+    128 and at 1024 rows, best of 7 passes over 8 blocks."""
+    rules = generate_classbench("fw1", 8000, seed=1)
+    tm = build_classifier("tm", rules)
+    reference.padded_buckets(tm)  # build the padded rows outside the timing
+    values = block_of(generate_uniform_trace(rules, 8192, seed=2).packets).astype(np.int64)
+    for rows in (128, 1024):
+        blocks = [values[start : start + rows] for start in range(0, 8 * rows, rows)]
+        floors = [None] * len(blocks)
+        scan = _best_ns(tm.classify_block_with_floors, blocks, floors, 7, traced=False)
+        padded = _best_ns(
+            partial(reference.searchsorted_block_with_floors, tm),
+            blocks, floors, 7, traced=False,
+        )
+        assert padded >= 1.3 * scan, (
+            f"{rows} rows: scan {scan / 1e3:.0f} us vs padded {padded / 1e3:.0f} us"
         )
 
 

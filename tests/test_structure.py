@@ -272,17 +272,31 @@ def _row_loops(function: ast.FunctionDef) -> list[str]:
 def test_no_classifier_loops_over_rows():
     """No classifier's lookup is a Python loop over a block's rows or a
     ``.tolist()`` — not in a ``classify*`` method, and not in a module
-    function or a method of the same class it calls, where a loop could
-    otherwise hide.  The linear scan may step through its rule array in
-    slices, and the forest through its trees and their levels.  The one
-    exception is ``materialize``, the object view ``classify_batch`` is: it
-    makes one result object per row by definition.  The guard itself flags a
-    per-row loop."""
+    function or a method of the same class it calls, or a module function of
+    ``classifiers/base.py`` it calls (the shared candidate scan lives there),
+    where a loop could otherwise hide.  The linear scan may step through its
+    rule array in slices, and the forest through its trees and their levels.
+    The one exception is ``materialize``, the object view ``classify_batch``
+    is: it makes one result object per row by definition.  The guard itself
+    flags a per-row loop."""
+
+    def module_functions(path: Path) -> dict[str, ast.FunctionDef]:
+        return {
+            node.name: node
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef)
+        }
+
+    shared = {
+        name: ("base.py", function)
+        for name, function in module_functions(SRC / "classifiers" / "base.py").items()
+    }
     looping, scanned = {}, set()
     for path in [*(SRC / "classifiers").glob("*.py"), SRC / "core" / "nuevomatch.py"]:
         module = ast.parse(path.read_text())
         functions = {
-            node.name: node for node in module.body if isinstance(node, ast.FunctionDef)
+            **shared,
+            **{name: (path.name, function) for name, function in module_functions(path).items()},
         }
         for node in module.body:
             if not isinstance(node, ast.ClassDef):
@@ -298,14 +312,18 @@ def test_no_classifier_loops_over_rows():
                 }
                 callees = [
                     *(functions[callee] for callee in called & set(functions)),
-                    *(methods[callee] for callee in called & set(methods) - {name}),
+                    *((path.name, methods[callee]) for callee in called & set(methods) - {name}),
                 ]
-                for function in [method, *callees]:
-                    scanned.add(f"{path.name}:{function.name}")
+                for where, function in [(path.name, method), *callees]:
+                    scanned.add(f"{where}:{function.name}")
                     if _row_loops(function):
-                        looping[f"{path.name}:{function.name}"] = _row_loops(function)
+                        looping[f"{where}:{function.name}"] = _row_loops(function)
     assert set(looping) == {"base.py:materialize"}
-    assert {"dtree.py:classify_block_with_floors", "dtree.py:_scan_leaves"} <= scanned
+    assert {
+        "dtree.py:classify_block_with_floors",
+        "tuplespace.py:classify_block_with_floors",
+        "base.py:scan_candidates",
+    } <= scanned
     loop = ast.parse(
         "def classify_block_with_floors(self, block, floors, traces=None):\n"
         "    n = len(block)\n"
