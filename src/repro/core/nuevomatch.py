@@ -37,6 +37,7 @@ from repro.classifiers.base import (
     check_state_header,
 )
 from repro.classifiers.registry import register, resolve_classifier
+from repro.core import native
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.isets import ISet, PartitionResult, partition_isets
 from repro.core.pipeline import train_rqrmi
@@ -58,6 +59,7 @@ class ISetIndex:
         self.dim = iset.dim
         self.rules = iset.rules  # a RuleSet already sorted by range lower bound
         self.model = model
+        self._kernel: native.IsetKernel | None = None  # bound on first use
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -77,10 +79,20 @@ class ISetIndex:
         RQ-RMI inference (the paper's Table-1 vectorization), the bounded
         search and multi-field validation of the candidate rule run across all
         rows at once; a validated candidate with a smaller key replaces the
-        row's ``best_keys`` entry, and ``traces`` rows — ``(n, 5)`` int64,
-        :data:`~repro.classifiers.base.TRACE_FIELDS` order — accumulate the
-        per-packet counters.
+        row's ``best_keys`` entry (an int64 array), and ``traces`` rows —
+        ``(n, 5)`` int64, :data:`~repro.classifiers.base.TRACE_FIELDS` order —
+        accumulate the per-packet counters.
+
+        Without ``traces`` the compiled kernel (:mod:`repro.core.native`)
+        does all of it in one call, its search confined to the error window;
+        the array body below is its reference, and the fallback where no
+        kernel can be built.
         """
+        if traces is None:
+            kernel = self.kernel()
+            if kernel is not None:
+                kernel.lookup(np.ascontiguousarray(values, dtype=np.int64), best_keys)
+                return
         keys = values[:, self.dim]
         indices, _predicted, bounds = self.model.query_batch_detailed(keys)
         if traces is not None:
@@ -114,6 +126,16 @@ class ISetIndex:
         best_keys[matched_rows] = np.minimum(
             best_keys[matched_rows], rules.key[candidates[matched]]
         )
+
+    def kernel(self) -> native.IsetKernel | None:
+        """This iSet's compiled lookup, bound on first use; ``None`` on the
+        numpy path."""
+        lib = native.library()
+        if lib is None:
+            return None
+        if self._kernel is None:
+            self._kernel = native.IsetKernel(lib, self.model, self.rules, self.dim)
+        return self._kernel
 
     def value_array_bytes(self) -> int:
         """Size of the packed per-field value array used by the secondary search."""
@@ -346,6 +368,7 @@ class NuevoMatch(Classifier):
                 iset.model.report.training_seconds for iset in self.isets
             ),
             training=dict(self.training_provenance),
+            iset_kernel=native.kernel_name(),
         )
         return stats
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import asyncio
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.classifiers.base import NO_FLOOR, TRACE_FIELDS, Classifier
+from repro.core import native
 from repro.core.config import NuevoMatchConfig, RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
 from repro.rules import generate_classbench
@@ -78,6 +80,31 @@ def key_errors(model, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     true = np.searchsorted(pairs[:, 0], keys, side="right") - 1
     inside = (true >= 0) & (keys <= pairs[np.maximum(true, 0), 1])
     return np.abs(predicted - true)[inside], bounds[inside]
+
+
+def native_kernel(model, lo=None, hi=None) -> native.IsetKernel:
+    """The compiled kernel over a bare RQ-RMI: a one-field iSet whose rules
+    are the model's ranges (``lo``/``hi`` integer bounds, by default the
+    scaled ones times the domain) and whose order key is the range index."""
+    domain = model.ranges.domain_size
+    if lo is None:
+        lo = np.rint(model.ranges.lo * domain).astype(np.int64)
+        hi = np.rint(model.ranges.hi * domain).astype(np.int64)
+    rules = SimpleNamespace(
+        lo=np.asarray(lo, dtype=np.int64).reshape(-1, 1),
+        hi=np.asarray(hi, dtype=np.int64).reshape(-1, 1),
+        key=np.arange(len(model.ranges), dtype=np.int64),
+    )
+    return native.IsetKernel(native.library(), model, rules, dim=0)
+
+
+def native_locate(model, keys, lo=None, hi=None) -> np.ndarray:
+    """The fused kernel's answer for each integer key of a bare RQ-RMI: the
+    index of the range holding it, ``-1`` where none does."""
+    best = np.full(len(keys), NO_FLOOR, dtype=np.int64)
+    values = np.ascontiguousarray(np.asarray(keys, dtype=np.int64).reshape(-1, 1))
+    native_kernel(model, lo, hi).lookup(values, best)
+    return np.where(best == NO_FLOOR, -1, best)
 
 
 def three_stage_builds(case: str) -> tuple[NuevoMatch, NuevoMatch]:

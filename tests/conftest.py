@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
+from repro.core import native
 from repro.core.nuevomatch import NuevoMatch
 from repro.rules import generate_classbench, generate_stanford_backbone
 
@@ -64,3 +65,22 @@ def nm_acl_medium(acl_medium):
 def three_stage(request):
     """``(case, cold, warm)`` for each 3-stage case in ``_helpers``."""
     return (request.param, *three_stage_builds(request.param))
+
+
+@pytest.fixture(params=["native", "numpy"])
+def iset_kernel(request, monkeypatch):
+    """Runs a test on both iSet lookup paths: the compiled kernel and the
+    numpy body, forced through the loader as on a host with no compiler."""
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_library", False)
+    elif native.library() is None:
+        pytest.skip("the native iSet kernel cannot be built on this host")
+    assert native.kernel_name() == request.param
+    return request.param
+
+
+@pytest.fixture
+def needs_native():
+    """Skips a test of the compiled kernel where it cannot be built."""
+    if native.library() is None:
+        pytest.skip("the native iSet kernel cannot be built on this host")

@@ -930,6 +930,25 @@ class TestProtocol:
 
         run_scenario_coro(scenario())
 
+    def test_stats_op_names_the_iset_kernel(self, server_rules, iset_kernel):
+        """A NuevoMatch engine's ``stats`` say which iSet lookup serves it:
+        the compiled kernel, or the numpy body where it cannot be built."""
+        async def scenario():
+            engine = ClassificationEngine.build(
+                server_rules, classifier="nm", remainder_classifier="tm",
+                config=fast_nm_config(),
+            )
+            async with AsyncServer(engine) as server:
+                await server.start("127.0.0.1", 0)
+                async with await AsyncClient.connect(
+                    server.host, server.port
+                ) as client:
+                    await client.classify_batch(server_rules.sample_packets(4, seed=1))
+                    stats = await client.stats()
+                    assert stats["engine"]["iset_kernel"] == iset_kernel
+
+        run_scenario_coro(scenario())
+
     def test_hello_needs_a_protocols_list(self, server_rules):
         async def scenario():
             engine = ClassificationEngine.build(server_rules, classifier="tm")

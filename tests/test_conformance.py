@@ -29,6 +29,9 @@ from _helpers import (
     scalar_arrays,
 )
 
+#: Every test runs on both iSet lookup paths (``conftest.iset_kernel``).
+pytestmark = pytest.mark.usefixtures("iset_kernel")
+
 SHARD_COUNTS = (1, 2, 4)
 
 #: Cache capacities for the CachedEngine rows: smaller than the probe set (so

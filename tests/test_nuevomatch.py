@@ -11,6 +11,9 @@ from repro.rules.rule import NO_FLOOR, split_keys
 from repro.simulation import evaluate_nuevomatch
 from _helpers import block_of, fast_nm_config
 
+#: Every test runs on both iSet lookup paths (``conftest.iset_kernel``).
+pytestmark = pytest.mark.usefixtures("iset_kernel")
+
 MODEL_ACCESSES = TRACE_FIELDS.index("model_accesses")
 
 

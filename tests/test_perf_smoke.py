@@ -1,6 +1,6 @@
 """Performance smoke tests: flow-cached replay, the hash-family and forest
 kernels, the hash family's direct-addressed probe and offset-list bucket
-scan, and wire frame batching.
+scan, the compiled iSet kernel, and wire frame batching.
 
 Marked ``perf`` and deselected from the default (tier-1) run via
 ``addopts = -m "not perf"`` in ``pyproject.toml``; the dedicated CI perf job
@@ -22,9 +22,11 @@ import pytest
 
 from repro.classifiers import build_classifier
 from repro.cli import _nm_config
+from repro.core import native
 from repro.core.nuevomatch import NuevoMatch
 from repro.engine import ClassificationEngine
 from repro.rules import generate_classbench
+from repro.rules.rule import NO_FLOOR
 from repro.serving import AsyncClient, AsyncServer
 from repro.traffic import generate_uniform_trace
 from repro.workloads import run_scenario
@@ -202,6 +204,40 @@ def test_forest_kernel_beats_the_scalar_walk():
         assert loop >= speedup * kernel, (
             f"{rows} rows: kernel {kernel / 1e3:.0f} us vs loop {loop / 1e3:.0f} us"
         )
+
+
+def _isets_lookup(nm):
+    """Every iSet of ``nm`` over one block, as ``classify_block`` runs them."""
+    def lookup(block, _floors, traces=None):
+        best = np.full(len(block), NO_FLOOR, dtype=np.int64)
+        for iset in nm.isets:
+            iset.lookup_block(block, best, traces=traces)
+    return lookup
+
+
+def test_native_iset_kernel_beats_the_numpy_body(monkeypatch):
+    """The server's engine (acl1/8000, ``nm/tm``, ``_nm_config(64)``),
+    uniform blocks (seed 2), no trace counters, best of 7 passes over 8
+    blocks: the compiled kernel over both iSets must run at least 3x the
+    numpy iSet body at 128 and at 1024 rows, and the whole
+    ``classify_block`` at least 1.5x at 1024 rows."""
+    if native.library() is None:
+        pytest.skip("the native iSet kernel cannot be built on this host")
+    nm, values = _serving_remainder(8192)
+    assert len(nm.isets) == 2
+    lib = native.library()
+    for rows, lookup, speedup in (
+        (128, _isets_lookup(nm), 3.0),
+        (1024, _isets_lookup(nm), 3.0),
+        (1024, lambda block, _floors, traces=None: nm.classify_block(block), 1.5),
+    ):
+        blocks = [values[start : start + rows] for start in range(0, 8 * rows, rows)]
+        floors = [None] * len(blocks)
+        timings = {}
+        for path in ("native", "numpy"):
+            monkeypatch.setattr(native, "_library", lib if path == "native" else False)
+            timings[path] = _best_ns(lookup, blocks, floors, 7, traced=False)
+        assert timings["numpy"] >= speedup * timings["native"], (rows, timings)
 
 
 def test_wide_frames_amortize_per_frame_serving_cost():

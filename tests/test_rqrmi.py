@@ -13,13 +13,14 @@ import pytest
 
 import _analysis_reference as reference
 import test_pipeline
+from repro.core import native
 from repro.core.config import RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
 from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport, route
 from repro.core.submodel import Stage, Submodel
 from repro.core.training import sample_responsibility
 from repro.rules import generate_classbench
-from _helpers import fast_nm_config, key_errors
+from _helpers import fast_nm_config, key_errors, native_locate
 from _nm_reference import checked_index, query
 from _nm_reference import route as scalar_route
 
@@ -179,7 +180,9 @@ class TestCertifiedBoundOnEveryKey:
     enumeration where enumeration is cheap: on a 16-bit domain every key
     inside a range is predicted within its leaf's bound, and every model
     attains its bound (one less would miss a key), so it is tight, not just
-    safe."""
+    safe.  The compiled kernel searches only inside the bound, so there a
+    bound one too small changes an answer: its answer for every key must be
+    :meth:`RangeSet.locate`'s."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("count,widths", CERTIFIED_CASES)
@@ -192,6 +195,15 @@ class TestCertifiedBoundOnEveryKey:
         assert errors.size == int((pairs[:, 1] - pairs[:, 0] + 1).sum())
         assert np.all(errors <= bounds)
         assert np.any(errors == bounds)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("count,widths", CERTIFIED_CASES)
+    def test_native_answer_is_locate_on_every_key(self, count, widths, seed, needs_native):
+        pairs, model = certified_model(count, widths, seed)
+        keys = np.arange(model.ranges.domain_size)
+        expected = [model.ranges.locate(model.ranges.scale_key(key)) for key in keys.tolist()]
+        expected = np.array([-1 if index is None else index for index in expected])
+        assert np.array_equal(native_locate(model, keys, pairs[:, 0], pairs[:, 1]), expected)
 
     def test_a_bound_reached_inside_a_range(self):
         """A trained leaf is monotone where it matters, so its worst key sits
@@ -208,6 +220,11 @@ class TestCertifiedBoundOnEveryKey:
         assert np.any(errors == bound)
         # The ranges tile keys 0..65529, so errors[key] is that key's error.
         assert errors[np.isin(np.arange(errors.size), pairs)].max() < bound
+        if native.library() is not None:
+            keys = np.arange(domain)
+            expected = np.searchsorted(pairs[:, 0], keys, side="right") - 1
+            expected[(expected < 0) | (keys > pairs[np.maximum(expected, 0), 1])] = -1
+            assert np.array_equal(native_locate(model, keys, pairs[:, 0], pairs[:, 1]), expected)
 
 
 def assert_analysis_is_the_frozen_loop(submodel: Submodel, width: int) -> None:

@@ -374,10 +374,40 @@ def test_superseded_names_are_gone():
 
 def test_one_nuevomatch_lookup():
     """NuevoMatch's iSets answer through ``ISetIndex.lookup_block`` →
-    ``RQRMI.query_batch_detailed`` only: no per-packet iSet lookup or RQ-RMI
-    query sits beside them (the frozen walk lives in ``tests/_nm_reference``)."""
+    ``RQRMI.query_batch_detailed``, or, untraced, through the compiled
+    kernel's ``IsetKernel.lookup`` — the only other iSet lookup, called from
+    ``lookup_block`` alone.  No per-packet iSet lookup or RQ-RMI query sits
+    beside them (the frozen walk lives in ``tests/_nm_reference``), and the
+    C file exports the one lookup, the test-only route and its layout probe."""
     for name in ("ISetIndex", "RQRMI"):
         assert not CLASS_METHODS[name] & {"lookup", "query", "predict"}, name
+    assert CLASS_METHODS["IsetKernel"] == {"__init__", "lookup", "route"}
+    callers = {
+        f"{path.relative_to(SRC)}:{function.name}"
+        for path in SRC.rglob("*.py")
+        for function in ast.walk(ast.parse(path.read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", "") == "lookup"
+    }
+    assert callers == {"core/nuevomatch.py:lookup_block"}
+    source = (SRC / "core" / "_iset_kernel.c").read_text()
+    exported = re.findall(r"^(?:void|void \*) *(\w+)\(", source, flags=re.MULTILINE)
+    assert sorted(exported) == ["array_data", "iset_lookup", "rqrmi_route"]
+
+
+def test_the_native_kernel_has_no_python_row_loop():
+    """The compiled kernel's Python side converts nothing per row: no
+    function of ``core/native.py`` loops over a block or calls
+    ``.tolist()``.  ``IsetKernel.__init__`` runs once per iSet and walks its
+    stages, not a block, so it is the one function left out."""
+    module = ast.parse((SRC / "core" / "native.py").read_text())
+    functions = [
+        node for node in ast.walk(module)
+        if isinstance(node, ast.FunctionDef) and node.name != "__init__"
+    ]
+    assert {f.name for f in functions} >= {"lookup", "route", "library", "_load"}
+    assert [loop for f in functions for loop in _row_loops(f)] == []
 
 
 def test_one_rqrmi_route():
