@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.submodel import OUTPUT_EPSILON
+
 __all__ = ["IsetKernel", "kernel_name", "library"]
 
 SOURCE = Path(__file__).with_name("_iset_kernel.c")
@@ -146,8 +148,6 @@ class IsetKernel:
     the C struct points at them, and kept alive here."""
 
     def __init__(self, lib: ctypes.CDLL, model, rules, dim: int):
-        from repro.core.submodel import OUTPUT_EPSILON
-
         stacked = model.stacked
         self._arrays = arrays = {
             "widths": np.array([stage.width for stage in stacked], dtype=np.int64),
@@ -177,11 +177,22 @@ class IsetKernel:
         self._lookup = lib.iset_lookup
         self._walk = lib.rqrmi_route
 
-    def lookup(self, values: np.ndarray, best_keys: np.ndarray) -> None:
-        """Lower ``best_keys`` (int64, C-contiguous, written in place) by the
-        iSet's matches for ``values``, a C-contiguous int64 ``(n, fields)``
-        block."""
+    def lookup(self, values: np.ndarray, best_keys: np.ndarray) -> bool:
+        """Lower ``best_keys`` in place by the iSet's matches for the
+        ``(n, fields)`` block ``values``.  Does nothing and returns false
+        unless ``best_keys`` is an aligned, writable, C-contiguous int64
+        array of ``n`` keys and the block has the iSet's fields — the
+        layout the kernel reads and writes."""
+        values = np.ascontiguousarray(values, dtype=np.int64)
+        if not (
+            best_keys.dtype == np.int64
+            and best_keys.flags.carray
+            and best_keys.shape == (values.shape[0],)
+            and values.shape[1:] == (self.fields,)
+        ):
+            return False
         self._lookup(self._model_ref, len(values), values, best_keys)
+        return True
 
     def route(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The compiled walk over every stage: ``(slots, outputs)`` as

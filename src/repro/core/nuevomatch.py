@@ -86,12 +86,12 @@ class ISetIndex:
         Without ``traces`` the compiled kernel (:mod:`repro.core.native`)
         does all of it in one call, its search confined to the error window;
         the array body below is its reference, and the fallback where no
-        kernel can be built.
+        kernel can be built or ``best_keys`` is not an aligned, writable,
+        C-contiguous int64 row per block row.
         """
         if traces is None:
             kernel = self.kernel()
-            if kernel is not None:
-                kernel.lookup(np.ascontiguousarray(values, dtype=np.int64), best_keys)
+            if kernel is not None and kernel.lookup(values, best_keys):
                 return
         keys = values[:, self.dim]
         indices, _predicted, bounds = self.model.query_batch_detailed(keys)

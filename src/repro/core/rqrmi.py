@@ -334,7 +334,9 @@ class RQRMI:
         through :func:`route`.  The secondary search is one global
         ``searchsorted`` over the sorted ranges, whose position counts only
         inside ``[predicted - error, predicted + error]`` — the answer a
-        search bounded to that window gives, not its cost.
+        search bounded to that window gives, not its cost.  The compiled
+        iSet kernel (:mod:`repro.core.native`) runs the bounded search
+        itself; this is its reference and the traced lookup.
 
         Returns:
             ``(indices, predicted, bounds)`` arrays — the matched range index

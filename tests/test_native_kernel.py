@@ -192,3 +192,20 @@ class TestLoader:
         src = str(Path(native.__file__).resolve().parents[2])
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_arrays_the_kernel_cannot_take_get_the_numpy_body(nm_acl_medium, acl_medium):
+    """A strided or short ``best_keys``, or a block without the iSet's
+    fields, never reaches the kernel's pointers: ``lookup_block`` answers
+    the strided view on the numpy body."""
+    block = block_of(acl_medium.sample_packets(64, seed=2)).astype(np.int64)
+    iset = nm_acl_medium.isets[0]
+    kernel = iset.kernel()
+    expected = np.full(64, NO_FLOOR, dtype=np.int64)
+    assert kernel.lookup(block, expected)
+    strided = np.full(128, NO_FLOOR, dtype=np.int64)[::2]
+    assert not kernel.lookup(block, strided)
+    iset.lookup_block(block, strided)
+    assert np.array_equal(strided, expected)
+    assert not kernel.lookup(block[:, :2], np.full(64, NO_FLOOR, dtype=np.int64))
+    assert not kernel.lookup(block, np.full(63, NO_FLOOR, dtype=np.int64))
