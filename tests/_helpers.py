@@ -103,7 +103,7 @@ def native_locate(model, keys, lo=None, hi=None) -> np.ndarray:
     index of the range holding it, ``-1`` where none does."""
     best = np.full(len(keys), NO_FLOOR, dtype=np.int64)
     values = np.ascontiguousarray(np.asarray(keys, dtype=np.int64).reshape(-1, 1))
-    native_kernel(model, lo, hi).lookup(values, best)
+    assert native_kernel(model, lo, hi).lookup(values, best)
     return np.where(best == NO_FLOOR, -1, best)
 
 
