@@ -13,8 +13,9 @@ under a name keyed by a hash of the source, the flags and the platform
 (or, when that directory is not ours to write, in a private
 ``tempfile.mkdtemp()``), written to a temporary file and moved into place
 with ``os.replace`` so concurrent processes race safely.  If the compiler is
-missing or fails, the process keeps the numpy path and does not try again.
-There is no option: :func:`kernel_name` says which path lookups take.
+missing or fails, or numpy arrays do not have the layout the kernel reads,
+the process keeps the numpy path and does not try again.  There is no
+option: :func:`kernel_name` says which path lookups take.
 """
 
 from __future__ import annotations

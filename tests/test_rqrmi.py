@@ -13,7 +13,6 @@ import pytest
 
 import _analysis_reference as reference
 import test_pipeline
-from repro.core import native
 from repro.core.config import RQRMIConfig
 from repro.core.nuevomatch import NuevoMatch
 from repro.core.rqrmi import RQRMI, RangeSet, TrainingReport, route
@@ -220,11 +219,20 @@ class TestCertifiedBoundOnEveryKey:
         assert np.any(errors == bound)
         # The ranges tile keys 0..65529, so errors[key] is that key's error.
         assert errors[np.isin(np.arange(errors.size), pairs)].max() < bound
-        if native.library() is not None:
-            keys = np.arange(domain)
-            expected = np.searchsorted(pairs[:, 0], keys, side="right") - 1
-            expected[(expected < 0) | (keys > pairs[np.maximum(expected, 0), 1])] = -1
-            assert np.array_equal(native_locate(model, keys, pairs[:, 0], pairs[:, 1]), expected)
+
+    def test_native_answer_where_the_bound_is_reached_inside_a_range(self, needs_native):
+        """The hand-built leaf above, answered by the compiled kernel: its
+        window must reach the key in the middle of range 5."""
+        domain = 1 << 16
+        pairs = np.array([(i * 6553, (i + 1) * 6553 - 1) for i in range(10)])
+        ranges = RangeSet.from_integer_ranges(pairs, domain)
+        leaf = Submodel(np.ones(4), [0.0, -0.5, -0.55, -0.6], [1.0, 4.0, -8.0, 4.0], 0.0)
+        bound = RQRMI._error_bound_for(leaf, [(0.0, 1.0)], ranges)
+        model = RQRMI([Stage.stack([leaf])], ranges, [bound], TrainingReport())
+        keys = np.arange(domain)
+        expected = np.searchsorted(pairs[:, 0], keys, side="right") - 1
+        expected[keys > pairs[-1, 1]] = -1
+        assert np.array_equal(native_locate(model, keys, pairs[:, 0], pairs[:, 1]), expected)
 
 
 def assert_analysis_is_the_frozen_loop(submodel: Submodel, width: int) -> None:
